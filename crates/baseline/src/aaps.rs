@@ -19,8 +19,7 @@
 
 use dcn_collections::FxHashMap;
 use dcn_controller::{
-    Controller, ControllerError, ControllerEvent, ControllerMetrics, Outcome, RequestId,
-    RequestKind, RequestLedger, RequestRecord,
+    ControllerError, ControllerMetrics, Outcome, RequestKind, RequestLedger, SyncController,
 };
 use dcn_tree::{DynamicTree, NodeId};
 
@@ -32,7 +31,7 @@ type BinKey = (NodeId, u32);
 ///
 /// ```
 /// use dcn_baseline::AapsController;
-/// use dcn_controller::RequestKind;
+/// use dcn_controller::{Controller, RequestKind};
 /// use dcn_tree::DynamicTree;
 ///
 /// let tree = DynamicTree::with_initial_path(8);
@@ -101,21 +100,6 @@ impl AapsController {
         })
     }
 
-    /// The spanning tree as currently maintained by the controller.
-    pub fn tree(&self) -> &DynamicTree {
-        &self.tree
-    }
-
-    /// Permits granted so far.
-    pub fn granted(&self) -> u64 {
-        self.granted
-    }
-
-    /// Requests rejected so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
     /// Messages sent so far (request walks plus permit-package moves).
     pub fn messages(&self) -> u64 {
         self.messages
@@ -124,16 +108,6 @@ impl AapsController {
     /// Move complexity so far (permit-package moves only).
     pub fn moves(&self) -> u64 {
         self.moves
-    }
-
-    /// The permit budget `M`.
-    pub fn budget(&self) -> u64 {
-        self.m
-    }
-
-    /// The waste bound `W`.
-    pub fn waste(&self) -> u64 {
-        self.w
     }
 
     /// Capacity of a level-`i` bin.
@@ -313,7 +287,7 @@ impl AapsController {
     }
 }
 
-impl Controller for AapsController {
+impl SyncController for AapsController {
     fn name(&self) -> &'static str {
         "aaps"
     }
@@ -332,36 +306,13 @@ impl Controller for AapsController {
         matches!(kind, RequestKind::AddLeaf | RequestKind::NonTopological)
     }
 
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        if !self.tree.contains(at) {
-            return Err(ControllerError::UnknownNode(at));
-        }
-        if !Controller::supports(self, kind) {
-            // Outside the AAPS dynamic model: the ticket resolves to a
-            // refusal instead of surfacing as an error (the raw
-            // [`AapsController::submit`] keeps erroring for direct callers).
-            return Ok(self.ledger.refuse(at, kind));
-        }
-        let outcome = AapsController::submit(self, at, kind)?;
-        let id = self.ledger.issue();
-        self.ledger.record(id, at, kind, outcome);
-        Ok(id)
-    }
-
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        Ok(())
-    }
-
-    fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.ledger.drain_events()
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        self.ledger.records()
-    }
-
-    fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.ledger.outcome(id)
+    /// Only reached for supported kinds: through [`Controller`] a kind
+    /// outside the model resolves to a refusal ticket instead (the raw
+    /// [`AapsController::submit`] keeps erroring for direct callers).
+    ///
+    /// [`Controller`]: dcn_controller::Controller
+    fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
+        self.submit(at, kind)
     }
 
     fn granted(&self) -> u64 {
@@ -382,6 +333,14 @@ impl Controller for AapsController {
             messages: self.messages,
             peak_node_memory_bits: self.peak_node_memory_bits(),
         }
+    }
+
+    fn ledger(&self) -> &RequestLedger {
+        &self.ledger
+    }
+
+    fn ledger_mut(&mut self) -> &mut RequestLedger {
+        &mut self.ledger
     }
 }
 

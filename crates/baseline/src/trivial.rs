@@ -1,8 +1,8 @@
 //! The trivial root-walk controller.
 
 use dcn_controller::{
-    Controller, ControllerError, ControllerEvent, ControllerMetrics, Outcome, RequestId,
-    RequestKind, RequestLedger, RequestRecord,
+    check_request, ControllerError, ControllerMetrics, Outcome, RequestKind, RequestLedger,
+    SyncController,
 };
 use dcn_tree::{DynamicTree, NodeId};
 
@@ -41,26 +41,6 @@ impl TrivialController {
         }
     }
 
-    /// The spanning tree as currently maintained by the controller.
-    pub fn tree(&self) -> &DynamicTree {
-        &self.tree
-    }
-
-    /// The permit budget `M`.
-    pub fn budget(&self) -> u64 {
-        self.m
-    }
-
-    /// Permits granted so far.
-    pub fn granted(&self) -> u64 {
-        self.granted
-    }
-
-    /// Requests rejected so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
     /// Messages sent so far (`2·depth(u)` per request: the request walks up,
     /// the answer walks down).
     pub fn messages(&self) -> u64 {
@@ -80,18 +60,7 @@ impl TrivialController {
     /// * [`ControllerError::CannotRemoveRoot`] /
     ///   [`ControllerError::NotParentOf`] for malformed topological requests.
     pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
-        if !self.tree.contains(at) {
-            return Err(ControllerError::UnknownNode(at));
-        }
-        match kind {
-            RequestKind::RemoveSelf if at == self.tree.root() => {
-                return Err(ControllerError::CannotRemoveRoot)
-            }
-            RequestKind::AddInternalAbove(child) if self.tree.parent(child) != Some(at) => {
-                return Err(ControllerError::NotParentOf { at, child })
-            }
-            _ => {}
-        }
+        check_request(&self.tree, at, kind)?;
         let depth = self.tree.depth(at) as u64;
         self.messages += 2 * depth;
         if self.remaining == 0 {
@@ -117,7 +86,7 @@ impl TrivialController {
     }
 }
 
-impl Controller for TrivialController {
+impl SyncController for TrivialController {
     fn name(&self) -> &'static str {
         "trivial"
     }
@@ -132,27 +101,8 @@ impl Controller for TrivialController {
         0
     }
 
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        let outcome = TrivialController::submit(self, at, kind)?;
-        let id = self.ledger.issue();
-        self.ledger.record(id, at, kind, outcome);
-        Ok(id)
-    }
-
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        Ok(())
-    }
-
-    fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.ledger.drain_events()
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        self.ledger.records()
-    }
-
-    fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.ledger.outcome(id)
+    fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
+        self.submit(at, kind)
     }
 
     fn granted(&self) -> u64 {
@@ -175,6 +125,14 @@ impl Controller for TrivialController {
             // stateless.
             peak_node_memory_bits: 64 - self.m.max(1).leading_zeros() as u64,
         }
+    }
+
+    fn ledger(&self) -> &RequestLedger {
+        &self.ledger
+    }
+
+    fn ledger_mut(&mut self) -> &mut RequestLedger {
+        &mut self.ledger
     }
 }
 

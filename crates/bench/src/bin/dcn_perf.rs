@@ -47,7 +47,7 @@ use dcn_bench::compare::{compare, parse_bench, BenchEntry, BenchFile};
 use dcn_bench::{
     quick_grid, run_app_family, run_family, run_grid, AppFamily, Family, DEFAULT_SWEEP_SEED,
 };
-use dcn_controller::ShardedController;
+use dcn_controller::{Controller, ShardedController};
 use dcn_server::{Loopback, ServeConfig};
 use dcn_simnet::SimConfig;
 use dcn_tree::{DynamicTree, NodeId};

@@ -8,7 +8,7 @@
 //! `(n₀log²n₀ + Σ log²n_j)` shape.
 
 use dcn_bench::{print_table, sweep_sizes, Row};
-use dcn_estimator::NameAssigner;
+use dcn_estimator::{Application, NameAssigner};
 use dcn_simnet::SimConfig;
 use dcn_workload::{
     build_tree, ArrivalMode, ChurnModel, Placement, Scenario, ScenarioRunner, TreeShape,

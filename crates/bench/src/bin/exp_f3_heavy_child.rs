@@ -8,7 +8,7 @@
 //! light-depth invariant is checked at every quiescent point by the runner.
 
 use dcn_bench::{print_table, sweep_sizes, Row};
-use dcn_estimator::HeavyChildDecomposition;
+use dcn_estimator::{Application, HeavyChildDecomposition};
 use dcn_simnet::SimConfig;
 use dcn_workload::{
     build_tree, ArrivalMode, ChurnModel, Placement, Scenario, ScenarioRunner, TreeShape,

@@ -32,7 +32,7 @@
 //! Every binary prints a table of rows (`experiment, parameters, measured,
 //! bound, ratio`) and, when the `DCN_JSON` environment variable is set, the
 //! same rows as JSON lines so results can be archived. Set `DCN_QUICK=1` to
-//! run reduced sweeps (used by CI and `cargo bench`).
+//! run reduced sweeps (used by CI).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -224,8 +224,7 @@ pub fn print_table(title: &str, rows: &[Row]) {
     println!();
 }
 
-/// Returns `true` when reduced sweeps were requested (`DCN_QUICK=1`), which is
-/// also the default under `cargo bench` wrappers.
+/// Returns `true` when reduced sweeps were requested (`DCN_QUICK=1`).
 pub fn quick_mode() -> bool {
     std::env::var("DCN_QUICK").is_ok_and(|v| v != "0")
 }

@@ -312,3 +312,80 @@ fn every_family_survives_the_diversified_grid() {
         assert!(s.p95_messages > 0, "{}", s.family);
     }
 }
+
+/// Constant byte pin for the sharded axis, recorded on the commit *before*
+/// the epoch-shell refactor: until then the 288-cell grid (whose `m=10,w=3`
+/// budget forces exchange waves) was only compared across worker counts,
+/// never against a constant.
+#[test]
+fn sharded_grid_output_matches_the_pre_shell_golden_hashes() {
+    let report = run_grid(&sharded_grid(), 4);
+    assert_eq!(fnv1a(report.to_csv().as_bytes()), 0x5b97_21e7_64d9_b0b1);
+    assert_eq!(fnv1a(report.to_json().as_bytes()), 0x0aac_842c_2248_6474);
+}
+
+/// One adaptive-distributed run reduced to a fingerprint: ticket, outcome,
+/// `submitted_at` and `answered_at` of every record, then `messages()`,
+/// `epochs()` and `recycles()`. `moves` / `peak_node_memory_bits` are left
+/// out on purpose — the pre-shell code reset them at every rebuild.
+fn adaptive_distributed_fingerprint(seed: u64) -> u64 {
+    use dcn_controller::distributed::AdaptiveDistributedController;
+    use dcn_controller::{Controller, Outcome, RequestKind};
+    use dcn_simnet::SimConfig;
+    use dcn_tree::{DynamicTree, NodeId};
+
+    // M = 400 over 8 nodes gives the first epochs φ > 1, so static packages
+    // strand permits and the first reject finds more than W uncommitted (a
+    // recycle); the six insertions of rounds 0, 5 and 10 cross U/4 changes
+    // (an epoch refresh).
+    let tree = DynamicTree::with_initial_path(8);
+    let mut ctrl = AdaptiveDistributedController::new(SimConfig::new(seed), tree, 400, 4).unwrap();
+    for round in 0..12usize {
+        let nodes: Vec<NodeId> = Controller::tree(&ctrl).nodes().collect();
+        for i in 0..40usize {
+            let at = nodes[(i * 7 + round) % nodes.len()];
+            let kind = if round % 5 == 0 && i < 6 {
+                RequestKind::AddLeaf
+            } else {
+                RequestKind::NonTopological
+            };
+            Controller::submit(&mut ctrl, at, kind).unwrap();
+        }
+        Controller::run_to_quiescence(&mut ctrl).unwrap();
+    }
+    assert!(ctrl.recycles() >= 1, "seed {seed}: no recycle forced");
+    assert!(ctrl.epochs() >= 2, "seed {seed}: no epoch refresh forced");
+    let mut words: Vec<u64> = Vec::new();
+    for r in Controller::records(&ctrl) {
+        let outcome = match r.outcome {
+            Outcome::Granted { .. } => 1,
+            Outcome::Rejected => 2,
+            Outcome::Refused => 3,
+        };
+        words.extend([r.id.0, outcome, r.submitted_at, r.answered_at]);
+    }
+    words.extend([
+        Controller::metrics(&ctrl).messages,
+        ctrl.epochs() as u64,
+        ctrl.recycles() as u64,
+    ]);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a(&bytes)
+}
+
+/// Constant pin for the epoch shell's second client, recorded on the commit
+/// before the refactor: three seeds, each forcing at least one recycle and
+/// one epoch refresh.
+#[test]
+fn adaptive_distributed_runs_match_the_pre_shell_fingerprints() {
+    let got = [3u64, 11, 29].map(adaptive_distributed_fingerprint);
+    assert_eq!(
+        got,
+        [
+            0xf6da_21cb_1fd9_3280,
+            0xd97b_90a0_dade_7edb,
+            0x837e_76be_df90_bb84
+        ],
+        "{got:x?}"
+    );
+}

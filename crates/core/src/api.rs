@@ -27,6 +27,7 @@
 //!
 //! Cost counters are exposed uniformly through [`ControllerMetrics`].
 
+use crate::ledger::RequestLedger;
 use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
 use crate::ControllerError;
 use dcn_tree::DynamicTree;
@@ -170,12 +171,14 @@ impl Progress {
 
 /// The shared behaviour of every (M, W)-controller in the workspace.
 ///
-/// Implemented by [`CentralizedController`](crate::centralized::CentralizedController),
-/// [`IteratedController`](crate::centralized::IteratedController),
+/// Implemented directly by the asynchronous families —
 /// [`DistributedController`](crate::distributed::DistributedController),
-/// [`AdaptiveDistributedController`](crate::distributed::AdaptiveDistributedController)
-/// and by the `TrivialController` / `AapsController` baselines in
-/// `dcn-baseline`.
+/// [`AdaptiveDistributedController`](crate::distributed::AdaptiveDistributedController),
+/// [`ShardedController`](crate::sharded::ShardedController) — and, through
+/// the one blanket impl over [`SyncController`], by
+/// [`CentralizedController`](crate::centralized::CentralizedController),
+/// [`IteratedController`](crate::centralized::IteratedController) and the
+/// `TrivialController` / `AapsController` baselines in `dcn-baseline`.
 ///
 /// Synchronous families answer inside [`Controller::submit`] and emit their
 /// events immediately; the distributed families defer execution to
@@ -274,21 +277,82 @@ pub trait Controller {
     fn metrics(&self) -> ControllerMetrics;
 }
 
-impl Controller for crate::centralized::CentralizedController {
+/// The core of a *synchronous* family — one that decides a request on the
+/// spot. Implementing it is all the centralized, iterated, trivial and AAPS
+/// families do: the ticket lifecycle of [`Controller`] (issue, record, emit,
+/// drain, look up) is supplied once by the blanket impl below over the
+/// family's embedded [`RequestLedger`].
+pub trait SyncController {
+    /// See [`Controller::name`].
+    fn name(&self) -> &'static str;
+
+    /// See [`Controller::budget`].
+    fn budget(&self) -> u64;
+
+    /// See [`Controller::waste_bound`].
+    fn waste_bound(&self) -> u64;
+
+    /// See [`Controller::supports`].
+    fn supports(&self, kind: RequestKind) -> bool {
+        let _ = kind;
+        true
+    }
+
+    /// Decides a request of a supported kind arriving at `at`, applying the
+    /// granted event to the tree before returning.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`check_request`](crate::check_request)'s validation errors;
+    /// such a request never entered the controller.
+    fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError>;
+
+    /// See [`Controller::granted`].
+    fn granted(&self) -> u64;
+
+    /// See [`Controller::rejected`].
+    fn rejected(&self) -> u64;
+
+    /// See [`Controller::tree`].
+    fn tree(&self) -> &DynamicTree;
+
+    /// See [`Controller::metrics`].
+    fn metrics(&self) -> ControllerMetrics;
+
+    /// The family's embedded ledger.
+    fn ledger(&self) -> &RequestLedger;
+
+    /// Mutable access to the family's embedded ledger.
+    fn ledger_mut(&mut self) -> &mut RequestLedger;
+}
+
+impl<T: SyncController> Controller for T {
     fn name(&self) -> &'static str {
-        "centralized"
+        SyncController::name(self)
     }
 
     fn budget(&self) -> u64 {
-        self.params().m
+        SyncController::budget(self)
     }
 
     fn waste_bound(&self) -> u64 {
-        self.params().w
+        SyncController::waste_bound(self)
+    }
+
+    fn supports(&self, kind: RequestKind) -> bool {
+        SyncController::supports(self, kind)
     }
 
     fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        let outcome = self.submit(at, kind)?;
+        if !SyncController::supports(self, kind) {
+            // Outside the family's dynamic model: a request at a live node
+            // gets a ticket that resolves to a refusal, not an error.
+            if !SyncController::tree(self).contains(at) {
+                return Err(ControllerError::UnknownNode(at));
+            }
+            return Ok(self.ledger_mut().refuse(at, kind));
+        }
+        let outcome = self.decide(at, kind)?;
         let ledger = self.ledger_mut();
         let id = ledger.issue();
         ledger.record(id, at, kind, outcome);
@@ -312,139 +376,19 @@ impl Controller for crate::centralized::CentralizedController {
     }
 
     fn granted(&self) -> u64 {
-        self.granted()
+        SyncController::granted(self)
     }
 
     fn rejected(&self) -> u64 {
-        self.rejected()
+        SyncController::rejected(self)
     }
 
     fn tree(&self) -> &DynamicTree {
-        self.tree()
+        SyncController::tree(self)
     }
 
     fn metrics(&self) -> ControllerMetrics {
-        ControllerMetrics {
-            moves: self.moves(),
-            messages: self.moves(),
-            peak_node_memory_bits: self.peak_node_memory_bits(),
-        }
-    }
-}
-
-impl Controller for crate::centralized::IteratedController {
-    fn name(&self) -> &'static str {
-        "iterated"
-    }
-
-    fn budget(&self) -> u64 {
-        self.budget()
-    }
-
-    fn waste_bound(&self) -> u64 {
-        self.waste()
-    }
-
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        let outcome = self.submit(at, kind)?;
-        let ledger = self.ledger_mut();
-        let id = ledger.issue();
-        ledger.record(id, at, kind, outcome);
-        Ok(id)
-    }
-
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        Ok(())
-    }
-
-    fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.ledger_mut().drain_events()
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        self.ledger().records()
-    }
-
-    fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.ledger().outcome(id)
-    }
-
-    fn granted(&self) -> u64 {
-        self.granted()
-    }
-
-    fn rejected(&self) -> u64 {
-        self.rejected()
-    }
-
-    fn tree(&self) -> &DynamicTree {
-        self.tree()
-    }
-
-    fn metrics(&self) -> ControllerMetrics {
-        ControllerMetrics {
-            moves: self.moves(),
-            messages: self.moves(),
-            peak_node_memory_bits: self.peak_node_memory_bits(),
-        }
-    }
-}
-
-impl Controller for crate::distributed::DistributedController {
-    fn name(&self) -> &'static str {
-        "distributed"
-    }
-
-    fn budget(&self) -> u64 {
-        self.budget()
-    }
-
-    fn waste_bound(&self) -> u64 {
-        self.waste()
-    }
-
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        self.submit(at, kind)
-    }
-
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        self.run()
-    }
-
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        self.step(budget)
-    }
-
-    fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.drain_events()
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        self.records()
-    }
-
-    fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.outcome(id)
-    }
-
-    fn granted(&self) -> u64 {
-        self.granted()
-    }
-
-    fn rejected(&self) -> u64 {
-        self.rejected()
-    }
-
-    fn tree(&self) -> &DynamicTree {
-        self.tree()
-    }
-
-    fn metrics(&self) -> ControllerMetrics {
-        ControllerMetrics {
-            moves: self.metrics().agent_hops,
-            messages: self.messages(),
-            peak_node_memory_bits: self.peak_node_memory_bits(),
-        }
+        SyncController::metrics(self)
     }
 }
 
@@ -558,8 +502,8 @@ mod tests {
         )
         .unwrap();
         let deep = ctrl.tree().nodes().last().unwrap();
-        Controller::submit(&mut ctrl, deep, RequestKind::NonTopological).unwrap();
-        ctrl.run().unwrap();
+        ctrl.submit(deep, RequestKind::NonTopological).unwrap();
+        ctrl.run_to_quiescence().unwrap();
         assert!(ctrl.peak_node_memory_bits() > 0);
     }
 }

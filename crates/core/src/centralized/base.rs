@@ -1,10 +1,11 @@
 //! The fixed-bound centralized (M, W)-Controller (§3.1).
 
+use crate::api::{ControllerMetrics, SyncController};
 use crate::domain::DomainAuditor;
 use crate::ledger::RequestLedger;
 use crate::package::{MobilePackage, PackageStore, PermitInterval};
 use crate::params::Params;
-use crate::request::{Outcome, RequestKind};
+use crate::request::{check_request, Outcome, RequestKind};
 use crate::ControllerError;
 use dcn_tree::{DynamicTree, NodeId};
 use std::collections::HashMap;
@@ -104,14 +105,6 @@ impl CentralizedController {
             auditor: None,
             ledger: RequestLedger::new(),
         })
-    }
-
-    pub(crate) fn ledger(&self) -> &RequestLedger {
-        &self.ledger
-    }
-
-    pub(crate) fn ledger_mut(&mut self) -> &mut RequestLedger {
-        &mut self.ledger
     }
 
     /// Enables the domain auditor (§3.2 invariants); intended for tests and
@@ -285,7 +278,7 @@ impl CentralizedController {
         at: NodeId,
         kind: RequestKind,
     ) -> Result<Attempt, ControllerError> {
-        self.validate(at, kind)?;
+        check_request(&self.tree, at, kind)?;
         // Item 1: a reject package at the node answers the request at once.
         if self.stores.get(&at).is_some_and(PackageStore::has_reject) {
             self.rejected += 1;
@@ -342,27 +335,6 @@ impl CentralizedController {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
-
-    fn validate(&self, at: NodeId, kind: RequestKind) -> Result<(), ControllerError> {
-        if !self.tree.contains(at) {
-            return Err(ControllerError::UnknownNode(at));
-        }
-        match kind {
-            RequestKind::AddInternalAbove(child) => {
-                if self.tree.parent(child) != Some(at) {
-                    return Err(ControllerError::NotParentOf { at, child });
-                }
-                Ok(())
-            }
-            RequestKind::RemoveSelf => {
-                if at == self.tree.root() {
-                    return Err(ControllerError::CannotRemoveRoot);
-                }
-                Ok(())
-            }
-            _ => Ok(()),
-        }
-    }
 
     fn store_mut(&mut self, node: NodeId) -> &mut PackageStore {
         self.stores.entry(node).or_default()
@@ -473,9 +445,9 @@ impl CentralizedController {
                 let parent = self
                     .tree
                     .parent(at)
-                    // lint: allow(unwrap) validate() refuses Remove at the
-                    // root, so `at` has a parent
-                    .expect("validate() rejected root removal");
+                    // lint: allow(unwrap) check_request() refuses Remove at
+                    // the root, so `at` has a parent
+                    .expect("check_request() rejected root removal");
                 if let Some(removed_store) = self.stores.remove(&at) {
                     if !removed_store.is_empty() {
                         self.moves += 1;
@@ -501,7 +473,7 @@ impl CentralizedController {
         at: NodeId,
         kind: RequestKind,
     ) -> Result<Attempt, ControllerError> {
-        self.validate(at, kind)?;
+        check_request(&self.tree, at, kind)?;
         if self.storage == 0 {
             return Ok(Attempt::Exhausted);
         }
@@ -525,5 +497,51 @@ impl CentralizedController {
         for node in nodes {
             self.store_mut(node).place_reject();
         }
+    }
+}
+
+impl SyncController for CentralizedController {
+    fn name(&self) -> &'static str {
+        "centralized"
+    }
+
+    fn budget(&self) -> u64 {
+        self.params.m
+    }
+
+    fn waste_bound(&self) -> u64 {
+        self.params.w
+    }
+
+    fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
+        self.submit(at, kind)
+    }
+
+    fn granted(&self) -> u64 {
+        self.granted
+    }
+
+    fn rejected(&self) -> u64 {
+        self.rejected
+    }
+
+    fn tree(&self) -> &DynamicTree {
+        &self.tree
+    }
+
+    fn metrics(&self) -> ControllerMetrics {
+        ControllerMetrics {
+            moves: self.moves,
+            messages: self.moves,
+            peak_node_memory_bits: self.peak_node_memory_bits(),
+        }
+    }
+
+    fn ledger(&self) -> &RequestLedger {
+        &self.ledger
+    }
+
+    fn ledger_mut(&mut self) -> &mut RequestLedger {
+        &mut self.ledger
     }
 }

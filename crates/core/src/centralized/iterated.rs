@@ -10,6 +10,7 @@
 //! `O(U · log² U · log(M/(W+1)))` and also yields a controller for `W = 0`.
 
 use super::base::{Attempt, CentralizedController};
+use crate::api::{ControllerMetrics, SyncController};
 use crate::ledger::RequestLedger;
 use crate::request::{Outcome, RequestKind};
 use crate::ControllerError;
@@ -99,14 +100,6 @@ impl IteratedController {
         })
     }
 
-    pub(crate) fn ledger(&self) -> &RequestLedger {
-        &self.ledger
-    }
-
-    pub(crate) fn ledger_mut(&mut self) -> &mut RequestLedger {
-        &mut self.ledger
-    }
-
     /// The spanning tree as currently maintained by the controller.
     pub fn tree(&self) -> &DynamicTree {
         self.inner.tree()
@@ -115,16 +108,6 @@ impl IteratedController {
     /// Consumes the controller and returns the tree.
     pub fn into_tree(self) -> DynamicTree {
         self.inner.into_tree()
-    }
-
-    /// The permit budget `M` of the whole iterated schedule.
-    pub fn budget(&self) -> u64 {
-        self.m
-    }
-
-    /// The waste bound `W` the schedule converges to.
-    pub fn waste(&self) -> u64 {
-        self.w_target
     }
 
     /// The largest per-node package-store footprint in bits observed at any
@@ -272,5 +255,51 @@ impl IteratedController {
         // Delivering a reject package to every node costs n - 1 moves;
         // subsequent requests are then answered locally by those packages.
         self.inner.broadcast_reject_wave();
+    }
+}
+
+impl SyncController for IteratedController {
+    fn name(&self) -> &'static str {
+        "iterated"
+    }
+
+    fn budget(&self) -> u64 {
+        self.m
+    }
+
+    fn waste_bound(&self) -> u64 {
+        self.w_target
+    }
+
+    fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
+        self.submit(at, kind)
+    }
+
+    fn granted(&self) -> u64 {
+        self.inner.granted()
+    }
+
+    fn rejected(&self) -> u64 {
+        self.rejected + self.inner.rejected()
+    }
+
+    fn tree(&self) -> &DynamicTree {
+        self.inner.tree()
+    }
+
+    fn metrics(&self) -> ControllerMetrics {
+        ControllerMetrics {
+            moves: self.inner.moves(),
+            messages: self.inner.moves(),
+            peak_node_memory_bits: self.peak_node_memory_bits(),
+        }
+    }
+
+    fn ledger(&self) -> &RequestLedger {
+        &self.ledger
+    }
+
+    fn ledger_mut(&mut self) -> &mut RequestLedger {
+        &mut self.ledger
     }
 }

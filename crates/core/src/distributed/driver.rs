@@ -3,10 +3,11 @@
 
 use super::agent::{CtrlAgent, RequestAgent};
 use super::protocol::ControllerProtocol;
-use crate::api::{ControllerEvent, Progress};
+use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
+use crate::ledger::RequestLedger;
 use crate::package::PermitInterval;
 use crate::params::Params;
-use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
+use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;
 use crate::ControllerError;
 use dcn_collections::SecondaryMap;
@@ -15,14 +16,15 @@ use dcn_simnet::{DynamicTree, Metrics, NodeId, SimConfig, Simulator};
 /// The distributed (M, W)-Controller over a simulated asynchronous network,
 /// for a known bound `U` on the number of nodes ever to exist (§4.3).
 ///
-/// Requests are submitted with [`DistributedController::submit`] (each request
-/// creates a mobile agent at its origin) and executed concurrently by
-/// [`DistributedController::run`]; answers are available afterwards through
-/// [`DistributedController::records`] / [`DistributedController::outcome`].
+/// Requests are submitted with [`Controller::submit`] (each request creates a
+/// mobile agent at its origin) and executed concurrently by
+/// [`Controller::run_to_quiescence`] / [`Controller::step`]; answers are
+/// available afterwards through [`Controller::records`] /
+/// [`Controller::outcome`].
 ///
 /// ```
 /// use dcn_controller::distributed::DistributedController;
-/// use dcn_controller::RequestKind;
+/// use dcn_controller::{Controller, RequestKind};
 /// use dcn_simnet::SimConfig;
 /// use dcn_tree::DynamicTree;
 ///
@@ -33,7 +35,7 @@ use dcn_simnet::{DynamicTree, Metrics, NodeId, SimConfig, Simulator};
 /// for leaf in leaves {
 ///     ctrl.submit(leaf, RequestKind::AddLeaf)?;
 /// }
-/// ctrl.run()?;
+/// ctrl.run_to_quiescence()?;
 /// assert_eq!(ctrl.granted(), 4);
 /// assert!(ctrl.messages() > 0);
 /// # Ok(())
@@ -42,16 +44,11 @@ use dcn_simnet::{DynamicTree, Metrics, NodeId, SimConfig, Simulator};
 #[derive(Debug)]
 pub struct DistributedController {
     sim: Simulator<ControllerProtocol>,
-    next_request: u64,
-    records: Vec<RequestRecord>,
-    /// Ticket ids are issued densely from 0, so both per-ticket indexes are
-    /// index-keyed (no hashing on the answer-collection path).
-    index: SecondaryMap<RequestId, usize>,
+    ledger: RequestLedger,
     /// Virtual arrival time per in-flight ticket, consumed when the answer is
-    /// collected (the protocol only knows the answer time).
+    /// collected (the protocol only knows the answer time). Ticket ids are
+    /// issued densely from 0, so the map is index-keyed.
     submit_times: SecondaryMap<RequestId, u64>,
-    events: Vec<ControllerEvent>,
-    submitted: u64,
     m: u64,
     w: u64,
 }
@@ -104,12 +101,8 @@ impl DistributedController {
         let sim = Simulator::with_tree(config, protocol, tree);
         Ok(DistributedController {
             sim,
-            next_request: 0,
-            records: Vec::new(),
-            index: SecondaryMap::new(),
+            ledger: RequestLedger::new(),
             submit_times: SecondaryMap::new(),
-            events: Vec::new(),
-            submitted: 0,
             m,
             w,
         })
@@ -118,11 +111,6 @@ impl DistributedController {
     /// The controller parameters.
     pub fn params(&self) -> &Params {
         self.sim.protocol().params()
-    }
-
-    /// The current spanning tree.
-    pub fn tree(&self) -> &DynamicTree {
-        self.sim.tree()
     }
 
     /// Consumes the controller and returns the tree in its final state.
@@ -142,16 +130,6 @@ impl DistributedController {
         self.sim.metrics().total_messages()
     }
 
-    /// The permit budget `M`.
-    pub fn budget(&self) -> u64 {
-        self.m
-    }
-
-    /// The waste bound `W`.
-    pub fn waste(&self) -> u64 {
-        self.w
-    }
-
     /// The largest per-node whiteboard footprint, in bits, under the
     /// compressed representation of Claim 4.8.
     pub fn peak_node_memory_bits(&self) -> u64 {
@@ -163,19 +141,9 @@ impl DistributedController {
             .unwrap_or(0)
     }
 
-    /// Number of permits granted so far.
-    pub fn granted(&self) -> u64 {
-        self.sim.protocol().granted()
-    }
-
-    /// Number of requests rejected so far.
-    pub fn rejected(&self) -> u64 {
-        self.sim.protocol().rejected()
-    }
-
     /// Number of requests submitted so far.
     pub fn submitted(&self) -> u64 {
-        self.submitted
+        self.ledger.issued()
     }
 
     /// Number of permits not yet granted (root storage plus packages).
@@ -198,76 +166,82 @@ impl DistributedController {
         &self.sim
     }
 
-    /// Submits a request arriving at node `at`; the request is handled when
-    /// [`DistributedController::run`] is called.
+    /// Like [`Controller::submit`], but the request arrives `delay` simulated
+    /// time units in the future (used to spread workloads in time).
     ///
     /// # Errors
     ///
-    /// * [`ControllerError::UnknownNode`] if `at` does not exist;
-    /// * [`ControllerError::NotParentOf`] / [`ControllerError::CannotRemoveRoot`]
-    ///   for malformed topological requests.
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        self.submit_after(at, kind, 0)
-    }
-
-    /// Like [`DistributedController::submit`], but the request arrives `delay`
-    /// simulated time units in the future (used to spread workloads in time).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DistributedController::submit`].
+    /// Same as [`Controller::submit`].
     pub fn submit_after(
         &mut self,
         at: NodeId,
         kind: RequestKind,
         delay: u64,
     ) -> Result<RequestId, ControllerError> {
-        let tree = self.sim.tree();
-        if !tree.contains(at) {
-            return Err(ControllerError::UnknownNode(at));
-        }
-        match kind {
-            RequestKind::AddInternalAbove(child) if tree.parent(child) != Some(at) => {
-                return Err(ControllerError::NotParentOf { at, child });
-            }
-            RequestKind::RemoveSelf if at == tree.root() => {
-                return Err(ControllerError::CannotRemoveRoot);
-            }
-            _ => {}
-        }
-        let id = RequestId(self.next_request);
-        self.next_request += 1;
-        self.submitted += 1;
+        check_request(self.sim.tree(), at, kind)?;
+        let id = self.ledger.issue();
         self.submit_times.insert(id, self.sim.time() + delay);
         let agent = CtrlAgent::Request(RequestAgent::new(id, kind));
         self.sim.create_agent_delayed(at, agent, delay)?;
         Ok(id)
     }
 
-    /// Runs the network until it is quiescent: every submitted request has
-    /// been answered and every granted topological change has been applied.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (event budget exceeded, protocol
-    /// violations).
-    pub fn run(&mut self) -> Result<(), ControllerError> {
+    /// Moves the simulator's freshly produced answers into the ledger,
+    /// stamping their submit times.
+    fn collect_answers(&mut self) {
+        for mut record in self.sim.drain_outputs() {
+            record.submitted_at = self.submit_times.remove(record.id).unwrap_or(0);
+            self.ledger.push(record);
+        }
+    }
+
+    /// Removes and returns the collected answers (see
+    /// [`RequestLedger::take_records`]).
+    pub(super) fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.ledger.take_records()
+    }
+
+    /// A correctness summary of the execution so far (see
+    /// [`crate::verify::ExecutionSummary`]).
+    pub fn summary(&self) -> ExecutionSummary {
+        ExecutionSummary {
+            m: self.m,
+            w: self.w,
+            granted: self.granted(),
+            rejected: self.rejected(),
+            unanswered: self.submitted() - self.granted() - self.rejected(),
+        }
+    }
+}
+
+impl Controller for DistributedController {
+    fn name(&self) -> &'static str {
+        "distributed"
+    }
+
+    fn budget(&self) -> u64 {
+        self.m
+    }
+
+    fn waste_bound(&self) -> u64 {
+        self.w
+    }
+
+    /// The request is handled once execution advances
+    /// ([`Controller::run_to_quiescence`] / [`Controller::step`]).
+    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
+        self.submit_after(at, kind, 0)
+    }
+
+    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
         self.sim.run_until_quiescent()?;
         self.collect_answers();
         Ok(())
     }
 
-    /// Processes at most `budget` simulator events, collecting any answers
-    /// produced along the way, and reports whether the network is quiescent —
-    /// the incremental counterpart of [`DistributedController::run`] used by
-    /// open-loop drivers that submit requests while agents are in flight.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (protocol violations). Unlike
-    /// [`DistributedController::run`], the caller owns the budget, so the
-    /// configured `max_events` safety net does not apply here.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
+    /// Unlike [`Controller::run_to_quiescence`], the caller owns the budget,
+    /// so the configured `max_events` safety net does not apply here.
+    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
         // run_events serves whole same-timestamp cohorts out of the
         // simulator's batch buffer, so the budget loop probes the event
         // queue once per cohort instead of once per event.
@@ -279,48 +253,35 @@ impl DistributedController {
         })
     }
 
-    /// Moves the simulator's freshly produced answers into the record
-    /// history, stamping submit times and emitting per-request events.
-    fn collect_answers(&mut self) {
-        for mut record in self.sim.drain_outputs() {
-            record.submitted_at = self.submit_times.remove(record.id).unwrap_or(0);
-            ControllerEvent::push_for_record(&record, &mut self.events);
-            self.index.insert(record.id, self.records.len());
-            self.records.push(record);
-        }
+    fn drain_events(&mut self) -> Vec<ControllerEvent> {
+        self.ledger.drain_events()
     }
 
-    /// Removes and returns the per-request events produced since the last
-    /// drain, in answer order.
-    pub fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        std::mem::take(&mut self.events)
+    fn records(&self) -> &[RequestRecord] {
+        self.ledger.records()
     }
 
-    /// All answers collected so far, in the order they were produced.
-    pub fn records(&self) -> &[RequestRecord] {
-        &self.records
+    fn outcome(&self, id: RequestId) -> Option<Outcome> {
+        self.ledger.outcome(id)
     }
 
-    /// Removes and returns the collected answers (used by iteration drivers).
-    pub fn take_records(&mut self) -> Vec<RequestRecord> {
-        self.index.clear();
-        std::mem::take(&mut self.records)
+    fn granted(&self) -> u64 {
+        self.sim.protocol().granted()
     }
 
-    /// The outcome of a specific request, if it has been answered.
-    pub fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.index.get(id).map(|&i| self.records[i].outcome)
+    fn rejected(&self) -> u64 {
+        self.sim.protocol().rejected()
     }
 
-    /// A correctness summary of the execution so far (see
-    /// [`crate::verify::ExecutionSummary`]).
-    pub fn summary(&self) -> ExecutionSummary {
-        ExecutionSummary {
-            m: self.m,
-            w: self.w,
-            granted: self.granted(),
-            rejected: self.rejected(),
-            unanswered: self.submitted - self.granted() - self.rejected(),
+    fn tree(&self) -> &DynamicTree {
+        self.sim.tree()
+    }
+
+    fn metrics(&self) -> ControllerMetrics {
+        ControllerMetrics {
+            moves: self.sim.metrics().agent_hops,
+            messages: self.messages(),
+            peak_node_memory_bits: self.peak_node_memory_bits(),
         }
     }
 }

@@ -21,64 +21,45 @@
 //! faithful while avoiding a second interleaved protocol instance. DESIGN.md
 //! records this substitution.
 
-use super::driver::DistributedController;
-use crate::api::ControllerEvent;
-use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
+use super::epoch::{EpochShell, Pending};
+use crate::api::{Controller, ControllerEvent, ControllerMetrics};
+use crate::ledger::RequestLedger;
+use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;
 use crate::ControllerError;
-use dcn_collections::SecondaryMap;
 use dcn_simnet::{DynamicTree, NodeId, SimConfig};
-
-/// Summary of one adaptive (multi-epoch) distributed execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DistributedIterationReport {
-    /// Number of epochs (fresh `U` estimates) started.
-    pub epochs: u32,
-    /// Number of within-epoch recycling rounds (halving trick).
-    pub recycles: u32,
-    /// Total messages (agent hops + auxiliary waves) over the whole execution.
-    pub messages: u64,
-    /// Permits granted.
-    pub granted: u64,
-    /// Requests rejected (only once the overall budget is spent).
-    pub rejected: u64,
-}
 
 /// The adaptive distributed (M, W)-Controller: no a-priori bound on the number
 /// of nodes is needed (Theorem 4.9).
+///
+/// A policy over the [`EpochShell`]: seeds run `seed, seed+1, …`; epoch `i`
+/// assumes `U_i = 2·N_i`; every rebuild carries the unspent budget with the
+/// halving waste target and is charged a `4n` counting/clearing wave; a local
+/// reject recycles the parked permits and retries, until at most `W` permits
+/// are uncommitted.
 #[derive(Debug)]
 pub struct AdaptiveDistributedController {
     config: SimConfig,
-    inner: Option<DistributedController>,
+    shell: EpochShell,
+    ledger: RequestLedger,
     m: u64,
     w: u64,
-    granted_total: u64,
+    /// Permits granted by retired inner controllers.
+    granted_retired: u64,
     rejected_total: u64,
     submitted_total: u64,
-    messages_total: u64,
+    /// Messages charged for the boundary waves (`4n` per rebuild).
+    wave_messages: u64,
     epochs: u32,
     recycles: u32,
     epoch_u: u64,
     epoch_changes_at_start: usize,
     exhausted: bool,
-    records: Vec<RequestRecord>,
-    index: SecondaryMap<RequestId, usize>,
-    events: Vec<ControllerEvent>,
-    /// Outer tickets: the inner controller is rebuilt at every epoch boundary
-    /// and restarts its ids at 0, so the driver issues its own stable ids and
-    /// maps inner answers back to them round by round.
-    next_ticket: u64,
-    /// Virtual time accumulated over torn-down inner simulators; the global
-    /// clock is `time_base + inner simulator time`.
-    time_base: u64,
     next_seed: u64,
-    /// Requests accepted through the [`crate::Controller`] trait, drained by
-    /// the next `run_to_quiescence`.
-    queued: Vec<PendingRequest>,
+    /// Requests accepted through [`Controller::submit`], drained by the next
+    /// `run_to_quiescence`.
+    queued: Vec<Pending>,
 }
-
-/// One not-yet-answered outer request: `(ticket, origin, kind, submitted_at)`.
-type PendingRequest = (RequestId, NodeId, RequestKind, u64);
 
 impl AdaptiveDistributedController {
     /// Creates an adaptive distributed (m, w)-controller over `tree`.
@@ -95,86 +76,51 @@ impl AdaptiveDistributedController {
         if w > m {
             return Err(ControllerError::WasteExceedsBudget { m, w });
         }
-        let n0 = tree.node_count();
-        let epoch_u = (2 * n0 as u64).max(2);
-        let epoch_changes_at_start = tree.change_log().tree_change_count();
-        let inner = Self::build_inner(config, tree, m, w, epoch_u, config.seed)?;
-        Ok(AdaptiveDistributedController {
+        let mut ctrl = AdaptiveDistributedController {
             config,
-            inner: Some(inner),
+            epoch_u: (2 * tree.node_count() as u64).max(2),
+            epoch_changes_at_start: tree.change_log().tree_change_count(),
+            shell: EpochShell::parked(tree),
+            ledger: RequestLedger::new(),
             m,
             w,
-            granted_total: 0,
+            granted_retired: 0,
             rejected_total: 0,
             submitted_total: 0,
-            messages_total: 0,
+            wave_messages: 0,
             epochs: 1,
             recycles: 0,
-            epoch_u,
-            epoch_changes_at_start,
             exhausted: false,
-            records: Vec::new(),
-            index: SecondaryMap::new(),
-            events: Vec::new(),
-            next_ticket: 0,
-            time_base: 0,
-            next_seed: config.seed.wrapping_add(1),
+            next_seed: config.seed,
             queued: Vec::new(),
-        })
+        };
+        ctrl.install(m)?;
+        Ok(ctrl)
     }
 
-    fn build_inner(
-        config: SimConfig,
-        tree: DynamicTree,
-        budget: u64,
-        w: u64,
-        epoch_u: u64,
-        seed: u64,
-    ) -> Result<DistributedController, ControllerError> {
-        let mut cfg = config;
-        cfg.seed = seed;
-        let u_bound = (epoch_u as usize).max(tree.node_count());
+    /// Starts an inner controller over the parked tree with the given budget
+    /// and the next seed of the `seed, seed+1, …` sequence.
+    fn install(&mut self, budget: u64) -> Result<(), ControllerError> {
+        let mut cfg = self.config;
+        cfg.seed = self.next_seed;
+        self.next_seed = self.next_seed.wrapping_add(1);
+        let u_bound = (self.epoch_u as usize).max(self.shell.tree().node_count());
         // The inner controller's waste target: at least half its budget (the
         // halving trick) but never below the real waste bound, and never above
         // the budget itself.
-        let inner_w = (budget / 2).max(w).max(1).min(budget.max(1));
-        DistributedController::new(cfg, tree, budget.max(1), inner_w, u_bound)
+        let inner_w = (budget / 2).max(self.w).max(1).min(budget.max(1));
+        self.shell
+            .install(cfg, budget.max(1), inner_w, u_bound, None)
     }
 
-    fn inner(&self) -> &DistributedController {
-        // lint: allow(unwrap) None only transiently inside rebuild(), which
-        // reinstalls a fresh controller before returning
-        self.inner.as_ref().expect("inner controller present")
-    }
-
-    /// The current spanning tree.
-    pub fn tree(&self) -> &DynamicTree {
-        self.inner().tree()
-    }
-
-    /// The permit budget `M`.
-    pub fn budget(&self) -> u64 {
-        self.m
-    }
-
-    /// The waste bound `W`.
-    pub fn waste(&self) -> u64 {
-        self.w
-    }
-
-    /// Permits granted so far (all epochs).
-    pub fn granted(&self) -> u64 {
-        self.granted_total + self.inner().granted()
-    }
-
-    /// Requests rejected with a final answer so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected_total
+    /// Permits granted by the running inner controller.
+    fn granted_live(&self) -> u64 {
+        self.shell.live().map_or(0, Controller::granted)
     }
 
     /// Total messages so far (all epochs, including the modelled waves).
     pub fn messages(&self) -> u64 {
-        self.messages_total + self.inner().messages()
+        self.shell.messages() + self.wave_messages
     }
 
     /// Number of epochs started.
@@ -193,44 +139,6 @@ impl AdaptiveDistributedController {
         self.exhausted
     }
 
-    /// All final answers produced so far.
-    pub fn records(&self) -> &[RequestRecord] {
-        &self.records
-    }
-
-    /// The outcome of a specific ticket, if it has been answered.
-    pub fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.index.get(id).map(|&i| self.records[i].outcome)
-    }
-
-    /// Removes and returns the per-request events produced since the last
-    /// drain, in answer order.
-    pub fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// The current global virtual time: the accumulated clock of torn-down
-    /// epochs plus the running inner simulator's clock.
-    fn now(&self) -> u64 {
-        self.time_base + self.inner().sim().time()
-    }
-
-    /// Issues the next outer ticket.
-    fn issue(&mut self) -> RequestId {
-        let id = RequestId(self.next_ticket);
-        self.next_ticket += 1;
-        id
-    }
-
-    /// Finalises one answer: appends it to the history, indexes it by ticket
-    /// and emits the matching events.
-    fn finalize(&mut self, record: RequestRecord) -> RequestRecord {
-        ControllerEvent::push_for_record(&record, &mut self.events);
-        self.index.insert(record.id, self.records.len());
-        self.records.push(record);
-        record
-    }
-
     /// A correctness summary over the whole execution.
     pub fn summary(&self) -> ExecutionSummary {
         ExecutionSummary {
@@ -241,17 +149,6 @@ impl AdaptiveDistributedController {
             unanswered: self
                 .submitted_total
                 .saturating_sub(self.granted() + self.rejected()),
-        }
-    }
-
-    /// Report of the execution so far.
-    pub fn report(&self) -> DistributedIterationReport {
-        DistributedIterationReport {
-            epochs: self.epochs,
-            recycles: self.recycles,
-            messages: self.messages(),
-            granted: self.granted(),
-            rejected: self.rejected(),
         }
     }
 
@@ -268,86 +165,71 @@ impl AdaptiveDistributedController {
         &mut self,
         requests: &[(NodeId, RequestKind)],
     ) -> Result<Vec<RequestRecord>, ControllerError> {
-        let now = self.now();
-        let pending: Vec<PendingRequest> = requests
+        let submitted_at = self.shell.now();
+        let pending = requests
             .iter()
-            .map(|&(origin, kind)| (self.issue(), origin, kind, now))
+            .map(|&(origin, kind)| Pending {
+                id: self.ledger.issue(),
+                origin,
+                kind,
+                submitted_at,
+            })
             .collect();
-        self.run_pending(pending)
+        let before = self.ledger.records().len();
+        self.run_pending(pending)?;
+        Ok(self.ledger.records()[before..].to_vec())
     }
 
-    /// The multi-epoch execution engine behind [`run_batch`] and the trait's
-    /// `run_to_quiescence`: answers every pending outer ticket, recycling
-    /// permits and refreshing epochs as needed.
+    /// The multi-epoch execution engine behind [`run_batch`] and
+    /// [`Controller::run_to_quiescence`]: answers every pending outer ticket,
+    /// recycling permits and refreshing epochs as needed.
     ///
     /// [`run_batch`]: AdaptiveDistributedController::run_batch
-    fn run_pending(
-        &mut self,
-        mut pending: Vec<PendingRequest>,
-    ) -> Result<Vec<RequestRecord>, ControllerError> {
-        let mut answered: Vec<RequestRecord> = Vec::new();
+    fn run_pending(&mut self, mut pending: Vec<Pending>) -> Result<(), ControllerError> {
         self.submitted_total += pending.len() as u64;
 
         while !pending.is_empty() {
             if self.exhausted {
-                for &(id, origin, kind, submitted_at) in &pending {
-                    answered.push(self.synthetic_reject(id, origin, kind, submitted_at));
+                for request in pending {
+                    self.reject(request);
                 }
-                pending.clear();
                 break;
             }
-            let time_base = self.time_base;
-            // lint: allow(unwrap) None only transiently inside rebuild()
-            let inner = self.inner.as_mut().expect("inner controller present");
-            // Inner ids restart at 0 per epoch; map them back to the stable
-            // outer tickets round by round (inner ids are dense, so the
-            // mapping is index-keyed).
-            let mut ticket_of: SecondaryMap<RequestId, (RequestId, u64)> = SecondaryMap::new();
-            let mut skipped: Vec<PendingRequest> = Vec::new();
-            for &(id, origin, kind, submitted_at) in &pending {
-                if !inner.tree().contains(origin) {
+            let mut skipped: Vec<Pending> = Vec::new();
+            for &request in &pending {
+                if !self.shell.tree().contains(request.origin) {
                     // The origin vanished while the request was waiting to be
                     // retried; answer it with a reject.
-                    skipped.push((id, origin, kind, submitted_at));
+                    skipped.push(request);
                     continue;
                 }
-                let inner_id = inner.submit(origin, kind)?;
-                ticket_of.insert(inner_id, (id, submitted_at));
+                self.shell.submit(request)?;
             }
-            inner.run()?;
-            let round_records = inner.take_records();
-            for (id, origin, kind, submitted_at) in skipped {
-                answered.push(self.synthetic_reject(id, origin, kind, submitted_at));
+            self.shell.run()?;
+            let round = self.shell.collect();
+            for request in skipped {
+                self.reject(request);
             }
 
-            let mut retry: Vec<PendingRequest> = Vec::new();
-            let mut saw_reject = false;
-            for mut rec in round_records {
-                let (outer, submitted_at) = ticket_of
-                    .remove(rec.id)
-                    // lint: allow(unwrap) the map entry was inserted when this
-                    // inner id was submitted, and each id is answered once
-                    .expect("every inner answer maps to an outer ticket");
-                rec.id = outer;
-                rec.submitted_at = submitted_at;
-                rec.answered_at += time_base;
+            let mut retry: Vec<Pending> = Vec::new();
+            for rec in round {
                 match rec.outcome {
-                    Outcome::Granted { .. } => answered.push(self.finalize(rec)),
-                    Outcome::Rejected | Outcome::Refused => {
-                        saw_reject = true;
-                        retry.push((outer, rec.origin, rec.kind, submitted_at));
-                    }
+                    Outcome::Granted { .. } => self.ledger.push(rec),
+                    Outcome::Rejected | Outcome::Refused => retry.push(Pending::of(&rec)),
                 }
             }
 
-            if saw_reject {
-                let uncommitted = self.inner().uncommitted_permits();
+            if !retry.is_empty() {
+                let uncommitted = self
+                    .shell
+                    .live()
+                    .map_or(0, |inner| inner.uncommitted_permits());
                 if uncommitted <= self.w {
                     // Truly exhausted: the rejects are final (liveness holds:
                     // granted = M − uncommitted ≥ M − W).
                     self.exhausted = true;
-                    for (id, origin, kind, submitted_at) in retry.drain(..) {
-                        answered.push(self.synthetic_reject(id, origin, kind, submitted_at));
+                    for request in retry.drain(..) {
+                        self.reject(request);
                     }
                 } else {
                     // Recycle the parked permits and retry the queued requests
@@ -360,7 +242,7 @@ impl AdaptiveDistributedController {
 
             // Epoch refresh: after U_i / 4 topological changes, re-estimate U.
             let changes = self
-                .inner()
+                .shell
                 .tree()
                 .change_log()
                 .tree_change_count()
@@ -370,64 +252,41 @@ impl AdaptiveDistributedController {
                 self.rebuild(true)?;
             }
         }
-        Ok(answered)
+        Ok(())
     }
 
-    fn synthetic_reject(
-        &mut self,
-        id: RequestId,
-        origin: NodeId,
-        kind: RequestKind,
-        submitted_at: u64,
-    ) -> RequestRecord {
+    /// Answers `request` with a final reject at the current global time.
+    fn reject(&mut self, request: Pending) {
         self.rejected_total += 1;
-        let answered_at = self.now();
-        self.finalize(RequestRecord {
-            id,
-            origin,
-            kind,
-            outcome: Outcome::Rejected,
-            submitted_at,
-            answered_at,
-        })
+        self.ledger.push(request.rejected_at(self.shell.now()));
     }
 
-    /// Tears down the current inner controller, accounts its cost plus the
-    /// boundary waves, and builds a fresh one over the same tree. When
+    /// Retires the current inner controller, charges the boundary waves, and
+    /// installs a fresh one over the same tree with the unspent budget. When
     /// `new_epoch` is true the bound `U` is re-estimated from the current
     /// network size.
     fn rebuild(&mut self, new_epoch: bool) -> Result<(), ControllerError> {
-        // lint: allow(unwrap) take() here is the only drain of the Option and
-        // a replacement is installed below before any early return
-        let inner = self.inner.take().expect("inner controller present");
-        self.granted_total += inner.granted();
-        self.messages_total += inner.messages();
-        // The fresh inner simulator restarts its clock at 0; fold the retired
-        // clock into the base so global answer times stay monotone.
-        self.time_base += inner.sim().time();
-        let tree = inner.into_tree();
+        self.granted_retired += self.granted_live();
+        self.shell.retire();
+        let tree = self.shell.tree();
         let n = tree.node_count() as u64;
         // Counting / clearing waves at the boundary: broadcast + upcast to
         // count the granted permits and the current size, plus the wave that
         // clears the package data structure.
-        self.messages_total += 4 * n;
+        self.wave_messages += 4 * n;
         if new_epoch {
             self.epoch_u = (2 * n).max(2);
             self.epoch_changes_at_start = tree.change_log().tree_change_count();
         }
-        let budget = self.m.saturating_sub(self.granted_total);
+        let budget = self.m.saturating_sub(self.granted_retired);
         if budget == 0 {
             self.exhausted = true;
         }
-        let seed = self.next_seed;
-        self.next_seed = self.next_seed.wrapping_add(1);
-        let inner = Self::build_inner(self.config, tree, budget, self.w, self.epoch_u, seed)?;
-        self.inner = Some(inner);
-        Ok(())
+        self.install(budget)
     }
 }
 
-impl crate::Controller for AdaptiveDistributedController {
+impl Controller for AdaptiveDistributedController {
     fn name(&self) -> &'static str {
         "adaptive-distributed"
     }
@@ -440,70 +299,56 @@ impl crate::Controller for AdaptiveDistributedController {
         self.w
     }
 
-    fn submit(
-        &mut self,
-        at: NodeId,
-        kind: RequestKind,
-    ) -> Result<RequestId, crate::ControllerError> {
-        // Validate against the current tree; execution happens at the next
-        // run_to_quiescence (the adaptive driver works in batches so that it
-        // can recycle permits and refresh epochs between rounds).
-        let tree = self.tree();
-        if !tree.contains(at) {
-            return Err(crate::ControllerError::UnknownNode(at));
-        }
-        match kind {
-            RequestKind::AddInternalAbove(child) if tree.parent(child) != Some(at) => {
-                return Err(crate::ControllerError::NotParentOf { at, child });
-            }
-            RequestKind::RemoveSelf if at == tree.root() => {
-                return Err(crate::ControllerError::CannotRemoveRoot);
-            }
-            _ => {}
-        }
-        let id = self.issue();
-        let now = self.now();
-        self.queued.push((id, at, kind, now));
-        Ok(id)
+    /// Validates against the current tree; execution happens at the next
+    /// `run_to_quiescence` (the adaptive driver works in batches so that it
+    /// can recycle permits and refresh epochs between rounds).
+    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
+        check_request(self.shell.tree(), at, kind)?;
+        let request = Pending {
+            id: self.ledger.issue(),
+            origin: at,
+            kind,
+            submitted_at: self.shell.now(),
+        };
+        self.queued.push(request);
+        Ok(request.id)
     }
 
-    fn run_to_quiescence(&mut self) -> Result<(), crate::ControllerError> {
+    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
         let queued = std::mem::take(&mut self.queued);
-        if !queued.is_empty() {
-            self.run_pending(queued)?;
-        }
-        Ok(())
+        self.run_pending(queued)
     }
 
     fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.drain_events()
+        self.ledger.drain_events()
     }
 
     fn records(&self) -> &[RequestRecord] {
-        self.records()
+        self.ledger.records()
     }
 
     fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.outcome(id)
+        self.ledger.outcome(id)
     }
 
+    /// Permits granted so far (all epochs).
     fn granted(&self) -> u64 {
-        self.granted()
+        self.granted_retired + self.granted_live()
     }
 
+    /// Requests rejected with a final answer so far.
     fn rejected(&self) -> u64 {
-        self.rejected()
+        self.rejected_total
     }
 
     fn tree(&self) -> &DynamicTree {
-        self.tree()
+        self.shell.tree()
     }
 
-    fn metrics(&self) -> crate::ControllerMetrics {
-        crate::ControllerMetrics {
-            moves: self.inner().metrics().agent_hops,
+    fn metrics(&self) -> ControllerMetrics {
+        ControllerMetrics {
             messages: self.messages(),
-            peak_node_memory_bits: self.inner().peak_node_memory_bits(),
+            ..self.shell.totals()
         }
     }
 }

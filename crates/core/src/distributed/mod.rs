@@ -11,10 +11,12 @@
 
 mod agent;
 mod driver;
+mod epoch;
 mod iterated;
 mod protocol;
 
 pub use agent::{CtrlAgent, RequestAgent};
 pub use driver::DistributedController;
-pub use iterated::{AdaptiveDistributedController, DistributedIterationReport};
+pub use epoch::{EpochShell, Pending};
+pub use iterated::AdaptiveDistributedController;
 pub use protocol::{ControllerProtocol, CtrlOutput, CtrlWhiteboard};

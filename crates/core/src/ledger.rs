@@ -1,31 +1,30 @@
-//! The [`RequestLedger`]: shared ticket/event/record bookkeeping for
-//! [`Controller`](crate::Controller) implementations.
+//! The [`RequestLedger`]: the one holder of tickets, records, the by-ticket
+//! index and the event buffer behind every [`Controller`](crate::Controller).
 //!
-//! The redesigned runtime API is *ticket-based*: every submission is issued a
+//! The runtime API is *ticket-based*: every submission is issued a
 //! [`RequestId`], and its outcome is observable three ways — as a
 //! [`ControllerEvent`] drained from the event stream, as a [`RequestRecord`]
 //! in the per-request history, and by id through
-//! [`Controller::outcome`](crate::Controller::outcome). The synchronous
-//! families (centralized, iterated, trivial, AAPS) answer inside `submit`, so
-//! their bookkeeping is identical: issue a ticket, record the answer, emit
-//! the matching events. This struct packages that bookkeeping so each family
-//! embeds one field instead of re-implementing the protocol; the distributed
-//! families keep their own (time-aware) bookkeeping but expose the same
-//! surface.
+//! [`Controller::outcome`](crate::Controller::outcome). Every family embeds
+//! one ledger and enters answers through one of two doors:
 //!
-//! The ledger also provides the virtual clock of the synchronous families:
-//! each issued ticket advances the clock by one, and the answer is recorded
-//! at the same instant the request was submitted (latency 0 — the synchronous
-//! setting answers on the spot, which is exactly what makes the distributed
-//! family's non-zero latencies interesting to compare).
+//! * the synchronous families (centralized, iterated, trivial, AAPS) answer
+//!   inside `submit`: [`RequestLedger::issue`] a ticket, then
+//!   [`RequestLedger::record`] the answer at the ledger's own clock — the
+//!   number of tickets issued so far, so latency is 0 (which is exactly what
+//!   makes the distributed families' non-zero latencies interesting to
+//!   compare);
+//! * the asynchronous families (distributed, adaptive-distributed, sharded,
+//!   the §5 iteration driver) answer later on a simulated clock and
+//!   [`RequestLedger::push`] a finished record carrying its own
+//!   `submitted_at` / `answered_at`.
 
 use crate::api::ControllerEvent;
 use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
 use dcn_collections::SecondaryMap;
 use dcn_tree::NodeId;
 
-/// Ticket issuing, event buffering and request history for a synchronous
-/// controller family.
+/// Ticket issuing, event buffering and request history for one controller.
 ///
 /// ```
 /// use dcn_controller::{Outcome, RequestKind, RequestLedger};
@@ -45,7 +44,6 @@ use dcn_tree::NodeId;
 #[derive(Debug, Default)]
 pub struct RequestLedger {
     next_id: u64,
-    clock: u64,
     events: Vec<ControllerEvent>,
     records: Vec<RequestRecord>,
     index: SecondaryMap<RequestId, usize>,
@@ -57,36 +55,43 @@ impl RequestLedger {
         RequestLedger::default()
     }
 
-    /// Issues the next ticket and advances the virtual clock by one.
+    /// Issues the next ticket (which also advances the synchronous clock by
+    /// one).
     pub fn issue(&mut self) -> RequestId {
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        self.clock += 1;
         id
     }
 
-    /// The current virtual time (number of tickets issued so far).
-    pub fn now(&self) -> u64 {
-        self.clock
+    /// Number of tickets issued so far — also the synchronous families'
+    /// virtual time.
+    pub fn issued(&self) -> u64 {
+        self.next_id
     }
 
-    /// Records the final answer for `id` and emits the matching events:
-    /// [`ControllerEvent::Granted`] (plus [`ControllerEvent::TopologyApplied`]
-    /// for granted topological requests — the synchronous families apply the
-    /// change before `submit` returns), [`ControllerEvent::Rejected`] or
-    /// [`ControllerEvent::Refused`].
+    /// Records the final answer for `id` at the synchronous clock (latency
+    /// 0 — the synchronous families answer, and apply a granted change,
+    /// before `submit` returns); see [`RequestLedger::push`] for the events.
     pub fn record(&mut self, id: RequestId, origin: NodeId, kind: RequestKind, outcome: Outcome) {
-        let now = self.clock;
-        let record = RequestRecord {
+        let now = self.issued();
+        self.push(RequestRecord {
             id,
             origin,
             kind,
             outcome,
             submitted_at: now,
             answered_at: now,
-        };
+        });
+    }
+
+    /// Appends a finished record carrying its own times, indexes it by
+    /// ticket and emits the matching events: [`ControllerEvent::Granted`]
+    /// (plus [`ControllerEvent::TopologyApplied`] for granted topological
+    /// requests), [`ControllerEvent::Rejected`] or
+    /// [`ControllerEvent::Refused`].
+    pub fn push(&mut self, record: RequestRecord) {
         ControllerEvent::push_for_record(&record, &mut self.events);
-        self.index.insert(id, self.records.len());
+        self.index.insert(record.id, self.records.len());
         self.records.push(record);
     }
 
@@ -109,6 +114,23 @@ impl RequestLedger {
         &self.records
     }
 
+    /// Removes and returns the recorded answers, dropping their index
+    /// entries and buffered events with them: the
+    /// [`EpochShell`](crate::distributed::EpochShell) moves an inner
+    /// controller's answers out to re-key them under the outer tickets, so
+    /// nothing is held twice.
+    pub fn take_records(&mut self) -> Vec<RequestRecord> {
+        let records = std::mem::take(&mut self.records);
+        // Entry by entry, not `clear()`: that would truncate the dense map
+        // and make the next insert re-grow it up to the newest ticket id —
+        // O(tickets so far) per take on a long-lived inner controller.
+        for record in &records {
+            self.index.remove(record.id);
+        }
+        self.events.clear();
+        records
+    }
+
     /// The outcome of a specific request, if it has been answered.
     pub fn outcome(&self, id: RequestId) -> Option<Outcome> {
         self.index.get(id).map(|&i| self.records[i].outcome)
@@ -124,7 +146,7 @@ mod tests {
         let mut ledger = RequestLedger::new();
         assert_eq!(ledger.issue(), RequestId(0));
         assert_eq!(ledger.issue(), RequestId(1));
-        assert_eq!(ledger.now(), 2);
+        assert_eq!(ledger.issued(), 2);
     }
 
     #[test]
@@ -165,5 +187,28 @@ mod tests {
         ));
         // Synchronous records carry zero latency.
         assert_eq!(ledger.records()[0].latency(), 0);
+    }
+
+    #[test]
+    fn pushed_records_keep_their_own_times_and_taking_empties_everything() {
+        let mut ledger = RequestLedger::new();
+        let id = ledger.issue();
+        ledger.push(RequestRecord {
+            id,
+            origin: NodeId::from_index(2),
+            kind: RequestKind::NonTopological,
+            outcome: Outcome::Rejected,
+            submitted_at: 10,
+            answered_at: 25,
+        });
+        assert_eq!(ledger.records()[0].latency(), 15);
+        assert_eq!(ledger.outcome(id), Some(Outcome::Rejected));
+        let taken = ledger.take_records();
+        assert_eq!(taken.len(), 1);
+        assert!(ledger.records().is_empty());
+        assert_eq!(ledger.outcome(id), None);
+        assert!(ledger.drain_events().is_empty());
+        // Tickets keep counting: a taken history never reissues an id.
+        assert_eq!(ledger.issue(), RequestId(1));
     }
 }

@@ -22,8 +22,9 @@
 //!   adaptive (unknown-`U`) controllers of Theorem 3.5.
 //! * [`distributed`] — the mobile-agent implementation of §4 running on the
 //!   [`dcn_simnet`] asynchronous network simulator, with path locking, FIFO
-//!   waiting queues and reject waves, plus the iterated / adaptive drivers of
-//!   §4.5 and Appendix A.
+//!   waiting queues and reject waves, plus the adaptive driver of §4.5 /
+//!   Appendix A and the [`distributed::EpochShell`] it shares with the §5
+//!   iteration driver and the [`sharded`] controller.
 //! * [`domain`] — the *package domain* bookkeeping used by the paper's
 //!   analysis (§3.2), implemented as an auditor so tests can check the domain
 //!   invariants on real executions.
@@ -82,12 +83,12 @@ mod request;
 pub mod sharded;
 pub mod verify;
 
-pub use api::{Controller, ControllerEvent, ControllerMetrics, Progress};
+pub use api::{Controller, ControllerEvent, ControllerMetrics, Progress, SyncController};
 pub use error::ControllerError;
 pub use ledger::RequestLedger;
 pub use package::{MobilePackage, PackageStore, PermitInterval};
 pub use params::Params;
-pub use request::{Outcome, RequestId, RequestKind, RequestRecord};
+pub use request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
 pub use sharded::ShardedController;
 
 pub use dcn_tree::{DynamicTree, NodeId};

@@ -1,6 +1,7 @@
 //! Requests, request identifiers and outcomes.
 
-use dcn_tree::NodeId;
+use crate::ControllerError;
+use dcn_tree::{DynamicTree, NodeId};
 use std::fmt;
 
 /// Identifier of a request submitted to a controller.
@@ -58,6 +59,35 @@ impl RequestKind {
     /// Returns `true` if granting this request changes the tree topology.
     pub fn is_topological(&self) -> bool {
         !matches!(self, RequestKind::NonTopological)
+    }
+}
+
+/// The request preconditions of the dynamic model (§2.1.2), checked by every
+/// family before a request enters it — and again by the epoch clients when a
+/// parked request is retried, where a violation means the request went stale
+/// while it waited.
+///
+/// # Errors
+///
+/// * [`ControllerError::UnknownNode`] if `at` does not exist;
+/// * [`ControllerError::NotParentOf`] for an
+///   [`RequestKind::AddInternalAbove`] whose child does not hang under `at`;
+/// * [`ControllerError::CannotRemoveRoot`] for a [`RequestKind::RemoveSelf`]
+///   at the root.
+pub fn check_request(
+    tree: &DynamicTree,
+    at: NodeId,
+    kind: RequestKind,
+) -> Result<(), ControllerError> {
+    if !tree.contains(at) {
+        return Err(ControllerError::UnknownNode(at));
+    }
+    match kind {
+        RequestKind::AddInternalAbove(child) if tree.parent(child) != Some(at) => {
+            Err(ControllerError::NotParentOf { at, child })
+        }
+        RequestKind::RemoveSelf if at == tree.root() => Err(ControllerError::CannotRemoveRoot),
+        _ => Ok(()),
     }
 }
 
@@ -138,6 +168,30 @@ mod tests {
         assert!(RequestKind::RemoveSelf.is_topological());
         assert!(RequestKind::AddInternalAbove(NodeId::from_index(1)).is_topological());
         assert!(!RequestKind::NonTopological.is_topological());
+    }
+
+    #[test]
+    fn preconditions_report_the_three_errors_unknown_node_first() {
+        let mut tree = DynamicTree::new();
+        let root = tree.root();
+        let a = tree.add_leaf(root).unwrap();
+        let b = tree.add_leaf(a).unwrap();
+        let ghost = NodeId::from_index(99);
+        assert!(check_request(&tree, a, RequestKind::AddInternalAbove(b)).is_ok());
+        assert!(check_request(&tree, b, RequestKind::RemoveSelf).is_ok());
+        // An unknown arrival node wins over a malformed kind.
+        assert!(matches!(
+            check_request(&tree, ghost, RequestKind::AddInternalAbove(b)),
+            Err(ControllerError::UnknownNode(n)) if n == ghost
+        ));
+        assert!(matches!(
+            check_request(&tree, root, RequestKind::AddInternalAbove(b)),
+            Err(ControllerError::NotParentOf { at, child }) if at == root && child == b
+        ));
+        assert!(matches!(
+            check_request(&tree, root, RequestKind::RemoveSelf),
+            Err(ControllerError::CannotRemoveRoot)
+        ));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!    [`RegionMap`] addressing seam (global `NodeId` →
 //!    `(shard, local NodeId)`);
 //! 2. each region runs its own
-//!    [`DistributedController`]
-//!    over its own simulated network, granting locally against a budget slice
-//!    `(M_i, W_i)` with `Σ M_i ≤ M`; with more than one shard, execution
+//!    [`DistributedController`](crate::distributed::DistributedController)
+//!    (inside an [`EpochShell`]) over its own simulated network, granting
+//!    locally against a budget slice `(M_i, W_i)` with `Σ M_i ≤ M`; with
+//!    more than one shard, execution
 //!    slices run on one worker thread per shard
 //!    ([`std::thread::scope`] — results are merged in shard order, so output
 //!    is byte-identical however the threads interleave);
@@ -40,11 +41,11 @@
 pub(crate) mod exchange;
 
 use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
-use crate::distributed::DistributedController;
-use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
+use crate::distributed::{EpochShell, Pending};
+use crate::ledger::RequestLedger;
+use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;
 use crate::ControllerError;
-use dcn_collections::SecondaryMap;
 use dcn_rng::split_mix64;
 use dcn_simnet::SimConfig;
 use dcn_tree::{DynamicTree, LocalMap, NodeId, RegionMap, TopologyEvent};
@@ -72,49 +73,37 @@ struct Ticket {
     submitted_at: u64,
 }
 
-/// One shard: an optional live controller (absent while its slice is empty),
-/// its address map, and accumulators carried across exchange epochs.
+/// One shard: the region's epoch shell (parked while its slice is empty), its
+/// address map, and the cursor into the region tree's change log.
 #[derive(Debug)]
 struct Shard {
-    /// The live controller for the current epoch, if the slice is non-empty.
-    ctrl: Option<DistributedController>,
-    /// The region tree, parked here whenever `ctrl` is `None`.
-    parked: Option<DynamicTree>,
+    /// The region's sequence of slice controllers.
+    shell: EpochShell,
     /// Local → global address map for this region.
     map: LocalMap,
     /// Base seed for this shard; per-epoch seeds are derived from it.
     seed: u64,
     /// Replay cursor into the region tree's change log.
     log_cursor: usize,
-    /// Collection cursor into the current controller's records.
-    rec_cursor: usize,
-    /// Global ticket id per local ticket id of the current epoch.
-    ticket_of_local: Vec<u64>,
-    /// Virtual time accumulated by retired epochs.
-    time_base: u64,
-    /// Agent hops accumulated by retired epochs.
-    hops_base: u64,
-    /// Messages accumulated by retired epochs.
-    msgs_base: u64,
-    /// Peak per-node memory over retired epochs.
-    peak_mem: u64,
     /// Result of the last parallel execution slice, harvested in shard order.
     step_out: Option<Result<Progress, ControllerError>>,
 }
 
 impl Shard {
-    /// The shard's current virtual time on the global clock.
-    fn now(&self) -> u64 {
-        self.time_base + self.ctrl.as_ref().map_or(0, |c| c.sim().time())
-    }
-
-    /// Immutable view of the region tree, live or parked.
-    fn tree(&self) -> &DynamicTree {
-        match &self.ctrl {
-            Some(c) => c.tree(),
-            // lint: allow(unwrap) exactly one of ctrl/parked is always Some
-            None => self.parked.as_ref().unwrap(),
-        }
+    /// Starts this shard's next epoch over the parked region tree, with slice
+    /// `(m_i, w_i)` and the given epoch seed. The `U` bound is re-derived per
+    /// epoch: current region nodes plus at most `m_i` insertions (one per
+    /// granted permit) plus slack for the proxy root.
+    fn install(
+        &mut self,
+        base: &SimConfig,
+        seed: u64,
+        m_i: u64,
+        w_i: u64,
+    ) -> Result<(), ControllerError> {
+        let u_bound = self.shell.tree().node_count() + m_i as usize + 2;
+        let config = SimConfig { seed, ..*base };
+        self.shell.install(config, m_i, w_i, u_bound, None)
     }
 }
 
@@ -149,10 +138,9 @@ pub struct ShardedController {
     mirror: DynamicTree,
     map: RegionMap,
     shards: Vec<Shard>,
+    /// Routing state per ticket; `tickets.len()` is the number issued.
     tickets: Vec<Ticket>,
-    records: Vec<RequestRecord>,
-    index: SecondaryMap<RequestId, usize>,
-    events: Vec<ControllerEvent>,
+    ledger: RequestLedger,
     /// Parked tickets awaiting the next exchange wave (FIFO).
     pending: Vec<u64>,
     granted_total: u64,
@@ -175,7 +163,8 @@ impl ShardedController {
     /// # Errors
     ///
     /// Same parameter validation as
-    /// [`DistributedController::new`], plus `shards ≥ 1`.
+    /// [`DistributedController::new`](crate::distributed::DistributedController::new),
+    /// plus `shards ≥ 1`.
     pub fn new(
         config: SimConfig,
         tree: DynamicTree,
@@ -206,19 +195,13 @@ impl ShardedController {
             let map = RegionMap::identity(&tree);
             let local = LocalMap::identity(&tree);
             let log_cursor = tree.change_log().len();
-            let ctrl = DistributedController::new(config, tree, m, w, u_bound)?;
+            let mut shell = EpochShell::parked(tree);
+            shell.install(config, m, w, u_bound, None)?;
             shard_vec.push(Shard {
-                ctrl: Some(ctrl),
-                parked: None,
+                shell,
                 map: local,
                 seed: config.seed,
                 log_cursor,
-                rec_cursor: 0,
-                ticket_of_local: Vec::new(),
-                time_base: 0,
-                hops_base: 0,
-                msgs_base: 0,
-                peak_mem: 0,
                 step_out: None,
             });
             (mirror, map)
@@ -229,21 +212,14 @@ impl ShardedController {
                 let seed = split_mix64(config.seed ^ split_mix64(i as u64));
                 let (m_i, w_i) = slices[i];
                 let mut shard = Shard {
-                    ctrl: None,
-                    parked: Some(region.tree),
+                    shell: EpochShell::parked(region.tree),
                     map: region.map,
                     seed,
                     log_cursor: 0,
-                    rec_cursor: 0,
-                    ticket_of_local: Vec::new(),
-                    time_base: 0,
-                    hops_base: 0,
-                    msgs_base: 0,
-                    peak_mem: 0,
                     step_out: None,
                 };
                 if m_i > 0 {
-                    shard.build_ctrl(&config, seed, m_i, w_i)?;
+                    shard.install(&config, seed, m_i, w_i)?;
                 }
                 shard_vec.push(shard);
             }
@@ -257,9 +233,7 @@ impl ShardedController {
             map,
             shards: shard_vec,
             tickets: Vec::new(),
-            records: Vec::new(),
-            index: SecondaryMap::new(),
-            events: Vec::new(),
+            ledger: RequestLedger::new(),
             pending: Vec::new(),
             granted_total: 0,
             rejected_total: 0,
@@ -295,7 +269,8 @@ impl ShardedController {
     /// shards (see [`ExecutionSummary`]).
     pub fn summary(&self) -> ExecutionSummary {
         let refused = self
-            .records
+            .ledger
+            .records()
             .iter()
             .filter(|r| r.outcome.is_refused())
             .count() as u64;
@@ -305,23 +280,6 @@ impl ShardedController {
             granted: self.granted_total,
             rejected: self.rejected_total,
             unanswered: self.submitted() - refused - self.granted_total - self.rejected_total,
-        }
-    }
-
-    /// Validates a request against the global mirror (the same three checks
-    /// as [`DistributedController::submit`]).
-    fn validate(&self, at: NodeId, kind: RequestKind) -> Result<(), ControllerError> {
-        if !self.mirror.contains(at) {
-            return Err(ControllerError::UnknownNode(at));
-        }
-        match kind {
-            RequestKind::AddInternalAbove(child) if self.mirror.parent(child) != Some(at) => {
-                Err(ControllerError::NotParentOf { at, child })
-            }
-            RequestKind::RemoveSelf if at == self.mirror.root() => {
-                Err(ControllerError::CannotRemoveRoot)
-            }
-            _ => Ok(()),
         }
     }
 
@@ -340,6 +298,7 @@ impl ShardedController {
                 // region-internal, the proxy root when `at` lives elsewhere).
                 let (shard, lchild) = self.map.locate(child).ok_or(unmapped(child))?;
                 let lat = self.shards[shard]
+                    .shell
                     .tree()
                     .parent(lchild)
                     .ok_or_else(|| unmapped(child))?;
@@ -352,7 +311,7 @@ impl ShardedController {
         }
     }
 
-    /// Hands a routed ticket to its shard's live controller, or parks it for
+    /// Hands a routed ticket to its shard's running epoch, or parks it for
     /// the next exchange wave when the shard currently has no slice.
     fn dispatch(
         &mut self,
@@ -361,36 +320,17 @@ impl ShardedController {
         lat: NodeId,
         lkind: RequestKind,
     ) -> Result<(), ControllerError> {
-        let sh = &mut self.shards[shard];
-        match sh.ctrl.as_mut() {
-            Some(ctrl) => {
-                let lid = ctrl.submit(lat, lkind)?;
-                debug_assert_eq!(lid.0 as usize, sh.ticket_of_local.len());
-                sh.ticket_of_local.push(gid);
-            }
-            None => self.pending.push(gid),
+        let shell = &mut self.shards[shard].shell;
+        if shell.live().is_none() {
+            self.pending.push(gid);
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Submits a request arriving at global node `at` (see
-    /// [`Controller::submit`]).
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`DistributedController::submit`].
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        self.validate(at, kind)?;
-        let (shard, lat, lkind) = self.route(at, kind)?;
-        let gid = self.tickets.len() as u64;
-        self.tickets.push(Ticket {
-            origin: at,
-            kind,
-            shard: shard as u32,
-            submitted_at: self.shards[shard].now(),
-        });
-        self.dispatch(gid, shard, lat, lkind)?;
-        Ok(RequestId(gid))
+        shell.submit(Pending {
+            id: RequestId(gid),
+            origin: lat,
+            kind: lkind,
+            submitted_at: self.tickets[gid as usize].submitted_at,
+        })
     }
 
     /// Appends a globally resolved record: translates bookkeeping, updates
@@ -405,17 +345,14 @@ impl ShardedController {
             Outcome::Rejected => self.rejected_total += 1,
             Outcome::Refused => {}
         }
-        let record = RequestRecord {
+        self.ledger.push(RequestRecord {
             id: RequestId(gid),
             origin: t.origin,
             kind: t.kind,
             outcome,
             submitted_at: t.submitted_at,
             answered_at,
-        };
-        ControllerEvent::push_for_record(&record, &mut self.events);
-        self.index.insert(record.id, self.records.len());
-        self.records.push(record);
+        });
     }
 
     /// Replays shard `i`'s fresh change-log entries into the global mirror
@@ -427,10 +364,7 @@ impl ShardedController {
         // Phase 1: replay topology changes, learning new node addresses.
         {
             let sh = &mut self.shards[i];
-            let Some(ctrl) = sh.ctrl.as_ref() else {
-                return Ok(());
-            };
-            let log = ctrl.tree().change_log();
+            let log = sh.shell.tree().change_log();
             for entry in log.iter().skip(sh.log_cursor) {
                 match entry.event {
                     TopologyEvent::AddLeaf { parent, child } => {
@@ -466,21 +400,12 @@ impl ShardedController {
             }
             sh.log_cursor = log.len();
         }
-        // Phase 2: translate fresh records. Local rejections are intercepted
+        // Phase 2: translate fresh records (the shell hands them over under
+        // their global tickets and clock). Local rejections are intercepted
         // and parked for the exchange wave (k ≥ 2 only — with one shard the
         // slice IS the global budget and the rejection is final).
-        let sh = &self.shards[i];
-        // lint: allow(unwrap) phase 1 returned early when ctrl is None
-        let ctrl = sh.ctrl.as_ref().unwrap();
-        let fresh: Vec<RequestRecord> = ctrl.records()[sh.rec_cursor..].to_vec();
-        let time_base = sh.time_base;
-        self.shards[i].rec_cursor += fresh.len();
-        for r in fresh {
-            let gid = self.shards[i]
-                .ticket_of_local
-                .get(r.id.0 as usize)
-                .copied()
-                .ok_or_else(corrupt)?;
+        for r in self.shards[i].shell.collect() {
+            let gid = r.id.0;
             match r.outcome {
                 Outcome::Rejected if self.k > 1 => self.pending.push(gid),
                 Outcome::Granted { serial, new_node } => {
@@ -489,9 +414,9 @@ impl ShardedController {
                         serial,
                         new_node: gnew,
                     };
-                    self.resolve(gid, outcome, time_base + r.answered_at);
+                    self.resolve(gid, outcome, r.answered_at);
                 }
-                outcome => self.resolve(gid, outcome, time_base + r.answered_at),
+                outcome => self.resolve(gid, outcome, r.answered_at),
             }
         }
         Ok(())
@@ -510,7 +435,9 @@ impl ShardedController {
             // The global budget is spent: every parked ticket is rejected.
             // Liveness holds trivially — granted == M ≥ M − W.
             for gid in std::mem::take(&mut self.pending) {
-                let at = self.shards[self.tickets[gid as usize].shard as usize].now();
+                let at = self.shards[self.tickets[gid as usize].shard as usize]
+                    .shell
+                    .now();
                 self.resolve(gid, Outcome::Rejected, at);
             }
             return Ok(());
@@ -530,33 +457,23 @@ impl ShardedController {
         let slices = exchange::slices(pool, self.w, self.k, &wants);
         let base_config = self.base_config;
         let epoch = self.epoch;
-        for (i, sh) in self.shards.iter_mut().enumerate() {
-            // Retire the current epoch's controller into the accumulators.
-            if let Some(ctrl) = sh.ctrl.take() {
-                sh.time_base += ctrl.sim().time();
-                sh.hops_base += ctrl.metrics().agent_hops;
-                sh.msgs_base += ctrl.messages();
-                sh.peak_mem = sh.peak_mem.max(ctrl.peak_node_memory_bits());
-                sh.parked = Some(ctrl.into_tree());
-            }
-            sh.ticket_of_local.clear();
-            sh.rec_cursor = 0;
-            let (m_i, w_i) = slices[i];
+        for (sh, &(m_i, w_i)) in self.shards.iter_mut().zip(&slices) {
+            sh.shell.retire();
             if m_i > 0 {
                 let seed = split_mix64(sh.seed ^ split_mix64(epoch));
-                sh.build_ctrl(&base_config, seed, m_i, w_i)?;
+                sh.install(&base_config, seed, m_i, w_i)?;
             }
         }
         // Resubmit parked tickets in arrival order; shards still without a
         // slice keep theirs parked for the next wave.
         for gid in std::mem::take(&mut self.pending) {
             let t = self.tickets[gid as usize];
-            if self.validate(t.origin, t.kind).is_err() {
+            if check_request(&self.mirror, t.origin, t.kind).is_err() {
                 // The wave outlived the request's target (e.g. the node was
                 // removed by a grant while the ticket was parked): outside
                 // the dynamic model by the time it could run, so it is
                 // refused — no permit is consumed, liveness is untouched.
-                let at = self.shards[t.shard as usize].now();
+                let at = self.shards[t.shard as usize].shell.now();
                 self.resolve(gid, Outcome::Refused, at);
                 continue;
             }
@@ -567,153 +484,9 @@ impl ShardedController {
         Ok(())
     }
 
-    /// Advances every shard by an equal share of `budget` (on worker threads
-    /// when the share is large enough to pay for the spawn), then merges
-    /// results in shard order and runs an exchange wave if the federation is
-    /// quiescent with parked tickets (see [`Controller::step`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shard simulator errors (first shard wins) and exchange
-    /// livelock errors.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        if self.k == 1 {
-            // lint: allow(unwrap) the single shard always has a controller
-            let progress = self.shards[0].ctrl.as_mut().unwrap().step(budget)?;
-            self.collect_shard(0)?;
-            return Ok(progress);
-        }
-        let slice = (budget / self.k as u64).max(1);
-        if slice >= THREAD_SLICE_FLOOR {
-            std::thread::scope(|scope| {
-                for sh in self.shards.iter_mut() {
-                    if sh.ctrl.is_some() {
-                        scope.spawn(move || {
-                            sh.step_out = sh.ctrl.as_mut().map(|c| c.step(slice));
-                        });
-                    }
-                }
-            });
-        } else {
-            for sh in self.shards.iter_mut() {
-                sh.step_out = sh.ctrl.as_mut().map(|c| c.step(slice));
-            }
-        }
-        let mut processed = 0;
-        for i in 0..self.k {
-            if let Some(result) = self.shards[i].step_out.take() {
-                processed += result?.processed;
-            }
-            self.collect_shard(i)?;
-        }
-        let all_quiescent = self
-            .shards
-            .iter()
-            .all(|sh| sh.ctrl.as_ref().map_or(true, |c| c.sim().is_quiescent()));
-        if all_quiescent && !self.pending.is_empty() {
-            self.exchange_wave()?;
-        }
-        let quiescent = self.pending.is_empty()
-            && self
-                .shards
-                .iter()
-                .all(|sh| sh.ctrl.as_ref().map_or(true, |c| c.sim().is_quiescent()));
-        Ok(Progress {
-            processed,
-            quiescent,
-        })
-    }
-
-    /// Runs until every shard is quiescent and no tickets are parked (see
-    /// [`Controller::run_to_quiescence`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedController::step`].
-    pub fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        loop {
-            let progress = self.step(self.base_config.max_events)?;
-            if progress.quiescent {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Removes and returns the per-request events produced since the last
-    /// drain, in answer order.
-    pub fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// All globally resolved requests so far, in answer order.
-    pub fn records(&self) -> &[RequestRecord] {
-        &self.records
-    }
-
-    /// The outcome of a specific ticket, if it has been answered.
-    pub fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.index.get(id).map(|&i| self.records[i].outcome)
-    }
-
-    /// Permits granted across all shards.
-    pub fn granted(&self) -> u64 {
-        self.granted_total
-    }
-
-    /// Requests rejected globally (surfaced rejections only — locally parked
-    /// rejections that a later wave turns into grants never count).
-    pub fn rejected(&self) -> u64 {
-        self.rejected_total
-    }
-
-    /// The global spanning tree (the mirror every shard's changes replay
-    /// into).
-    pub fn tree(&self) -> &DynamicTree {
-        &self.mirror
-    }
-
-    /// Aggregated cost counters (see [`Controller::metrics`]): sums over all
-    /// shard epochs, plus `k` messages per exchange wave.
-    pub fn metrics(&self) -> ControllerMetrics {
-        let mut moves = 0;
-        let mut messages = self.exchange_messages;
-        let mut peak = 0;
-        for sh in &self.shards {
-            moves += sh.hops_base;
-            messages += sh.msgs_base;
-            peak = peak.max(sh.peak_mem);
-            if let Some(ctrl) = sh.ctrl.as_ref() {
-                moves += ctrl.metrics().agent_hops;
-                messages += ctrl.messages();
-                peak = peak.max(ctrl.peak_node_memory_bits());
-            }
-        }
-        ControllerMetrics {
-            moves,
-            messages,
-            peak_node_memory_bits: peak,
-        }
-    }
-}
-
-impl Shard {
-    /// Builds this shard's controller for a new epoch over the parked region
-    /// tree, with slice `(m_i, w_i)` and the given epoch seed. The `U` bound
-    /// is re-derived per epoch: current region nodes plus at most `m_i`
-    /// insertions (one per granted permit) plus slack for the proxy root.
-    fn build_ctrl(
-        &mut self,
-        base: &SimConfig,
-        seed: u64,
-        m_i: u64,
-        w_i: u64,
-    ) -> Result<(), ControllerError> {
-        // lint: allow(unwrap) exactly one of ctrl/parked is always Some
-        let tree = self.parked.take().unwrap();
-        let u_bound = tree.node_count() + m_i as usize + 2;
-        let config = SimConfig { seed, ..*base };
-        self.ctrl = Some(DistributedController::new(config, tree, m_i, w_i, u_bound)?);
-        Ok(())
+    /// `true` when no shard has anything in flight.
+    fn shards_quiescent(&self) -> bool {
+        self.shards.iter().all(|sh| sh.shell.is_quiescent())
     }
 }
 
@@ -730,50 +503,122 @@ impl Controller for ShardedController {
         self.w
     }
 
+    /// Validates against the global mirror (the same checks as the
+    /// distributed family), routes to the owning shard and submits there.
     fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        self.submit(at, kind)
+        check_request(&self.mirror, at, kind)?;
+        let (shard, lat, lkind) = self.route(at, kind)?;
+        let gid = self.tickets.len() as u64;
+        self.tickets.push(Ticket {
+            origin: at,
+            kind,
+            shard: shard as u32,
+            submitted_at: self.shards[shard].shell.now(),
+        });
+        self.dispatch(gid, shard, lat, lkind)?;
+        Ok(RequestId(gid))
     }
 
     fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        self.run_to_quiescence()
+        loop {
+            let progress = self.step(self.base_config.max_events)?;
+            if progress.quiescent {
+                return Ok(());
+            }
+        }
     }
 
+    /// Advances every shard by an equal share of `budget` (on worker threads
+    /// when the share is large enough to pay for the spawn), then merges
+    /// results in shard order and runs an exchange wave if the federation is
+    /// quiescent with parked tickets. Propagates shard simulator errors
+    /// (first shard wins) and exchange livelock errors.
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        self.step(budget)
+        if self.k == 1 {
+            let progress = self.shards[0].shell.step(budget)?;
+            self.collect_shard(0)?;
+            return Ok(progress);
+        }
+        let slice = (budget / self.k as u64).max(1);
+        if slice >= THREAD_SLICE_FLOOR {
+            std::thread::scope(|scope| {
+                for sh in self.shards.iter_mut() {
+                    if sh.shell.live().is_some() {
+                        scope.spawn(move || {
+                            sh.step_out = Some(sh.shell.step(slice));
+                        });
+                    }
+                }
+            });
+        } else {
+            for sh in self.shards.iter_mut() {
+                sh.step_out = Some(sh.shell.step(slice));
+            }
+        }
+        let mut processed = 0;
+        for i in 0..self.k {
+            if let Some(result) = self.shards[i].step_out.take() {
+                processed += result?.processed;
+            }
+            self.collect_shard(i)?;
+        }
+        if self.shards_quiescent() && !self.pending.is_empty() {
+            self.exchange_wave()?;
+        }
+        Ok(Progress {
+            processed,
+            quiescent: self.pending.is_empty() && self.shards_quiescent(),
+        })
     }
 
     fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.drain_events()
+        self.ledger.drain_events()
     }
 
     fn records(&self) -> &[RequestRecord] {
-        self.records()
+        self.ledger.records()
     }
 
     fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.outcome(id)
+        self.ledger.outcome(id)
     }
 
     fn granted(&self) -> u64 {
-        self.granted()
+        self.granted_total
     }
 
+    /// Surfaced rejections only — locally parked rejections that a later
+    /// wave turns into grants never count.
     fn rejected(&self) -> u64 {
-        self.rejected()
+        self.rejected_total
     }
 
+    /// The global mirror every shard's changes replay into.
     fn tree(&self) -> &DynamicTree {
-        self.tree()
+        &self.mirror
     }
 
+    /// Sums over all shard epochs, plus `k` messages per exchange wave.
     fn metrics(&self) -> ControllerMetrics {
-        self.metrics()
+        let mut total = ControllerMetrics {
+            messages: self.exchange_messages,
+            ..ControllerMetrics::default()
+        };
+        for sh in &self.shards {
+            let shard = sh.shell.totals();
+            total.moves += shard.moves;
+            total.messages += shard.messages;
+            total.peak_node_memory_bits =
+                total.peak_node_memory_bits.max(shard.peak_node_memory_bits);
+        }
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::DistributedController;
 
     fn star_tree(extra: usize) -> DynamicTree {
         DynamicTree::with_initial_star(extra)

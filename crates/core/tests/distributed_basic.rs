@@ -2,7 +2,7 @@
 //! network simulator.
 
 use dcn_controller::distributed::{AdaptiveDistributedController, DistributedController};
-use dcn_controller::{Outcome, PermitInterval, RequestKind};
+use dcn_controller::{Controller, Outcome, PermitInterval, RequestKind};
 use dcn_simnet::{DelayModel, SimConfig};
 use dcn_tree::{DynamicTree, NodeId};
 
@@ -16,7 +16,7 @@ fn single_request_far_from_the_root_is_granted() {
     let deep = NodeId::from_index(40);
     let mut ctrl = DistributedController::new(cfg(1), tree, 10, 5, 128).unwrap();
     let id = ctrl.submit(deep, RequestKind::NonTopological).unwrap();
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     assert!(matches!(ctrl.outcome(id), Some(Outcome::Granted { .. })));
     assert_eq!(ctrl.granted(), 1);
     // The agent climbed to the root and back twice: at least 4 * depth hops.
@@ -39,7 +39,7 @@ fn concurrent_requests_from_all_leaves_are_all_answered() {
     for &leaf in &leaves {
         ctrl.submit(leaf, RequestKind::NonTopological).unwrap();
     }
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     let summary = ctrl.summary();
     assert_eq!(summary.unanswered, 0);
     summary.check().unwrap();
@@ -66,7 +66,7 @@ fn topological_changes_are_applied_gracefully_during_the_run() {
     }
     let mid = nodes[6];
     ctrl.submit(mid, RequestKind::RemoveSelf).unwrap();
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     assert_eq!(ctrl.summary().unanswered, 0);
     assert!(!ctrl.tree().contains(mid));
     assert!(ctrl.tree().node_count() >= 12 + 6 - 1);
@@ -85,7 +85,7 @@ fn safety_and_liveness_hold_under_async_schedule_sweep() {
             ctrl.submit(nodes[i % nodes.len()], RequestKind::NonTopological)
                 .unwrap();
         }
-        ctrl.run().unwrap();
+        ctrl.run_to_quiescence().unwrap();
         let s = ctrl.summary();
         assert_eq!(s.unanswered, 0, "seed {seed}");
         s.check().unwrap_or_else(|v| panic!("seed {seed}: {v}"));
@@ -125,7 +125,7 @@ fn distributed_message_complexity_tracks_the_centralized_move_shape() {
             .unwrap();
         distributed.submit(at, RequestKind::NonTopological).unwrap();
     }
-    distributed.run().unwrap();
+    distributed.run_to_quiescence().unwrap();
 
     let moves = central.moves().max(1);
     let msgs = distributed.messages();
@@ -153,7 +153,7 @@ fn interval_mode_grants_unique_serials() {
         ctrl.submit(nodes[i % nodes.len()], RequestKind::NonTopological)
             .unwrap();
     }
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     let mut serials: Vec<u64> = ctrl
         .records()
         .iter()
@@ -178,7 +178,7 @@ fn rejected_requests_see_reject_packages_spread_by_the_wave() {
         ctrl.submit(nodes[i % nodes.len()], RequestKind::NonTopological)
             .unwrap();
     }
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     assert!(ctrl.rejected() > 0);
     // After the wave, every node should hold a reject package.
     let with_reject = ctrl
@@ -189,7 +189,7 @@ fn rejected_requests_see_reject_packages_spread_by_the_wave() {
     assert_eq!(with_reject, ctrl.tree().node_count());
     // A later request is rejected locally, costing no extra permits.
     let id = ctrl.submit(nodes[0], RequestKind::NonTopological).unwrap();
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     assert_eq!(ctrl.outcome(id), Some(Outcome::Rejected));
 }
 
@@ -239,4 +239,45 @@ fn adaptive_distributed_controller_rejects_only_when_budget_spent() {
     assert!(rejected > 0);
     assert!(granted >= m - w, "liveness: granted {granted}");
     ctrl.summary().check().unwrap();
+}
+
+/// Regression: `metrics()` used to read `moves` and `peak_node_memory_bits`
+/// from the live inner controller only, so both fell back towards zero at
+/// every recycle / epoch refresh while `messages` kept accumulating.
+#[test]
+fn adaptive_distributed_metrics_accumulate_across_rebuilds() {
+    let tree = DynamicTree::with_initial_path(8);
+    let mut ctrl = AdaptiveDistributedController::new(SimConfig::new(3), tree, 400, 4).unwrap();
+    let mut last = ctrl.metrics();
+    let mut rebuilds_straddled = 0;
+    for round in 0..12usize {
+        let rebuilds_before = ctrl.epochs() + ctrl.recycles();
+        let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
+        for i in 0..40usize {
+            let at = nodes[(i * 7 + round) % nodes.len()];
+            let kind = if round % 5 == 0 && i < 6 {
+                RequestKind::AddLeaf
+            } else {
+                RequestKind::NonTopological
+            };
+            ctrl.submit(at, kind).unwrap();
+        }
+        ctrl.run_to_quiescence().unwrap();
+        let now = ctrl.metrics();
+        assert!(
+            now.moves >= last.moves,
+            "round {round}: {last:?} -> {now:?}"
+        );
+        assert!(
+            now.peak_node_memory_bits >= last.peak_node_memory_bits,
+            "round {round}: {last:?} -> {now:?}"
+        );
+        assert!(now.messages >= last.messages);
+        last = now;
+        if ctrl.epochs() + ctrl.recycles() > rebuilds_before {
+            rebuilds_straddled += 1;
+        }
+    }
+    assert!(ctrl.recycles() >= 1 && ctrl.epochs() >= 2);
+    assert!(rebuilds_straddled >= 2, "no run straddled a rebuild");
 }

@@ -2,7 +2,7 @@
 //! requests at the root, hot-spot contention and adversarial delay schedules.
 
 use dcn_controller::distributed::DistributedController;
-use dcn_controller::{Outcome, RequestKind};
+use dcn_controller::{Controller, Outcome, RequestKind};
 use dcn_simnet::{DelayModel, SimConfig};
 use dcn_tree::{DynamicTree, NodeId};
 
@@ -14,7 +14,7 @@ fn a_single_node_network_can_grow_from_nothing() {
     for _ in 0..4 {
         ctrl.submit(root, RequestKind::AddLeaf).unwrap();
     }
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     assert_eq!(ctrl.granted(), 4);
     assert_eq!(ctrl.tree().node_count(), 5);
     assert!(ctrl.tree().check_invariants().is_ok());
@@ -26,7 +26,7 @@ fn requests_at_the_root_are_served_locally() {
     let mut ctrl = DistributedController::new(SimConfig::new(2), tree, 4, 2, 32).unwrap();
     let root = ctrl.tree().root();
     ctrl.submit(root, RequestKind::NonTopological).unwrap();
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     assert_eq!(ctrl.granted(), 1);
     // No tree edge needs to be crossed for a request at the root.
     assert_eq!(ctrl.metrics().agent_hops, 0);
@@ -40,7 +40,7 @@ fn a_hot_spot_of_requests_at_one_deep_node_serializes_through_its_lock() {
     for _ in 0..15 {
         ctrl.submit(deep, RequestKind::NonTopological).unwrap();
     }
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     assert_eq!(ctrl.granted(), 15);
     assert!(ctrl.metrics().waits > 0, "the hot spot must cause queueing");
     // At this scale the distance parameter ψ exceeds the depth, so every
@@ -65,7 +65,7 @@ fn bimodal_delays_do_not_change_the_outcome_set() {
             ctrl.submit(nodes[i % nodes.len()], RequestKind::NonTopological)
                 .unwrap();
         }
-        ctrl.run().unwrap();
+        ctrl.run_to_quiescence().unwrap();
         (ctrl.granted(), ctrl.rejected())
     };
     let uniform = run(DelayModel::Uniform { min: 1, max: 4 });
@@ -91,7 +91,7 @@ fn removing_a_chain_of_internal_nodes_keeps_descendants_reachable() {
         ctrl.submit(NodeId::from_index(idx as usize), RequestKind::RemoveSelf)
             .unwrap();
     }
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     assert_eq!(ctrl.granted(), 3);
     assert_eq!(ctrl.tree().node_count(), 8);
     // The deepest node survives and is still connected to the root.
@@ -109,7 +109,7 @@ fn permits_parked_in_packages_survive_the_deletion_of_their_host() {
     let deep = NodeId::from_index(400);
     let mut ctrl = DistributedController::new(SimConfig::new(6), tree, 800, 400, 2048).unwrap();
     ctrl.submit(deep, RequestKind::NonTopological).unwrap();
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     assert_eq!(ctrl.granted() + ctrl.uncommitted_permits(), 800);
 
     // Delete thirty nodes spread over the path.
@@ -119,7 +119,7 @@ fn permits_parked_in_packages_survive_the_deletion_of_their_host() {
             let _ = ctrl.submit(node, RequestKind::RemoveSelf);
         }
     }
-    ctrl.run().unwrap();
+    ctrl.run_to_quiescence().unwrap();
     assert_eq!(
         ctrl.granted() + ctrl.uncommitted_permits(),
         800,
@@ -138,7 +138,7 @@ fn answers_match_between_two_identical_runs() {
             ctrl.submit(nodes[i % nodes.len()], RequestKind::AddLeaf)
                 .unwrap();
         }
-        ctrl.run().unwrap();
+        ctrl.run_to_quiescence().unwrap();
         let mut outcomes: Vec<(u64, bool)> = ctrl
             .records()
             .iter()

@@ -9,7 +9,7 @@
 use dcn_controller::centralized::{CentralizedController, IteratedController};
 use dcn_controller::distributed::DistributedController;
 use dcn_controller::verify::ExecutionSummary;
-use dcn_controller::{Outcome, RequestKind};
+use dcn_controller::{Controller, Outcome, RequestKind};
 use dcn_rng::{DetRng, Rng, SeedableRng};
 use dcn_simnet::{DelayModel, SimConfig};
 use dcn_tree::{DynamicTree, NodeId};
@@ -186,7 +186,7 @@ fn distributed_controller_is_correct_under_random_schedules() {
             ctrl.submit(at, kind).unwrap();
             submitted += 1;
         }
-        ctrl.run().unwrap();
+        ctrl.run_to_quiescence().unwrap();
         let answered = ctrl.records().len() as u64;
         assert_eq!(
             answered, submitted,

@@ -1,33 +1,36 @@
 //! The shared [`IterationDriver`]: one epoch engine for every §5 application.
 //!
 //! Each §5 protocol runs in *iterations*: an iteration opens with an
-//! announcement wave (charged `O(n)` messages), builds a fresh terminating
+//! announcement wave (charged `O(n)` messages), runs a fresh terminating
 //! distributed controller whose budget caps the drift of the network away
 //! from the iteration-start size, and rotates to a new iteration when that
-//! controller is exhausted (charging the closing count wave). Before this
-//! module, all six applications hand-rolled that lifecycle — iteration
-//! start, exhaustion detection, wave charging via `aux_messages` /
-//! `finished_messages`, per-iteration seed derivation and the controller
-//! rebuild. The driver owns all of it once; an application shrinks to an
-//! [`IterationPolicy`] that picks the per-iteration parameters (α/β budgets,
-//! interval mode, renaming waves) plus its own invariant bookkeeping.
+//! controller is exhausted (charging the closing count wave). The mechanism
+//! under that — inner controller, global clock, retired-epoch totals, outer
+//! tickets that survive rebuilds — is the [`EpochShell`] of
+//! `dcn-controller`; the driver is its §5 *policy*: seeds `seed, seed+1, …`,
+//! `U = n + budget + 1`, budget and waste from the application's
+//! [`IterationPolicy`], rotate when an iteration rejects, retry the rejected
+//! requests in the next one, charge `2n` at every close.
 //!
 //! The driver exposes the same ticket/event/step seam as the controller
-//! runtime (PR 3): [`IterationDriver::submit`] returns a stable
-//! [`RequestId`] ticket that survives iteration rebuilds, bounded
-//! [`IterationDriver::step`] slices interleave execution with new arrivals,
-//! [`IterationDriver::drain_events`] streams [`AppEvent`]s (the controller's
-//! per-request events plus [`AppEvent::IterationStarted`] at every iteration
-//! boundary) and [`IterationDriver::records`] keeps the resolved history.
+//! runtime through the object-safe [`Runtime`] trait (one implementation,
+//! whatever the policy type): `submit` returns a stable [`RequestId`] ticket
+//! that survives iteration rebuilds, bounded `step` slices interleave
+//! execution with new arrivals, `drain_events` streams [`AppEvent`]s (the
+//! controller's per-request events plus [`AppEvent::IterationStarted`] at
+//! every iteration boundary) and `records` keeps the resolved history.
 //! Requests rejected by an exhausted iteration are retried transparently in
 //! the next one; their ticket resolves only when a final answer exists.
+//!
+//! An [`Application`] names the runtime at the bottom of its stack, hooks the
+//! end of every execution slice, checks its own invariant — and inherits the
+//! whole ticket surface.
 
 use crate::invariant::InvariantError;
-use dcn_collections::SecondaryMap;
-use dcn_controller::distributed::DistributedController;
+use dcn_controller::distributed::{EpochShell, Pending};
 use dcn_controller::{
-    ControllerError, ControllerEvent, Outcome, PermitInterval, Progress, RequestId, RequestKind,
-    RequestRecord,
+    check_request, ControllerError, ControllerEvent, Outcome, PermitInterval, Progress, RequestId,
+    RequestKind, RequestLedger, RequestRecord,
 };
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
@@ -98,65 +101,84 @@ impl AppEvent {
     }
 }
 
-/// One not-yet-answered outer request.
-type PendingRequest = (RequestId, NodeId, RequestKind, u64);
-
-/// The request preconditions of the dynamic model, shared by
-/// [`IterationDriver::submit`] (where a violation is a caller error) and the
-/// retry path (where it means the request went stale while waiting and is
-/// answered with a final reject).
-fn validate(tree: &DynamicTree, at: NodeId, kind: RequestKind) -> Result<(), ControllerError> {
-    if !tree.contains(at) {
-        return Err(ControllerError::UnknownNode(at));
-    }
-    match kind {
-        RequestKind::AddInternalAbove(child) if tree.parent(child) != Some(at) => {
-            Err(ControllerError::NotParentOf { at, child })
-        }
-        RequestKind::RemoveSelf if at == tree.root() => Err(ControllerError::CannotRemoveRoot),
-        _ => Ok(()),
-    }
-}
-
 /// Consecutive grant-free rotations after which the driver stops retrying
 /// and rejects the stragglers (a fresh iteration normally grants at least
 /// one request; this is the safety valve the old per-app loops capped at 64
 /// rounds).
 const MAX_STALLED_ROTATIONS: u32 = 64;
 
-/// The shared iteration engine of the §5 applications.
-///
-/// Owns the inner [`DistributedController`] of the current iteration, the
-/// iteration counters and the charged wave messages; rebuilds the controller
-/// (with a derived seed) whenever an iteration exhausts its budget, retrying
-/// the rejected requests under their original tickets.
+/// The ticket runtime at the bottom of every [`Application`] stack: the
+/// [`IterationDriver`] with its policy type erased.
+pub trait Runtime {
+    /// Submits a request arriving at `at` under a stable ticket; execution
+    /// happens in the next [`Runtime::step`].
+    ///
+    /// # Errors
+    ///
+    /// Returns validation errors against the *current* tree (unknown node,
+    /// malformed topological request); such a request never entered the
+    /// driver and resolves to no event.
+    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError>;
+
+    /// Advances execution by at most `budget` inner simulator events.
+    /// `Progress::quiescent` is `true` once no ticket is unanswered.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors and rotation-time construction errors.
+    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError>;
+
+    /// Removes and returns the events produced since the last drain, in
+    /// emission order.
+    fn drain_events(&mut self) -> Vec<AppEvent>;
+
+    /// All resolved requests so far, in answer order.
+    fn records(&self) -> &[RequestRecord];
+
+    /// The current spanning tree.
+    fn tree(&self) -> &DynamicTree;
+
+    /// Iterations (epochs) started so far.
+    fn iterations(&self) -> u32;
+
+    /// Topological changes granted so far.
+    fn changes(&self) -> u64;
+
+    /// Total messages so far: inner controller messages plus every charged
+    /// wave.
+    fn messages(&self) -> u64;
+
+    /// Charges `messages` application-level protocol messages (re-labelings,
+    /// pointer flips, vote deliveries) to the driver's counter —
+    /// applications declare costs, they do not own counters.
+    fn charge_messages(&mut self, messages: u64);
+}
+
+/// The shared iteration engine of the §5 applications: the §5 policy over an
+/// [`EpochShell`] — seeds `seed, seed+1, …`, `U = n + budget + 1`, rotate when
+/// an iteration rejects and retry in the next one, `2n` charged at every
+/// close — parameterised by the application's [`IterationPolicy`].
 #[derive(Debug)]
 pub struct IterationDriver<P> {
     config: SimConfig,
     policy: P,
-    inner: Option<DistributedController>,
+    shell: EpochShell,
+    ledger: RequestLedger,
+    /// Drained events, in emission order; per-request events wait in the
+    /// ledger until an iteration boundary or a drain moves them here.
+    events: Vec<AppEvent>,
     /// The iteration-start size `N_i` announced to every node.
     estimate: u64,
     iterations: u32,
+    /// Charged waves: announcements, closing counts, application charges.
     aux_messages: u64,
-    finished_messages: u64,
     changes_total: u64,
     seed_counter: u64,
-    next_ticket: u64,
-    /// Global virtual clock base: inner simulators restart at 0 per
-    /// iteration, so global times are `time_base + inner time`.
-    time_base: u64,
-    records: Vec<RequestRecord>,
-    index: SecondaryMap<RequestId, usize>,
-    events: Vec<AppEvent>,
     /// Outer tickets submitted but not yet handed to the inner controller.
-    queued: Vec<PendingRequest>,
-    /// Inner ticket → outer ticket mapping for the in-flight requests of the
-    /// current iteration (inner ids are dense, so it is index-keyed).
-    ticket_of: SecondaryMap<RequestId, (RequestId, u64)>,
+    queued: Vec<Pending>,
     /// Requests rejected by an exhausted iteration, waiting for the rotation
     /// that retries them.
-    retry: Vec<PendingRequest>,
+    retry: Vec<Pending>,
     stalled_rotations: u32,
 }
 
@@ -171,46 +193,25 @@ impl<P: IterationPolicy> IterationDriver<P> {
         let mut driver = IterationDriver {
             config,
             policy,
-            inner: None,
+            shell: EpochShell::parked(tree),
+            ledger: RequestLedger::new(),
+            events: Vec::new(),
             estimate: 0,
             iterations: 0,
             aux_messages: 0,
-            finished_messages: 0,
             changes_total: 0,
             seed_counter: config.seed,
-            next_ticket: 0,
-            time_base: 0,
-            records: Vec::new(),
-            index: SecondaryMap::new(),
-            events: Vec::new(),
             queued: Vec::new(),
-            ticket_of: SecondaryMap::new(),
             retry: Vec::new(),
             stalled_rotations: 0,
         };
-        driver.start_iteration(tree)?;
+        driver.start_iteration()?;
         Ok(driver)
-    }
-
-    fn inner(&self) -> &DistributedController {
-        // lint: allow(unwrap) None only transiently inside rotate(), which
-        // reinstalls a fresh controller before returning
-        self.inner.as_ref().expect("inner controller present")
     }
 
     /// The iteration policy (the application's own state lives here).
     pub fn policy(&self) -> &P {
         &self.policy
-    }
-
-    /// Mutable access to the iteration policy.
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
-    }
-
-    /// The current spanning tree.
-    pub fn tree(&self) -> &DynamicTree {
-        self.inner().tree()
     }
 
     /// The iteration-start size `N_i` held by every node (the estimate `ñ`
@@ -219,115 +220,130 @@ impl<P: IterationPolicy> IterationDriver<P> {
         self.estimate
     }
 
-    /// Number of iterations started so far.
-    pub fn iterations(&self) -> u32 {
-        self.iterations
-    }
-
-    /// Total messages so far: retired and current controller messages plus
-    /// every charged wave.
-    pub fn messages(&self) -> u64 {
-        self.finished_messages + self.inner().messages() + self.aux_messages
-    }
-
-    /// Number of topological changes granted so far.
-    pub fn changes(&self) -> u64 {
-        self.changes_total
-    }
-
-    /// Amortized messages per topological change (the quantity the §5
-    /// theorems bound).
-    pub fn amortized_messages_per_change(&self) -> f64 {
-        self.messages() as f64 / self.changes_total.max(1) as f64
-    }
-
-    /// Charges `messages` auxiliary protocol messages to the driver's
-    /// counter (application-level waves: re-labelings, pointer flips, vote
-    /// deliveries). Centralising the counter here keeps "what is charged
-    /// where" in one place — applications declare costs, they do not own
-    /// counters.
-    pub fn charge_messages(&mut self, messages: u64) {
-        self.aux_messages += messages;
-    }
-
     /// The number of permits that travelled down through `node` in the
     /// current iteration (read off the inner controller's whiteboard; used
     /// by the subtree estimator).
     pub fn permits_passed_down(&self, node: NodeId) -> u64 {
-        self.inner()
-            .whiteboard(node)
+        self.shell
+            .live()
+            .and_then(|inner| inner.whiteboard(node))
             .map_or(0, |wb| wb.permits_passed_down)
-    }
-
-    /// The current global virtual time.
-    fn now(&self) -> u64 {
-        self.time_base + self.inner().sim().time()
-    }
-
-    /// All resolved requests so far, in answer order.
-    pub fn records(&self) -> &[RequestRecord] {
-        &self.records
     }
 
     /// The outcome of a specific ticket, if it has been answered.
     pub fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.index.get(id).map(|&i| self.records[i].outcome)
+        self.ledger.outcome(id)
     }
 
-    /// Removes and returns the events produced since the last drain, in
-    /// emission order.
-    pub fn drain_events(&mut self) -> Vec<AppEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Submits a request arriving at `at` under a stable outer ticket;
-    /// execution happens in the next [`IterationDriver::step`] /
-    /// [`IterationDriver::run_to_quiescence`] call.
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors against the *current* tree (unknown node,
-    /// malformed topological request); such a request never entered the
-    /// driver and resolves to no event.
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        validate(self.tree(), at, kind)?;
-        let id = RequestId(self.next_ticket);
-        self.next_ticket += 1;
-        let now = self.now();
-        self.queued.push((id, at, kind, now));
-        Ok(id)
-    }
-
-    /// Runs until every submitted ticket has a final answer, rotating
-    /// iterations as budgets exhaust.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors and rotation-time construction errors.
-    pub fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        loop {
-            let progress = self.step(u64::MAX)?;
-            if progress.quiescent {
-                return Ok(());
+    /// Hands queued and retried requests to the inner controller under their
+    /// outer tickets. Requests whose origin vanished (or whose topological
+    /// precondition broke) while they waited are answered with a final
+    /// reject.
+    fn flush_queued(&mut self) -> Result<(), ControllerError> {
+        let mut waiting = std::mem::take(&mut self.retry);
+        waiting.append(&mut self.queued);
+        for request in waiting {
+            if check_request(self.shell.tree(), request.origin, request.kind).is_err() {
+                self.ledger.push(request.rejected_at(self.shell.now()));
+                continue;
             }
+            self.shell.submit(request)?;
+        }
+        Ok(())
+    }
+
+    /// Moves the inner controller's fresh answers into the outer history:
+    /// grants become final records/events, rejects join the retry queue for
+    /// the next iteration.
+    fn collect_answers(&mut self) {
+        let before = self.ledger.records().len();
+        for rec in self.shell.collect() {
+            match rec.outcome {
+                Outcome::Granted { .. } => {
+                    if rec.kind.is_topological() {
+                        self.changes_total += 1;
+                    }
+                    self.stalled_rotations = 0;
+                    self.ledger.push(rec);
+                }
+                Outcome::Rejected => self.retry.push(Pending::of(&rec)),
+                // The fixed-bound distributed family supports the full
+                // dynamic model and never refuses.
+                Outcome::Refused => unreachable!("distributed controller never refuses"),
+            }
+        }
+        let granted = &self.ledger.records()[before..];
+        if !granted.is_empty() {
+            self.policy.absorb(self.shell.tree(), granted);
         }
     }
 
-    /// Advances execution by at most `budget` inner simulator events,
-    /// handing queued submissions to the inner controller, collecting final
-    /// answers, and rotating iterations when the current one is exhausted.
-    /// `Progress::quiescent` is `true` once no ticket is unanswered.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors and rotation-time construction errors.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
+    /// Moves the ledger's per-request events behind everything already
+    /// emitted (called before an iteration announcement and before a drain,
+    /// which keeps the stream in emission order).
+    fn flush_events(&mut self) {
+        let fresh = self.ledger.drain_events();
+        self.events
+            .extend(fresh.into_iter().map(AppEvent::Controller));
+    }
+
+    /// Closes the exhausted iteration — the shell folds its messages and
+    /// clock into the totals, the closing count wave (broadcast + upcast,
+    /// `2n`) is charged — and starts the next one.
+    fn rotate(&mut self) -> Result<(), ControllerError> {
+        self.shell.retire();
+        self.aux_messages += 2 * self.shell.tree().node_count() as u64;
+        self.stalled_rotations += 1;
+        self.start_iteration()
+    }
+
+    /// Plans and starts an iteration over the parked tree: charges the
+    /// announcement wave, derives the iteration seed, installs the inner
+    /// controller and emits [`AppEvent::IterationStarted`].
+    fn start_iteration(&mut self) -> Result<(), ControllerError> {
+        let tree = self.shell.tree();
+        let nodes = tree.node_count();
+        self.iterations += 1;
+        self.estimate = nodes as u64;
+        let plan = self.policy.plan(tree);
+        self.aux_messages += plan.announce_messages;
+        let budget = plan.budget.max(1);
+        let waste = plan.waste.min(budget);
+        let u_bound = nodes + budget as usize + 1;
+        let mut cfg = self.config;
+        cfg.seed = self.seed_counter;
+        self.seed_counter = self.seed_counter.wrapping_add(1);
+        self.shell
+            .install(cfg, budget, waste, u_bound, plan.interval)?;
+        self.flush_events();
+        self.events.push(AppEvent::IterationStarted {
+            index: self.iterations,
+            estimate: self.estimate,
+        });
+        Ok(())
+    }
+}
+
+impl<P: IterationPolicy> Runtime for IterationDriver<P> {
+    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
+        check_request(self.shell.tree(), at, kind)?;
+        let request = Pending {
+            id: self.ledger.issue(),
+            origin: at,
+            kind,
+            submitted_at: self.shell.now(),
+        };
+        self.queued.push(request);
+        Ok(request.id)
+    }
+
+    /// Hands queued submissions to the inner controller, collects final
+    /// answers, and rotates iterations when the current one is exhausted.
+    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
         let mut processed = 0u64;
         loop {
             self.flush_queued()?;
-            // lint: allow(unwrap) None only transiently inside rotate()
-            let inner = self.inner.as_mut().expect("inner controller present");
-            let slice = inner.step(budget - processed)?;
+            let slice = self.shell.step(budget - processed)?;
             processed += slice.processed;
             self.collect_answers();
             if !slice.quiescent {
@@ -344,13 +360,7 @@ impl<P: IterationPolicy> IterationDriver<P> {
                 // are answered slightly before the simulator applies their
                 // topological change, so bookkeeping keyed on tree contents
                 // (identity assignment) needs one final absorb.
-                let tree = self
-                    .inner
-                    .as_ref()
-                    // lint: allow(unwrap) None only transiently inside rotate()
-                    .expect("inner controller present")
-                    .tree();
-                self.policy.absorb(tree, &[]);
+                self.policy.absorb(self.shell.tree(), &[]);
                 return Ok(Progress {
                     processed,
                     quiescent: true,
@@ -361,9 +371,9 @@ impl<P: IterationPolicy> IterationDriver<P> {
                     // Safety valve: iterations keep exhausting without
                     // granting anything; answer the stragglers with final
                     // rejects rather than looping forever.
-                    let stragglers = std::mem::take(&mut self.retry);
-                    for (id, origin, kind, submitted_at) in stragglers {
-                        self.finalize_reject(id, origin, kind, submitted_at);
+                    let now = self.shell.now();
+                    for request in std::mem::take(&mut self.retry) {
+                        self.ledger.push(request.rejected_at(now));
                     }
                     continue;
                 }
@@ -378,221 +388,65 @@ impl<P: IterationPolicy> IterationDriver<P> {
         }
     }
 
-    /// Hands queued and retried requests to the inner controller, mapping
-    /// inner tickets back to the stable outer ones. Requests whose origin
-    /// vanished (or whose topological precondition broke) while they waited
-    /// are answered with a final reject.
-    fn flush_queued(&mut self) -> Result<(), ControllerError> {
-        let mut waiting = std::mem::take(&mut self.retry);
-        waiting.append(&mut self.queued);
-        for (id, origin, kind, submitted_at) in waiting {
-            // lint: allow(unwrap) None only transiently inside rotate()
-            let inner = self.inner.as_mut().expect("inner controller present");
-            if validate(inner.tree(), origin, kind).is_err() {
-                // The request went stale while it waited (its target
-                // vanished or its precondition broke): final reject.
-                self.finalize_reject(id, origin, kind, submitted_at);
-                continue;
-            }
-            let inner_id = inner.submit(origin, kind)?;
-            self.ticket_of.insert(inner_id, (id, submitted_at));
-        }
-        Ok(())
+    fn drain_events(&mut self) -> Vec<AppEvent> {
+        self.flush_events();
+        std::mem::take(&mut self.events)
     }
 
-    /// Moves the inner controller's fresh answers into the outer history:
-    /// grants become final records/events, rejects join the retry queue for
-    /// the next iteration.
-    fn collect_answers(&mut self) {
-        let time_base = self.time_base;
-        // lint: allow(unwrap) None only transiently inside rotate()
-        let inner = self.inner.as_mut().expect("inner controller present");
-        let round = inner.take_records();
-        if round.is_empty() {
-            return;
-        }
-        inner.drain_events(); // outer events are re-emitted under outer tickets
-        let mut absorbed: Vec<RequestRecord> = Vec::new();
-        for mut rec in round {
-            let (outer, submitted_at) = self
-                .ticket_of
-                .remove(rec.id)
-                // lint: allow(unwrap) the entry was inserted when this inner
-                // id was submitted, and each id is answered exactly once
-                .expect("every inner answer maps to an outer ticket");
-            rec.id = outer;
-            rec.submitted_at = submitted_at;
-            rec.answered_at += time_base;
-            match rec.outcome {
-                Outcome::Granted { .. } => {
-                    if rec.kind.is_topological() {
-                        self.changes_total += 1;
-                    }
-                    self.stalled_rotations = 0;
-                    self.finalize(rec);
-                    absorbed.push(rec);
-                }
-                Outcome::Rejected => {
-                    self.retry
-                        .push((rec.id, rec.origin, rec.kind, submitted_at));
-                }
-                // The fixed-bound distributed family supports the full
-                // dynamic model and never refuses.
-                Outcome::Refused => unreachable!("distributed controller never refuses"),
-            }
-        }
-        if !absorbed.is_empty() {
-            // lint: allow(unwrap) None only transiently inside rotate()
-            let inner = self.inner.as_ref().expect("inner controller present");
-            self.policy.absorb(inner.tree(), &absorbed);
-        }
+    fn records(&self) -> &[RequestRecord] {
+        self.ledger.records()
     }
 
-    /// Appends a final answer to the history and emits its events.
-    fn finalize(&mut self, record: RequestRecord) {
-        let mut events = Vec::new();
-        ControllerEvent::push_for_record(&record, &mut events);
-        self.events
-            .extend(events.into_iter().map(AppEvent::Controller));
-        self.index.insert(record.id, self.records.len());
-        self.records.push(record);
+    fn tree(&self) -> &DynamicTree {
+        self.shell.tree()
     }
 
-    /// Answers a request with a final driver-level reject (origin vanished,
-    /// or the retry safety valve fired).
-    fn finalize_reject(
-        &mut self,
-        id: RequestId,
-        origin: NodeId,
-        kind: RequestKind,
-        submitted_at: u64,
-    ) {
-        let answered_at = self.now();
-        self.finalize(RequestRecord {
-            id,
-            origin,
-            kind,
-            outcome: Outcome::Rejected,
-            submitted_at,
-            answered_at,
-        });
+    fn iterations(&self) -> u32 {
+        self.iterations
     }
 
-    /// Tears down the exhausted iteration's controller — accounting its
-    /// messages, folding its clock into the monotone base and charging the
-    /// closing count wave (broadcast + upcast, `2n`) — and starts the next
-    /// iteration.
-    fn rotate(&mut self) -> Result<(), ControllerError> {
-        // lint: allow(unwrap) take() here is the only drain of the Option and
-        // a replacement is installed below before any early return
-        let inner = self.inner.take().expect("inner controller present");
-        self.finished_messages += inner.messages();
-        self.time_base += inner.sim().time();
-        self.ticket_of.clear();
-        let tree = inner.into_tree();
-        self.aux_messages += 2 * tree.node_count() as u64;
-        self.stalled_rotations += 1;
-        self.start_iteration(tree)
+    fn changes(&self) -> u64 {
+        self.changes_total
     }
 
-    /// Plans and starts an iteration over `tree`: charges the announcement
-    /// wave, derives the iteration seed, rebuilds the inner controller and
-    /// emits [`AppEvent::IterationStarted`].
-    fn start_iteration(&mut self, tree: DynamicTree) -> Result<(), ControllerError> {
-        let n = tree.node_count() as u64;
-        self.iterations += 1;
-        self.estimate = n;
-        let plan = self.policy.plan(&tree);
-        self.aux_messages += plan.announce_messages;
-        let budget = plan.budget.max(1);
-        let waste = plan.waste.min(budget);
-        let u_bound = tree.node_count() + budget as usize + 1;
-        let mut cfg = self.config;
-        cfg.seed = self.seed_counter;
-        self.seed_counter = self.seed_counter.wrapping_add(1);
-        let inner =
-            DistributedController::with_interval(cfg, tree, budget, waste, u_bound, plan.interval)?;
-        self.inner = Some(inner);
-        self.events.push(AppEvent::IterationStarted {
-            index: self.iterations,
-            estimate: self.estimate,
-        });
-        Ok(())
+    fn messages(&self) -> u64 {
+        self.shell.messages() + self.aux_messages
     }
 
-    /// Submits a batch of requests and runs to quiescence — the convenience
-    /// shim over the ticketed lifecycle that every pre-refactor caller used.
-    /// Operations that fail validation against the current tree (an earlier
-    /// grant removed their target) are skipped, as before; the returned
-    /// records cover exactly this batch's tickets, in answer order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn run_batch(
-        &mut self,
-        ops: &[(NodeId, RequestKind)],
-    ) -> Result<Vec<RequestRecord>, ControllerError> {
-        let before = self.records.len();
-        for &(at, kind) in ops {
-            // Stale intra-batch operations are dropped, matching the
-            // historical batch semantics.
-            let _ = self.submit(at, kind);
-        }
-        self.run_to_quiescence()?;
-        Ok(self.records[before..].to_vec())
+    fn charge_messages(&mut self, messages: u64) {
+        self.aux_messages += messages;
     }
 }
 
-/// The uniform driver-facing surface of the six §5 applications: the
-/// ticket/event/step lifecycle of the iteration driver plus the
-/// application's own invariant check. The scenario runner and sweep engine
-/// in `dcn-workload` program against `dyn Application` exactly as the
-/// controller drivers program against `dyn Controller`.
+/// One of the six §5 applications, as every driver sees it: the scenario
+/// runner and sweep engine in `dcn-workload` program against
+/// `dyn Application` exactly as the controller drivers program against
+/// `dyn Controller`.
+///
+/// An application supplies four things — its name, the [`Runtime`] at the
+/// bottom of its stack, what it does after every execution slice, and its
+/// invariant check. The ticket surface is provided over the runtime.
 pub trait Application {
     /// A short application name (used in report rows and sweep grids).
     fn name(&self) -> &'static str;
 
-    /// Submits a request under a stable ticket (see
-    /// [`IterationDriver::submit`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors against the current tree.
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError>;
+    /// The iteration driver at the bottom of this application's stack (its
+    /// own, or that of the application it is layered on).
+    fn runtime(&self) -> &dyn Runtime;
 
-    /// Advances execution by at most `budget` simulator events (see
-    /// [`IterationDriver::step`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and iteration-rotation errors.
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError>;
+    /// Mutable access to the iteration driver at the bottom of the stack.
+    fn runtime_mut(&mut self) -> &mut dyn Runtime;
 
-    /// Runs until every ticket is answered.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and iteration-rotation errors.
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError>;
-
-    /// Removes and returns the events produced since the last drain.
-    fn drain_events(&mut self) -> Vec<AppEvent>;
-
-    /// All resolved requests so far, in answer order.
-    fn records(&self) -> &[RequestRecord];
-
-    /// The current spanning tree.
-    fn tree(&self) -> &DynamicTree;
-
-    /// Iterations (epochs) started so far.
-    fn iterations(&self) -> u32;
-
-    /// Topological changes granted so far.
-    fn changes(&self) -> u64;
-
-    /// Total messages so far (controller messages plus every charged wave).
-    fn messages(&self) -> u64;
+    /// Called after every execution slice (each [`Application::step`], hence
+    /// also at the end of [`Application::run_to_quiescence`] /
+    /// [`Application::run_batch`]) with that slice's progress: the place to
+    /// bring the application's own state up to date and charge the messages
+    /// that costs. An application layered on one that has a hook of its own
+    /// runs that hook first (heavy-child over subtree). The default does
+    /// nothing.
+    fn after_slice(&mut self, progress: Progress) {
+        let _ = progress;
+    }
 
     /// Checks the application's §5 guarantee against its current state.
     ///
@@ -600,6 +454,96 @@ pub trait Application {
     ///
     /// Returns the first violated invariant.
     fn check_invariants(&self) -> Result<(), InvariantError>;
+
+    /// Submits a request under a stable ticket (see [`Runtime::submit`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns validation errors against the current tree.
+    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
+        self.runtime_mut().submit(at, kind)
+    }
+
+    /// Advances execution by at most `budget` simulator events (see
+    /// [`Runtime::step`]), then runs [`Application::after_slice`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator and iteration-rotation errors.
+    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
+        let progress = self.runtime_mut().step(budget)?;
+        self.after_slice(progress);
+        Ok(progress)
+    }
+
+    /// Runs until every ticket is answered.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator and iteration-rotation errors.
+    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
+        while !self.step(u64::MAX)?.quiescent {}
+        Ok(())
+    }
+
+    /// Submits a batch of requests and runs to quiescence — the convenience
+    /// shim over the ticketed lifecycle. Operations that fail validation
+    /// against the current tree (an earlier grant removed their target) are
+    /// skipped; the returned records cover exactly this batch's tickets, in
+    /// answer order. Requests rejected because an iteration's budget ran out
+    /// are retried in the next iteration under the same ticket.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator and rotation errors.
+    fn run_batch(
+        &mut self,
+        ops: &[(NodeId, RequestKind)],
+    ) -> Result<Vec<RequestRecord>, ControllerError> {
+        let before = self.records().len();
+        for &(at, kind) in ops {
+            // Stale intra-batch operations are dropped.
+            let _ = self.submit(at, kind);
+        }
+        self.run_to_quiescence()?;
+        Ok(self.records()[before..].to_vec())
+    }
+
+    /// Removes and returns the events produced since the last drain.
+    fn drain_events(&mut self) -> Vec<AppEvent> {
+        self.runtime_mut().drain_events()
+    }
+
+    /// All resolved requests so far, in answer order.
+    fn records(&self) -> &[RequestRecord] {
+        self.runtime().records()
+    }
+
+    /// The current spanning tree.
+    fn tree(&self) -> &DynamicTree {
+        self.runtime().tree()
+    }
+
+    /// Iterations (epochs) started so far.
+    fn iterations(&self) -> u32 {
+        self.runtime().iterations()
+    }
+
+    /// Topological changes granted so far.
+    fn changes(&self) -> u64 {
+        self.runtime().changes()
+    }
+
+    /// Total messages so far (controller messages plus every charged wave).
+    fn messages(&self) -> u64 {
+        self.runtime().messages()
+    }
+
+    /// Charges `messages` protocol messages of this application (see
+    /// [`Runtime::charge_messages`]).
+    fn charge_messages(&mut self, messages: u64) {
+        self.runtime_mut().charge_messages(messages);
+    }
 }
 
 #[cfg(test)]
@@ -622,20 +566,45 @@ mod tests {
         }
     }
 
-    fn driver(n: usize, seed: u64) -> IterationDriver<HalfPolicy> {
-        IterationDriver::new(
-            SimConfig::new(seed),
-            DynamicTree::with_initial_star(n),
-            HalfPolicy,
-        )
-        .unwrap()
+    /// The thinnest application: nothing but the driver beneath it, so the
+    /// provided ticket surface is what the tests exercise.
+    struct Bare {
+        driver: IterationDriver<HalfPolicy>,
+    }
+
+    impl Application for Bare {
+        fn name(&self) -> &'static str {
+            "bare"
+        }
+
+        fn runtime(&self) -> &dyn Runtime {
+            &self.driver
+        }
+
+        fn runtime_mut(&mut self) -> &mut dyn Runtime {
+            &mut self.driver
+        }
+
+        fn check_invariants(&self) -> Result<(), InvariantError> {
+            Ok(())
+        }
+    }
+
+    fn bare(tree: DynamicTree, seed: u64) -> Bare {
+        Bare {
+            driver: IterationDriver::new(SimConfig::new(seed), tree, HalfPolicy).unwrap(),
+        }
+    }
+
+    fn driver(n: usize, seed: u64) -> Bare {
+        bare(DynamicTree::with_initial_star(n), seed)
     }
 
     #[test]
     fn construction_emits_the_first_iteration_event() {
         let mut d = driver(10, 1);
         assert_eq!(d.iterations(), 1);
-        assert_eq!(d.estimate(), 11);
+        assert_eq!(d.driver.estimate(), 11);
         let events = d.drain_events();
         assert_eq!(
             events,
@@ -659,7 +628,7 @@ mod tests {
         assert!(d.iterations() > 1, "rotation expected");
         for id in &ids {
             assert!(
-                d.outcome(*id).is_some_and(|o| o.is_granted()),
+                d.driver.outcome(*id).is_some_and(|o| o.is_granted()),
                 "{id} unresolved"
             );
         }
@@ -681,12 +650,7 @@ mod tests {
 
     #[test]
     fn bounded_steps_interleave_submission_with_execution() {
-        let mut d = IterationDriver::new(
-            SimConfig::new(3),
-            DynamicTree::with_initial_path(20),
-            HalfPolicy,
-        )
-        .unwrap();
+        let mut d = bare(DynamicTree::with_initial_path(20), 3);
         let deep = d.tree().nodes().max_by_key(|&n| d.tree().depth(n)).unwrap();
         d.submit(deep, RequestKind::AddLeaf).unwrap();
         // A tiny slice leaves the request's agent in flight…
@@ -716,13 +680,13 @@ mod tests {
             d.submit(root, RequestKind::AddLeaf).unwrap();
         }
         d.run_to_quiescence().unwrap();
-        let controller_only = d.finished_messages + d.inner().messages();
+        let controller_only = d.driver.shell.messages();
         assert!(d.iterations() >= 2);
         // Announce (n per iteration) + closing waves (2n per rotation) are
         // charged on top of controller messages.
         assert!(d.messages() > controller_only);
         d.charge_messages(5);
-        assert_eq!(d.messages(), controller_only + d.aux_messages);
+        assert_eq!(d.messages(), controller_only + d.driver.aux_messages);
     }
 
     #[test]
@@ -753,7 +717,7 @@ mod tests {
         ];
         d.run_to_quiescence().unwrap();
         for id in &ids {
-            assert!(d.outcome(*id).is_some(), "{id} unresolved");
+            assert!(d.driver.outcome(*id).is_some(), "{id} unresolved");
         }
         assert!(!d.tree().contains(leaf));
         assert!(d.tree().check_invariants().is_ok());

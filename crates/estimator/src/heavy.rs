@@ -1,11 +1,10 @@
 //! The heavy-child decomposition (Theorem 5.4).
 
-use crate::driver::{AppEvent, Application};
+use crate::driver::{Application, Runtime};
 use crate::invariant::InvariantError;
 use crate::subtree::SubtreeEstimator;
 use dcn_collections::SecondaryMap;
-use dcn_controller::Progress;
-use dcn_controller::{ControllerError, RequestId, RequestKind, RequestRecord};
+use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
@@ -40,25 +39,9 @@ impl HeavyChildDecomposition {
         Ok(decomposition)
     }
 
-    /// The current spanning tree.
-    pub fn tree(&self) -> &DynamicTree {
-        self.subtree.tree()
-    }
-
-    /// The underlying subtree estimator.
-    pub fn subtree_estimator(&self) -> &SubtreeEstimator {
-        &self.subtree
-    }
-
     /// The heavy child of `node`, if `node` is internal.
     pub fn heavy_child(&self, node: NodeId) -> Option<NodeId> {
         self.heavy.get(node).copied()
-    }
-
-    /// Total messages so far (estimator messages plus pointer maintenance,
-    /// both charged through the shared driver).
-    pub fn messages(&self) -> u64 {
-        self.subtree.messages()
     }
 
     /// Number of *light* ancestors of `node` (ancestors `a` such that the
@@ -138,70 +121,7 @@ impl HeavyChildDecomposition {
             }
         }
         self.heavy = new_heavy;
-        self.subtree.charge_pointer_messages(flips);
-    }
-
-    /// Submits one request under a stable ticket.
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors against the current tree.
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        self.subtree.submit(at, kind)
-    }
-
-    /// Advances execution by at most `budget` simulator events; the heavy
-    /// pointers are refreshed from the updated estimates once the slice
-    /// reaches quiescence (pointers, like the other §5 guarantees, are only
-    /// owed at quiescent points — refreshing a full-tree scan per bounded
-    /// slice would be pure overhead).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        let progress = self.subtree.step(budget)?;
-        if progress.quiescent {
-            self.refresh_pointers();
-        }
-        Ok(progress)
-    }
-
-    /// Runs until every submitted ticket has a final answer, then refreshes
-    /// the pointers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        self.subtree.run_to_quiescence()?;
-        self.refresh_pointers();
-        Ok(())
-    }
-
-    /// Removes and returns the events produced since the last drain.
-    pub fn drain_events(&mut self) -> Vec<AppEvent> {
-        self.subtree.drain_events()
-    }
-
-    /// All resolved requests so far, in answer order.
-    pub fn records(&self) -> &[RequestRecord] {
-        self.subtree.records()
-    }
-
-    /// Submits a batch of requests, runs the network, and refreshes the heavy
-    /// pointers from the updated estimates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation and simulator errors.
-    pub fn run_batch(
-        &mut self,
-        ops: &[(NodeId, RequestKind)],
-    ) -> Result<Vec<RequestRecord>, ControllerError> {
-        let records = self.subtree.run_batch(ops)?;
-        self.refresh_pointers();
-        Ok(records)
+        self.charge_messages(flips);
     }
 }
 
@@ -210,40 +130,24 @@ impl Application for HeavyChildDecomposition {
         "heavy-child"
     }
 
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        HeavyChildDecomposition::submit(self, at, kind)
+    fn runtime(&self) -> &dyn Runtime {
+        self.subtree.runtime()
     }
 
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        HeavyChildDecomposition::step(self, budget)
+    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+        self.subtree.runtime_mut()
     }
 
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        HeavyChildDecomposition::run_to_quiescence(self)
-    }
-
-    fn drain_events(&mut self) -> Vec<AppEvent> {
-        HeavyChildDecomposition::drain_events(self)
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        HeavyChildDecomposition::records(self)
-    }
-
-    fn tree(&self) -> &DynamicTree {
-        HeavyChildDecomposition::tree(self)
-    }
-
-    fn iterations(&self) -> u32 {
-        Application::iterations(&self.subtree)
-    }
-
-    fn changes(&self) -> u64 {
-        Application::changes(&self.subtree)
-    }
-
-    fn messages(&self) -> u64 {
-        HeavyChildDecomposition::messages(self)
+    /// After the subtree estimator's own hook, the heavy pointers are
+    /// refreshed from the updated estimates once a slice reaches quiescence
+    /// (pointers, like the other §5 guarantees, are only owed at quiescent
+    /// points — refreshing a full-tree scan per bounded slice would be pure
+    /// overhead).
+    fn after_slice(&mut self, progress: Progress) {
+        self.subtree.after_slice(progress);
+        if progress.quiescent {
+            self.refresh_pointers();
+        }
     }
 
     fn check_invariants(&self) -> Result<(), InvariantError> {
@@ -254,6 +158,7 @@ impl Application for HeavyChildDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_controller::RequestKind;
 
     #[test]
     fn initial_decomposition_of_a_path_has_no_light_ancestors() {

@@ -1,11 +1,10 @@
 //! Dynamic ancestry labeling (Corollary 5.7).
 
-use crate::driver::{AppEvent, Application};
+use crate::driver::{Application, Runtime};
 use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
 use dcn_collections::SecondaryMap;
-use dcn_controller::Progress;
-use dcn_controller::{ControllerError, RequestId, RequestKind, RequestRecord};
+use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
@@ -68,11 +67,6 @@ impl AncestryLabeling {
         Ok(labeling)
     }
 
-    /// The current spanning tree.
-    pub fn tree(&self) -> &DynamicTree {
-        self.size.tree()
-    }
-
     /// The label of `node`, if it exists and has been labeled.
     pub fn label(&self, node: NodeId) -> Option<AncestryLabel> {
         self.labels.get(node).copied()
@@ -81,12 +75,6 @@ impl AncestryLabeling {
     /// Number of global re-labelings performed so far.
     pub fn relabels(&self) -> u32 {
         self.relabels
-    }
-
-    /// Total messages so far (size-estimation messages plus re-labeling
-    /// traversals, charged through the shared driver).
-    pub fn messages(&self) -> u64 {
-        self.size.messages()
     }
 
     /// Maximum label size over existing nodes, in bits.
@@ -104,15 +92,73 @@ impl AncestryLabeling {
         Some(self.labels.get(anc)?.is_ancestor_of(self.labels.get(desc)?))
     }
 
-    /// Checks that every existing node is labeled, that label-based ancestry
-    /// agrees with the tree, and that label sizes are `O(log n)`
-    /// (at most `2·(log2(n) + 3)` bits per coordinate pair after the scheme's
-    /// own re-labeling policy).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation.
-    pub fn check_invariants(&self) -> Result<(), InvariantError> {
+    /// Re-labels every existing node with fresh DFS intervals (charged as one
+    /// traversal of the tree through the shared driver).
+    fn relabel(&mut self) {
+        let charge;
+        {
+            let tree = self.size.tree();
+            self.labels.clear();
+            // Iterative DFS computing [entry, exit] intervals.
+            let mut counter = 0u64;
+            let mut stack: Vec<(NodeId, bool)> = vec![(tree.root(), false)];
+            let mut entry: SecondaryMap<NodeId, u64> = SecondaryMap::new();
+            while let Some((node, expanded)) = stack.pop() {
+                if expanded {
+                    // lint: allow(unwrap) the first-visit arm below inserts
+                    // the entry before pushing the expanded marker
+                    let low = *entry.get(node).expect("entry recorded on first visit");
+                    self.labels
+                        .insert(node, AncestryLabel { low, high: counter });
+                    continue;
+                }
+                counter += 1;
+                entry.insert(node, counter);
+                stack.push((node, true));
+                // lint: allow(unwrap) the stack only holds live tree nodes
+                for &child in tree.children(node).expect("node exists").iter().rev() {
+                    stack.push((child, false));
+                }
+            }
+            self.labeled_at = tree.node_count() as u64;
+            charge = 2 * tree.node_count() as u64;
+        }
+        self.relabels += 1;
+        self.charge_messages(charge);
+    }
+}
+
+impl Application for AncestryLabeling {
+    fn name(&self) -> &'static str {
+        "ancestry-labeling"
+    }
+
+    fn runtime(&self) -> &dyn Runtime {
+        self.size.runtime()
+    }
+
+    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+        self.size.runtime_mut()
+    }
+
+    /// Drops labels of deleted nodes and re-labels when the network halved
+    /// since the last labeling (or when new nodes are waiting for a label).
+    fn after_slice(&mut self, _progress: Progress) {
+        // Probe the tree arena directly — membership is an O(1) slot check,
+        // so no snapshot set of all nodes is materialised per slice.
+        let tree = self.size.tree();
+        self.labels.retain(|node, _| tree.contains(node));
+        let n = tree.node_count() as u64;
+        let unlabeled = tree.nodes().any(|v| !self.labels.contains_key(v));
+        if n <= self.labeled_at / 2 || unlabeled {
+            self.relabel();
+        }
+    }
+
+    /// Every existing node is labeled, label-based ancestry agrees with the
+    /// tree, and label sizes are `O(log n)` (at most `2·(log2(n) + 3)` bits
+    /// per coordinate pair after the scheme's own re-labeling policy).
+    fn check_invariants(&self) -> Result<(), InvariantError> {
         let tree = self.tree();
         let nodes: Vec<NodeId> = tree.nodes().collect();
         for &v in &nodes {
@@ -150,165 +196,12 @@ impl AncestryLabeling {
         }
         Ok(())
     }
-
-    /// Re-labels every existing node with fresh DFS intervals (charged as one
-    /// traversal of the tree through the shared driver).
-    fn relabel(&mut self) {
-        let charge;
-        {
-            let tree = self.size.tree();
-            self.labels.clear();
-            // Iterative DFS computing [entry, exit] intervals.
-            let mut counter = 0u64;
-            let mut stack: Vec<(NodeId, bool)> = vec![(tree.root(), false)];
-            let mut entry: SecondaryMap<NodeId, u64> = SecondaryMap::new();
-            while let Some((node, expanded)) = stack.pop() {
-                if expanded {
-                    // lint: allow(unwrap) the first-visit arm below inserts
-                    // the entry before pushing the expanded marker
-                    let low = *entry.get(node).expect("entry recorded on first visit");
-                    self.labels
-                        .insert(node, AncestryLabel { low, high: counter });
-                    continue;
-                }
-                counter += 1;
-                entry.insert(node, counter);
-                stack.push((node, true));
-                // lint: allow(unwrap) the stack only holds live tree nodes
-                for &child in tree.children(node).expect("node exists").iter().rev() {
-                    stack.push((child, false));
-                }
-            }
-            self.labeled_at = tree.node_count() as u64;
-            charge = 2 * tree.node_count() as u64;
-        }
-        self.relabels += 1;
-        self.size.driver_mut().charge_messages(charge);
-    }
-
-    /// Drops labels of deleted nodes and re-labels when the network halved
-    /// since the last labeling (or when new nodes are waiting for a label).
-    fn sync(&mut self) {
-        // Probe the tree arena directly — membership is an O(1) slot check,
-        // so no snapshot set of all nodes is materialised per sync.
-        let tree = self.size.tree();
-        self.labels.retain(|node, _| tree.contains(node));
-        let n = tree.node_count() as u64;
-        let unlabeled = tree.nodes().any(|v| !self.labels.contains_key(v));
-        if n <= self.labeled_at / 2 || unlabeled {
-            self.relabel();
-        }
-    }
-
-    /// Submits one request under a stable ticket.
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors against the current tree.
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        self.size.submit(at, kind)
-    }
-
-    /// Advances execution by at most `budget` simulator events, keeping the
-    /// labeling current.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        let progress = self.size.step(budget)?;
-        self.sync();
-        Ok(progress)
-    }
-
-    /// Runs until every submitted ticket has a final answer, then brings the
-    /// labeling up to date.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        self.size.run_to_quiescence()?;
-        self.sync();
-        Ok(())
-    }
-
-    /// Removes and returns the events produced since the last drain.
-    pub fn drain_events(&mut self) -> Vec<AppEvent> {
-        self.size.drain_events()
-    }
-
-    /// All resolved requests so far, in answer order.
-    pub fn records(&self) -> &[RequestRecord] {
-        self.size.records()
-    }
-
-    /// Submits a batch of requests (typically deletions, but insertions are
-    /// handled too by labeling new nodes as they appear), and re-labels when
-    /// the network has shrunk to half the size it had at the last labeling.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation and simulator errors.
-    pub fn run_batch(
-        &mut self,
-        ops: &[(NodeId, RequestKind)],
-    ) -> Result<Vec<RequestRecord>, ControllerError> {
-        let records = self.size.run_batch(ops)?;
-        self.sync();
-        Ok(records)
-    }
-}
-
-impl Application for AncestryLabeling {
-    fn name(&self) -> &'static str {
-        "ancestry-labeling"
-    }
-
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        AncestryLabeling::submit(self, at, kind)
-    }
-
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        AncestryLabeling::step(self, budget)
-    }
-
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        AncestryLabeling::run_to_quiescence(self)
-    }
-
-    fn drain_events(&mut self) -> Vec<AppEvent> {
-        AncestryLabeling::drain_events(self)
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        AncestryLabeling::records(self)
-    }
-
-    fn tree(&self) -> &DynamicTree {
-        AncestryLabeling::tree(self)
-    }
-
-    fn iterations(&self) -> u32 {
-        self.size.iterations()
-    }
-
-    fn changes(&self) -> u64 {
-        self.size.changes()
-    }
-
-    fn messages(&self) -> u64 {
-        AncestryLabeling::messages(self)
-    }
-
-    fn check_invariants(&self) -> Result<(), InvariantError> {
-        AncestryLabeling::check_invariants(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_controller::RequestKind;
 
     #[test]
     fn label_containment_matches_ancestry() {

@@ -26,20 +26,21 @@
 //! ## The shared iteration runtime
 //!
 //! All six applications run on the same epoch engine, the
-//! [`IterationDriver`]: it owns the inner distributed controller of the
-//! current iteration, detects exhaustion, charges the iteration-boundary
-//! waves and rebuilds the controller with a derived seed, while each
-//! application reduces to an [`IterationPolicy`] (per-iteration α/β budgets,
-//! interval mode, renaming) plus its own invariant bookkeeping. The driver
-//! exposes the same ticket/event/step seam as the controller runtime —
-//! `submit` → [`RequestId`] tickets that survive
-//! iteration rebuilds, bounded `step(budget)`, `drain_events()` streaming
-//! [`AppEvent`]s (including [`AppEvent::IterationStarted`] at every epoch
-//! boundary) and a `records()` history — and every application implements the
-//! uniform [`Application`] trait over it, so the scenario runner and sweep
-//! engine in `dcn-workload` drive the §5 protocols exactly as they drive the
-//! controllers. Invariant violations are reported through the shared typed
-//! [`InvariantError`].
+//! [`IterationDriver`]: the §5 policy over `dcn-controller`'s `EpochShell`
+//! (which owns the inner distributed controller, the global clock and the
+//! outer tickets). It plans each iteration through the application's
+//! [`IterationPolicy`] (per-iteration α/β budgets, interval mode, renaming),
+//! rotates when an iteration is exhausted, charges the iteration-boundary
+//! waves, and exposes the same ticket/event/step seam as the controller
+//! runtime through the [`Runtime`] trait — `submit` → [`RequestId`] tickets
+//! that survive iteration rebuilds, bounded `step(budget)`, `drain_events()`
+//! streaming [`AppEvent`]s (including [`AppEvent::IterationStarted`] at every
+//! epoch boundary) and a `records()` history. Every application implements
+//! the uniform [`Application`] trait — its name, the runtime beneath it, an
+//! after-slice hook and its invariant check; the ticket surface is provided
+//! — so the scenario runner and sweep engine in `dcn-workload` drive the §5
+//! protocols exactly as they drive the controllers. Invariant violations are
+//! reported through the shared typed [`InvariantError`].
 //!
 //! ## Modelling note
 //!
@@ -62,7 +63,7 @@ mod names;
 mod size;
 mod subtree;
 
-pub use driver::{AppEvent, Application, IterationDriver, IterationPlan, IterationPolicy};
+pub use driver::{AppEvent, Application, IterationDriver, IterationPlan, IterationPolicy, Runtime};
 pub use heavy::HeavyChildDecomposition;
 pub use invariant::InvariantError;
 pub use labeling::{AncestryLabel, AncestryLabeling};

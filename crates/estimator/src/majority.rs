@@ -16,12 +16,11 @@
 //! `n ≤ β·ñ` at all times, this threshold guarantees a strict majority of the
 //! *current* network, whatever the churn did.
 
-use crate::driver::{AppEvent, Application};
+use crate::driver::{Application, Runtime};
 use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
 use dcn_collections::SecondaryMap;
-use dcn_controller::Progress;
-use dcn_controller::{ControllerError, RequestId, RequestKind, RequestRecord};
+use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
@@ -38,7 +37,7 @@ pub enum Decision {
 /// Majority commitment driven by the β-size-estimation protocol.
 ///
 /// ```
-/// use dcn_estimator::{Decision, MajorityCommitment};
+/// use dcn_estimator::{Application, Decision, MajorityCommitment};
 /// use dcn_simnet::SimConfig;
 /// use dcn_tree::DynamicTree;
 ///
@@ -82,16 +81,6 @@ impl MajorityCommitment {
         })
     }
 
-    /// The current spanning tree.
-    pub fn tree(&self) -> &DynamicTree {
-        self.size.tree()
-    }
-
-    /// The underlying size estimator.
-    pub fn size_estimator(&self) -> &SizeEstimator {
-        &self.size
-    }
-
     /// The commit threshold implied by the current size estimate: reaching it
     /// guarantees a strict majority of the current network.
     ///
@@ -133,12 +122,6 @@ impl MajorityCommitment {
         self.decision
     }
 
-    /// Total messages: size-estimation messages plus vote deliveries (both
-    /// charged through the shared driver).
-    pub fn messages(&self) -> u64 {
-        self.size.messages()
-    }
-
     /// Casts `node`'s vote (`true` = commit). The vote travels to the root,
     /// costing one message per hop. Re-votes are idempotent; votes after a
     /// decision are ignored.
@@ -154,7 +137,7 @@ impl MajorityCommitment {
             return Ok(());
         }
         let hops = self.tree().depth(node) as u64;
-        self.size.driver_mut().charge_messages(hops);
+        self.charge_messages(hops);
         if commit {
             self.abort_votes.remove(node);
             self.commit_votes.insert(node, ());
@@ -164,75 +147,6 @@ impl MajorityCommitment {
         }
         self.try_decide();
         Ok(())
-    }
-
-    /// Drops votes of departed nodes and re-checks whether a decision can be
-    /// made.
-    fn sync(&mut self) {
-        // Probe the tree arena directly instead of materialising the full
-        // node set on every sync — membership is an O(1) slot check.
-        let tree = self.size.tree();
-        self.commit_votes.retain(|v, _| tree.contains(v));
-        self.abort_votes.retain(|v, _| tree.contains(v));
-        self.try_decide();
-    }
-
-    /// Submits one topological-change request under a stable ticket.
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors against the current tree.
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        self.size.submit(at, kind)
-    }
-
-    /// Advances execution by at most `budget` simulator events, keeping the
-    /// vote tallies consistent with the surviving nodes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        let progress = self.size.step(budget)?;
-        self.sync();
-        Ok(progress)
-    }
-
-    /// Runs until every submitted ticket has a final answer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        self.size.run_to_quiescence()?;
-        self.sync();
-        Ok(())
-    }
-
-    /// Removes and returns the events produced since the last drain.
-    pub fn drain_events(&mut self) -> Vec<AppEvent> {
-        self.size.drain_events()
-    }
-
-    /// All resolved requests so far, in answer order.
-    pub fn records(&self) -> &[RequestRecord] {
-        self.size.records()
-    }
-
-    /// Applies a batch of topological-change requests through the underlying
-    /// size-estimation protocol (the controlled dynamic model), then re-checks
-    /// whether a decision can be made.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation and simulator errors.
-    pub fn run_churn(
-        &mut self,
-        ops: &[(NodeId, RequestKind)],
-    ) -> Result<Vec<RequestRecord>, ControllerError> {
-        let records = self.size.run_batch(ops)?;
-        self.sync();
-        Ok(records)
     }
 
     /// Checks the safety property of the protocol: if the coordinator has
@@ -281,40 +195,23 @@ impl Application for MajorityCommitment {
         "majority-commitment"
     }
 
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        MajorityCommitment::submit(self, at, kind)
+    fn runtime(&self) -> &dyn Runtime {
+        self.size.runtime()
     }
 
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        MajorityCommitment::step(self, budget)
+    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+        self.size.runtime_mut()
     }
 
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        MajorityCommitment::run_to_quiescence(self)
-    }
-
-    fn drain_events(&mut self) -> Vec<AppEvent> {
-        MajorityCommitment::drain_events(self)
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        MajorityCommitment::records(self)
-    }
-
-    fn tree(&self) -> &DynamicTree {
-        MajorityCommitment::tree(self)
-    }
-
-    fn iterations(&self) -> u32 {
-        self.size.iterations()
-    }
-
-    fn changes(&self) -> u64 {
-        self.size.changes()
-    }
-
-    fn messages(&self) -> u64 {
-        MajorityCommitment::messages(self)
+    /// Drops votes of departed nodes and re-checks whether a decision can be
+    /// made.
+    fn after_slice(&mut self, _progress: Progress) {
+        // Probe the tree arena directly instead of materialising the full
+        // node set on every slice — membership is an O(1) slot check.
+        let tree = self.size.tree();
+        self.commit_votes.retain(|v, _| tree.contains(v));
+        self.abort_votes.retain(|v, _| tree.contains(v));
+        self.try_decide();
     }
 
     fn check_invariants(&self) -> Result<(), InvariantError> {
@@ -326,6 +223,7 @@ impl Application for MajorityCommitment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_controller::RequestKind;
 
     #[test]
     fn unanimous_commit_reaches_a_commit_decision() {
@@ -376,7 +274,7 @@ mod tests {
             mc.cast_vote(node, true).unwrap();
         }
         let root = mc.tree().root();
-        mc.run_churn(&[(root, RequestKind::AddLeaf); 6]).unwrap();
+        mc.run_batch(&[(root, RequestKind::AddLeaf); 6]).unwrap();
         mc.check_safety().unwrap();
         for node in mc.tree().nodes().collect::<Vec<_>>() {
             mc.cast_vote(node, true).unwrap();

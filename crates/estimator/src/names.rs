@@ -1,11 +1,9 @@
 //! The name-assignment protocol (Theorem 5.2).
 
-use crate::driver::{AppEvent, Application, IterationDriver, IterationPlan, IterationPolicy};
+use crate::driver::{Application, IterationDriver, IterationPlan, IterationPolicy, Runtime};
 use crate::invariant::InvariantError;
 use dcn_collections::{FxHashMap, SecondaryMap};
-use dcn_controller::{
-    ControllerError, Outcome, PermitInterval, Progress, RequestId, RequestKind, RequestRecord,
-};
+use dcn_controller::{ControllerError, Outcome, PermitInterval, RequestKind, RequestRecord};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
@@ -91,7 +89,7 @@ impl IterationPolicy for NamePolicy {
 /// node's identity.
 ///
 /// ```
-/// use dcn_estimator::NameAssigner;
+/// use dcn_estimator::{Application, NameAssigner};
 /// use dcn_controller::RequestKind;
 /// use dcn_simnet::SimConfig;
 /// use dcn_tree::DynamicTree;
@@ -123,11 +121,6 @@ impl NameAssigner {
         })
     }
 
-    /// The current spanning tree.
-    pub fn tree(&self) -> &DynamicTree {
-        self.driver.tree()
-    }
-
     /// The identity currently assigned to `node`, if it exists.
     pub fn id_of(&self, node: NodeId) -> Option<u64> {
         self.driver.policy().ids().get(node).copied()
@@ -137,29 +130,24 @@ impl NameAssigner {
     pub fn ids(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.driver.policy().ids().iter().map(|(n, &i)| (n, i))
     }
+}
 
-    /// Number of iterations (full renamings) performed so far.
-    pub fn iterations(&self) -> u32 {
-        self.driver.iterations()
+impl Application for NameAssigner {
+    fn name(&self) -> &'static str {
+        "name-assigner"
     }
 
-    /// Total messages so far (controller messages plus renaming traversals).
-    pub fn messages(&self) -> u64 {
-        self.driver.messages()
+    fn runtime(&self) -> &dyn Runtime {
+        &self.driver
     }
 
-    /// Number of topological changes granted so far.
-    pub fn changes(&self) -> u64 {
-        self.driver.changes()
+    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+        &mut self.driver
     }
 
-    /// Checks the protocol invariants: every existing node has an identity,
-    /// identities are pairwise distinct, and every identity is at most `4n`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violated invariant.
-    pub fn check_invariants(&self) -> Result<(), InvariantError> {
+    /// Every existing node has an identity, identities are pairwise distinct,
+    /// and every identity is at most `4n`.
+    fn check_invariants(&self) -> Result<(), InvariantError> {
         let tree = self.tree();
         let n = tree.node_count() as u64;
         let ids = self.driver.policy().ids();
@@ -184,107 +172,6 @@ impl NameAssigner {
             }
         }
         Ok(())
-    }
-
-    /// Submits one request under a stable ticket (see
-    /// [`IterationDriver::submit`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors against the current tree.
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        self.driver.submit(at, kind)
-    }
-
-    /// Advances execution by at most `budget` simulator events, renaming as
-    /// iterations exhaust; identity bookkeeping happens as answers are
-    /// absorbed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        self.driver.step(budget)
-    }
-
-    /// Runs until every submitted ticket has a final answer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        self.driver.run_to_quiescence()
-    }
-
-    /// Removes and returns the events produced since the last drain.
-    pub fn drain_events(&mut self) -> Vec<AppEvent> {
-        self.driver.drain_events()
-    }
-
-    /// All resolved requests so far, in answer order.
-    pub fn records(&self) -> &[RequestRecord] {
-        self.driver.records()
-    }
-
-    /// Submits a batch of requests, runs the network, and maintains the
-    /// identity assignment: granted insertions give their permit's serial
-    /// number to the new node, deletions retire the deleted node's identity,
-    /// and budget exhaustion triggers a renaming iteration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation and simulator errors.
-    pub fn run_batch(
-        &mut self,
-        ops: &[(NodeId, RequestKind)],
-    ) -> Result<Vec<RequestRecord>, ControllerError> {
-        self.driver.run_batch(ops)
-    }
-}
-
-impl Application for NameAssigner {
-    fn name(&self) -> &'static str {
-        "name-assigner"
-    }
-
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        NameAssigner::submit(self, at, kind)
-    }
-
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        NameAssigner::step(self, budget)
-    }
-
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        NameAssigner::run_to_quiescence(self)
-    }
-
-    fn drain_events(&mut self) -> Vec<AppEvent> {
-        NameAssigner::drain_events(self)
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        NameAssigner::records(self)
-    }
-
-    fn tree(&self) -> &DynamicTree {
-        NameAssigner::tree(self)
-    }
-
-    fn iterations(&self) -> u32 {
-        NameAssigner::iterations(self)
-    }
-
-    fn changes(&self) -> u64 {
-        NameAssigner::changes(self)
-    }
-
-    fn messages(&self) -> u64 {
-        NameAssigner::messages(self)
-    }
-
-    fn check_invariants(&self) -> Result<(), InvariantError> {
-        NameAssigner::check_invariants(self)
     }
 }
 

@@ -1,8 +1,8 @@
 //! The size-estimation protocol (Theorem 5.1).
 
-use crate::driver::{AppEvent, Application, IterationDriver, IterationPlan, IterationPolicy};
+use crate::driver::{Application, IterationDriver, IterationPlan, IterationPolicy, Runtime};
 use crate::invariant::InvariantError;
-use dcn_controller::{ControllerError, Progress, RequestId, RequestKind, RequestRecord};
+use dcn_controller::ControllerError;
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
@@ -53,10 +53,11 @@ impl IterationPolicy for SizePolicy {
 /// obtain a permit from a terminating `(α·N_i, α·N_i/2)`-controller with
 /// `α = 1 − 1/β`, which caps the drift of `n` away from `N_i`; when that
 /// controller is exhausted a new iteration starts (visible as an
-/// [`AppEvent::IterationStarted`] in the event stream).
+/// [`AppEvent::IterationStarted`](crate::AppEvent::IterationStarted) in the
+/// event stream).
 ///
 /// ```
-/// use dcn_estimator::SizeEstimator;
+/// use dcn_estimator::{Application, SizeEstimator};
 /// use dcn_controller::RequestKind;
 /// use dcn_simnet::SimConfig;
 /// use dcn_tree::DynamicTree;
@@ -92,18 +93,6 @@ impl SizeEstimator {
         })
     }
 
-    /// Mutable access to the shared iteration driver (exposed for the layers
-    /// stacked on top: subtree estimation, heavy-child, labeling, majority
-    /// commitment, which charge their own protocol waves through it).
-    pub(crate) fn driver_mut(&mut self) -> &mut IterationDriver<SizePolicy> {
-        &mut self.driver
-    }
-
-    /// The current spanning tree.
-    pub fn tree(&self) -> &DynamicTree {
-        self.driver.tree()
-    }
-
     /// The estimate `ñ = N_i` currently held by every node.
     pub fn estimate(&self) -> u64 {
         self.driver.estimate()
@@ -114,36 +103,41 @@ impl SizeEstimator {
         self.driver.policy().beta()
     }
 
-    /// Number of iterations started so far.
-    pub fn iterations(&self) -> u32 {
-        self.driver.iterations()
-    }
-
-    /// Total messages sent so far (controller messages plus the charged
-    /// iteration-boundary waves).
-    pub fn messages(&self) -> u64 {
-        self.driver.messages()
-    }
-
-    /// Number of topological changes granted so far.
-    pub fn changes(&self) -> u64 {
-        self.driver.changes()
-    }
-
     /// Amortized messages per topological change (the quantity Theorem 5.1
     /// bounds by `O(log² n)` when the number of changes is not too small).
     pub fn amortized_messages_per_change(&self) -> f64 {
-        self.driver.amortized_messages_per_change()
+        self.messages() as f64 / self.changes().max(1) as f64
+    }
+
+    /// `true` when the β-approximation invariant currently holds
+    /// (convenience wrapper over [`Application::check_invariants`]).
+    pub fn estimate_is_valid(&self) -> bool {
+        self.check_invariants().is_ok()
+    }
+
+    /// The number of permits that have passed down through `node` in the
+    /// current iteration (used by the subtree estimator).
+    pub fn permits_passed_down(&self, node: NodeId) -> u64 {
+        self.driver.permits_passed_down(node)
+    }
+}
+
+impl Application for SizeEstimator {
+    fn name(&self) -> &'static str {
+        "size-estimator"
+    }
+
+    fn runtime(&self) -> &dyn Runtime {
+        &self.driver
+    }
+
+    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+        &mut self.driver
     }
 
     /// Checks the β-approximation invariant `n/β ≤ ñ ≤ β·n` against the
-    /// current network size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvariantError::EstimateOutOfBand`] when the estimate left
-    /// the band.
-    pub fn check_invariants(&self) -> Result<(), InvariantError> {
+    /// current network size ([`InvariantError::EstimateOutOfBand`]).
+    fn check_invariants(&self) -> Result<(), InvariantError> {
         let nodes = self.tree().node_count();
         let n = nodes as f64;
         let e = self.estimate() as f64;
@@ -157,124 +151,13 @@ impl SizeEstimator {
         }
         Ok(())
     }
-
-    /// `true` when the β-approximation invariant currently holds
-    /// (convenience wrapper over [`SizeEstimator::check_invariants`]).
-    pub fn estimate_is_valid(&self) -> bool {
-        self.check_invariants().is_ok()
-    }
-
-    /// The number of permits that have passed down through `node` in the
-    /// current iteration (used by the subtree estimator).
-    pub fn permits_passed_down(&self, node: NodeId) -> u64 {
-        self.driver.permits_passed_down(node)
-    }
-
-    /// Submits one topological-change request under a stable ticket (see
-    /// [`IterationDriver::submit`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors against the current tree.
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        self.driver.submit(at, kind)
-    }
-
-    /// Advances execution by at most `budget` simulator events, rotating
-    /// iterations as budgets exhaust.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        self.driver.step(budget)
-    }
-
-    /// Runs until every submitted ticket has a final answer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        self.driver.run_to_quiescence()
-    }
-
-    /// Removes and returns the events produced since the last drain.
-    pub fn drain_events(&mut self) -> Vec<AppEvent> {
-        self.driver.drain_events()
-    }
-
-    /// All resolved requests so far, in answer order.
-    pub fn records(&self) -> &[RequestRecord] {
-        self.driver.records()
-    }
-
-    /// Submits a batch of topological-change requests, runs the network to
-    /// quiescence and returns this batch's answers — the convenience shim
-    /// over the ticketed lifecycle. Requests rejected because an iteration's
-    /// budget ran out are retried in the next iteration under the same
-    /// ticket.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation and simulator errors.
-    pub fn run_batch(
-        &mut self,
-        ops: &[(NodeId, RequestKind)],
-    ) -> Result<Vec<RequestRecord>, ControllerError> {
-        self.driver.run_batch(ops)
-    }
-}
-
-impl Application for SizeEstimator {
-    fn name(&self) -> &'static str {
-        "size-estimator"
-    }
-
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        SizeEstimator::submit(self, at, kind)
-    }
-
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        SizeEstimator::step(self, budget)
-    }
-
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        SizeEstimator::run_to_quiescence(self)
-    }
-
-    fn drain_events(&mut self) -> Vec<AppEvent> {
-        SizeEstimator::drain_events(self)
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        SizeEstimator::records(self)
-    }
-
-    fn tree(&self) -> &DynamicTree {
-        SizeEstimator::tree(self)
-    }
-
-    fn iterations(&self) -> u32 {
-        SizeEstimator::iterations(self)
-    }
-
-    fn changes(&self) -> u64 {
-        SizeEstimator::changes(self)
-    }
-
-    fn messages(&self) -> u64 {
-        SizeEstimator::messages(self)
-    }
-
-    fn check_invariants(&self) -> Result<(), InvariantError> {
-        SizeEstimator::check_invariants(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AppEvent;
+    use dcn_controller::RequestKind;
 
     #[test]
     fn estimate_stays_within_beta_during_heavy_growth() {

@@ -1,11 +1,10 @@
 //! The subtree (super-weight) estimator of Lemma 5.3.
 
-use crate::driver::{AppEvent, Application};
+use crate::driver::{Application, Runtime};
 use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
 use dcn_collections::SecondaryMap;
-use dcn_controller::Progress;
-use dcn_controller::{ControllerError, RequestId, RequestKind, RequestRecord};
+use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::{DynamicTree, TopologyEvent};
 
@@ -59,28 +58,6 @@ impl SubtreeEstimator {
         est.log_cursor = est.size.tree().change_log().len();
         est.refresh_omega0();
         Ok(est)
-    }
-
-    /// The underlying size estimator (and through it the current tree).
-    pub fn size_estimator(&self) -> &SizeEstimator {
-        &self.size
-    }
-
-    /// The current spanning tree.
-    pub fn tree(&self) -> &DynamicTree {
-        self.size.tree()
-    }
-
-    /// Total messages so far, including the per-iteration subtree-size
-    /// upcasts (charged through the shared driver).
-    pub fn messages(&self) -> u64 {
-        self.size.messages()
-    }
-
-    /// Charges `messages` pointer-maintenance messages to the shared driver
-    /// counter (used by the heavy-child layer above).
-    pub(crate) fn charge_pointer_messages(&mut self, messages: u64) {
-        self.size.driver_mut().charge_messages(messages);
     }
 
     /// The estimate `ω̃(v) = ω₀(v) + S(v)` held by node `v`.
@@ -144,7 +121,7 @@ impl SubtreeEstimator {
             charge = 2 * tree.node_count() as u64;
             self.log_cursor = tree.change_log().len();
         }
-        self.size.driver_mut().charge_messages(charge);
+        self.charge_messages(charge);
         self.iteration_tag = self.size.iterations();
     }
 
@@ -220,74 +197,6 @@ impl SubtreeEstimator {
             }
         }
     }
-
-    /// Brings ω₀ and the reference super-weights up to date after an
-    /// execution slice: a fresh iteration resets them, otherwise the change
-    /// log since the last sync is replayed.
-    fn sync(&mut self) {
-        if self.size.iterations() != self.iteration_tag {
-            self.refresh_omega0();
-        } else {
-            self.update_super_weights();
-        }
-    }
-
-    /// Submits one request under a stable ticket.
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors against the current tree.
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        self.size.submit(at, kind)
-    }
-
-    /// Advances execution by at most `budget` simulator events, keeping the
-    /// super-weight bookkeeping current.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        let progress = self.size.step(budget)?;
-        self.sync();
-        Ok(progress)
-    }
-
-    /// Runs until every submitted ticket has a final answer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and rotation errors.
-    pub fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        self.size.run_to_quiescence()?;
-        self.sync();
-        Ok(())
-    }
-
-    /// Removes and returns the events produced since the last drain.
-    pub fn drain_events(&mut self) -> Vec<AppEvent> {
-        self.size.drain_events()
-    }
-
-    /// All resolved requests so far, in answer order.
-    pub fn records(&self) -> &[RequestRecord] {
-        self.size.records()
-    }
-
-    /// Submits a batch of requests through the size-estimation machinery and
-    /// keeps ω₀ / the reference super-weights current.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation and simulator errors.
-    pub fn run_batch(
-        &mut self,
-        ops: &[(NodeId, RequestKind)],
-    ) -> Result<Vec<RequestRecord>, ControllerError> {
-        let records = self.size.run_batch(ops)?;
-        self.sync();
-        Ok(records)
-    }
 }
 
 impl Application for SubtreeEstimator {
@@ -295,40 +204,23 @@ impl Application for SubtreeEstimator {
         "subtree-estimator"
     }
 
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        SubtreeEstimator::submit(self, at, kind)
+    fn runtime(&self) -> &dyn Runtime {
+        self.size.runtime()
     }
 
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        SubtreeEstimator::step(self, budget)
+    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+        self.size.runtime_mut()
     }
 
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        SubtreeEstimator::run_to_quiescence(self)
-    }
-
-    fn drain_events(&mut self) -> Vec<AppEvent> {
-        SubtreeEstimator::drain_events(self)
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        SubtreeEstimator::records(self)
-    }
-
-    fn tree(&self) -> &DynamicTree {
-        SubtreeEstimator::tree(self)
-    }
-
-    fn iterations(&self) -> u32 {
-        self.size.iterations()
-    }
-
-    fn changes(&self) -> u64 {
-        self.size.changes()
-    }
-
-    fn messages(&self) -> u64 {
-        SubtreeEstimator::messages(self)
+    /// Brings ω₀ and the reference super-weights up to date after every
+    /// execution slice: a fresh iteration resets them, otherwise the change
+    /// log since the last slice is replayed.
+    fn after_slice(&mut self, _progress: Progress) {
+        if self.size.iterations() != self.iteration_tag {
+            self.refresh_omega0();
+        } else {
+            self.update_super_weights();
+        }
     }
 
     fn check_invariants(&self) -> Result<(), InvariantError> {
@@ -340,6 +232,7 @@ impl Application for SubtreeEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_controller::RequestKind;
 
     #[test]
     fn estimates_track_super_weights_under_growth() {

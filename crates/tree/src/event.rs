@@ -16,7 +16,6 @@ use crate::NodeId;
 /// non-tree edges), so that a complete trace of the network evolution is
 /// available to replay tooling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TopologyEvent {
     /// A new leaf `child` was attached under `parent`.
     AddLeaf {
@@ -96,7 +95,6 @@ impl TopologyEvent {
 /// One entry of the [`ChangeLog`]: the event plus the network size before and
 /// after it was applied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChangeRecord {
     /// Sequence number of the change (0-based, tree changes and non-tree-edge
     /// events share the same sequence).
@@ -115,7 +113,6 @@ pub struct ChangeRecord {
 /// nodes when the j-th change takes place, and sums of the form
 /// `Σ_j log² n_j`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChangeLog {
     records: Vec<ChangeRecord>,
 }

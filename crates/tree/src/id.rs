@@ -17,7 +17,6 @@ use std::fmt;
 /// assert_eq!(a.index(), 1);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {

@@ -11,7 +11,6 @@ use dcn_tree::{DynamicTree, NodeId};
 /// arrives at the parent-to-be, the request for a removal at the node itself,
 /// matching the paper's conventions).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ChurnOp {
     /// Attach a new leaf below `parent`.
     AddLeaf {
@@ -73,7 +72,6 @@ impl ChurnOp {
 
 /// The statistical model governing which operations are generated.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ChurnModel {
     /// Only leaf insertions — the restricted model of Afek–Awerbuch–Plotkin–
     /// Saks, used for the baseline comparison (experiment T4).

@@ -5,7 +5,6 @@ use dcn_tree::{DynamicTree, NodeId};
 
 /// Where (at which nodes) requests arrive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Placement {
     /// Uniformly over all existing nodes.
     Uniform,

@@ -20,7 +20,6 @@ use crate::shape::TreeShape;
 ///   agents are still in flight. Synchronous families answer inside `submit`
 ///   and behave identically in both modes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ArrivalMode {
     /// Closed-loop: run to quiescence between request batches.
     #[default]
@@ -67,7 +66,6 @@ impl ArrivalMode {
 /// assert_eq!(back, scenario);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Scenario {
     /// Human-readable name (used in experiment output rows).
     pub name: String,

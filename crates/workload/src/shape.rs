@@ -9,7 +9,6 @@ use dcn_tree::{DynamicTree, NodeId};
 /// root-to-node paths), so experiments sweep over shapes with very different
 /// depth profiles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TreeShape {
     /// A single path of the given depth hanging off the root: the worst case
     /// for permit travel distance.

@@ -12,7 +12,7 @@
 //! cargo run --example overlay_directory
 //! ```
 
-use dcn::estimator::{AncestryLabeling, HeavyChildDecomposition, NameAssigner};
+use dcn::estimator::{AncestryLabeling, Application, HeavyChildDecomposition, NameAssigner};
 use dcn::simnet::SimConfig;
 use dcn::workload::{build_tree, ChurnGenerator, ChurnModel, ChurnOp, TreeShape};
 

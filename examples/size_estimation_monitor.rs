@@ -14,7 +14,7 @@
 //! estimate held by the nodes is printed next to the true size after every
 //! churn wave and never drifts outside the factor-2 band.
 
-use dcn::estimator::SizeEstimator;
+use dcn::estimator::{Application, SizeEstimator};
 use dcn::simnet::SimConfig;
 use dcn::workload::{build_tree, ChurnGenerator, ChurnModel, ChurnOp, TreeShape};
 

@@ -17,7 +17,7 @@
 //!
 //! ```
 //! use dcn::controller::distributed::DistributedController;
-//! use dcn::controller::RequestKind;
+//! use dcn::controller::{Controller, RequestKind};
 //! use dcn::simnet::SimConfig;
 //! use dcn::tree::DynamicTree;
 //!
@@ -26,7 +26,7 @@
 //! let mut ctrl = DistributedController::new(SimConfig::new(1), tree, 4, 2, 32)?;
 //! let leaf = ctrl.tree().nodes().last().unwrap();
 //! ctrl.submit(leaf, RequestKind::AddLeaf)?;
-//! ctrl.run()?;
+//! ctrl.run_to_quiescence()?;
 //! assert_eq!(ctrl.granted(), 1);
 //! # Ok(())
 //! # }

@@ -198,7 +198,9 @@ fn generated_churn_through_the_adaptive_controller_is_safe_and_live() {
 
 #[test]
 fn all_section_five_applications_hold_their_invariants_under_one_shared_trace() {
-    use dcn::estimator::{AncestryLabeling, HeavyChildDecomposition, NameAssigner, SizeEstimator};
+    use dcn::estimator::{
+        AncestryLabeling, Application, HeavyChildDecomposition, NameAssigner, SizeEstimator,
+    };
 
     // The same churn trace (same seed, same model) is fed to all four
     // applications; every application-specific invariant must hold after
