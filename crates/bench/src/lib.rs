@@ -3,49 +3,34 @@
 //! The paper is a theory paper: its "evaluation" is a set of theorems bounding
 //! the move/message complexity of the controller and of the protocols built on
 //! it. This crate reproduces every one of those claims as a measurable
-//! experiment (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-//! for recorded results):
-//!
-//! | id | claim | harness binary |
-//! |----|-------|----------------|
-//! | T1 | Lemma 3.3 / Obs. 3.4 — centralized move complexity | `exp_t1_centralized_moves` |
-//! | T2 | Theorem 3.5 — adaptive (unknown-U) move complexity | `exp_t2_adaptive_moves` |
-//! | T3 | Theorems 4.7/4.9 — distributed message complexity | `exp_t3_distributed_messages` |
-//! | T4 | §1.4 — never worse than AAPS, far better than trivial | `exp_t4_vs_baselines` |
-//! | T5 | Claim 4.8 — memory per node | `exp_t5_memory` |
-//! | F1 | Theorem 5.1 — size estimation | `exp_f1_size_estimation` |
-//! | F2 | Theorem 5.2 — name assignment | `exp_f2_name_assignment` |
-//! | F3 | Theorem 5.4 — heavy-child decomposition | `exp_f3_heavy_child` |
-//! | F4 | §2.2 — safety/liveness across the (M, W) space | `exp_f4_safety_liveness` |
-//! | F5 | ablation — iteration trick of Obs. 3.4 | `exp_f5_ablation_iterations` |
+//! experiment: [`experiments::EXPERIMENTS`] is the index (ids T1–T5, F1–F5,
+//! each with the claim it checks), `dcn-exp <id|all>` runs them, and
+//! EXPERIMENTS.md holds recorded results. `dcn-sweep` runs the diversified
+//! grids defined here ([`full_grid`], [`quick_grid`]).
 //!
 //! Controller experiments are expressed as [`Scenario`]s and executed through
 //! the shared [`ScenarioRunner`] — one driver loop for every
 //! [`Controller`] family ([`Family`] enumerates them, [`run_family`] builds
-//! and drives one). The §5 application experiments (F1–F3) run through the
-//! same runner via [`ScenarioRunner::run_app`] over the ticketed application
-//! runtime ([`AppFamily`] enumerates the six applications, [`run_app_family`]
-//! builds and drives one). Only the growth-to-target adaptive experiment (T2)
-//! keeps a bespoke loop, because its stopping condition is a network size,
-//! not a request count.
+//! and drives one); the §5 application experiments run through the same
+//! runner via [`ScenarioRunner::run_app`].
 //!
-//! Every binary prints a table of rows (`experiment, parameters, measured,
-//! bound, ratio`) and, when the `DCN_JSON` environment variable is set, the
-//! same rows as JSON lines so results can be archived. Set `DCN_QUICK=1` to
-//! run reduced sweeps (used by CI).
+//! `dcn-exp` prints a table of rows (`experiment, parameters, measured,
+//! bound, ratio`) per experiment and, when the `DCN_JSON` environment
+//! variable is set, the same rows as JSON lines so results can be archived.
+//! Set `DCN_QUICK=1` to run reduced sweeps (used by CI).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dcn_controller::{Controller, ControllerError};
 use dcn_workload::{
-    AppReport, AppSpec, ArrivalMode, ChurnModel, ControllerSpec, MwBudget, Placement, RunReport,
-    Scenario, ScenarioRunner, SweepCell, SweepEngine, SweepGrid, SweepReport, TreeShape,
+    ArrivalMode, ChurnModel, ControllerSpec, MwBudget, Placement, RunReport, Scenario,
+    ScenarioRunner, SweepCell, SweepEngine, SweepGrid, SweepReport, TreeShape,
 };
 
 pub use dcn_workload::{app_factory, family_factory, AppFamily, Family};
 
-pub mod compare;
+pub mod experiments;
 
 /// The four controller families the sweep grids compare.
 fn grid_families() -> Vec<String> {
@@ -79,8 +64,8 @@ fn grid_churns() -> Vec<ChurnModel> {
 
 /// The `dcn-sweep` default grid: 4 families × 6 shapes × 3 churn models × 2
 /// arrival modes; `with_apps` adds the six §5 applications as a further
-/// axis. Defined here — not in the CLI — so the CLI, the determinism tests
-/// and the perf harness all sweep the *same* grid.
+/// axis. Defined here — not in the CLI — so the CLI and the determinism
+/// tests sweep the *same* grid.
 pub fn full_grid(seed: u64, replicates: usize, with_apps: bool) -> SweepGrid {
     SweepGrid {
         name: "sweep-full".to_string(),
@@ -142,8 +127,7 @@ pub fn quick_grid(seed: u64, replicates: usize, with_apps: bool) -> SweepGrid {
     }
 }
 
-/// The default `--seed` of the sweep CLI, shared with the golden-hash tests
-/// and the perf harness's distributed-quick entry.
+/// The default `--seed` of the sweep CLI, shared with the golden-hash tests.
 pub const DEFAULT_SWEEP_SEED: u64 = 2007;
 
 /// One output row of an experiment.
@@ -242,7 +226,7 @@ pub fn sweep_sizes(full: &[usize], quick: &[usize]) -> Vec<usize> {
 /// Builds a fresh controller of `family` over the scenario's initial tree,
 /// sized for the scenario's budget and request count — a thin wrapper around
 /// [`ControllerSpec::for_scenario`](dcn_workload::ControllerSpec), kept so
-/// experiment binaries read naturally.
+/// experiments read naturally.
 ///
 /// # Errors
 ///
@@ -295,23 +279,6 @@ pub fn run_family(family: Family, scenario: &Scenario) -> RunReport {
         .unwrap_or_else(|e| panic!("{}: invalid parameters: {e}", family.name()));
     ScenarioRunner::new(scenario.clone())
         .run(ctrl.as_mut())
-        .unwrap_or_else(|e| panic!("{}: run failed: {e}", family.name()))
-}
-
-/// Builds a §5 application of `family` over the scenario's initial tree and
-/// drives it through the shared [`ScenarioRunner`].
-///
-/// # Panics
-///
-/// Panics on invalid scenario parameters or simulator errors (experiment
-/// harness context, where that is a bug in the sweep definition).
-pub fn run_app_family(family: AppFamily, scenario: &Scenario) -> AppReport {
-    let runner = ScenarioRunner::new(scenario.clone());
-    let mut app = AppSpec::for_scenario(family, scenario)
-        .build_for(&runner)
-        .unwrap_or_else(|e| panic!("{}: invalid parameters: {e}", family.name()));
-    runner
-        .run_app(app.as_mut())
         .unwrap_or_else(|e| panic!("{}: run failed: {e}", family.name()))
 }
 
@@ -380,8 +347,12 @@ mod tests {
     #[test]
     fn every_application_runs_the_same_scenario() {
         let scenario = small_scenario();
+        let runner = ScenarioRunner::new(scenario.clone());
         for family in AppFamily::ALL {
-            let report = run_app_family(family, &scenario);
+            let mut app = dcn_workload::AppSpec::for_scenario(family, &scenario)
+                .build_for(&runner)
+                .unwrap();
+            let report = runner.run_app(app.as_mut()).unwrap();
             assert_eq!(report.app, family.name());
             assert!(report.granted > 0, "{}", family.name());
             assert_eq!(report.invariant_violations, 0, "{}", family.name());

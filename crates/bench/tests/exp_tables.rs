@@ -1,0 +1,95 @@
+//! The `dcn-exp` binary: every experiment's quick-mode table is pinned, and
+//! the command line does what its usage text says.
+//!
+//! The fingerprints were recorded from the ten single-purpose `exp_*`
+//! binaries this CLI replaced (PR 13), so they also prove the fold changed no
+//! output byte. Each run is a child process with its own environment — the
+//! quick/JSON switches are environment variables, and setting those in-process
+//! would race with the other tests of this binary.
+
+mod common;
+
+use common::fnv1a;
+use dcn_bench::experiments::EXPERIMENTS;
+use std::process::{Command, Output};
+
+/// Runs `dcn-exp <arg>` in quick mode, with JSON lines on or off.
+fn dcn_exp(arg: &str, json: bool) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_dcn-exp"));
+    cmd.arg(arg).env("DCN_QUICK", "1").env_remove("DCN_JSON");
+    if json {
+        cmd.env("DCN_JSON", "1");
+    }
+    cmd.output().expect("dcn-exp spawns")
+}
+
+/// `(id, fnv1a(stdout), fnv1a(stdout with DCN_JSON=1))` under `DCN_QUICK=1`.
+const GOLDEN: [(&str, u64, u64); 10] = [
+    ("t1", 0x014d_d045_5215_8b88, 0x26dc_7604_6780_d95d),
+    ("t2", 0xf426_874b_2731_b30b, 0xacfa_4d89_58c9_aa46),
+    ("t3", 0x9be2_e2c2_d446_7729, 0x836e_930a_a669_0d62),
+    ("t4", 0x53c3_99e6_5bfe_1532, 0x221a_527f_f149_b6f2),
+    ("t5", 0xcdbc_d09c_eebb_bd51, 0xa472_1d6c_8da0_cd6a),
+    ("f1", 0x05f0_78dc_c2d5_5939, 0x17d9_3c1e_6eee_4ee4),
+    ("f2", 0x16e5_205c_bd57_0181, 0x1531_3215_149b_21de),
+    ("f3", 0x3988_58d2_f5f5_70a8, 0x8886_4d16_8037_2fa0),
+    ("f4", 0xc174_94a5_8d83_ff8e, 0xd935_2a41_bcfd_2891),
+    ("f5", 0x4eb6_0217_1980_7a37, 0xe531_c8ec_7085_e69c),
+];
+
+#[test]
+fn every_quick_table_matches_its_golden_fingerprint() {
+    for (id, plain, with_json) in GOLDEN {
+        for (json, want) in [(false, plain), (true, with_json)] {
+            let out = dcn_exp(id, json);
+            assert!(out.status.success(), "{id} json={json}: {:?}", out.status);
+            assert_eq!(
+                fnv1a(&out.stdout),
+                want,
+                "{id} json={json} printed:\n{}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+    }
+}
+
+/// Paper order, T1…T5 then F1…F5; the golden table above covers exactly the
+/// index.
+#[test]
+fn the_index_lists_the_ten_ids_in_paper_order() {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+    assert_eq!(ids, GOLDEN.map(|(id, _, _)| id));
+}
+
+#[test]
+fn all_runs_every_experiment_in_index_order() {
+    let all = dcn_exp("all", false);
+    assert!(all.status.success());
+    let one_by_one: Vec<u8> = EXPERIMENTS
+        .iter()
+        .flat_map(|e| dcn_exp(e.id, false).stdout)
+        .collect();
+    assert_eq!(all.stdout, one_by_one);
+}
+
+#[test]
+fn an_unknown_id_fails_and_lists_the_valid_ones() {
+    let out = dcn_exp("t6", false);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment `t6`"), "{stderr}");
+    for e in &EXPERIMENTS {
+        assert!(stderr.contains(&format!("\n  {}  ", e.id)), "{stderr}");
+    }
+}
+
+#[test]
+fn help_exits_zero_and_prints_the_index() {
+    let out = dcn_exp("--help", false);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for e in &EXPERIMENTS {
+        assert!(stdout.contains(e.title), "{stdout}");
+    }
+}

@@ -2,19 +2,11 @@
 //! families: the same grid must emit byte-identical CSV and JSON whether it
 //! runs on one worker or many, and re-running must reproduce exactly.
 
+mod common;
+
+use common::fnv1a;
 use dcn_bench::run_grid;
 use dcn_workload::{ArrivalMode, ChurnModel, MwBudget, Placement, SweepGrid, TreeShape};
-
-/// FNV-1a over the report bytes: the golden-hash fingerprint used to pin the
-/// exact CSV/JSON output across storage-layer changes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn grid() -> SweepGrid {
     SweepGrid {

@@ -257,12 +257,7 @@ pub trait Controller {
     fn records(&self) -> &[RequestRecord];
 
     /// The outcome of a specific ticket, if it has been answered.
-    fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.records()
-            .iter()
-            .find(|r| r.id == id)
-            .map(|r| r.outcome)
-    }
+    fn outcome(&self, id: RequestId) -> Option<Outcome>;
 
     /// Number of permits granted so far.
     fn granted(&self) -> u64;

@@ -369,7 +369,7 @@ mod tests {
         let unwrap = rule_by_id("unwrap").unwrap();
         assert!(unwrap.applies_to("crates/core/src/api.rs"));
         assert!(unwrap.applies_to("src/lib.rs"));
-        assert!(!unwrap.applies_to("crates/bench/src/bin/dcn_perf.rs"));
+        assert!(!unwrap.applies_to("crates/bench/src/bin/dcn_exp.rs"));
         assert!(!unwrap.applies_to("crates/core/tests/integration.rs"));
         assert!(!unwrap.applies_to("examples/quickstart.rs"));
     }

@@ -18,8 +18,7 @@
 //! send timestamps via the client-chosen `tag`, recording one grant-latency
 //! sample per answered request. The merged result — sustained requests/sec
 //! plus p50/p90/p95/p99/max latency — is emitted as a single-line JSON
-//! report (`--report PATH`, default stdout) that `dcn_perf --serve-report`
-//! ingests as the sustained-throughput benchmark entry.
+//! report (`--report PATH`, default stdout); CI's serve smoke asserts on it.
 //!
 //! `--shutdown` sends `{"op": "shutdown"}` after the run, letting scripts
 //! tear the server down cleanly.

@@ -135,8 +135,9 @@ pub struct EngineCore {
     /// ticket → (submitting client, its correlation tag). Entries live for
     /// the server's lifetime, like the controller's own record history.
     route: FxHashMap<u64, (ClientId, Option<u64>)>,
-    /// ticket → resolved outcome, for O(1) `poll` replies (the trait's
-    /// `outcome()` is a linear scan over the record history).
+    /// ticket → outcome in wire form, as of the last pump. `poll` answers
+    /// from here, so a ticket reads `pending` until a pump has delivered its
+    /// event, even when the controller resolved it inside `submit`.
     resolved: FxHashMap<u64, WireOutcome>,
     submitted: u64,
     refused: u64,

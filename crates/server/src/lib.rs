@@ -28,8 +28,7 @@
 //!   byte-identical protocol tests.
 //!
 //! Binaries: `dcn-serve` (the server) and `dcn-load` (the open-loop load
-//! generator whose JSON report feeds `dcn_perf`'s sustained-throughput
-//! entry).
+//! generator; it emits a one-line JSON report).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

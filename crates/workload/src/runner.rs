@@ -349,56 +349,11 @@ impl ScenarioRunner {
     /// [`Controller::run_to_quiescence`].
     pub fn run(&self, ctrl: &mut dyn Controller) -> Result<RunReport, ControllerError> {
         let scenario = &self.scenario;
-        let mut stream = self.op_stream();
-        let mut issued = 0u64;
-        let mut dropped = 0u64;
-        let mut stalled_batches = 0u32;
         // Events and records from earlier runs over the same controller are
         // not this run's outcomes.
         ctrl.drain_events();
         let records_before = ctrl.records().len();
-
-        while (issued as usize) < scenario.requests {
-            let want = self.batch.min(scenario.requests - issued as usize);
-            let ops = stream.next_batch(ctrl.tree(), want);
-            if ops.is_empty() {
-                break;
-            }
-            let mut sent_this_batch = 0u64;
-            for op in &ops {
-                let (at, kind) = stream.place(ctrl.tree(), op);
-                // Synchronous families apply granted changes immediately, so
-                // a later op of the same batch may reference a node an
-                // earlier grant just removed; such stale ops are dropped.
-                // (Unsupported kinds are NOT dropped — they get a ticket and
-                // resolve to a refusal event.)
-                if ctrl.submit(at, kind).is_err() {
-                    dropped += 1;
-                    continue;
-                }
-                issued += 1;
-                sent_this_batch += 1;
-            }
-            match scenario.arrival {
-                ArrivalMode::Batch => ctrl.run_to_quiescence()?,
-                ArrivalMode::Interleaved { quantum } => {
-                    // A bounded slice: distributed agents stay in flight while
-                    // the next batch is generated and submitted.
-                    ctrl.step(quantum)?;
-                }
-            }
-            // A model that refuses everything the generator produces must
-            // still terminate even if the generator runs dry of novel ops.
-            if sent_this_batch == 0 {
-                stalled_batches += 1;
-                if stalled_batches > 8 {
-                    break;
-                }
-            } else {
-                stalled_batches = 0;
-            }
-        }
-        ctrl.run_to_quiescence()?;
+        let (issued, dropped) = self.drive(ctrl, |_| {})?;
 
         let events = ctrl.drain_events();
         let refused = events
@@ -462,10 +417,6 @@ impl ScenarioRunner {
     /// Propagates simulator and iteration-rotation errors.
     pub fn run_app(&self, app: &mut dyn Application) -> Result<AppReport, ControllerError> {
         let scenario = &self.scenario;
-        let mut stream = self.op_stream();
-        let mut issued = 0u64;
-        let mut dropped = 0u64;
-        let mut stalled_batches = 0u32;
         let mut invariant_checks = 0u64;
         let mut invariant_violations = 0u64;
         let mut first_violation: Option<String> = None;
@@ -473,69 +424,14 @@ impl ScenarioRunner {
         // not this run's outcomes.
         app.drain_events();
         let records_before = app.records().len();
-        let check = |app: &mut dyn Application,
-                     checks: &mut u64,
-                     violations: &mut u64,
-                     first: &mut Option<String>| {
-            *checks += 1;
+        // A quiescent point: the §5 guarantees must hold.
+        let (issued, dropped) = self.drive(app, |app| {
+            invariant_checks += 1;
             if let Err(e) = app.check_invariants() {
-                *violations += 1;
-                first.get_or_insert_with(|| e.to_string());
+                invariant_violations += 1;
+                first_violation.get_or_insert_with(|| e.to_string());
             }
-        };
-
-        while (issued as usize) < scenario.requests {
-            let want = self.batch.min(scenario.requests - issued as usize);
-            let ops = stream.next_batch(app.tree(), want);
-            if ops.is_empty() {
-                break;
-            }
-            let mut sent_this_batch = 0u64;
-            for op in &ops {
-                let (at, kind) = stream.place(app.tree(), op);
-                // Stale intra-batch operations (the node vanished under an
-                // earlier grant) are dropped, like in the controller path.
-                if app.submit(at, kind).is_err() {
-                    dropped += 1;
-                    continue;
-                }
-                issued += 1;
-                sent_this_batch += 1;
-            }
-            match scenario.arrival {
-                ArrivalMode::Batch => {
-                    app.run_to_quiescence()?;
-                    // A quiescent point: the §5 guarantees must hold.
-                    check(
-                        app,
-                        &mut invariant_checks,
-                        &mut invariant_violations,
-                        &mut first_violation,
-                    );
-                }
-                ArrivalMode::Interleaved { quantum } => {
-                    // A bounded slice: iteration agents stay in flight while
-                    // the next batch is generated and submitted; invariants
-                    // are only owed at quiescence.
-                    app.step(quantum)?;
-                }
-            }
-            if sent_this_batch == 0 {
-                stalled_batches += 1;
-                if stalled_batches > 8 {
-                    break;
-                }
-            } else {
-                stalled_batches = 0;
-            }
-        }
-        app.run_to_quiescence()?;
-        check(
-            app,
-            &mut invariant_checks,
-            &mut invariant_violations,
-            &mut first_violation,
-        );
+        })?;
 
         let events = app.drain_events();
         let granted = events
@@ -565,6 +461,111 @@ impl ScenarioRunner {
             p95_answer_latency,
             final_nodes: app.tree().node_count(),
         })
+    }
+
+    /// The submission loop behind [`ScenarioRunner::run`] and
+    /// [`ScenarioRunner::run_app`]: submits the scenario's operation stream
+    /// in batches, executing between batches as the arrival mode says, and
+    /// returns `(issued, dropped)`. `at_quiescence` is called wherever the
+    /// target has just been run to quiescence — after each batch in the
+    /// closed loop, and once at the end in either mode.
+    fn drive<D: Driven + ?Sized>(
+        &self,
+        target: &mut D,
+        mut at_quiescence: impl FnMut(&mut D),
+    ) -> Result<(u64, u64), ControllerError> {
+        let scenario = &self.scenario;
+        let mut stream = self.op_stream();
+        let mut issued = 0u64;
+        let mut dropped = 0u64;
+        let mut stalled_batches = 0u32;
+
+        while (issued as usize) < scenario.requests {
+            let want = self.batch.min(scenario.requests - issued as usize);
+            let ops = stream.next_batch(target.tree(), want);
+            if ops.is_empty() {
+                break;
+            }
+            let mut sent_this_batch = 0u64;
+            for op in &ops {
+                let (at, kind) = stream.place(target.tree(), op);
+                // Synchronous families apply granted changes immediately, so
+                // a later op of the same batch may reference a node an
+                // earlier grant just removed; such stale ops are dropped.
+                // (Unsupported kinds are NOT dropped — they get a ticket and
+                // resolve to a refusal event.)
+                if target.submit(at, kind).is_err() {
+                    dropped += 1;
+                    continue;
+                }
+                issued += 1;
+                sent_this_batch += 1;
+            }
+            match scenario.arrival {
+                ArrivalMode::Batch => {
+                    target.run_to_quiescence()?;
+                    at_quiescence(target);
+                }
+                ArrivalMode::Interleaved { quantum } => {
+                    // A bounded slice: agents stay in flight while the next
+                    // batch is generated and submitted.
+                    target.step(quantum)?;
+                }
+            }
+            // A model that refuses everything the generator produces must
+            // still terminate even if the generator runs dry of novel ops.
+            if sent_this_batch == 0 {
+                stalled_batches += 1;
+                if stalled_batches > 8 {
+                    break;
+                }
+            } else {
+                stalled_batches = 0;
+            }
+        }
+        target.run_to_quiescence()?;
+        at_quiescence(target);
+        Ok((issued, dropped))
+    }
+}
+
+/// What the submission loop needs from the thing it drives. `dyn Controller`
+/// and `dyn Application` both offer it under these very names; this trait
+/// only lets [`ScenarioRunner::drive`] be written once over the two.
+trait Driven {
+    fn tree(&self) -> &DynamicTree;
+    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<(), ControllerError>;
+    fn step(&mut self, budget: u64) -> Result<(), ControllerError>;
+    fn run_to_quiescence(&mut self) -> Result<(), ControllerError>;
+}
+
+impl Driven for dyn Controller + '_ {
+    fn tree(&self) -> &DynamicTree {
+        Controller::tree(self)
+    }
+    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<(), ControllerError> {
+        Controller::submit(self, at, kind).map(drop)
+    }
+    fn step(&mut self, budget: u64) -> Result<(), ControllerError> {
+        Controller::step(self, budget).map(drop)
+    }
+    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
+        Controller::run_to_quiescence(self)
+    }
+}
+
+impl Driven for dyn Application + '_ {
+    fn tree(&self) -> &DynamicTree {
+        Application::tree(self)
+    }
+    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<(), ControllerError> {
+        Application::submit(self, at, kind).map(drop)
+    }
+    fn step(&mut self, budget: u64) -> Result<(), ControllerError> {
+        Application::step(self, budget).map(drop)
+    }
+    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
+        Application::run_to_quiescence(self)
     }
 }
 
