@@ -256,8 +256,13 @@ pub trait Controller {
     /// refusals alike), with submit/answer virtual times.
     fn records(&self) -> &[RequestRecord];
 
+    /// The record of a specific ticket, if it has been answered.
+    fn record(&self, id: RequestId) -> Option<&RequestRecord>;
+
     /// The outcome of a specific ticket, if it has been answered.
-    fn outcome(&self, id: RequestId) -> Option<Outcome>;
+    fn outcome(&self, id: RequestId) -> Option<Outcome> {
+        self.record(id).map(|record| record.outcome)
+    }
 
     /// Number of permits granted so far.
     fn granted(&self) -> u64;
@@ -366,8 +371,8 @@ impl<T: SyncController> Controller for T {
         self.ledger().records()
     }
 
-    fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.ledger().outcome(id)
+    fn record(&self, id: RequestId) -> Option<&RequestRecord> {
+        self.ledger().get(id)
     }
 
     fn granted(&self) -> u64 {

@@ -7,7 +7,7 @@ use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
 use crate::ledger::RequestLedger;
 use crate::package::PermitInterval;
 use crate::params::Params;
-use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
+use crate::request::{check_request, RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;
 use crate::ControllerError;
 use dcn_collections::SecondaryMap;
@@ -261,8 +261,8 @@ impl Controller for DistributedController {
         self.ledger.records()
     }
 
-    fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.ledger.outcome(id)
+    fn record(&self, id: RequestId) -> Option<&RequestRecord> {
+        self.ledger.get(id)
     }
 
     fn granted(&self) -> u64 {

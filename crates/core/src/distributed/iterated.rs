@@ -327,8 +327,8 @@ impl Controller for AdaptiveDistributedController {
         self.ledger.records()
     }
 
-    fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.ledger.outcome(id)
+    fn record(&self, id: RequestId) -> Option<&RequestRecord> {
+        self.ledger.get(id)
     }
 
     /// Permits granted so far (all epochs).

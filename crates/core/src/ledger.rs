@@ -46,7 +46,9 @@ pub struct RequestLedger {
     next_id: u64,
     events: Vec<ControllerEvent>,
     records: Vec<RequestRecord>,
-    index: SecondaryMap<RequestId, usize>,
+    /// Ticket → position in `records`, as `u32`: half the slot of a `usize`
+    /// on the one table that has an entry per request ever answered.
+    index: SecondaryMap<RequestId, u32>,
 }
 
 impl RequestLedger {
@@ -91,7 +93,9 @@ impl RequestLedger {
     /// [`ControllerEvent::Refused`].
     pub fn push(&mut self, record: RequestRecord) {
         ControllerEvent::push_for_record(&record, &mut self.events);
-        self.index.insert(record.id, self.records.len());
+        // lint: allow(unwrap) 2^32 records are 256 GiB of `RequestRecord`s
+        let position = u32::try_from(self.records.len()).expect("fewer than 2^32 records");
+        self.index.insert(record.id, position);
         self.records.push(record);
     }
 
@@ -131,9 +135,15 @@ impl RequestLedger {
         records
     }
 
+    /// The record of a specific request, if it has been answered (and not
+    /// moved out by [`RequestLedger::take_records`]).
+    pub fn get(&self, id: RequestId) -> Option<&RequestRecord> {
+        self.index.get(id).map(|&i| &self.records[i as usize])
+    }
+
     /// The outcome of a specific request, if it has been answered.
     pub fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.index.get(id).map(|&i| self.records[i].outcome)
+        self.get(id).map(|record| record.outcome)
     }
 }
 
@@ -181,6 +191,11 @@ mod tests {
         let mut ledger = RequestLedger::new();
         let id = ledger.refuse(NodeId::from_index(1), RequestKind::RemoveSelf);
         assert_eq!(ledger.outcome(id), Some(Outcome::Refused));
+        assert_eq!(ledger.get(id), Some(&ledger.records()[0]));
+        // An issued but unanswered ticket, and one never issued, have none.
+        let open = ledger.issue();
+        assert_eq!(ledger.get(open), None);
+        assert_eq!(ledger.get(RequestId(u64::MAX)), None);
         assert!(matches!(
             ledger.drain_events()[..],
             [ControllerEvent::Refused { id: got }] if got == id
@@ -203,10 +218,12 @@ mod tests {
         });
         assert_eq!(ledger.records()[0].latency(), 15);
         assert_eq!(ledger.outcome(id), Some(Outcome::Rejected));
+        assert_eq!(ledger.get(id).map(|r| r.answered_at), Some(25));
         let taken = ledger.take_records();
         assert_eq!(taken.len(), 1);
         assert!(ledger.records().is_empty());
         assert_eq!(ledger.outcome(id), None);
+        assert_eq!(ledger.get(id), None);
         assert!(ledger.drain_events().is_empty());
         // Tickets keep counting: a taken history never reissues an id.
         assert_eq!(ledger.issue(), RequestId(1));

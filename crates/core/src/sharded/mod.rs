@@ -579,8 +579,8 @@ impl Controller for ShardedController {
         self.ledger.records()
     }
 
-    fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.ledger.outcome(id)
+    fn record(&self, id: RequestId) -> Option<&RequestRecord> {
+        self.ledger.get(id)
     }
 
     fn granted(&self) -> u64 {

@@ -20,7 +20,9 @@
 
 use crate::protocol::{self, ClientFrame, StatsSnapshot, Submission, WireKind, WireOutcome};
 use dcn_collections::FxHashMap;
-use dcn_controller::{Controller, ControllerError, ControllerEvent, RequestKind};
+use dcn_controller::{
+    Controller, ControllerError, ControllerEvent, Outcome, RequestId, RequestKind, RequestRecord,
+};
 use dcn_simnet::SimConfig;
 use dcn_tree::NodeId;
 use dcn_workload::{build_tree, ControllerSpec, Family, TreeShape};
@@ -112,8 +114,10 @@ impl ServeConfig {
     /// initial nodes plus one per permit (each grant can add at most one
     /// node), plus the root slack the constructors expect.
     pub fn u_bound(&self) -> usize {
-        self.u_bound_override
-            .unwrap_or_else(|| self.shape.node_budget() + 1 + self.m as usize + 1)
+        self.u_bound_override.unwrap_or_else(|| {
+            let permits = usize::try_from(self.m).unwrap_or(usize::MAX);
+            (self.shape.node_budget() + 2).saturating_add(permits)
+        })
     }
 }
 
@@ -132,13 +136,13 @@ pub struct EngineCore {
     ctrl: Box<dyn Controller>,
     config: ServeConfig,
     clients: FxHashMap<ClientId, ClientState>,
-    /// ticket → (submitting client, its correlation tag). Entries live for
-    /// the server's lifetime, like the controller's own record history.
+    /// Tickets in flight: ticket → (submitting client, its correlation
+    /// tag), from `submit` until a pump has delivered the ticket's last
+    /// event. `poll` reads `pending` while a ticket is here — even when the
+    /// controller resolved it inside `submit` — and the controller's own
+    /// record once it is not: that record is the only per-request state the
+    /// engine leaves behind.
     route: FxHashMap<u64, (ClientId, Option<u64>)>,
-    /// ticket → outcome in wire form, as of the last pump. `poll` answers
-    /// from here, so a ticket reads `pending` until a pump has delivered its
-    /// event, even when the controller resolved it inside `submit`.
-    resolved: FxHashMap<u64, WireOutcome>,
     submitted: u64,
     refused: u64,
     protocol_errors: u64,
@@ -183,12 +187,17 @@ impl EngineCore {
             };
             spec.build(build_tree(config.shape), config.u_bound())?
         };
-        Ok(EngineCore {
+        Ok(EngineCore::with_controller(config, ctrl))
+    }
+
+    /// Builds the engine over a controller the caller constructed (`config`
+    /// supplies the family name reported by `welcome` and the step budget).
+    pub fn with_controller(config: ServeConfig, ctrl: Box<dyn Controller>) -> Self {
+        EngineCore {
             ctrl,
             config,
             clients: FxHashMap::default(),
             route: FxHashMap::default(),
-            resolved: FxHashMap::default(),
             submitted: 0,
             refused: 0,
             protocol_errors: 0,
@@ -196,7 +205,7 @@ impl EngineCore {
             quiescent: true,
             shutting_down: false,
             last_engine_error: None,
-        })
+        }
     }
 
     /// The config the engine was built from.
@@ -234,9 +243,17 @@ impl EngineCore {
         self.dropped_frames += n;
     }
 
-    /// The last controller-step error, if any (see [`EngineCore::pump`]).
+    /// The controller-step error that put the engine into its failed state,
+    /// if any (see [`EngineCore::pump`]).
     pub fn last_engine_error(&self) -> Option<&str> {
         self.last_engine_error.as_deref()
+    }
+
+    /// Number of tickets in flight: issued, and their last event not yet
+    /// delivered by a pump. 0 whenever the engine is quiescent and has not
+    /// failed.
+    pub fn in_flight(&self) -> usize {
+        self.route.len()
     }
 
     /// Registers a connection.
@@ -244,8 +261,9 @@ impl EngineCore {
         self.clients.insert(client, ClientState::default());
     }
 
-    /// Unregisters a connection. Its tickets stay resolved (the routing
-    /// entry outlives the connection), but nothing further is streamed.
+    /// Unregisters a connection. Its tickets in flight keep their routing
+    /// entries until their events are pumped (to nobody: nothing further is
+    /// streamed), and every ticket stays pollable from any connection.
     pub fn client_disconnected(&mut self, client: ClientId) {
         self.clients.remove(&client);
     }
@@ -301,17 +319,17 @@ impl EngineCore {
                 }
             }
             ClientFrame::Poll { ticket } => {
-                let reply = match (self.resolved.get(&ticket), self.route.get(&ticket)) {
-                    (Some(outcome), _) => protocol::outcome_frame(ticket, outcome),
-                    (None, Some(_)) => protocol::outcome_frame(ticket, &WireOutcome::Pending),
-                    (None, None) => {
-                        self.protocol_errors += 1;
-                        protocol::error_frame(
-                            "unknown-ticket",
-                            &format!("ticket {ticket} was never issued"),
-                            None,
-                        )
-                    }
+                let reply = if self.route.contains_key(&ticket) {
+                    protocol::outcome_frame(ticket, &WireOutcome::Pending)
+                } else if let Some(record) = self.ctrl.record(RequestId(ticket)) {
+                    protocol::outcome_frame(ticket, &wire_outcome(record))
+                } else {
+                    self.protocol_errors += 1;
+                    protocol::error_frame(
+                        "unknown-ticket",
+                        &format!("ticket {ticket} was never issued"),
+                        None,
+                    )
                 };
                 out.push((client, reply));
             }
@@ -388,6 +406,16 @@ impl EngineCore {
     }
 
     fn apply_submit(&mut self, client: ClientId, s: Submission, out: &mut Vec<Outgoing>) {
+        // A failed engine will never answer: refuse before the controller
+        // sees the request, so no ticket is issued and `route` cannot grow.
+        if let Some(detail) = &self.last_engine_error {
+            self.protocol_errors += 1;
+            out.push((
+                client,
+                protocol::error_frame("engine-failed", detail, s.tag),
+            ));
+            return;
+        }
         let node = match self.wire_node(s.node) {
             Ok(n) => n,
             Err(detail) => {
@@ -447,85 +475,72 @@ impl EngineCore {
 
     /// Advances the controller by one bounded step slice and routes every
     /// drained event to its submitting client (streamed only to subscribed
-    /// connections; `poll` sees the same outcome either way). Returns
-    /// `true` while there is more in-flight work.
+    /// connections; `poll` sees the same outcome either way), dropping each
+    /// ticket's routing entry with its last event. Returns `true` while
+    /// there is more in-flight work.
+    ///
+    /// A step error is final: the engine keeps it
+    /// ([`EngineCore::last_engine_error`]), never steps again, answers every
+    /// later submission `engine-failed`, and leaves the tickets that were in
+    /// flight reading `pending`; `poll`, `stats` and `shutdown` keep working.
     pub fn pump(&mut self, out: &mut Vec<Outgoing>) -> bool {
+        if self.last_engine_error.is_some() {
+            return false;
+        }
         match self.ctrl.step(self.config.step_budget) {
             Ok(progress) => self.quiescent = progress.quiescent,
             Err(e) => {
-                // A step error means the simulator refused to advance; the
-                // engine stays up and reports it via stats, but stops
-                // claiming in-flight work it cannot finish.
                 self.last_engine_error = Some(e.to_string());
                 self.quiescent = true;
             }
         }
         for ev in self.ctrl.drain_events() {
-            match ev {
-                ControllerEvent::Granted { id, at, kind } => {
+            let ticket = ev.id().0;
+            // A ticket's last event is its answer, except that a granted
+            // topological request's `TopologyApplied` follows its `Granted`
+            // (`ControllerEvent::push_for_record` emits the pair together).
+            let last = match ev {
+                ControllerEvent::Granted { kind, .. } => !kind.is_topological(),
+                ControllerEvent::Refused { .. } => {
+                    self.refused += 1;
+                    true
+                }
+                ControllerEvent::Rejected { .. } | ControllerEvent::TopologyApplied { .. } => true,
+            };
+            let routed = if last {
+                self.route.remove(&ticket)
+            } else {
+                self.route.get(&ticket).copied()
+            };
+            // Streamed only while the submitter is connected and subscribed.
+            let Some((client, tag)) = routed else {
+                continue;
+            };
+            if !self.clients.get(&client).is_some_and(|c| c.subscribed) {
+                continue;
+            }
+            let frame = match ev {
+                ControllerEvent::Granted { at, kind, .. } => {
                     let outcome = WireOutcome::Granted {
                         at,
                         kind,
                         new_node: None,
                     };
-                    self.resolved.insert(id.0, outcome);
-                    self.notify(id.0, |t, tag| protocol::event_frame(t, &outcome, tag), out);
+                    protocol::event_frame(ticket, &outcome, tag)
                 }
-                ControllerEvent::Rejected { id } => {
-                    self.resolved.insert(id.0, WireOutcome::Rejected);
-                    self.notify(
-                        id.0,
-                        |t, tag| protocol::event_frame(t, &WireOutcome::Rejected, tag),
-                        out,
-                    );
+                ControllerEvent::Rejected { .. } => {
+                    protocol::event_frame(ticket, &WireOutcome::Rejected, tag)
                 }
-                ControllerEvent::Refused { id } => {
-                    self.refused += 1;
-                    self.resolved.insert(id.0, WireOutcome::Refused);
-                    self.notify(
-                        id.0,
-                        |t, tag| protocol::event_frame(t, &WireOutcome::Refused, tag),
-                        out,
-                    );
+                ControllerEvent::Refused { .. } => {
+                    protocol::event_frame(ticket, &WireOutcome::Refused, tag)
                 }
-                ControllerEvent::TopologyApplied { id, kind, node } => {
-                    let new_node = node.map(|n| n.index() as u64);
-                    if let Some(WireOutcome::Granted {
-                        new_node: slot @ None,
-                        ..
-                    }) = self.resolved.get_mut(&id.0)
-                    {
-                        *slot = new_node;
-                    }
-                    self.notify(
-                        id.0,
-                        |t, tag| protocol::topology_event_frame(t, kind, new_node, tag),
-                        out,
-                    );
+                ControllerEvent::TopologyApplied { kind, node, .. } => {
+                    protocol::topology_event_frame(ticket, kind, node.map(wire_index), tag)
                 }
-            }
+            };
+            out.push((client, frame));
         }
         !self.quiescent
-    }
-
-    /// Streams one frame to the ticket's submitter, if still connected and
-    /// subscribed.
-    fn notify(
-        &mut self,
-        ticket: u64,
-        frame: impl FnOnce(u64, Option<u64>) -> String,
-        out: &mut Vec<Outgoing>,
-    ) {
-        if let Some(&(client, tag)) = self.route.get(&ticket) {
-            if self
-                .clients
-                .get(&client)
-                .map(|c| c.subscribed)
-                .unwrap_or(false)
-            {
-                out.push((client, frame(ticket, tag)));
-            }
-        }
     }
 
     /// The current counter snapshot (the payload of a `stats` reply).
@@ -545,5 +560,44 @@ impl EngineCore {
             peak_node_memory_bits: metrics.peak_node_memory_bits,
             shutting_down: self.shutting_down,
         }
+    }
+}
+
+fn wire_index(node: NodeId) -> u64 {
+    node.index() as u64
+}
+
+/// A controller record as `poll` reports it — field for field what the
+/// ticket's streamed events said.
+fn wire_outcome(record: &RequestRecord) -> WireOutcome {
+    match record.outcome {
+        Outcome::Granted { new_node, .. } => WireOutcome::Granted {
+            at: record.answered_at,
+            kind: record.kind,
+            new_node: new_node.map(wire_index),
+        },
+        Outcome::Rejected => WireOutcome::Rejected,
+        Outcome::Refused => WireOutcome::Refused,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn u_bound_covers_the_budget_and_saturates() {
+        // The benchmark's serve-central configuration: a 64-node star.
+        let config = ServeConfig::new(Family::Centralized, 4_194_304, 8)
+            .with_shape(TreeShape::Star { nodes: 64 });
+        assert_eq!(config.u_bound(), 64 + 2 + 4_194_304);
+        // `--m 18446744073709551615` must neither wrap to a small `U`
+        // (release builds) nor panic on overflow (debug builds).
+        let huge = ServeConfig {
+            m: u64::MAX,
+            ..config
+        };
+        assert_eq!(huge.u_bound(), usize::MAX);
+        assert_eq!(huge.with_u_bound(99).u_bound(), 99);
     }
 }

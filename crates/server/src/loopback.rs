@@ -35,12 +35,16 @@ impl Loopback {
     ///
     /// Propagates controller construction errors (see [`EngineCore::new`]).
     pub fn new(config: ServeConfig) -> Result<Self, ControllerError> {
-        Ok(Loopback {
-            engine: EngineCore::new(config)?,
+        Ok(Loopback::over(EngineCore::new(config)?))
+    }
+
+    fn over(engine: EngineCore) -> Self {
+        Loopback {
+            engine,
             next_client: 0,
             queues: FxHashMap::default(),
             scratch: Vec::new(),
-        })
+        }
     }
 
     /// Opens a connection and returns its id.
@@ -125,5 +129,139 @@ impl Loopback {
                 q.push_back(frame);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcn_controller::{
+        Controller, ControllerEvent, ControllerMetrics, RequestId, RequestKind, RequestLedger,
+        RequestRecord,
+    };
+    use dcn_tree::{DynamicTree, NodeId};
+    use dcn_workload::Family;
+
+    /// A controller that issues tickets, never answers them, and whose
+    /// `step` (the provided one, over `run_to_quiescence`) always errs.
+    struct Broken {
+        ledger: RequestLedger,
+        tree: DynamicTree,
+    }
+
+    impl Controller for Broken {
+        fn name(&self) -> &'static str {
+            "broken"
+        }
+        fn budget(&self) -> u64 {
+            16
+        }
+        fn waste_bound(&self) -> u64 {
+            4
+        }
+        fn submit(&mut self, _: NodeId, _: RequestKind) -> Result<RequestId, ControllerError> {
+            Ok(self.ledger.issue())
+        }
+        fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
+            Err(ControllerError::Sim("the simulator refused".to_string()))
+        }
+        fn drain_events(&mut self) -> Vec<ControllerEvent> {
+            self.ledger.drain_events()
+        }
+        fn records(&self) -> &[RequestRecord] {
+            self.ledger.records()
+        }
+        fn record(&self, id: RequestId) -> Option<&RequestRecord> {
+            self.ledger.get(id)
+        }
+        fn granted(&self) -> u64 {
+            0
+        }
+        fn rejected(&self) -> u64 {
+            0
+        }
+        fn tree(&self) -> &DynamicTree {
+            &self.tree
+        }
+        fn metrics(&self) -> ControllerMetrics {
+            ControllerMetrics::default()
+        }
+    }
+
+    /// After a `step` error the engine is in an explicit failed state: it
+    /// refuses new work with `engine-failed` before the controller sees it,
+    /// keeps answering `poll` / `stats` / `shutdown`, and the tickets that
+    /// were in flight read `pending`.
+    #[test]
+    fn a_step_error_fails_the_engine_for_good() {
+        let broken = Broken {
+            ledger: RequestLedger::new(),
+            tree: DynamicTree::with_initial_star(4),
+        };
+        let config = ServeConfig::new(Family::Centralized, 16, 4);
+        let mut lb = Loopback::over(EngineCore::with_controller(config, Box::new(broken)));
+        let c = lb.connect();
+        lb.send(c, r#"{"op": "hello", "proto": 1}"#);
+        lb.send(c, r#"{"op": "subscribe"}"#);
+        lb.send(
+            c,
+            r#"{"op": "submit", "kind": "event", "node": 0, "tag": 1}"#,
+        );
+        assert_eq!(lb.recv(c).len(), 3);
+        assert_eq!(lb.engine().last_engine_error(), None);
+
+        lb.run_to_quiescence();
+        assert!(lb.recv(c).is_empty());
+        let error = lb.engine().last_engine_error().map(str::to_string);
+        assert!(
+            error.as_deref().is_some_and(|e| e.contains("refused")),
+            "{error:?}"
+        );
+        assert!(lb.engine().is_quiescent());
+
+        // Every way in is refused, tag echoed, one frame per batch element.
+        for line in [
+            r#"{"op": "submit", "kind": "event", "node": 0, "tag": 2}"#,
+            r#"{"op": "topology", "change": "insert", "node": 0, "tag": 3}"#,
+            r#"{"op": "batch", "requests": [{"kind": "event", "node": 1, "tag": 4}, {"kind": "add-leaf", "node": 99}]}"#,
+        ] {
+            lb.send(c, line);
+        }
+        let detail = crate::protocol::error_frame("engine-failed", error.as_deref().unwrap(), None);
+        let detail = detail.trim_end_matches('}');
+        assert_eq!(
+            lb.recv(c),
+            [
+                format!("{detail}, \"tag\": 2}}"),
+                format!("{detail}, \"tag\": 3}}"),
+                format!("{detail}, \"tag\": 4}}"),
+                format!("{detail}}}"),
+            ]
+        );
+        // Refusals neither wake the engine nor reach the controller.
+        assert!(lb.engine().is_quiescent());
+        lb.run_to_quiescence();
+        assert_eq!(lb.engine().in_flight(), 1);
+
+        // The ticket caught by the failure reads pending; nothing was
+        // issued after it; stats and shutdown still answer.
+        lb.send(c, r#"{"op": "poll", "ticket": 0}"#);
+        lb.send(c, r#"{"op": "poll", "ticket": 1}"#);
+        lb.send(c, r#"{"op": "stats"}"#);
+        lb.send(c, r#"{"op": "shutdown"}"#);
+        let frames = lb.recv(c);
+        assert_eq!(
+            frames[0],
+            r#"{"ok": "outcome", "ticket": 0, "status": "pending"}"#
+        );
+        assert!(frames[1].contains("unknown-ticket"), "{}", frames[1]);
+        assert!(
+            frames[2].contains(r#""submitted": 1,"#)
+                && frames[2].contains(r#""protocol_errors": 5,"#),
+            "{}",
+            frames[2]
+        );
+        assert_eq!(frames[3], r#"{"ok": "shutting-down"}"#);
+        assert!(lb.engine().is_shutting_down());
     }
 }

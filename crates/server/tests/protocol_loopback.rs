@@ -507,3 +507,397 @@ fn sharded_serving_grants_through_the_same_protocol() {
     let bad = ServeConfig::new(Family::Centralized, 64, 8).with_shards(2);
     assert!(Loopback::new(bad).is_err());
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The seven served configurations: the six families plus a two-shard
+/// federation, on a small budget so a session meets rejections too.
+fn served_configs() -> Vec<(&'static str, ServeConfig)> {
+    let mut configs: Vec<(&'static str, ServeConfig)> = Family::ALL
+        .iter()
+        .map(|&f| (f.name(), ServeConfig::new(f, 12, 3).with_seed(5)))
+        .collect();
+    configs.push((
+        "sharded-k2",
+        ServeConfig::new(Family::Distributed, 12, 3)
+            .with_seed(5)
+            .with_shape(TreeShape::Path { nodes: 12 })
+            .with_shards(2),
+    ));
+    configs
+}
+
+/// A scripted two-and-a-half-client session that records every reply line
+/// (prefixed with the receiving client) and every ticket issued.
+struct Session {
+    lb: Loopback,
+    clients: Vec<u64>,
+    transcript: Vec<String>,
+    tickets: Vec<u64>,
+}
+
+impl Session {
+    fn new(config: ServeConfig) -> Self {
+        Session {
+            lb: Loopback::new(config).unwrap(),
+            clients: Vec::new(),
+            transcript: Vec::new(),
+            tickets: Vec::new(),
+        }
+    }
+
+    fn connect(&mut self) -> u64 {
+        let c = self.lb.connect();
+        self.clients.push(c);
+        self.send(c, r#"{"op": "hello", "proto": 1}"#);
+        c
+    }
+
+    fn disconnect(&mut self, client: u64) {
+        self.lb.disconnect(client);
+        self.clients.retain(|&c| c != client);
+    }
+
+    /// Moves everything queued for any open connection into the transcript.
+    fn collect(&mut self) {
+        for &c in &self.clients {
+            for frame in self.lb.recv(c) {
+                if frame.starts_with(r#"{"ok": "ticket""#) {
+                    self.tickets
+                        .push(parse(&frame).get("ticket").unwrap().as_u64().unwrap());
+                }
+                self.transcript.push(format!("{c}< {frame}"));
+            }
+        }
+    }
+
+    fn send(&mut self, client: u64, line: &str) {
+        self.lb.send(client, line);
+        self.collect();
+    }
+
+    /// Polls every ticket issued so far, a never-issued one and `u64::MAX`.
+    fn poll_all(&mut self, client: u64) {
+        let next = self.tickets.iter().max().map_or(0, |t| t + 1);
+        for ticket in self.tickets.clone().into_iter().chain([next, u64::MAX]) {
+            self.send(client, &format!(r#"{{"op": "poll", "ticket": {ticket}}}"#));
+        }
+    }
+
+    fn pump_slice(&mut self) {
+        self.lb.pump_slice();
+        self.collect();
+    }
+
+    fn quiesce(&mut self) {
+        self.lb.run_to_quiescence();
+        self.collect();
+    }
+}
+
+fn golden_session(config: ServeConfig) -> Vec<String> {
+    let mut s = Session::new(config.with_step_budget(48));
+    let a = s.connect();
+    let b = s.connect();
+    s.send(a, r#"{"op": "subscribe"}"#);
+
+    // One permit: pending before the pump for submitter and bystander
+    // alike, resolved after it.
+    s.send(
+        a,
+        r#"{"op": "submit", "kind": "event", "node": 0, "tag": 1}"#,
+    );
+    s.poll_all(a);
+    s.poll_all(b);
+    s.quiesce();
+    s.poll_all(a);
+    s.poll_all(b);
+
+    // Insertions through both spellings, polled after one bounded slice
+    // (the asynchronous families are still mid-flight) and at quiescence.
+    s.send(
+        a,
+        r#"{"op": "topology", "change": "insert", "node": 0, "tag": 2}"#,
+    );
+    s.send(
+        a,
+        r#"{"op": "submit", "kind": "add-leaf", "node": 1, "tag": 3}"#,
+    );
+    s.send(
+        a,
+        r#"{"op": "topology", "change": "insert-above", "node": 0, "child": 1, "tag": 4}"#,
+    );
+    s.poll_all(b);
+    s.pump_slice();
+    s.poll_all(b);
+    s.quiesce();
+    s.poll_all(a);
+
+    // A deletion (refused by the grow-only baseline), then the deleted node
+    // and an out-of-range one as submission targets.
+    s.send(
+        a,
+        r#"{"op": "topology", "change": "delete", "node": 3, "tag": 5}"#,
+    );
+    s.quiesce();
+    s.send(
+        a,
+        r#"{"op": "submit", "kind": "event", "node": 3, "tag": 6}"#,
+    );
+    s.send(
+        a,
+        r#"{"op": "submit", "kind": "event", "node": 999, "tag": 7}"#,
+    );
+    s.quiesce();
+
+    // A batch from the unsubscribed client: nothing streams, polls answer.
+    s.send(
+        b,
+        r#"{"op": "batch", "requests": [
+            {"kind": "event", "node": 0, "tag": 10},
+            {"kind": "add-leaf", "node": 0, "tag": 11},
+            {"kind": "remove-self", "node": 4, "tag": 12},
+            {"kind": "event", "node": 2}
+        ]}"#,
+    );
+    s.poll_all(b);
+    s.quiesce();
+    s.poll_all(b);
+
+    // Enough permits to run the budget out, so rejections appear.
+    s.send(
+        a,
+        r#"{"op": "batch", "requests": [
+            {"kind": "event", "node": 0, "tag": 20}, {"kind": "event", "node": 1, "tag": 21},
+            {"kind": "event", "node": 2, "tag": 22}, {"kind": "event", "node": 5, "tag": 23},
+            {"kind": "event", "node": 6, "tag": 24}, {"kind": "event", "node": 7, "tag": 25},
+            {"kind": "event", "node": 0, "tag": 26}, {"kind": "event", "node": 1, "tag": 27},
+            {"kind": "add-leaf", "node": 2, "tag": 28}, {"kind": "event", "node": 5, "tag": 29}
+        ]}"#,
+    );
+    s.pump_slice();
+    s.poll_all(a);
+    s.quiesce();
+    s.poll_all(a);
+
+    // The submitter leaves before its ticket is pumped; a third client
+    // leaves after. Both tickets still answer a poll from someone else.
+    s.send(
+        b,
+        r#"{"op": "submit", "kind": "event", "node": 0, "tag": 30}"#,
+    );
+    s.disconnect(b);
+    let c = s.connect();
+    s.send(c, r#"{"op": "subscribe"}"#);
+    s.send(
+        c,
+        r#"{"op": "submit", "kind": "add-leaf", "node": 0, "tag": 31}"#,
+    );
+    s.poll_all(a);
+    s.quiesce();
+    s.disconnect(c);
+    s.poll_all(a);
+    s.send(a, r#"{"op": "stats"}"#);
+    s.transcript
+}
+
+/// Wire bytes are pinned: every reply line of the scripted session, for
+/// every served configuration. Recorded at commit 371758f (before `poll`
+/// moved from the engine's own outcome table to the controller's records);
+/// a change here is a protocol change and needs a conscious re-pin.
+#[test]
+fn golden_transcript_is_unchanged_for_every_family() {
+    let golden: [(&str, usize, u64); 7] = [
+        ("centralized", 189, 0x9e44_2447_9521_1cf1),
+        ("iterated", 189, 0x68ca_8484_9fa2_2e24),
+        ("distributed", 189, 0x1fda_279a_ed9c_31cb),
+        ("adaptive-distributed", 189, 0x2071_517c_27cf_fa1b),
+        ("trivial", 189, 0xa439_3a63_085c_eaf0),
+        ("aaps", 194, 0x327b_62ca_0d2a_3183),
+        ("sharded-k2", 189, 0xaa16_0a6d_a6ac_b8aa),
+    ];
+    let mut got = Vec::new();
+    for (name, config) in served_configs() {
+        let transcript = golden_session(config);
+        let hash = fnv1a(transcript.join("\n").as_bytes());
+        got.push((name, transcript.len(), hash));
+    }
+    assert_eq!(
+        got, golden,
+        "reply bytes changed; got (name, lines, fnv1a): {got:#x?}"
+    );
+}
+
+/// What `poll` reports for a resolved ticket is what the stream said about
+/// it: same status, answer time, kind, and — for an insertion — the node
+/// the `topology` event named.
+#[test]
+fn poll_outcomes_repeat_the_streamed_events_field_for_field() {
+    for (name, config) in served_configs() {
+        let mut lb = Loopback::new(config).unwrap();
+        let c = lb.connect();
+        lb.send(c, r#"{"op": "hello", "proto": 1}"#);
+        lb.send(c, r#"{"op": "subscribe"}"#);
+        let _ = lb.recv(c);
+        let rounds: [&str; 3] = [
+            r#"{"op": "batch", "requests": [
+                {"kind": "event", "node": 0}, {"kind": "add-leaf", "node": 0},
+                {"kind": "add-internal-above", "node": 0, "child": 1},
+                {"kind": "add-leaf", "node": 2}, {"kind": "event", "node": 3}
+            ]}"#,
+            r#"{"op": "batch", "requests": [
+                {"kind": "remove-self", "node": 4}, {"kind": "add-leaf", "node": 5},
+                {"kind": "event", "node": 6}, {"kind": "remove-self", "node": 7}
+            ]}"#,
+            r#"{"op": "batch", "requests": [
+                {"kind": "event", "node": 0}, {"kind": "event", "node": 1},
+                {"kind": "event", "node": 2}, {"kind": "add-leaf", "node": 0},
+                {"kind": "event", "node": 5}, {"kind": "event", "node": 6},
+                {"kind": "add-leaf", "node": 1}, {"kind": "event", "node": 0}
+            ]}"#,
+        ];
+        // ticket → (status, at, kind, node named by the topology event)
+        type Streamed = (String, Option<u64>, Option<String>, Option<u64>);
+        let mut streamed: Vec<(u64, Streamed)> = Vec::new();
+        for round in rounds {
+            lb.send(c, round);
+            lb.run_to_quiescence();
+            for frame in lb.recv(c) {
+                let v = parse(&frame);
+                let Ok(event) = v.get("event") else { continue };
+                let ticket = v.get("ticket").unwrap().as_u64().unwrap();
+                let kind = v.get("kind").ok().map(|k| k.as_str().unwrap().to_string());
+                match event.as_str().unwrap() {
+                    "topology" => {
+                        let entry = streamed
+                            .iter_mut()
+                            .find(|(t, _)| *t == ticket)
+                            .unwrap_or_else(|| panic!("{name}: topology before its grant"));
+                        assert_eq!(entry.1 .2, kind, "{name}: {frame}");
+                        entry.1 .3 = v.get("node").ok().map(|n| n.as_u64().unwrap());
+                    }
+                    status => {
+                        let at = v.get("at").ok().map(|a| a.as_u64().unwrap());
+                        streamed.push((ticket, (status.to_string(), at, kind, None)));
+                    }
+                }
+            }
+        }
+        assert!(
+            streamed.iter().any(|(_, s)| s.0 == "rejected"),
+            "{name}: the session should exhaust the budget"
+        );
+        let mut inserted = 0;
+        for (ticket, (status, at, kind, node)) in streamed {
+            lb.send(c, &format!(r#"{{"op": "poll", "ticket": {ticket}}}"#));
+            let v = parse(&recv_one(&mut lb, c));
+            let field = |key: &str| v.get(key).ok().map(|x| x.as_u64().unwrap());
+            assert_eq!(v.get("status").unwrap().as_str().unwrap(), status, "{name}");
+            assert_eq!(field("at"), at, "{name}: ticket {ticket}");
+            assert_eq!(
+                v.get("kind").ok().map(|k| k.as_str().unwrap().to_string()),
+                kind,
+                "{name}: ticket {ticket}"
+            );
+            assert_eq!(field("new_node"), node, "{name}: ticket {ticket}");
+            inserted += usize::from(node.is_some());
+        }
+        // The synchronous families name the node an insertion created.
+        let synchronous = ["centralized", "iterated", "trivial", "aaps"].contains(&name);
+        assert_eq!(inserted > 0, synchronous, "{name}");
+    }
+}
+
+/// Counts the answer events (`granted` / `rejected` / `refused`) in a batch
+/// of streamed frames.
+fn answers(frames: &[String]) -> usize {
+    frames
+        .iter()
+        .filter(|f| {
+            let (key, value) = frame_kind(f);
+            key == "event" && value != "topology"
+        })
+        .count()
+}
+
+/// The engine's only per-request table holds tickets in flight: it is
+/// `submitted − answered` at every point of a session and empty at
+/// quiescence, however many requests went through.
+#[test]
+fn in_flight_is_submitted_minus_answered_and_zero_at_quiescence() {
+    // 100 000 permits on the synchronous family, 64 a round.
+    let config = ServeConfig::new(Family::Centralized, 200_000, 8);
+    let mut lb = Loopback::new(config).unwrap();
+    let c = lb.connect();
+    lb.send(c, r#"{"op": "hello", "proto": 1}"#);
+    lb.send(c, r#"{"op": "subscribe"}"#);
+    let _ = lb.recv(c);
+    let round: Vec<String> = (0..64)
+        .map(|i| format!(r#"{{"kind": "event", "node": {}}}"#, i % 9))
+        .collect();
+    let round = format!(r#"{{"op": "batch", "requests": [{}]}}"#, round.join(", "));
+    let mut submitted = 0;
+    while submitted < 100_000 {
+        lb.send(c, &round);
+        submitted += lb.recv(c).len();
+        assert_eq!(lb.engine().in_flight(), 64);
+        lb.run_to_quiescence();
+        assert_eq!(answers(&lb.recv(c)), 64);
+        assert_eq!(lb.engine().in_flight(), 0);
+    }
+    assert_eq!(lb.engine().controller().records().len(), submitted);
+
+    // A churn session on the asynchronous family, pumped a slice at a time
+    // so tickets of several rounds are in flight together.
+    let config = ServeConfig::new(Family::Distributed, 4_000, 64)
+        .with_shape(TreeShape::Path { nodes: 32 })
+        .with_seed(9)
+        .with_step_budget(16);
+    let mut lb = Loopback::new(config).unwrap();
+    let c = lb.connect();
+    lb.send(c, r#"{"op": "hello", "proto": 1}"#);
+    lb.send(c, r#"{"op": "subscribe"}"#);
+    let _ = lb.recv(c);
+    let (mut submitted, mut answered, mut peak) = (0, 0, 0);
+    for round in 0..400u64 {
+        let node = (round * 7) % 32;
+        let kind = match round % 5 {
+            0 => "add-leaf",
+            1 if node != 0 => "remove-self",
+            _ => "event",
+        };
+        lb.send(
+            c,
+            &format!(r#"{{"op": "submit", "kind": "{kind}", "node": {node}}}"#),
+        );
+        // A node an earlier round deleted is a `bad-node` error, no ticket.
+        submitted += lb
+            .recv(c)
+            .iter()
+            .filter(|f| frame_kind(f).0 == "ok")
+            .count();
+        lb.pump_slice();
+        answered += answers(&lb.recv(c));
+        assert_eq!(
+            lb.engine().in_flight(),
+            submitted - answered,
+            "round {round}"
+        );
+        peak = peak.max(lb.engine().in_flight());
+    }
+    assert!(
+        peak > 4,
+        "slices should leave several tickets in flight: {peak}"
+    );
+    lb.run_to_quiescence();
+    answered += answers(&lb.recv(c));
+    assert_eq!(answered, submitted);
+    assert_eq!(lb.engine().in_flight(), 0);
+}
