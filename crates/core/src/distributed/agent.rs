@@ -13,19 +13,14 @@ pub(crate) enum Phase {
     /// package, a filler node, or the root.
     Climb,
     /// Carrying (the remaining half of) a package of the given level down the
-    /// locked path, depositing a package at every deposit point `u_k`.
+    /// locked path, depositing a package at every deposit point `u_k` and
+    /// unlocking every node as it leaves it.
     Distribute {
         /// Level of the package currently in the agent's bag.
         level: u32,
         /// Serial-number interval of the carried package (interval mode).
         interval: Option<PermitInterval>,
     },
-    /// The request has been answered; climbing back to the topmost locked
-    /// node before the final unlocking descent.
-    ReturnUp,
-    /// Final descent from the topmost node back to the origin, unlocking every
-    /// node on the way.
-    FinalDescent,
     /// A reject package was encountered (or the root's storage was empty):
     /// descending to the origin, placing reject packages and unlocking.
     RejectDescent,

@@ -2,7 +2,7 @@
 //! execution and answer collection.
 
 use super::agent::{CtrlAgent, RequestAgent};
-use super::protocol::ControllerProtocol;
+use super::protocol::{ControllerProtocol, PackageEvent};
 use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
 use crate::ledger::RequestLedger;
 use crate::package::PermitInterval;
@@ -106,6 +106,20 @@ impl DistributedController {
             m,
             w,
         })
+    }
+
+    /// Records the life-cycle of every deposited package from now on (see
+    /// [`PackageEvent`]); intended for tests that audit the §3.2 domain
+    /// invariants on a concurrent execution.
+    pub fn with_package_log(mut self) -> Self {
+        self.sim.protocol_mut().record_packages();
+        self
+    }
+
+    /// Removes and returns the package events recorded since the last call
+    /// (requires [`DistributedController::with_package_log`]).
+    pub fn take_package_events(&mut self) -> Vec<PackageEvent> {
+        self.sim.protocol_mut().take_package_events()
     }
 
     /// The controller parameters.

@@ -3,11 +3,24 @@
 //! The distributed controller runs on the asynchronous network simulator of
 //! [`dcn_simnet`]: a request arriving at a node creates an agent that climbs
 //! the spanning tree (locking every node on its way) until it finds a *filler
-//! node* or the root, distributes the package it found along the locked path
-//! exactly as the centralized `Proc` does, answers the request, and walks the
-//! path again to release the locks. Concurrent requests are serialised by the
-//! locks and FIFO queues, which is precisely the mechanism the paper uses to
-//! reduce the distributed execution to a centralized one (Lemmas 4.2–4.5).
+//! node* or the root, carries the package it found down the locked path,
+//! depositing exactly as the centralized `Proc` does and releasing every node
+//! as it leaves it, and answers the request at its origin: two walks of the
+//! path, up and down. Concurrent requests are serialised by the locks and
+//! FIFO queues, which is precisely the mechanism the paper uses to reduce the
+//! distributed execution to a centralized one (Lemmas 4.2–4.5).
+//!
+//! The agent program as printed in §4.3.1 keeps the whole path locked until
+//! the request is answered and then walks it twice more only to unlock. The
+//! reduction needs less: an agent that never acquires a lock after it has
+//! released one (two-phase locking — growing phase the climb, lock point the
+//! filler node or the root, shrinking phase the descent) touches every
+//! whiteboard under that node's lock, so any two agents' conflicting accesses
+//! are ordered the same way at every node they share, and the execution is
+//! equivalent to the centralized one that serves the requests in lock-point
+//! order. The nodes below a descending agent stay locked until it passes
+//! them, which is all the taxi's `Down`/`Distance` services and the graceful
+//! topology gates rely on. DESIGN.md §6 ("Lock release") has the details.
 
 mod agent;
 mod driver;
@@ -19,4 +32,4 @@ pub use agent::{CtrlAgent, RequestAgent};
 pub use driver::DistributedController;
 pub use epoch::{EpochShell, Pending};
 pub use iterated::AdaptiveDistributedController;
-pub use protocol::{ControllerProtocol, CtrlOutput, CtrlWhiteboard};
+pub use protocol::{ControllerProtocol, CtrlOutput, CtrlWhiteboard, PackageEvent};

@@ -39,6 +39,32 @@ impl CtrlWhiteboard {
 /// Output records reported by the protocol to the driving harness.
 pub type CtrlOutput = RequestRecord;
 
+/// One step in the life of a deposited mobile package, in the vocabulary of
+/// the §3.2 domain analysis ([`DomainAuditor`](crate::domain::DomainAuditor)).
+/// Recorded only on request ([`ControllerProtocol::record_packages`]); a test
+/// that steps the simulator one event at a time can replay them into an
+/// auditor, because the path between `origin` and `host` is still locked when
+/// the deposit is made.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PackageEvent {
+    /// The agent created at `origin` deposited package `pkg` at `host`.
+    Deposited {
+        /// The deposited package's identifier.
+        pkg: u64,
+        /// Its level.
+        level: u32,
+        /// The deposit point `u_level`.
+        host: NodeId,
+        /// The requesting node `u`.
+        origin: NodeId,
+    },
+    /// Package `pkg` was taken from its host by a climbing agent.
+    Taken {
+        /// The taken package's identifier.
+        pkg: u64,
+    },
+}
+
 /// The distributed (M, W)-Controller protocol (one instance drives one
 /// controller over one simulated network).
 #[derive(Debug)]
@@ -48,6 +74,7 @@ pub struct ControllerProtocol {
     next_package_id: u64,
     granted: u64,
     rejected: u64,
+    package_log: Option<Vec<PackageEvent>>,
 }
 
 impl ControllerProtocol {
@@ -61,7 +88,23 @@ impl ControllerProtocol {
             next_package_id: 0,
             granted: 0,
             rejected: 0,
+            package_log: None,
         }
+    }
+
+    /// Starts recording [`PackageEvent`]s (off by default: the log grows
+    /// with the execution).
+    pub fn record_packages(&mut self) {
+        self.package_log.get_or_insert_with(Vec::new);
+    }
+
+    /// Removes and returns the package events recorded since the last call
+    /// (empty unless [`ControllerProtocol::record_packages`] was called).
+    pub fn take_package_events(&mut self) -> Vec<PackageEvent> {
+        self.package_log
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// The protocol parameters.
@@ -123,7 +166,9 @@ impl ControllerProtocol {
                 // lint: allow(unwrap) the agent only walks down to a level it
                 // saw in this whiteboard, and nothing drains it in between
                 .expect("filler level was observed in this whiteboard");
-            ctx.mark_top();
+            if let Some(log) = &mut self.package_log {
+                log.push(PackageEvent::Taken { pkg: pkg.id });
+            }
             agent.phase = Phase::Distribute {
                 level: pkg.level,
                 interval: pkg.interval,
@@ -157,7 +202,6 @@ impl ControllerProtocol {
                     None => None,
                 }
             };
-            ctx.mark_top();
             agent.phase = Phase::Distribute { level, interval };
             return self.distribute_step(ctx, agent);
         }
@@ -166,7 +210,10 @@ impl ControllerProtocol {
 
     /// Item 4: the agent carries a package down the locked path, depositing a
     /// half at every deposit point `u_k`, until a level-0 package reaches the
-    /// origin, becomes static and answers the request.
+    /// origin, becomes static and answers the request. Every node is unlocked
+    /// as the agent leaves it (the reject descent of item 1b does the same):
+    /// the agent is done with it, and whatever is below stays locked until
+    /// the agent gets there.
     fn distribute_step(&mut self, ctx: &mut NodeCtx<'_, Self>, agent: &mut RequestAgent) -> Action {
         let Phase::Distribute {
             mut level,
@@ -189,56 +236,52 @@ impl ControllerProtocol {
             ctx.whiteboard_mut().permits_passed_down += params.mobile_size(level);
         }
 
-        loop {
-            if level == 0 {
-                if dist == 0 {
-                    // The carried level-0 package becomes static at the origin
-                    // and grants one permit.
-                    let size = params.mobile_size(0);
-                    let serial = {
-                        let wb = ctx.whiteboard_mut();
-                        wb.store.add_static(size, interval);
-                        wb.store
-                            .grant_static()
-                            // lint: allow(unwrap) add_static() above deposited
-                            // a package holding at least one permit
-                            .expect("freshly converted static package is non-empty")
-                    };
-                    self.grant(ctx, agent, serial);
-                    if ctx.dist_to_top() == 0 {
-                        // The filler was the origin itself: nothing to unlock
-                        // above us.
-                        ctx.unlock();
-                        return Action::Terminate;
-                    }
-                    agent.phase = Phase::ReturnUp;
-                    return Action::Up;
-                }
-                agent.phase = Phase::Distribute { level, interval };
-                return Action::Down;
-            }
+        if level == 0 && dist == 0 {
+            // The carried level-0 package becomes static at the origin and
+            // grants one permit.
+            let size = params.mobile_size(0);
+            let serial = {
+                let wb = ctx.whiteboard_mut();
+                wb.store.add_static(size, interval);
+                wb.store
+                    .grant_static()
+                    // lint: allow(unwrap) add_static() above deposited a
+                    // package holding at least one permit
+                    .expect("freshly converted static package is non-empty")
+            };
+            self.grant(ctx, agent, serial);
+            ctx.unlock();
+            return Action::Terminate;
+        }
+        if level > 0 {
             let target = params.deposit_distance(level - 1);
+            debug_assert!(dist >= target, "the agent overshot a deposit point");
             if dist == target {
                 // Split: one level-(k−1) package stays here, the other stays
-                // in the bag.
+                // in the bag. (Deposit distances are strictly decreasing, so
+                // there is at most one deposit per node.)
                 let pkg = MobilePackage {
                     id: 0,
                     level,
                     interval,
                 };
                 let (stay, carry) = pkg.split(self.fresh_package_id(), self.fresh_package_id());
+                if let Some(log) = &mut self.package_log {
+                    log.push(PackageEvent::Deposited {
+                        pkg: stay.id,
+                        level: stay.level,
+                        host: ctx.node(),
+                        origin: ctx.origin(),
+                    });
+                }
                 ctx.whiteboard_mut().store.add_mobile(stay);
                 level = carry.level;
                 interval = carry.interval;
-                // A further deposit at this same node is impossible (deposit
-                // distances are strictly decreasing), so continue the loop to
-                // fall into the movement cases.
-                continue;
             }
-            debug_assert!(dist > target, "the agent overshot a deposit point");
-            agent.phase = Phase::Distribute { level, interval };
-            return Action::Down;
         }
+        agent.phase = Phase::Distribute { level, interval };
+        ctx.unlock();
+        Action::Down
     }
 
     /// Grants the request handled by `agent` using the permit `serial`,
@@ -276,20 +319,8 @@ impl ControllerProtocol {
     /// Rejects the request at its origin node (which the agent currently
     /// occupies and has locked).
     fn reject_here(&mut self, ctx: &mut NodeCtx<'_, Self>, agent: &RequestAgent) -> Action {
-        self.rejected += 1;
-        let record = RequestRecord {
-            id: agent.id,
-            origin: ctx.origin(),
-            kind: agent.kind,
-            outcome: Outcome::Rejected,
-            // The driver stamps the real submit time when it collects the
-            // answer; the protocol only knows the answer instant.
-            submitted_at: 0,
-            answered_at: ctx.time(),
-        };
-        ctx.emit(record);
         ctx.unlock();
-        Action::Terminate
+        self.reject_here_after_unlock(ctx, agent)
     }
 
     /// Starts the descent of item 1b: the agent found a reject package (or an
@@ -407,24 +438,6 @@ impl Protocol for ControllerProtocol {
                     }
                 }
                 Phase::Distribute { .. } => self.distribute_step(ctx, req),
-                Phase::ReturnUp => {
-                    if ctx.dist_to_top() == 0 {
-                        ctx.unlock();
-                        if ctx.distance_from_origin() == 0 {
-                            return Action::Terminate;
-                        }
-                        req.phase = Phase::FinalDescent;
-                        return Action::Down;
-                    }
-                    Action::Up
-                }
-                Phase::FinalDescent => {
-                    ctx.unlock();
-                    if ctx.distance_from_origin() == 0 {
-                        return Action::Terminate;
-                    }
-                    Action::Down
-                }
                 Phase::RejectDescent => self.reject_descent_step(ctx, req),
             },
         }

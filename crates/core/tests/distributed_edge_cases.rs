@@ -2,7 +2,7 @@
 //! requests at the root, hot-spot contention and adversarial delay schedules.
 
 use dcn_controller::distributed::DistributedController;
-use dcn_controller::{Controller, Outcome, RequestKind};
+use dcn_controller::{Controller, Outcome, PermitInterval, RequestKind};
 use dcn_simnet::{DelayModel, SimConfig};
 use dcn_tree::{DynamicTree, NodeId};
 
@@ -44,13 +44,13 @@ fn a_hot_spot_of_requests_at_one_deep_node_serializes_through_its_lock() {
     assert_eq!(ctrl.granted(), 15);
     assert!(ctrl.metrics().waits > 0, "the hot spot must cause queueing");
     // At this scale the distance parameter ψ exceeds the depth, so every
-    // request degenerates to at most two root round-trips (the agent's climb,
-    // bounce and unlocking descent): the per-request cost is bounded by
-    // 4·depth, never more.
+    // request degenerates to at most one root round-trip (the agent's
+    // locking climb and its unlocking descent): the per-request cost is
+    // bounded by 2·depth, never more.
     let per_request = ctrl.messages() as f64 / 15.0;
     assert!(
-        per_request <= 4.0 * 30.0,
-        "per-request messages {per_request} must not exceed 4·depth"
+        per_request <= 2.0 * 30.0,
+        "per-request messages {per_request} must not exceed 2·depth"
     );
 }
 
@@ -148,4 +148,79 @@ fn answers_match_between_two_identical_runs() {
         (outcomes, ctrl.messages())
     };
     assert_eq!(run(99), run(99));
+}
+
+#[test]
+fn a_queued_agent_overtakes_the_one_that_released_the_node_on_its_descent() {
+    // Locks are released on the way down, so an agent B queued at a deposit
+    // point P is served as soon as agent A has passed P — long before A is
+    // back at its own origin — and from the very package A left there.
+    //
+    // U = 256, W = 128 gives ψ = 80: a request at depth 170 (> 2ψ) draws a
+    // level-1 package at the root and deposits one half at distance 3ψ/2 =
+    // 120, i.e. at depth 50.
+    let (m, w) = (130u64, 128u64);
+    let mut tree = DynamicTree::with_initial_path(170);
+    let a = NodeId::from_index(170);
+    let p = NodeId::from_index(50);
+    let b = tree.add_leaf(p).unwrap();
+    let root = tree.root();
+    let config = SimConfig::new(9).with_delay(DelayModel::Constant(1));
+    let mut ctrl = DistributedController::with_interval(
+        config,
+        tree,
+        m,
+        w,
+        256,
+        Some(PermitInterval::new(1, m)),
+    )
+    .unwrap();
+    assert_eq!(ctrl.params().psi, 80);
+
+    // A locks P at t = 120, is at the root at t = 170 and back at P at
+    // t = 220; B arrives at P at t = 151 and waits in its queue.
+    let id_a = ctrl.submit(a, RequestKind::NonTopological).unwrap();
+    let id_b = ctrl
+        .submit_after(b, RequestKind::NonTopological, 150)
+        .unwrap();
+    ctrl.run_to_quiescence().unwrap();
+
+    let answered_at = |id| ctrl.record(id).unwrap().answered_at;
+    assert!(ctrl.outcome(id_a).unwrap().is_granted());
+    assert!(ctrl.outcome(id_b).unwrap().is_granted());
+    assert_eq!(answered_at(id_b), 221, "B is served one hop after A left P");
+    assert_eq!(answered_at(id_a), 340, "A walks its path exactly twice");
+    assert_eq!(ctrl.metrics().waits, 1);
+    // B never went to the root: the two permits A drew there served both.
+    assert_eq!(ctrl.whiteboard(root).unwrap().storage, m - 2);
+    assert_eq!(ctrl.whiteboard(p).unwrap().store.mobile_count(), 0);
+    assert_eq!(ctrl.messages(), 2 * 170 + 2);
+
+    // Exhaust the budget from next to the root: safety, liveness at the
+    // first reject, and every serial handed out exactly once.
+    let shallow = NodeId::from_index(1);
+    for _ in 0..(m + 10) {
+        ctrl.submit(shallow, RequestKind::NonTopological).unwrap();
+    }
+    ctrl.run_to_quiescence().unwrap();
+    let summary = ctrl.summary();
+    assert_eq!(summary.unanswered, 0);
+    summary.check().unwrap();
+    assert!(ctrl.rejected() > 0);
+    let mut serials: Vec<u64> = ctrl
+        .records()
+        .iter()
+        .filter_map(|r| match r.outcome {
+            Outcome::Granted { serial, .. } => serial,
+            _ => None,
+        })
+        .collect();
+    assert_eq!(serials.len() as u64, ctrl.granted());
+    serials.sort_unstable();
+    serials.dedup();
+    assert_eq!(serials.len() as u64, ctrl.granted(), "serials are unique");
+    assert!(serials.iter().all(|s| (1..=m).contains(s)));
+    for node in ctrl.tree().nodes().collect::<Vec<_>>() {
+        assert!(!ctrl.sim().is_locked(node));
+    }
 }

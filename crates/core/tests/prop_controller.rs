@@ -7,12 +7,14 @@
 //! reproducible from its printed case seed.
 
 use dcn_controller::centralized::{CentralizedController, IteratedController};
-use dcn_controller::distributed::DistributedController;
+use dcn_controller::distributed::{DistributedController, PackageEvent};
+use dcn_controller::domain::DomainAuditor;
 use dcn_controller::verify::ExecutionSummary;
 use dcn_controller::{Controller, Outcome, RequestKind};
 use dcn_rng::{DetRng, Rng, SeedableRng};
-use dcn_simnet::{DelayModel, SimConfig};
-use dcn_tree::{DynamicTree, NodeId};
+use dcn_simnet::{AgentId, DelayModel, SimConfig};
+use dcn_tree::{DynamicTree, NodeId, TopologyEvent};
+use std::collections::BTreeSet;
 
 const CASES: u64 = 48;
 
@@ -209,4 +211,173 @@ fn distributed_controller_is_correct_under_random_schedules() {
             "case {case}: permit conservation"
         );
     }
+}
+
+/// A random initial tree: a shallow star (budgets run out, rejects and the
+/// reject wave are exercised) or a deep broom — a long path with side chains
+/// hanging off it — on which requests draw packages of level ≥ 1 and leave
+/// deposits behind, so agents meet at deposit points and domains exist.
+fn random_tree(rng: &mut DetRng) -> DynamicTree {
+    if rng.gen_range(0u32..3) == 0 {
+        return DynamicTree::with_initial_star(rng.gen_range(1usize..25));
+    }
+    let mut tree = DynamicTree::with_initial_path(rng.gen_range(90usize..130));
+    for _ in 0..rng.gen_range(0usize..4) {
+        let spine: Vec<NodeId> = tree.nodes().collect();
+        let mut at = spine[rng.gen_range(0..spine.len())];
+        for _ in 0..rng.gen_range(1usize..25) {
+            at = tree.add_leaf(at).unwrap();
+        }
+    }
+    tree
+}
+
+fn random_delay(rng: &mut DetRng) -> DelayModel {
+    match rng.gen_range(0u32..3) {
+        0 => DelayModel::Constant(rng.gen_range(1u64..4)),
+        1 => DelayModel::Uniform {
+            min: 1,
+            max: rng.gen_range(1u64..16),
+        },
+        _ => DelayModel::Bimodal {
+            fast: 1,
+            slow: rng.gen_range(20u64..200),
+            slow_percent: rng.gen_range(1u8..40),
+        },
+    }
+}
+
+/// The lock discipline behind the release-on-descent agent program, on random
+/// trees, request mixes, arrival times and delay models, observed from
+/// outside one simulator event at a time:
+///
+/// * two-phase locking — no agent acquires a lock after it has released one;
+/// * the §3.2 domain invariants hold after every event, with the auditor fed
+///   from the protocol's package log (a deposit's path is read off the tree
+///   in the same event, while the agent still holds everything below it);
+/// * at quiescence every request is answered, safety and liveness hold, no
+///   node is locked, permits are conserved and the tree is consistent.
+#[test]
+fn distributed_agents_lock_in_two_phases_and_keep_the_domain_invariants() {
+    let mut deposits = 0usize;
+    let mut overlapped_acquisitions = 0usize;
+    for case in 0..CASES {
+        let mut rng = DetRng::seed_from_u64(30_000 + case);
+        let tree = random_tree(&mut rng);
+        let n0 = tree.node_count();
+        let reqs = random_reqs(&mut rng, 1, 60);
+        // W around U keeps ψ small enough for deposits on the deep trees;
+        // M barely above W makes the shallow cases run dry.
+        let u_bound = n0 + reqs.len() + 2;
+        let w = rng.gen_range(1u64..=2 * u_bound as u64);
+        let m = w + rng.gen_range(0u64..40);
+        let spread = [0u64, 0, 50, 400][rng.gen_range(0usize..4)];
+        let config = SimConfig::new(rng.next_u64()).with_delay(random_delay(&mut rng));
+        let mut ctrl = DistributedController::new(config, tree, m, w, u_bound)
+            .unwrap()
+            .with_package_log();
+        let params = *ctrl.params();
+        let mut submitted = 0u64;
+        for req in &reqs {
+            let Some((at, kind)) = concretize(ctrl.tree(), *req) else {
+                continue;
+            };
+            let delay = rng.gen_range(0..=spread);
+            ctrl.submit_after(at, kind, delay).unwrap();
+            submitted += 1;
+        }
+
+        let mut auditor = DomainAuditor::new();
+        let mut log_cursor = ctrl.tree().change_log().len();
+        // Lock owner per node-arena index, as of the previous event.
+        let mut owners: Vec<Option<AgentId>> = Vec::new();
+        let mut released: BTreeSet<AgentId> = BTreeSet::new();
+        let mut quiescent = false;
+        while !quiescent {
+            quiescent = ctrl.step(1).unwrap().quiescent;
+            // Who holds which lock now, against the previous event.
+            let mut now = vec![None; ctrl.tree().total_created()];
+            for node in ctrl.tree().nodes() {
+                now[node.index()] = ctrl.sim().locked_by(node);
+            }
+            owners.resize(now.len(), None);
+            for (before, after) in owners.iter().zip(&now) {
+                if let (Some(agent), true) = (before, before != after) {
+                    released.insert(*agent);
+                }
+            }
+            let descending = now.iter().flatten().any(|a| released.contains(a));
+            for (i, (before, after)) in owners.iter().zip(&now).enumerate() {
+                if let (Some(agent), true) = (after, before != after) {
+                    assert!(
+                        !released.contains(agent),
+                        "case {case}: {agent} locked n{i} after releasing a lock"
+                    );
+                    overlapped_acquisitions += usize::from(descending);
+                }
+            }
+            owners = now;
+
+            // Feed the domain auditor with this event's package traffic and
+            // topology changes, then check the three invariants.
+            let events = ctrl.take_package_events();
+            let changes = ctrl.tree().change_log().len();
+            if events.is_empty() && changes == log_cursor {
+                continue;
+            }
+            for event in events {
+                match event {
+                    PackageEvent::Deposited {
+                        pkg,
+                        level,
+                        host,
+                        origin,
+                    } => {
+                        let path = ctrl.tree().path_between(origin, host).unwrap();
+                        auditor.package_deposited(pkg, level, host, &path, &params);
+                        deposits += 1;
+                    }
+                    PackageEvent::Taken { pkg } => auditor.package_consumed(pkg),
+                }
+            }
+            for record in ctrl.tree().change_log().iter().skip(log_cursor) {
+                if let TopologyEvent::AddInternal { node, below, .. } = record.event {
+                    auditor.on_add_internal(node, below, ctrl.tree());
+                }
+            }
+            log_cursor = changes;
+            let host_of = |pkg: u64| {
+                ctrl.sim()
+                    .whiteboards()
+                    .find(|(_, wb)| wb.store.mobiles().iter().any(|p| p.id == pkg))
+                    .map(|(node, _)| node)
+            };
+            auditor
+                .check_invariants(ctrl.tree(), &params, host_of)
+                .unwrap_or_else(|e| panic!("case {case}: domain invariant violated: {e}"));
+        }
+
+        assert!(
+            owners.iter().all(Option::is_none),
+            "case {case}: locks held at quiescence"
+        );
+        assert_eq!(
+            ctrl.records().len() as u64,
+            submitted,
+            "case {case}: every request must be answered"
+        );
+        ctrl.summary()
+            .check()
+            .unwrap_or_else(|v| panic!("case {case}: {v}"));
+        assert!(ctrl.tree().check_invariants().is_ok(), "case {case}");
+        assert_eq!(
+            ctrl.granted() + ctrl.uncommitted_permits(),
+            m,
+            "case {case}: permit conservation"
+        );
+    }
+    // The cases are not vacuous: packages were deposited, and agents took
+    // locks while others were in the middle of their shrinking phase.
+    assert!(deposits > 0, "no case deposited a package");
+    assert!(overlapped_acquisitions > 0, "no case overlapped two agents");
 }

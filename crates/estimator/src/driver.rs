@@ -121,7 +121,9 @@ pub trait Runtime {
     fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError>;
 
     /// Advances execution by at most `budget` inner simulator events.
-    /// `Progress::quiescent` is `true` once no ticket is unanswered.
+    /// `Progress::quiescent` is `true` once no ticket is unanswered. A slice
+    /// never spans an iteration boundary: it ends (not quiescent) right
+    /// after a rotation, before any retried request runs.
     ///
     /// # Errors
     ///
@@ -338,7 +340,8 @@ impl<P: IterationPolicy> Runtime for IterationDriver<P> {
     }
 
     /// Hands queued submissions to the inner controller, collects final
-    /// answers, and rotates iterations when the current one is exhausted.
+    /// answers, and rotates iterations when the current one is exhausted —
+    /// which ends the slice.
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
         let mut processed = 0u64;
         loop {
@@ -378,8 +381,11 @@ impl<P: IterationPolicy> Runtime for IterationDriver<P> {
                     continue;
                 }
                 self.rotate()?;
-            }
-            if processed >= budget {
+                // The slice ends at the rotation, so `after_slice` sees the
+                // freshly installed iteration over the tree exactly as it
+                // was parked: per-iteration snapshots (the subtree
+                // estimator's ω₀) are the iteration-start broadcast/upcast,
+                // not whatever the retried requests leave behind.
                 return Ok(Progress {
                     processed,
                     quiescent: false,
@@ -646,6 +652,26 @@ mod tests {
             .count();
         assert_eq!(starts as u32, d.iterations());
         assert_eq!(events.iter().filter(|e| e.is_answer()).count(), 10);
+    }
+
+    #[test]
+    fn a_slice_ends_at_the_rotation() {
+        let mut d = driver(7, 2);
+        // Budget 4 against six requests: the first iteration runs dry.
+        let root = d.tree().root();
+        for _ in 0..6 {
+            d.submit(root, RequestKind::AddLeaf).unwrap();
+        }
+        let p = d.step(u64::MAX).unwrap();
+        // The unbounded slice stopped right behind the rotation: iteration 2
+        // is installed, and the rejected requests have not been retried yet.
+        assert!(!p.quiescent);
+        assert_eq!(d.iterations(), 2);
+        let answered = d.records().len();
+        assert!(answered < 6);
+        assert_eq!(d.tree().node_count(), 8 + answered);
+        d.run_to_quiescence().unwrap();
+        assert_eq!(d.records().len(), 6);
     }
 
     #[test]

@@ -253,6 +253,34 @@ mod tests {
     }
 
     #[test]
+    fn omega0_is_taken_at_the_rotation_not_at_the_end_of_the_slice() {
+        // Path n0 – … – n15 with β = 2: an iteration's budget is n/2 = 8.
+        let n = NodeId::from_index;
+        let tree = DynamicTree::with_initial_path(15);
+        let mut est = SubtreeEstimator::new(SimConfig::new(5), tree, 2.0).unwrap();
+        let root = est.tree().root();
+        // Spend iteration 1 exactly, without touching the tree.
+        est.run_batch(&[(root, RequestKind::NonTopological); 8])
+            .unwrap();
+        assert_eq!(est.iterations(), 1);
+        // One batch, one run: the exhausted iteration rejects every request,
+        // the driver rotates, and the retries — four leaves under the
+        // deepest node, the removal of the four nodes above it — all run in
+        // iteration 2, right behind the rotation.
+        let mut ops = vec![(n(15), RequestKind::AddLeaf); 4];
+        ops.extend((11..15).map(|i| (n(i), RequestKind::RemoveSelf)));
+        est.run_batch(&ops).unwrap();
+        assert_eq!(est.iterations(), 2);
+        assert_eq!(est.tree().node_count(), 16);
+        // n10's super-weight counts everything that existed below it at any
+        // point of iteration 2: itself, the five nodes it had at the
+        // rotation (four of them gone by now) and the four new leaves. A
+        // snapshot taken after the retries ran would have lost the four.
+        assert_eq!(est.true_super_weight(n(10)), 10);
+        est.check_estimates().unwrap();
+    }
+
+    #[test]
     fn root_estimate_is_at_least_the_node_count_contribution() {
         let tree = DynamicTree::with_initial_star(20);
         let est = SubtreeEstimator::new(SimConfig::new(12), tree, 2.0).unwrap();

@@ -711,17 +711,20 @@ fn golden_session(config: ServeConfig) -> Vec<String> {
 /// Wire bytes are pinned: every reply line of the scripted session, for
 /// every served configuration. Recorded at commit 371758f (before `poll`
 /// moved from the engine's own outcome table to the controller's records);
-/// a change here is a protocol change and needs a conscious re-pin.
+/// a change here is a protocol change and needs a conscious re-pin. The
+/// `distributed`, `adaptive-distributed` and `sharded-k2` rows were re-pinned
+/// when the request agent began releasing its locks on the way down (answer
+/// times and message counts moved; the other four rows did not).
 #[test]
 fn golden_transcript_is_unchanged_for_every_family() {
     let golden: [(&str, usize, u64); 7] = [
         ("centralized", 189, 0x9e44_2447_9521_1cf1),
         ("iterated", 189, 0x68ca_8484_9fa2_2e24),
-        ("distributed", 189, 0x1fda_279a_ed9c_31cb),
-        ("adaptive-distributed", 189, 0x2071_517c_27cf_fa1b),
+        ("distributed", 189, 0x7faa_7ab2_e257_9f0e),
+        ("adaptive-distributed", 189, 0x4f32_458f_c490_2214),
         ("trivial", 189, 0xa439_3a63_085c_eaf0),
         ("aaps", 194, 0x327b_62ca_0d2a_3183),
-        ("sharded-k2", 189, 0xaa16_0a6d_a6ac_b8aa),
+        ("sharded-k2", 189, 0xb7cd_7895_39f2_39d9),
     ];
     let mut got = Vec::new();
     for (name, config) in served_configs() {

@@ -245,7 +245,7 @@ mod tests {
         assert_eq!(agents.take_state(a), Some("walker"));
         assert_eq!(agents.len(), 1);
         // Taxi state survives the checkout.
-        agents.taxi_mut(a).mark_top();
+        agents.taxi_mut(a).hop_away(n(0), n(1));
         agents.put_state(a, "walker");
         assert_eq!(agents.len(), 2);
         // Terminating = never putting the state back.

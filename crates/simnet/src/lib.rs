@@ -14,9 +14,8 @@
 //! * [`Simulator`] — the event engine, parameterised by a [`Protocol`] that
 //!   supplies the whiteboard type, the agent state and the agent program;
 //! * the *taxi* services of the paper (§4.3.2): `Up`, `Down`, `Distance`,
-//!   `DistToTop`, per-node locks, FIFO agent queues and the "child I arrived
-//!   from" pointer used to descend along a locked path — all exposed through
-//!   [`NodeCtx`];
+//!   per-node locks, FIFO agent queues and the "child I arrived from" pointer
+//!   used to descend along a locked path — all exposed through [`NodeCtx`];
 //! * *graceful* topological changes (§4.2): a granted change is scheduled via
 //!   [`TopologyChange`] and is physically applied only when its target node is
 //!   unlocked, has no queued agents and no in-flight messages, at which point

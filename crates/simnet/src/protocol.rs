@@ -69,7 +69,6 @@ pub enum Action {
 pub(crate) enum Effect<P: Protocol> {
     Lock,
     Unlock,
-    MarkTop,
     Spawn(P::Agent),
     Emit(P::Output),
     ScheduleChange(TopologyChange),
@@ -95,7 +94,6 @@ pub struct NodeCtx<'a, P: Protocol> {
     pub(crate) agent_id: AgentId,
     pub(crate) origin: NodeId,
     pub(crate) dist_from_origin: usize,
-    pub(crate) dist_to_top: usize,
     pub(crate) locked_by: Option<AgentId>,
     pub(crate) whiteboard: &'a mut P::Whiteboard,
     pub(crate) effects: Vec<Effect<P>>,
@@ -165,12 +163,6 @@ impl<'a, P: Protocol> NodeCtx<'a, P> {
         self.dist_from_origin
     }
 
-    /// Taxi `DistToTop` query: hop distance below the node most recently
-    /// marked with [`NodeCtx::mark_top`].
-    pub fn dist_to_top(&self) -> usize {
-        self.dist_to_top
-    }
-
     /// Returns `true` if the node is currently locked (by any agent).
     pub fn is_locked(&self) -> bool {
         self.locked_by.is_some()
@@ -211,12 +203,6 @@ impl<'a, P: Protocol> NodeCtx<'a, P> {
         self.locked_by = None;
     }
 
-    /// Marks the current node as the agent's "top"; `DistToTop` is reset to 0.
-    pub fn mark_top(&mut self) {
-        self.effects.push(Effect::MarkTop);
-        self.dist_to_top = 0;
-    }
-
     /// Spawns a new agent at the current node; it will be activated after the
     /// current activation completes (at the same simulated instant).
     pub fn spawn_agent(&mut self, state: P::Agent) {
@@ -250,7 +236,6 @@ impl<P: Protocol> fmt::Debug for NodeCtx<'_, P> {
             .field("agent", &self.agent_id)
             .field("origin", &self.origin)
             .field("dist_from_origin", &self.dist_from_origin)
-            .field("dist_to_top", &self.dist_to_top)
             .field("locked_by", &self.locked_by)
             .finish()
     }

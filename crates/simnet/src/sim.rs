@@ -210,7 +210,12 @@ impl<P: Protocol> Simulator<P> {
 
     /// Returns `true` if `node` is currently locked by some agent.
     pub fn is_locked(&self, node: NodeId) -> bool {
-        self.nodes.taxi(node).is_some_and(NodeTaxi::is_locked)
+        self.locked_by(node).is_some()
+    }
+
+    /// The agent currently holding `node`'s lock, if any.
+    pub fn locked_by(&self, node: NodeId) -> Option<AgentId> {
+        self.nodes.taxi(node).and_then(|t| t.locked_by)
     }
 
     /// Number of agents currently alive (travelling, active or queued).
@@ -384,10 +389,10 @@ impl<P: Protocol> Simulator<P> {
             return Ok(());
         }
         self.metrics.activations += 1;
-        let (origin, dist_from_origin, dist_to_top) = {
+        let (origin, dist_from_origin) = {
             let taxi = self.agents.taxi_mut(agent);
             taxi.location = at;
-            (taxi.origin, taxi.dist_from_origin, taxi.dist_to_top)
+            (taxi.origin, taxi.dist_from_origin)
         };
 
         let parent = self.tree.parent(at);
@@ -418,7 +423,6 @@ impl<P: Protocol> Simulator<P> {
             agent_id: agent,
             origin,
             dist_from_origin,
-            dist_to_top,
             locked_by,
             whiteboard,
             effects,
@@ -461,7 +465,6 @@ impl<P: Protocol> Simulator<P> {
                         self.schedule_activation(next, at, 0);
                     }
                 }
-                Effect::MarkTop => self.agents.taxi_mut(agent).mark_top(),
                 Effect::Spawn(state) => {
                     let id = self.agents.create(state, at);
                     self.metrics.agents_created += 1;
@@ -491,7 +494,7 @@ impl<P: Protocol> Simulator<P> {
                         "agent {agent} issued Up at the root"
                     )));
                 };
-                self.agents.taxi_mut(agent).hop_up(at, target);
+                self.agents.taxi_mut(agent).hop_away(at, target);
                 self.dispatch_move(agent, state, target);
                 Ok(())
             }
@@ -518,7 +521,7 @@ impl<P: Protocol> Simulator<P> {
                     self.metrics.agents_dropped += 1;
                     return Ok(());
                 }
-                self.agents.taxi_mut(agent).hop_to_child(at, child);
+                self.agents.taxi_mut(agent).hop_away(at, child);
                 self.dispatch_move(agent, state, child);
                 Ok(())
             }

@@ -1,11 +1,12 @@
 //! Taxi-layer bookkeeping (paper §4.3.2).
 //!
 //! The taxi layer carries agents between nodes and maintains, per agent, the
-//! `Distance` counter (hop distance to the agent's origin) and the
-//! `DistToTop` counter (hop distance below the topmost node the agent marked),
-//! and per node, the lock owner, the FIFO queue of waiting agents and the
-//! pointer to the child from which the lock-holding agent arrived (used to
-//! implement the `Down` instruction along a locked path).
+//! `Distance` counter (hop distance to the agent's origin), and per node, the
+//! lock owner, the FIFO queue of waiting agents and the pointer to the child
+//! from which the lock-holding agent arrived (used to implement the `Down`
+//! instruction along a locked path). The paper's `DistToTop` counter is not
+//! kept: no protocol here returns to the top of its path (DESIGN.md §6,
+//! "Lock release").
 
 use crate::protocol::AgentId;
 use crate::NodeId;
@@ -18,9 +19,6 @@ pub(crate) struct AgentTaxi {
     pub origin: NodeId,
     /// Hop distance from the agent's current node to its origin.
     pub dist_from_origin: usize,
-    /// Hop distance from the agent's current node down from the topmost node
-    /// it marked with `mark_top` (0 until a top is marked).
-    pub dist_to_top: usize,
     /// The node the agent was at immediately before its last hop, if any.
     pub arrived_from: Option<NodeId>,
     /// The node the agent currently resides at (or is in flight towards).
@@ -32,40 +30,24 @@ impl AgentTaxi {
         AgentTaxi {
             origin,
             dist_from_origin: 0,
-            dist_to_top: 0,
             arrived_from: None,
             location: origin,
         }
     }
 
-    /// Records a hop away from the origin / below the marked top.
+    /// Records a hop towards the origin.
     pub fn hop_down(&mut self, from: NodeId, to: NodeId) {
         self.dist_from_origin = self.dist_from_origin.saturating_sub(1);
-        self.dist_to_top += 1;
         self.arrived_from = Some(from);
         self.location = to;
     }
 
-    /// Records a hop towards the root (away from the origin, towards the top).
-    pub fn hop_up(&mut self, from: NodeId, to: NodeId) {
+    /// Records a hop away from the origin: towards the root for an agent
+    /// climbing from its origin, to an explicit child for a wave agent.
+    pub fn hop_away(&mut self, from: NodeId, to: NodeId) {
         self.dist_from_origin += 1;
-        self.dist_to_top = self.dist_to_top.saturating_sub(1);
         self.arrived_from = Some(from);
         self.location = to;
-    }
-
-    /// Records a hop to an explicit child target (wave agents moving away from
-    /// both their origin and the root).
-    pub fn hop_to_child(&mut self, from: NodeId, to: NodeId) {
-        self.dist_from_origin += 1;
-        self.dist_to_top += 1;
-        self.arrived_from = Some(from);
-        self.location = to;
-    }
-
-    /// Resets the `DistToTop` counter: the current node becomes the marked top.
-    pub fn mark_top(&mut self) {
-        self.dist_to_top = 0;
     }
 }
 
@@ -106,21 +88,17 @@ mod tests {
         let mut taxi = AgentTaxi::new(origin);
         assert_eq!(taxi.dist_from_origin, 0);
 
-        taxi.hop_up(origin, a);
-        taxi.hop_up(a, b);
+        taxi.hop_away(origin, a);
+        taxi.hop_away(a, b);
         assert_eq!(taxi.dist_from_origin, 2);
         assert_eq!(taxi.arrived_from, Some(a));
         assert_eq!(taxi.location, b);
 
-        taxi.mark_top();
-        assert_eq!(taxi.dist_to_top, 0);
-
         taxi.hop_down(b, a);
         assert_eq!(taxi.dist_from_origin, 1);
-        assert_eq!(taxi.dist_to_top, 1);
+        assert_eq!(taxi.arrived_from, Some(b));
 
-        taxi.hop_up(a, b);
-        assert_eq!(taxi.dist_to_top, 0);
+        taxi.hop_away(a, b);
         assert_eq!(taxi.dist_from_origin, 2);
     }
 
@@ -131,17 +109,14 @@ mod tests {
         let mut taxi = AgentTaxi::new(origin);
         taxi.hop_down(origin, a);
         assert_eq!(taxi.dist_from_origin, 0);
-        taxi.hop_up(a, origin);
-        assert_eq!(taxi.dist_to_top, 0);
     }
 
     #[test]
-    fn child_hops_increase_both_counters() {
+    fn child_hops_move_away_from_the_origin() {
         let mut taxi = AgentTaxi::new(NodeId::from_index(0));
-        taxi.mark_top();
-        taxi.hop_to_child(NodeId::from_index(0), NodeId::from_index(1));
+        taxi.hop_away(NodeId::from_index(0), NodeId::from_index(1));
         assert_eq!(taxi.dist_from_origin, 1);
-        assert_eq!(taxi.dist_to_top, 1);
+        assert_eq!(taxi.location, NodeId::from_index(1));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Integration tests for the simulator using small synthetic protocols.
 //!
-//! These protocols exercise the taxi layer (Up/Down/Distance/DistToTop),
+//! These protocols exercise the taxi layer (Up/Down/Distance),
 //! locking and FIFO queues, graceful topology changes and message accounting
 //! independently of the (M, W)-controller built on top.
 
@@ -22,6 +22,8 @@ struct ClimbWb {
 #[derive(Debug)]
 struct ClimbAgent {
     phase: ClimbPhase,
+    /// Hops below the root, counted by the agent itself on its way down.
+    below_top: usize,
 }
 
 #[derive(Debug, PartialEq)]
@@ -56,15 +58,14 @@ impl Protocol for ClimbProtocol {
         ctx.whiteboard_mut().visits += 1;
         match agent.phase {
             // Climb to the root, locking the whole path (the path stays locked
-            // while the agent bounces down to its origin and back, mirroring
-            // the controller's behaviour and creating real lock contention).
+            // while the agent bounces down to its origin and back, which
+            // creates real lock contention).
             ClimbPhase::Climb => {
                 if ctx.is_locked() && !ctx.locked_by_me() {
                     return Action::WaitForUnlock;
                 }
                 ctx.lock();
                 if ctx.is_root() {
-                    ctx.mark_top();
                     ctx.emit(DepthReport {
                         origin: ctx.origin(),
                         depth: ctx.distance_from_origin(),
@@ -74,6 +75,7 @@ impl Protocol for ClimbProtocol {
                         return Action::Terminate;
                     }
                     agent.phase = ClimbPhase::FirstDescent;
+                    agent.below_top = 1;
                     return Action::Down;
                 }
                 Action::Up
@@ -81,18 +83,21 @@ impl Protocol for ClimbProtocol {
             ClimbPhase::FirstDescent => {
                 if ctx.node() == ctx.origin() {
                     agent.phase = ClimbPhase::SecondClimb;
+                    agent.below_top -= 1;
                     return Action::Up;
                 }
+                agent.below_top += 1;
                 Action::Down
             }
             ClimbPhase::SecondClimb => {
-                if ctx.dist_to_top() == 0 {
+                if agent.below_top == 0 {
                     // Back at the topmost node: unlock it and descend,
                     // unlocking the rest of the path on the way.
                     ctx.unlock();
                     agent.phase = ClimbPhase::FinalDescent;
                     return Action::Down;
                 }
+                agent.below_top -= 1;
                 Action::Up
             }
             ClimbPhase::FinalDescent => {
@@ -119,6 +124,7 @@ fn single_agent_measures_its_depth() {
         deepest,
         ClimbAgent {
             phase: ClimbPhase::Climb,
+            below_top: 0,
         },
     )
     .unwrap();
@@ -148,6 +154,7 @@ fn agent_created_at_root_terminates_immediately() {
         root,
         ClimbAgent {
             phase: ClimbPhase::Climb,
+            below_top: 0,
         },
     )
     .unwrap();
@@ -182,6 +189,7 @@ fn concurrent_agents_all_complete_and_locks_serialize_them() {
             leaf,
             ClimbAgent {
                 phase: ClimbPhase::Climb,
+                below_top: 0,
             },
         )
         .unwrap();
@@ -213,6 +221,7 @@ fn determinism_same_seed_same_metrics() {
                 leaf,
                 ClimbAgent {
                     phase: ClimbPhase::Climb,
+                    below_top: 0,
                 },
             )
             .unwrap();
@@ -270,6 +279,7 @@ fn removal_merges_whiteboard_into_parent_and_counts_aux_messages() {
         leaf,
         ClimbAgent {
             phase: ClimbPhase::Climb,
+            below_top: 0,
         },
     )
     .unwrap();
@@ -342,6 +352,7 @@ fn create_agent_at_unknown_node_errors() {
             NodeId::from_index(99),
             ClimbAgent {
                 phase: ClimbPhase::Climb,
+                below_top: 0,
             },
         )
         .unwrap_err();

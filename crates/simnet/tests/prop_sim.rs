@@ -15,8 +15,8 @@ use dcn_simnet::{
 const CASES: u64 = 40;
 
 /// A protocol whose agents bounce: climb to the root locking, return to the
-/// origin, climb again, and finally descend unlocking (the same movement
-/// pattern as the controller, without any package logic).
+/// origin, climb again, and finally descend unlocking (twice the controller's
+/// walk, so a path stays locked under traffic for as long as possible).
 struct BounceProtocol;
 
 #[derive(Debug)]
@@ -30,6 +30,8 @@ enum BouncePhase {
 #[derive(Debug)]
 struct BounceAgent {
     phase: BouncePhase,
+    /// Hops below the root, counted by the agent itself on its way down.
+    below_top: usize,
 }
 
 impl Protocol for BounceProtocol {
@@ -55,13 +57,13 @@ impl Protocol for BounceProtocol {
                 }
                 ctx.lock();
                 if ctx.is_root() {
-                    ctx.mark_top();
                     ctx.emit(ctx.origin());
                     if ctx.distance_from_origin() == 0 {
                         ctx.unlock();
                         return Action::Terminate;
                     }
                     agent.phase = BouncePhase::FirstDescent;
+                    agent.below_top = 1;
                     return Action::Down;
                 }
                 Action::Up
@@ -69,16 +71,19 @@ impl Protocol for BounceProtocol {
             BouncePhase::FirstDescent => {
                 if ctx.distance_from_origin() == 0 {
                     agent.phase = BouncePhase::SecondClimb;
+                    agent.below_top -= 1;
                     return Action::Up;
                 }
+                agent.below_top += 1;
                 Action::Down
             }
             BouncePhase::SecondClimb => {
-                if ctx.dist_to_top() == 0 {
+                if agent.below_top == 0 {
                     ctx.unlock();
                     agent.phase = BouncePhase::FinalDescent;
                     return Action::Down;
                 }
+                agent.below_top -= 1;
                 Action::Up
             }
             BouncePhase::FinalDescent => {
@@ -140,6 +145,7 @@ fn run(seed: u64, max_delay: u64, n0: usize, events: &[SimEvent]) -> (usize, u64
                         at,
                         BounceAgent {
                             phase: BouncePhase::Climb,
+                            below_top: 0,
                         },
                     )
                     .unwrap();
@@ -201,6 +207,7 @@ fn concurrent_agents_and_churn_never_corrupt_the_network() {
                             at,
                             BounceAgent {
                                 phase: BouncePhase::Climb,
+                                below_top: 0,
                             },
                         )
                         .unwrap();
@@ -294,6 +301,7 @@ fn simulator_time_is_monotone() {
                             at,
                             BounceAgent {
                                 phase: BouncePhase::Climb,
+                                below_top: 0,
                             },
                             delay,
                         )
