@@ -5,13 +5,19 @@
 //! per-entity state in a general-purpose `std::collections::HashMap` pays a
 //! SipHash round per access for keys that are already perfect array indices.
 //! On the simulator's event loop that hashing dominates the profile, so this
-//! crate provides the two storage shapes the hot paths actually need:
+//! crate provides the storage shapes the hot paths actually need:
 //!
 //! * [`SecondaryMap`] — a dense `Vec<Option<V>>` slot map keyed by any
 //!   [`EntityKey`]. O(1) access with no hashing at all, and iteration in
 //!   **index order**, which makes every loop over it deterministic by
 //!   construction (a property the byte-identical sweep reports rely on).
 //!   Use it whenever the key is one of the workspace's dense entity ids.
+//! * [`SlidingMap`] — the same dense slots behind a moving window
+//!   (`VecDeque<Option<V>>` + the index of its first slot), for tables whose
+//!   entries are short-lived: removal pops the vacant ends, so memory follows
+//!   the span of the *live* keys instead of the largest key ever seen. Use
+//!   it for per-request and per-agent state, which a long-running process
+//!   creates without bound and keeps only while the work is in flight.
 //! * [`CalendarQueue`] — a timing-wheel priority queue for bounded-delay
 //!   discrete-event scheduling: O(1) schedule/pop through a width-1 bucket
 //!   wheel for the near horizon, a binary-heap overflow tier for far-future
@@ -28,7 +34,8 @@
 //!   escape into outputs (sort first, or aggregate order-insensitively).
 //!
 //! The storage policy for the workspace (DESIGN.md "Performance model"):
-//! dense entity key → [`SecondaryMap`]; sparse or composite key →
+//! dense entity key → [`SecondaryMap`], or [`SlidingMap`] when entries die
+//! roughly in the order their keys were issued; sparse or composite key →
 //! [`FxHashMap`]; `std` SipHash maps only in cold paths, justified by a
 //! `// perf: cold` comment.
 //!
@@ -61,10 +68,12 @@
 mod calendar;
 mod fx;
 mod secondary;
+mod sliding;
 
 pub use calendar::CalendarQueue;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use secondary::SecondaryMap;
+pub use sliding::SlidingMap;
 
 /// A dense entity identifier: a copyable key that is (reversibly) a plain
 /// array index.
@@ -72,9 +81,10 @@ pub use secondary::SecondaryMap;
 /// Implemented by the workspace's arena ids (`NodeId`, `AgentId`,
 /// `RequestId`), whose values are allocated sequentially and never reused.
 /// The contract is `from_index(k.index()) == k` for every key handed to a
-/// [`SecondaryMap`]; indices should be dense (small relative to the number
-/// of live entities), since a `SecondaryMap` allocates up to the largest
-/// index it has seen.
+/// [`SecondaryMap`] or [`SlidingMap`]; indices should be dense (small
+/// relative to the number of live entities), since a `SecondaryMap`
+/// allocates up to the largest index it has seen and a `SlidingMap` from
+/// the smallest live index to the largest.
 pub trait EntityKey: Copy + Eq {
     /// The raw array index of this key.
     fn index(self) -> usize;

@@ -1,0 +1,171 @@
+//! The [`SlidingMap`] windowed slot map.
+
+use crate::EntityKey;
+use std::collections::VecDeque;
+use std::fmt;
+use std::marker::PhantomData;
+
+/// A dense map from an [`EntityKey`] to `V` whose memory follows the *live*
+/// keys, not the largest key ever seen: a `VecDeque<Option<V>>` covering the
+/// index range `base .. base + span`, where the first and the last slot are
+/// always occupied.
+///
+/// It is the shape for tables keyed by an id that is handed out sequentially
+/// and never reused (`RequestId`, `AgentId`) when entries are short-lived:
+/// the live keys are then a narrow band below the newest id, and a
+/// [`SecondaryMap`](crate::SecondaryMap) would keep one vacant slot for every
+/// id that ever existed. Access is an offset and a bounds check — no hashing
+/// — like the `SecondaryMap`; [`SlidingMap::remove`] additionally pops the
+/// vacant slots at either end, so the window slides up behind the oldest live
+/// key. One long-lived entry pins the window: `span` is
+/// `newest live − oldest live + 1`, whatever lies vacant in between.
+///
+/// Keys need not arrive in order: inserting above the window extends it with
+/// vacant slots, and so does inserting *below* its front (answers come back
+/// out of ticket order). A key outside the window simply reads as absent.
+///
+/// ```
+/// use dcn_collections::{EntityKey, SlidingMap};
+/// # #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// # struct Id(u32);
+/// # impl EntityKey for Id {
+/// #     fn index(self) -> usize { self.0 as usize }
+/// #     fn from_index(index: usize) -> Self { Id(index as u32) }
+/// # }
+/// let mut m: SlidingMap<Id, &str> = SlidingMap::new();
+/// m.insert(Id(1_000_001), "b");
+/// m.insert(Id(1_000_000), "a"); // below the front
+/// m.insert(Id(1_000_003), "d");
+/// assert_eq!((m.len(), m.span()), (3, 4));
+/// assert_eq!(m.remove(Id(1_000_000)), Some("a"));
+/// assert_eq!(m.remove(Id(1_000_001)), Some("b"));
+/// // The window slid up to the one live key; the rest reads as absent.
+/// assert_eq!((m.len(), m.span()), (1, 1));
+/// assert_eq!(m.get(Id(1_000_000)), None);
+/// assert_eq!(m.get(Id(1_000_003)), Some(&"d"));
+/// ```
+pub struct SlidingMap<K, V> {
+    /// `slots[i]` belongs to key index `base + i`. Unless the deque is empty
+    /// its front and back slots are occupied.
+    slots: VecDeque<Option<V>>,
+    base: usize,
+    len: usize,
+    _key: PhantomData<K>,
+}
+
+impl<K: EntityKey, V> SlidingMap<K, V> {
+    /// Creates an empty map.
+    pub fn new() -> Self {
+        SlidingMap {
+            slots: VecDeque::new(),
+            base: 0,
+            len: 0,
+            _key: PhantomData,
+        }
+    }
+
+    /// Number of occupied entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` when no entry is occupied.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Width of the window, in slots: `newest − oldest + 1` over the occupied
+    /// keys, 0 when empty. This — not the largest key — is what the map's
+    /// memory is proportional to.
+    pub fn span(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Removes every entry, keeping the allocation. The next insert starts a
+    /// new window at its own key, however far from the old one.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.len = 0;
+    }
+
+    #[inline]
+    fn offset(&self, key: K) -> Option<usize> {
+        key.index().checked_sub(self.base)
+    }
+
+    /// Shared access to the value at `key`.
+    #[inline]
+    pub fn get(&self, key: K) -> Option<&V> {
+        self.slots.get(self.offset(key)?)?.as_ref()
+    }
+
+    /// Exclusive access to the value at `key`.
+    #[inline]
+    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
+        let offset = self.offset(key)?;
+        self.slots.get_mut(offset)?.as_mut()
+    }
+
+    /// Inserts `value` at `key`, returning the previous value if the slot
+    /// was occupied. A key outside the window widens it to reach the key
+    /// (cost proportional to the gap).
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let index = key.index();
+        if self.slots.is_empty() {
+            self.base = index;
+        }
+        if index < self.base {
+            let gap = self.base - index;
+            self.slots.reserve(gap);
+            for _ in 0..gap {
+                self.slots.push_front(None);
+            }
+            self.base = index;
+        }
+        let offset = index - self.base;
+        if offset >= self.slots.len() {
+            self.slots.resize_with(offset + 1, || None);
+        }
+        let old = self.slots[offset].replace(value);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
+    }
+
+    /// Removes and returns the value at `key`, then drops the vacant slots
+    /// at both ends of the window.
+    pub fn remove(&mut self, key: K) -> Option<V> {
+        let offset = self.offset(key)?;
+        let old = self.slots.get_mut(offset)?.take()?;
+        self.len -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while let Some(None) = self.slots.back() {
+            self.slots.pop_back();
+        }
+        Some(old)
+    }
+
+    /// Iterates over `(key, &value)` pairs in ascending index order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|v| (K::from_index(self.base + i), v)))
+    }
+}
+
+impl<K: EntityKey, V> Default for SlidingMap<K, V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: EntityKey + fmt::Debug, V: fmt::Debug> fmt::Debug for SlidingMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}

@@ -1,0 +1,141 @@
+//! Seeded case-loop property test: a [`SlidingMap`] must hold exactly what a
+//! `BTreeMap<usize, V>` holds — same contents, same ascending iteration —
+//! while its window (`span`) covers exactly the live keys, under the access
+//! patterns of its two clients: ids issued in sequence with entries removed
+//! in any order (the agent table), and inserts that arrive out of order and
+//! below the window's front (the ledger index under asynchronous answers).
+
+use dcn_collections::{EntityKey, SlidingMap};
+use dcn_rng::{DetRng, Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Id(usize);
+
+impl EntityKey for Id {
+    fn index(self) -> usize {
+        self.0
+    }
+    fn from_index(index: usize) -> Self {
+        Id(index)
+    }
+}
+
+/// Compares every observable of the map against the model, the window law
+/// included: `span == newest − oldest live + 1`.
+fn assert_matches_model(map: &SlidingMap<Id, u64>, model: &BTreeMap<usize, u64>) {
+    assert_eq!(map.len(), model.len());
+    assert_eq!(map.is_empty(), model.is_empty());
+    let got: Vec<(usize, u64)> = map.iter().map(|(k, &v)| (k.index(), v)).collect();
+    let want: Vec<(usize, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(got, want);
+    let span = match (model.keys().next(), model.keys().next_back()) {
+        (Some(oldest), Some(newest)) => newest - oldest + 1,
+        _ => 0,
+    };
+    assert_eq!(map.span(), span);
+}
+
+#[test]
+fn sliding_map_matches_a_btreemap_model() {
+    for case in 0..300u64 {
+        let mut rng = DetRng::seed_from_u64(0x511d_0000 + case);
+        // Keys are drawn from a band that drifts upwards, like ids in flight
+        // below a counter; `reach` is how far out of order they may arrive.
+        let reach = 1 + rng.gen_range(0usize..40);
+        let mut newest = rng.gen_range(0usize..1_000_000);
+        let mut map: SlidingMap<Id, u64> = SlidingMap::new();
+        let mut model: BTreeMap<usize, u64> = BTreeMap::new();
+        let ops = rng.gen_range(40usize..240);
+        for op in 0..ops {
+            newest += rng.gen_range(0usize..3);
+            let key = newest.saturating_sub(rng.gen_range(0usize..reach));
+            match rng.gen_range(0u32..100) {
+                // In-order, out-of-order and below-the-front inserts alike.
+                0..=39 => {
+                    let value = rng.gen::<u64>();
+                    assert_eq!(map.insert(Id(key), value), model.insert(key, value));
+                }
+                // Removal of a random band key, or of a random live key so
+                // that every position (front, back, middle) is hit.
+                40..=59 => {
+                    assert_eq!(map.remove(Id(key)), model.remove(&key));
+                }
+                60..=79 => {
+                    if !model.is_empty() {
+                        let nth = rng.gen_range(0usize..model.len());
+                        let victim = *model.keys().nth(nth).unwrap();
+                        assert_eq!(map.remove(Id(victim)), model.remove(&victim));
+                    }
+                }
+                80..=92 => {
+                    assert_eq!(map.get(Id(key)), model.get(&key));
+                    // Far below and far above the window read as absent.
+                    assert_eq!(map.get(Id(key / 2)), model.get(&(key / 2)));
+                    assert_eq!(map.get(Id(key + 10 * reach)), None);
+                }
+                93..=97 => {
+                    if let (Some(v), Some(w)) = (map.get_mut(Id(key)), model.get_mut(&key)) {
+                        *v = v.wrapping_add(op as u64);
+                        *w = w.wrapping_add(op as u64);
+                    }
+                }
+                _ => {
+                    map.clear();
+                    model.clear();
+                }
+            }
+            assert_matches_model(&map, &model);
+        }
+    }
+}
+
+#[test]
+fn the_window_follows_sequential_ids_with_short_lives() {
+    // The agent-table pattern: ids 0, 1, 2, … each removed a few inserts
+    // later. The span stays at the number in flight however far the ids run.
+    let mut map: SlidingMap<Id, u64> = SlidingMap::new();
+    for id in 0..100_000usize {
+        map.insert(Id(id), id as u64);
+        if id >= 8 {
+            assert_eq!(map.remove(Id(id - 8)), Some(id as u64 - 8));
+        }
+        assert!(map.span() <= 9, "span {} at id {id}", map.span());
+    }
+    assert_eq!(map.len(), 8);
+    // One straggler pins the window; removing it collapses the window.
+    map.insert(Id(200_000), 1);
+    assert_eq!(map.span(), 200_000 - 99_992 + 1);
+    for id in 99_992..100_000 {
+        map.remove(Id(id));
+    }
+    assert_eq!((map.len(), map.span()), (1, 1));
+}
+
+#[test]
+fn emptying_and_refilling_starts_a_fresh_window() {
+    let mut map: SlidingMap<Id, u64> = SlidingMap::new();
+    for k in 10..20usize {
+        map.insert(Id(k), k as u64);
+    }
+    for k in (10..20usize).rev() {
+        assert_eq!(map.remove(Id(k)), Some(k as u64));
+    }
+    assert_eq!((map.len(), map.span()), (0, 0));
+    // Refill far above, then far below where the old window was: neither
+    // costs the distance to it.
+    map.insert(Id(5_000_000), 1);
+    assert_eq!(map.span(), 1);
+    assert_eq!(map.remove(Id(5_000_000)), Some(1));
+    map.insert(Id(3), 2);
+    map.insert(Id(1), 3);
+    assert_eq!((map.len(), map.span()), (2, 3));
+    assert_eq!(map.get(Id(2)), None);
+    assert_eq!(map.get(Id(0)), None);
+    // `clear` is the same base jump without the removals.
+    map.clear();
+    assert_eq!((map.len(), map.span()), (0, 0));
+    map.insert(Id(9_000_000), 4);
+    assert_eq!((map.len(), map.span()), (1, 1));
+    assert_eq!(map.get(Id(9_000_000)), Some(&4));
+}

@@ -253,11 +253,20 @@ pub trait Controller {
     fn drain_events(&mut self) -> Vec<ControllerEvent>;
 
     /// All resolved requests so far, in answer order (grants, rejects and
-    /// refusals alike), with submit/answer virtual times.
+    /// refusals alike), with submit/answer virtual times — less what
+    /// [`Controller::trim_records`] dropped.
     fn records(&self) -> &[RequestRecord];
 
-    /// The record of a specific ticket, if it has been answered.
+    /// The record of a specific ticket, if it has been answered (and not
+    /// trimmed since).
     fn record(&self, id: RequestId) -> Option<&RequestRecord>;
+
+    /// Forgets all but the newest `keep` answers (see
+    /// [`RequestLedger::trim`]): a driver that runs without end bounds the
+    /// history with this; one that reads the whole history back — every
+    /// sweep and experiment — never calls it. Counters, events and the tree
+    /// are unaffected.
+    fn trim_records(&mut self, keep: usize);
 
     /// The outcome of a specific ticket, if it has been answered.
     fn outcome(&self, id: RequestId) -> Option<Outcome> {
@@ -373,6 +382,10 @@ impl<T: SyncController> Controller for T {
 
     fn record(&self, id: RequestId) -> Option<&RequestRecord> {
         self.ledger().get(id)
+    }
+
+    fn trim_records(&mut self, keep: usize) {
+        self.ledger_mut().trim(keep);
     }
 
     fn granted(&self) -> u64 {

@@ -33,15 +33,19 @@ pub struct RequestAgent {
     pub id: RequestId,
     /// What the request asks permission for.
     pub kind: RequestKind,
+    /// Simulated time at which the request arrives at its origin; the agent
+    /// carries it into the answer's record.
+    pub submitted_at: u64,
     pub(crate) phase: Phase,
 }
 
 impl RequestAgent {
-    /// Creates the agent for a freshly arrived request.
-    pub fn new(id: RequestId, kind: RequestKind) -> Self {
+    /// Creates the agent for a request arriving at `submitted_at`.
+    pub fn new(id: RequestId, kind: RequestKind, submitted_at: u64) -> Self {
         RequestAgent {
             id,
             kind,
+            submitted_at,
             phase: Phase::Start,
         }
     }
@@ -66,8 +70,9 @@ mod tests {
 
     #[test]
     fn new_request_agents_start_in_start_phase() {
-        let a = RequestAgent::new(RequestId(3), RequestKind::AddLeaf);
+        let a = RequestAgent::new(RequestId(3), RequestKind::AddLeaf, 17);
         assert_eq!(a.phase, Phase::Start);
         assert_eq!(a.id, RequestId(3));
+        assert_eq!(a.submitted_at, 17);
     }
 }

@@ -10,7 +10,6 @@ use crate::params::Params;
 use crate::request::{check_request, RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;
 use crate::ControllerError;
-use dcn_collections::SecondaryMap;
 use dcn_simnet::{DynamicTree, Metrics, NodeId, SimConfig, Simulator};
 
 /// The distributed (M, W)-Controller over a simulated asynchronous network,
@@ -45,10 +44,6 @@ use dcn_simnet::{DynamicTree, Metrics, NodeId, SimConfig, Simulator};
 pub struct DistributedController {
     sim: Simulator<ControllerProtocol>,
     ledger: RequestLedger,
-    /// Virtual arrival time per in-flight ticket, consumed when the answer is
-    /// collected (the protocol only knows the answer time). Ticket ids are
-    /// issued densely from 0, so the map is index-keyed.
-    submit_times: SecondaryMap<RequestId, u64>,
     m: u64,
     w: u64,
 }
@@ -102,7 +97,6 @@ impl DistributedController {
         Ok(DistributedController {
             sim,
             ledger: RequestLedger::new(),
-            submit_times: SecondaryMap::new(),
             m,
             w,
         })
@@ -194,17 +188,14 @@ impl DistributedController {
     ) -> Result<RequestId, ControllerError> {
         check_request(self.sim.tree(), at, kind)?;
         let id = self.ledger.issue();
-        self.submit_times.insert(id, self.sim.time() + delay);
-        let agent = CtrlAgent::Request(RequestAgent::new(id, kind));
+        let agent = CtrlAgent::Request(RequestAgent::new(id, kind, self.sim.time() + delay));
         self.sim.create_agent_delayed(at, agent, delay)?;
         Ok(id)
     }
 
-    /// Moves the simulator's freshly produced answers into the ledger,
-    /// stamping their submit times.
+    /// Moves the simulator's freshly produced answers into the ledger.
     fn collect_answers(&mut self) {
-        for mut record in self.sim.drain_outputs() {
-            record.submitted_at = self.submit_times.remove(record.id).unwrap_or(0);
+        for record in self.sim.drain_outputs() {
             self.ledger.push(record);
         }
     }
@@ -277,6 +268,10 @@ impl Controller for DistributedController {
 
     fn record(&self, id: RequestId) -> Option<&RequestRecord> {
         self.ledger.get(id)
+    }
+
+    fn trim_records(&mut self, keep: usize) {
+        self.ledger.trim(keep);
     }
 
     fn granted(&self) -> u64 {

@@ -331,6 +331,10 @@ impl Controller for AdaptiveDistributedController {
         self.ledger.get(id)
     }
 
+    fn trim_records(&mut self, keep: usize) {
+        self.ledger.trim(keep);
+    }
+
     /// Permits granted so far (all epochs).
     fn granted(&self) -> u64 {
         self.granted_retired + self.granted_live()

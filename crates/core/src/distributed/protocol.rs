@@ -308,9 +308,7 @@ impl ControllerProtocol {
                 serial,
                 new_node: None,
             },
-            // The driver stamps the real submit time when it collects the
-            // answer; the protocol only knows the answer instant.
-            submitted_at: 0,
+            submitted_at: agent.submitted_at,
             answered_at: ctx.time(),
         };
         ctx.emit(record);
@@ -352,9 +350,7 @@ impl ControllerProtocol {
             origin: ctx.origin(),
             kind: agent.kind,
             outcome: Outcome::Rejected,
-            // The driver stamps the real submit time when it collects the
-            // answer; the protocol only knows the answer instant.
-            submitted_at: 0,
+            submitted_at: agent.submitted_at,
             answered_at: ctx.time(),
         };
         ctx.emit(record);

@@ -18,10 +18,15 @@
 //!   the §5 iteration driver) answer later on a simulated clock and
 //!   [`RequestLedger::push`] a finished record carrying its own
 //!   `submitted_at` / `answered_at`.
+//!
+//! The history is complete unless the owner asks otherwise: a process that
+//! serves requests without end calls [`RequestLedger::trim`] to keep only the
+//! newest answers, and the by-ticket index — a window over the ticket ids of
+//! the retained records — shrinks with it.
 
 use crate::api::ControllerEvent;
 use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
-use dcn_collections::SecondaryMap;
+use dcn_collections::SlidingMap;
 use dcn_tree::NodeId;
 
 /// Ticket issuing, event buffering and request history for one controller.
@@ -46,9 +51,14 @@ pub struct RequestLedger {
     next_id: u64,
     events: Vec<ControllerEvent>,
     records: Vec<RequestRecord>,
-    /// Ticket → position in `records`, as `u32`: half the slot of a `usize`
-    /// on the one table that has an entry per request ever answered.
-    index: SecondaryMap<RequestId, u32>,
+    /// Number of records [`RequestLedger::trim`] has dropped from the front
+    /// of `records`; only ever grows.
+    trimmed: u64,
+    /// Ticket → the record's number in answer order, counted from the
+    /// ledger's first answer: it sits at `records[number − trimmed]`, so a
+    /// trim moves no entry. Tickets are answered roughly in the order they
+    /// were issued, which makes the retained ones a window of ids.
+    index: SlidingMap<RequestId, u64>,
 }
 
 impl RequestLedger {
@@ -93,10 +103,23 @@ impl RequestLedger {
     /// [`ControllerEvent::Refused`].
     pub fn push(&mut self, record: RequestRecord) {
         ControllerEvent::push_for_record(&record, &mut self.events);
-        // lint: allow(unwrap) 2^32 records are 256 GiB of `RequestRecord`s
-        let position = u32::try_from(self.records.len()).expect("fewer than 2^32 records");
-        self.index.insert(record.id, position);
+        let number = self.trimmed + self.records.len() as u64;
+        self.index.insert(record.id, number);
         self.records.push(record);
+    }
+
+    /// Forgets all but the newest `keep` answers: the older records leave
+    /// [`RequestLedger::records`] and their tickets read as unanswered from
+    /// then on ([`RequestLedger::get`] is `None`). Tickets, counters and
+    /// buffered events are untouched. Costs a move of the `keep` retained
+    /// records, so a caller that trims as it goes lets the history reach a
+    /// multiple of `keep` between calls.
+    pub fn trim(&mut self, keep: usize) {
+        let excess = self.records.len().saturating_sub(keep);
+        for record in self.records.drain(..excess) {
+            self.index.remove(record.id);
+        }
+        self.trimmed += excess as u64;
     }
 
     /// Issues a ticket and records a refusal in one step (the path taken when
@@ -113,7 +136,8 @@ impl RequestLedger {
         std::mem::take(&mut self.events)
     }
 
-    /// All answers recorded so far, in answer order.
+    /// The answers recorded so far (and not trimmed or taken since), in
+    /// answer order.
     pub fn records(&self) -> &[RequestRecord] {
         &self.records
     }
@@ -124,21 +148,17 @@ impl RequestLedger {
     /// controller's answers out to re-key them under the outer tickets, so
     /// nothing is held twice.
     pub fn take_records(&mut self) -> Vec<RequestRecord> {
-        let records = std::mem::take(&mut self.records);
-        // Entry by entry, not `clear()`: that would truncate the dense map
-        // and make the next insert re-grow it up to the newest ticket id —
-        // O(tickets so far) per take on a long-lived inner controller.
-        for record in &records {
-            self.index.remove(record.id);
-        }
+        self.index.clear();
         self.events.clear();
-        records
+        std::mem::take(&mut self.records)
     }
 
     /// The record of a specific request, if it has been answered (and not
-    /// moved out by [`RequestLedger::take_records`]).
+    /// dropped by [`RequestLedger::trim`] or moved out by
+    /// [`RequestLedger::take_records`]).
     pub fn get(&self, id: RequestId) -> Option<&RequestRecord> {
-        self.index.get(id).map(|&i| &self.records[i as usize])
+        let number = *self.index.get(id)?;
+        Some(&self.records[(number - self.trimmed) as usize])
     }
 
     /// The outcome of a specific request, if it has been answered.
@@ -150,6 +170,29 @@ impl RequestLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RequestLedger {
+        /// A ledger that has already answered and trimmed `trimmed` requests
+        /// — a week of serving in one line.
+        fn with_trimmed(trimmed: u64) -> Self {
+            RequestLedger {
+                next_id: trimmed,
+                trimmed,
+                ..RequestLedger::default()
+            }
+        }
+    }
+
+    fn rejected(id: RequestId, answered_at: u64) -> RequestRecord {
+        RequestRecord {
+            id,
+            origin: NodeId::from_index(0),
+            kind: RequestKind::NonTopological,
+            outcome: Outcome::Rejected,
+            submitted_at: 0,
+            answered_at,
+        }
+    }
 
     #[test]
     fn tickets_are_sequential_and_tick_the_clock() {
@@ -227,5 +270,69 @@ mod tests {
         assert!(ledger.drain_events().is_empty());
         // Tickets keep counting: a taken history never reissues an id.
         assert_eq!(ledger.issue(), RequestId(1));
+    }
+
+    #[test]
+    fn trim_keeps_lookups_right_under_out_of_order_answers() {
+        let mut ledger = RequestLedger::new();
+        let ids: Vec<RequestId> = (0..12).map(|_| ledger.issue()).collect();
+        // Answered in an order that is neither ticket order nor its reverse;
+        // ticket 11 stays in flight.
+        let order = [3, 0, 1, 7, 2, 5, 4, 10, 6, 9, 8];
+        for (at, &t) in order.iter().enumerate() {
+            ledger.push(rejected(ids[t], at as u64));
+        }
+        ledger.trim(4);
+        assert_eq!(ledger.records().len(), 4);
+        for (at, &t) in order.iter().enumerate() {
+            let got = ledger.get(ids[t]).map(|r| (r.id, r.answered_at));
+            if at < order.len() - 4 {
+                assert_eq!(got, None, "ticket {t} was trimmed");
+            } else {
+                assert_eq!(got, Some((ids[t], at as u64)), "ticket {t} is retained");
+            }
+        }
+        // In flight and never issued: no record before or after.
+        assert_eq!(ledger.get(ids[11]), None);
+        assert_eq!(ledger.get(RequestId(12)), None);
+        assert_eq!(ledger.get(RequestId(u64::MAX)), None);
+        // A ticket below every retained one is answered late: it is inserted
+        // below the index window's front and found.
+        ledger.push(rejected(ids[11], 99));
+        ledger.trim(2);
+        assert_eq!(ledger.get(ids[11]).map(|r| r.answered_at), Some(99));
+        assert_eq!(ledger.get(ids[8]).map(|r| r.answered_at), Some(10));
+        assert_eq!(ledger.get(ids[9]), None);
+        // Trimming to more than is held, or again, changes nothing; events
+        // and the ticket counter never noticed.
+        ledger.trim(2);
+        ledger.trim(100);
+        assert_eq!(ledger.records().len(), 2);
+        assert_eq!(ledger.drain_events().len(), 12);
+        assert_eq!(ledger.issue(), RequestId(12));
+        ledger.trim(0);
+        assert!(ledger.records().is_empty());
+        assert_eq!(ledger.get(ids[11]), None);
+    }
+
+    #[test]
+    fn record_numbers_do_not_overflow_past_u32() {
+        let mut ledger = RequestLedger::with_trimmed(u64::from(u32::MAX) + 7);
+        let ids: Vec<RequestId> = (0..6).map(|_| ledger.issue()).collect();
+        assert_eq!(ids[0], RequestId(u64::from(u32::MAX) + 7));
+        for (at, &id) in ids.iter().enumerate() {
+            ledger.push(rejected(id, at as u64));
+        }
+        ledger.trim(3);
+        assert_eq!(ledger.get(ids[2]), None);
+        for (at, &id) in ids.iter().enumerate().skip(3) {
+            assert_eq!(ledger.get(id).map(|r| r.answered_at), Some(at as u64));
+        }
+        // Taking the history and answering on keeps the numbering sound.
+        assert_eq!(ledger.take_records().len(), 3);
+        let late = ledger.issue();
+        ledger.push(rejected(late, 50));
+        assert_eq!(ledger.get(late).map(|r| r.answered_at), Some(50));
+        assert_eq!(ledger.get(ids[5]), None);
     }
 }

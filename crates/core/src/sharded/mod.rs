@@ -583,6 +583,10 @@ impl Controller for ShardedController {
         self.ledger.get(id)
     }
 
+    fn trim_records(&mut self, keep: usize) {
+        self.ledger.trim(keep);
+    }
+
     fn granted(&self) -> u64 {
         self.granted_total
     }

@@ -27,6 +27,13 @@ use dcn_simnet::SimConfig;
 use dcn_tree::NodeId;
 use dcn_workload::{build_tree, ControllerSpec, Family, TreeShape};
 
+/// How many of the newest answers the served controller keeps: `poll` finds a
+/// ticket's outcome while it is among them and answers `expired-ticket` once
+/// it is not, so this bounds only how long a client that does *not*
+/// `subscribe` may wait before polling — 256 × the per-connection in-flight
+/// cap. A served process's memory follows this window, not its request count.
+pub(crate) const ANSWER_WINDOW: usize = 65_536;
+
 /// Identifies one client connection for the engine's routing tables. The
 /// transport allocates these (monotonically, starting at 1).
 pub type ClientId = u64;
@@ -141,8 +148,11 @@ pub struct EngineCore {
     /// event. `poll` reads `pending` while a ticket is here — even when the
     /// controller resolved it inside `submit` — and the controller's own
     /// record once it is not: that record is the only per-request state the
-    /// engine leaves behind.
+    /// engine leaves behind, and only for the newest `ANSWER_WINDOW` answers.
     route: FxHashMap<u64, (ClientId, Option<u64>)>,
+    /// One past the highest ticket issued: what tells a ticket whose answer
+    /// was trimmed from one that never existed.
+    tickets_end: u64,
     submitted: u64,
     refused: u64,
     protocol_errors: u64,
@@ -198,6 +208,7 @@ impl EngineCore {
             config,
             clients: FxHashMap::default(),
             route: FxHashMap::default(),
+            tickets_end: 0,
             submitted: 0,
             refused: 0,
             protocol_errors: 0,
@@ -325,11 +336,12 @@ impl EngineCore {
                     protocol::outcome_frame(ticket, &wire_outcome(record))
                 } else {
                     self.protocol_errors += 1;
-                    protocol::error_frame(
-                        "unknown-ticket",
-                        &format!("ticket {ticket} was never issued"),
-                        None,
-                    )
+                    let (code, detail) = if ticket < self.tickets_end {
+                        ("expired-ticket", "was answered too long ago")
+                    } else {
+                        ("unknown-ticket", "was never issued")
+                    };
+                    protocol::error_frame(code, &format!("ticket {ticket} {detail}"), None)
                 };
                 out.push((client, reply));
             }
@@ -443,6 +455,7 @@ impl EngineCore {
                 // The new ticket's answer (and, for synchronous families,
                 // its already-queued events) is work for the next pump.
                 self.quiescent = false;
+                self.tickets_end = self.tickets_end.max(id.0 + 1);
                 self.route.insert(id.0, (client, s.tag));
                 out.push((client, protocol::ticket_frame(id.0, s.tag)));
             }
@@ -476,7 +489,9 @@ impl EngineCore {
     /// Advances the controller by one bounded step slice and routes every
     /// drained event to its submitting client (streamed only to subscribed
     /// connections; `poll` sees the same outcome either way), dropping each
-    /// ticket's routing entry with its last event. Returns `true` while
+    /// ticket's routing entry with its last event, then lets the controller
+    /// forget all but its newest answers (65 536 of them, `ANSWER_WINDOW`;
+    /// an older ticket polls as `expired-ticket`). Returns `true` while
     /// there is more in-flight work.
     ///
     /// A step error is final: the engine keeps it
@@ -539,6 +554,11 @@ impl EngineCore {
                 }
             };
             out.push((client, frame));
+        }
+        // Trimming moves the retained records, so it waits until as many
+        // again have piled up: amortised O(1) per answer.
+        if self.ctrl.records().len() >= 2 * ANSWER_WINDOW {
+            self.ctrl.trim_records(ANSWER_WINDOW);
         }
         !self.quiescent
     }

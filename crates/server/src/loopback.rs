@@ -135,6 +135,7 @@ impl Loopback {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ANSWER_WINDOW;
     use dcn_controller::{
         Controller, ControllerEvent, ControllerMetrics, RequestId, RequestKind, RequestLedger,
         RequestRecord,
@@ -173,6 +174,9 @@ mod tests {
         }
         fn record(&self, id: RequestId) -> Option<&RequestRecord> {
             self.ledger.get(id)
+        }
+        fn trim_records(&mut self, keep: usize) {
+            self.ledger.trim(keep);
         }
         fn granted(&self) -> u64 {
             0
@@ -263,5 +267,66 @@ mod tests {
         );
         assert_eq!(frames[3], r#"{"ok": "shutting-down"}"#);
         assert!(lb.engine().is_shutting_down());
+    }
+
+    /// A served process remembers the newest answers, not all of them: the
+    /// history is cut back to `ANSWER_WINDOW` whenever it reaches twice
+    /// that, and `poll` tells a forgotten ticket from one that never was.
+    #[test]
+    fn the_history_stays_within_the_answer_window() {
+        let mut lb = Loopback::new(ServeConfig::new(Family::Centralized, 1 << 20, 8)).unwrap();
+        let c = lb.connect();
+        lb.send(c, r#"{"op": "hello", "proto": 1}"#);
+        let batch = format!(
+            r#"{{"op": "batch", "requests": [{}]}}"#,
+            vec![r#"{"kind": "event", "node": 1}"#; 128].join(", ")
+        );
+        let total = 3 * ANSWER_WINDOW;
+        for _ in 0..total / 128 {
+            lb.send(c, &batch);
+            lb.run_to_quiescence();
+            assert!(lb.engine().controller().records().len() <= 2 * ANSWER_WINDOW);
+        }
+        assert_eq!(lb.recv(c).len(), 1 + total);
+        assert_eq!(lb.engine().controller().granted(), total as u64);
+        let kept = lb.engine().controller().records().len();
+        assert!(
+            (ANSWER_WINDOW..=2 * ANSWER_WINDOW).contains(&kept),
+            "{kept}"
+        );
+        assert_eq!(lb.engine().in_flight(), 0);
+
+        let newest = total as u64 - 1;
+        for ticket in [newest, newest + 1 - kept as u64, 0, newest - kept as u64] {
+            lb.send(c, &format!(r#"{{"op": "poll", "ticket": {ticket}}}"#));
+        }
+        lb.send(c, r#"{"op": "poll", "ticket": 18446744073709551615}"#);
+        lb.send(c, &format!(r#"{{"op": "poll", "ticket": {total}}}"#));
+        lb.send(c, r#"{"op": "stats"}"#);
+        let frames = lb.recv(c);
+        let granted = |ticket: u64| {
+            format!(
+                r#"{{"ok": "outcome", "ticket": {ticket}, "status": "granted", "at": {}, "kind": "event"}}"#,
+                ticket + 1
+            )
+        };
+        assert_eq!(frames[0], granted(newest));
+        assert_eq!(frames[1], granted(newest + 1 - kept as u64));
+        assert_eq!(
+            frames[2],
+            r#"{"error": "expired-ticket", "detail": "ticket 0 was answered too long ago"}"#
+        );
+        assert!(frames[3].contains("expired-ticket"), "{}", frames[3]);
+        assert_eq!(
+            frames[4],
+            r#"{"error": "unknown-ticket", "detail": "ticket 18446744073709551615 was never issued"}"#
+        );
+        assert!(frames[5].contains("unknown-ticket"), "{}", frames[5]);
+        // Both codes count as protocol errors, like `unknown-ticket` always did.
+        assert!(
+            frames[6].contains(r#""protocol_errors": 4,"#),
+            "{}",
+            frames[6]
+        );
     }
 }

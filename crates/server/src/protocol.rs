@@ -118,7 +118,11 @@ pub enum ClientFrame {
     /// validated as a whole: one malformed element (or an empty or oversized
     /// array) rejects the entire batch and enqueues nothing.
     Batch(Vec<Submission>),
-    /// `{"op":"poll", "ticket"}` — ask for a ticket's current outcome.
+    /// `{"op":"poll", "ticket"}` — ask for a ticket's current outcome:
+    /// `pending` until its last event has been delivered, then the answer.
+    /// The server keeps a window of its newest answers (DESIGN.md §9,
+    /// "Per-request state"); a ticket answered longer ago gets an
+    /// `expired-ticket` error, one that was never issued `unknown-ticket`.
     Poll {
         /// The ticket to look up.
         ticket: u64,

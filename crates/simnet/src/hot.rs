@@ -3,21 +3,24 @@
 //! PR 5 moved per-entity state out of hashed maps into dense
 //! `SecondaryMap`s; this module goes one step further and fuses the four
 //! parallel maps (whiteboards / node taxi / ports, and the agent table) into
-//! two struct-of-arrays containers with a **single liveness discriminator**
-//! each: a node exists iff its whiteboard slot is `Some`, an agent is
-//! resident iff its state slot is `Some`. One `Activate` then pays one
-//! presence check and direct indexing into plain `Vec`s, instead of four
-//! separate `Vec<Option<_>>` probes with four redundant discriminants.
+//! two containers with a **single liveness discriminator** each: a node
+//! exists iff its whiteboard slot is `Some`, an agent is live iff it has a
+//! slot. One `Activate` then pays one presence check per entity and direct
+//! indexing, instead of four separate `Vec<Option<_>>` probes with four
+//! redundant discriminants.
 //!
-//! Entity ids (`NodeId`, `AgentId`) are arena-dense and never reused, so
-//! slots are written once and the arrays grow with `total_created` — the
-//! same memory law the `SecondaryMap`s had.
+//! Entity ids (`NodeId`, `AgentId`) are arena-dense and never reused. A
+//! node's slots are written once and the node arrays (struct-of-arrays)
+//! grow with `total_created`, the tree arena's own memory law; agents come
+//! and go by the million, so the agent table keeps one slot (program state
+//! and taxi counters together) for each live one only, in a [`SlidingMap`]
+//! window over their ids.
 
 use crate::ports::PortMap;
 use crate::protocol::AgentId;
 use crate::taxi::{AgentTaxi, NodeTaxi};
 use crate::NodeId;
-use dcn_collections::EntityKey;
+use dcn_collections::SlidingMap;
 
 /// Per-node hot state: parallel arrays indexed by the node's arena index.
 /// The whiteboard slot doubles as the liveness discriminator — `taxi` and
@@ -126,69 +129,65 @@ impl<W> HotNodeState<W> {
     }
 }
 
-/// The agent table: agent program state and taxi counters in parallel
-/// arrays indexed by the agent's id. Ids are handed out sequentially by
-/// [`AgentTable::create`], so the state slot's index *is* the id.
+/// One live agent: its program state and its taxi counters.
+pub(crate) struct AgentSlot<A> {
+    pub state: A,
+    pub taxi: AgentTaxi,
+}
+
+/// The agent table: one slot per *live* agent, in a window over the agent
+/// ids. Ids are handed out sequentially by [`AgentTable::create`] and never
+/// reused, and agents are short-lived, so the live ones are a narrow band
+/// below the newest id and the table's memory follows them. One agent that
+/// waits (queued behind a lock) while newer ones come and go pins the window
+/// until it terminates — a span liveness bounds.
 ///
-/// During an activation the agent's program state is moved out
-/// ([`AgentTable::take_state`]) and handed to the protocol by value, then
-/// moved back in (or dropped on termination); the taxi counters always stay
-/// in the table and are mutated in place. `len()` therefore counts agents
-/// *excluding* one whose state is currently checked out.
+/// An activation works on the slot in place ([`AgentTable::get_mut`]); the
+/// slot lives until the simulator drops it ([`AgentTable::retire`]) at the
+/// end of the agent's last activation.
 pub(crate) struct AgentTable<A> {
-    states: Vec<Option<A>>,
-    taxi: Vec<AgentTaxi>,
-    live: usize,
+    slots: SlidingMap<AgentId, AgentSlot<A>>,
+    next_id: u64,
 }
 
 impl<A> AgentTable<A> {
     pub fn new() -> Self {
         AgentTable {
-            states: Vec::new(),
-            taxi: Vec::new(),
-            live: 0,
+            slots: SlidingMap::new(),
+            next_id: 0,
         }
     }
 
-    /// Number of agents currently resident (state present).
+    /// Number of live agents.
     pub fn len(&self) -> usize {
-        self.live
+        self.slots.len()
+    }
+
+    /// Width of the id window the table currently holds slots for.
+    #[cfg(test)]
+    pub fn span(&self) -> usize {
+        self.slots.span()
     }
 
     /// Registers a new agent at `origin` and returns its (sequential) id.
     pub fn create(&mut self, state: A, origin: NodeId) -> AgentId {
-        let id = AgentId(self.states.len() as u64);
-        self.states.push(Some(state));
-        self.taxi.push(AgentTaxi::new(origin));
-        self.live += 1;
+        let id = AgentId(self.next_id);
+        self.next_id += 1;
+        let taxi = AgentTaxi::new(origin);
+        self.slots.insert(id, AgentSlot { state, taxi });
         id
     }
 
-    /// Checks the agent's program state out of the table (for an activation
-    /// or a drop). Returns `None` if the agent never existed or is already
-    /// gone.
+    /// The slot of `agent`; `None` if the agent never existed or is gone.
     #[inline]
-    pub fn take_state(&mut self, agent: AgentId) -> Option<A> {
-        let state = self.states.get_mut(agent.index())?.take();
-        if state.is_some() {
-            self.live -= 1;
-        }
-        state
+    pub fn get_mut(&mut self, agent: AgentId) -> Option<&mut AgentSlot<A>> {
+        self.slots.get_mut(agent)
     }
 
-    /// Checks a state back in after an activation.
-    #[inline]
-    pub fn put_state(&mut self, agent: AgentId, state: A) {
-        debug_assert!(self.states[agent.index()].is_none());
-        self.states[agent.index()] = Some(state);
-        self.live += 1;
-    }
-
-    /// The taxi counters of `agent`. Valid for every id ever created (taxi
-    /// state survives the state checkout).
-    #[inline]
-    pub fn taxi_mut(&mut self, agent: AgentId) -> &mut AgentTaxi {
-        &mut self.taxi[agent.index()]
+    /// Drops the slot of an agent that terminated or was dropped; the window
+    /// slides past it.
+    pub fn retire(&mut self, agent: AgentId) {
+        self.slots.remove(agent);
     }
 }
 
@@ -236,21 +235,42 @@ mod tests {
         assert_eq!(seen, vec![(n(1), &"one"), (n(3), &"three")]);
     }
 
+    /// (The name is from when an activation moved the state out of the
+    /// table and back; the "check-out" is a `get_mut` borrow now.)
     #[test]
     fn agent_states_check_out_and_back_in() {
         let mut agents: AgentTable<&str> = AgentTable::new();
         let a = agents.create("walker", n(0));
         let b = agents.create("waver", n(1));
         assert_eq!(agents.len(), 2);
-        assert_eq!(agents.take_state(a), Some("walker"));
+        let slot = agents.get_mut(a).unwrap();
+        assert_eq!((slot.state, slot.taxi.origin), ("walker", n(0)));
+        slot.state = "climber";
+        slot.taxi.hop_away(n(0), n(1));
+        let slot = agents.get_mut(a).unwrap();
+        assert_eq!((slot.state, slot.taxi.dist_from_origin), ("climber", 1));
+        agents.retire(b);
+        assert!(agents.get_mut(b).is_none());
         assert_eq!(agents.len(), 1);
-        // Taxi state survives the checkout.
-        agents.taxi_mut(a).hop_away(n(0), n(1));
-        agents.put_state(a, "walker");
-        assert_eq!(agents.len(), 2);
-        // Terminating = never putting the state back.
-        assert_eq!(agents.take_state(b), Some("waver"));
-        assert_eq!(agents.take_state(b), None);
-        assert_eq!(agents.len(), 1);
+    }
+
+    #[test]
+    fn the_agent_window_slides_past_retired_agents_and_ids_stay_sequential() {
+        let mut agents: AgentTable<u32> = AgentTable::new();
+        let parked = agents.create(0, n(0));
+        for i in 1..1000u64 {
+            let a = agents.create(i as u32, n(0));
+            assert_eq!(a.raw(), i);
+            agents.retire(a);
+            // The parked agent pins the window's front…
+            assert_eq!((agents.len(), agents.span()), (1, 1));
+        }
+        let newest = agents.create(7, n(1));
+        assert_eq!(agents.span(), 1001);
+        // …until it is retired.
+        agents.retire(parked);
+        assert_eq!(agents.span(), 1);
+        assert_eq!(agents.get_mut(newest).map(|s| s.taxi.origin), Some(n(1)));
+        assert!(agents.get_mut(parked).is_none());
     }
 }

@@ -7,7 +7,7 @@ use crate::hot::{AgentTable, HotNodeState};
 use crate::metrics::Metrics;
 use crate::ports::PortMap;
 use crate::protocol::{Action, AgentId, Effect, NodeCtx, Protocol};
-use crate::taxi::NodeTaxi;
+use crate::taxi::{AgentTaxi, NodeTaxi};
 use crate::topology::{PendingChange, TopologyChange, MAX_CHANGE_ATTEMPTS};
 use crate::{DynamicTree, NodeId};
 use dcn_rng::{DetRng, SeedableRng};
@@ -62,11 +62,10 @@ pub struct Simulator<P: Protocol> {
     /// behind a single liveness check, and every iteration over node state
     /// is index-ordered (deterministic) by construction.
     nodes: HotNodeState<P::Whiteboard>,
-    /// Agent ids are never reused, so the table grows with the number of
-    /// agents ever created — the same growth law as the tree arena under
-    /// node ids. That is the model's own memory law, and every long-running
-    /// driver (epochs, iterations) rebuilds its simulator periodically,
-    /// which resets it.
+    /// Agent ids are never reused, but the table holds slots for the live
+    /// agents only (a window over the ids), so a simulator that runs without
+    /// end — the served `distributed` family never rebuilds its own — keeps
+    /// memory for the agents in flight, not for every agent it ever made.
     agents: AgentTable<P::Agent>,
     /// Granted changes awaiting graceful application, slot-indexed by their
     /// (densely issued) `ChangeId` — a change's id is its index, so the retry
@@ -379,21 +378,19 @@ impl<P: Protocol> Simulator<P> {
         if let Some(t) = self.nodes.taxi_mut(at) {
             t.inbound = t.inbound.saturating_sub(1);
         }
-        let Some(mut state) = self.agents.take_state(agent) else {
+        let Some(slot) = self.agents.get_mut(agent) else {
             return Ok(());
         };
         if !self.tree.contains(at) {
             // The target vanished despite the quiescence gate (can only happen
             // for wave agents heading to a just-removed child); drop the agent.
             self.metrics.agents_dropped += 1;
+            self.agents.retire(agent);
             return Ok(());
         }
         self.metrics.activations += 1;
-        let (origin, dist_from_origin) = {
-            let taxi = self.agents.taxi_mut(agent);
-            taxi.location = at;
-            (taxi.origin, taxi.dist_from_origin)
-        };
+        slot.taxi.location = at;
+        let arrived_from = slot.taxi.arrived_from;
 
         let parent = self.tree.parent(at);
         // The child list is borrowed straight from the tree arena (nothing
@@ -421,27 +418,32 @@ impl<P: Protocol> Simulator<P> {
             total_created,
             time,
             agent_id: agent,
-            origin,
-            dist_from_origin,
+            origin: slot.taxi.origin,
+            dist_from_origin: slot.taxi.dist_from_origin,
             locked_by,
             whiteboard,
             effects,
         };
-        let action = protocol.on_activate(&mut ctx, &mut state);
+        let action = protocol.on_activate(&mut ctx, &mut slot.state);
         let mut effects = std::mem::take(&mut ctx.effects);
         drop(ctx);
 
-        self.apply_effects(agent, at, &mut effects);
+        self.apply_effects(agent, at, arrived_from, &mut effects);
         effects.clear();
         self.effects_scratch = effects;
-        self.apply_action(agent, at, state, action)
+        self.apply_action(agent, at, action)
     }
 
-    fn apply_effects(&mut self, agent: AgentId, at: NodeId, effects: &mut Vec<Effect<P>>) {
+    fn apply_effects(
+        &mut self,
+        agent: AgentId,
+        at: NodeId,
+        arrived_from: Option<NodeId>,
+        effects: &mut Vec<Effect<P>>,
+    ) {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Lock => {
-                    let arrived_from = self.agents.taxi_mut(agent).arrived_from;
                     let is_child = arrived_from
                         .map(|c| self.tree.parent(c) == Some(at))
                         .unwrap_or(false);
@@ -468,9 +470,8 @@ impl<P: Protocol> Simulator<P> {
                 Effect::Spawn(state) => {
                     let id = self.agents.create(state, at);
                     self.metrics.agents_created += 1;
-                    // +1 for the active agent whose state is checked out.
                     self.metrics.max_live_agents =
-                        self.metrics.max_live_agents.max(self.agents.len() + 1);
+                        self.metrics.max_live_agents.max(self.agents.len());
                     self.schedule_activation(id, at, 0);
                 }
                 Effect::Emit(output) => self.outputs.push(output),
@@ -480,13 +481,7 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    fn apply_action(
-        &mut self,
-        agent: AgentId,
-        at: NodeId,
-        state: P::Agent,
-        action: Action,
-    ) -> Result<(), SimError> {
+    fn apply_action(&mut self, agent: AgentId, at: NodeId, action: Action) -> Result<(), SimError> {
         match action {
             Action::Up => {
                 let Some(target) = self.tree.parent(at) else {
@@ -494,8 +489,7 @@ impl<P: Protocol> Simulator<P> {
                         "agent {agent} issued Up at the root"
                     )));
                 };
-                self.agents.taxi_mut(agent).hop_away(at, target);
-                self.dispatch_move(agent, state, target);
+                self.dispatch_move(agent, at, target, AgentTaxi::hop_away);
                 Ok(())
             }
             Action::Down => {
@@ -510,8 +504,7 @@ impl<P: Protocol> Simulator<P> {
                         "descent pointer of {at} references removed node {target}"
                     )));
                 }
-                self.agents.taxi_mut(agent).hop_down(at, target);
-                self.dispatch_move(agent, state, target);
+                self.dispatch_move(agent, at, target, AgentTaxi::hop_down);
                 Ok(())
             }
             Action::MoveToChild(child) => {
@@ -519,10 +512,10 @@ impl<P: Protocol> Simulator<P> {
                     // The child disappeared between the decision and the move;
                     // wave agents are simply dropped (see crate docs).
                     self.metrics.agents_dropped += 1;
+                    self.agents.retire(agent);
                     return Ok(());
                 }
-                self.agents.taxi_mut(agent).hop_away(at, child);
-                self.dispatch_move(agent, state, child);
+                self.dispatch_move(agent, at, child, AgentTaxi::hop_away);
                 Ok(())
             }
             Action::WaitForUnlock => {
@@ -531,22 +524,33 @@ impl<P: Protocol> Simulator<P> {
                     self.metrics.waits += 1;
                     self.metrics.max_queue_len = self.metrics.max_queue_len.max(t.queue.len());
                 }
-                self.agents.put_state(agent, state);
                 Ok(())
             }
             Action::Again => {
                 self.schedule_activation(agent, at, 0);
-                self.agents.put_state(agent, state);
                 Ok(())
             }
-            Action::Terminate => Ok(()),
+            Action::Terminate => {
+                self.agents.retire(agent);
+                Ok(())
+            }
         }
     }
 
-    fn dispatch_move(&mut self, agent: AgentId, state: P::Agent, target: NodeId) {
+    /// Records the hop `from → target` in the agent's taxi counters (`hop`
+    /// says in which direction) and schedules its arrival.
+    fn dispatch_move(
+        &mut self,
+        agent: AgentId,
+        from: NodeId,
+        target: NodeId,
+        hop: fn(&mut AgentTaxi, NodeId, NodeId),
+    ) {
         self.metrics.agent_hops += 1;
         let delay = self.config.delay.sample(&mut self.rng);
-        self.agents.put_state(agent, state);
+        if let Some(slot) = self.agents.get_mut(agent) {
+            hop(&mut slot.taxi, from, target);
+        }
         self.schedule_activation(agent, target, delay);
     }
 
@@ -723,5 +727,119 @@ impl<P: Protocol> fmt::Debug for Simulator<P> {
             .field("pending_changes", &self.live_changes)
             .field("metrics", &self.metrics)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The agent table's memory law, read off its window (`span`) with no
+    //! wall clock: it follows the agents in flight, not the agents ever made.
+
+    use super::*;
+    use crate::DelayModel;
+
+    /// Four agent programs that need no whiteboard.
+    #[derive(Debug)]
+    enum Walker {
+        /// Terminates at its first activation.
+        Short,
+        /// Walks to the root and terminates there.
+        Climber,
+        /// Locks the root, visits a child and comes back to unlock.
+        Holder { leg: u8 },
+        /// Waits while its node is locked, then terminates.
+        Parked,
+    }
+
+    struct Walk;
+
+    impl Protocol for Walk {
+        type Whiteboard = ();
+        type Agent = Walker;
+        type Output = ();
+
+        fn make_whiteboard(&mut self, _node: NodeId, _parent: Option<&()>) {}
+
+        fn merge_whiteboard(&mut self, _removed: (), _parent: &mut ()) -> u64 {
+            0
+        }
+
+        fn on_activate(&mut self, ctx: &mut NodeCtx<'_, Self>, agent: &mut Walker) -> Action {
+            match agent {
+                Walker::Short => Action::Terminate,
+                Walker::Climber if ctx.is_root() => Action::Terminate,
+                Walker::Climber => Action::Up,
+                Walker::Parked if ctx.is_locked() => Action::WaitForUnlock,
+                Walker::Parked => Action::Terminate,
+                Walker::Holder { leg } => {
+                    *leg += 1;
+                    match *leg {
+                        1 => {
+                            ctx.lock();
+                            Action::MoveToChild(ctx.children()[0])
+                        }
+                        2 => Action::Up,
+                        _ => {
+                            ctx.unlock();
+                            Action::Terminate
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn star() -> Simulator<Walk> {
+        let config = SimConfig::new(1).with_delay(DelayModel::Constant(1));
+        Simulator::with_tree(config, Walk, DynamicTree::with_initial_star(8))
+    }
+
+    #[test]
+    fn short_lived_agents_leave_no_slots_behind() {
+        let mut sim = star();
+        let leaves: Vec<NodeId> = sim.tree().nodes().skip(1).collect();
+        for wave in 0..500 {
+            for i in 0..10 {
+                let leaf = leaves[(wave + i) % leaves.len()];
+                sim.create_agent(leaf, Walker::Climber).unwrap();
+            }
+            // Two activations an agent: the waves overlap but do not pile up.
+            sim.run_events(20).unwrap();
+            assert!(sim.agents.span() <= sim.metrics().max_live_agents + 1);
+        }
+        sim.run_until_quiescent().unwrap();
+        assert_eq!(sim.metrics().agents_created, 5_000);
+        assert!(sim.metrics().max_live_agents <= 20);
+        assert_eq!((sim.live_agents(), sim.agents.span()), (0, 0));
+    }
+
+    #[test]
+    fn a_parked_agent_pins_the_window_until_it_terminates() {
+        let mut sim = star();
+        let root = sim.tree().root();
+        let leaf = sim.tree().nodes().nth(2).unwrap();
+        let holder = sim.create_agent(root, Walker::Holder { leg: 0 }).unwrap();
+        let parked = sim.create_agent(root, Walker::Parked).unwrap();
+        sim.run_events(2).unwrap();
+        assert_eq!(sim.locked_by(root), Some(holder));
+        assert_eq!(sim.metrics().waits, 1);
+        // A thousand agents come and go while the two are out…
+        for _ in 0..1_000 {
+            sim.create_agent(leaf, Walker::Short).unwrap();
+        }
+        assert_eq!(sim.run_events(1_000).unwrap(), 1_000);
+        // …and one more arrives after both are done.
+        let late = sim.create_agent_delayed(leaf, Walker::Short, 10).unwrap();
+        assert_eq!(late.raw() - parked.raw(), 1_001);
+        assert_eq!((sim.live_agents(), sim.agents.span()), (3, 1_003));
+        // The holder walks out, walks back, unlocks and terminates: the
+        // window's front moves up to the parked agent. That one is woken and
+        // terminates: the window collapses onto the late agent.
+        let mut spans = Vec::new();
+        while sim.step().unwrap() {
+            spans.push(sim.agents.span());
+        }
+        assert_eq!(spans, vec![1_003, 1_002, 1, 0]);
+        assert_eq!(sim.live_agents(), 0);
     }
 }
