@@ -256,7 +256,8 @@ fn random_delay(rng: &mut DetRng) -> DelayModel {
 ///   from the protocol's package log (a deposit's path is read off the tree
 ///   in the same event, while the agent still holds everything below it);
 /// * at quiescence every request is answered, safety and liveness hold, no
-///   node is locked, permits are conserved and the tree is consistent.
+///   node is locked, permits are conserved, the tree is consistent and every
+///   granted topological change has been applied (or found its target gone).
 #[test]
 fn distributed_agents_lock_in_two_phases_and_keep_the_domain_invariants() {
     let mut deposits = 0usize;
@@ -374,6 +375,25 @@ fn distributed_agents_lock_in_two_phases_and_keep_the_domain_invariants() {
             ctrl.granted() + ctrl.uncommitted_permits(),
             m,
             "case {case}: permit conservation"
+        );
+        // A granted change is applied or its target vanished, nothing in
+        // between: none is left waiting once its gate is quiescent.
+        let granted_changes = ctrl
+            .records()
+            .iter()
+            .filter(|r| r.outcome.is_granted() && r.kind.is_topological())
+            .count() as u64;
+        let sim = ctrl.sim().metrics();
+        assert_eq!(
+            sim.topology_changes_applied + sim.topology_changes_dropped,
+            granted_changes,
+            "case {case}: a granted change is neither applied nor dropped"
+        );
+        // …and waiting cost no event: one per activation, one per change.
+        assert_eq!(
+            sim.events_processed,
+            sim.activations + granted_changes,
+            "case {case}: the event law"
         );
     }
     // The cases are not vacuous: packages were deposited, and agents took

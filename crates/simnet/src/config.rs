@@ -75,12 +75,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Message delay model.
     pub delay: DelayModel,
-    /// Delay between a topological change being granted and the environment
-    /// first attempting to apply it ("after finite time", §2.1.2).
-    pub change_delay: u64,
-    /// Delay before re-attempting a graceful change whose target is still
-    /// busy (locked / queued agents / in-flight messages).
-    pub change_retry_delay: u64,
     /// Safety valve: maximum number of events processed by
     /// [`Simulator::run_until_quiescent`](crate::Simulator::run_until_quiescent)
     /// before it gives up and reports an error.
@@ -93,8 +87,6 @@ impl SimConfig {
         SimConfig {
             seed,
             delay: DelayModel::default(),
-            change_delay: 4,
-            change_retry_delay: 8,
             max_events: 50_000_000,
         }
     }

@@ -11,22 +11,21 @@
 //! `dcn-collections/tests/prop_calendar.rs`.
 
 use crate::protocol::AgentId;
+use crate::topology::TopologyChange;
 use crate::NodeId;
 use dcn_collections::CalendarQueue;
 
 /// Simulated time, in abstract units.
 pub type Time = u64;
 
-/// Identifier of a pending graceful topology change.
-pub type ChangeId = u64;
-
 /// Internal simulator events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum EventKind {
     /// An agent (created, moved or dequeued) becomes active at `at`.
     Activate { agent: AgentId, at: NodeId },
-    /// The environment attempts to apply a pending graceful topology change.
-    AttemptChange { change: ChangeId },
+    /// The environment attempts a granted topology change for the first (and
+    /// only timed) time; a refused change waits on its gate node instead.
+    AttemptChange { change: TopologyChange },
 }
 
 /// A popped event: its fire time and payload.
@@ -138,6 +137,12 @@ mod tests {
             agent: AgentId(i as u64),
             at: NodeId::from_index(0),
         }
+    }
+
+    /// Carrying the change in its event must not widen the wheel's cells.
+    #[test]
+    fn a_change_attempt_is_no_larger_than_an_activation() {
+        assert_eq!(std::mem::size_of::<EventKind>(), 16);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! * *graceful* topological changes (§4.2): a granted change is scheduled via
 //!   [`TopologyChange`] and is physically applied only when its target node is
 //!   unlocked, has no queued agents and no in-flight messages, at which point
-//!   whiteboard contents are merged into the parent. This is a concrete
-//!   implementation of the handshake-style graceful-deletion protocols the
-//!   paper leaves out of scope;
+//!   whiteboard contents are merged into the parent; until then it waits on
+//!   that node, and the activation that frees the node applies it. This is a
+//!   concrete implementation of the handshake-style graceful-deletion
+//!   protocols the paper leaves out of scope;
 //! * adversarially assigned port numbers, message accounting and a seeded
 //!   random delay model so that every experiment is reproducible and many
 //!   asynchronous schedules can be explored by sweeping the seed.

@@ -25,11 +25,10 @@ pub struct Metrics {
     /// Number of granted topological changes physically applied.
     pub topology_changes_applied: u64,
     /// Number of granted topological changes dropped because their target
-    /// vanished before they could be applied (see the crate docs on graceful
-    /// changes).
+    /// vanished before they could be applied (or never could exist: the
+    /// root's removal, an unknown non-tree edge). Nothing else drops a
+    /// change — a busy target makes it wait, see the crate docs.
     pub topology_changes_dropped: u64,
-    /// Number of deferred-change re-attempts (target still busy).
-    pub change_retries: u64,
     /// Number of agents dropped because their destination vanished (wave
     /// agents racing a concurrent removal).
     pub agents_dropped: u64,
@@ -60,7 +59,6 @@ impl Metrics {
         self.waits += other.waits;
         self.topology_changes_applied += other.topology_changes_applied;
         self.topology_changes_dropped += other.topology_changes_dropped;
-        self.change_retries += other.change_retries;
         self.agents_dropped += other.agents_dropped;
         self.max_queue_len = self.max_queue_len.max(other.max_queue_len);
         self.max_live_agents = self.max_live_agents.max(other.max_live_agents);

@@ -1,14 +1,21 @@
 //! The discrete-event simulator tying together the tree, the taxi layer, the
-//! graceful-change machinery and the protocol's agent program.
+//! graceful-change handshake and the protocol's agent program.
+//!
+//! Every event is an agent activation or a granted change's single first
+//! attempt (a refused change waits on a node, see `crate::topology`). Hence
+//! the **event law**, exact whenever no first attempt is still queued (at
+//! quiescence, say): `events_processed == activations +
+//! topology_changes_applied + topology_changes_dropped +
+//! pending_change_count()`.
 
 use crate::config::SimConfig;
-use crate::engine::{ChangeId, EventKind, EventQueue, Time};
+use crate::engine::{EventKind, EventQueue, Time};
 use crate::hot::{AgentTable, HotNodeState};
 use crate::metrics::Metrics;
 use crate::ports::PortMap;
 use crate::protocol::{Action, AgentId, Effect, NodeCtx, Protocol};
 use crate::taxi::{AgentTaxi, NodeTaxi};
-use crate::topology::{PendingChange, TopologyChange, MAX_CHANGE_ATTEMPTS};
+use crate::topology::{TopologyChange, CHANGE_DELAY};
 use crate::{DynamicTree, NodeId};
 use dcn_rng::{DetRng, SeedableRng};
 use std::error::Error;
@@ -67,11 +74,8 @@ pub struct Simulator<P: Protocol> {
     /// end — the served `distributed` family never rebuilds its own — keeps
     /// memory for the agents in flight, not for every agent it ever made.
     agents: AgentTable<P::Agent>,
-    /// Granted changes awaiting graceful application, slot-indexed by their
-    /// (densely issued) `ChangeId` — a change's id is its index, so the retry
-    /// loop pays a direct index instead of two hashed probes per attempt.
-    /// Resolved slots are `None`; `live_changes` tracks how many remain.
-    pending_changes: Vec<Option<PendingChange>>,
+    /// Granted changes neither applied nor dropped yet: each is either its
+    /// first-attempt event or an entry of one node's `NodeTaxi::parked`.
     live_changes: usize,
     outputs: Vec<P::Output>,
     metrics: Metrics,
@@ -123,7 +127,6 @@ impl<P: Protocol> Simulator<P> {
             queue: EventQueue::new(),
             nodes,
             agents: AgentTable::new(),
-            pending_changes: Vec::new(),
             live_changes: 0,
             outputs: Vec::new(),
             metrics: Metrics::new(),
@@ -290,13 +293,9 @@ impl<P: Protocol> Simulator<P> {
     /// the protocol schedules changes through
     /// [`NodeCtx::schedule_change`](crate::NodeCtx::schedule_change)).
     pub fn schedule_change(&mut self, change: TopologyChange) {
-        let id = self.pending_changes.len() as ChangeId;
-        self.pending_changes.push(Some(PendingChange::new(change)));
         self.live_changes += 1;
-        self.queue.schedule(
-            self.config.change_delay,
-            EventKind::AttemptChange { change: id },
-        );
+        self.queue
+            .schedule(CHANGE_DELAY, EventKind::AttemptChange { change });
     }
 
     /// Processes a single event. Returns `Ok(false)` when the event queue is
@@ -323,8 +322,12 @@ impl<P: Protocol> Simulator<P> {
         self.batch_cursor += 1;
         self.metrics.events_processed += 1;
         match kind {
-            EventKind::Activate { agent, at } => self.process_activation(agent, at)?,
-            EventKind::AttemptChange { change } => self.process_change_attempt(change),
+            EventKind::Activate { agent, at } => {
+                let outcome = self.process_activation(agent, at);
+                self.retry_parked(at);
+                outcome?;
+            }
+            EventKind::AttemptChange { change } => self.attempt_change(change),
         }
         Ok(true)
     }
@@ -554,14 +557,26 @@ impl<P: Protocol> Simulator<P> {
         self.schedule_activation(agent, target, delay);
     }
 
-    fn process_change_attempt(&mut self, change_id: ChangeId) {
-        let Some(slot) = self.pending_changes.get_mut(change_id as usize) else {
+    /// Re-attempts, oldest first, the changes parked on `at`. Runs at the end
+    /// of every `Activate` event at `at`: a node's lock, queue and descent
+    /// pointer move, and its `inbound` falls, only inside an activation at
+    /// that node, so no gate opens anywhere else.
+    fn retry_parked(&mut self, at: NodeId) {
+        let Some(taxi) = self.nodes.taxi_mut(at) else {
             return;
         };
-        let Some(mut pending) = slot.take() else {
+        if taxi.parked.is_empty() {
             return;
-        };
-        match self.try_apply_change(pending.change) {
+        }
+        for change in std::mem::take(&mut taxi.parked) {
+            self.attempt_change(change);
+        }
+    }
+
+    /// Applies `change`, drops it (its target vanished) or parks it on the
+    /// node whose taxi state refuses it.
+    fn attempt_change(&mut self, change: TopologyChange) {
+        match self.try_apply_change(change) {
             ChangeOutcome::Applied => {
                 self.live_changes -= 1;
                 self.metrics.topology_changes_applied += 1;
@@ -570,18 +585,10 @@ impl<P: Protocol> Simulator<P> {
                 self.live_changes -= 1;
                 self.metrics.topology_changes_dropped += 1;
             }
-            ChangeOutcome::Busy => {
-                pending.attempts += 1;
-                self.metrics.change_retries += 1;
-                if pending.attempts >= MAX_CHANGE_ATTEMPTS {
-                    self.live_changes -= 1;
-                    self.metrics.topology_changes_dropped += 1;
-                } else {
-                    self.pending_changes[change_id as usize] = Some(pending);
-                    self.queue.schedule(
-                        self.config.change_retry_delay,
-                        EventKind::AttemptChange { change: change_id },
-                    );
+            ChangeOutcome::Busy(node) => {
+                // `Busy` names a node whose taxi state it has just read.
+                if let Some(taxi) = self.nodes.taxi_mut(node) {
+                    taxi.parked.push(change);
                 }
             }
         }
@@ -624,7 +631,7 @@ impl<P: Protocol> Simulator<P> {
                     .map(|t| t.is_locked() && t.down_child == Some(below))
                     .unwrap_or(false);
                 if crossing || below_locked {
-                    return ChangeOutcome::Busy;
+                    return ChangeOutcome::Busy(if below_locked { below } else { parent });
                 }
                 // `below` exists and has a parent (checked above), so the
                 // split cannot fail; a malformed change degrades to Dropped.
@@ -635,8 +642,7 @@ impl<P: Protocol> Simulator<P> {
                 // Re-wire adversarial ports for the changed incident edges.
                 self.nodes.ports_raw_mut(parent).remove(below);
                 self.nodes.ports_raw_mut(below).remove(parent);
-                let pp = self.nodes.ports_raw_mut(parent).assign(node, &mut self.rng);
-                let _ = pp;
+                self.nodes.ports_raw_mut(parent).assign(node, &mut self.rng);
                 self.nodes.ports_raw_mut(node).assign(below, &mut self.rng);
                 self.nodes.ports_raw_mut(below).assign(node, &mut self.rng);
                 ChangeOutcome::Applied
@@ -654,7 +660,7 @@ impl<P: Protocol> Simulator<P> {
                     .map(|t| t.is_locked() || !t.queue.is_empty() || t.inbound > 0)
                     .unwrap_or(false);
                 if busy {
-                    return ChangeOutcome::Busy;
+                    return ChangeOutcome::Busy(node);
                 }
                 // Non-root (checked above), so a parent exists; a node the
                 // arena disowns anyway is a malformed change, not a panic.
@@ -664,6 +670,10 @@ impl<P: Protocol> Simulator<P> {
                 let mut children = std::mem::take(&mut self.children_scratch);
                 children.clear();
                 children.extend_from_slice(self.tree.children(node).unwrap_or(&[]));
+                // The gate is open, so nothing waits here (the hook took
+                // this node's list before re-attempting any of it): no
+                // parked change is lost with the slot.
+                debug_assert!(self.nodes.taxi(node).is_some_and(|t| t.parked.is_empty()));
                 // Hand the whiteboard contents to the parent ("graceful"
                 // rule); removal also resets the node's taxi and port state.
                 if let Some(removed_wb) = self.nodes.remove(node) {
@@ -714,8 +724,10 @@ impl<P: Protocol> Simulator<P> {
 
 enum ChangeOutcome {
     Applied,
+    /// The target vanished (or the change is malformed).
     Dropped,
-    Busy,
+    /// Refused by the taxi state of this node; the change waits there.
+    Busy(NodeId),
 }
 
 impl<P: Protocol> fmt::Debug for Simulator<P> {
@@ -732,23 +744,53 @@ impl<P: Protocol> fmt::Debug for Simulator<P> {
 
 #[cfg(test)]
 mod tests {
-    //! The agent table's memory law, read off its window (`span`) with no
-    //! wall clock: it follows the agents in flight, not the agents ever made.
+    //! Laws read off private state with no wall clock: the agent table's
+    //! window (`span`) follows the agents in flight, not the agents ever
+    //! made; a refused change waits on the node that refuses it
+    //! (`NodeTaxi::parked`) and is applied by the activation that frees it.
 
     use super::*;
     use crate::DelayModel;
+    use dcn_rng::Rng;
+    use std::collections::VecDeque;
 
-    /// Four agent programs that need no whiteboard.
+    /// What a scripted agent does to its node's lock in one activation.
+    #[derive(Clone, Copy, Debug)]
+    enum Latch {
+        Lock,
+        Unlock,
+        Pass,
+    }
+
+    /// Agent programs that need no whiteboard.
     #[derive(Debug)]
     enum Walker {
         /// Terminates at its first activation.
         Short,
         /// Walks to the root and terminates there.
         Climber,
-        /// Locks the root, visits a child and comes back to unlock.
-        Holder { leg: u8 },
         /// Waits while its node is locked, then terminates.
         Parked,
+        /// One `(latch, action)` per activation, whatever the lock says.
+        Scripted(VecDeque<(Latch, Action)>),
+        /// Climbs to the root locking (queueing behind other agents' locks),
+        /// then walks back down unlocking — the controller's two walks. A
+        /// `shy` one leaves its origin unlocked and ends one hop above it, so
+        /// only the pointer at the origin's parent guards the edge between.
+        Bouncer { descending: bool, shy: bool },
+    }
+
+    fn scripted<const N: usize>(steps: [(Latch, Action); N]) -> Walker {
+        Walker::Scripted(VecDeque::from(steps))
+    }
+
+    /// Created at a node: locks it, visits `child` and comes back to unlock.
+    fn holder_via(child: NodeId) -> Walker {
+        scripted([
+            (Latch::Lock, Action::MoveToChild(child)),
+            (Latch::Pass, Action::Up),
+            (Latch::Unlock, Action::Terminate),
+        ])
     }
 
     struct Walk;
@@ -771,18 +813,39 @@ mod tests {
                 Walker::Climber => Action::Up,
                 Walker::Parked if ctx.is_locked() => Action::WaitForUnlock,
                 Walker::Parked => Action::Terminate,
-                Walker::Holder { leg } => {
-                    *leg += 1;
-                    match *leg {
-                        1 => {
+                Walker::Scripted(steps) => {
+                    let (latch, action) = steps.pop_front().expect("script ran out");
+                    match latch {
+                        Latch::Lock => ctx.lock(),
+                        Latch::Unlock => ctx.unlock(),
+                        Latch::Pass => {}
+                    }
+                    action
+                }
+                Walker::Bouncer { descending, shy } => {
+                    // The lowest node it locks is `floor` hops above its origin.
+                    let floor = usize::from(*shy);
+                    let below_floor = ctx.distance_from_origin() < floor;
+                    if !*descending {
+                        if !below_floor {
+                            if ctx.is_locked() && !ctx.locked_by_me() {
+                                return Action::WaitForUnlock;
+                            }
                             ctx.lock();
-                            Action::MoveToChild(ctx.children()[0])
                         }
-                        2 => Action::Up,
-                        _ => {
-                            ctx.unlock();
-                            Action::Terminate
+                        if !ctx.is_root() {
+                            return Action::Up;
                         }
+                        *descending = true;
+                    }
+                    if below_floor {
+                        return Action::Terminate;
+                    }
+                    ctx.unlock();
+                    if ctx.distance_from_origin() == floor {
+                        Action::Terminate
+                    } else {
+                        Action::Down
                     }
                 }
             }
@@ -818,7 +881,7 @@ mod tests {
         let mut sim = star();
         let root = sim.tree().root();
         let leaf = sim.tree().nodes().nth(2).unwrap();
-        let holder = sim.create_agent(root, Walker::Holder { leg: 0 }).unwrap();
+        let holder = sim.create_agent(root, holder_via(leaf)).unwrap();
         let parked = sim.create_agent(root, Walker::Parked).unwrap();
         sim.run_events(2).unwrap();
         assert_eq!(sim.locked_by(root), Some(holder));
@@ -841,5 +904,284 @@ mod tests {
         }
         assert_eq!(spans, vec![1_003, 1_002, 1, 0]);
         assert_eq!(sim.live_agents(), 0);
+    }
+
+    // ------------------------------------------------------------------
+    // A granted change waits on its gate
+    // ------------------------------------------------------------------
+
+    const HOP: Time = 3;
+
+    /// The path n0 – n1 – n2 – n3 under hops of `HOP` ticks, so that a change
+    /// scheduled at time 0 is first attempted (`CHANGE_DELAY` = 4) between an
+    /// agent's second and third activation.
+    fn path() -> (Simulator<Walk>, [NodeId; 4]) {
+        let config = SimConfig::new(1).with_delay(DelayModel::Constant(HOP));
+        let sim = Simulator::with_tree(config, Walk, DynamicTree::with_initial_path(3));
+        (sim, [0, 1, 2, 3].map(NodeId::from_index))
+    }
+
+    /// Created at a child of `node`: locks `node` arriving from that child
+    /// (so the descent pointer crosses the edge between them) without ever
+    /// locking the child, visits `node`'s parent, and unlocks `node` at 3·HOP.
+    fn crossing_holder(node: NodeId) -> Walker {
+        scripted([
+            (Latch::Pass, Action::Up),
+            (Latch::Lock, Action::Up),
+            (Latch::Pass, Action::MoveToChild(node)),
+            (Latch::Unlock, Action::Terminate),
+        ])
+    }
+
+    fn parked(sim: &Simulator<Walk>, node: NodeId) -> &[TopologyChange] {
+        sim.nodes.taxi(node).map_or(&[], |t| &t.parked)
+    }
+
+    fn resolved(sim: &Simulator<Walk>) -> (u64, u64) {
+        let m = sim.metrics();
+        (m.topology_changes_applied, m.topology_changes_dropped)
+    }
+
+    /// Steps until the clock reads `time` and nothing else is due at it.
+    fn run_through(sim: &mut Simulator<Walk>, time: Time) {
+        while sim.next_event_time().is_some_and(|t| t <= time) {
+            sim.step().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_removal_blocked_by_a_lock_is_applied_in_the_step_that_unlocks_its_target() {
+        let (mut sim, [_, _, n2, n3]) = path();
+        sim.create_agent(n2, holder_via(n3)).unwrap();
+        let remove = TopologyChange::Remove { node: n2 };
+        sim.schedule_change(remove);
+        run_through(&mut sim, CHANGE_DELAY);
+        assert_eq!(parked(&sim, n2), [remove]);
+        assert_eq!((resolved(&sim), sim.pending_change_count()), ((0, 0), 1));
+        // Everything up to the holder's return: still locked, still parked.
+        run_through(&mut sim, 2 * HOP - 1);
+        assert!(sim.is_locked(n2));
+        assert_eq!(parked(&sim, n2), [remove]);
+        // The one activation that unlocks n2 also removes it: no later event,
+        // no later tick.
+        let events = sim.metrics().events_processed;
+        assert_eq!(sim.next_event_time(), Some(2 * HOP));
+        assert!(sim.step().unwrap());
+        assert!(!sim.tree().contains(n2));
+        assert_eq!(sim.time(), 2 * HOP);
+        assert_eq!(sim.metrics().events_processed, events + 1);
+        assert_eq!((resolved(&sim), sim.pending_change_count()), ((1, 0), 0));
+        assert!(sim.is_quiescent());
+        assert_eq!(sim.tree().parent(n3), Some(NodeId::from_index(1)));
+    }
+
+    #[test]
+    fn changes_parked_on_one_node_are_re_attempted_in_park_order() {
+        // Removal first: the split finds its edge gone. Split first: both fit.
+        for (removal_first, outcome) in [(true, (1, 1)), (false, (2, 0))] {
+            let (mut sim, [_, _, n2, n3]) = path();
+            let mut order = [
+                TopologyChange::Remove { node: n2 },
+                TopologyChange::AddInternalAbove { below: n2 },
+            ];
+            if !removal_first {
+                order.reverse();
+            }
+            sim.create_agent(n2, holder_via(n3)).unwrap();
+            for change in order {
+                sim.schedule_change(change);
+            }
+            run_through(&mut sim, 2 * HOP - 1);
+            assert_eq!(parked(&sim, n2), order);
+            sim.run_until_quiescent().unwrap();
+            assert_eq!((resolved(&sim), sim.pending_change_count()), (outcome, 0));
+            assert_eq!((sim.time(), sim.tree().contains(n2)), (2 * HOP, false));
+        }
+    }
+
+    #[test]
+    fn a_message_inbound_alone_holds_a_removal_back() {
+        let (mut sim, [_, _, _, n3]) = path();
+        sim.create_agent_delayed(n3, Walker::Short, CHANGE_DELAY + 1)
+            .unwrap();
+        let remove = TopologyChange::Remove { node: n3 };
+        sim.schedule_change(remove);
+        sim.schedule_change(remove);
+        run_through(&mut sim, CHANGE_DELAY);
+        assert!(!sim.is_locked(n3));
+        assert_eq!(parked(&sim, n3), [remove, remove]);
+        sim.run_until_quiescent().unwrap();
+        // Its delivery opens the gate: the older removal goes through, the
+        // younger finds the node gone.
+        assert_eq!((resolved(&sim), sim.pending_change_count()), ((1, 1), 0));
+        assert_eq!(
+            (sim.time(), sim.tree().contains(n3)),
+            (CHANGE_DELAY + 1, false)
+        );
+    }
+
+    #[test]
+    fn a_split_blocked_only_by_a_crossing_pointer_waits_on_the_parent() {
+        let (mut sim, [_, n1, n2, _]) = path();
+        sim.create_agent(n2, crossing_holder(n1)).unwrap();
+        let split = TopologyChange::AddInternalAbove { below: n2 };
+        sim.schedule_change(split);
+        run_through(&mut sim, 3 * HOP - 1);
+        assert!(!sim.is_locked(n2) && sim.is_locked(n1));
+        assert_eq!(parked(&sim, n1), [split]);
+        assert_eq!(parked(&sim, n2), []);
+        assert_eq!((resolved(&sim), sim.tree().depth(n2)), ((0, 0), 2));
+        // The activation that unlocks the parent splits the edge.
+        assert!(sim.step().unwrap());
+        assert_eq!((sim.time(), sim.is_locked(n1)), (3 * HOP, false));
+        assert_eq!((resolved(&sim), sim.tree().depth(n2)), ((1, 0), 3));
+        assert!(sim.is_quiescent() && sim.pending_change_count() == 0);
+    }
+
+    #[test]
+    fn a_split_blocked_twice_moves_from_the_lower_endpoint_to_the_parent() {
+        let (mut sim, [_, n1, n2, n3]) = path();
+        sim.create_agent(n2, holder_via(n3)).unwrap(); // n2 locked until 2·HOP
+        sim.create_agent(n2, crossing_holder(n1)).unwrap(); // n1 from HOP to 3·HOP
+        let split = TopologyChange::AddInternalAbove { below: n2 };
+        sim.schedule_change(split);
+        // Both conditions hold at the first attempt: the lower endpoint first.
+        run_through(&mut sim, 2 * HOP - 1);
+        assert!(sim.is_locked(n2) && sim.is_locked(n1));
+        assert_eq!(
+            (parked(&sim, n2), parked(&sim, n1)),
+            (&[split][..], &[][..])
+        );
+        // n2 is released while the pointer still crosses: on to the parent.
+        run_through(&mut sim, 3 * HOP - 1);
+        assert!(!sim.is_locked(n2) && sim.is_locked(n1));
+        assert_eq!(
+            (parked(&sim, n2), parked(&sim, n1)),
+            (&[][..], &[split][..])
+        );
+        assert_eq!((resolved(&sim), sim.tree().depth(n2)), ((0, 0), 2));
+        sim.run_until_quiescent().unwrap();
+        assert_eq!((resolved(&sim), sim.tree().depth(n2)), ((1, 0), 3));
+        assert_eq!((sim.time(), sim.pending_change_count()), (3 * HOP, 0));
+    }
+
+    #[test]
+    fn a_change_parked_on_a_node_outlives_that_node() {
+        // A removal of n1 and a split of the edge below it both wait on n1;
+        // the removal goes first and the split is re-attempted on what is
+        // left: n2 hangs under the root, one new node above it.
+        let (mut sim, [n0, n1, n2, _]) = path();
+        sim.create_agent(n2, crossing_holder(n1)).unwrap();
+        let remove = TopologyChange::Remove { node: n1 };
+        let split = TopologyChange::AddInternalAbove { below: n2 };
+        sim.schedule_change(remove);
+        sim.schedule_change(split);
+        run_through(&mut sim, 3 * HOP - 1);
+        assert_eq!(parked(&sim, n1), [remove, split]);
+        sim.run_until_quiescent().unwrap();
+        assert_eq!((resolved(&sim), sim.pending_change_count()), ((2, 0), 0));
+        assert!(!sim.tree().contains(n1));
+        let above = sim.tree().parent(n2).unwrap();
+        assert_eq!(
+            (sim.tree().parent(above), sim.tree().depth(n2)),
+            (Some(n0), 2)
+        );
+    }
+
+    /// `change` sits on `node` for a reason that still holds: exactly the
+    /// condition under which `try_apply_change` names `node` as busy.
+    fn gate_is_closed(sim: &Simulator<Walk>, node: NodeId, change: TopologyChange) -> bool {
+        let Some(taxi) = sim.nodes.taxi(node) else {
+            return false;
+        };
+        match change {
+            TopologyChange::Remove { node: target } => {
+                target == node && (taxi.is_locked() || !taxi.queue.is_empty() || taxi.inbound > 0)
+            }
+            TopologyChange::AddInternalAbove { below } => {
+                taxi.is_locked() && (below == node || taxi.down_child == Some(below))
+            }
+            _ => false,
+        }
+    }
+
+    /// The twin of `tests/prop_sim.rs` with the taxi state in view: random
+    /// agent traffic and churn, checked after every single event.
+    #[test]
+    fn parked_changes_wait_on_closed_gates_and_waiting_costs_no_event() {
+        let (mut parks_on_target, mut parks_on_parent) = (0u32, 0u32);
+        for case in 0..40u64 {
+            let mut rng = DetRng::seed_from_u64(40_000 + case);
+            let max = rng.gen_range(1u64..12);
+            let config = SimConfig::new(case).with_delay(DelayModel::Uniform { min: 1, max });
+            let n0 = rng.gen_range(1usize..20);
+            let tree = if case % 2 == 0 {
+                DynamicTree::with_initial_star(n0)
+            } else {
+                DynamicTree::with_initial_path(n0)
+            };
+            let mut sim = Simulator::with_tree(config, Walk, tree);
+            let mut scheduled = 0u64;
+            let mut check = |sim: &Simulator<Walk>| {
+                for node in sim.tree().nodes() {
+                    for &change in parked(sim, node) {
+                        assert!(
+                            gate_is_closed(sim, node, change),
+                            "case {case}: {change:?} waits on {node}, whose gate is open"
+                        );
+                        match change {
+                            TopologyChange::AddInternalAbove { below } if below != node => {
+                                parks_on_parent += 1
+                            }
+                            _ => parks_on_target += 1,
+                        }
+                    }
+                }
+            };
+            for _ in 0..rng.gen_range(1usize..20) {
+                for _ in 0..3 {
+                    let nodes: Vec<NodeId> = sim.tree().nodes().collect();
+                    let at = nodes[rng.gen_range(0..nodes.len())];
+                    let change = match rng.gen_range(0u32..10) {
+                        0..=3 => {
+                            let shy = rng.gen_range(0u32..3) == 0;
+                            let descending = false;
+                            sim.create_agent(at, Walker::Bouncer { descending, shy })
+                                .unwrap();
+                            continue;
+                        }
+                        4..=5 => TopologyChange::AddLeaf { parent: at },
+                        6..=7 => TopologyChange::AddInternalAbove { below: at },
+                        _ => TopologyChange::Remove { node: at },
+                    };
+                    sim.schedule_change(change);
+                    scheduled += 1;
+                }
+                for _ in 0..12 {
+                    if !sim.step().unwrap() {
+                        break;
+                    }
+                    check(&sim);
+                }
+            }
+            while sim.step().unwrap() {
+                check(&sim);
+            }
+            // Quiescence: every gate has opened, so nothing is left waiting,
+            // and the event law holds — one event per activation, one per
+            // change ever scheduled, none for waiting.
+            let m = *sim.metrics();
+            assert_eq!(sim.pending_change_count(), 0, "case {case}");
+            assert!(sim.tree().nodes().all(|n| parked(&sim, n).is_empty()));
+            assert_eq!(
+                m.topology_changes_applied + m.topology_changes_dropped,
+                scheduled,
+                "case {case}"
+            );
+            assert_eq!(m.events_processed, m.activations + scheduled, "case {case}");
+            assert!(sim.tree().check_invariants().is_ok(), "case {case}");
+        }
+        // Not vacuous: changes did wait, on their target and on its parent.
+        assert!(parks_on_target > 0 && parks_on_parent > 0);
     }
 }

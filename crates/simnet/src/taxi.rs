@@ -9,6 +9,7 @@
 //! "Lock release").
 
 use crate::protocol::AgentId;
+use crate::topology::TopologyChange;
 use crate::NodeId;
 use std::collections::VecDeque;
 
@@ -51,7 +52,8 @@ impl AgentTaxi {
     }
 }
 
-/// Per-node taxi state: lock, descent pointer and waiting-agent queue.
+/// Per-node taxi state: lock, descent pointer, waiting-agent queue and the
+/// granted changes waiting for this node's gate to open.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NodeTaxi {
     /// The agent currently holding this node's lock, if any.
@@ -64,6 +66,9 @@ pub(crate) struct NodeTaxi {
     /// Number of in-flight messages / scheduled activations targeting this
     /// node. A node with `inbound > 0` is never gracefully removed.
     pub inbound: usize,
+    /// Granted topological changes this node's state refused, in arrival
+    /// order; re-attempted at the end of every activation here.
+    pub parked: Vec<TopologyChange>,
 }
 
 impl NodeTaxi {
@@ -126,5 +131,6 @@ mod tests {
         assert!(nt.queue.is_empty());
         assert_eq!(nt.inbound, 0);
         assert_eq!(nt.down_child, None);
+        assert!(nt.parked.is_empty());
     }
 }

@@ -4,12 +4,17 @@
 //! requesting entity only *after* its request has been granted, and it must be
 //! performed "gracefully" (paper §4.2): no messages are lost and the deleted
 //! node's protocol data is handed to its parent. The paper leaves the concrete
-//! hand-shake mechanism out of scope; the simulator implements a simple and
-//! safe one — a change is applied only once its target node is unlocked, has
-//! no queued agents and no in-flight messages — and re-attempts the change
-//! later otherwise. See the crate-level documentation for why this preserves
-//! the properties the controller relies on.
+//! hand-shake out of scope; the simulator's is a wait list. A granted change
+//! is attempted once, [`CHANGE_DELAY`] ticks after the grant. A removal goes
+//! through only if its target is unlocked, has no queued agents and no
+//! message inbound; an edge split only if its lower endpoint is unlocked and
+//! no locked descent pointer crosses the edge. A change refused by one of
+//! these gates is parked on the node whose state refused it and re-attempted
+//! by the activation that changes that state, so it is applied in the step
+//! that releases it — or dropped, if its target vanished meanwhile. See
+//! DESIGN.md §6 for why this preserves what the controller relies on.
 
+use crate::engine::Time;
 use crate::NodeId;
 
 /// A topological change scheduled for graceful application.
@@ -76,25 +81,9 @@ impl TopologyChange {
     }
 }
 
-/// A pending change together with its retry budget.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PendingChange {
-    pub change: TopologyChange,
-    pub attempts: u32,
-}
-
-impl PendingChange {
-    pub fn new(change: TopologyChange) -> Self {
-        PendingChange {
-            change,
-            attempts: 0,
-        }
-    }
-}
-
-/// Maximum number of times a graceful change is re-attempted before it is
-/// dropped (a safety valve against protocol bugs that hold locks forever).
-pub(crate) const MAX_CHANGE_ATTEMPTS: u32 = 100_000;
+/// Ticks between a change being granted and the environment's one timed
+/// attempt to apply it ("after finite time", §2.1.2).
+pub(crate) const CHANGE_DELAY: Time = 4;
 
 #[cfg(test)]
 mod tests {
@@ -120,13 +109,5 @@ mod tests {
         };
         assert!(rm.is_removal());
         assert_eq!(rm.gate_node(), Some(NodeId::from_index(2)));
-    }
-
-    #[test]
-    fn pending_change_starts_with_zero_attempts() {
-        let p = PendingChange::new(TopologyChange::AddLeaf {
-            parent: NodeId::from_index(0),
-        });
-        assert_eq!(p.attempts, 0);
     }
 }

@@ -181,8 +181,9 @@ fn run(seed: u64, max_delay: u64, n0: usize, events: &[SimEvent]) -> (usize, u64
 }
 
 /// Every agent eventually reports (or is accounted as dropped), every lock
-/// is released, and the tree stays structurally valid — under arbitrary
-/// interleavings of agent traffic and graceful topology changes.
+/// is released, every change is resolved without a single polling event, and
+/// the tree stays structurally valid — under arbitrary interleavings of agent
+/// traffic and graceful topology changes.
 #[test]
 fn concurrent_agents_and_churn_never_corrupt_the_network() {
     for case in 0..CASES {
@@ -198,6 +199,7 @@ fn concurrent_agents_and_churn_never_corrupt_the_network() {
         });
         let mut sim = Simulator::with_tree(config, BounceProtocol, tree);
         let mut agents_created = 0u64;
+        let mut changes_scheduled = 0u64;
         for chunk in events.chunks(3) {
             for &event in chunk {
                 match event {
@@ -226,6 +228,7 @@ fn concurrent_agents_and_churn_never_corrupt_the_network() {
                         sim.schedule_change(TopologyChange::Remove { node });
                     }
                 }
+                changes_scheduled += u64::from(!matches!(event, SimEvent::Agent(_)));
             }
             for _ in 0..12 {
                 if !sim.step().unwrap() {
@@ -241,6 +244,19 @@ fn concurrent_agents_and_churn_never_corrupt_the_network() {
             sim.pending_change_count(),
             0,
             "case {case}: changes must not leak"
+        );
+        // A change is applied or its target vanished, nothing in between,
+        // and waiting costs no event: one per activation, one per change.
+        let m = *sim.metrics();
+        assert_eq!(
+            m.topology_changes_applied + m.topology_changes_dropped,
+            changes_scheduled,
+            "case {case}"
+        );
+        assert_eq!(
+            m.events_processed,
+            m.activations + changes_scheduled,
+            "case {case}: the event law"
         );
         let answered = sim.drain_outputs().len() as u64;
         assert_eq!(
