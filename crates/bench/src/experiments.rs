@@ -192,7 +192,8 @@ fn t2_adaptive_moves() -> Vec<Row> {
             let n0 = 4usize;
             let m = (2 * target) as u64;
             let w = (target as u64 / 4).max(1);
-            let tree = build_tree(TreeShape::Star { nodes: n0 - 1 });
+            let mut tree = build_tree(TreeShape::Star { nodes: n0 - 1 });
+            tree.record_changes();
             let mut ctrl = AdaptiveController::new(tree, m, w, policy)
                 .unwrap_or_else(|e| panic!("t2 target={target}: invalid parameters: {e}"));
             let mut gen = ChurnGenerator::new(
@@ -219,7 +220,7 @@ fn t2_adaptive_moves() -> Vec<Row> {
                 format!(
                     "policy={policy_name} n0={n0} -> n={} changes={} epochs={}",
                     ctrl.tree().node_count(),
-                    log.tree_change_count(),
+                    log.len(),
                     ctrl.epochs()
                 ),
                 ctrl.moves() as f64,
@@ -513,9 +514,10 @@ fn f2_name_assignment() -> Vec<Row> {
         let runner = ScenarioRunner::new(scenario.clone()).with_batch(10);
         // Build concretely (so the identity table stays inspectable) but
         // drive through the same runner as every other family.
-        let mut names =
-            NameAssigner::new(SimConfig::new(scenario.seed), build_tree(scenario.shape))
-                .unwrap_or_else(|e| panic!("{}: invalid parameters: {e}", scenario.name));
+        let mut tree = build_tree(scenario.shape);
+        tree.record_changes();
+        let mut names = NameAssigner::new(SimConfig::new(scenario.seed), tree)
+            .unwrap_or_else(|e| panic!("{}: invalid parameters: {e}", scenario.name));
         let report = drive_app(&runner, &mut names);
         let n_now = names.tree().node_count().max(1) as f64;
         let max_id = names.ids().map(|(_, id)| id).max().unwrap_or(0) as f64;

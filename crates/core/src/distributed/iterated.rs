@@ -53,7 +53,8 @@ pub struct AdaptiveDistributedController {
     epochs: u32,
     recycles: u32,
     epoch_u: u64,
-    epoch_changes_at_start: usize,
+    /// [`DynamicTree::changes`] when the current epoch began.
+    epoch_changes_at_start: u64,
     exhausted: bool,
     next_seed: u64,
     /// Requests accepted through [`Controller::submit`], drained by the next
@@ -79,7 +80,7 @@ impl AdaptiveDistributedController {
         let mut ctrl = AdaptiveDistributedController {
             config,
             epoch_u: (2 * tree.node_count() as u64).max(2),
-            epoch_changes_at_start: tree.change_log().tree_change_count(),
+            epoch_changes_at_start: tree.changes(),
             shell: EpochShell::parked(tree),
             ledger: RequestLedger::new(),
             m,
@@ -241,13 +242,8 @@ impl AdaptiveDistributedController {
             pending = retry;
 
             // Epoch refresh: after U_i / 4 topological changes, re-estimate U.
-            let changes = self
-                .shell
-                .tree()
-                .change_log()
-                .tree_change_count()
-                .saturating_sub(self.epoch_changes_at_start);
-            if changes as u64 >= (self.epoch_u / 4).max(1) && !self.exhausted {
+            let changes = self.shell.tree().changes() - self.epoch_changes_at_start;
+            if changes >= (self.epoch_u / 4).max(1) && !self.exhausted {
                 self.epochs += 1;
                 self.rebuild(true)?;
             }
@@ -276,7 +272,7 @@ impl AdaptiveDistributedController {
         self.wave_messages += 4 * n;
         if new_epoch {
             self.epoch_u = (2 * n).max(2);
-            self.epoch_changes_at_start = tree.change_log().tree_change_count();
+            self.epoch_changes_at_start = tree.changes();
         }
         let budget = self.m.saturating_sub(self.granted_retired);
         if budget == 0 {

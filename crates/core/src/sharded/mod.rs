@@ -74,7 +74,8 @@ struct Ticket {
 }
 
 /// One shard: the region's epoch shell (parked while its slice is empty), its
-/// address map, and the cursor into the region tree's change log.
+/// address map, and the cursor into the region tree's change log (switched on
+/// by [`ShardedController::new`], the log's one reader here).
 #[derive(Debug)]
 struct Shard {
     /// The region's sequence of slice controllers.
@@ -134,7 +135,8 @@ pub struct ShardedController {
     m: u64,
     w: u64,
     /// Authoritative global tree: submit-time validation runs against it and
-    /// per-shard change logs are replayed into it in shard order.
+    /// per-shard change logs are replayed into it in shard order. Nobody
+    /// reads its own history, so it records none.
     mirror: DynamicTree,
     map: RegionMap,
     shards: Vec<Shard>,
@@ -145,6 +147,7 @@ pub struct ShardedController {
     pending: Vec<u64>,
     granted_total: u64,
     rejected_total: u64,
+    refused_total: u64,
     epoch: u64,
     waves: u64,
     exchange_messages: u64,
@@ -167,7 +170,7 @@ impl ShardedController {
     /// plus `shards ≥ 1`.
     pub fn new(
         config: SimConfig,
-        tree: DynamicTree,
+        mut tree: DynamicTree,
         m: u64,
         w: u64,
         u_bound: usize,
@@ -194,6 +197,7 @@ impl ShardedController {
             let mirror = tree.clone();
             let map = RegionMap::identity(&tree);
             let local = LocalMap::identity(&tree);
+            tree.record_changes();
             let log_cursor = tree.change_log().len();
             let mut shell = EpochShell::parked(tree);
             shell.install(config, m, w, u_bound, None)?;
@@ -208,7 +212,8 @@ impl ShardedController {
         } else {
             let (map, regions) = RegionMap::carve(&tree, shards);
             let slices = exchange::slices(m, w, shards, &vec![false; shards]);
-            for (i, region) in regions.into_iter().enumerate() {
+            for (i, mut region) in regions.into_iter().enumerate() {
+                region.tree.record_changes();
                 let seed = split_mix64(config.seed ^ split_mix64(i as u64));
                 let (m_i, w_i) = slices[i];
                 let mut shard = Shard {
@@ -237,6 +242,7 @@ impl ShardedController {
             pending: Vec::new(),
             granted_total: 0,
             rejected_total: 0,
+            refused_total: 0,
             epoch: 0,
             waves: 0,
             exchange_messages: 0,
@@ -268,18 +274,13 @@ impl ShardedController {
     /// A correctness summary of the execution so far, aggregated across
     /// shards (see [`ExecutionSummary`]).
     pub fn summary(&self) -> ExecutionSummary {
-        let refused = self
-            .ledger
-            .records()
-            .iter()
-            .filter(|r| r.outcome.is_refused())
-            .count() as u64;
+        let answered = self.granted_total + self.rejected_total + self.refused_total;
         ExecutionSummary {
             m: self.m,
             w: self.w,
             granted: self.granted_total,
             rejected: self.rejected_total,
-            unanswered: self.submitted() - refused - self.granted_total - self.rejected_total,
+            unanswered: self.submitted() - answered,
         }
     }
 
@@ -334,7 +335,7 @@ impl ShardedController {
     }
 
     /// Appends a globally resolved record: translates bookkeeping, updates
-    /// the grant/reject totals and emits the per-request events.
+    /// the grant/reject/refusal totals and emits the per-request events.
     fn resolve(&mut self, gid: u64, outcome: Outcome, answered_at: u64) {
         let t = self.tickets[gid as usize];
         match outcome {
@@ -343,7 +344,7 @@ impl ShardedController {
                 self.barren_waves = 0;
             }
             Outcome::Rejected => self.rejected_total += 1,
-            Outcome::Refused => {}
+            Outcome::Refused => self.refused_total += 1,
         }
         self.ledger.push(RequestRecord {
             id: RequestId(gid),
@@ -365,8 +366,8 @@ impl ShardedController {
         {
             let sh = &mut self.shards[i];
             let log = sh.shell.tree().change_log();
-            for entry in log.iter().skip(sh.log_cursor) {
-                match entry.event {
+            for &event in &log.events()[sh.log_cursor..] {
+                match event {
                     TopologyEvent::AddLeaf { parent, child } => {
                         let gparent = sh.map.to_global(parent).ok_or_else(corrupt)?;
                         let gchild = self
@@ -393,9 +394,6 @@ impl ShardedController {
                         let gnode = sh.map.to_global(node).ok_or_else(corrupt)?;
                         self.mirror.remove(gnode).map_err(ControllerError::Tree)?;
                     }
-                    // The controller protocol never touches non-tree edges.
-                    TopologyEvent::AddNonTreeEdge { .. }
-                    | TopologyEvent::RemoveNonTreeEdge { .. } => {}
                 }
             }
             sh.log_cursor = log.len();
@@ -783,6 +781,43 @@ mod tests {
         ctrl.tree().check_invariants().unwrap();
         // Every new internal node took effect on the global mirror.
         assert_eq!(ShardedController::tree(&ctrl).node_count(), 17 + 6);
+    }
+
+    #[test]
+    fn summary_counts_refusals_after_the_records_are_trimmed() {
+        // Two permits per shard; one leaf asks to leave and then for three
+        // leaves of its own. Its shard grants the removal and one leaf and
+        // parks the other two; by the time the wave resubmits them the node
+        // is gone, so they are refused.
+        let mut ctrl =
+            ShardedController::new(SimConfig::new(5), star_tree(7), 4, 2, 200, 2).unwrap();
+        let leaf = ShardedController::tree(&ctrl).nodes().last().unwrap();
+        ctrl.submit(leaf, RequestKind::RemoveSelf).unwrap();
+        for _ in 0..3 {
+            ctrl.submit(leaf, RequestKind::AddLeaf).unwrap();
+        }
+        ctrl.run_to_quiescence().unwrap();
+        let refused = ctrl.records().iter().filter(|r| r.outcome.is_refused());
+        assert!(refused.count() >= 1, "{:?}", ctrl.records());
+        let before = ctrl.summary();
+        assert_eq!(before.unanswered, 0);
+        ctrl.trim_records(0);
+        assert!(ctrl.records().is_empty());
+        assert_eq!(ctrl.summary(), before);
+    }
+
+    #[test]
+    fn one_shard_mirror_records_nothing_while_its_shard_tree_does() {
+        let tree = deep_tree(3, 2);
+        let built = tree.changes();
+        let mut ctrl = ShardedController::new(SimConfig::new(9), tree, 24, 6, 120, 1).unwrap();
+        drive(&mut ctrl, 18);
+        let shard_tree = ctrl.shards[0].shell.tree();
+        let applied = shard_tree.changes() - built;
+        assert!(applied > 0);
+        assert_eq!(shard_tree.change_log().len() as u64, applied);
+        assert_eq!(ctrl.mirror.changes() - built, applied);
+        assert!(ctrl.mirror.change_log().is_empty());
     }
 
     #[test]

@@ -264,7 +264,9 @@ fn distributed_agents_lock_in_two_phases_and_keep_the_domain_invariants() {
     let mut overlapped_acquisitions = 0usize;
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(30_000 + case);
-        let tree = random_tree(&mut rng);
+        // The auditor hears of every edge split from the tree's change log.
+        let mut tree = random_tree(&mut rng);
+        tree.record_changes();
         let n0 = tree.node_count();
         let reqs = random_reqs(&mut rng, 1, 60);
         // W around U keeps ψ small enough for deposits on the deep trees;
@@ -341,8 +343,8 @@ fn distributed_agents_lock_in_two_phases_and_keep_the_domain_invariants() {
                     PackageEvent::Taken { pkg } => auditor.package_consumed(pkg),
                 }
             }
-            for record in ctrl.tree().change_log().iter().skip(log_cursor) {
-                if let TopologyEvent::AddInternal { node, below, .. } = record.event {
+            for &event in &ctrl.tree().change_log().events()[log_cursor..] {
+                if let TopologyEvent::AddInternal { node, below, .. } = event {
                     auditor.on_add_internal(node, below, ctrl.tree());
                 }
             }

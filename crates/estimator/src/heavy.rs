@@ -197,7 +197,6 @@ mod tests {
         for _ in 0..20 {
             cur = tree.add_leaf(cur).unwrap();
         }
-        tree.clear_change_log();
         let decomposition = HeavyChildDecomposition::new(SimConfig::new(23), tree).unwrap();
         assert_eq!(
             decomposition.heavy_child(decomposition.tree().root()),

@@ -40,12 +40,19 @@ pub struct SubtreeEstimator {
 
 impl SubtreeEstimator {
     /// Creates the estimator over `tree` with approximation factor `beta`
-    /// (use `β = √3` when feeding the heavy-child decomposition).
+    /// (use `β = √3` when feeding the heavy-child decomposition). The
+    /// reference super-weights are replayed from the tree's change log, so
+    /// the tree records its changes from here on.
     ///
     /// # Errors
     ///
     /// Returns controller construction errors.
-    pub fn new(config: SimConfig, tree: DynamicTree, beta: f64) -> Result<Self, ControllerError> {
+    pub fn new(
+        config: SimConfig,
+        mut tree: DynamicTree,
+        beta: f64,
+    ) -> Result<Self, ControllerError> {
+        tree.record_changes();
         let size = SizeEstimator::new(config, tree, beta)?;
         let mut est = SubtreeEstimator {
             size,
@@ -55,7 +62,6 @@ impl SubtreeEstimator {
             iteration_tag: 0,
             log_cursor: 0,
         };
-        est.log_cursor = est.size.tree().change_log().len();
         est.refresh_omega0();
         Ok(est)
     }
@@ -143,19 +149,11 @@ impl SubtreeEstimator {
     /// inserted and deleted within one sync window still credits the right
     /// chain even though the live tree no longer contains it.
     fn update_super_weights(&mut self) {
-        let log: Vec<_> = {
-            let tree = self.size.tree();
-            let log = tree
-                .change_log()
-                .iter()
-                .skip(self.log_cursor)
-                .cloned()
-                .collect();
-            self.log_cursor = tree.change_log().len();
-            log
-        };
-        for record in log {
-            match record.event {
+        let log = self.size.tree().change_log();
+        let fresh = log.events()[self.log_cursor..].to_vec();
+        self.log_cursor = log.len();
+        for event in fresh {
+            match event {
                 TopologyEvent::AddLeaf { parent, child } => {
                     self.super_weight.insert(child, 1);
                     self.shadow_parent.insert(child, parent);
@@ -193,7 +191,6 @@ impl SubtreeEstimator {
                     }
                     self.shadow_parent.remove(node);
                 }
-                _ => {}
             }
         }
     }

@@ -263,9 +263,9 @@ fn check_safety_comment(rule: &Rule, file: &SourceFile, out: &mut Vec<Diagnostic
 /// `crates/server` is **not** carved out of scope, deliberately. The serve
 /// engine is a pure state machine on the controller's virtual clock — any
 /// wall-clock read there would be a real determinism bug, and the rule must
-/// keep catching it. Only the measurement edges of the transport (the
-/// `dcn-load` latency stamps, socket timeouts in clients) legitimately
-/// touch `Instant`/`Duration`, and each such site carries a
+/// keep catching it. The crate has none today (latency stamps belong to the
+/// load generator, which lives in `benchmark/`, outside the workspace); a
+/// measurement edge that legitimately needs `Instant` carries a
 /// `// determinism: …` annotation explaining why the value cannot reach a
 /// protocol outcome. A new unannotated wall-clock read in the server crate
 /// fails `--ci` like anywhere else.

@@ -27,8 +27,8 @@
 //!   channels) and the deterministic in-process [`Loopback`] used by the
 //!   byte-identical protocol tests.
 //!
-//! Binaries: `dcn-serve` (the server) and `dcn-load` (the open-loop load
-//! generator; it emits a one-line JSON report).
+//! Binary: `dcn-serve` (the server). Load comes from `benchmark/`'s client,
+//! the repository's one load generator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

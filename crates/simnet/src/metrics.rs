@@ -26,8 +26,8 @@ pub struct Metrics {
     pub topology_changes_applied: u64,
     /// Number of granted topological changes dropped because their target
     /// vanished before they could be applied (or never could exist: the
-    /// root's removal, an unknown non-tree edge). Nothing else drops a
-    /// change — a busy target makes it wait, see the crate docs.
+    /// root's removal). Nothing else drops a change — a busy target makes
+    /// it wait, see the crate docs.
     pub topology_changes_dropped: u64,
     /// Number of agents dropped because their destination vanished (wave
     /// agents racing a concurrent removal).

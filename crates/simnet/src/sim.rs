@@ -698,16 +698,6 @@ impl<P: Protocol> Simulator<P> {
                 self.tree.remove(node).expect("checked above");
                 ChangeOutcome::Applied
             }
-            TopologyChange::AddNonTreeEdge { a, b } => match self.tree.add_non_tree_edge(a, b) {
-                Ok(()) => ChangeOutcome::Applied,
-                Err(_) => ChangeOutcome::Dropped,
-            },
-            TopologyChange::RemoveNonTreeEdge { a, b } => {
-                match self.tree.remove_non_tree_edge(a, b) {
-                    Ok(()) => ChangeOutcome::Applied,
-                    Err(_) => ChangeOutcome::Dropped,
-                }
-            }
         }
     }
 

@@ -36,78 +36,8 @@ pub enum TopologyChange {
         /// The node to remove.
         node: NodeId,
     },
-    /// Add a non-tree edge (a non-topological event for the controller, but
-    /// part of the network graph).
-    AddNonTreeEdge {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// Remove a non-tree edge.
-    RemoveNonTreeEdge {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-}
-
-impl TopologyChange {
-    /// The node whose quiescence gates the application of this change, if any
-    /// (insertions of leaves and non-tree-edge events are ungated).
-    pub fn gate_node(&self) -> Option<NodeId> {
-        match *self {
-            TopologyChange::AddLeaf { .. } => None,
-            TopologyChange::AddInternalAbove { below } => Some(below),
-            TopologyChange::Remove { node } => Some(node),
-            TopologyChange::AddNonTreeEdge { .. } | TopologyChange::RemoveNonTreeEdge { .. } => {
-                None
-            }
-        }
-    }
-
-    /// Returns `true` if this change inserts a node into the tree.
-    pub fn is_insertion(&self) -> bool {
-        matches!(
-            self,
-            TopologyChange::AddLeaf { .. } | TopologyChange::AddInternalAbove { .. }
-        )
-    }
-
-    /// Returns `true` if this change removes a node from the tree.
-    pub fn is_removal(&self) -> bool {
-        matches!(self, TopologyChange::Remove { .. })
-    }
 }
 
 /// Ticks between a change being granted and the environment's one timed
 /// attempt to apply it ("after finite time", §2.1.2).
 pub(crate) const CHANGE_DELAY: Time = 4;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classification() {
-        let add = TopologyChange::AddLeaf {
-            parent: NodeId::from_index(0),
-        };
-        assert!(add.is_insertion());
-        assert!(!add.is_removal());
-        assert_eq!(add.gate_node(), None);
-
-        let split = TopologyChange::AddInternalAbove {
-            below: NodeId::from_index(3),
-        };
-        assert!(split.is_insertion());
-        assert_eq!(split.gate_node(), Some(NodeId::from_index(3)));
-
-        let rm = TopologyChange::Remove {
-            node: NodeId::from_index(2),
-        };
-        assert!(rm.is_removal());
-        assert_eq!(rm.gate_node(), Some(NodeId::from_index(2)));
-    }
-}

@@ -310,20 +310,6 @@ fn root_can_never_be_removed() {
 }
 
 #[test]
-fn non_tree_edges_apply_and_are_non_topological() {
-    let tree = DynamicTree::with_initial_star(3);
-    let mut sim = Simulator::with_tree(SimConfig::new(8), ClimbProtocol, tree);
-    let a = NodeId::from_index(1);
-    let b = NodeId::from_index(2);
-    sim.schedule_change(TopologyChange::AddNonTreeEdge { a, b });
-    sim.run_until_quiescent().unwrap();
-    assert_eq!(sim.tree().non_tree_neighbors(a).unwrap(), vec![b]);
-    sim.schedule_change(TopologyChange::RemoveNonTreeEdge { a, b });
-    sim.run_until_quiescent().unwrap();
-    assert!(sim.tree().non_tree_neighbors(a).unwrap().is_empty());
-}
-
-#[test]
 fn ports_stay_distinct_after_churn() {
     let tree = path_tree(4);
     let mut sim = Simulator::with_tree(SimConfig::new(9), ClimbProtocol, tree);

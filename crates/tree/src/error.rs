@@ -18,11 +18,6 @@ pub enum TreeError {
     NotInternal(NodeId),
     /// `add_internal_above` was called on the root, which has no parent edge.
     NoParentEdge(NodeId),
-    /// A non-tree edge operation referenced an edge that does not exist.
-    UnknownEdge(NodeId, NodeId),
-    /// A non-tree edge operation would duplicate an existing edge (tree or
-    /// non-tree) or create a self-loop.
-    InvalidEdge(NodeId, NodeId),
 }
 
 impl fmt::Display for TreeError {
@@ -33,10 +28,6 @@ impl fmt::Display for TreeError {
             TreeError::NotALeaf(id) => write!(f, "node {id} is not a leaf"),
             TreeError::NotInternal(id) => write!(f, "node {id} is not an internal node"),
             TreeError::NoParentEdge(id) => write!(f, "node {id} has no parent edge to split"),
-            TreeError::UnknownEdge(a, b) => write!(f, "non-tree edge ({a}, {b}) does not exist"),
-            TreeError::InvalidEdge(a, b) => {
-                write!(f, "edge ({a}, {b}) is not a valid non-tree edge")
-            }
         }
     }
 }
@@ -55,8 +46,6 @@ mod tests {
             TreeError::NotALeaf(NodeId::from_index(2)).to_string(),
             TreeError::NotInternal(NodeId::from_index(3)).to_string(),
             TreeError::NoParentEdge(NodeId::from_index(0)).to_string(),
-            TreeError::UnknownEdge(NodeId::from_index(0), NodeId::from_index(1)).to_string(),
-            TreeError::InvalidEdge(NodeId::from_index(0), NodeId::from_index(1)).to_string(),
         ];
         for m in msgs {
             assert!(!m.ends_with('.'), "message ends with punctuation: {m}");

@@ -13,11 +13,14 @@
 //!   children are adopted by its parent.
 //!
 //! This crate provides [`DynamicTree`], an arena-backed implementation of that
-//! model, together with ancestry / depth / path queries, DFS traversal, a
-//! change log that records the network size at every change (needed to check
-//! the paper's `Σ_j log² n_j` bounds), and a small set of *non-tree* edges
-//! (which the paper treats as non-topological because the controller never
-//! sends messages over them).
+//! model, together with ancestry / depth / path queries and DFS traversal. A
+//! tree stores the spanning tree as it stands plus an `O(1)` count of the
+//! changes applied to it ([`DynamicTree::changes`]); the history of those
+//! changes — the [`ChangeLog`], from which the sizes `n_j` of the paper's
+//! `Σ_j log² n_j` bounds are derived — is kept only after a reader asked for
+//! it with [`DynamicTree::record_changes`]. Non-tree edges are not modelled:
+//! the paper classes their insertion and removal as non-topological events,
+//! which reach the controller as plain requests.
 //!
 //! Node identifiers are **never reused**: the total number of identifiers ever
 //! allocated corresponds to the paper's quantity `U`, the number of nodes ever
@@ -53,7 +56,7 @@ mod traversal;
 mod tree;
 
 pub use error::TreeError;
-pub use event::{ChangeLog, ChangeRecord, TopologyEvent};
+pub use event::{ChangeLog, TopologyEvent};
 pub use id::NodeId;
 pub use region::{CarvedRegion, LocalMap, RegionMap};
 pub use traversal::{Ancestors, DfsIter};

@@ -245,11 +245,9 @@ impl RegionMap {
             }
         }
 
-        // Restore the size caches skipped by the bulk attach, and reset the
-        // change logs: they describe construction, not controller activity.
+        // Restore the size caches skipped by the bulk attach.
         for region in &mut regions {
             region.tree.recompute_subtree_sizes();
-            region.tree.clear_change_log();
         }
         (map, regions)
     }
@@ -401,11 +399,9 @@ mod tests {
 
     #[test]
     fn carved_logs_are_reset_and_binds_extend_maps() {
-        let tree = balanced(2, 3);
+        let mut tree = balanced(2, 3);
+        tree.record_changes();
         let (mut map, mut regions) = RegionMap::carve(&tree, 2);
-        for region in &regions {
-            assert_eq!(region.tree.change_log().len(), 0);
-        }
         // Simulate a post-carve insertion in region 1.
         let region = &mut regions[1];
         let top = region
@@ -421,5 +417,9 @@ mod tests {
         map.bind(global, 1, local);
         assert_eq!(region.map.to_global(local), Some(global));
         assert_eq!(map.locate(global), Some((1, local)));
+        // A carved tree counts what happens to it after the carve and, even
+        // when carved off a recording tree, keeps no history of its own.
+        assert_eq!(region.tree.changes(), 1);
+        assert!(regions.iter().all(|r| r.tree.change_log().is_empty()));
     }
 }

@@ -3,16 +3,12 @@
 use crate::event::{ChangeLog, TopologyEvent};
 use crate::traversal::{Ancestors, DfsIter};
 use crate::{NodeId, TreeError};
-use std::collections::BTreeSet;
 
 /// Per-node payload stored in the arena.
 #[derive(Clone, Debug)]
 struct NodeData {
     parent: Option<NodeId>,
     children: Vec<NodeId>,
-    /// Non-tree neighbors (the paper allows non-tree edges; the controller
-    /// ignores them, but they are part of the network graph).
-    non_tree: BTreeSet<NodeId>,
     /// Cached hop distance to the root, maintained incrementally by every
     /// mutation (`add_internal_above` / `remove_internal` shift whole
     /// subtrees). Verified against a from-scratch recomputation by
@@ -24,7 +20,7 @@ struct NodeData {
 }
 
 /// A dynamic rooted tree supporting the four topological changes of the paper
-/// (add/remove leaf, add/remove internal node) plus non-tree edges.
+/// (add/remove leaf, add/remove internal node).
 ///
 /// The tree always contains a root that can never be deleted (paper §2.1.2:
 /// "whose root r is never deleted"). Node ids are never reused; the number of
@@ -48,6 +44,11 @@ pub struct DynamicTree {
     slots: Vec<Option<NodeData>>,
     root: NodeId,
     node_count: usize,
+    /// Topological changes applied through the four mutators so far.
+    changes: u64,
+    /// Whether a reader asked for the history ([`DynamicTree::record_changes`]).
+    recording: bool,
+    /// The changes applied since then; empty (and unallocated) otherwise.
     log: ChangeLog,
 }
 
@@ -63,7 +64,6 @@ impl DynamicTree {
         let root_data = NodeData {
             parent: None,
             children: Vec::new(),
-            non_tree: BTreeSet::new(),
             depth: 0,
             subtree: 1,
         };
@@ -71,24 +71,24 @@ impl DynamicTree {
             slots: vec![Some(root_data)],
             root: NodeId(0),
             node_count: 1,
-            log: ChangeLog::new(),
+            changes: 0,
+            recording: false,
+            log: ChangeLog::default(),
         }
     }
 
     /// Creates a tree with `extra` leaves hanging directly off the root, for a
-    /// total of `extra + 1` nodes. The construction events are *not* recorded
-    /// in the change log (they model the initial network `n0`).
+    /// total of `extra + 1` nodes (the initial network `n0`).
     pub fn with_initial_star(extra: usize) -> Self {
         let mut t = Self::new();
         for _ in 0..extra {
             // lint: allow(unwrap) the root was created by Self::new() above
-            t.add_leaf_unlogged(t.root).expect("root exists");
+            t.add_leaf(t.root).expect("root exists");
         }
         t
     }
 
     /// Creates a tree that is a path of `len + 1` nodes starting at the root.
-    /// The construction events are not recorded in the change log.
     ///
     /// Built directly (not via repeated `add_leaf`) so the depth/subtree
     /// caches are filled in one pass — incremental maintenance would walk
@@ -102,7 +102,6 @@ impl DynamicTree {
             let child = t.alloc(NodeData {
                 parent: Some(parent),
                 children: Vec::new(),
-                non_tree: BTreeSet::new(),
                 depth: d,
                 subtree: len + 1 - d,
             });
@@ -137,16 +136,37 @@ impl DynamicTree {
         self.slots.get(id.index()).is_some_and(Option::is_some)
     }
 
-    /// The change log recording every topological event applied through the
-    /// logged mutation methods.
+    /// Number of topological changes applied to this tree through
+    /// [`add_leaf`](Self::add_leaf), [`remove_leaf`](Self::remove_leaf),
+    /// [`add_internal_above`](Self::add_internal_above) and
+    /// [`remove_internal`](Self::remove_internal) since it was created. `O(1)`;
+    /// a reader that counts the changes of a period takes the difference.
+    pub fn changes(&self) -> u64 {
+        self.changes
+    }
+
+    /// Starts recording every change from now on in the
+    /// [`change_log`](Self::change_log). A tree keeps no history until a
+    /// reader of the events asks for it here; asking again changes nothing.
+    pub fn record_changes(&mut self) {
+        if !self.recording {
+            self.recording = true;
+            self.log = ChangeLog::starting_at(self.node_count);
+        }
+    }
+
+    /// The changes applied since [`record_changes`](Self::record_changes)
+    /// was called on this tree; empty if it never was.
     pub fn change_log(&self) -> &ChangeLog {
         &self.log
     }
 
-    /// Clears the change log (e.g. at an iteration boundary of the adaptive
-    /// controller).
-    pub fn clear_change_log(&mut self) {
-        self.log.clear();
+    /// Counts an applied change and records it if a reader asked.
+    fn applied(&mut self, event: TopologyEvent) {
+        self.changes += 1;
+        if self.recording {
+            self.log.push(event);
+        }
     }
 
     fn data(&self, id: NodeId) -> Result<&NodeData, TreeError> {
@@ -323,15 +343,6 @@ impl DynamicTree {
         Ok(self.data(id)?.subtree)
     }
 
-    /// Non-tree neighbors of `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::UnknownNode`] if `id` does not exist.
-    pub fn non_tree_neighbors(&self, id: NodeId) -> Result<Vec<NodeId>, TreeError> {
-        Ok(self.data(id)?.non_tree.iter().copied().collect())
-    }
-
     /// Checks internal structural invariants; used by tests and debug builds.
     ///
     /// Verified invariants: parent/child pointers are mutually consistent,
@@ -444,7 +455,7 @@ impl DynamicTree {
     }
 
     /// Attaches a new leaf under `parent` without touching the ancestor size
-    /// caches or the change log — the bulk-construction primitive behind
+    /// caches or the change count — the bulk-construction primitive behind
     /// region carving. The per-mutation ancestor walk is O(depth), which
     /// turns copying a deep region (e.g. a carved path piece) quadratic;
     /// bulk callers attach every node with this and then restore the size
@@ -454,7 +465,6 @@ impl DynamicTree {
         let child = self.alloc(NodeData {
             parent: Some(parent),
             children: Vec::new(),
-            non_tree: BTreeSet::new(),
             depth,
             subtree: 1,
         });
@@ -497,12 +507,16 @@ impl DynamicTree {
         }
     }
 
-    fn add_leaf_unlogged(&mut self, parent: NodeId) -> Result<NodeId, TreeError> {
+    /// **add-leaf**: attaches a new leaf under `parent` and returns its id.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TreeError::UnknownNode`] if `parent` does not exist.
+    pub fn add_leaf(&mut self, parent: NodeId) -> Result<NodeId, TreeError> {
         let depth = self.data(parent)?.depth + 1;
         let child = self.alloc(NodeData {
             parent: Some(parent),
             children: Vec::new(),
-            non_tree: BTreeSet::new(),
             depth,
             subtree: 1,
         });
@@ -512,22 +526,7 @@ impl DynamicTree {
             .children
             .push(child);
         self.adjust_ancestor_sizes(parent, 1);
-        Ok(child)
-    }
-
-    /// **add-leaf**: attaches a new leaf under `parent` and returns its id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::UnknownNode`] if `parent` does not exist.
-    pub fn add_leaf(&mut self, parent: NodeId) -> Result<NodeId, TreeError> {
-        let before = self.node_count;
-        let child = self.add_leaf_unlogged(parent)?;
-        self.log.push(
-            TopologyEvent::AddLeaf { parent, child },
-            before,
-            self.node_count,
-        );
+        self.applied(TopologyEvent::AddLeaf { parent, child });
         Ok(child)
     }
 
@@ -548,19 +547,13 @@ impl DynamicTree {
         }
         // lint: allow(unwrap) the root was rejected at entry
         let parent = data.parent.expect("non-root node has a parent");
-        let before = self.node_count;
-        self.detach_non_tree_edges(node);
         // lint: allow(unwrap) a live node's parent link points at a live slot
         let pd = self.data_mut(parent).expect("parent exists");
         pd.children.retain(|&c| c != node);
         self.slots[node.index()] = None;
         self.node_count -= 1;
         self.adjust_ancestor_sizes(parent, -1);
-        self.log.push(
-            TopologyEvent::RemoveLeaf { parent, node },
-            before,
-            self.node_count,
-        );
+        self.applied(TopologyEvent::RemoveLeaf { parent, node });
         Ok(())
     }
 
@@ -579,11 +572,9 @@ impl DynamicTree {
         };
         // The new node takes `below`'s old depth and absorbs its subtree.
         let (node_depth, node_subtree) = (below_data.depth, below_data.subtree + 1);
-        let before = self.node_count;
         let node = self.alloc(NodeData {
             parent: Some(parent),
             children: vec![below],
-            non_tree: BTreeSet::new(),
             depth: node_depth,
             subtree: node_subtree,
         });
@@ -603,15 +594,11 @@ impl DynamicTree {
         self.data_mut(below).expect("below exists").parent = Some(node);
         self.shift_subtree_depths(below, 1);
         self.adjust_ancestor_sizes(parent, 1);
-        self.log.push(
-            TopologyEvent::AddInternal {
-                parent,
-                node,
-                below,
-            },
-            before,
-            self.node_count,
-        );
+        self.applied(TopologyEvent::AddInternal {
+            parent,
+            node,
+            below,
+        });
         Ok(node)
     }
 
@@ -638,8 +625,6 @@ impl DynamicTree {
         // lint: allow(unwrap) the root was rejected at entry
         let parent = data.parent.expect("non-root node has a parent");
         let children = data.children.clone();
-        let before = self.node_count;
-        self.detach_non_tree_edges(node);
         {
             // lint: allow(unwrap) a live node's parent link points at a live slot
             let pd = self.data_mut(parent).expect("parent exists");
@@ -660,11 +645,7 @@ impl DynamicTree {
         self.slots[node.index()] = None;
         self.node_count -= 1;
         self.adjust_ancestor_sizes(parent, -1);
-        self.log.push(
-            TopologyEvent::RemoveInternal { parent, node },
-            before,
-            self.node_count,
-        );
+        self.applied(TopologyEvent::RemoveInternal { parent, node });
         Ok(())
     }
 
@@ -679,74 +660,6 @@ impl DynamicTree {
         } else {
             self.remove_internal(node)
         }
-    }
-
-    fn detach_non_tree_edges(&mut self, node: NodeId) {
-        let neighbors: Vec<NodeId> = self
-            .data(node)
-            .map(|d| d.non_tree.iter().copied().collect())
-            .unwrap_or_default();
-        for nb in neighbors {
-            if let Ok(d) = self.data_mut(nb) {
-                d.non_tree.remove(&node);
-            }
-            if let Ok(d) = self.data_mut(node) {
-                d.non_tree.remove(&nb);
-            }
-            let before = self.node_count;
-            self.log.push(
-                TopologyEvent::RemoveNonTreeEdge { a: node, b: nb },
-                before,
-                before,
-            );
-        }
-    }
-
-    /// Adds a non-tree edge between `a` and `b` (a non-topological event for
-    /// the controller).
-    ///
-    /// # Errors
-    ///
-    /// * [`TreeError::UnknownNode`] if either endpoint does not exist;
-    /// * [`TreeError::InvalidEdge`] if `a == b`, the edge already exists, or
-    ///   it would duplicate a tree edge.
-    pub fn add_non_tree_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), TreeError> {
-        self.data(a)?;
-        self.data(b)?;
-        if a == b {
-            return Err(TreeError::InvalidEdge(a, b));
-        }
-        if self.parent(a) == Some(b) || self.parent(b) == Some(a) {
-            return Err(TreeError::InvalidEdge(a, b));
-        }
-        if self.data(a)?.non_tree.contains(&b) {
-            return Err(TreeError::InvalidEdge(a, b));
-        }
-        self.data_mut(a)?.non_tree.insert(b);
-        self.data_mut(b)?.non_tree.insert(a);
-        let n = self.node_count;
-        self.log.push(TopologyEvent::AddNonTreeEdge { a, b }, n, n);
-        Ok(())
-    }
-
-    /// Removes the non-tree edge between `a` and `b`.
-    ///
-    /// # Errors
-    ///
-    /// * [`TreeError::UnknownNode`] if either endpoint does not exist;
-    /// * [`TreeError::UnknownEdge`] if the edge does not exist.
-    pub fn remove_non_tree_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), TreeError> {
-        self.data(a)?;
-        self.data(b)?;
-        if !self.data(a)?.non_tree.contains(&b) {
-            return Err(TreeError::UnknownEdge(a, b));
-        }
-        self.data_mut(a)?.non_tree.remove(&b);
-        self.data_mut(b)?.non_tree.remove(&a);
-        let n = self.node_count;
-        self.log
-            .push(TopologyEvent::RemoveNonTreeEdge { a, b }, n, n);
-        Ok(())
     }
 }
 
@@ -901,45 +814,48 @@ mod tests {
 
     #[test]
     fn change_log_records_sizes() {
-        let mut t = DynamicTree::new();
+        let mut t = DynamicTree::with_initial_star(2);
+        t.record_changes();
         let a = t.add_leaf(t.root()).unwrap();
         let b = t.add_leaf(a).unwrap();
         t.remove_leaf(b).unwrap();
-        let sizes = t.change_log().sizes_at_changes();
-        assert_eq!(sizes, vec![1, 2, 3]);
-        assert_eq!(t.change_log().tree_change_count(), 3);
+        // Asking twice neither restarts the log nor moves its first size.
+        t.record_changes();
+        assert_eq!(t.change_log().sizes_at_changes(), vec![3, 4, 5]);
+        assert_eq!(
+            t.change_log().events()[2],
+            TopologyEvent::RemoveLeaf { parent: a, node: b }
+        );
+        // The count covers the two construction leaves, the log does not.
+        assert_eq!(t.changes(), 5);
     }
 
     #[test]
-    fn non_tree_edges_are_symmetric_and_validated() {
+    fn a_tree_nobody_asked_to_record_holds_no_history() {
         let mut t = DynamicTree::new();
-        let a = t.add_leaf(t.root()).unwrap();
-        let b = t.add_leaf(t.root()).unwrap();
-        t.add_non_tree_edge(a, b).unwrap();
-        assert_eq!(t.non_tree_neighbors(a).unwrap(), vec![b]);
-        assert_eq!(t.non_tree_neighbors(b).unwrap(), vec![a]);
-        assert_eq!(t.add_non_tree_edge(a, b), Err(TreeError::InvalidEdge(a, b)));
-        assert_eq!(t.add_non_tree_edge(a, a), Err(TreeError::InvalidEdge(a, a)));
-        assert_eq!(
-            t.add_non_tree_edge(a, t.root()),
-            Err(TreeError::InvalidEdge(a, t.root()))
-        );
-        t.remove_non_tree_edge(b, a).unwrap();
-        assert!(t.non_tree_neighbors(a).unwrap().is_empty());
-        assert_eq!(
-            t.remove_non_tree_edge(a, b),
-            Err(TreeError::UnknownEdge(a, b))
-        );
+        let mut last = t.root();
+        for i in 0..10_000 {
+            match i % 4 {
+                0 | 1 => last = t.add_leaf(last).unwrap(),
+                2 => last = t.add_internal_above(last).unwrap(),
+                _ => {
+                    let parent = t.parent(last).unwrap();
+                    t.remove(last).unwrap();
+                    last = parent;
+                }
+            }
+        }
+        assert_eq!(t.changes(), 10_000);
+        assert!(t.change_log().is_empty());
     }
 
+    /// What a tree costs per node ever created and per recorded change
+    /// (DESIGN.md §7 "Memory law").
+    #[cfg(target_pointer_width = "64")]
     #[test]
-    fn deleting_a_node_detaches_its_non_tree_edges() {
-        let mut t = DynamicTree::new();
-        let a = t.add_leaf(t.root()).unwrap();
-        let b = t.add_leaf(t.root()).unwrap();
-        t.add_non_tree_edge(a, b).unwrap();
-        t.remove_leaf(a).unwrap();
-        assert!(t.non_tree_neighbors(b).unwrap().is_empty());
+    fn arena_slot_is_48_bytes_and_a_log_entry_16() {
+        assert_eq!(std::mem::size_of::<Option<NodeData>>(), 48);
+        assert_eq!(std::mem::size_of::<TopologyEvent>(), 16);
     }
 
     #[test]

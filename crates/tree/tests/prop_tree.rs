@@ -10,7 +10,7 @@
 //! reproducible from its printed case seed.
 
 use dcn_rng::{DetRng, Rng, SeedableRng};
-use dcn_tree::{DynamicTree, NodeId, TreeError};
+use dcn_tree::{DynamicTree, NodeId, TopologyEvent, TreeError};
 
 const CASES: u64 = 128;
 
@@ -142,38 +142,83 @@ fn dfs_is_a_bijection_on_nodes() {
     }
 }
 
-/// The change log's recorded sizes are consistent: sizes change by exactly
-/// one per tree change and match the running count.
+/// The sizes the change log derives are consistent: the series `n_j`,
+/// computed from the size when recording began, equals `node_count()`
+/// sampled before each successful op, and the `O(1)` change count equals the
+/// log length.
 #[test]
 fn change_log_sizes_are_consistent() {
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(4_000 + case);
         let ops = random_ops(&mut rng, 150);
         let mut tree = DynamicTree::new();
+        tree.record_changes();
+        let mut sampled = Vec::new();
         for op in &ops {
-            let _ = apply(&mut tree, op);
+            let before = tree.node_count();
+            if apply(&mut tree, op).is_ok() {
+                sampled.push(before);
+            }
         }
-        let mut prev_after: Option<usize> = None;
-        for rec in tree.change_log() {
-            if rec.event.is_tree_change() {
-                let delta = rec.nodes_after as i64 - rec.nodes_before as i64;
-                assert!(delta == 1 || delta == -1, "case {case}");
-                if rec.event.is_insertion() {
-                    assert_eq!(delta, 1, "case {case}");
-                } else {
-                    assert_eq!(delta, -1, "case {case}");
+        let log = tree.change_log();
+        assert_eq!(log.sizes_at_changes(), sampled, "case {case}");
+        assert_eq!(tree.changes(), log.len() as u64, "case {case}");
+    }
+}
+
+/// Recording is invisible to the tree and the record is complete: a
+/// recording and a non-recording tree driven by the same ops end node for
+/// node equal, and replaying the recorded events onto a clone of the start
+/// tree (the sharded mirror's dispatch) reproduces the final tree.
+#[test]
+fn a_recorded_history_replays_to_the_same_tree() {
+    fn assert_same_tree(a: &DynamicTree, b: &DynamicTree, case: u64) {
+        assert_eq!(a.total_created(), b.total_created(), "case {case}");
+        assert!(a.nodes().eq(b.nodes()), "case {case}");
+        for v in a.nodes() {
+            assert_eq!(a.parent(v), b.parent(v), "case {case}: parent of {v}");
+            assert_eq!(a.children(v), b.children(v), "case {case}: children of {v}");
+            assert_eq!(a.depth(v), b.depth(v), "case {case}: depth of {v}");
+        }
+        assert!(b.check_invariants().is_ok(), "case {case}");
+    }
+    for case in 0..CASES {
+        let mut rng = DetRng::seed_from_u64(7_000 + case);
+        let mut start = DynamicTree::new();
+        for op in &random_ops(&mut rng, 40) {
+            let _ = apply(&mut start, op);
+        }
+        let ops = random_ops(&mut rng, 150);
+        let mut plain = start.clone();
+        let mut recording = start.clone();
+        recording.record_changes();
+        for op in &ops {
+            assert_eq!(
+                apply(&mut plain, op),
+                apply(&mut recording, op),
+                "case {case}: {op:?}"
+            );
+        }
+        assert!(plain.change_log().is_empty(), "case {case}");
+        assert_eq!(plain.changes(), recording.changes(), "case {case}");
+
+        let mut replayed = start.clone();
+        for event in recording.change_log().events() {
+            match *event {
+                TopologyEvent::AddLeaf { parent, child } => {
+                    assert_eq!(replayed.add_leaf(parent), Ok(child), "case {case}");
                 }
-            } else {
-                assert_eq!(rec.nodes_after, rec.nodes_before, "case {case}");
+                TopologyEvent::AddInternal { node, below, .. } => {
+                    assert_eq!(replayed.add_internal_above(below), Ok(node), "case {case}");
+                }
+                TopologyEvent::RemoveLeaf { node, .. }
+                | TopologyEvent::RemoveInternal { node, .. } => {
+                    assert_eq!(replayed.remove(node), Ok(()), "case {case}");
+                }
             }
-            if let Some(p) = prev_after {
-                assert_eq!(rec.nodes_before, p, "case {case}");
-            }
-            prev_after = Some(rec.nodes_after);
         }
-        if let Some(p) = prev_after {
-            assert_eq!(p, tree.node_count(), "case {case}");
-        }
+        assert_same_tree(&recording, &plain, case);
+        assert_same_tree(&recording, &replayed, case);
     }
 }
 

@@ -81,8 +81,8 @@ impl TreeShape {
     }
 }
 
-/// Builds the initial tree for a shape. The construction is not recorded in
-/// the change log (it models the pre-existing network `n0`).
+/// Builds the initial tree for a shape (the pre-existing network `n0`). Like
+/// every fresh tree it keeps no change log until a reader asks for one.
 pub fn build_tree(shape: TreeShape) -> DynamicTree {
     match shape {
         TreeShape::Path { nodes } => DynamicTree::with_initial_path(nodes),
@@ -110,7 +110,6 @@ pub fn build_tree(shape: TreeShape) -> DynamicTree {
                     break;
                 }
             }
-            tree.clear_change_log();
             tree
         }
         TreeShape::RandomRecursive { nodes, seed } => {
@@ -124,7 +123,6 @@ pub fn build_tree(shape: TreeShape) -> DynamicTree {
                 let child = tree.add_leaf(parent).expect("parent exists");
                 existing.push(child);
             }
-            tree.clear_change_log();
             tree
         }
         TreeShape::Caterpillar { spine, legs } => {
@@ -138,7 +136,6 @@ pub fn build_tree(shape: TreeShape) -> DynamicTree {
                     tree.add_leaf(cur).expect("node exists");
                 }
             }
-            tree.clear_change_log();
             tree
         }
         TreeShape::PreferentialAttachment { nodes, seed } => {
@@ -155,7 +152,6 @@ pub fn build_tree(shape: TreeShape) -> DynamicTree {
                 endpoints.push(parent);
                 endpoints.push(child);
             }
-            tree.clear_change_log();
             tree
         }
         TreeShape::Spider { legs, leg_length } => {
@@ -167,7 +163,6 @@ pub fn build_tree(shape: TreeShape) -> DynamicTree {
                     cur = tree.add_leaf(cur).expect("node exists");
                 }
             }
-            tree.clear_change_log();
             tree
         }
     }

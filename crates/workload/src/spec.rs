@@ -259,6 +259,23 @@ mod tests {
     }
 
     #[test]
+    fn a_served_tree_holds_no_history() {
+        // No family reads the tree's events, so none pays for a log: the
+        // churn batch changes the tree and leaves nothing behind but it.
+        let scenario = Scenario::smoke();
+        let runner = ScenarioRunner::new(scenario.clone());
+        let built = runner.initial_tree().changes();
+        for family in Family::ALL {
+            let mut ctrl = ControllerSpec::for_scenario(family, &scenario)
+                .build_for(&runner)
+                .unwrap();
+            runner.run(ctrl.as_mut()).unwrap();
+            assert!(ctrl.tree().changes() > built, "{}", family.name());
+            assert!(ctrl.tree().change_log().is_empty(), "{}", family.name());
+        }
+    }
+
+    #[test]
     fn factory_rejects_unknown_families_with_a_description() {
         let err = family_factory("martian", &Scenario::smoke())
             .map(|_| ())

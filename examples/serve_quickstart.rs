@@ -3,11 +3,13 @@
 //! handshake, subscribe, submit tagged permit requests over real TCP
 //! sockets, read the streamed outcomes, and shut the server down cleanly.
 //!
-//! This is the programmatic twin of running the binaries:
+//! This is the programmatic twin of running the binary and talking to it:
 //!
 //! ```text
 //! dcn-serve --family distributed --m 256 --w 16 --addr 127.0.0.1:4617 &
-//! dcn-load  --addr 127.0.0.1:4617 --clients 4 --requests 1000 --shutdown
+//! printf '%s\n' '{"op":"hello","proto":1}' \
+//!     '{"op":"submit","kind":"event","node":0}' \
+//!     '{"op":"poll","ticket":0}' '{"op":"shutdown"}' | nc 127.0.0.1 4617
 //! ```
 //!
 //! The full frame grammar is documented in DESIGN.md §9.
