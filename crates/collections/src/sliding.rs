@@ -5,6 +5,10 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
 
+/// Capacity (in slots) under which [`SlidingMap::remove`] never shrinks the
+/// buffer: a window this small is not worth a reallocation.
+const SHRINK_FLOOR: usize = 64;
+
 /// A dense map from an [`EntityKey`] to `V` whose memory follows the *live*
 /// keys, not the largest key ever seen: a `VecDeque<Option<V>>` covering the
 /// index range `base .. base + span`, where the first and the last slot are
@@ -18,7 +22,10 @@ use std::marker::PhantomData;
 /// — like the `SecondaryMap`; [`SlidingMap::remove`] additionally pops the
 /// vacant slots at either end, so the window slides up behind the oldest live
 /// key. One long-lived entry pins the window: `span` is
-/// `newest live − oldest live + 1`, whatever lies vacant in between.
+/// `newest live − oldest live + 1`, whatever lies vacant in between. Once it
+/// is released the allocation follows the window back down: a removal that
+/// leaves the span under a quarter of the capacity shrinks the buffer to
+/// twice the span (amortised against the removals that emptied it).
 ///
 /// Keys need not arrive in order: inserting above the window extends it with
 /// vacant slots, and so does inserting *below* its front (answers come back
@@ -134,7 +141,8 @@ impl<K: EntityKey, V> SlidingMap<K, V> {
     }
 
     /// Removes and returns the value at `key`, then drops the vacant slots
-    /// at both ends of the window.
+    /// at both ends of the window and, if that left the buffer mostly
+    /// unused, gives the excess capacity back.
     pub fn remove(&mut self, key: K) -> Option<V> {
         let offset = self.offset(key)?;
         let old = self.slots.get_mut(offset)?.take()?;
@@ -145,6 +153,10 @@ impl<K: EntityKey, V> SlidingMap<K, V> {
         }
         while let Some(None) = self.slots.back() {
             self.slots.pop_back();
+        }
+        let capacity = self.slots.capacity();
+        if capacity > SHRINK_FLOOR && self.slots.len() < capacity / 4 {
+            self.slots.shrink_to(2 * self.slots.len());
         }
         Some(old)
     }
@@ -167,5 +179,55 @@ impl<K: EntityKey, V> Default for SlidingMap<K, V> {
 impl<K: EntityKey + fmt::Debug, V: fmt::Debug> fmt::Debug for SlidingMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    struct Id(usize);
+
+    impl EntityKey for Id {
+        fn index(self) -> usize {
+            self.0
+        }
+        fn from_index(index: usize) -> Self {
+            Id(index)
+        }
+    }
+
+    /// The starved-agent pattern: one entry pins the front while 100 000
+    /// short-lived ones pass behind it. Releasing it gives the peak back.
+    #[test]
+    fn releasing_a_pinned_entry_gives_the_peak_capacity_back() {
+        let mut map: SlidingMap<Id, u64> = SlidingMap::new();
+        map.insert(Id(0), 0);
+        for id in 1..=100_000usize {
+            map.insert(Id(id), id as u64);
+            if id > 8 {
+                map.remove(Id(id - 8));
+            }
+        }
+        assert_eq!((map.len(), map.span()), (9, 100_001));
+        assert!(map.slots.capacity() >= 100_001);
+        assert_eq!(map.remove(Id(0)), Some(0));
+        assert_eq!((map.len(), map.span()), (8, 8));
+        assert!(
+            map.slots.capacity() <= SHRINK_FLOOR,
+            "capacity {} for a span of 8",
+            map.slots.capacity()
+        );
+        // A window that was never large is left alone.
+        let mut small: SlidingMap<Id, u64> = SlidingMap::new();
+        for id in 0..SHRINK_FLOOR / 2 {
+            small.insert(Id(id), 0);
+        }
+        let before = small.slots.capacity();
+        for id in 0..SHRINK_FLOOR / 2 - 1 {
+            small.remove(Id(id));
+        }
+        assert_eq!(small.slots.capacity(), before);
     }
 }

@@ -112,6 +112,55 @@ fn the_window_follows_sequential_ids_with_short_lives() {
     assert_eq!((map.len(), map.span()), (1, 1));
 }
 
+/// The starved-agent pattern: one entry pins the front while 100 000
+/// short-lived ones pass behind it, so the buffer grows to the pinned span.
+/// Releasing it lets the map give that capacity back (the capacity itself is
+/// pinned by `sliding.rs`'s unit test); what is checked here is that the
+/// reallocation loses nothing — the survivors, wrapped far into the old
+/// buffer, and everything done to the map afterwards still match the model.
+#[test]
+fn releasing_a_pinned_front_entry_keeps_the_model() {
+    for (case, in_flight) in [(0u64, 1usize), (1, 8), (2, 100), (3, 5_000)] {
+        let mut rng = DetRng::seed_from_u64(0x511d_8000 + case);
+        let mut map: SlidingMap<Id, u64> = SlidingMap::new();
+        let mut model: BTreeMap<usize, u64> = BTreeMap::new();
+        let base = rng.gen_range(0usize..1_000_000);
+        map.insert(Id(base), 0);
+        model.insert(base, 0);
+        for id in base + 1..=base + 100_000 {
+            let value = rng.gen::<u64>();
+            assert_eq!(map.insert(Id(id), value), model.insert(id, value));
+            if id - base > in_flight {
+                let gone = id - in_flight;
+                assert_eq!(map.remove(Id(gone)), model.remove(&gone));
+            }
+        }
+        assert_matches_model(&map, &model);
+        assert_eq!(map.span(), 100_001);
+        assert_eq!(map.remove(Id(base)), model.remove(&base));
+        assert_matches_model(&map, &model);
+        assert_eq!(map.span(), in_flight);
+        // Life goes on in the smaller buffer: below the front, above the
+        // back, and draining to empty.
+        for id in (base + 99_000..base + 99_010).chain(base + 100_001..base + 100_200) {
+            assert_eq!(map.insert(Id(id), id as u64), model.insert(id, id as u64));
+        }
+        assert_matches_model(&map, &model);
+        while let Some((&key, _)) = model.iter().next() {
+            let key = if rng.gen_range(0u32..2) == 0 {
+                key
+            } else {
+                *model.keys().next_back().unwrap()
+            };
+            assert_eq!(map.remove(Id(key)), model.remove(&key));
+            if model.len() % 64 == 0 {
+                assert_matches_model(&map, &model);
+            }
+        }
+        assert_matches_model(&map, &model);
+    }
+}
+
 #[test]
 fn emptying_and_refilling_starts_a_fresh_window() {
     let mut map: SlidingMap<Id, u64> = SlidingMap::new();

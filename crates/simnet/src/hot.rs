@@ -1,80 +1,77 @@
-//! Struct-of-arrays hot state for the simulator's event loop.
+//! Hot state for the simulator's event loop: one record per live node, one
+//! slot per live agent.
 //!
-//! PR 5 moved per-entity state out of hashed maps into dense
-//! `SecondaryMap`s; this module goes one step further and fuses the four
-//! parallel maps (whiteboards / node taxi / ports, and the agent table) into
-//! two containers with a **single liveness discriminator** each: a node
-//! exists iff its whiteboard slot is `Some`, an agent is live iff it has a
-//! slot. One `Activate` then pays one presence check per entity and direct
-//! indexing, instead of four separate `Vec<Option<_>>` probes with four
-//! redundant discriminants.
+//! Everything the loop keeps about a node — its whiteboard, its taxi state,
+//! its port numbers — sits in one heap record behind one spine entry, and the
+//! entry is the **single liveness discriminator**: a node exists iff its
+//! entry is `Some`. One `Activate` pays one presence check and one pointer
+//! per node it touches, and a removed node gives its whole record back.
 //!
-//! Entity ids (`NodeId`, `AgentId`) are arena-dense and never reused. A
-//! node's slots are written once and the node arrays (struct-of-arrays)
-//! grow with `total_created`, the tree arena's own memory law; agents come
-//! and go by the million, so the agent table keeps one slot (program state
-//! and taxi counters together) for each live one only, in a [`SlidingMap`]
-//! window over their ids.
+//! Entity ids (`NodeId`, `AgentId`) are arena-dense and never reused, so
+//! both tables follow the live entities, not the ids: the node spine keeps a
+//! vacant 8-byte entry per dead id (the tree arena's own memory law) and the
+//! record only while the node lives; agents come and go by the million, so
+//! the agent table keeps one slot (program state and taxi counters together)
+//! for each live one only, in a [`SlidingMap`] window over their ids.
 
 use crate::ports::PortMap;
 use crate::protocol::AgentId;
 use crate::taxi::{AgentTaxi, NodeTaxi};
 use crate::NodeId;
 use dcn_collections::SlidingMap;
+use dcn_rng::Rng;
 
-/// Per-node hot state: parallel arrays indexed by the node's arena index.
-/// The whiteboard slot doubles as the liveness discriminator — `taxi` and
-/// `ports` entries of dead slots are default-valued and must only be reached
-/// through the liveness-gated accessors.
+/// One live node: its whiteboard, its taxi state and its port numbers.
+pub(crate) struct NodeSlot<W> {
+    pub whiteboard: W,
+    pub taxi: NodeTaxi,
+    pub ports: PortMap,
+}
+
+/// Per-node hot state: a spine indexed by the node's arena index whose entry
+/// is `Some` exactly while the node lives. Every accessor reads a dead or
+/// never-minted id as `None`.
 pub(crate) struct HotNodeState<W> {
-    whiteboards: Vec<Option<W>>,
-    taxi: Vec<NodeTaxi>,
-    ports: Vec<PortMap>,
+    slots: Vec<Option<Box<NodeSlot<W>>>>,
 }
 
 impl<W> HotNodeState<W> {
     pub fn with_capacity(capacity: usize) -> Self {
-        let mut state = HotNodeState {
-            whiteboards: Vec::new(),
-            taxi: Vec::new(),
-            ports: Vec::new(),
-        };
-        state.ensure(capacity);
-        state
-    }
-
-    /// Grows all three arrays to cover indices `0..len` with dead slots.
-    fn ensure(&mut self, len: usize) {
-        if self.whiteboards.len() < len {
-            self.whiteboards.resize_with(len, || None);
-            self.taxi.resize_with(len, NodeTaxi::new);
-            self.ports.resize_with(len, PortMap::default);
+        HotNodeState {
+            slots: Vec::with_capacity(capacity),
         }
     }
 
     #[inline]
-    fn slot(&self, node: NodeId) -> Option<usize> {
-        let i = node.index();
-        (i < self.whiteboards.len() && self.whiteboards[i].is_some()).then_some(i)
+    fn slot(&self, node: NodeId) -> Option<&NodeSlot<W>> {
+        self.slots.get(node.index())?.as_deref()
     }
 
-    /// Marks `node` live with a fresh whiteboard and taxi state (ports keep
-    /// whatever assignments they already accumulated — ids are never reused,
-    /// so a fresh slot's port map is empty).
+    /// The whole record of live `node`, for a caller that works on more than
+    /// one part of it.
+    #[inline]
+    pub fn slot_mut(&mut self, node: NodeId) -> Option<&mut NodeSlot<W>> {
+        self.slots.get_mut(node.index())?.as_deref_mut()
+    }
+
+    /// Marks `node` live with `whiteboard`, fresh taxi state and no ports.
     pub fn insert(&mut self, node: NodeId, whiteboard: W) {
         let i = node.index();
-        self.ensure(i + 1);
-        self.whiteboards[i] = Some(whiteboard);
-        self.taxi[i] = NodeTaxi::new();
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.slots[i] = Some(Box::new(NodeSlot {
+            whiteboard,
+            taxi: NodeTaxi::new(),
+            ports: PortMap::default(),
+        }));
     }
 
-    /// Kills `node`, returning its whiteboard and resetting its taxi/port
-    /// state (releasing the queue and port allocations).
+    /// Kills `node`, returning its whiteboard; its taxi and port state go
+    /// with the record.
     pub fn remove(&mut self, node: NodeId) -> Option<W> {
-        let i = self.slot(node)?;
-        self.taxi[i] = NodeTaxi::new();
-        self.ports[i] = PortMap::default();
-        self.whiteboards[i].take()
+        let slot = self.slots.get_mut(node.index())?.take()?;
+        Some(slot.whiteboard)
     }
 
     #[cfg(test)]
@@ -84,48 +81,59 @@ impl<W> HotNodeState<W> {
 
     #[inline]
     pub fn whiteboard(&self, node: NodeId) -> Option<&W> {
-        let i = node.index();
-        self.whiteboards.get(i).and_then(Option::as_ref)
+        self.slot(node).map(|s| &s.whiteboard)
     }
 
     #[inline]
     pub fn whiteboard_mut(&mut self, node: NodeId) -> Option<&mut W> {
-        let i = node.index();
-        self.whiteboards.get_mut(i).and_then(Option::as_mut)
+        self.slot_mut(node).map(|s| &mut s.whiteboard)
     }
 
     #[inline]
     pub fn taxi(&self, node: NodeId) -> Option<&NodeTaxi> {
-        self.slot(node).map(|i| &self.taxi[i])
+        self.slot(node).map(|s| &s.taxi)
     }
 
     #[inline]
     pub fn taxi_mut(&mut self, node: NodeId) -> Option<&mut NodeTaxi> {
-        self.slot(node).map(|i| &mut self.taxi[i])
+        self.slot_mut(node).map(|s| &mut s.taxi)
     }
 
     #[inline]
     pub fn ports(&self, node: NodeId) -> Option<&PortMap> {
-        self.slot(node).map(|i| &self.ports[i])
+        self.slot(node).map(|s| &s.ports)
     }
 
-    /// Ungated port access for topology rewiring: the caller has already
-    /// established the node is part of the change, and a port map physically
-    /// exists for every slot.
-    #[inline]
-    pub fn ports_raw_mut(&mut self, node: NodeId) -> &mut PortMap {
-        let i = node.index();
-        self.ensure(i + 1);
-        &mut self.ports[i]
+    /// The ports of a node topology rewiring names: always a live one (part
+    /// of the change being applied), so a dead id here is a simulator bug —
+    /// loud in debug builds, a no-op (no port, no rng draw) in release.
+    fn rewired_ports(&mut self, node: NodeId) -> Option<&mut PortMap> {
+        let slot = self.slot_mut(node);
+        debug_assert!(slot.is_some(), "rewiring names dead node {node}");
+        slot.map(|s| &mut s.ports)
+    }
+
+    /// Gives `node` a fresh port number towards `neighbor`, drawn from `rng`.
+    pub fn assign_port<R: Rng>(&mut self, node: NodeId, neighbor: NodeId, rng: &mut R) {
+        if let Some(ports) = self.rewired_ports(node) {
+            ports.assign(neighbor, rng);
+        }
+    }
+
+    /// Forgets `node`'s port towards `neighbor`.
+    pub fn remove_port(&mut self, node: NodeId, neighbor: NodeId) {
+        if let Some(ports) = self.rewired_ports(node) {
+            ports.remove(neighbor);
+        }
     }
 
     /// Live whiteboards in node-index order (the deterministic iteration
     /// order the sweep reports rely on).
     pub fn iter_whiteboards(&self) -> impl Iterator<Item = (NodeId, &W)> {
-        self.whiteboards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, wb)| wb.as_ref().map(|w| (NodeId::from_index(i), w)))
+        self.slots.iter().enumerate().filter_map(|(i, slot)| {
+            let slot = slot.as_deref()?;
+            Some((NodeId::from_index(i), &slot.whiteboard))
+        })
     }
 }
 
@@ -194,6 +202,7 @@ impl<A> AgentTable<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_rng::{DetRng, SeedableRng};
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
@@ -222,8 +231,46 @@ mod tests {
         hot.insert(n(5), 42);
         assert_eq!(hot.whiteboard(n(5)), Some(&42));
         assert!(!hot.contains(n(3)));
-        hot.ports_raw_mut(n(8)).len(); // ungated access also grows
-        assert!(!hot.contains(n(8)));
+        // Reading past the spine neither grows it nor finds anything.
+        assert!(hot.ports(n(8)).is_none());
+        assert_eq!(hot.slots.len(), 6);
+    }
+
+    /// What the simulator keeps per id ever minted and per live node
+    /// (DESIGN.md §7 "Memory law"): a vacant 8-byte entry, one record.
+    #[test]
+    fn a_removed_node_leaves_one_vacant_spine_entry_and_no_record() {
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<Option<Box<NodeSlot<[u64; 18]>>>>(), 8);
+        let mut rng = DetRng::seed_from_u64(23);
+        let mut hot: HotNodeState<u64> = HotNodeState::with_capacity(0);
+        hot.insert(n(0), 0);
+        // The churn shape: a leaf under node 0 comes, an older one goes.
+        let mut live = vec![n(0)];
+        for i in 1..=10_000usize {
+            hot.insert(n(i), i as u64);
+            hot.assign_port(n(0), n(i), &mut rng);
+            hot.assign_port(n(i), n(0), &mut rng);
+            hot.taxi_mut(n(i)).unwrap().inbound = 1;
+            live.push(n(i));
+            if live.len() > 8 {
+                let gone = live.remove(1);
+                assert_eq!(hot.remove(gone), Some(gone.index() as u64));
+                hot.remove_port(n(0), gone);
+                assert!(hot.whiteboard(gone).is_none() && hot.whiteboard_mut(gone).is_none());
+                assert!(hot.taxi(gone).is_none() && hot.taxi_mut(gone).is_none());
+                assert!(hot.ports(gone).is_none());
+                assert_eq!(hot.remove(gone), None);
+            }
+            let records = hot.slots.iter().flatten().count();
+            assert_eq!(records, live.len());
+        }
+        assert_eq!(hot.slots.len(), 10_001);
+        assert_eq!(hot.ports(n(0)).map(PortMap::len), Some(live.len() - 1));
+        let seen: Vec<NodeId> = hot.iter_whiteboards().map(|(id, _)| id).collect();
+        assert_eq!(seen, live);
+        // Ids far past the spine read as absent too.
+        assert!(hot.taxi(n(u32::MAX as usize)).is_none());
     }
 
     #[test]

@@ -64,10 +64,11 @@ pub struct Simulator<P: Protocol> {
     tree: DynamicTree,
     rng: DetRng,
     queue: EventQueue,
-    /// Per-node hot state (whiteboards / taxi / ports) as struct-of-arrays
-    /// over the dense node-arena index: a step() pays direct array indexing
-    /// behind a single liveness check, and every iteration over node state
-    /// is index-ordered (deterministic) by construction.
+    /// Per-node hot state (whiteboard / taxi / ports), one record per live
+    /// node behind a spine over the dense node-arena index: a step() pays a
+    /// single liveness check and one pointer, a removed node gives its
+    /// record back, and every iteration over node state is index-ordered
+    /// (deterministic) by construction.
     nodes: HotNodeState<P::Whiteboard>,
     /// Agent ids are never reused, but the table holds slots for the live
     /// agents only (a window over the ids), so a simulator that runs without
@@ -114,9 +115,8 @@ impl<P: Protocol> Simulator<P> {
             };
             nodes.insert(node, wb);
             if let Some(p) = parent {
-                let port_at_parent = nodes.ports_raw_mut(p).assign(node, &mut rng);
-                let port_at_child = nodes.ports_raw_mut(node).assign(p, &mut rng);
-                debug_assert_ne!((port_at_parent, p), (port_at_child, node));
+                nodes.assign_port(p, node, &mut rng);
+                nodes.assign_port(node, p, &mut rng);
             }
         }
         Simulator {
@@ -378,40 +378,43 @@ impl<P: Protocol> Simulator<P> {
     }
 
     fn process_activation(&mut self, agent: AgentId, at: NodeId) -> Result<(), SimError> {
-        if let Some(t) = self.nodes.taxi_mut(at) {
-            t.inbound = t.inbound.saturating_sub(1);
+        // One lookup serves the whole activation: the node's record holds
+        // its taxi state and its whiteboard together.
+        let mut node = self.nodes.slot_mut(at);
+        if let Some(node) = &mut node {
+            node.taxi.inbound = node.taxi.inbound.saturating_sub(1);
         }
         let Some(slot) = self.agents.get_mut(agent) else {
             return Ok(());
         };
-        if !self.tree.contains(at) {
+        // The child list is borrowed straight from the tree arena (nothing
+        // mutates the tree during an activation) and the effects vector is
+        // the reusable scratch buffer: one activation allocates nothing.
+        let Ok(children) = self.tree.children(at) else {
             // The target vanished despite the quiescence gate (can only happen
             // for wave agents heading to a just-removed child); drop the agent.
             self.metrics.agents_dropped += 1;
             self.agents.retire(agent);
             return Ok(());
-        }
+        };
         self.metrics.activations += 1;
         slot.taxi.location = at;
         let arrived_from = slot.taxi.arrived_from;
 
         let parent = self.tree.parent(at);
-        // The child list is borrowed straight from the tree arena (nothing
-        // mutates the tree during an activation) and the effects vector is
-        // the reusable scratch buffer: one activation allocates nothing.
         let effects = std::mem::take(&mut self.effects_scratch);
-        let children: &[NodeId] = self.tree.children(at).unwrap_or(&[]);
-        let locked_by = self.nodes.taxi(at).and_then(|t| t.locked_by);
         let node_count = self.tree.node_count();
         let total_created = self.tree.total_created();
         let time = self.queue.now();
 
-        // `contains(at)` held above, so a missing whiteboard means the node
+        // The tree holds `at`, so a missing record means the node
         // bookkeeping diverged from the tree arena; surface it to the driver
         // instead of panicking mid-drain.
-        let Some(whiteboard) = self.nodes.whiteboard_mut(at) else {
+        let Some(node) = node else {
             return Err(SimError::UnknownNode(at));
         };
+        let locked_by = node.taxi.locked_by;
+        let whiteboard = &mut node.whiteboard;
         let protocol = &mut self.protocol;
         let mut ctx: NodeCtx<'_, P> = NodeCtx {
             node: at,
@@ -640,11 +643,11 @@ impl<P: Protocol> Simulator<P> {
                 };
                 self.init_new_node(node, parent);
                 // Re-wire adversarial ports for the changed incident edges.
-                self.nodes.ports_raw_mut(parent).remove(below);
-                self.nodes.ports_raw_mut(below).remove(parent);
-                self.nodes.ports_raw_mut(parent).assign(node, &mut self.rng);
-                self.nodes.ports_raw_mut(node).assign(below, &mut self.rng);
-                self.nodes.ports_raw_mut(below).assign(node, &mut self.rng);
+                self.nodes.remove_port(parent, below);
+                self.nodes.remove_port(below, parent);
+                self.nodes.assign_port(parent, node, &mut self.rng);
+                self.nodes.assign_port(node, below, &mut self.rng);
+                self.nodes.assign_port(below, node, &mut self.rng);
                 ChangeOutcome::Applied
             }
             TopologyChange::Remove { node } => {
@@ -675,7 +678,7 @@ impl<P: Protocol> Simulator<P> {
                 // parked change is lost with the slot.
                 debug_assert!(self.nodes.taxi(node).is_some_and(|t| t.parked.is_empty()));
                 // Hand the whiteboard contents to the parent ("graceful"
-                // rule); removal also resets the node's taxi and port state.
+                // rule); the node's taxi and port state go with its record.
                 if let Some(removed_wb) = self.nodes.remove(node) {
                     // The parent always has a whiteboard while its child
                     // existed; if not, the merge is skipped rather than
@@ -685,11 +688,11 @@ impl<P: Protocol> Simulator<P> {
                         self.metrics.aux_messages += aux;
                     }
                 }
-                self.nodes.ports_raw_mut(parent).remove(node);
+                self.nodes.remove_port(parent, node);
                 for &c in &children {
-                    self.nodes.ports_raw_mut(c).remove(node);
-                    self.nodes.ports_raw_mut(c).assign(parent, &mut self.rng);
-                    self.nodes.ports_raw_mut(parent).assign(c, &mut self.rng);
+                    self.nodes.remove_port(c, node);
+                    self.nodes.assign_port(c, parent, &mut self.rng);
+                    self.nodes.assign_port(parent, c, &mut self.rng);
                 }
                 self.children_scratch = children;
                 // lint: allow(unwrap) contains(node) and node != root were
@@ -707,8 +710,8 @@ impl<P: Protocol> Simulator<P> {
             self.protocol.make_whiteboard(node, parent_wb)
         };
         self.nodes.insert(node, wb);
-        self.nodes.ports_raw_mut(parent).assign(node, &mut self.rng);
-        self.nodes.ports_raw_mut(node).assign(parent, &mut self.rng);
+        self.nodes.assign_port(parent, node, &mut self.rng);
+        self.nodes.assign_port(node, parent, &mut self.rng);
     }
 }
 

@@ -127,6 +127,36 @@ fn pick(tree: &DynamicTree, k: usize) -> NodeId {
     nodes[k % nodes.len()]
 }
 
+fn fresh_agent() -> BounceAgent {
+    BounceAgent {
+        phase: BouncePhase::Climb,
+        below_top: 0,
+    }
+}
+
+/// Creates the agent or schedules the change `event` stands for, at the
+/// `k`-th live node.
+fn inject(sim: &mut Simulator<BounceProtocol>, event: SimEvent) {
+    match event {
+        SimEvent::Agent(k) => {
+            let at = pick(sim.tree(), k);
+            sim.create_agent(at, fresh_agent()).unwrap();
+        }
+        SimEvent::AddLeaf(k) => {
+            let parent = pick(sim.tree(), k);
+            sim.schedule_change(TopologyChange::AddLeaf { parent });
+        }
+        SimEvent::AddInternal(k) => {
+            let below = pick(sim.tree(), k);
+            sim.schedule_change(TopologyChange::AddInternalAbove { below });
+        }
+        SimEvent::Remove(k) => {
+            let node = pick(sim.tree(), k);
+            sim.schedule_change(TopologyChange::Remove { node });
+        }
+    }
+}
+
 fn run(seed: u64, max_delay: u64, n0: usize, events: &[SimEvent]) -> (usize, u64, usize) {
     let tree = DynamicTree::with_initial_star(n0);
     let config = SimConfig::new(seed).with_delay(DelayModel::Uniform {
@@ -138,32 +168,8 @@ fn run(seed: u64, max_delay: u64, n0: usize, events: &[SimEvent]) -> (usize, u64
     // Interleave: inject a slice of events, run a few steps, inject more.
     for chunk in events.chunks(4) {
         for &event in chunk {
-            match event {
-                SimEvent::Agent(k) => {
-                    let at = pick(sim.tree(), k);
-                    sim.create_agent(
-                        at,
-                        BounceAgent {
-                            phase: BouncePhase::Climb,
-                            below_top: 0,
-                        },
-                    )
-                    .unwrap();
-                    agents_created += 1;
-                }
-                SimEvent::AddLeaf(k) => {
-                    let parent = pick(sim.tree(), k);
-                    sim.schedule_change(TopologyChange::AddLeaf { parent });
-                }
-                SimEvent::AddInternal(k) => {
-                    let below = pick(sim.tree(), k);
-                    sim.schedule_change(TopologyChange::AddInternalAbove { below });
-                }
-                SimEvent::Remove(k) => {
-                    let node = pick(sim.tree(), k);
-                    sim.schedule_change(TopologyChange::Remove { node });
-                }
-            }
+            inject(&mut sim, event);
+            agents_created += usize::from(matches!(event, SimEvent::Agent(_)));
         }
         for _ in 0..16 {
             if !sim.step().unwrap() {
@@ -202,33 +208,12 @@ fn concurrent_agents_and_churn_never_corrupt_the_network() {
         let mut changes_scheduled = 0u64;
         for chunk in events.chunks(3) {
             for &event in chunk {
-                match event {
-                    SimEvent::Agent(k) => {
-                        let at = pick(sim.tree(), k);
-                        sim.create_agent(
-                            at,
-                            BounceAgent {
-                                phase: BouncePhase::Climb,
-                                below_top: 0,
-                            },
-                        )
-                        .unwrap();
-                        agents_created += 1;
-                    }
-                    SimEvent::AddLeaf(k) => {
-                        let parent = pick(sim.tree(), k);
-                        sim.schedule_change(TopologyChange::AddLeaf { parent });
-                    }
-                    SimEvent::AddInternal(k) => {
-                        let below = pick(sim.tree(), k);
-                        sim.schedule_change(TopologyChange::AddInternalAbove { below });
-                    }
-                    SimEvent::Remove(k) => {
-                        let node = pick(sim.tree(), k);
-                        sim.schedule_change(TopologyChange::Remove { node });
-                    }
+                inject(&mut sim, event);
+                if matches!(event, SimEvent::Agent(_)) {
+                    agents_created += 1;
+                } else {
+                    changes_scheduled += 1;
                 }
-                changes_scheduled += u64::from(!matches!(event, SimEvent::Agent(_)));
             }
             for _ in 0..12 {
                 if !sim.step().unwrap() {
@@ -313,15 +298,7 @@ fn simulator_time_is_monotone() {
                     SimEvent::Agent(k) => {
                         let at = pick(sim.tree(), k);
                         let delay = rng.gen_range(0u64..8);
-                        sim.create_agent_delayed(
-                            at,
-                            BounceAgent {
-                                phase: BouncePhase::Climb,
-                                below_top: 0,
-                            },
-                            delay,
-                        )
-                        .unwrap();
+                        sim.create_agent_delayed(at, fresh_agent(), delay).unwrap();
                     }
                     SimEvent::AddLeaf(k) => {
                         let parent = pick(sim.tree(), k);
@@ -372,5 +349,82 @@ fn executions_are_deterministic_per_seed() {
         let c = run(seed.wrapping_add(1), 9, n0, &events);
         // Same number of agents created; every agent answered or dropped.
         assert_eq!(a.0, c.0, "case {case}");
+    }
+}
+
+/// FNV-1a over a rendering: the pin for "every byte of it".
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// How the simulator stores a node is not behaviour. 2 000 interleaved
+/// agents, adds, splits and removes under each delay model: after every
+/// applied change the whiteboards are listed in strictly increasing id order
+/// over exactly the tree's nodes, and the cost counters and the outputs are, to
+/// the byte, what the simulator reported for the same seed before its node
+/// table held one record per live node (recorded at commit 4656d4d).
+#[test]
+fn node_storage_moves_no_count_and_no_output() {
+    let recorded = [
+        (
+            DelayModel::Uniform { min: 1, max: 9 },
+            (53_821, 50_060, 0),
+            0xeb3c_73f9_2bae_cac4,
+        ),
+        (
+            DelayModel::Bimodal {
+                fast: 1,
+                slow: 40,
+                slow_percent: 10,
+            },
+            (54_509, 50_535, 0),
+            0xa67c_76e9_b16c_84ab,
+        ),
+        (
+            DelayModel::Constant(3),
+            (46_349, 42_443, 0),
+            0x82e0_a31d_2358_08bc,
+        ),
+    ];
+    for (seed, (delay, counts, bytes)) in (23u64..).zip(recorded) {
+        let mut rng = DetRng::seed_from_u64(30_000 + seed);
+        let config = SimConfig::new(seed).with_delay(delay);
+        let tree = DynamicTree::with_initial_star(12);
+        let mut sim = Simulator::with_tree(config, BounceProtocol, tree);
+        let mut removed_some = false;
+        for _ in 0..500 {
+            for _ in 0..4 {
+                let event = random_event(&mut rng);
+                inject(&mut sim, event);
+            }
+            for _ in 0..16 {
+                let before = sim.tree().changes();
+                if !sim.step().unwrap() {
+                    break;
+                }
+                if sim.tree().changes() == before {
+                    continue;
+                }
+                let listed: Vec<NodeId> = sim.whiteboards().map(|(id, _)| id).collect();
+                assert!(listed.windows(2).all(|w| w[0] < w[1]), "seed {seed}");
+                assert!(listed.iter().copied().eq(sim.tree().nodes()), "seed {seed}");
+                removed_some |= sim.tree().total_created() > listed.len() + 64;
+            }
+        }
+        sim.run_until_quiescent().unwrap();
+        assert!(
+            removed_some,
+            "seed {seed}: the run must leave dead ids behind"
+        );
+        let m = *sim.metrics();
+        let outputs = sim.drain_outputs();
+        assert_eq!(
+            (m.events_processed, m.total_messages(), m.agents_dropped),
+            counts,
+            "seed {seed}"
+        );
+        assert_eq!(fnv1a(&format!("{m:?}{outputs:?}")), bytes, "seed {seed}");
     }
 }

@@ -18,6 +18,9 @@ pub enum TreeError {
     NotInternal(NodeId),
     /// `add_internal_above` was called on the root, which has no parent edge.
     NoParentEdge(NodeId),
+    /// All 2³² node ids have been handed out: ids are never reused, so the
+    /// tree can take no further node.
+    IdSpaceExhausted,
 }
 
 impl fmt::Display for TreeError {
@@ -28,6 +31,7 @@ impl fmt::Display for TreeError {
             TreeError::NotALeaf(id) => write!(f, "node {id} is not a leaf"),
             TreeError::NotInternal(id) => write!(f, "node {id} is not an internal node"),
             TreeError::NoParentEdge(id) => write!(f, "node {id} has no parent edge to split"),
+            TreeError::IdSpaceExhausted => write!(f, "every node id has been handed out"),
         }
     }
 }
@@ -46,6 +50,7 @@ mod tests {
             TreeError::NotALeaf(NodeId::from_index(2)).to_string(),
             TreeError::NotInternal(NodeId::from_index(3)).to_string(),
             TreeError::NoParentEdge(NodeId::from_index(0)).to_string(),
+            TreeError::IdSpaceExhausted.to_string(),
         ];
         for m in msgs {
             assert!(!m.ends_with('.'), "message ends with punctuation: {m}");

@@ -41,7 +41,10 @@ struct NodeData {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DynamicTree {
-    slots: Vec<Option<NodeData>>,
+    /// The spine: one entry per id ever minted, one heap record per live
+    /// node. A removed node's record is dropped with it; what stays is the
+    /// vacant 8-byte entry that keeps ids sequential and never reused.
+    slots: Vec<Option<Box<NodeData>>>,
     root: NodeId,
     node_count: usize,
     /// Topological changes applied through the four mutators so far.
@@ -68,7 +71,7 @@ impl DynamicTree {
             subtree: 1,
         };
         DynamicTree {
-            slots: vec![Some(root_data)],
+            slots: vec![Some(Box::new(root_data))],
             root: NodeId(0),
             node_count: 1,
             changes: 0,
@@ -99,12 +102,16 @@ impl DynamicTree {
         t.slots[0].as_mut().expect("root exists").subtree = len + 1;
         for d in 1..=len {
             let parent = NodeId((d - 1) as u32);
-            let child = t.alloc(NodeData {
-                parent: Some(parent),
-                children: Vec::new(),
-                depth: d,
-                subtree: len + 1 - d,
-            });
+            let child = t
+                .alloc(NodeData {
+                    parent: Some(parent),
+                    children: Vec::new(),
+                    depth: d,
+                    subtree: len + 1 - d,
+                })
+                // lint: allow(unwrap) a path that outgrows the id space is a
+                // caller bug, like an allocation that outgrows memory
+                .expect("the path fits the id space");
             t.data_mut(parent)
                 // lint: allow(unwrap) `parent` was pushed in the previous
                 // loop iteration (or is the root)
@@ -172,22 +179,30 @@ impl DynamicTree {
     fn data(&self, id: NodeId) -> Result<&NodeData, TreeError> {
         self.slots
             .get(id.index())
-            .and_then(Option::as_ref)
+            .and_then(Option::as_deref)
             .ok_or(TreeError::UnknownNode(id))
     }
 
     fn data_mut(&mut self, id: NodeId) -> Result<&mut NodeData, TreeError> {
         self.slots
             .get_mut(id.index())
-            .and_then(Option::as_mut)
+            .and_then(Option::as_deref_mut)
             .ok_or(TreeError::UnknownNode(id))
     }
 
-    fn alloc(&mut self, data: NodeData) -> NodeId {
-        let id = NodeId(self.slots.len() as u32);
-        self.slots.push(Some(data));
+    /// The id the next node gets when `minted` ids exist: ids are sequential
+    /// and never reused, so the 2³²-th has no id left to take.
+    fn next_id(minted: usize) -> Result<NodeId, TreeError> {
+        u32::try_from(minted)
+            .map(NodeId)
+            .map_err(|_| TreeError::IdSpaceExhausted)
+    }
+
+    fn alloc(&mut self, data: NodeData) -> Result<NodeId, TreeError> {
+        let id = Self::next_id(self.slots.len())?;
+        self.slots.push(Some(Box::new(data)));
         self.node_count += 1;
-        id
+        Ok(id)
     }
 
     // ------------------------------------------------------------------
@@ -467,7 +482,7 @@ impl DynamicTree {
             children: Vec::new(),
             depth,
             subtree: 1,
-        });
+        })?;
         self.data_mut(parent)
             // lint: allow(unwrap) contains(parent) was checked at entry
             .expect("parent checked above")
@@ -511,7 +526,8 @@ impl DynamicTree {
     ///
     /// # Errors
     ///
-    /// Returns [`TreeError::UnknownNode`] if `parent` does not exist.
+    /// * [`TreeError::UnknownNode`] if `parent` does not exist;
+    /// * [`TreeError::IdSpaceExhausted`] if every id has been handed out.
     pub fn add_leaf(&mut self, parent: NodeId) -> Result<NodeId, TreeError> {
         let depth = self.data(parent)?.depth + 1;
         let child = self.alloc(NodeData {
@@ -519,7 +535,7 @@ impl DynamicTree {
             children: Vec::new(),
             depth,
             subtree: 1,
-        });
+        })?;
         self.data_mut(parent)
             // lint: allow(unwrap) contains(parent) was checked at entry
             .expect("parent checked above")
@@ -563,7 +579,8 @@ impl DynamicTree {
     /// # Errors
     ///
     /// * [`TreeError::NoParentEdge`] if `below` is the root;
-    /// * [`TreeError::UnknownNode`] if `below` does not exist.
+    /// * [`TreeError::UnknownNode`] if `below` does not exist;
+    /// * [`TreeError::IdSpaceExhausted`] if every id has been handed out.
     pub fn add_internal_above(&mut self, below: NodeId) -> Result<NodeId, TreeError> {
         let below_data = self.data(below)?;
         let parent = match below_data.parent {
@@ -577,7 +594,7 @@ impl DynamicTree {
             children: vec![below],
             depth: node_depth,
             subtree: node_subtree,
-        });
+        })?;
         {
             // lint: allow(unwrap) a live node's parent link points at a live slot
             let pd = self.data_mut(parent).expect("parent exists");
@@ -849,13 +866,30 @@ mod tests {
         assert!(t.change_log().is_empty());
     }
 
-    /// What a tree costs per node ever created and per recorded change
-    /// (DESIGN.md §7 "Memory law").
+    /// What a tree costs per id ever minted, per live node and per recorded
+    /// change (DESIGN.md §7 "Memory law").
     #[cfg(target_pointer_width = "64")]
     #[test]
-    fn arena_slot_is_48_bytes_and_a_log_entry_16() {
-        assert_eq!(std::mem::size_of::<Option<NodeData>>(), 48);
+    fn a_spine_entry_is_8_bytes_a_live_node_at_most_48_and_a_log_entry_16() {
+        assert_eq!(std::mem::size_of::<Option<Box<NodeData>>>(), 8);
+        assert!(std::mem::size_of::<NodeData>() <= 48);
         assert_eq!(std::mem::size_of::<TopologyEvent>(), 16);
+    }
+
+    /// The last id is `u32::MAX`; the one after it is an error, not id 0 again.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_id_after_the_last_is_an_error_not_an_alias() {
+        let last = u32::MAX as usize;
+        assert_eq!(DynamicTree::next_id(last), Ok(NodeId(u32::MAX)));
+        assert_eq!(
+            DynamicTree::next_id(last + 1),
+            Err(TreeError::IdSpaceExhausted)
+        );
+        assert_eq!(
+            DynamicTree::next_id(usize::MAX),
+            Err(TreeError::IdSpaceExhausted)
+        );
     }
 
     #[test]

@@ -111,9 +111,49 @@ impl SweepGrid {
     /// stream for the same scenario point). Controller cells come first, in
     /// family order, followed by the application cells.
     pub fn cells(&self) -> Vec<SweepCell> {
-        let mut cells = Vec::with_capacity(self.cell_count());
+        // The scenario points are expanded once and handed to every driver:
+        // the same (shape, churn, placement, arrival, budget, replicate)
+        // is the same scenario — name, seed and all — whichever family or
+        // application runs it, which is what makes the seed family-blind.
         let replicates = self.replicates.max(1);
-        let mut index = 0usize;
+        let mut points = Vec::new();
+        for &shape in &self.shapes {
+            for &churn in &self.churns {
+                for &placement in &self.placements {
+                    for &arrival in &self.arrivals {
+                        for &budget in &self.budgets {
+                            for replicate in 0..replicates {
+                                let point = points.len() as u64;
+                                let seed = split_mix64(
+                                    split_mix64(self.base_seed ^ split_mix64(point))
+                                        ^ replicate as u64,
+                                );
+                                points.push(Scenario {
+                                    name: format!(
+                                        "{}-{}-{}-{}-{}-m{}w{}-r{replicate}",
+                                        self.name,
+                                        shape_label(&shape),
+                                        churn_label(&churn),
+                                        placement_label(&placement),
+                                        arrival_label(&arrival),
+                                        budget.m,
+                                        budget.w,
+                                    ),
+                                    shape,
+                                    churn,
+                                    placement,
+                                    arrival,
+                                    requests: self.requests,
+                                    m: budget.m,
+                                    w: budget.w,
+                                    seed,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
         let shard_names: Vec<String> = self
             .shards
             .iter()
@@ -125,55 +165,15 @@ impl SweepGrid {
             .map(|f| (f, CellKind::Controller))
             .chain(shard_names.iter().map(|n| (n, CellKind::Controller)))
             .chain(self.apps.iter().map(|a| (a, CellKind::App)));
+        let mut cells = Vec::with_capacity(self.cell_count());
         for (family, kind) in drivers {
-            // The scenario-point index restarts per family: equal for the
-            // same (shape, churn, placement, budget, replicate) across
-            // families and applications, which is what makes the derived
-            // seed family-blind.
-            let mut point = 0u64;
-            for &shape in &self.shapes {
-                for &churn in &self.churns {
-                    for &placement in &self.placements {
-                        for &arrival in &self.arrivals {
-                            for &budget in &self.budgets {
-                                for replicate in 0..replicates {
-                                    let seed = split_mix64(
-                                        split_mix64(self.base_seed ^ split_mix64(point))
-                                            ^ replicate as u64,
-                                    );
-                                    let scenario = Scenario {
-                                        name: format!(
-                                            "{}-{}-{}-{}-{}-m{}w{}-r{replicate}",
-                                            self.name,
-                                            shape_label(&shape),
-                                            churn_label(&churn),
-                                            placement_label(&placement),
-                                            arrival_label(&arrival),
-                                            budget.m,
-                                            budget.w,
-                                        ),
-                                        shape,
-                                        churn,
-                                        placement,
-                                        arrival,
-                                        requests: self.requests,
-                                        m: budget.m,
-                                        w: budget.w,
-                                        seed,
-                                    };
-                                    cells.push(SweepCell {
-                                        index,
-                                        family: family.clone(),
-                                        kind,
-                                        scenario,
-                                    });
-                                    index += 1;
-                                    point += 1;
-                                }
-                            }
-                        }
-                    }
-                }
+            for scenario in &points {
+                cells.push(SweepCell {
+                    index: cells.len(),
+                    family: family.clone(),
+                    kind,
+                    scenario: scenario.clone(),
+                });
             }
         }
         cells
