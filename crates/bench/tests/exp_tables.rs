@@ -6,8 +6,10 @@
 //! output byte; `t3`, `t4`, `f1`, `f2` and `f3` — the tables with a
 //! distributed-derived column — were re-pinned when the request agent began
 //! releasing its locks on the way down (their message columns roughly
-//! halved) and again when a blocked topological change began to apply in the
-//! step that frees its gate (PR 17); the other five moved neither time. Each
+//! halved), again when a blocked topological change began to apply in the
+//! step that frees its gate (PR 17), and a third time when the simulator's
+//! port numbers were deleted and hop delays became the first samples of the
+//! seed's stream (PR 24); the other five moved none of the three times. Each
 //! run is a child process with its own environment — the quick/JSON switches
 //! are environment variables, and setting those in-process would race with
 //! the other tests of this binary.
@@ -32,12 +34,12 @@ fn dcn_exp(arg: &str, json: bool) -> Output {
 const GOLDEN: [(&str, u64, u64); 10] = [
     ("t1", 0x014d_d045_5215_8b88, 0x26dc_7604_6780_d95d),
     ("t2", 0xf426_874b_2731_b30b, 0xacfa_4d89_58c9_aa46),
-    ("t3", 0x8f9a_92c3_953d_4925, 0xd987_21b4_7fb9_2ed0),
-    ("t4", 0xc594_18b4_6e67_0fd6, 0x9447_bef4_3ec7_ef0d),
+    ("t3", 0x8d56_04cf_4367_e5df, 0x2ccd_ad06_90fb_48ec),
+    ("t4", 0x85c7_19dc_8df3_7f46, 0x10d8_71b2_7b60_a9bb),
     ("t5", 0xcdbc_d09c_eebb_bd51, 0xa472_1d6c_8da0_cd6a),
-    ("f1", 0xfef7_fdee_3c3d_eb30, 0xd660_d0c1_7959_0710),
-    ("f2", 0xefd4_c10d_a428_c7bb, 0xa9ab_1d97_1745_17ff),
-    ("f3", 0x0130_f1b9_1edb_6705, 0x70ec_fdbd_1df3_0acf),
+    ("f1", 0xf974_b483_c034_db7a, 0x219b_e570_acea_4831),
+    ("f2", 0xc97a_02aa_a37a_2dde, 0x3e7d_410d_80ef_6a55),
+    ("f3", 0x954b_a845_f008_4186, 0xfcc1_57cc_7e63_3359),
     ("f4", 0xc174_94a5_8d83_ff8e, 0xd935_2a41_bcfd_2891),
     ("f5", 0x4eb6_0217_1980_7a37, 0xe531_c8ec_7085_e69c),
 ];

@@ -168,8 +168,8 @@ impl DistributedController {
         self.sim.whiteboard(node)
     }
 
-    /// The underlying simulator (read-only), for tests that inspect locks,
-    /// ports or per-node state.
+    /// The underlying simulator (read-only): its clock and quiescence for
+    /// the epoch shell, its locks and event counters for tests.
     pub fn sim(&self) -> &Simulator<ControllerProtocol> {
         &self.sim
     }

@@ -126,18 +126,6 @@ impl ExecutionSummary {
     }
 }
 
-/// Convenience: checks a summary and panics with a readable message on
-/// violation (for use inside tests).
-///
-/// # Panics
-///
-/// Panics if a correctness condition is violated.
-pub fn assert_correct(summary: &ExecutionSummary) {
-    if let Err(v) = summary.check() {
-        panic!("controller correctness violated: {v} ({summary:?})");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -359,7 +359,7 @@ mod tests {
 
         let sec = rule_by_id("secondary-map-justify").unwrap();
         assert!(sec.applies_to("crates/simnet/src/engine.rs"));
-        assert!(!sec.applies_to("crates/simnet/src/ports.rs"));
+        assert!(!sec.applies_to("crates/simnet/src/taxi.rs"));
 
         let det = rule_by_id("determinism").unwrap();
         assert!(det.applies_to("crates/simnet/src/sim.rs"));

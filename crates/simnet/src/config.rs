@@ -71,7 +71,8 @@ impl DelayModel {
 /// Configuration of a [`Simulator`](crate::Simulator).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Seed for the simulator's deterministic RNG (delays, port numbers).
+    /// Seed for the simulator's deterministic RNG, whose one consumer is the
+    /// per-hop delay ([`DelayModel::sample`]; `Constant` draws nothing).
     pub seed: u64,
     /// Message delay model.
     pub delay: DelayModel,

@@ -1,11 +1,12 @@
 //! Hot state for the simulator's event loop: one record per live node, one
 //! slot per live agent.
 //!
-//! Everything the loop keeps about a node — its whiteboard, its taxi state,
-//! its port numbers — sits in one heap record behind one spine entry, and the
-//! entry is the **single liveness discriminator**: a node exists iff its
-//! entry is `Some`. One `Activate` pays one presence check and one pointer
-//! per node it touches, and a removed node gives its whole record back.
+//! Everything the loop keeps about a node — its whiteboard and its taxi
+//! state, which is all §4.3.2 lets an agent read — sits in one heap record
+//! behind one spine entry, and the entry is the **single liveness
+//! discriminator**: a node exists iff its entry is `Some`. One `Activate`
+//! pays one presence check and one pointer per node it touches, and a
+//! removed node gives its whole record back.
 //!
 //! Entity ids (`NodeId`, `AgentId`) are arena-dense and never reused, so
 //! both tables follow the live entities, not the ids: the node spine keeps a
@@ -14,18 +15,15 @@
 //! the agent table keeps one slot (program state and taxi counters together)
 //! for each live one only, in a [`SlidingMap`] window over their ids.
 
-use crate::ports::PortMap;
 use crate::protocol::AgentId;
 use crate::taxi::{AgentTaxi, NodeTaxi};
 use crate::NodeId;
 use dcn_collections::SlidingMap;
-use dcn_rng::Rng;
 
-/// One live node: its whiteboard, its taxi state and its port numbers.
+/// One live node: its whiteboard and its taxi state.
 pub(crate) struct NodeSlot<W> {
     pub whiteboard: W,
     pub taxi: NodeTaxi,
-    pub ports: PortMap,
 }
 
 /// Per-node hot state: a spine indexed by the node's arena index whose entry
@@ -54,7 +52,7 @@ impl<W> HotNodeState<W> {
         self.slots.get_mut(node.index())?.as_deref_mut()
     }
 
-    /// Marks `node` live with `whiteboard`, fresh taxi state and no ports.
+    /// Marks `node` live with `whiteboard` and fresh taxi state.
     pub fn insert(&mut self, node: NodeId, whiteboard: W) {
         let i = node.index();
         if self.slots.len() <= i {
@@ -63,12 +61,11 @@ impl<W> HotNodeState<W> {
         self.slots[i] = Some(Box::new(NodeSlot {
             whiteboard,
             taxi: NodeTaxi::new(),
-            ports: PortMap::default(),
         }));
     }
 
-    /// Kills `node`, returning its whiteboard; its taxi and port state go
-    /// with the record.
+    /// Kills `node`, returning its whiteboard; its taxi state goes with the
+    /// record.
     pub fn remove(&mut self, node: NodeId) -> Option<W> {
         let slot = self.slots.get_mut(node.index())?.take()?;
         Some(slot.whiteboard)
@@ -97,34 +94,6 @@ impl<W> HotNodeState<W> {
     #[inline]
     pub fn taxi_mut(&mut self, node: NodeId) -> Option<&mut NodeTaxi> {
         self.slot_mut(node).map(|s| &mut s.taxi)
-    }
-
-    #[inline]
-    pub fn ports(&self, node: NodeId) -> Option<&PortMap> {
-        self.slot(node).map(|s| &s.ports)
-    }
-
-    /// The ports of a node topology rewiring names: always a live one (part
-    /// of the change being applied), so a dead id here is a simulator bug —
-    /// loud in debug builds, a no-op (no port, no rng draw) in release.
-    fn rewired_ports(&mut self, node: NodeId) -> Option<&mut PortMap> {
-        let slot = self.slot_mut(node);
-        debug_assert!(slot.is_some(), "rewiring names dead node {node}");
-        slot.map(|s| &mut s.ports)
-    }
-
-    /// Gives `node` a fresh port number towards `neighbor`, drawn from `rng`.
-    pub fn assign_port<R: Rng>(&mut self, node: NodeId, neighbor: NodeId, rng: &mut R) {
-        if let Some(ports) = self.rewired_ports(node) {
-            ports.assign(neighbor, rng);
-        }
-    }
-
-    /// Forgets `node`'s port towards `neighbor`.
-    pub fn remove_port(&mut self, node: NodeId, neighbor: NodeId) {
-        if let Some(ports) = self.rewired_ports(node) {
-            ports.remove(neighbor);
-        }
     }
 
     /// Live whiteboards in node-index order (the deterministic iteration
@@ -202,7 +171,6 @@ impl<A> AgentTable<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_rng::{DetRng, SeedableRng};
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
@@ -226,13 +194,13 @@ mod tests {
     }
 
     #[test]
-    fn arrays_grow_on_demand_past_the_initial_capacity() {
+    fn the_spine_grows_on_insert_and_never_on_read() {
         let mut hot: HotNodeState<u64> = HotNodeState::with_capacity(1);
         hot.insert(n(5), 42);
         assert_eq!(hot.whiteboard(n(5)), Some(&42));
         assert!(!hot.contains(n(3)));
         // Reading past the spine neither grows it nor finds anything.
-        assert!(hot.ports(n(8)).is_none());
+        assert!(hot.taxi(n(8)).is_none());
         assert_eq!(hot.slots.len(), 6);
     }
 
@@ -241,32 +209,31 @@ mod tests {
     #[test]
     fn a_removed_node_leaves_one_vacant_spine_entry_and_no_record() {
         #[cfg(target_pointer_width = "64")]
-        assert_eq!(std::mem::size_of::<Option<Box<NodeSlot<[u64; 18]>>>>(), 8);
-        let mut rng = DetRng::seed_from_u64(23);
+        {
+            use std::mem::size_of;
+            assert_eq!(size_of::<Option<Box<NodeSlot<[u64; 18]>>>>(), 8);
+            assert_eq!(size_of::<NodeTaxi>(), 88);
+            assert_eq!(size_of::<NodeSlot<[u64; 18]>>(), 232);
+        }
         let mut hot: HotNodeState<u64> = HotNodeState::with_capacity(0);
         hot.insert(n(0), 0);
         // The churn shape: a leaf under node 0 comes, an older one goes.
         let mut live = vec![n(0)];
         for i in 1..=10_000usize {
             hot.insert(n(i), i as u64);
-            hot.assign_port(n(0), n(i), &mut rng);
-            hot.assign_port(n(i), n(0), &mut rng);
             hot.taxi_mut(n(i)).unwrap().inbound = 1;
             live.push(n(i));
             if live.len() > 8 {
                 let gone = live.remove(1);
                 assert_eq!(hot.remove(gone), Some(gone.index() as u64));
-                hot.remove_port(n(0), gone);
                 assert!(hot.whiteboard(gone).is_none() && hot.whiteboard_mut(gone).is_none());
                 assert!(hot.taxi(gone).is_none() && hot.taxi_mut(gone).is_none());
-                assert!(hot.ports(gone).is_none());
                 assert_eq!(hot.remove(gone), None);
             }
             let records = hot.slots.iter().flatten().count();
             assert_eq!(records, live.len());
         }
         assert_eq!(hot.slots.len(), 10_001);
-        assert_eq!(hot.ports(n(0)).map(PortMap::len), Some(live.len() - 1));
         let seen: Vec<NodeId> = hot.iter_whiteboards().map(|(id, _)| id).collect();
         assert_eq!(seen, live);
         // Ids far past the spine read as absent too.
@@ -282,10 +249,8 @@ mod tests {
         assert_eq!(seen, vec![(n(1), &"one"), (n(3), &"three")]);
     }
 
-    /// (The name is from when an activation moved the state out of the
-    /// table and back; the "check-out" is a `get_mut` borrow now.)
     #[test]
-    fn agent_states_check_out_and_back_in() {
+    fn an_agent_slot_is_edited_in_place_until_it_is_retired() {
         let mut agents: AgentTable<&str> = AgentTable::new();
         let a = agents.create("walker", n(0));
         let b = agents.create("waver", n(1));

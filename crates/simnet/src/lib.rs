@@ -23,9 +23,11 @@
 //!   that node, and the activation that frees the node applies it. This is a
 //!   concrete implementation of the handshake-style graceful-deletion
 //!   protocols the paper leaves out of scope;
-//! * adversarially assigned port numbers, message accounting and a seeded
-//!   random delay model so that every experiment is reproducible and many
-//!   asynchronous schedules can be explored by sweeping the seed.
+//! * message accounting and a seeded random delay model — the seed's one
+//!   consumer — so that every experiment is reproducible and many
+//!   asynchronous schedules can be explored by sweeping the seed. The
+//!   adversary's port numbers (§2.1.2) are not stored: [`NodeCtx`] offers
+//!   `parent()` / `children()` and no number, so no protocol can lean on one.
 //!
 //! The simulator is protocol-agnostic: the controller crate implements
 //! [`Protocol`] for the (M, W)-controller, and the estimator crate reuses the
@@ -38,7 +40,6 @@ mod config;
 mod engine;
 mod hot;
 mod metrics;
-mod ports;
 mod protocol;
 mod sim;
 mod taxi;
@@ -46,7 +47,6 @@ mod topology;
 
 pub use config::{DelayModel, SimConfig};
 pub use metrics::Metrics;
-pub use ports::PortMap;
 pub use protocol::{Action, AgentId, NodeCtx, Protocol};
 pub use sim::{SimError, Simulator};
 pub use topology::TopologyChange;

@@ -3,18 +3,19 @@
 /// Message and work counters accumulated over a simulated execution.
 ///
 /// The paper's primary cost measure is the **message complexity**: every agent
-/// hop over a tree edge is one message ([`Metrics::agent_hops`]). Auxiliary
-/// protocol services (broadcast / convergecast waves implemented by higher
-/// layers) report their cost through [`Metrics::aux_messages`]; the total is
-/// exposed by [`Metrics::total_messages`].
+/// hop over a tree edge is one message ([`Metrics::agent_hops`]). The one
+/// cost the simulator charges beside hops is the whiteboard hand-off of a
+/// graceful deletion ([`Metrics::aux_messages`], as returned by
+/// [`Protocol::merge_whiteboard`](crate::Protocol::merge_whiteboard)); the
+/// total is exposed by [`Metrics::total_messages`]. Waves a higher layer
+/// models abstractly are charged by that layer, not here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Number of events processed by the engine.
     pub events_processed: u64,
     /// Number of agent hops (each hop is one message over a tree edge).
     pub agent_hops: u64,
-    /// Messages reported by higher-level services (broadcast / convergecast,
-    /// counting waves, data-structure hand-off on deletion, …).
+    /// Messages of the data-structure hand-off on graceful deletion.
     pub aux_messages: u64,
     /// Number of agents ever created.
     pub agents_created: u64,

@@ -72,7 +72,6 @@ pub(crate) enum Effect<P: Protocol> {
     Spawn(P::Agent),
     Emit(P::Output),
     ScheduleChange(TopologyChange),
-    AuxMessages(u64),
 }
 
 /// The view an agent has of the node it is activated at, plus its own taxi
@@ -88,8 +87,6 @@ pub struct NodeCtx<'a, P: Protocol> {
     /// Borrowed straight from the tree arena — the hot loop never copies a
     /// child list.
     pub(crate) children: &'a [NodeId],
-    pub(crate) node_count: usize,
-    pub(crate) total_created: usize,
     pub(crate) time: u64,
     pub(crate) agent_id: AgentId,
     pub(crate) origin: NodeId,
@@ -123,23 +120,6 @@ impl<'a, P: Protocol> NodeCtx<'a, P> {
     /// The child-degree `deg(v)` of this node.
     pub fn child_degree(&self) -> usize {
         self.children.len()
-    }
-
-    /// Current number of nodes in the network.
-    ///
-    /// Individual nodes do not know this quantity in the real protocol; it is
-    /// exposed so that higher layers can *model* counting waves (broadcast and
-    /// convergecast) whose message cost they account for explicitly via
-    /// [`NodeCtx::add_aux_messages`]. See the controller crate for usage.
-    pub fn current_node_count(&self) -> usize {
-        self.node_count
-    }
-
-    /// Total number of nodes ever to exist in the network so far (the running
-    /// value of the paper's `U`). Same modelling caveat as
-    /// [`NodeCtx::current_node_count`].
-    pub fn total_created(&self) -> usize {
-        self.total_created
     }
 
     /// Current simulated time.
@@ -220,12 +200,6 @@ impl<'a, P: Protocol> NodeCtx<'a, P> {
     /// time", paper §2.1.2).
     pub fn schedule_change(&mut self, change: TopologyChange) {
         self.effects.push(Effect::ScheduleChange(change));
-    }
-
-    /// Accounts for `count` messages sent by a higher-level service that is
-    /// modelled abstractly (broadcast / convergecast waves, counting waves).
-    pub fn add_aux_messages(&mut self, count: u64) {
-        self.effects.push(Effect::AuxMessages(count));
     }
 }
 

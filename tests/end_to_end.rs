@@ -4,14 +4,14 @@
 
 use dcn::baseline::{AapsController, TrivialController};
 use dcn::controller::centralized::IteratedController;
-use dcn::controller::distributed::AdaptiveDistributedController;
+use dcn::controller::distributed::{AdaptiveDistributedController, DistributedController};
 use dcn::controller::verify::ExecutionSummary;
 use dcn::controller::{Controller, Outcome, RequestKind};
 use dcn::simnet::{DelayModel, SimConfig};
 use dcn::tree::NodeId;
 use dcn::workload::{
     build_tree, ArrivalMode, ChurnGenerator, ChurnModel, ChurnOp, ControllerSpec, Family,
-    Placement, Scenario, ScenarioRunner, TreeShape,
+    Placement, RunReport, Scenario, ScenarioRunner, TreeShape,
 };
 
 /// The acceptance test of the ticket/event redesign: all six controller
@@ -151,6 +151,66 @@ fn adaptive_distributed_controller_runs_through_the_scenario_runner() {
     assert_eq!(report.controller, "adaptive-distributed");
     report.check().unwrap();
     assert!(Controller::tree(&ctrl).check_invariants().is_ok());
+}
+
+/// Under `DelayModel::Constant` the simulator draws nothing from its rng, so
+/// a change to what else the rng is used for (or to how a node is stored)
+/// may move no field of this report. Recorded at commit e44cdee, before the
+/// port numbers — the rng's other consumer — were deleted.
+#[test]
+fn a_constant_delay_run_is_pinned_field_for_field() {
+    let recorded = [
+        (ArrivalMode::Batch, (12_386, 12_423), (264, 1_814), (137, 4)),
+        (
+            ArrivalMode::Interleaved { quantum: 48 },
+            (10_181, 10_211),
+            (6_956, 19_466),
+            (139, 6),
+        ),
+    ];
+    for (arrival, (moves, messages), (p50, p95), (final_nodes, final_max_degree)) in recorded {
+        let scenario = Scenario {
+            name: "constant-delay-control".to_string(),
+            shape: TreeShape::Path { nodes: 64 },
+            churn: ChurnModel::default_mixed(),
+            placement: Placement::Uniform,
+            arrival,
+            requests: 256,
+            m: 200,
+            w: 50,
+            seed: 7,
+        };
+        let runner = ScenarioRunner::new(scenario.clone());
+        let config = SimConfig::new(7).with_delay(DelayModel::Constant(2));
+        let mut ctrl = DistributedController::new(
+            config,
+            runner.initial_tree(),
+            scenario.m,
+            scenario.w,
+            runner.suggested_u_bound(),
+        )
+        .unwrap();
+        let expected = RunReport {
+            controller: "distributed".to_string(),
+            scenario: scenario.name,
+            m: 200,
+            w: 50,
+            submitted: 256,
+            refused: 0,
+            dropped: 0,
+            granted: 200,
+            rejected: 56,
+            wasted: 0,
+            moves,
+            messages,
+            p50_answer_latency: p50,
+            p95_answer_latency: p95,
+            peak_node_memory_bits: 9,
+            final_nodes,
+            final_max_degree,
+        };
+        assert_eq!(runner.run(&mut ctrl).unwrap(), expected);
+    }
 }
 
 #[test]
