@@ -234,19 +234,13 @@ pub trait Controller {
     /// in-flight execution (open-loop workloads).
     ///
     /// Synchronous families answer inside [`Controller::submit`] and are
-    /// always quiescent; the default implementation (also used by the
-    /// batch-oriented adaptive-distributed family) simply delegates to
-    /// [`Controller::run_to_quiescence`]. The fixed-bound distributed family
-    /// overrides this with true incremental simulation.
+    /// always quiescent (the [`SyncController`] blanket impl); every
+    /// asynchronous family simulates incrementally.
     ///
     /// # Errors
     ///
     /// Same as [`Controller::run_to_quiescence`].
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        let _ = budget;
-        self.run_to_quiescence()?;
-        Ok(Progress::quiescent())
-    }
+    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError>;
 
     /// Removes and returns the per-request events produced since the last
     /// drain, in answer order.
@@ -370,6 +364,10 @@ impl<T: SyncController> Controller for T {
 
     fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
         Ok(())
+    }
+
+    fn step(&mut self, _budget: u64) -> Result<Progress, ControllerError> {
+        Ok(Progress::quiescent())
     }
 
     fn drain_events(&mut self) -> Vec<ControllerEvent> {

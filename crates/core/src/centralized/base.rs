@@ -22,7 +22,7 @@ pub enum Attempt {
     },
     /// The controller cannot serve the request: the root's storage holds too
     /// few permits to create the package the request needs. A plain
-    /// controller would now reject; the iterated / terminating wrappers
+    /// controller would now reject; the iterated / adaptive wrappers
     /// recycle instead.
     Exhausted,
     /// The node already holds a reject package (a reject wave has been
@@ -263,8 +263,8 @@ impl CentralizedController {
 
     /// Attempts to serve a request without ever issuing a reject; returns
     /// [`Attempt::Exhausted`] when the root's storage cannot supply the
-    /// package the request needs (the hook used by the iterated, terminating
-    /// and adaptive wrappers).
+    /// package the request needs (the hook used by the iterated and adaptive
+    /// wrappers).
     ///
     /// # Errors
     ///

@@ -10,16 +10,17 @@
 //!   `O(U · (M/W) · log² U)` (Lemma 3.3);
 //! * [`IteratedController`] — the iteration trick of Observation 3.4 that
 //!   improves the factor `M/W` to `log(M/(W+1))` and also handles `W = 0`;
-//! * [`TerminatingController`] — the terminating variant of Observation 2.1;
 //! * [`AdaptiveController`] — the unknown-`U` controllers of Theorem 3.5
 //!   (both the change-counting and the size-doubling refresh policies).
+//!
+//! Observation 2.1's terminating variant — stop instead of reject, retry in
+//! the next round — is what the distributed epoch engine does
+//! ([`IterationDriver`](crate::distributed::IterationDriver)).
 
 mod adaptive;
 mod base;
 mod iterated;
-mod terminating;
 
 pub use adaptive::{AdaptiveController, RefreshPolicy};
 pub use base::{Attempt, CentralizedController};
 pub use iterated::IteratedController;
-pub use terminating::{TerminatingController, TerminatingOutcome};

@@ -1,64 +1,31 @@
-//! The [`EpochShell`]: the paper's one construction past the fixed-`U`
-//! controller, as a mechanism.
-//!
-//! Korman & Kutten build the unknown-`U` controller (Thm 4.9 / App. A) and
-//! every §5 protocol the same way: run an `(M_i, W_i)`-controller until it is
-//! exhausted, count what is left with a broadcast/upcast, start the next one.
-//! The shell owns what every such driver shares — the live-or-parked inner
-//! [`DistributedController`], the global clock, the retired-epoch cost
-//! accumulators, and the table that carries a caller's *outer* tickets
-//! across rebuilds. What differs stays with the three clients as policy
-//! ([`AdaptiveDistributedController`](super::AdaptiveDistributedController),
-//! the §5 `IterationDriver` in `dcn-estimator`,
-//! [`ShardedController`](crate::ShardedController)): seed derivation, the `U`
-//! bound, budget and waste, when to rotate, what a local reject means, and
-//! the wave messages charged at a boundary.
+//! The one epoch engine. Korman & Kutten build the unknown-`U` controller
+//! (Thm 4.9 / App. A) and every §5 protocol the same way: run an
+//! `(M_i, W_i)`-controller until it is exhausted, count what is left with a
+//! broadcast/upcast, start the next one. The [`EpochShell`] is the mechanism
+//! (inner controller, global clock, cost totals, outer tickets in flight);
+//! the [`IterationDriver`] is the loop over it, with every choice that differs
+//! between the §5 applications and the
+//! [`AdaptiveDistributedController`](super::AdaptiveDistributedController) an
+//! [`IterationPolicy`] hook. The [`ShardedController`](crate::ShardedController)
+//! drives bare shells: its k-shell exchange wave is not this loop.
 
 use super::driver::DistributedController;
-use crate::api::{Controller, ControllerMetrics, Progress};
+use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
+use crate::ledger::RequestLedger;
 use crate::package::PermitInterval;
-use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
+use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
 use crate::ControllerError;
+use dcn_collections::SlidingMap;
 use dcn_simnet::{DynamicTree, NodeId, SimConfig};
 
-/// One not-yet-answered outer request, as the epoch clients queue it while it
-/// waits for the next epoch.
+/// One not-yet-answered request under its outer ticket, with the global
+/// virtual time of its first submission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Pending {
-    /// The outer ticket.
-    pub id: RequestId,
-    /// The node the request arrived at.
-    pub origin: NodeId,
-    /// What the request asks for.
-    pub kind: RequestKind,
-    /// Global virtual time of the first submission.
-    pub submitted_at: u64,
-}
-
-impl Pending {
-    /// The request of a collected record, to queue it for another epoch.
-    pub fn of(record: &RequestRecord) -> Self {
-        Pending {
-            id: record.id,
-            origin: record.origin,
-            kind: record.kind,
-            submitted_at: record.submitted_at,
-        }
-    }
-
-    /// The finished record of this request answered with a reject at global
-    /// time `at` (the only answer a client gives without an inner controller:
-    /// the request went stale while it waited, or the budget is spent).
-    pub fn rejected_at(self, at: u64) -> RequestRecord {
-        RequestRecord {
-            id: self.id,
-            origin: self.origin,
-            kind: self.kind,
-            outcome: Outcome::Rejected,
-            submitted_at: self.submitted_at,
-            answered_at: at,
-        }
-    }
+pub(crate) struct Pending {
+    pub(crate) id: RequestId,
+    pub(crate) origin: NodeId,
+    pub(crate) kind: RequestKind,
+    pub(crate) submitted_at: u64,
 }
 
 /// A sequence of fixed-bound distributed controllers over one tree, seen from
@@ -69,7 +36,7 @@ impl Pending {
 /// live controller's clock and costs into the accumulators and parks the
 /// tree; [`EpochShell::install`] starts the next epoch over it.
 #[derive(Debug)]
-pub struct EpochShell {
+pub(crate) struct EpochShell {
     /// The running epoch's controller; `None` while parked.
     live: Option<DistributedController>,
     /// The tree between epochs; `Some` exactly when `live` is `None`.
@@ -79,38 +46,28 @@ pub struct EpochShell {
     time_base: u64,
     /// Agent hops, messages and peak node memory over retired epochs.
     retired: ControllerMetrics,
-    /// `(outer ticket, first submission time)` per inner ticket of the
-    /// running epoch (inner ids restart densely from 0 at every install).
-    outer_of: Vec<(RequestId, u64)>,
+    /// Inner ticket → `(outer ticket, first submission time)`, for the
+    /// running epoch's requests still in flight: [`EpochShell::collect`]
+    /// removes each answered entry, so the window spans what is unanswered.
+    outer_of: SlidingMap<RequestId, (RequestId, u64)>,
 }
 
 impl EpochShell {
     /// A parked shell over `tree`: no epoch has run yet.
-    pub fn parked(tree: DynamicTree) -> Self {
+    pub(crate) fn parked(tree: DynamicTree) -> Self {
         EpochShell {
             live: None,
             parked: Some(tree),
             time_base: 0,
             retired: ControllerMetrics::default(),
-            outer_of: Vec::new(),
+            outer_of: SlidingMap::new(),
         }
     }
 
-    /// Starts the next epoch over the parked tree: an `(m, w)`-controller
-    /// with node bound `u_bound` on a network configured by `config`
-    /// (optionally in interval mode, see
-    /// [`DistributedController::with_interval`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parameter validation errors of
-    /// [`DistributedController::new`]; the shell is unusable afterwards, so
-    /// callers propagate the error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shell is live — retire the running epoch first.
-    pub fn install(
+    /// Starts the next epoch over the parked tree (see
+    /// [`DistributedController::with_interval`]). A validation error leaves
+    /// the shell unusable, so callers propagate it.
+    pub(crate) fn install(
         &mut self,
         config: SimConfig,
         m: u64,
@@ -131,7 +88,7 @@ impl EpochShell {
     /// node memory into the accumulators, forgets its inner tickets and parks
     /// the tree. Answers not yet collected are lost — collect first. A no-op
     /// on a parked shell.
-    pub fn retire(&mut self) {
+    pub(crate) fn retire(&mut self) {
         let Some(ctrl) = self.live.take() else {
             return;
         };
@@ -143,12 +100,12 @@ impl EpochShell {
 
     /// The running epoch's controller, for the reads that are policy
     /// (uncommitted permits, grants, whiteboards); `None` while parked.
-    pub fn live(&self) -> Option<&DistributedController> {
+    pub(crate) fn live(&self) -> Option<&DistributedController> {
         self.live.as_ref()
     }
 
     /// The tree, live or parked.
-    pub fn tree(&self) -> &DynamicTree {
+    pub(crate) fn tree(&self) -> &DynamicTree {
         match &self.live {
             Some(ctrl) => ctrl.tree(),
             // lint: allow(unwrap) exactly one of live/parked is Some (a
@@ -158,18 +115,18 @@ impl EpochShell {
     }
 
     /// The global virtual time: retired epochs' clocks plus the running one.
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.time_base + self.live.as_ref().map_or(0, |c| c.sim().time())
     }
 
     /// `true` when nothing is in flight (always, while parked).
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.live.as_ref().map_or(true, |c| c.sim().is_quiescent())
     }
 
     /// Agent hops (`moves`), messages and peak node memory over every epoch
     /// so far, the running one included.
-    pub fn totals(&self) -> ControllerMetrics {
+    pub(crate) fn totals(&self) -> ControllerMetrics {
         match &self.live {
             Some(ctrl) => self.totals_with(ctrl),
             None => self.retired,
@@ -178,7 +135,7 @@ impl EpochShell {
 
     /// Messages over every epoch so far (the `messages` of
     /// [`EpochShell::totals`] without its per-node memory scan).
-    pub fn messages(&self) -> u64 {
+    pub(crate) fn messages(&self) -> u64 {
         self.retired.messages + self.live.as_ref().map_or(0, |c| c.messages())
     }
 
@@ -195,49 +152,29 @@ impl EpochShell {
     }
 
     /// Hands `request` to the running epoch (`origin` and `kind` in the inner
-    /// controller's addressing); its answer comes back from
-    /// [`EpochShell::collect`] keyed by `request.id` and stamped with
-    /// `request.submitted_at`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Controller::submit`]'s validation errors against the current
-    /// tree, and an error on a parked shell.
-    pub fn submit(&mut self, request: Pending) -> Result<(), ControllerError> {
+    /// controller's addressing); [`EpochShell::collect`] returns its answer
+    /// under `request.id` and `request.submitted_at`. Fails with
+    /// [`Controller::submit`]'s validation errors, or on a parked shell.
+    pub(crate) fn submit(&mut self, request: Pending) -> Result<(), ControllerError> {
         let Some(ctrl) = self.live.as_mut() else {
             return Err(ControllerError::Sim(
                 "request submitted to a parked epoch shell".to_string(),
             ));
         };
         let inner = ctrl.submit(request.origin, request.kind)?;
-        debug_assert_eq!(inner.0 as usize, self.outer_of.len());
-        self.outer_of.push((request.id, request.submitted_at));
+        self.outer_of
+            .insert(inner, (request.id, request.submitted_at));
         Ok(())
     }
 
     /// Advances the running epoch by at most `budget` simulator events (see
-    /// [`Controller::step`]); a parked shell is quiescent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        match self.live.as_mut() {
-            Some(ctrl) => ctrl.step(budget),
-            None => Ok(Progress::quiescent()),
-        }
-    }
-
-    /// Runs the running epoch to quiescence under the configured
-    /// `max_events` valve (see [`Controller::run_to_quiescence`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn run(&mut self) -> Result<(), ControllerError> {
-        match self.live.as_mut() {
-            Some(ctrl) => ctrl.run_to_quiescence(),
-            None => Ok(()),
+    /// [`Controller::step`]), or with `None` runs it to quiescence under the
+    /// configured `max_events` valve; a parked shell is quiescent.
+    pub(crate) fn step(&mut self, budget: Option<u64>) -> Result<Progress, ControllerError> {
+        match (self.live.as_mut(), budget) {
+            (Some(ctrl), Some(budget)) => ctrl.step(budget),
+            (Some(ctrl), None) => ctrl.run_to_quiescence().map(|()| Progress::quiescent()),
+            (None, _) => Ok(Progress::quiescent()),
         }
     }
 
@@ -246,18 +183,506 @@ impl EpochShell {
     /// re-keys each to its outer ticket, original submission time and the
     /// global clock. Origin, kind and any granted node stay in the inner
     /// controller's addressing.
-    pub fn collect(&mut self) -> Vec<RequestRecord> {
+    pub(crate) fn collect(&mut self) -> Vec<RequestRecord> {
         let Some(ctrl) = self.live.as_mut() else {
             return Vec::new();
         };
         let mut records = ctrl.take_records();
         for rec in &mut records {
-            let (outer, submitted_at) = self.outer_of[rec.id.0 as usize];
+            let entry = self.outer_of.remove(rec.id);
+            // lint: allow(unwrap) every inner ticket is entered by submit and
+            // answered once
+            let (outer, submitted_at) = entry.expect("answered tickets were submitted here");
             rec.id = outer;
             rec.submitted_at = submitted_at;
             rec.answered_at += self.time_base;
         }
         records
+    }
+}
+
+/// The parameters an [`IterationPolicy`] chooses for one iteration.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct IterationPlan {
+    /// The inner controller's permit budget `M` for this iteration. A budget
+    /// of 0 means the run's budget is spent: the iteration still starts, but
+    /// every request from then on is answered with a final reject.
+    pub budget: u64,
+    /// The inner controller's waste bound `W` (capped at the budget).
+    pub waste: u64,
+    /// Serial-number interval for interval mode (the name assigner hands the
+    /// permits out as identities); `None` for anonymous permits.
+    pub interval: Option<PermitInterval>,
+    /// Messages charged for the iteration-opening announcement wave(s) — one
+    /// broadcast (`n`) for the size estimator's `N_i` announcement, two DFS
+    /// renaming traversals (`4n`) for the name assigner.
+    pub announce_messages: u64,
+    /// The inner controller's node bound `U`; `None` for the §5 bound
+    /// `n + budget + 1` (every grant adds at most one node).
+    pub u_bound: Option<usize>,
+}
+
+/// The hooks of the [`IterationDriver`]; every one but
+/// [`IterationPolicy::plan`] defaults to the §5 behaviour.
+pub trait IterationPolicy {
+    /// Plans the iteration about to start over `tree` (called once at
+    /// construction and again at every rotation, before the inner controller
+    /// is rebuilt). State the application refreshes per iteration — the name
+    /// assigner's DFS renaming, the subtree estimator's `ω₀` snapshot —
+    /// belongs here.
+    fn plan(&mut self, tree: &DynamicTree) -> IterationPlan;
+
+    /// Absorbs a round of grants (called after every answer collection that
+    /// granted something, before any rotation, and once with no records at
+    /// every quiescent end of a slice; `tree` reflects all granted changes
+    /// of the round). The default does nothing.
+    fn absorb(&mut self, tree: &DynamicTree, records: &[RequestRecord]) {
+        let _ = (tree, records);
+    }
+
+    /// Asked at a quiescent point where `iteration` rejected requests: `true`
+    /// makes those rejects, and every later answer, final; the default
+    /// rotates to a fresh iteration and retries them there.
+    fn rejects_are_final(&self, iteration: &DistributedController) -> bool {
+        let _ = iteration;
+        false
+    }
+
+    /// Messages charged when an iteration closes over `nodes` nodes; the
+    /// default is the §5 closing count wave (broadcast + upcast).
+    fn closing_messages(&self, nodes: u64) -> u64 {
+        2 * nodes
+    }
+
+    /// Asked at every slice: `true` ends the running `iteration` — it admits
+    /// nothing more, and its next quiescent point rotates. The default never
+    /// does: a §5 iteration takes requests until it is quiescent and
+    /// exhausted.
+    fn ends_iteration(&self, iteration: &DistributedController) -> bool {
+        let _ = iteration;
+        false
+    }
+}
+
+/// An event drained from an [`IterationDriver`] (and so from any §5
+/// application).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AppEvent {
+    /// A per-request controller event (grant / reject / refusal / topology
+    /// application), with the driver's stable outer ticket.
+    Controller(ControllerEvent),
+    /// A new iteration started: the epoch announcement of the §5 protocols.
+    IterationStarted {
+        /// The 1-based iteration index.
+        index: u32,
+        /// The iteration-start network size `N_i` (the estimate announced to
+        /// every node).
+        estimate: u64,
+    },
+}
+
+impl AppEvent {
+    /// Returns `true` for the answer events that resolve a ticket.
+    pub fn is_answer(&self) -> bool {
+        matches!(self, AppEvent::Controller(e) if e.is_answer())
+    }
+}
+
+/// The ticket surface of an [`IterationDriver`] with its policy type erased
+/// (the runtime at the bottom of every `dcn-estimator` application stack).
+pub trait Runtime {
+    /// Submits a request arriving at `at` under a stable ticket; execution
+    /// happens in the next [`Runtime::step`].
+    ///
+    /// # Errors
+    ///
+    /// Returns validation errors against the *current* tree (unknown node,
+    /// malformed topological request); such a request never entered the
+    /// driver and resolves to no event.
+    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError>;
+
+    /// Advances execution by at most `budget` inner simulator events.
+    /// `Progress::quiescent` is `true` once no ticket is unanswered. A slice
+    /// never spans an iteration boundary: it ends (not quiescent) right
+    /// after a rotation, before any retried request runs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors and rotation-time construction errors.
+    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError>;
+
+    /// Removes and returns the events produced since the last drain, in
+    /// emission order.
+    fn drain_events(&mut self) -> Vec<AppEvent>;
+
+    /// All resolved requests so far, in answer order.
+    fn records(&self) -> &[RequestRecord];
+
+    /// The current spanning tree.
+    fn tree(&self) -> &DynamicTree;
+
+    /// Iterations (epochs) started so far.
+    fn iterations(&self) -> u32;
+
+    /// Topological changes granted so far.
+    fn changes(&self) -> u64;
+
+    /// Total messages so far: inner controller messages plus every charged
+    /// wave.
+    fn messages(&self) -> u64;
+
+    /// Charges `messages` application-level protocol messages (re-labelings,
+    /// pointer flips, vote deliveries) to the driver's counter —
+    /// applications declare costs, they do not own counters.
+    fn charge_messages(&mut self, messages: u64);
+}
+
+/// Consecutive grant-free rotations after which the driver stops retrying
+/// and rejects the stragglers (a fresh iteration normally grants at least
+/// one request; this is the safety valve the old per-app loops capped at 64
+/// rounds).
+const MAX_STALLED_ROTATIONS: u32 = 64;
+
+/// The epoch engine: a sequence of inner distributed controllers over one
+/// epoch shell (the clock, cost totals and ticket table they share) behind
+/// stable outer tickets, parameterised by an [`IterationPolicy`].
+///
+/// `submit` queues a request under a ticket that survives rotations; `step`
+/// hands the queue — new requests and rejected ones — to the running
+/// iteration unless the policy ends it, advances it by a bounded slice and
+/// collects the answers. Grants are final; at a quiescent point with rejects
+/// the policy says whether to rotate and retry them or answer them for good.
+/// Seeds run `seed, seed+1, …` over the rotations.
+#[derive(Debug)]
+pub struct IterationDriver<P> {
+    config: SimConfig,
+    policy: P,
+    shell: EpochShell,
+    ledger: RequestLedger,
+    /// Drained events, in emission order; per-request events wait in the
+    /// ledger until an iteration boundary or a drain moves them here.
+    events: Vec<AppEvent>,
+    /// The iteration-start size `N_i` announced to every node.
+    estimate: u64,
+    iterations: u32,
+    /// Charged waves: announcements, closing counts, application charges.
+    aux_messages: u64,
+    changes_total: u64,
+    /// Requests answered with a final reject.
+    rejected: u64,
+    seed_counter: u64,
+    /// Outer tickets submitted but not yet handed to the inner controller.
+    queued: Vec<Pending>,
+    /// Requests rejected by the running iteration, for the next slice or
+    /// the quiescent point.
+    retry: Vec<Pending>,
+    stalled_rotations: u32,
+    /// Set once the run's budget is spent (a zero-budget plan, or
+    /// [`IterationPolicy::rejects_are_final`]): every request from then on
+    /// is answered with a final reject.
+    spent: bool,
+}
+
+impl<P: IterationPolicy> IterationDriver<P> {
+    /// Creates the driver over `tree`, planning and starting the first
+    /// iteration through `policy`.
+    ///
+    /// # Errors
+    ///
+    /// Returns controller construction errors (invalid plan parameters).
+    pub fn new(config: SimConfig, tree: DynamicTree, policy: P) -> Result<Self, ControllerError> {
+        let mut driver = IterationDriver {
+            config,
+            policy,
+            shell: EpochShell::parked(tree),
+            ledger: RequestLedger::new(),
+            events: Vec::new(),
+            estimate: 0,
+            iterations: 0,
+            aux_messages: 0,
+            changes_total: 0,
+            rejected: 0,
+            seed_counter: config.seed,
+            queued: Vec::new(),
+            retry: Vec::new(),
+            stalled_rotations: 0,
+            spent: false,
+        };
+        driver.start_iteration()?;
+        Ok(driver)
+    }
+
+    /// The iteration policy (the application's own state lives here).
+    pub fn policy(&self) -> &P {
+        &self.policy
+    }
+
+    /// The iteration-start size `N_i` held by every node (the estimate `ñ`
+    /// of the size-estimation protocol).
+    pub fn estimate(&self) -> u64 {
+        self.estimate
+    }
+
+    /// The number of permits that travelled down through `node` in the
+    /// current iteration (read off the inner controller's whiteboard; used
+    /// by the subtree estimator).
+    pub fn permits_passed_down(&self, node: NodeId) -> u64 {
+        self.shell
+            .live()
+            .and_then(|inner| inner.whiteboard(node))
+            .map_or(0, |wb| wb.permits_passed_down)
+    }
+
+    /// Runs until every ticket is answered, each iteration under the
+    /// configured `max_events` valve.
+    pub(crate) fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
+        while !self.slice(None)?.quiescent {}
+        Ok(())
+    }
+
+    /// One slice of at most `budget` events (`None`: to quiescence under
+    /// the valve).
+    fn slice(&mut self, budget: Option<u64>) -> Result<Progress, ControllerError> {
+        // A closing iteration admits nothing: what it has in flight drains,
+        // the queue waits for the next one.
+        let closing = self.ends_iteration();
+        if !closing {
+            self.flush_queued()?;
+        }
+        let progress = self.shell.step(budget)?;
+        self.collect_answers();
+        if !progress.quiescent {
+            return Ok(progress);
+        }
+        if !self.retry.is_empty() {
+            self.spent = self.spent
+                || self
+                    .shell
+                    .live()
+                    .is_some_and(|iteration| self.policy.rejects_are_final(iteration));
+            if self.spent || self.stalled_rotations >= MAX_STALLED_ROTATIONS {
+                // Final rejects: the budget is spent, or — the safety valve —
+                // iterations keep exhausting without granting anything.
+                for request in std::mem::take(&mut self.retry) {
+                    self.reject(request);
+                }
+            }
+        }
+        if self.spent {
+            // Rejects what a closing iteration held back.
+            self.flush_queued()?;
+        } else if !self.retry.is_empty() || closing || self.ends_iteration() {
+            // The slice ends at the rotation, so a hook that runs after it
+            // sees the freshly installed iteration over the tree exactly as
+            // it was parked (the subtree estimator's ω₀ snapshot is the
+            // iteration-start broadcast/upcast).
+            self.rotate()?;
+            return Ok(Progress {
+                processed: progress.processed,
+                quiescent: false,
+            });
+        }
+        // Settle the policy against the fully-applied tree: grants are
+        // answered slightly before the simulator applies their topological
+        // change, so bookkeeping keyed on tree contents (identity
+        // assignment) needs one final absorb.
+        self.policy.absorb(self.shell.tree(), &[]);
+        Ok(Progress {
+            processed: progress.processed,
+            quiescent: true,
+        })
+    }
+
+    /// The policy's [`IterationPolicy::ends_iteration`], until the budget
+    /// is spent.
+    fn ends_iteration(&self) -> bool {
+        !self.spent
+            && self
+                .shell
+                .live()
+                .is_some_and(|iteration| self.policy.ends_iteration(iteration))
+    }
+
+    /// Hands queued and retried requests to the inner controller under their
+    /// outer tickets. Requests whose origin vanished (or whose topological
+    /// precondition broke) while they waited, and every request once the
+    /// budget is spent, are answered with a final reject.
+    fn flush_queued(&mut self) -> Result<(), ControllerError> {
+        let mut waiting = std::mem::take(&mut self.retry);
+        waiting.append(&mut self.queued);
+        for request in waiting {
+            if self.spent || check_request(self.shell.tree(), request.origin, request.kind).is_err()
+            {
+                self.reject(request);
+                continue;
+            }
+            self.shell.submit(request)?;
+        }
+        Ok(())
+    }
+
+    /// Answers `request` with a final reject at the current global time.
+    fn reject(&mut self, request: Pending) {
+        self.rejected += 1;
+        self.ledger.push(RequestRecord {
+            id: request.id,
+            origin: request.origin,
+            kind: request.kind,
+            outcome: Outcome::Rejected,
+            submitted_at: request.submitted_at,
+            answered_at: self.shell.now(),
+        });
+    }
+
+    /// Moves the inner controller's fresh answers into the outer history:
+    /// grants become final records/events, rejects join the retry queue.
+    fn collect_answers(&mut self) {
+        let before = self.ledger.records().len();
+        for rec in self.shell.collect() {
+            match rec.outcome {
+                Outcome::Granted { .. } => {
+                    if rec.kind.is_topological() {
+                        self.changes_total += 1;
+                    }
+                    self.stalled_rotations = 0;
+                    self.ledger.push(rec);
+                }
+                Outcome::Rejected => self.retry.push(Pending {
+                    id: rec.id,
+                    origin: rec.origin,
+                    kind: rec.kind,
+                    submitted_at: rec.submitted_at,
+                }),
+                // The fixed-bound distributed family supports the full
+                // dynamic model and never refuses.
+                Outcome::Refused => unreachable!("distributed controller never refuses"),
+            }
+        }
+        let granted = &self.ledger.records()[before..];
+        if !granted.is_empty() {
+            self.policy.absorb(self.shell.tree(), granted);
+        }
+    }
+
+    /// Moves the ledger's per-request events behind everything already
+    /// emitted (called before an iteration announcement and before a drain,
+    /// which keeps the stream in emission order).
+    fn flush_events(&mut self) {
+        let fresh = self.ledger.drain_events();
+        self.events
+            .extend(fresh.into_iter().map(AppEvent::Controller));
+    }
+
+    /// Closes the running iteration, charges its closing wave and starts
+    /// the next one.
+    fn rotate(&mut self) -> Result<(), ControllerError> {
+        self.shell.retire();
+        self.aux_messages += self
+            .policy
+            .closing_messages(self.shell.tree().node_count() as u64);
+        self.stalled_rotations += 1;
+        self.start_iteration()
+    }
+
+    /// Plans and starts an iteration over the parked tree: charges the
+    /// announcement wave, derives the iteration seed, installs the inner
+    /// controller and emits [`AppEvent::IterationStarted`].
+    fn start_iteration(&mut self) -> Result<(), ControllerError> {
+        let tree = self.shell.tree();
+        let nodes = tree.node_count();
+        self.iterations += 1;
+        self.estimate = nodes as u64;
+        let plan = self.policy.plan(tree);
+        self.aux_messages += plan.announce_messages;
+        self.spent |= plan.budget == 0;
+        let budget = plan.budget.max(1);
+        let waste = plan.waste.min(budget);
+        let u_bound = plan.u_bound.unwrap_or(nodes + budget as usize + 1);
+        let mut cfg = self.config;
+        cfg.seed = self.seed_counter;
+        self.seed_counter = self.seed_counter.wrapping_add(1);
+        self.shell
+            .install(cfg, budget, waste, u_bound, plan.interval)?;
+        self.flush_events();
+        self.events.push(AppEvent::IterationStarted {
+            index: self.iterations,
+            estimate: self.estimate,
+        });
+        Ok(())
+    }
+
+    pub(crate) fn record(&self, id: RequestId) -> Option<&RequestRecord> {
+        self.ledger.get(id)
+    }
+
+    pub(crate) fn trim_records(&mut self, keep: usize) {
+        self.ledger.trim(keep);
+    }
+
+    pub(crate) fn submitted(&self) -> u64 {
+        self.ledger.issued()
+    }
+
+    pub(crate) fn rejected(&self) -> u64 {
+        self.rejected
+    }
+
+    pub(crate) fn is_spent(&self) -> bool {
+        self.spent
+    }
+
+    pub(crate) fn metrics(&self) -> ControllerMetrics {
+        ControllerMetrics {
+            messages: self.messages(),
+            ..self.shell.totals()
+        }
+    }
+}
+
+impl<P: IterationPolicy> Runtime for IterationDriver<P> {
+    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
+        check_request(self.shell.tree(), at, kind)?;
+        let request = Pending {
+            id: self.ledger.issue(),
+            origin: at,
+            kind,
+            submitted_at: self.shell.now(),
+        };
+        self.queued.push(request);
+        Ok(request.id)
+    }
+
+    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
+        self.slice(Some(budget))
+    }
+
+    fn drain_events(&mut self) -> Vec<AppEvent> {
+        self.flush_events();
+        std::mem::take(&mut self.events)
+    }
+
+    fn records(&self) -> &[RequestRecord] {
+        self.ledger.records()
+    }
+
+    fn tree(&self) -> &DynamicTree {
+        self.shell.tree()
+    }
+
+    fn iterations(&self) -> u32 {
+        self.iterations
+    }
+
+    fn changes(&self) -> u64 {
+        self.changes_total
+    }
+
+    fn messages(&self) -> u64 {
+        self.shell.messages() + self.aux_messages
+    }
+
+    fn charge_messages(&mut self, messages: u64) {
+        self.aux_messages += messages;
     }
 }
 
@@ -304,7 +729,7 @@ mod tests {
                     .submit(request(id.0, submitted_at, deep, RequestKind::AddLeaf))
                     .unwrap();
             }
-            shell.run().unwrap();
+            shell.step(None).unwrap();
             let round = shell.collect();
             assert_eq!(round.len(), 2);
             for rec in &round {
@@ -345,7 +770,7 @@ mod tests {
                     .submit(request(i, 0, deep, RequestKind::NonTopological))
                     .unwrap();
             }
-            shell.run().unwrap();
+            shell.step(None).unwrap();
             let this_epoch = Controller::metrics(shell.live().unwrap());
             assert!(this_epoch.moves > 0 && this_epoch.messages > 0);
             moves += this_epoch.moves;
@@ -376,15 +801,44 @@ mod tests {
                 .submit(request(i, 0, root, RequestKind::AddLeaf))
                 .unwrap();
         }
-        shell.run().unwrap();
+        shell.step(None).unwrap();
         assert_eq!(shell.live().unwrap().records().len(), 4);
         assert_eq!(shell.collect().len(), 4);
         let inner = shell.live.as_mut().unwrap();
         assert!(inner.records().is_empty());
         assert!(inner.outcome(RequestId(0)).is_none());
         assert!(inner.drain_events().is_empty());
-        // A second collection finds nothing new.
+        // A second collection finds nothing new, and no ticket is held.
         assert!(shell.collect().is_empty());
+        assert!(shell.outer_of.is_empty());
+    }
+
+    /// The ticket table spans the requests in flight, not the epoch's
+    /// history: a served controller whose epoch never ends (events only)
+    /// would otherwise keep 16 B per request for ever.
+    #[test]
+    fn the_ticket_table_spans_the_requests_in_flight_not_the_epoch() {
+        let mut shell = live_shell(5, DynamicTree::with_initial_star(3), 200_000);
+        let root = shell.tree().root();
+        let (mut submitted, mut answered) = (0u64, 0u64);
+        while answered < 100_000 {
+            while submitted < 100_000 && submitted - answered < 64 {
+                shell
+                    .submit(request(submitted, 0, root, RequestKind::NonTopological))
+                    .unwrap();
+                submitted += 1;
+            }
+            shell.step(Some(16)).unwrap();
+            answered += shell.collect().len() as u64;
+            assert!(
+                shell.outer_of.span() <= 65,
+                "span {} with {} in flight",
+                shell.outer_of.span(),
+                submitted - answered
+            );
+        }
+        assert!(shell.is_quiescent());
+        assert_eq!(shell.outer_of.span(), 0);
     }
 
     #[test]
@@ -394,7 +848,7 @@ mod tests {
         assert_eq!(shell.tree().node_count(), 4);
         assert!(shell.is_quiescent());
         assert_eq!(shell.totals(), ControllerMetrics::default());
-        assert!(shell.step(10).unwrap().quiescent);
+        assert!(shell.step(Some(10)).unwrap().quiescent);
         assert!(shell.collect().is_empty());
         let root = shell.tree().root();
         assert!(shell
@@ -409,7 +863,7 @@ mod tests {
         shell
             .submit(request(7, 0, root, RequestKind::NonTopological))
             .unwrap();
-        shell.run().unwrap();
+        shell.step(None).unwrap();
         assert_eq!(shell.collect()[0].id, RequestId(7));
     }
 }

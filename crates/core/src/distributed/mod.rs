@@ -21,6 +21,12 @@
 //! order. The nodes below a descending agent stay locked until it passes
 //! them, which is all the taxi's `Down`/`Distance` services and the graceful
 //! topology gates rely on. DESIGN.md §6 ("Lock release") has the details.
+//!
+//! Past the fixed-`U` controller, [`IterationDriver`] is the one epoch
+//! engine: a sequence of such controllers behind stable tickets, rotated at
+//! quiescent points by an [`IterationPolicy`]. The
+//! [`AdaptiveDistributedController`] (Theorem 4.9 / Appendix A) and the §5
+//! applications of `dcn-estimator` are its two policies.
 
 mod agent;
 mod driver;
@@ -30,6 +36,7 @@ mod protocol;
 
 pub use agent::{CtrlAgent, RequestAgent};
 pub use driver::DistributedController;
-pub use epoch::{EpochShell, Pending};
+pub use epoch::{AppEvent, IterationDriver, IterationPlan, IterationPolicy, Runtime};
+pub(crate) use epoch::{EpochShell, Pending};
 pub use iterated::AdaptiveDistributedController;
 pub use protocol::{ControllerProtocol, CtrlOutput, CtrlWhiteboard, PackageEvent};

@@ -39,9 +39,6 @@ pub enum ControllerError {
     },
     /// A `RemoveSelf` request targeted the root, which may never be deleted.
     CannotRemoveRoot,
-    /// The controller has terminated (terminating variant) and no longer
-    /// accepts requests.
-    Terminated,
     /// An error surfaced by the underlying network simulator.
     Sim(String),
     /// An error surfaced by the underlying tree.
@@ -67,7 +64,6 @@ impl fmt::Display for ControllerError {
                 write!(f, "node {at} is not the parent of {child}")
             }
             ControllerError::CannotRemoveRoot => write!(f, "the root cannot be removed"),
-            ControllerError::Terminated => write!(f, "the controller has terminated"),
             ControllerError::Sim(msg) => write!(f, "simulator error: {msg}"),
             ControllerError::Tree(e) => write!(f, "tree error: {e}"),
         }
@@ -107,7 +103,6 @@ mod tests {
             ControllerError::BoundTooSmall { u: 2, nodes: 5 }.to_string(),
             ControllerError::UnknownNode(NodeId::from_index(7)).to_string(),
             ControllerError::CannotRemoveRoot.to_string(),
-            ControllerError::Terminated.to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

@@ -143,10 +143,10 @@ impl RequestLedger {
     }
 
     /// Removes and returns the recorded answers, dropping their index
-    /// entries and buffered events with them: the
-    /// [`EpochShell`](crate::distributed::EpochShell) moves an inner
-    /// controller's answers out to re-key them under the outer tickets, so
-    /// nothing is held twice.
+    /// entries and buffered events with them: the epoch engine
+    /// ([`IterationDriver`](crate::distributed::IterationDriver)) moves an
+    /// inner controller's answers out to re-key them under the outer
+    /// tickets, so nothing is held twice.
     pub fn take_records(&mut self) -> Vec<RequestRecord> {
         self.index.clear();
         self.events.clear();

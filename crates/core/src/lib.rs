@@ -18,13 +18,13 @@
 //!   *packages* over the tree, requests pull packages from the nearest
 //!   *filler node*, and the recursive `Proc` distribution leaves a trail of
 //!   geometrically sized packages behind. Includes the iterated controller of
-//!   Observation 3.4, the terminating controller of Observation 2.1 and the
-//!   adaptive (unknown-`U`) controllers of Theorem 3.5.
+//!   Observation 3.4 and the adaptive (unknown-`U`) controllers of
+//!   Theorem 3.5.
 //! * [`distributed`] — the mobile-agent implementation of §4 running on the
 //!   [`dcn_simnet`] asynchronous network simulator, with path locking, FIFO
-//!   waiting queues and reject waves, plus the adaptive driver of §4.5 /
-//!   Appendix A and the [`distributed::EpochShell`] it shares with the §5
-//!   iteration driver and the [`sharded`] controller.
+//!   waiting queues and reject waves, plus the one epoch engine
+//!   ([`distributed::IterationDriver`]) that runs the adaptive controller of
+//!   §4.5 / Appendix A and the §5 applications of `dcn-estimator`.
 //! * [`domain`] — the *package domain* bookkeeping used by the paper's
 //!   analysis (§3.2), implemented as an auditor so tests can check the domain
 //!   invariants on real executions.

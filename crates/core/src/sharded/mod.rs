@@ -10,7 +10,9 @@
 //!    `(shard, local NodeId)`);
 //! 2. each region runs its own
 //!    [`DistributedController`](crate::distributed::DistributedController)
-//!    (inside an [`EpochShell`]) over its own simulated network, granting
+//!    (inside an epoch shell, the mechanism under the
+//!    [`IterationDriver`](crate::distributed::IterationDriver) — but not its
+//!    loop) over its own simulated network, granting
 //!    locally against a budget slice `(M_i, W_i)` with `Σ M_i ≤ M`; with
 //!    more than one shard, execution
 //!    slices run on one worker thread per shard
@@ -533,7 +535,7 @@ impl Controller for ShardedController {
     /// (first shard wins) and exchange livelock errors.
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
         if self.k == 1 {
-            let progress = self.shards[0].shell.step(budget)?;
+            let progress = self.shards[0].shell.step(Some(budget))?;
             self.collect_shard(0)?;
             return Ok(progress);
         }
@@ -543,14 +545,14 @@ impl Controller for ShardedController {
                 for sh in self.shards.iter_mut() {
                     if sh.shell.live().is_some() {
                         scope.spawn(move || {
-                            sh.step_out = Some(sh.shell.step(slice));
+                            sh.step_out = Some(sh.shell.step(Some(slice)));
                         });
                     }
                 }
             });
         } else {
             for sh in self.shards.iter_mut() {
-                sh.step_out = Some(sh.shell.step(slice));
+                sh.step_out = Some(sh.shell.step(Some(slice)));
             }
         }
         let mut processed = 0;

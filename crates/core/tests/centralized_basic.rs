@@ -2,7 +2,6 @@
 
 use dcn_controller::centralized::{
     AdaptiveController, CentralizedController, IteratedController, RefreshPolicy,
-    TerminatingController,
 };
 use dcn_controller::verify::ExecutionSummary;
 use dcn_controller::{ControllerError, Outcome, PermitInterval, RequestKind};
@@ -255,44 +254,6 @@ fn iterated_controller_uses_fewer_moves_than_single_shot_for_small_w() {
         iterated.moves(),
         single.moves()
     );
-}
-
-#[test]
-fn terminating_controller_grants_between_m_minus_w_and_m() {
-    let tree = DynamicTree::with_initial_star(25);
-    let (m, w) = (12, 5);
-    let mut ctrl = TerminatingController::new(tree, m, w, 128).unwrap();
-    let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
-    let mut granted = 0;
-    for i in 0..50usize {
-        if ctrl
-            .submit(nodes[i % nodes.len()], RequestKind::NonTopological)
-            .unwrap()
-            .is_granted()
-        {
-            granted += 1;
-        }
-    }
-    assert!(ctrl.has_terminated());
-    assert!(granted >= m - w && granted <= m, "granted = {granted}");
-    assert_eq!(granted, ctrl.granted());
-}
-
-#[test]
-fn terminating_controller_can_be_forced_to_terminate_early() {
-    let tree = DynamicTree::with_initial_star(5);
-    let mut ctrl = TerminatingController::new(tree, 10, 5, 32).unwrap();
-    let root = ctrl.tree().root();
-    assert!(ctrl
-        .submit(root, RequestKind::NonTopological)
-        .unwrap()
-        .is_granted());
-    ctrl.terminate();
-    assert!(ctrl.has_terminated());
-    assert!(!ctrl
-        .submit(root, RequestKind::NonTopological)
-        .unwrap()
-        .is_granted());
 }
 
 #[test]

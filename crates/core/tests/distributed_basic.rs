@@ -2,12 +2,25 @@
 //! network simulator.
 
 use dcn_controller::distributed::{AdaptiveDistributedController, DistributedController};
-use dcn_controller::{Controller, Outcome, PermitInterval, RequestKind};
+use dcn_controller::{Controller, Outcome, PermitInterval, RequestKind, RequestRecord};
 use dcn_simnet::{DelayModel, SimConfig};
 use dcn_tree::{DynamicTree, NodeId};
 
 fn cfg(seed: u64) -> SimConfig {
     SimConfig::new(seed).with_delay(DelayModel::Uniform { min: 1, max: 9 })
+}
+
+/// Submits `batch`, runs to quiescence and returns this batch's records.
+fn submit_and_run(
+    ctrl: &mut AdaptiveDistributedController,
+    batch: &[(NodeId, RequestKind)],
+) -> Vec<RequestRecord> {
+    let before = ctrl.records().len();
+    for &(at, kind) in batch {
+        ctrl.submit(at, kind).unwrap();
+    }
+    ctrl.run_to_quiescence().unwrap();
+    ctrl.records()[before..].to_vec()
 }
 
 #[test]
@@ -204,7 +217,7 @@ fn adaptive_distributed_controller_handles_growth_without_a_bound() {
         let batch: Vec<(NodeId, RequestKind)> = (0..20)
             .map(|i| (nodes[(i * 3 + round) % nodes.len()], RequestKind::AddLeaf))
             .collect();
-        let records = ctrl.run_batch(&batch).unwrap();
+        let records = submit_and_run(&mut ctrl, &batch);
         granted += records.iter().filter(|r| r.outcome.is_granted()).count() as u64;
     }
     assert_eq!(granted, 240, "all requests fit the budget of 300");
@@ -228,7 +241,7 @@ fn adaptive_distributed_controller_rejects_only_when_budget_spent() {
                 (at, RequestKind::AddLeaf)
             })
             .collect();
-        let records = ctrl.run_batch(&batch).unwrap();
+        let records = submit_and_run(&mut ctrl, &batch);
         for r in &records {
             match r.outcome {
                 Outcome::Granted { .. } => granted += 1,
@@ -281,4 +294,29 @@ fn adaptive_distributed_metrics_accumulate_across_rebuilds() {
     }
     assert!(ctrl.recycles() >= 1 && ctrl.epochs() >= 2);
     assert!(rebuilds_straddled >= 2, "no run straddled a rebuild");
+}
+
+/// The adaptive family honours the step budget like every asynchronous
+/// family: a two-event slice leaves the deep request's agent climbing, and
+/// stepping on to quiescence keeps the records one `run_to_quiescence` keeps.
+#[test]
+fn adaptive_distributed_steps_in_bounded_slices() {
+    let build = || {
+        let tree = DynamicTree::with_initial_path(40);
+        AdaptiveDistributedController::new(cfg(9), tree, 50, 10).unwrap()
+    };
+    let deep = NodeId::from_index(40);
+    let mut stepped = build();
+    stepped.submit(deep, RequestKind::NonTopological).unwrap();
+    let first = stepped.step(2).unwrap();
+    assert_eq!((first.processed, first.quiescent), (2, false));
+    assert!(stepped.records().is_empty());
+    while !stepped.step(2).unwrap().quiescent {}
+
+    let mut ran = build();
+    ran.submit(deep, RequestKind::NonTopological).unwrap();
+    ran.run_to_quiescence().unwrap();
+    assert_eq!(stepped.records(), ran.records());
+    assert!(stepped.records()[0].outcome.is_granted());
+    assert_eq!(stepped.metrics(), ran.metrics());
 }

@@ -1,8 +1,8 @@
 //! The heavy-child decomposition (Theorem 5.4).
 
-use crate::driver::{Application, Runtime};
 use crate::invariant::InvariantError;
 use crate::subtree::SubtreeEstimator;
+use crate::{Application, Runtime};
 use dcn_collections::SecondaryMap;
 use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};

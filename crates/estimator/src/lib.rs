@@ -25,14 +25,16 @@
 //!
 //! ## The shared iteration runtime
 //!
-//! All six applications run on the same epoch engine, the
-//! [`IterationDriver`]: the §5 policy over `dcn-controller`'s `EpochShell`
-//! (which owns the inner distributed controller, the global clock and the
-//! outer tickets). It plans each iteration through the application's
-//! [`IterationPolicy`] (per-iteration α/β budgets, interval mode, renaming),
-//! rotates when an iteration is exhausted, charges the iteration-boundary
-//! waves, and exposes the same ticket/event/step seam as the controller
-//! runtime through the [`Runtime`] trait — `submit` → [`RequestId`] tickets
+//! All six applications run on `dcn-controller`'s one epoch engine, the
+//! [`IterationDriver`] (re-exported here with [`IterationPlan`],
+//! [`IterationPolicy`], [`AppEvent`] and [`Runtime`]; the adaptive
+//! distributed controller of Theorem 4.9 is its other user). It plans each
+//! iteration through the application's [`IterationPolicy`] (per-iteration
+//! α/β budgets, interval mode, renaming) — the hooks the applications leave
+//! at their defaults are the §5 behaviour: rotate when an iteration is
+//! exhausted and retry there, `2n` for the closing count wave — and exposes,
+//! through the policy-erased [`Runtime`] trait, the same ticket/event/step
+//! seam as the controller runtime: `submit` → [`RequestId`] tickets
 //! that survive iteration rebuilds, bounded `step(budget)`, `drain_events()`
 //! streaming [`AppEvent`]s (including [`AppEvent::IterationStarted`] at every
 //! epoch boundary) and a `records()` history. Every application implements
@@ -63,7 +65,10 @@ mod names;
 mod size;
 mod subtree;
 
-pub use driver::{AppEvent, Application, IterationDriver, IterationPlan, IterationPolicy, Runtime};
+pub use dcn_controller::distributed::{
+    AppEvent, IterationDriver, IterationPlan, IterationPolicy, Runtime,
+};
+pub use driver::Application;
 pub use heavy::HeavyChildDecomposition;
 pub use invariant::InvariantError;
 pub use labeling::{AncestryLabel, AncestryLabeling};

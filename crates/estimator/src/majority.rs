@@ -16,9 +16,9 @@
 //! `n ≤ β·ñ` at all times, this threshold guarantees a strict majority of the
 //! *current* network, whatever the churn did.
 
-use crate::driver::{Application, Runtime};
 use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
+use crate::{Application, Runtime};
 use dcn_collections::SecondaryMap;
 use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};

@@ -1,8 +1,9 @@
 //! The name-assignment protocol (Theorem 5.2).
 
-use crate::driver::{Application, IterationDriver, IterationPlan, IterationPolicy, Runtime};
 use crate::invariant::InvariantError;
+use crate::{Application, Runtime};
 use dcn_collections::{FxHashMap, SecondaryMap};
+use dcn_controller::distributed::{IterationDriver, IterationPlan, IterationPolicy};
 use dcn_controller::{ControllerError, Outcome, PermitInterval, RequestKind, RequestRecord};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
@@ -43,6 +44,7 @@ impl IterationPolicy for NamePolicy {
             waste: (n / 4).max(1).min(budget),
             interval: Some(PermitInterval::new(n + 1, n + budget)),
             announce_messages: 4 * n,
+            u_bound: None,
         }
     }
 

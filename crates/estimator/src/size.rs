@@ -1,7 +1,8 @@
 //! The size-estimation protocol (Theorem 5.1).
 
-use crate::driver::{Application, IterationDriver, IterationPlan, IterationPolicy, Runtime};
 use crate::invariant::InvariantError;
+use crate::{Application, Runtime};
+use dcn_controller::distributed::{IterationDriver, IterationPlan, IterationPolicy};
 use dcn_controller::ControllerError;
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
@@ -39,6 +40,7 @@ impl IterationPolicy for SizePolicy {
             interval: None,
             // Announcing N_i to all nodes: one broadcast.
             announce_messages: n,
+            u_bound: None,
         }
     }
 }

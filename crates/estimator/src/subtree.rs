@@ -1,8 +1,8 @@
 //! The subtree (super-weight) estimator of Lemma 5.3.
 
-use crate::driver::{Application, Runtime};
 use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
+use crate::{Application, Runtime};
 use dcn_collections::SecondaryMap;
 use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};

@@ -137,14 +137,14 @@ mod tests {
     use super::*;
     use crate::engine::ANSWER_WINDOW;
     use dcn_controller::{
-        Controller, ControllerEvent, ControllerMetrics, RequestId, RequestKind, RequestLedger,
-        RequestRecord,
+        Controller, ControllerEvent, ControllerMetrics, Progress, RequestId, RequestKind,
+        RequestLedger, RequestRecord,
     };
     use dcn_tree::{DynamicTree, NodeId};
     use dcn_workload::Family;
 
     /// A controller that issues tickets, never answers them, and whose
-    /// `step` (the provided one, over `run_to_quiescence`) always errs.
+    /// `step` and `run_to_quiescence` always err.
     struct Broken {
         ledger: RequestLedger,
         tree: DynamicTree,
@@ -165,6 +165,9 @@ mod tests {
         }
         fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
             Err(ControllerError::Sim("the simulator refused".to_string()))
+        }
+        fn step(&mut self, _: u64) -> Result<Progress, ControllerError> {
+            self.run_to_quiescence().map(|()| Progress::quiescent())
         }
         fn drain_events(&mut self) -> Vec<ControllerEvent> {
             self.ledger.drain_events()

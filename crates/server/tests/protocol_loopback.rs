@@ -4,10 +4,14 @@
 //! the serve path against the batch [`ScenarioRunner`] — same scenario,
 //! same grant/reject sequence, same `records()`.
 
+use dcn_controller::distributed::AdaptiveDistributedController;
+use dcn_controller::Controller;
 use dcn_server::{Loopback, ServeConfig};
+use dcn_simnet::SimConfig;
+use dcn_tree::NodeId;
 use dcn_workload::json::{self, Value};
 use dcn_workload::{
-    ArrivalMode, ChurnModel, ControllerSpec, Family, Placement, RequestKind, Scenario,
+    build_tree, ArrivalMode, ChurnModel, ControllerSpec, Family, Placement, RequestKind, Scenario,
     ScenarioRunner, TreeShape,
 };
 
@@ -722,7 +726,9 @@ fn golden_session(config: ServeConfig) -> Vec<String> {
 /// the first samples of the seed's stream (55, 58 and 78 of 189 lines: answer
 /// times, the order of concurrent answers and which of two racing requests
 /// takes the last permit; `granted` / `rejected` in `stats` and the other
-/// four rows did not move).
+/// four rows did not move), and none when `adaptive-distributed` began to
+/// run in bounded slices on the epoch engine (the session's 48-event slices
+/// answer what its whole-run step answered).
 #[test]
 fn golden_transcript_is_unchanged_for_every_family() {
     let golden: [(&str, usize, u64); 7] = [
@@ -824,6 +830,99 @@ fn poll_outcomes_repeat_the_streamed_events_field_for_field() {
         let synchronous = ["centralized", "iterated", "trivial", "aaps"].contains(&name);
         assert_eq!(inserted > 0, synchronous, "{name}");
     }
+}
+
+/// The paper's adaptive controller served in slices of 16 events: a deep
+/// request still reads `pending` after one slice, and a session that
+/// recycles permits and refreshes epochs answers every ticket, drains
+/// `in_flight()`, reconciles `stats` and keeps the records of a twin
+/// controller run to quiescence after every round — slicing moves nothing.
+#[test]
+fn adaptive_distributed_is_served_in_bounded_slices() {
+    /// Submits to the server and the twin alike; returns the wire ticket.
+    fn submit(
+        lb: &mut Loopback,
+        twin: &mut AdaptiveDistributedController,
+        client: u64,
+        node: NodeId,
+        kind: RequestKind,
+    ) -> u64 {
+        let wire = if kind == RequestKind::AddLeaf {
+            "add-leaf"
+        } else {
+            "event"
+        };
+        let line = format!(
+            r#"{{"op": "submit", "kind": "{wire}", "node": {}}}"#,
+            node.index()
+        );
+        lb.send(client, &line);
+        twin.submit(node, kind).unwrap();
+        let ticket = parse(&recv_one(lb, client));
+        ticket.get("ticket").unwrap().as_u64().unwrap()
+    }
+
+    let (m, w, seed, shape) = (400, 4, 3, TreeShape::Path { nodes: 8 });
+    let config = ServeConfig::new(Family::AdaptiveDistributed, m, w)
+        .with_shape(shape)
+        .with_seed(seed)
+        .with_step_budget(16);
+    let mut lb = Loopback::new(config).unwrap();
+    let mut twin =
+        AdaptiveDistributedController::new(SimConfig::new(seed), build_tree(shape), m, w).unwrap();
+    let c = lb.connect();
+    lb.send(c, r#"{"op": "hello", "proto": 1}"#);
+    lb.send(c, r#"{"op": "subscribe"}"#);
+    let _ = lb.recv(c);
+
+    // The deepest node's request climbs eight hops and walks back: one
+    // slice of 16 events leaves it in flight.
+    let deep = NodeId::from_index(8);
+    let deep = submit(&mut lb, &mut twin, c, deep, RequestKind::NonTopological);
+    lb.pump_slice();
+    lb.send(c, &format!(r#"{{"op": "poll", "ticket": {deep}}}"#));
+    let poll = parse(&recv_one(&mut lb, c));
+    assert_eq!(poll.get("status").unwrap().as_str().unwrap(), "pending");
+    assert_eq!(lb.engine().in_flight(), 1);
+
+    // Then the workload of `adaptive_distributed_runs_match_the_pre_shell_
+    // fingerprints`: 400 permits over 9 nodes strand permits in static
+    // packages (a recycle), the insertions of rounds 0, 5 and 10 cross U/4
+    // changes (an epoch refresh), and the budget runs out.
+    lb.run_to_quiescence();
+    twin.run_to_quiescence().unwrap();
+    let mut submitted = 1;
+    let mut answered = answers(&lb.recv(c));
+    for round in 0..12usize {
+        let nodes: Vec<NodeId> = twin.tree().nodes().collect();
+        for i in 0..40usize {
+            let kind = if round % 5 == 0 && i < 6 {
+                RequestKind::AddLeaf
+            } else {
+                RequestKind::NonTopological
+            };
+            let at = nodes[(i * 7 + round) % nodes.len()];
+            submit(&mut lb, &mut twin, c, at, kind);
+            submitted += 1;
+        }
+        lb.run_to_quiescence();
+        twin.run_to_quiescence().unwrap();
+        answered += answers(&lb.recv(c));
+        assert_eq!(lb.engine().in_flight(), 0, "round {round}");
+    }
+    assert_eq!(answered, submitted);
+    assert!(twin.recycles() >= 1, "no recycle forced");
+    assert!(twin.epochs() >= 2, "no epoch refresh forced");
+    assert_eq!(lb.engine().controller().records(), twin.records());
+
+    lb.send(c, r#"{"op": "stats"}"#);
+    let stats = parse(&recv_one(&mut lb, c));
+    let field = |key: &str| stats.get(key).unwrap().as_u64().unwrap();
+    assert_eq!(field("submitted"), submitted as u64);
+    assert_eq!(field("granted"), twin.granted());
+    assert_eq!(field("rejected"), twin.rejected());
+    assert_eq!(field("granted") + field("rejected"), submitted as u64);
+    assert!(field("rejected") > 0 && twin.granted() >= m - w);
 }
 
 /// Counts the answer events (`granted` / `rejected` / `refused`) in a batch

@@ -43,8 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             shape: TreeShape::Star { nodes: 7 }, // initial shape (tree already built)
             churn,
             placement: Placement::Uniform,
-            // The adaptive controller recycles permits between full batches,
-            // so each wave runs closed-loop.
+            // Closed loop: every wave is answered (permits recycled, epochs
+            // refreshed) before the next one draws its churn from the
+            // overlay it left.
             arrival: ArrivalMode::Batch,
             requests: 12,
             m: 600,

@@ -224,13 +224,13 @@ fn generated_churn_through_the_adaptive_controller_is_safe_and_live() {
         let mut granted = 0u64;
         let mut rejected = 0u64;
         for _ in 0..20 {
-            let batch: Vec<_> = gen
-                .batch(ctrl.tree(), 10)
-                .iter()
-                .map(ChurnOp::to_request)
-                .collect();
-            let records = ctrl.run_batch(&batch).unwrap();
-            for r in &records {
+            let before = ctrl.records().len();
+            for op in gen.batch(ctrl.tree(), 10) {
+                let (at, kind) = op.to_request();
+                ctrl.submit(at, kind).unwrap();
+            }
+            ctrl.run_to_quiescence().unwrap();
+            for r in &ctrl.records()[before..] {
                 match r.outcome {
                     Outcome::Granted { .. } => granted += 1,
                     Outcome::Rejected => rejected += 1,
