@@ -146,19 +146,18 @@ impl AapsController {
     /// `false` only when every bin is empty.
     fn recall_permit(&mut self, to: NodeId) -> bool {
         // Deterministic donor choice (shallowest first, ties by id/level):
-        // HashMap iteration order must never leak into the execution.
-        let mut donors: Vec<BinKey> = self
+        // the order key is unique per bin, so HashMap iteration order never
+        // leaks into the execution.
+        let tree = &self.tree;
+        let Some((&(node, _), count)) = self
             .bins
-            .iter()
-            .filter(|&(_, &count)| count > 0)
-            .map(|(&key, _)| key)
-            .collect();
-        donors.sort_by_key(|&(node, level)| (self.tree.depth(node), node.index(), level));
-        let Some(&(node, level)) = donors.first() else {
+            .iter_mut()
+            .filter(|(_, count)| **count > 0)
+            .min_by_key(|(&(node, level), _)| (tree.depth(node), node.index(), level))
+        else {
             return false;
         };
-        // lint: allow(unwrap) the key was collected from the bins scan above
-        *self.bins.get_mut(&(node, level)).expect("donor exists") -= 1;
+        *count -= 1;
         let cost = (self.tree.depth(node) + self.tree.depth(to)) as u64;
         self.moves += cost;
         self.messages += cost;
@@ -194,14 +193,14 @@ impl AapsController {
         if !self.refill(sup_host, level + 1) {
             return false;
         }
-        let sup_key = (sup_host, level + 1);
-        let available = self.bins.get(&sup_key).copied().unwrap_or(0);
-        let take = want.min(available);
+        let Some(available) = self.bins.get_mut(&(sup_host, level + 1)) else {
+            return false;
+        };
+        let take = want.min(*available);
         if take == 0 {
             return false;
         }
-        // lint: allow(unwrap) `available > 0` proves the key is present
-        *self.bins.get_mut(&sup_key).expect("supervisor bin exists") -= take;
+        *available -= take;
         *self.bins.entry(key).or_insert(0) += take;
         self.moves += sup_dist;
         self.messages += sup_dist;
@@ -244,7 +243,10 @@ impl AapsController {
             self.messages += dist;
             return Ok(Outcome::Rejected);
         }
-        // lint: allow(unwrap) refill()/recall_permit() returning true stocked the bin
+        #[expect(
+            clippy::expect_used,
+            reason = "refill() or recall_permit() returning true stocked the bin"
+        )]
         let bin = self.bins.get_mut(&(host, 0)).expect("bin was refilled");
         *bin -= 1;
         self.granted += 1;

@@ -29,6 +29,7 @@
 //! in DESIGN.md.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod aaps;

@@ -9,6 +9,8 @@
 //! sweeps, `DCN_JSON=1` appends the rows as JSON lines, `DCN_WORKERS` sizes
 //! the worker pool of the experiments that fan out over the sweep engine.
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::experiments::EXPERIMENTS;
 use dcn_bench::print_table;
 use std::process::ExitCode;

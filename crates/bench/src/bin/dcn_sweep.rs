@@ -31,6 +31,8 @@
 //! Exits non-zero if any cell errored or violated a correctness condition
 //! (the CI smoke contract).
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{default_workers, full_grid, quick_grid, run_grid, DEFAULT_SWEEP_SEED};
 use std::process::ExitCode;
 

@@ -20,6 +20,7 @@
 //! Set `DCN_QUICK=1` to run reduced sweeps (used by CI).
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 use dcn_controller::{Controller, ControllerError};
@@ -200,7 +201,7 @@ pub fn print_table(title: &str, rows: &[Row]) {
             row.experiment, row.params, row.measured, row.bound, row.ratio
         );
     }
-    if std::env::var("DCN_JSON").is_ok() {
+    if env_switch("DCN_JSON").is_some() {
         for row in rows {
             println!("{}", row.to_json_line());
         }
@@ -208,9 +209,19 @@ pub fn print_table(title: &str, rows: &[Row]) {
     println!();
 }
 
+/// The harness's one reader of the environment: the value of the `DCN_*`
+/// switch `name`, if it is set (and Unicode).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the DCN_* switches choose which sweeps run and how they print; no seed or count reads them"
+)]
+fn env_switch(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
 /// Returns `true` when reduced sweeps were requested (`DCN_QUICK=1`).
 pub fn quick_mode() -> bool {
-    std::env::var("DCN_QUICK").is_ok_and(|v| v != "0")
+    env_switch("DCN_QUICK").is_some_and(|v| v != "0")
 }
 
 /// Picks the sweep sizes for experiments: full by default, reduced in quick
@@ -243,8 +254,7 @@ pub fn build_controller(
 /// set, otherwise the machine's available parallelism (at least 2 so the
 /// parallel path is always exercised).
 pub fn default_workers() -> usize {
-    std::env::var("DCN_WORKERS")
-        .ok()
+    env_switch("DCN_WORKERS")
         .and_then(|v| v.parse().ok())
         .filter(|&n| n >= 1)
         .unwrap_or_else(|| {

@@ -325,14 +325,12 @@ impl<T> CalendarQueue<T> {
 
     /// Advances the clock to the earliest pending timestamp and pulls every
     /// overflow item that the new horizon reveals into the wheel. Returns the
-    /// timestamp. Caller guarantees the queue is non-empty.
-    fn advance(&mut self) -> Time {
+    /// timestamp, or `None` (the clock unmoved) if the queue is empty.
+    fn advance(&mut self) -> Option<Time> {
         let time = if self.wheel_len > 0 {
             self.wheel_min()
         } else {
-            // lint: allow(unwrap) advance() is only called when len > 0, and
-            // an empty wheel with a non-zero len means items sit in overflow
-            self.overflow.peek().expect("queue is non-empty").time
+            self.overflow.peek()?.time
         };
         self.now = time;
         // Migrate far items revealed by the wider horizon. Migration happens
@@ -340,15 +338,12 @@ impl<T> CalendarQueue<T> {
         // schedule of the same timestamp (necessarily with a larger seq)
         // lands behind the migrated items — per-bucket FIFO stays seq order.
         let horizon = self.horizon();
-        while let Some(far) = self.overflow.peek() {
-            if far.time >= horizon {
-                break;
+        while self.overflow.peek().is_some_and(|far| far.time < horizon) {
+            if let Some(Far { time, item, .. }) = self.overflow.pop() {
+                self.push_wheel(time, item);
             }
-            // lint: allow(unwrap) peek() just returned Some on this heap
-            let Far { time, item, .. } = self.overflow.pop().expect("peeked");
-            self.push_wheel(time, item);
         }
-        time
+        Some(time)
     }
 
     /// Clears bucket `b`'s occupancy bit once it has been emptied.
@@ -364,8 +359,10 @@ impl<T> CalendarQueue<T> {
         let idx = self.head[b];
         debug_assert!(idx != NONE_SLOT);
         let slot = &mut self.slab[idx as usize];
-        // lint: allow(unwrap) every slot on a bucket list holds an item; only
-        // free-list slots are empty, and `head[b]` never points at those
+        #[expect(
+            clippy::expect_used,
+            reason = "every cell on a bucket list holds an item; only free-list cells are empty"
+        )]
         let item = slot.item.take().expect("linked cells hold items");
         let next = slot.next;
         slot.next = self.free_head;
@@ -382,10 +379,7 @@ impl<T> CalendarQueue<T> {
     /// Pops the next item in `(time, seq)` order, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        if self.is_empty() {
-            return None;
-        }
-        let time = self.advance();
+        let time = self.advance()?;
         let b = (time & self.mask) as usize;
         Some((time, self.pop_bucket_front(b)))
     }
@@ -399,10 +393,7 @@ impl<T> CalendarQueue<T> {
     /// pop order.
     #[inline]
     pub fn pop_batch(&mut self, out: &mut Vec<T>) -> Option<Time> {
-        if self.is_empty() {
-            return None;
-        }
-        let time = self.advance();
+        let time = self.advance()?;
         let b = (time & self.mask) as usize;
         while self.head[b] != NONE_SLOT {
             let item = self.pop_bucket_front(b);

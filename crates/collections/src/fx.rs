@@ -44,16 +44,10 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            // lint: allow(unwrap) chunks_exact(8) yields exactly 8-byte chunks
-            let word = u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-            self.add_to_hash(word);
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
+        // Little-endian words; a short last chunk is zero-padded.
+        for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
+            word[..chunk.len()].copy_from_slice(chunk);
             self.add_to_hash(u64::from_le_bytes(word));
         }
     }

@@ -36,8 +36,8 @@
 //! The storage policy for the workspace (DESIGN.md "Performance model"):
 //! dense entity key → [`SecondaryMap`], or [`SlidingMap`] when entries die
 //! roughly in the order their keys were issued; sparse or composite key →
-//! [`FxHashMap`]; `std` SipHash maps only in cold paths, justified by a
-//! `// perf: cold` comment.
+//! [`FxHashMap`]; no `std` SipHash maps (clippy refuses their constructors,
+//! DESIGN.md §8).
 //!
 //! ```
 //! use dcn_collections::{EntityKey, SecondaryMap};
@@ -63,6 +63,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod calendar;

@@ -122,11 +122,9 @@ impl<K: EntityKey, V> SecondaryMap<K, V> {
         }
         let slot = &mut self.slots[index];
         if slot.is_none() {
-            *slot = Some(default());
             self.len += 1;
         }
-        // lint: allow(unwrap) the branch above filled the slot if it was empty
-        slot.as_mut().expect("slot was just filled")
+        slot.get_or_insert_with(default)
     }
 
     /// Keeps only the entries for which `keep` returns `true`. Entries are

@@ -107,19 +107,23 @@ impl AdaptiveController {
         })
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the Option is None only inside maybe_refresh(), which restores it"
+    )]
     fn inner(&self) -> &IteratedController {
         self.inner
             .as_ref()
-            // lint: allow(unwrap) the Option is None only inside refresh(),
-            // which restores it before returning
             .expect("inner controller always present")
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the Option is None only inside maybe_refresh(), which restores it"
+    )]
     fn inner_mut(&mut self) -> &mut IteratedController {
         self.inner
             .as_mut()
-            // lint: allow(unwrap) the Option is None only inside refresh(),
-            // which restores it before returning
             .expect("inner controller always present")
     }
 
@@ -204,8 +208,10 @@ impl AdaptiveController {
         if !due {
             return Ok(());
         }
-        // lint: allow(unwrap) take() is the only place the Option empties,
-        // and a fresh controller is installed below before any early return
+        #[expect(
+            clippy::expect_used,
+            reason = "the only take() of the Option; a fresh controller is installed below"
+        )]
         let inner = self.inner.take().expect("inner controller present");
         let granted_this_epoch = inner.granted();
         let moves_this_epoch = inner.moves();

@@ -7,8 +7,8 @@ use crate::package::{MobilePackage, PackageStore, PermitInterval};
 use crate::params::Params;
 use crate::request::{check_request, Outcome, RequestKind};
 use crate::ControllerError;
+use dcn_collections::FxHashMap;
 use dcn_tree::{DynamicTree, NodeId};
-use std::collections::HashMap;
 
 /// Result of attempting to serve one request without issuing rejects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,7 +56,7 @@ pub enum Attempt {
 pub struct CentralizedController {
     params: Params,
     tree: DynamicTree,
-    stores: HashMap<NodeId, PackageStore>,
+    stores: FxHashMap<NodeId, PackageStore>,
     storage: u64,
     storage_interval: Option<PermitInterval>,
     granted: u64,
@@ -94,7 +94,7 @@ impl CentralizedController {
         Ok(CentralizedController {
             params,
             tree,
-            stores: HashMap::new(),
+            stores: FxHashMap::default(),
             storage: m,
             storage_interval: None,
             granted: 0,
@@ -291,15 +291,8 @@ impl CentralizedController {
             return Ok(Attempt::Granted { serial, new_node });
         }
         // Item 3: look for the closest filler node on the way to the root.
-        let found = self.find_filler(at);
-        let (package, host, host_dist) = match found {
-            Some((host, host_dist, level)) => {
-                let pkg = self
-                    .store_mut(host)
-                    .take_mobile(level)
-                    // lint: allow(unwrap) find_filler() returned this (host,
-                    // level) from the live store an instant ago
-                    .expect("filler level was just observed");
+        let (package, host, host_dist) = match self.take_filler(at) {
+            Some((pkg, host, host_dist)) => {
                 if let Some(aud) = &mut self.auditor {
                     aud.package_consumed(pkg.id);
                 }
@@ -354,12 +347,14 @@ impl CentralizedController {
     }
 
     /// Finds the closest ancestor of `at` (possibly `at` itself) that is a
-    /// filler node with respect to `at`; returns `(host, distance, level)`.
-    fn find_filler(&self, at: NodeId) -> Option<(NodeId, u64, u32)> {
+    /// filler node with respect to `at` and takes its filler package; returns
+    /// `(package, host, distance)`.
+    fn take_filler(&mut self, at: NodeId) -> Option<(MobilePackage, NodeId, u64)> {
         for (dist, node) in self.tree.ancestors(at).enumerate() {
-            if let Some(store) = self.stores.get(&node) {
-                if let Some(level) = store.filler_level(dist as u64, &self.params) {
-                    return Some((node, dist as u64, level));
+            let dist = dist as u64;
+            if let Some(store) = self.stores.get_mut(&node) {
+                if let Some(pkg) = store.take_filler(dist, &self.params) {
+                    return Some((pkg, node, dist));
                 }
             }
         }
@@ -385,33 +380,27 @@ impl CentralizedController {
                 // Move to `at` and become static, then grant one permit.
                 self.moves += current_dist;
                 let size = self.params.mobile_size(0);
-                self.store_mut(at).add_static(size, current.interval);
-                let serial = self
-                    .store_mut(at)
-                    .grant_static()
-                    // lint: allow(unwrap) add_static() above deposited a
-                    // level-0 package, whose size is at least one permit
-                    .expect("the freshly converted static package holds at least one permit");
-                return serial;
+                return self.store_mut(at).settle_and_grant(size, current.interval);
             }
             let k = current.level;
             let target_dist = self.params.deposit_distance(k - 1);
             debug_assert!(target_dist < current_dist);
+            #[expect(
+                clippy::expect_used,
+                reason = "target_dist < current_dist <= depth(at), so the ancestor exists"
+            )]
             let target = self
                 .tree
                 .ancestor_at_distance(at, target_dist as usize)
-                // lint: allow(unwrap) target_dist < current_dist ≤ depth(at),
-                // so the ancestor at that distance exists
                 .expect("deposit point lies on the path between the request and the host");
             self.moves += current_dist - target_dist;
             let (stay, carry) = current.split(self.fresh_package_id(), self.fresh_package_id());
             if let Some(aud) = &mut self.auditor {
-                let path = self
+                let path: Vec<NodeId> = self
                     .tree
-                    .path_between(at, target)
-                    // lint: allow(unwrap) `target` was produced by
-                    // ancestor_at_distance(at, ..) just above
-                    .expect("target is an ancestor of the requesting node");
+                    .ancestors(at)
+                    .take(target_dist as usize + 1)
+                    .collect();
                 aud.package_deposited(stay.id, stay.level, target, &path, &self.params);
             }
             self.store_mut(target).add_mobile(stay);
@@ -442,12 +431,9 @@ impl CentralizedController {
             }
             RequestKind::RemoveSelf => {
                 // Packages stored at the removed node move to its parent.
-                let parent = self
-                    .tree
-                    .parent(at)
-                    // lint: allow(unwrap) check_request() refuses Remove at
-                    // the root, so `at` has a parent
-                    .expect("check_request() rejected root removal");
+                let Some(parent) = self.tree.parent(at) else {
+                    return Err(ControllerError::CannotRemoveRoot);
+                };
                 if let Some(removed_store) = self.stores.remove(&at) {
                     if !removed_store.is_empty() {
                         self.moves += 1;

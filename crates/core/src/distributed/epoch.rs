@@ -39,8 +39,8 @@ pub(crate) struct Pending {
 pub(crate) struct EpochShell {
     /// The running epoch's controller; `None` while parked.
     live: Option<DistributedController>,
-    /// The tree between epochs; `Some` exactly when `live` is `None`.
-    parked: Option<DynamicTree>,
+    /// The tree between epochs; an empty placeholder while `live` runs.
+    parked: DynamicTree,
     /// Virtual time accumulated by retired epochs; the global clock is
     /// `time_base + live simulator time`.
     time_base: u64,
@@ -57,7 +57,7 @@ impl EpochShell {
     pub(crate) fn parked(tree: DynamicTree) -> Self {
         EpochShell {
             live: None,
-            parked: Some(tree),
+            parked: tree,
             time_base: 0,
             retired: ControllerMetrics::default(),
             outer_of: SlidingMap::new(),
@@ -65,8 +65,8 @@ impl EpochShell {
     }
 
     /// Starts the next epoch over the parked tree (see
-    /// [`DistributedController::with_interval`]). A validation error leaves
-    /// the shell unusable, so callers propagate it.
+    /// [`DistributedController::with_interval`]). A validation error loses
+    /// the tree and leaves the shell unusable, so callers propagate it.
     pub(crate) fn install(
         &mut self,
         config: SimConfig,
@@ -75,9 +75,9 @@ impl EpochShell {
         u_bound: usize,
         interval: Option<PermitInterval>,
     ) -> Result<(), ControllerError> {
-        // lint: allow(unwrap) a live shell here is a bug in the calling
-        // client (every client retires before it installs)
-        let tree = self.parked.take().expect("install needs a parked shell");
+        // Every client retires before it installs.
+        debug_assert!(self.live.is_none(), "install needs a parked shell");
+        let tree = std::mem::take(&mut self.parked);
         self.live = Some(DistributedController::with_interval(
             config, tree, m, w, u_bound, interval,
         )?);
@@ -95,7 +95,7 @@ impl EpochShell {
         self.time_base += ctrl.sim().time();
         self.retired = self.totals_with(&ctrl);
         self.outer_of.clear();
-        self.parked = Some(ctrl.into_tree());
+        self.parked = ctrl.into_tree();
     }
 
     /// The running epoch's controller, for the reads that are policy
@@ -108,9 +108,7 @@ impl EpochShell {
     pub(crate) fn tree(&self) -> &DynamicTree {
         match &self.live {
             Some(ctrl) => ctrl.tree(),
-            // lint: allow(unwrap) exactly one of live/parked is Some (a
-            // failed install is terminal, see its docs)
-            None => self.parked.as_ref().expect("a parked shell holds the tree"),
+            None => &self.parked,
         }
     }
 
@@ -189,10 +187,14 @@ impl EpochShell {
         };
         let mut records = ctrl.take_records();
         for rec in &mut records {
-            let entry = self.outer_of.remove(rec.id);
-            // lint: allow(unwrap) every inner ticket is entered by submit and
-            // answered once
-            let (outer, submitted_at) = entry.expect("answered tickets were submitted here");
+            #[expect(
+                clippy::expect_used,
+                reason = "every inner ticket is entered by submit and answered once"
+            )]
+            let (outer, submitted_at) = self
+                .outer_of
+                .remove(rec.id)
+                .expect("answered tickets were submitted here");
             rec.id = outer;
             rec.submitted_at = submitted_at;
             rec.answered_at += self.time_base;

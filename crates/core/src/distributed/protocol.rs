@@ -157,15 +157,8 @@ impl ControllerProtocol {
             // Item 1b: walk back down to the origin, leaving reject packages.
             return self.start_reject_descent(ctx, agent, dist);
         }
-        if let Some(level) = ctx.whiteboard().store.filler_level(dist, &params) {
+        if let Some(pkg) = ctx.whiteboard_mut().store.take_filler(dist, &params) {
             // Item 3a: this node is the closest filler node ρ(u).
-            let pkg = ctx
-                .whiteboard_mut()
-                .store
-                .take_mobile(level)
-                // lint: allow(unwrap) the agent only walks down to a level it
-                // saw in this whiteboard, and nothing drains it in between
-                .expect("filler level was observed in this whiteboard");
             if let Some(log) = &mut self.package_log {
                 log.push(PackageEvent::Taken { pkg: pkg.id });
             }
@@ -240,15 +233,7 @@ impl ControllerProtocol {
             // The carried level-0 package becomes static at the origin and
             // grants one permit.
             let size = params.mobile_size(0);
-            let serial = {
-                let wb = ctx.whiteboard_mut();
-                wb.store.add_static(size, interval);
-                wb.store
-                    .grant_static()
-                    // lint: allow(unwrap) add_static() above deposited a
-                    // package holding at least one permit
-                    .expect("freshly converted static package is non-empty")
-            };
+            let serial = ctx.whiteboard_mut().store.settle_and_grant(size, interval);
             self.grant(ctx, agent, serial);
             ctx.unlock();
             return Action::Terminate;

@@ -175,6 +175,23 @@ impl PackageStore {
         Some(serial)
     }
 
+    /// Makes a carried level-0 package of `count` permits static here and
+    /// grants one of them (the last step of item 4's distribution). Returns
+    /// the consumed serial number when the store is in interval mode.
+    #[expect(
+        clippy::expect_used,
+        reason = "a level-0 package holds phi >= 1 permits, so the pool it fills is non-empty"
+    )]
+    pub fn settle_and_grant(
+        &mut self,
+        count: u64,
+        interval: Option<PermitInterval>,
+    ) -> Option<u64> {
+        self.add_static(count, interval);
+        self.grant_static()
+            .expect("a level-0 package holds at least one permit")
+    }
+
     fn pop_serial(&mut self) -> Option<u64> {
         let last = self.static_intervals.last_mut()?;
         let serial = last.lo;
@@ -225,6 +242,14 @@ impl PackageStore {
             .min_by_key(|(_, p)| p.id)
             .map(|(i, _)| i)?;
         Some(self.mobiles.swap_remove(idx))
+    }
+
+    /// Removes and returns the package that makes this node a filler for a
+    /// request at distance `dist`: the smallest-id package of the
+    /// [`filler_level`](Self::filler_level). `None` if the node is no filler.
+    pub fn take_filler(&mut self, dist: u64, params: &Params) -> Option<MobilePackage> {
+        let level = self.filler_level(dist, params)?;
+        self.take_mobile(level)
     }
 
     /// Total number of permits stored at this node (static pool plus all

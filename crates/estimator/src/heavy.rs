@@ -103,17 +103,16 @@ impl HeavyChildDecomposition {
         {
             let tree = self.subtree.tree();
             for node in tree.nodes() {
-                // lint: allow(unwrap) `node` was yielded by tree.nodes()
-                let children = tree.children(node).expect("node exists");
-                if children.is_empty() {
-                    continue;
-                }
-                let best = children
+                // A leaf has no heavy child.
+                let Some(best) = tree
+                    .children(node)
+                    .unwrap_or_default()
                     .iter()
                     .copied()
                     .max_by_key(|&c| (self.subtree.estimate(c), std::cmp::Reverse(c)))
-                    // lint: allow(unwrap) the is_empty() branch above returned
-                    .expect("non-empty children");
+                else {
+                    continue;
+                };
                 if self.heavy.get(node) != Some(&best) {
                     flips += 1;
                 }

@@ -99,25 +99,20 @@ impl AncestryLabeling {
         {
             let tree = self.size.tree();
             self.labels.clear();
-            // Iterative DFS computing [entry, exit] intervals.
+            // Iterative DFS computing [entry, exit] intervals; a node's
+            // second stack entry carries its entry number.
             let mut counter = 0u64;
-            let mut stack: Vec<(NodeId, bool)> = vec![(tree.root(), false)];
-            let mut entry: SecondaryMap<NodeId, u64> = SecondaryMap::new();
-            while let Some((node, expanded)) = stack.pop() {
-                if expanded {
-                    // lint: allow(unwrap) the first-visit arm below inserts
-                    // the entry before pushing the expanded marker
-                    let low = *entry.get(node).expect("entry recorded on first visit");
+            let mut stack: Vec<(NodeId, Option<u64>)> = vec![(tree.root(), None)];
+            while let Some((node, entered)) = stack.pop() {
+                if let Some(low) = entered {
                     self.labels
                         .insert(node, AncestryLabel { low, high: counter });
                     continue;
                 }
                 counter += 1;
-                entry.insert(node, counter);
-                stack.push((node, true));
-                // lint: allow(unwrap) the stack only holds live tree nodes
-                for &child in tree.children(node).expect("node exists").iter().rev() {
-                    stack.push((child, false));
+                stack.push((node, Some(counter)));
+                for &child in tree.children(node).unwrap_or_default().iter().rev() {
+                    stack.push((child, None));
                 }
             }
             self.labeled_at = tree.node_count() as u64;
@@ -169,8 +164,10 @@ impl Application for AncestryLabeling {
         // Ancestry agreement on a sample of pairs (all pairs for small trees).
         for &u in nodes.iter().step_by(1 + nodes.len() / 32) {
             for &v in nodes.iter().step_by(1 + nodes.len() / 32) {
-                // lint: allow(unwrap) u and v come from the freshly labeled
-                // node list, so both lookups succeed
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the loop above returned unless every node is labeled"
+                )]
                 let by_label = self.is_ancestor(u, v).expect("both labeled");
                 let by_tree = tree.is_ancestor(u, v);
                 if by_label != by_tree {

@@ -54,6 +54,7 @@
 //! the real distributed controller over the asynchronous network simulator.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod driver;

@@ -116,7 +116,7 @@ impl SubtreeEstimator {
             self.super_weight.clear();
             self.shadow_parent.clear();
             for node in tree.nodes() {
-                // lint: allow(unwrap) `node` was yielded by tree.nodes()
+                #[expect(clippy::expect_used, reason = "`node` was yielded by tree.nodes()")]
                 let sz = tree.subtree_size(node).expect("node exists") as u64;
                 self.omega0.insert(node, sz);
                 self.super_weight.insert(node, sz);

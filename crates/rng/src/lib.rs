@@ -27,6 +27,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

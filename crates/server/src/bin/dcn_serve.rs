@@ -19,6 +19,8 @@
 //!     '{"op":"poll","ticket":0}' '{"op":"shutdown"}' | nc 127.0.0.1 7007
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dcn_server::{serve, NetOptions, ServeConfig};
 use dcn_workload::{Family, TreeShape};
 use std::process::ExitCode;

@@ -31,6 +31,7 @@
 //! the repository's one load generator.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod engine;

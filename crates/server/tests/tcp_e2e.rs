@@ -9,8 +9,6 @@ use dcn_workload::json;
 use dcn_workload::Family;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-// determinism: test-only socket timeouts bounding how long a hung server
-// determinism: could stall the suite; no protocol behaviour depends on them.
 use std::time::Duration;
 
 struct Client {

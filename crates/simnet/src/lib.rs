@@ -34,6 +34,7 @@
 //! same machinery for the size-estimation / name-assignment protocols.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod config;

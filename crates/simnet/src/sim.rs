@@ -657,9 +657,11 @@ impl<P: Protocol> Simulator<P> {
                         self.metrics.aux_messages += aux;
                     }
                 }
-                // lint: allow(unwrap) contains(node) and node != root were
-                // both checked above, and the whiteboard is already handed
-                // over — failing here must be loud, not recoverable.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "contains(node) and node != root were checked above, and the \
+                              whiteboard is already handed over: failing here must be loud"
+                )]
                 self.tree.remove(node).expect("checked above");
                 ChangeOutcome::Applied
             }

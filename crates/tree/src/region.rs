@@ -136,7 +136,8 @@ impl RegionMap {
 
         // Pass 1 (post-order): residual subtree sizes and cut selection. The
         // residual size of a node excludes descendants already claimed by a
-        // deeper cut.
+        // deeper cut; until a node is finished, its entry sums its finished
+        // children's residues.
         let cap = tree.total_created();
         let mut resid: Vec<usize> = vec![0; cap];
         let mut cuts: Vec<NodeId> = Vec::new();
@@ -146,24 +147,20 @@ impl RegionMap {
         while let Some((node, expanded)) = stack.pop() {
             if !expanded {
                 stack.push((node, true));
-                // lint: allow(unwrap) node comes from the tree's own traversal
-                let children = tree.children(node).unwrap();
-                for &c in children.iter().rev() {
+                for &c in tree.children(node).unwrap_or_default().iter().rev() {
                     stack.push((c, false));
                 }
             } else {
-                // lint: allow(unwrap) node comes from the tree's own traversal
-                let children = tree.children(node).unwrap();
-                let mut size = 1usize;
-                for &c in children {
-                    size += resid[c.index()];
-                }
+                let mut size = 1 + resid[node.index()];
                 if node != root && cuts.len() < cut_cap && size >= threshold {
                     cuts.push(node);
                     piece_sizes.push(size);
                     size = 0; // claimed: contributes nothing to ancestors
                 }
                 resid[node.index()] = size;
+                if let Some(parent) = tree.parent(node) {
+                    resid[parent.index()] += size;
+                }
             }
         }
 
@@ -187,9 +184,9 @@ impl RegionMap {
             load[best] += piece_sizes[piece];
         }
 
-        // Pass 2 (pre-order): assign regions top-down. A cut node switches
-        // its whole (residual) subtree to the cut's region; nested cuts
-        // override.
+        // Pass 2 (pre-order): assign regions top-down. A node joins its
+        // parent's region, the root region 0; a cut node switches its whole
+        // (residual) subtree to the cut's region, and nested cuts override.
         let cut_region = |node: NodeId| -> Option<u32> {
             cuts.iter()
                 .position(|&c| c == node)
@@ -206,43 +203,36 @@ impl RegionMap {
             shard_count: k,
             fwd: vec![None; cap],
         };
-        // Scratch: global → local id of already-copied nodes.
-        let mut local_of: Vec<Option<NodeId>> = vec![None; cap];
-
-        // `NO_REGION` marks the root, which has no parent region to inherit.
-        const NO_REGION: u32 = u32::MAX;
-        let mut stack: Vec<(NodeId, u32)> = vec![(root, NO_REGION)];
-        while let Some((node, inherited)) = stack.pop() {
-            let r = cut_region(node).unwrap_or(if inherited == NO_REGION { 0 } else { inherited });
-            let region = &mut regions[r as usize];
+        for node in tree.dfs(root) {
+            // The parent's (region, local id), copied first (pre-order).
+            let above = tree.parent(node).and_then(|p| map.locate(p));
+            let r = match (cut_region(node), above) {
+                (Some(cut), _) => cut as usize,
+                (None, Some((inherited, _))) => inherited,
+                (None, None) => 0,
+            };
+            let region = &mut regions[r];
+            // An interior node hangs under its parent's copy; the top of a
+            // piece under the region's proxy root (the global root is simply
+            // the top of the root residue piece).
+            let under = match above {
+                Some((inherited, local_parent)) if inherited == r => local_parent,
+                _ => region.tree.root(),
+            };
             // The copies go through the unsized bulk attach: the per-leaf
             // ancestor size walk is O(depth) and would make carving a deep
             // piece (e.g. a path region) quadratic, so the size caches are
             // restored in one post-order pass per region after the copy.
-            let local = if inherited == NO_REGION || r != inherited {
-                // Top of a piece: attach under the region's proxy root (the
-                // global root is simply the top of the root residue piece).
-                let proxy = region.tree.root();
-                // lint: allow(unwrap) proxy root always exists in a fresh tree
-                region.tree.attach_leaf_unsized(proxy).unwrap()
-            } else {
-                // Interior node: its global parent lives in the same piece
-                // and was copied first (pre-order).
-                // lint: allow(unwrap) non-root nodes have a parent
-                let parent = tree.parent(node).unwrap();
-                // lint: allow(unwrap) pre-order guarantees the parent was copied
-                let lparent = local_of[parent.index()].unwrap();
-                // lint: allow(unwrap) lparent exists in the region tree
-                region.tree.attach_leaf_unsized(lparent).unwrap()
-            };
-            local_of[node.index()] = Some(local);
+            #[expect(
+                clippy::expect_used,
+                reason = "`under` is the proxy root or a node copied before; a region has fewer ids than `tree`"
+            )]
+            let local = region
+                .tree
+                .attach_leaf_unsized(under)
+                .expect("a region has room under a live node");
             region.map.bind(local, node);
-            map.bind(node, r as usize, local);
-            // lint: allow(unwrap) node comes from the tree's own traversal
-            let children = tree.children(node).unwrap();
-            for &c in children.iter().rev() {
-                stack.push((c, r));
-            }
+            map.bind(node, r, local);
         }
 
         // Restore the size caches skipped by the bulk attach.

@@ -85,8 +85,11 @@ impl DynamicTree {
     pub fn with_initial_star(extra: usize) -> Self {
         let mut t = Self::new();
         for _ in 0..extra {
-            // lint: allow(unwrap) the root was created by Self::new() above
-            t.add_leaf(t.root).expect("root exists");
+            #[expect(
+                clippy::expect_used,
+                reason = "an initial tree that outgrows the id space is a caller bug, like an allocation that outgrows memory"
+            )]
+            t.add_leaf(t.root).expect("the star fits the id space");
         }
         t
     }
@@ -98,10 +101,13 @@ impl DynamicTree {
     /// the whole ancestor chain per node and make this `O(len²)`.
     pub fn with_initial_path(len: usize) -> Self {
         let mut t = Self::new();
-        // lint: allow(unwrap) slot 0 is the root created by Self::new()
-        t.slots[0].as_mut().expect("root exists").subtree = len + 1;
+        t.live_mut(t.root).subtree = len + 1;
         for d in 1..=len {
             let parent = NodeId((d - 1) as u32);
+            #[expect(
+                clippy::expect_used,
+                reason = "an initial tree that outgrows the id space is a caller bug, like an allocation that outgrows memory"
+            )]
             let child = t
                 .alloc(NodeData {
                     parent: Some(parent),
@@ -109,15 +115,8 @@ impl DynamicTree {
                     depth: d,
                     subtree: len + 1 - d,
                 })
-                // lint: allow(unwrap) a path that outgrows the id space is a
-                // caller bug, like an allocation that outgrows memory
                 .expect("the path fits the id space");
-            t.data_mut(parent)
-                // lint: allow(unwrap) `parent` was pushed in the previous
-                // loop iteration (or is the root)
-                .expect("previous path node exists")
-                .children
-                .push(child);
+            t.live_mut(parent).children.push(child);
         }
         t
     }
@@ -183,11 +182,44 @@ impl DynamicTree {
             .ok_or(TreeError::UnknownNode(id))
     }
 
-    fn data_mut(&mut self, id: NodeId) -> Result<&mut NodeData, TreeError> {
-        self.slots
-            .get_mut(id.index())
-            .and_then(Option::as_deref_mut)
-            .ok_or(TreeError::UnknownNode(id))
+    /// The record of a node reached through a link of a live node — the
+    /// root, a parent or child link, an id `dfs()` yielded, or one the caller
+    /// validated with [`data`](Self::data) an instant ago. Such a link always
+    /// points at a live slot, so a miss is a corrupted arena.
+    #[expect(
+        clippy::expect_used,
+        reason = "a link of a live node points at a live slot; a miss is a corrupted arena"
+    )]
+    fn live_mut(&mut self, id: NodeId) -> &mut NodeData {
+        self.slots[id.index()]
+            .as_deref_mut()
+            .expect("a link of a live node points at a live slot")
+    }
+
+    /// Puts `with` in `child`'s place in `parent`'s child list, keeping the
+    /// order of the others.
+    #[expect(
+        clippy::expect_used,
+        reason = "`parent` was read from `child`'s own parent link, so the back-edge exists"
+    )]
+    fn replace_child(&mut self, parent: NodeId, child: NodeId, with: &[NodeId]) {
+        let children = &mut self.live_mut(parent).children;
+        let pos = children
+            .iter()
+            .position(|&c| c == child)
+            .expect("a parent link has its back-edge");
+        children.splice(pos..=pos, with.iter().copied());
+    }
+
+    /// A cached depth or subtree size moved by `delta`. The caches are
+    /// load-bearing, so an underflow (a corrupted arena) fails loud rather
+    /// than wraps.
+    #[expect(
+        clippy::expect_used,
+        reason = "a cache below zero is a corrupted arena; fail loud rather than wrap"
+    )]
+    fn shifted(cached: usize, delta: isize) -> usize {
+        cached.checked_add_signed(delta).expect("cache underflow")
     }
 
     /// The id the next node gets when `minted` ids exist: ids are sequential
@@ -398,9 +430,9 @@ impl DynamicTree {
                 self.node_count
             ));
         }
-        for id in self.nodes().collect::<Vec<_>>() {
-            // lint: allow(unwrap) `id` was yielded by nodes() on this tree
-            let data = self.data(id).expect("id from nodes()");
+        for (i, slot) in self.slots.iter().enumerate() {
+            let Some(data) = slot else { continue };
+            let id = NodeId(i as u32);
             let true_depth = {
                 let mut d = 0usize;
                 let mut cur = id;
@@ -436,11 +468,8 @@ impl DynamicTree {
     fn adjust_ancestor_sizes(&mut self, from: NodeId, delta: isize) {
         let mut cur = Some(from);
         while let Some(c) = cur {
-            // lint: allow(unwrap) parent links always point at live slots
-            let d = self.data_mut(c).expect("ancestor chain exists");
-            // lint: allow(unwrap) an underflow means a corrupted arena; the
-            // cached sizes are load-bearing, so fail loud rather than wrap
-            d.subtree = d.subtree.checked_add_signed(delta).expect("size underflow");
+            let d = self.live_mut(c);
+            d.subtree = Self::shifted(d.subtree, delta);
             cur = d.parent;
         }
     }
@@ -451,11 +480,8 @@ impl DynamicTree {
     fn shift_subtree_depths(&mut self, top: NodeId, delta: isize) {
         let ids: Vec<NodeId> = self.dfs(top).collect();
         for id in ids {
-            // lint: allow(unwrap) dfs() only yields live slots
-            let d = self.data_mut(id).expect("dfs yields existing nodes");
-            // lint: allow(unwrap) a depth underflow means a corrupted arena;
-            // fail loud rather than wrap
-            d.depth = d.depth.checked_add_signed(delta).expect("depth underflow");
+            let d = self.live_mut(id);
+            d.depth = Self::shifted(d.depth, delta);
         }
     }
 
@@ -473,41 +499,24 @@ impl DynamicTree {
             depth,
             subtree: 1,
         })?;
-        self.data_mut(parent)
-            // lint: allow(unwrap) contains(parent) was checked at entry
-            .expect("parent checked above")
-            .children
-            .push(child);
+        self.live_mut(parent).children.push(child);
         Ok(child)
     }
 
-    /// Recomputes every cached subtree size in one iterative post-order pass
-    /// — the O(n) batch counterpart of the per-mutation ancestor updates,
-    /// paired with [`DynamicTree::attach_leaf_unsized`] during bulk
-    /// construction.
+    /// Recomputes every cached subtree size in one pass over the reversed
+    /// pre-order (every node after its descendants) — the O(n) batch
+    /// counterpart of the per-mutation ancestor updates, paired with
+    /// [`DynamicTree::attach_leaf_unsized`] during bulk construction.
     pub(crate) fn recompute_subtree_sizes(&mut self) {
-        let root = self.root;
-        let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
-        while let Some((node, expanded)) = stack.pop() {
-            if !expanded {
-                stack.push((node, true));
-                // lint: allow(unwrap) the stack only holds live nodes
-                for &c in self.children(node).expect("stack holds live nodes") {
-                    stack.push((c, false));
-                }
-            } else {
-                let size = {
-                    // lint: allow(unwrap) the stack only holds live nodes
-                    let children = self.children(node).expect("stack holds live nodes");
-                    let mut size = 1usize;
-                    for &c in children {
-                        // lint: allow(unwrap) children of live nodes are live
-                        size += self.data(c).expect("children are live").subtree;
-                    }
-                    size
-                };
-                // lint: allow(unwrap) the stack only holds live nodes
-                self.data_mut(node).expect("stack holds live nodes").subtree = size;
+        let order: Vec<NodeId> = self.dfs(self.root).collect();
+        for &id in &order {
+            self.live_mut(id).subtree = 1;
+        }
+        for &id in order.iter().rev() {
+            let d = self.live_mut(id);
+            if let Some(parent) = d.parent {
+                let size = d.subtree;
+                self.live_mut(parent).subtree += size;
             }
         }
     }
@@ -526,11 +535,7 @@ impl DynamicTree {
             depth,
             subtree: 1,
         })?;
-        self.data_mut(parent)
-            // lint: allow(unwrap) contains(parent) was checked at entry
-            .expect("parent checked above")
-            .children
-            .push(child);
+        self.live_mut(parent).children.push(child);
         self.adjust_ancestor_sizes(parent, 1);
         self.applied(TopologyEvent::AddLeaf { parent, child });
         Ok(child)
@@ -544,18 +549,15 @@ impl DynamicTree {
     /// * [`TreeError::NotALeaf`] if `node` has children;
     /// * [`TreeError::UnknownNode`] if `node` does not exist.
     pub fn remove_leaf(&mut self, node: NodeId) -> Result<(), TreeError> {
-        if node == self.root {
-            return Err(TreeError::RootImmutable);
-        }
         let data = self.data(node)?;
+        // Only the root has no parent.
+        let Some(parent) = data.parent else {
+            return Err(TreeError::RootImmutable);
+        };
         if !data.children.is_empty() {
             return Err(TreeError::NotALeaf(node));
         }
-        // lint: allow(unwrap) the root was rejected at entry
-        let parent = data.parent.expect("non-root node has a parent");
-        // lint: allow(unwrap) a live node's parent link points at a live slot
-        let pd = self.data_mut(parent).expect("parent exists");
-        pd.children.retain(|&c| c != node);
+        self.replace_child(parent, node, &[]);
         self.slots[node.index()] = None;
         self.node_count -= 1;
         self.adjust_ancestor_sizes(parent, -1);
@@ -585,20 +587,8 @@ impl DynamicTree {
             depth: node_depth,
             subtree: node_subtree,
         })?;
-        {
-            // lint: allow(unwrap) a live node's parent link points at a live slot
-            let pd = self.data_mut(parent).expect("parent exists");
-            let pos = pd
-                .children
-                .iter()
-                .position(|&c| c == below)
-                // lint: allow(unwrap) `parent` was read from `below`'s own
-                // parent link, so the back-edge exists
-                .expect("below is a child of parent");
-            pd.children[pos] = node;
-        }
-        // lint: allow(unwrap) `below` was validated live at entry
-        self.data_mut(below).expect("below exists").parent = Some(node);
+        self.replace_child(parent, below, &[node]);
+        self.live_mut(below).parent = Some(node);
         self.shift_subtree_depths(below, 1);
         self.adjust_ancestor_sizes(parent, 1);
         self.applied(TopologyEvent::AddInternal {
@@ -622,31 +612,18 @@ impl DynamicTree {
     /// * [`TreeError::NotInternal`] if `node` is a leaf;
     /// * [`TreeError::UnknownNode`] if `node` does not exist.
     pub fn remove_internal(&mut self, node: NodeId) -> Result<(), TreeError> {
-        if node == self.root {
-            return Err(TreeError::RootImmutable);
-        }
         let data = self.data(node)?;
+        // Only the root has no parent.
+        let Some(parent) = data.parent else {
+            return Err(TreeError::RootImmutable);
+        };
         if data.children.is_empty() {
             return Err(TreeError::NotInternal(node));
         }
-        // lint: allow(unwrap) the root was rejected at entry
-        let parent = data.parent.expect("non-root node has a parent");
         let children = data.children.clone();
-        {
-            // lint: allow(unwrap) a live node's parent link points at a live slot
-            let pd = self.data_mut(parent).expect("parent exists");
-            let pos = pd
-                .children
-                .iter()
-                .position(|&c| c == node)
-                // lint: allow(unwrap) `parent` was read from `node`'s own
-                // parent link, so the back-edge exists
-                .expect("node is a child of its parent");
-            pd.children.splice(pos..=pos, children.iter().copied());
-        }
+        self.replace_child(parent, node, &children);
         for &c in &children {
-            // lint: allow(unwrap) child links of a live node are live
-            self.data_mut(c).expect("child exists").parent = Some(parent);
+            self.live_mut(c).parent = Some(parent);
             self.shift_subtree_depths(c, -1);
         }
         self.slots[node.index()] = None;

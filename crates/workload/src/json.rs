@@ -489,8 +489,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 // Consume one UTF-8 scalar (multi-byte sequences included).
                 let rest = std::str::from_utf8(&bytes[*pos..])
                     .map_err(|_| JsonError::InvalidUtf8 { at: *pos })?;
-                // lint: allow(unwrap) the Some(_) arm guarantees bytes remain
-                let c = rest.chars().next().expect("non-empty by construction");
+                let Some(c) = rest.chars().next() else {
+                    return Err(JsonError::InvalidUtf8 { at: *pos });
+                };
                 out.push(c);
                 *pos += c.len_utf8();
             }

@@ -41,6 +41,7 @@
 //! output is byte-identical regardless of the worker count.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod appspec;

@@ -97,7 +97,7 @@ mod tests {
     fn uniform_placement_covers_many_nodes() {
         let tree = build_tree(TreeShape::Star { nodes: 20 });
         let mut rng = DetRng::seed_from_u64(3);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..300 {
             seen.insert(Placement::Uniform.draw(&tree, &mut rng));
         }

@@ -81,6 +81,16 @@ impl TreeShape {
     }
 }
 
+/// Hangs a new leaf under `parent`, a node the builder made.
+#[expect(
+    clippy::expect_used,
+    reason = "the parent is live, and a shape's node budget fits the id space"
+)]
+fn grow(tree: &mut DynamicTree, parent: NodeId) -> NodeId {
+    tree.add_leaf(parent)
+        .expect("a builder's own node takes a leaf")
+}
+
 /// Builds the initial tree for a shape (the pre-existing network `n0`). Like
 /// every fresh tree it keeps no change log until a reader asks for one.
 pub fn build_tree(shape: TreeShape) -> DynamicTree {
@@ -99,8 +109,7 @@ pub fn build_tree(shape: TreeShape) -> DynamicTree {
                         if created == nodes {
                             break 'outer;
                         }
-                        // lint: allow(unwrap) frontier nodes are live
-                        let child = tree.add_leaf(parent).expect("parent exists");
+                        let child = grow(&mut tree, parent);
                         next_frontier.push(child);
                         created += 1;
                     }
@@ -117,10 +126,8 @@ pub fn build_tree(shape: TreeShape) -> DynamicTree {
             let mut tree = DynamicTree::new();
             let mut existing: Vec<NodeId> = vec![tree.root()];
             for _ in 0..nodes {
-                // lint: allow(unwrap) `existing` starts with the root
-                let parent = *existing.choose(&mut rng).expect("non-empty");
-                // lint: allow(unwrap) every entry in `existing` is live
-                let child = tree.add_leaf(parent).expect("parent exists");
+                let parent = existing[rng.gen_range(0..existing.len())];
+                let child = grow(&mut tree, parent);
                 existing.push(child);
             }
             tree
@@ -129,11 +136,9 @@ pub fn build_tree(shape: TreeShape) -> DynamicTree {
             let mut tree = DynamicTree::new();
             let mut cur = tree.root();
             for _ in 0..spine {
-                // lint: allow(unwrap) `cur` is the root or a node just added
-                cur = tree.add_leaf(cur).expect("node exists");
+                cur = grow(&mut tree, cur);
                 for _ in 0..legs {
-                    // lint: allow(unwrap) `cur` was just added above
-                    tree.add_leaf(cur).expect("node exists");
+                    grow(&mut tree, cur);
                 }
             }
             tree
@@ -145,10 +150,8 @@ pub fn build_tree(shape: TreeShape) -> DynamicTree {
             // from this list is a draw proportional to `1 + child-degree`.
             let mut endpoints: Vec<NodeId> = vec![tree.root()];
             for _ in 0..nodes {
-                // lint: allow(unwrap) `endpoints` starts with the root
-                let parent = *endpoints.choose(&mut rng).expect("non-empty");
-                // lint: allow(unwrap) every endpoint is a live node
-                let child = tree.add_leaf(parent).expect("parent exists");
+                let parent = endpoints[rng.gen_range(0..endpoints.len())];
+                let child = grow(&mut tree, parent);
                 endpoints.push(parent);
                 endpoints.push(child);
             }
@@ -159,8 +162,7 @@ pub fn build_tree(shape: TreeShape) -> DynamicTree {
             for _ in 0..legs {
                 let mut cur = tree.root();
                 for _ in 0..leg_length {
-                    // lint: allow(unwrap) `cur` is the root or a node just added
-                    cur = tree.add_leaf(cur).expect("node exists");
+                    cur = grow(&mut tree, cur);
                 }
             }
             tree

@@ -396,8 +396,7 @@ impl SweepEngine {
     ) -> SweepReport {
         let cursor = AtomicUsize::new(0);
         let workers = self.workers.min(cells.len()).max(1);
-        let mut results: Vec<Option<CellResult>> = vec![None; cells.len()];
-        let mut collected: Vec<Vec<(usize, CellResult)>> = std::thread::scope(|scope| {
+        let mut done: Vec<(usize, CellResult)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let cursor = &cursor;
@@ -413,23 +412,21 @@ impl SweepEngine {
                     })
                 })
                 .collect();
+            // A panicking worker's panic propagates: the sweep's
+            // byte-identical contract leaves nothing to salvage.
             handles
                 .into_iter()
-                // lint: allow(unwrap) a panicking worker must propagate; the
-                // sweep's byte-identical contract leaves nothing to salvage
-                .map(|h| h.join().expect("sweep worker panicked"))
+                .flat_map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         });
-        for (i, result) in collected.drain(..).flatten() {
-            results[i] = Some(result);
-        }
+        // The workers took the cells in turn; put them back in grid order.
+        done.sort_unstable_by_key(|&(i, _)| i);
         SweepReport {
             grid: grid_name,
-            cells: results
-                .into_iter()
-                // lint: allow(unwrap) the workers above filled every slot
-                .map(|r| r.expect("every cell executed"))
-                .collect(),
+            cells: done.into_iter().map(|(_, result)| result).collect(),
         }
     }
 }

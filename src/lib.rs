@@ -33,6 +33,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub use dcn_baseline as baseline;
