@@ -8,7 +8,8 @@
 use crate::{
     default_workers, iterated_bound, quick_mode, run_cells, run_family, sweep_sizes, Family, Row,
 };
-use dcn_controller::centralized::{AdaptiveController, RefreshPolicy};
+use dcn_controller::centralized::{IteratedController, RefreshPolicy};
+use dcn_controller::Controller;
 use dcn_estimator::{HeavyChildDecomposition, NameAssigner};
 use dcn_simnet::SimConfig;
 use dcn_workload::{
@@ -194,7 +195,7 @@ fn t2_adaptive_moves() -> Vec<Row> {
             let w = (target as u64 / 4).max(1);
             let mut tree = build_tree(TreeShape::Star { nodes: n0 - 1 });
             tree.record_changes();
-            let mut ctrl = AdaptiveController::new(tree, m, w, policy)
+            let mut ctrl = IteratedController::adaptive(tree, m, w, policy)
                 .unwrap_or_else(|e| panic!("t2 target={target}: invalid parameters: {e}"));
             let mut gen = ChurnGenerator::new(
                 ChurnModel::FullChurn {
@@ -223,7 +224,7 @@ fn t2_adaptive_moves() -> Vec<Row> {
                     log.len(),
                     ctrl.epochs()
                 ),
-                ctrl.moves() as f64,
+                ctrl.metrics().moves as f64,
                 bound,
             ));
         }

@@ -81,11 +81,11 @@ fn all_runs_every_experiment_in_index_order() {
 
 #[test]
 fn an_unknown_id_fails_and_lists_the_valid_ones() {
-    let out = dcn_exp("t6", false);
+    let out = dcn_exp("t99", false);
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown experiment `t6`"), "{stderr}");
+    assert!(stderr.contains("unknown experiment `t99`"), "{stderr}");
     for e in &EXPERIMENTS {
         assert!(stderr.contains(&format!("\n  {}  ", e.id)), "{stderr}");
     }

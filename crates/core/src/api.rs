@@ -174,11 +174,12 @@ impl Progress {
 /// Implemented directly by the asynchronous families —
 /// [`DistributedController`](crate::distributed::DistributedController),
 /// [`AdaptiveDistributedController`](crate::distributed::AdaptiveDistributedController),
-/// [`ShardedController`](crate::sharded::ShardedController) — and, through
-/// the one blanket impl over [`SyncController`], by
-/// [`CentralizedController`](crate::centralized::CentralizedController),
-/// [`IteratedController`](crate::centralized::IteratedController) and the
-/// `TrivialController` / `AapsController` baselines in `dcn-baseline`.
+/// [`ShardedController`](crate::sharded::ShardedController) — and by
+/// [`IteratedController`](crate::centralized::IteratedController), which
+/// runs the epoch engine to quiescence inside `submit`; and, through the one
+/// blanket impl over [`SyncController`], by
+/// [`CentralizedController`](crate::centralized::CentralizedController) and
+/// the `TrivialController` / `AapsController` baselines in `dcn-baseline`.
 ///
 /// Synchronous families answer inside [`Controller::submit`] and emit their
 /// events immediately; the distributed families defer execution to
@@ -281,8 +282,8 @@ pub trait Controller {
 }
 
 /// The core of a *synchronous* family — one that decides a request on the
-/// spot. Implementing it is all the centralized, iterated, trivial and AAPS
-/// families do: the ticket lifecycle of [`Controller`] (issue, record, emit,
+/// spot. Implementing it is all the centralized, trivial and AAPS families
+/// do: the ticket lifecycle of [`Controller`] (issue, record, emit,
 /// drain, look up) is supplied once by the blanket impl below over the
 /// family's embedded [`RequestLedger`].
 pub trait SyncController {

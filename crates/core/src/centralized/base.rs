@@ -1,34 +1,16 @@
 //! The fixed-bound centralized (M, W)-Controller (§3.1).
 
 use crate::api::{ControllerMetrics, SyncController};
+use crate::distributed::InnerController;
 use crate::domain::DomainAuditor;
 use crate::ledger::RequestLedger;
 use crate::package::{MobilePackage, PackageStore, PermitInterval};
 use crate::params::Params;
-use crate::request::{check_request, Outcome, RequestKind};
+use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
 use crate::ControllerError;
 use dcn_collections::FxHashMap;
+use dcn_simnet::SimConfig;
 use dcn_tree::{DynamicTree, NodeId};
-
-/// Result of attempting to serve one request without issuing rejects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Attempt {
-    /// The request was granted a permit.
-    Granted {
-        /// Serial number of the consumed permit (interval mode only).
-        serial: Option<u64>,
-        /// Newly created node for topological insertions.
-        new_node: Option<NodeId>,
-    },
-    /// The controller cannot serve the request: the root's storage holds too
-    /// few permits to create the package the request needs. A plain
-    /// controller would now reject; the iterated / adaptive wrappers
-    /// recycle instead.
-    Exhausted,
-    /// The node already holds a reject package (a reject wave has been
-    /// broadcast), so the request is rejected locally without any moves.
-    LocallyRejected,
-}
 
 /// The centralized (M, W)-Controller for a known bound `U` on the number of
 /// nodes ever to exist (§3.1).
@@ -66,8 +48,8 @@ pub struct CentralizedController {
     reject_wave_done: bool,
     auditor: Option<DomainAuditor>,
     /// Ticket/event/record bookkeeping for submissions through the
-    /// [`Controller`](crate::Controller) trait (the raw [`CentralizedController::submit`]
-    /// below stays ticket-free for the wrappers that drive it directly).
+    /// [`Controller`](crate::Controller) trait and the epoch engine (the raw
+    /// [`CentralizedController::submit`] below stays ticket-free).
     ledger: RequestLedger,
 }
 
@@ -78,8 +60,9 @@ impl CentralizedController {
     ///
     /// # Errors
     ///
-    /// * [`ControllerError::ZeroWasteUnsupported`] for `w = 0` (use
-    ///   [`IteratedController`](crate::centralized::IteratedController));
+    /// * [`ControllerError::ZeroWasteUnsupported`] for `w = 0` (the halving
+    ///   schedule of [`IteratedController`](crate::centralized::IteratedController)
+    ///   supports it);
     /// * [`ControllerError::WasteExceedsBudget`] for `w > m`;
     /// * [`ControllerError::BoundTooSmall`] if `u_bound` is smaller than the
     ///   current number of nodes.
@@ -135,12 +118,6 @@ impl CentralizedController {
     /// The spanning tree as currently maintained by the controller.
     pub fn tree(&self) -> &DynamicTree {
         &self.tree
-    }
-
-    /// Consumes the controller and returns the tree (used by the adaptive
-    /// wrapper at iteration boundaries).
-    pub fn into_tree(self) -> DynamicTree {
-        self.tree
     }
 
     /// Number of permits granted so far.
@@ -216,55 +193,10 @@ impl CentralizedController {
         aud.check_invariants(&self.tree, &self.params, host_of)
     }
 
-    /// Restarts the controller with a fresh budget `m` and waste bound `w`,
-    /// clearing every package (iteration boundary of Observation 3.4 /
-    /// Theorem 3.5). The tree, the grant counters and the move counter are
-    /// kept. Returns the number of moves charged for the reset (one per node,
-    /// accounting for the clearing wave).
-    ///
-    /// # Errors
-    ///
-    /// Same parameter validation as [`CentralizedController::new`].
-    pub fn restart(&mut self, m: u64, w: u64) -> Result<u64, ControllerError> {
-        self.params = Params::new(m, w, self.params.u)?;
-        for store in self.stores.values_mut() {
-            store.clear(&self.params);
-        }
-        if let Some(aud) = &mut self.auditor {
-            aud.clear();
-        }
-        self.storage = m;
-        self.storage_interval = None;
-        self.reject_wave_done = false;
-        let cost = self.tree.node_count() as u64;
-        self.moves += cost;
-        Ok(cost)
-    }
-
     /// Submits a request at node `at`. Rejected requests trigger the
     /// reject-wave (a reject package is delivered to every node, counted in
     /// the move complexity), after which every subsequent request is rejected
     /// locally.
-    ///
-    /// # Errors
-    ///
-    /// See [`CentralizedController::try_submit`].
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
-        match self.try_submit(at, kind)? {
-            Attempt::Granted { serial, new_node } => Ok(Outcome::Granted { serial, new_node }),
-            Attempt::Exhausted => {
-                self.broadcast_reject_wave();
-                self.rejected += 1;
-                Ok(Outcome::Rejected)
-            }
-            Attempt::LocallyRejected => Ok(Outcome::Rejected),
-        }
-    }
-
-    /// Attempts to serve a request without ever issuing a reject; returns
-    /// [`Attempt::Exhausted`] when the root's storage cannot supply the
-    /// package the request needs (the hook used by the iterated and adaptive
-    /// wrappers).
     ///
     /// # Errors
     ///
@@ -273,22 +205,41 @@ impl CentralizedController {
     ///   [`RequestKind::AddInternalAbove`];
     /// * [`ControllerError::CannotRemoveRoot`] for a
     ///   [`RequestKind::RemoveSelf`] at the root.
-    pub fn try_submit(
+    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
+        match self.try_submit(at, kind)? {
+            Some(outcome) => Ok(outcome),
+            None => {
+                self.broadcast_reject_wave();
+                self.rejected += 1;
+                Ok(Outcome::Rejected)
+            }
+        }
+    }
+
+    /// Serves a request without issuing a reject of its own: `None` when the
+    /// root's storage cannot supply the package the request needs (the
+    /// exhausted round the epoch engine recycles). A node that holds a
+    /// reject package answers [`Outcome::Rejected`] at once.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CentralizedController::submit`].
+    fn try_submit(
         &mut self,
         at: NodeId,
         kind: RequestKind,
-    ) -> Result<Attempt, ControllerError> {
+    ) -> Result<Option<Outcome>, ControllerError> {
         check_request(&self.tree, at, kind)?;
         // Item 1: a reject package at the node answers the request at once.
         if self.stores.get(&at).is_some_and(PackageStore::has_reject) {
             self.rejected += 1;
-            return Ok(Attempt::LocallyRejected);
+            return Ok(Some(Outcome::Rejected));
         }
         // Item 2: a static package at the node grants immediately.
         if let Some(serial) = self.store_mut(at).grant_static() {
             let new_node = self.apply_granted_event(at, kind)?;
             self.granted += 1;
-            return Ok(Attempt::Granted { serial, new_node });
+            return Ok(Some(Outcome::Granted { serial, new_node }));
         }
         // Item 3: look for the closest filler node on the way to the root.
         let (package, host, host_dist) = match self.take_filler(at) {
@@ -306,7 +257,7 @@ impl CentralizedController {
                 let level = self.params.root_level_for_distance(dist);
                 let size = self.params.mobile_size(level);
                 if self.storage < size {
-                    return Ok(Attempt::Exhausted);
+                    return Ok(None);
                 }
                 self.storage -= size;
                 let interval = self.carve_interval(size);
@@ -322,7 +273,7 @@ impl CentralizedController {
         let serial = self.distribute(package, host, host_dist, at);
         let new_node = self.apply_granted_event(at, kind)?;
         self.granted += 1;
-        Ok(Attempt::Granted { serial, new_node })
+        Ok(Some(Outcome::Granted { serial, new_node }))
     }
 
     // ------------------------------------------------------------------
@@ -451,29 +402,9 @@ impl CentralizedController {
         }
     }
 
-    /// Grants one permit directly from the root's storage to a request at
-    /// `at`, moving it along the whole root-to-`at` path (the trivial
-    /// `(1, 0)`-controller used for the very last permit when `W = 0`).
-    pub(crate) fn grant_directly_from_root(
-        &mut self,
-        at: NodeId,
-        kind: RequestKind,
-    ) -> Result<Attempt, ControllerError> {
-        check_request(&self.tree, at, kind)?;
-        if self.storage == 0 {
-            return Ok(Attempt::Exhausted);
-        }
-        self.storage -= 1;
-        let serial = self.carve_interval(1).map(|iv| iv.lo);
-        self.moves += self.tree.depth(at) as u64;
-        let new_node = self.apply_granted_event(at, kind)?;
-        self.granted += 1;
-        Ok(Attempt::Granted { serial, new_node })
-    }
-
     /// Places a reject package at every node (simulated centrally, counted as
-    /// one move per delivered package, i.e. `n − 1` moves).
-    pub(crate) fn broadcast_reject_wave(&mut self) {
+    /// one move per delivered package, i.e. `n − 1` moves), once.
+    fn broadcast_reject_wave(&mut self) {
         if self.reject_wave_done {
             return;
         }
@@ -529,5 +460,59 @@ impl SyncController for CentralizedController {
 
     fn ledger_mut(&mut self) -> &mut RequestLedger {
         &mut self.ledger
+    }
+}
+
+/// A controller that is always quiescent: it answers inside `submit`, and its
+/// clock stands still (the engine stamps its answers at the synchronous clock).
+impl InnerController for CentralizedController {
+    const CENTRALIZED: bool = true;
+
+    fn start(
+        _config: SimConfig,
+        tree: DynamicTree,
+        m: u64,
+        w: u64,
+        u_bound: usize,
+        interval: Option<PermitInterval>,
+    ) -> Result<Self, ControllerError> {
+        let mut ctrl = CentralizedController::new(tree, m, w, u_bound)?;
+        if let Some(interval) = interval {
+            ctrl.set_storage_interval(interval);
+        }
+        Ok(ctrl)
+    }
+
+    /// An exhausted round answers with a reject and broadcasts no reject
+    /// wave: whether the reject is final is the engine's call.
+    fn enter(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
+        let outcome = self.try_submit(at, kind)?.unwrap_or(Outcome::Rejected);
+        let id = self.ledger.issue();
+        self.ledger.record(id, at, kind, outcome);
+        Ok(id)
+    }
+
+    fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.ledger.take_records()
+    }
+
+    fn uncommitted_permits(&self) -> u64 {
+        CentralizedController::uncommitted_permits(self)
+    }
+
+    fn into_tree(self) -> DynamicTree {
+        self.tree
+    }
+
+    fn time(&self) -> u64 {
+        0
+    }
+
+    fn messages(&self) -> u64 {
+        self.moves
+    }
+
+    fn broadcast_reject(&mut self) {
+        self.broadcast_reject_wave();
     }
 }

@@ -9,18 +9,15 @@
 //!   (`GrantOrReject` + `Proc`, §3.1), whose move complexity is
 //!   `O(U · (M/W) · log² U)` (Lemma 3.3);
 //! * [`IteratedController`] — the iteration trick of Observation 3.4 that
-//!   improves the factor `M/W` to `log(M/(W+1))` and also handles `W = 0`;
-//! * [`AdaptiveController`] — the unknown-`U` controllers of Theorem 3.5
-//!   (both the change-counting and the size-doubling refresh policies).
-//!
-//! Observation 2.1's terminating variant — stop instead of reject, retry in
-//! the next round — is what the distributed epoch engine does
-//! ([`IterationDriver`](crate::distributed::IterationDriver)).
+//!   improves the factor `M/W` to `log(M/(W+1))` and also handles `W = 0`,
+//!   and with [`IteratedController::adaptive`] the unknown-`U` controllers
+//!   of Theorem 3.5 (both [`RefreshPolicy`] values). Its rounds are base
+//!   controllers run by the one epoch engine
+//!   ([`IterationDriver`](crate::distributed::IterationDriver)), which also
+//!   runs the distributed schedules.
 
-mod adaptive;
 mod base;
-mod iterated;
+mod schedule;
 
-pub use adaptive::{AdaptiveController, RefreshPolicy};
-pub use base::{Attempt, CentralizedController};
-pub use iterated::IteratedController;
+pub use base::CentralizedController;
+pub use schedule::{IteratedController, RefreshPolicy};

@@ -2,6 +2,7 @@
 //! execution and answer collection.
 
 use super::agent::{CtrlAgent, RequestAgent};
+use super::epoch::InnerController;
 use super::protocol::{ControllerProtocol, PackageEvent};
 use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
 use crate::ledger::RequestLedger;
@@ -121,11 +122,6 @@ impl DistributedController {
         self.sim.protocol().params()
     }
 
-    /// Consumes the controller and returns the tree in its final state.
-    pub fn into_tree(self) -> DynamicTree {
-        self.sim.into_tree()
-    }
-
     /// Simulator cost counters (messages are
     /// [`Metrics::total_messages`]).
     pub fn metrics(&self) -> &Metrics {
@@ -198,12 +194,6 @@ impl DistributedController {
         for record in self.sim.drain_outputs() {
             self.ledger.push(record);
         }
-    }
-
-    /// Removes and returns the collected answers (see
-    /// [`RequestLedger::take_records`]).
-    pub(super) fn take_records(&mut self) -> Vec<RequestRecord> {
-        self.ledger.take_records()
     }
 
     /// A correctness summary of the execution so far (see
@@ -292,5 +282,38 @@ impl Controller for DistributedController {
             messages: self.messages(),
             peak_node_memory_bits: self.peak_node_memory_bits(),
         }
+    }
+}
+
+impl InnerController for DistributedController {
+    fn start(
+        config: SimConfig,
+        tree: DynamicTree,
+        m: u64,
+        w: u64,
+        u_bound: usize,
+        interval: Option<PermitInterval>,
+    ) -> Result<Self, ControllerError> {
+        Self::with_interval(config, tree, m, w, u_bound, interval)
+    }
+
+    fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.ledger.take_records()
+    }
+
+    fn uncommitted_permits(&self) -> u64 {
+        DistributedController::uncommitted_permits(self)
+    }
+
+    fn into_tree(self) -> DynamicTree {
+        self.sim.into_tree()
+    }
+
+    fn time(&self) -> u64 {
+        self.sim.time()
+    }
+
+    fn messages(&self) -> u64 {
+        DistributedController::messages(self)
     }
 }

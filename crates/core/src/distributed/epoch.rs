@@ -1,13 +1,17 @@
-//! The one epoch engine. Korman & Kutten build the unknown-`U` controller
-//! (Thm 4.9 / App. A) and every §5 protocol the same way: run an
-//! `(M_i, W_i)`-controller until it is exhausted, count what is left with a
-//! broadcast/upcast, start the next one. The [`EpochShell`] is the mechanism
-//! (inner controller, global clock, cost totals, outer tickets in flight);
-//! the [`IterationDriver`] is the loop over it, with every choice that differs
-//! between the §5 applications and the
-//! [`AdaptiveDistributedController`](super::AdaptiveDistributedController) an
-//! [`IterationPolicy`] hook. The [`ShardedController`](crate::ShardedController)
-//! drives bare shells: its k-shell exchange wave is not this loop.
+//! The one epoch engine. Korman & Kutten build the iterated and unknown-`U`
+//! controllers (Obs. 3.4, Thm 3.5, Thm 4.9 / App. A) and every §5 protocol
+//! the same way: run an `(M_i, W_i)`-controller until it is exhausted, count
+//! what is left with a broadcast/upcast, start the next one. The
+//! [`EpochShell`] is the mechanism (inner controller, global clock, cost
+//! totals, outer tickets in flight); the [`IterationDriver`] is the loop over
+//! it, with every choice that differs between the §5 applications, the
+//! [`AdaptiveDistributedController`](super::AdaptiveDistributedController)
+//! and the centralized
+//! [`IteratedController`](crate::centralized::IteratedController) an
+//! [`IterationPolicy`] hook. The inner controller is an [`InnerController`]:
+//! the distributed one of §4, or the centralized one of §3. The
+//! [`ShardedController`](crate::ShardedController) drives bare shells: its
+//! k-shell exchange wave is not this loop.
 
 use super::driver::DistributedController;
 use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
@@ -17,6 +21,56 @@ use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestReco
 use crate::ControllerError;
 use dcn_collections::SlidingMap;
 use dcn_simnet::{DynamicTree, NodeId, SimConfig};
+
+/// The controller that runs one iteration: what the [`EpochShell`] and the
+/// [`IterationPolicy`] hooks read of it beyond [`Controller`] (`step`,
+/// `rejected`, `tree`, `metrics`). Public in name only — no module exports
+/// it — so that the engine's public signatures may bound on it.
+pub trait InnerController: Controller + Sized {
+    /// `true` for the §3 model: a request is answered inside `submit`, on
+    /// the synchronous clock (tickets issued, see [`RequestLedger::record`]),
+    /// and every cost is a move, charged waves included.
+    const CENTRALIZED: bool = false;
+
+    /// An `(m, w)`-controller with node bound `u_bound` over `tree`, its
+    /// permits the serial numbers of `interval` in interval mode.
+    fn start(
+        config: SimConfig,
+        tree: DynamicTree,
+        m: u64,
+        w: u64,
+        u_bound: usize,
+        interval: Option<PermitInterval>,
+    ) -> Result<Self, ControllerError>;
+
+    /// Takes a request under a fresh inner ticket (the default is
+    /// [`Controller::submit`]).
+    fn enter(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
+        self.submit(at, kind)
+    }
+
+    /// Removes and returns the answers given so far (see
+    /// [`RequestLedger::take_records`]).
+    fn take_records(&mut self) -> Vec<RequestRecord>;
+
+    /// Permits not yet granted: the root's storage plus every package.
+    fn uncommitted_permits(&self) -> u64;
+
+    /// Consumes the controller and returns the tree.
+    fn into_tree(self) -> DynamicTree;
+
+    /// The controller's own clock.
+    fn time(&self) -> u64;
+
+    /// The `messages` of [`Controller::metrics`] without its per-node
+    /// memory scan.
+    fn messages(&self) -> u64;
+
+    /// Answers the run's final rejects: the centralized model delivers a
+    /// reject package to every node, once (`n − 1` moves); the default
+    /// charges nothing.
+    fn broadcast_reject(&mut self) {}
+}
 
 /// One not-yet-answered request under its outer ticket, with the global
 /// virtual time of its first submission.
@@ -28,23 +82,23 @@ pub(crate) struct Pending {
     pub(crate) submitted_at: u64,
 }
 
-/// A sequence of fixed-bound distributed controllers over one tree, seen from
-/// outside as one clock, one set of tickets and one cost total.
+/// A sequence of fixed-bound controllers over one tree, seen from outside as
+/// one clock, one set of tickets and one cost total.
 ///
 /// The shell is either *live* (an inner controller runs the current epoch) or
 /// *parked* (the tree waits between epochs). [`EpochShell::retire`] folds the
 /// live controller's clock and costs into the accumulators and parks the
 /// tree; [`EpochShell::install`] starts the next epoch over it.
 #[derive(Debug)]
-pub(crate) struct EpochShell {
+pub(crate) struct EpochShell<C = DistributedController> {
     /// The running epoch's controller; `None` while parked.
-    live: Option<DistributedController>,
+    live: Option<C>,
     /// The tree between epochs; an empty placeholder while `live` runs.
     parked: DynamicTree,
     /// Virtual time accumulated by retired epochs; the global clock is
     /// `time_base + live simulator time`.
     time_base: u64,
-    /// Agent hops, messages and peak node memory over retired epochs.
+    /// Moves, messages and peak node memory over retired epochs.
     retired: ControllerMetrics,
     /// Inner ticket → `(outer ticket, first submission time)`, for the
     /// running epoch's requests still in flight: [`EpochShell::collect`]
@@ -52,7 +106,7 @@ pub(crate) struct EpochShell {
     outer_of: SlidingMap<RequestId, (RequestId, u64)>,
 }
 
-impl EpochShell {
+impl<C: InnerController> EpochShell<C> {
     /// A parked shell over `tree`: no epoch has run yet.
     pub(crate) fn parked(tree: DynamicTree) -> Self {
         EpochShell {
@@ -65,8 +119,8 @@ impl EpochShell {
     }
 
     /// Starts the next epoch over the parked tree (see
-    /// [`DistributedController::with_interval`]). A validation error loses
-    /// the tree and leaves the shell unusable, so callers propagate it.
+    /// [`InnerController::start`]). A validation error loses the tree and
+    /// leaves the shell unusable, so callers propagate it.
     pub(crate) fn install(
         &mut self,
         config: SimConfig,
@@ -78,13 +132,11 @@ impl EpochShell {
         // Every client retires before it installs.
         debug_assert!(self.live.is_none(), "install needs a parked shell");
         let tree = std::mem::take(&mut self.parked);
-        self.live = Some(DistributedController::with_interval(
-            config, tree, m, w, u_bound, interval,
-        )?);
+        self.live = Some(C::start(config, tree, m, w, u_bound, interval)?);
         Ok(())
     }
 
-    /// Ends the running epoch: folds its clock, agent hops, messages and peak
+    /// Ends the running epoch: folds its clock, moves, messages and peak
     /// node memory into the accumulators, forgets its inner tickets and parks
     /// the tree. Answers not yet collected are lost — collect first. A no-op
     /// on a parked shell.
@@ -92,7 +144,7 @@ impl EpochShell {
         let Some(ctrl) = self.live.take() else {
             return;
         };
-        self.time_base += ctrl.sim().time();
+        self.time_base += ctrl.time();
         self.retired = self.totals_with(&ctrl);
         self.outer_of.clear();
         self.parked = ctrl.into_tree();
@@ -100,7 +152,7 @@ impl EpochShell {
 
     /// The running epoch's controller, for the reads that are policy
     /// (uncommitted permits, grants, whiteboards); `None` while parked.
-    pub(crate) fn live(&self) -> Option<&DistributedController> {
+    pub(crate) fn live(&self) -> Option<&C> {
         self.live.as_ref()
     }
 
@@ -114,16 +166,11 @@ impl EpochShell {
 
     /// The global virtual time: retired epochs' clocks plus the running one.
     pub(crate) fn now(&self) -> u64 {
-        self.time_base + self.live.as_ref().map_or(0, |c| c.sim().time())
+        self.time_base + self.live.as_ref().map_or(0, C::time)
     }
 
-    /// `true` when nothing is in flight (always, while parked).
-    pub(crate) fn is_quiescent(&self) -> bool {
-        self.live.as_ref().map_or(true, |c| c.sim().is_quiescent())
-    }
-
-    /// Agent hops (`moves`), messages and peak node memory over every epoch
-    /// so far, the running one included.
+    /// Moves, messages and peak node memory over every epoch so far, the
+    /// running one included.
     pub(crate) fn totals(&self) -> ControllerMetrics {
         match &self.live {
             Some(ctrl) => self.totals_with(ctrl),
@@ -134,11 +181,11 @@ impl EpochShell {
     /// Messages over every epoch so far (the `messages` of
     /// [`EpochShell::totals`] without its per-node memory scan).
     pub(crate) fn messages(&self) -> u64 {
-        self.retired.messages + self.live.as_ref().map_or(0, |c| c.messages())
+        self.retired.messages + self.live.as_ref().map_or(0, C::messages)
     }
 
-    fn totals_with(&self, ctrl: &DistributedController) -> ControllerMetrics {
-        let now = Controller::metrics(ctrl);
+    fn totals_with(&self, ctrl: &C) -> ControllerMetrics {
+        let now = ctrl.metrics();
         ControllerMetrics {
             moves: self.retired.moves + now.moves,
             messages: self.retired.messages + now.messages,
@@ -159,7 +206,7 @@ impl EpochShell {
                 "request submitted to a parked epoch shell".to_string(),
             ));
         };
-        let inner = ctrl.submit(request.origin, request.kind)?;
+        let inner = ctrl.enter(request.origin, request.kind)?;
         self.outer_of
             .insert(inner, (request.id, request.submitted_at));
         Ok(())
@@ -203,6 +250,13 @@ impl EpochShell {
     }
 }
 
+impl EpochShell {
+    /// `true` when nothing is in flight (always, while parked).
+    pub(crate) fn is_quiescent(&self) -> bool {
+        self.live.as_ref().map_or(true, |c| c.sim().is_quiescent())
+    }
+}
+
 /// The parameters an [`IterationPolicy`] chooses for one iteration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IterationPlan {
@@ -224,9 +278,9 @@ pub struct IterationPlan {
     pub u_bound: Option<usize>,
 }
 
-/// The hooks of the [`IterationDriver`]; every one but
-/// [`IterationPolicy::plan`] defaults to the §5 behaviour.
-pub trait IterationPolicy {
+/// The hooks of the [`IterationDriver`] whose iterations `C` runs; every one
+/// but [`IterationPolicy::plan`] defaults to the §5 behaviour.
+pub trait IterationPolicy<C = DistributedController> {
     /// Plans the iteration about to start over `tree` (called once at
     /// construction and again at every rotation, before the inner controller
     /// is rebuilt). State the application refreshes per iteration — the name
@@ -245,7 +299,7 @@ pub trait IterationPolicy {
     /// Asked at a quiescent point where `iteration` rejected requests: `true`
     /// makes those rejects, and every later answer, final; the default
     /// rotates to a fresh iteration and retries them there.
-    fn rejects_are_final(&self, iteration: &DistributedController) -> bool {
+    fn rejects_are_final(&self, iteration: &C) -> bool {
         let _ = iteration;
         false
     }
@@ -260,7 +314,7 @@ pub trait IterationPolicy {
     /// nothing more, and its next quiescent point rotates. The default never
     /// does: a §5 iteration takes requests until it is quiescent and
     /// exhausted.
-    fn ends_iteration(&self, iteration: &DistributedController) -> bool {
+    fn ends_iteration(&self, iteration: &C) -> bool {
         let _ = iteration;
         false
     }
@@ -345,9 +399,9 @@ pub trait Runtime {
 /// rounds).
 const MAX_STALLED_ROTATIONS: u32 = 64;
 
-/// The epoch engine: a sequence of inner distributed controllers over one
-/// epoch shell (the clock, cost totals and ticket table they share) behind
-/// stable outer tickets, parameterised by an [`IterationPolicy`].
+/// The epoch engine: a sequence of inner controllers `C` over one epoch
+/// shell (the clock, cost totals and ticket table they share) behind stable
+/// outer tickets, parameterised by an [`IterationPolicy`].
 ///
 /// `submit` queues a request under a ticket that survives rotations; `step`
 /// hands the queue — new requests and rejected ones — to the running
@@ -356,10 +410,10 @@ const MAX_STALLED_ROTATIONS: u32 = 64;
 /// the policy says whether to rotate and retry them or answer them for good.
 /// Seeds run `seed, seed+1, …` over the rotations.
 #[derive(Debug)]
-pub struct IterationDriver<P> {
+pub struct IterationDriver<P, C = DistributedController> {
     config: SimConfig,
     policy: P,
-    shell: EpochShell,
+    shell: EpochShell<C>,
     ledger: RequestLedger,
     /// Drained events, in emission order; per-request events wait in the
     /// ledger until an iteration boundary or a drain moves them here.
@@ -385,7 +439,7 @@ pub struct IterationDriver<P> {
     spent: bool,
 }
 
-impl<P: IterationPolicy> IterationDriver<P> {
+impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     /// Creates the driver over `tree`, planning and starting the first
     /// iteration through `policy`.
     ///
@@ -423,16 +477,6 @@ impl<P: IterationPolicy> IterationDriver<P> {
     /// of the size-estimation protocol).
     pub fn estimate(&self) -> u64 {
         self.estimate
-    }
-
-    /// The number of permits that travelled down through `node` in the
-    /// current iteration (read off the inner controller's whiteboard; used
-    /// by the subtree estimator).
-    pub fn permits_passed_down(&self, node: NodeId) -> u64 {
-        self.shell
-            .live()
-            .and_then(|inner| inner.whiteboard(node))
-            .map_or(0, |wb| wb.permits_passed_down)
     }
 
     /// Runs until every ticket is answered, each iteration under the
@@ -526,7 +570,12 @@ impl<P: IterationPolicy> IterationDriver<P> {
     /// Answers `request` with a final reject at the current global time.
     fn reject(&mut self, request: Pending) {
         self.rejected += 1;
-        self.ledger.push(RequestRecord {
+        if self.spent {
+            if let Some(iteration) = self.shell.live.as_mut() {
+                iteration.broadcast_reject();
+            }
+        }
+        self.answer(RequestRecord {
             id: request.id,
             origin: request.origin,
             kind: request.kind,
@@ -534,6 +583,18 @@ impl<P: IterationPolicy> IterationDriver<P> {
             submitted_at: request.submitted_at,
             answered_at: self.shell.now(),
         });
+    }
+
+    /// Enters a final answer in the outer history: at its own times, or —
+    /// under a centralized inner controller, which answers before `submit`
+    /// returns — at the synchronous clock.
+    fn answer(&mut self, rec: RequestRecord) {
+        if C::CENTRALIZED {
+            self.ledger
+                .record(rec.id, rec.origin, rec.kind, rec.outcome);
+        } else {
+            self.ledger.push(rec);
+        }
     }
 
     /// Moves the inner controller's fresh answers into the outer history:
@@ -547,7 +608,7 @@ impl<P: IterationPolicy> IterationDriver<P> {
                         self.changes_total += 1;
                     }
                     self.stalled_rotations = 0;
-                    self.ledger.push(rec);
+                    self.answer(rec);
                 }
                 Outcome::Rejected => self.retry.push(Pending {
                     id: rec.id,
@@ -555,9 +616,9 @@ impl<P: IterationPolicy> IterationDriver<P> {
                     kind: rec.kind,
                     submitted_at: rec.submitted_at,
                 }),
-                // The fixed-bound distributed family supports the full
-                // dynamic model and never refuses.
-                Outcome::Refused => unreachable!("distributed controller never refuses"),
+                // Both inner controllers support the full dynamic model and
+                // never refuse.
+                Outcome::Refused => unreachable!("an inner controller never refuses"),
             }
         }
         let granted = &self.ledger.records()[before..];
@@ -634,16 +695,52 @@ impl<P: IterationPolicy> IterationDriver<P> {
     }
 
     pub(crate) fn metrics(&self) -> ControllerMetrics {
+        let totals = self.shell.totals();
+        let messages = totals.messages + self.aux_messages;
         ControllerMetrics {
-            messages: self.messages(),
-            ..self.shell.totals()
+            // The centralized model has one cost: a charged wave is a move.
+            moves: if C::CENTRALIZED {
+                messages
+            } else {
+                totals.moves
+            },
+            messages,
+            ..totals
         }
+    }
+
+    /// The per-request events of [`Runtime::drain_events`], without the
+    /// iteration announcements.
+    pub(crate) fn drain_controller_events(&mut self) -> Vec<ControllerEvent> {
+        self.drain_events()
+            .into_iter()
+            .filter_map(|event| match event {
+                AppEvent::Controller(event) => Some(event),
+                AppEvent::IterationStarted { .. } => None,
+            })
+            .collect()
     }
 }
 
-impl<P: IterationPolicy> Runtime for IterationDriver<P> {
+impl<P> IterationDriver<P> {
+    /// The number of permits that travelled down through `node` in the
+    /// current iteration (read off the inner controller's whiteboard; used
+    /// by the subtree estimator).
+    pub fn permits_passed_down(&self, node: NodeId) -> u64 {
+        self.shell
+            .live()
+            .and_then(|inner| inner.whiteboard(node))
+            .map_or(0, |wb| wb.permits_passed_down)
+    }
+}
+
+impl<P: IterationPolicy<C>, C: InnerController> Runtime for IterationDriver<P, C> {
     fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        check_request(self.shell.tree(), at, kind)?;
+        // A spent centralized run answers any request from the reject
+        // packages of its reject wave, unchecked.
+        if !(C::CENTRALIZED && self.spent) {
+            check_request(self.shell.tree(), at, kind)?;
+        }
         let request = Pending {
             id: self.ledger.issue(),
             origin: at,

@@ -25,7 +25,7 @@
 //! substitution.
 
 use super::driver::DistributedController;
-use super::epoch::{AppEvent, IterationDriver, IterationPlan, IterationPolicy, Runtime};
+use super::epoch::{IterationDriver, IterationPlan, IterationPolicy, Runtime};
 use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
 use crate::request::{RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;
@@ -200,14 +200,7 @@ impl Controller for AdaptiveDistributedController {
     }
 
     fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.engine
-            .drain_events()
-            .into_iter()
-            .filter_map(|event| match event {
-                AppEvent::Controller(event) => Some(event),
-                AppEvent::IterationStarted { .. } => None,
-            })
-            .collect()
+        self.engine.drain_controller_events()
     }
 
     fn records(&self) -> &[RequestRecord] {

@@ -23,10 +23,12 @@
 //! topology gates rely on. DESIGN.md §6 ("Lock release") has the details.
 //!
 //! Past the fixed-`U` controller, [`IterationDriver`] is the one epoch
-//! engine: a sequence of such controllers behind stable tickets, rotated at
-//! quiescent points by an [`IterationPolicy`]. The
-//! [`AdaptiveDistributedController`] (Theorem 4.9 / Appendix A) and the §5
-//! applications of `dcn-estimator` are its two policies.
+//! engine: a sequence of such controllers — or of the centralized ones of §3
+//! — behind stable tickets, rotated at quiescent points by an
+//! [`IterationPolicy`]. The [`AdaptiveDistributedController`] (Theorem 4.9 /
+//! Appendix A), the §5 applications of `dcn-estimator` and the centralized
+//! [`IteratedController`](crate::centralized::IteratedController)
+//! (Observation 3.4 / Theorem 3.5) are its policies.
 
 mod agent;
 mod driver;
@@ -37,6 +39,6 @@ mod protocol;
 pub use agent::{CtrlAgent, RequestAgent};
 pub use driver::DistributedController;
 pub use epoch::{AppEvent, IterationDriver, IterationPlan, IterationPolicy, Runtime};
-pub(crate) use epoch::{EpochShell, Pending};
+pub(crate) use epoch::{EpochShell, InnerController, Pending};
 pub use iterated::AdaptiveDistributedController;
 pub use protocol::{ControllerProtocol, CtrlOutput, CtrlWhiteboard, PackageEvent};

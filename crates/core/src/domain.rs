@@ -108,11 +108,6 @@ impl DomainAuditor {
         }
     }
 
-    /// Forgets every domain (iteration reset).
-    pub fn clear(&mut self) {
-        self.domains.clear();
-    }
-
     /// Records an internal-node insertion: `new_node` was spliced in as the
     /// parent of `below`.
     pub fn on_add_internal(&mut self, new_node: NodeId, below: NodeId, tree: &DynamicTree) {

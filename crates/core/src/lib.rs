@@ -19,12 +19,13 @@
 //!   *filler node*, and the recursive `Proc` distribution leaves a trail of
 //!   geometrically sized packages behind. Includes the iterated controller of
 //!   Observation 3.4 and the adaptive (unknown-`U`) controllers of
-//!   Theorem 3.5.
+//!   Theorem 3.5, both schedules of the epoch engine.
 //! * [`distributed`] — the mobile-agent implementation of §4 running on the
 //!   [`dcn_simnet`] asynchronous network simulator, with path locking, FIFO
 //!   waiting queues and reject waves, plus the one epoch engine
 //!   ([`distributed::IterationDriver`]) that runs the adaptive controller of
-//!   §4.5 / Appendix A and the §5 applications of `dcn-estimator`.
+//!   §4.5 / Appendix A, the §5 applications of `dcn-estimator` and the
+//!   centralized schedules.
 //! * [`domain`] — the *package domain* bookkeeping used by the paper's
 //!   analysis (§3.2), implemented as an auditor so tests can check the domain
 //!   invariants on real executions.

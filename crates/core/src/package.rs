@@ -270,8 +270,7 @@ impl PackageStore {
         self.static_permits == 0 && self.mobiles.is_empty() && !self.reject
     }
 
-    /// Removes every package from the store (used when the data structure is
-    /// re-initialised at an iteration boundary) and returns the number of
+    /// Removes every package from the store and returns the number of
     /// permits that were reclaimed.
     pub fn clear(&mut self, params: &Params) -> u64 {
         let reclaimed = self.total_permits(params);

@@ -41,7 +41,8 @@ impl Params {
     /// # Errors
     ///
     /// * [`ControllerError::ZeroWasteUnsupported`] if `w == 0` (the base
-    ///   construction needs `W ≥ 1`; wrap it per Observation 3.4 for `W = 0`);
+    ///   construction needs `W ≥ 1`; Observation 3.4's halving schedule,
+    ///   whose rounds all have `W ≥ 1`, serves `W = 0`);
     /// * [`ControllerError::WasteExceedsBudget`] if `w > m`.
     pub fn new(m: u64, w: u64, u: u64) -> Result<Self, ControllerError> {
         if w == 0 {

@@ -1,16 +1,26 @@
 //! Integration tests for the centralized controllers (§3).
 
-use dcn_controller::centralized::{
-    AdaptiveController, CentralizedController, IteratedController, RefreshPolicy,
-};
+use dcn_controller::centralized::{CentralizedController, IteratedController, RefreshPolicy};
 use dcn_controller::verify::ExecutionSummary;
-use dcn_controller::{ControllerError, Outcome, PermitInterval, RequestKind};
+use dcn_controller::{Controller, ControllerError, Outcome, PermitInterval, RequestKind};
+use dcn_rng::{DetRng, Rng, SeedableRng};
 use dcn_tree::{DynamicTree, NodeId};
 
 fn deepest(tree: &DynamicTree) -> NodeId {
     tree.nodes()
         .max_by_key(|&n| tree.depth(n))
         .expect("tree is non-empty")
+}
+
+/// Submits through the ticket API and reads the answer, which the iterated
+/// controller gives before `submit` returns.
+fn submit(
+    ctrl: &mut IteratedController,
+    at: NodeId,
+    kind: RequestKind,
+) -> Result<Outcome, ControllerError> {
+    let ticket = ctrl.submit(at, kind)?;
+    Ok(ctrl.outcome(ticket).expect("answered inside submit"))
 }
 
 #[test]
@@ -203,8 +213,7 @@ fn iterated_controller_handles_zero_waste_exactly() {
     for i in 0..30usize {
         let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
         let at = nodes[(i * 11) % nodes.len()];
-        if ctrl
-            .submit(at, RequestKind::NonTopological)
+        if submit(&mut ctrl, at, RequestKind::NonTopological)
             .unwrap()
             .is_granted()
         {
@@ -217,6 +226,46 @@ fn iterated_controller_handles_zero_waste_exactly() {
     );
     assert_eq!(ctrl.granted(), m);
     assert!(ctrl.is_exhausted());
+}
+
+/// A root with `legs` paths hanging off it, `nodes` nodes in all.
+fn spider(legs: usize, nodes: usize) -> DynamicTree {
+    let mut tree = DynamicTree::new();
+    let mut tips = vec![tree.root(); legs];
+    for i in 0..nodes - 1 {
+        tips[i % legs] = tree.add_leaf(tips[i % legs]).unwrap();
+    }
+    tree
+}
+
+/// With `W = 0` the last permit must be granted too. It once went to the
+/// trivial `(1, 0)`-controller over uncleared stores: when it sat in a
+/// package off the requester's path to the root, the root had nothing to
+/// give and the controller rejected after `M − 1` grants (about one run in
+/// ten here). It is now a `(1, 1)` round over cleared stores.
+#[test]
+fn iterated_controller_with_zero_waste_grants_the_last_permit_on_spiders() {
+    let mut rng = DetRng::seed_from_u64(27);
+    for case in 0..48 {
+        let legs = rng.gen_range(1usize..=4);
+        let n = rng.gen_range(20usize..260);
+        let u = n + rng.gen_range(1usize..=64);
+        let m = rng.gen_range(2..8 * u as u64);
+        let mut ctrl = IteratedController::new(spider(legs, n), m, 0, u).unwrap();
+        let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
+        let mut granted = 0;
+        while submit(
+            &mut ctrl,
+            nodes[rng.gen_range(0..n)],
+            RequestKind::NonTopological,
+        )
+        .unwrap()
+        .is_granted()
+        {
+            granted += 1;
+        }
+        assert_eq!(granted, m, "case {case}: {legs} legs, n {n}, U {u}");
+    }
 }
 
 #[test]
@@ -245,15 +294,64 @@ fn iterated_controller_uses_fewer_moves_than_single_shot_for_small_w() {
             .nodes()
             .find(|&n| iterated.tree().depth(n) == d)
             .unwrap();
-        let _ = iterated.submit(at, RequestKind::NonTopological).unwrap();
+        iterated.submit(at, RequestKind::NonTopological).unwrap();
     }
 
+    let moves = iterated.metrics().moves;
     assert!(
-        iterated.moves() <= single.moves(),
-        "iterated controller should not use more moves ({} vs {})",
-        iterated.moves(),
+        moves <= single.moves(),
+        "iterated controller should not use more moves ({moves} vs {})",
         single.moves()
     );
+}
+
+/// Requests at the root move no permit, so every move of the iterated
+/// schedules is a wave: `n` for each round after the first — the clearing
+/// wave of a recycle before the grant, the re-initialisation of an epoch
+/// refresh after it — and `n − 1` for the reject wave. Each is a message
+/// too.
+#[test]
+fn every_wave_of_the_iterated_schedules_is_a_move_and_a_message() {
+    let star = || DynamicTree::with_initial_star(8);
+    let schedules = [
+        (IteratedController::new(star(), 1_000, 0, 64).unwrap(), 1),
+        (
+            IteratedController::adaptive(star(), 1_000, 0, RefreshPolicy::ChangesQuarterU).unwrap(),
+            5,
+        ),
+        (
+            IteratedController::adaptive(star(), 1_000, 0, RefreshPolicy::SizeDoubling).unwrap(),
+            3,
+        ),
+    ];
+    for (mut ctrl, epochs_at_least) in schedules {
+        let root = ctrl.tree().root();
+        let mut waves = 0;
+        for i in 0..1_100 {
+            let (rounds, epochs) = (ctrl.iterations(), ctrl.epochs());
+            let before = ctrl.tree().node_count() as u64;
+            // 9 + 50 nodes stay within the fixed bound U = 64.
+            let kind = if i < 50 {
+                RequestKind::AddLeaf
+            } else {
+                RequestKind::NonTopological
+            };
+            let exhausted = ctrl.is_exhausted();
+            let granted = submit(&mut ctrl, root, kind).unwrap().is_granted();
+            let refreshes = u64::from(ctrl.epochs() - epochs);
+            let recycles = u64::from(ctrl.iterations() - rounds) - refreshes;
+            waves += recycles * before + refreshes * ctrl.tree().node_count() as u64;
+            if !granted && !exhausted {
+                waves += before - 1;
+            }
+        }
+        assert!(ctrl.is_exhausted());
+        assert_eq!(ctrl.granted(), 1_000);
+        assert!(ctrl.epochs() >= epochs_at_least, "{} epochs", ctrl.epochs());
+        assert!(ctrl.iterations() > ctrl.epochs(), "no recycle ran");
+        let metrics = ctrl.metrics();
+        assert_eq!((metrics.moves, metrics.messages), (waves, waves));
+    }
 }
 
 #[test]
@@ -261,11 +359,12 @@ fn adaptive_controller_grows_far_beyond_the_initial_size() {
     // Start from a 4-node network and insert hundreds of nodes: no a-priori
     // bound U is available, epochs must adapt.
     let tree = DynamicTree::with_initial_star(3);
-    let mut ctrl = AdaptiveController::new(tree, 500, 50, RefreshPolicy::ChangesQuarterU).unwrap();
+    let mut ctrl =
+        IteratedController::adaptive(tree, 500, 50, RefreshPolicy::ChangesQuarterU).unwrap();
     for i in 0..400usize {
         let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
         let at = nodes[(i * 5) % nodes.len()];
-        let out = ctrl.submit(at, RequestKind::AddLeaf).unwrap();
+        let out = submit(&mut ctrl, at, RequestKind::AddLeaf).unwrap();
         assert!(out.is_granted(), "request {i} unexpectedly rejected");
     }
     assert!(ctrl.tree().node_count() > 400);
@@ -277,7 +376,7 @@ fn adaptive_controller_grows_far_beyond_the_initial_size() {
 fn adaptive_controller_respects_safety_and_liveness_under_churn() {
     let tree = DynamicTree::with_initial_star(8);
     let (m, w) = (60, 10);
-    let mut ctrl = AdaptiveController::new(tree, m, w, RefreshPolicy::SizeDoubling).unwrap();
+    let mut ctrl = IteratedController::adaptive(tree, m, w, RefreshPolicy::SizeDoubling).unwrap();
     let mut granted = 0;
     let mut rejected = 0;
     for i in 0..200usize {
@@ -288,7 +387,7 @@ fn adaptive_controller_respects_safety_and_liveness_under_churn() {
         } else {
             RequestKind::AddLeaf
         };
-        match ctrl.submit(at, kind) {
+        match submit(&mut ctrl, at, kind) {
             Ok(Outcome::Granted { .. }) => granted += 1,
             Ok(Outcome::Rejected) => rejected += 1,
             Ok(Outcome::Refused) => unreachable!("core families never refuse"),

@@ -140,7 +140,8 @@ fn iterated_controller_with_zero_waste_grants_exactly_m() {
             let Some((at, kind)) = concretize(ctrl.tree(), *req) else {
                 continue;
             };
-            match ctrl.submit(at, kind).unwrap() {
+            let ticket = ctrl.submit(at, kind).unwrap();
+            match ctrl.outcome(ticket).unwrap() {
                 Outcome::Granted { .. } => granted += 1,
                 Outcome::Rejected => rejected += 1,
                 Outcome::Refused => unreachable!("core families never refuse"),

@@ -105,25 +105,24 @@ impl SubtreeEstimator {
         Ok(())
     }
 
-    /// Recomputes ω₀ (subtree sizes) for the current iteration and resets the
-    /// super-weight reference and the shadow parent map; charged as one
-    /// upcast wave through the driver.
+    /// Recomputes ω₀ (subtree sizes, summed up a post-order) for the current
+    /// iteration and resets the super-weight reference and the shadow parent
+    /// map; charged as one broadcast/upcast wave through the driver.
     fn refresh_omega0(&mut self) {
         let charge;
         {
             let tree = self.size.tree();
             self.omega0.clear();
-            self.super_weight.clear();
             self.shadow_parent.clear();
-            for node in tree.nodes() {
-                #[expect(clippy::expect_used, reason = "`node` was yielded by tree.nodes()")]
-                let sz = tree.subtree_size(node).expect("node exists") as u64;
-                self.omega0.insert(node, sz);
-                self.super_weight.insert(node, sz);
+            let order: Vec<NodeId> = tree.dfs(tree.root()).collect();
+            for &node in order.iter().rev() {
+                let size = *self.omega0.get_or_insert_with(node, || 1);
                 if let Some(parent) = tree.parent(node) {
+                    *self.omega0.get_or_insert_with(parent, || 1) += size;
                     self.shadow_parent.insert(node, parent);
                 }
             }
+            self.super_weight = self.omega0.clone();
             charge = 2 * tree.node_count() as u64;
             self.log_cursor = tree.change_log().len();
         }

@@ -219,25 +219,17 @@ impl RegionMap {
                 Some((inherited, local_parent)) if inherited == r => local_parent,
                 _ => region.tree.root(),
             };
-            // The copies go through the unsized bulk attach: the per-leaf
-            // ancestor size walk is O(depth) and would make carving a deep
-            // piece (e.g. a path region) quadratic, so the size caches are
-            // restored in one post-order pass per region after the copy.
+            // A copy is not a change of the region's tree.
             #[expect(
                 clippy::expect_used,
                 reason = "`under` is the proxy root or a node copied before; a region has fewer ids than `tree`"
             )]
             let local = region
                 .tree
-                .attach_leaf_unsized(under)
+                .attach_leaf(under)
                 .expect("a region has room under a live node");
             region.map.bind(local, node);
             map.bind(node, r, local);
-        }
-
-        // Restore the size caches skipped by the bulk attach.
-        for region in &mut regions {
-            region.tree.recompute_subtree_sizes();
         }
         (map, regions)
     }
@@ -350,9 +342,8 @@ mod tests {
         }
     }
 
-    /// The bulk attach used by pass 2 skips the per-leaf ancestor size
-    /// walks (quadratic on deep pieces); the closing recompute pass must
-    /// leave every region tree with exact cached depths and subtree sizes.
+    /// Pass 2 copies with the non-counting attach; every region tree of a
+    /// deep path must still hold exact cached depths and node counts.
     #[test]
     fn carve_restores_size_caches_on_deep_paths() {
         let tree = DynamicTree::with_initial_path(4096);

@@ -14,9 +14,6 @@ struct NodeData {
     /// subtrees). Verified against a from-scratch recomputation by
     /// [`DynamicTree::check_invariants`].
     depth: usize,
-    /// Cached size of the subtree rooted here (including the node itself),
-    /// maintained incrementally along the ancestor chain of every mutation.
-    subtree: usize,
 }
 
 /// A dynamic rooted tree supporting the four topological changes of the paper
@@ -68,7 +65,6 @@ impl DynamicTree {
             parent: None,
             children: Vec::new(),
             depth: 0,
-            subtree: 1,
         };
         DynamicTree {
             slots: vec![Some(Box::new(root_data))],
@@ -94,29 +90,18 @@ impl DynamicTree {
         t
     }
 
-    /// Creates a tree that is a path of `len + 1` nodes starting at the root.
-    ///
-    /// Built directly (not via repeated `add_leaf`) so the depth/subtree
-    /// caches are filled in one pass — incremental maintenance would walk
-    /// the whole ancestor chain per node and make this `O(len²)`.
+    /// Creates a tree that is a path of `len + 1` nodes starting at the root;
+    /// building it counts no [`changes`](Self::changes).
     pub fn with_initial_path(len: usize) -> Self {
         let mut t = Self::new();
-        t.live_mut(t.root).subtree = len + 1;
-        for d in 1..=len {
-            let parent = NodeId((d - 1) as u32);
+        let mut tip = t.root;
+        for _ in 0..len {
             #[expect(
                 clippy::expect_used,
                 reason = "an initial tree that outgrows the id space is a caller bug, like an allocation that outgrows memory"
             )]
-            let child = t
-                .alloc(NodeData {
-                    parent: Some(parent),
-                    children: Vec::new(),
-                    depth: d,
-                    subtree: len + 1 - d,
-                })
-                .expect("the path fits the id space");
-            t.live_mut(parent).children.push(child);
+            let child = t.attach_leaf(tip).expect("the path fits the id space");
+            tip = child;
         }
         t
     }
@@ -211,9 +196,8 @@ impl DynamicTree {
         children.splice(pos..=pos, with.iter().copied());
     }
 
-    /// A cached depth or subtree size moved by `delta`. The caches are
-    /// load-bearing, so an underflow (a corrupted arena) fails loud rather
-    /// than wraps.
+    /// A cached depth moved by `delta`. The cache is load-bearing, so an
+    /// underflow (a corrupted arena) fails loud rather than wraps.
     #[expect(
         clippy::expect_used,
         reason = "a cache below zero is a corrupted arena; fail loud rather than wrap"
@@ -368,25 +352,13 @@ impl DynamicTree {
         DfsIter::new(self, start)
     }
 
-    /// Number of nodes in the subtree rooted at `id` (including `id`).
-    ///
-    /// `O(1)`: subtree sizes are cached per node and maintained incrementally
-    /// along the ancestor chain of every mutation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::UnknownNode`] if `id` does not exist.
-    pub fn subtree_size(&self, id: NodeId) -> Result<usize, TreeError> {
-        Ok(self.data(id)?.subtree)
-    }
-
     /// Checks internal structural invariants; used by tests and debug builds.
     ///
     /// Verified invariants: parent/child pointers are mutually consistent,
     /// every existing non-root node has an existing parent, the root has no
     /// parent, every node is reachable from the root, the node count matches
-    /// the number of occupied slots, and the cached depths / subtree sizes
-    /// agree with a from-scratch recomputation.
+    /// the number of occupied slots, and the cached depths agree with a
+    /// from-scratch recomputation.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen = 0usize;
         for (i, slot) in self.slots.iter().enumerate() {
@@ -448,13 +420,6 @@ impl DynamicTree {
                     data.depth
                 ));
             }
-            let true_size = self.dfs(id).count();
-            if data.subtree != true_size {
-                return Err(format!(
-                    "cached subtree size {} of {id} != recomputed {true_size}",
-                    data.subtree
-                ));
-            }
         }
         Ok(())
     }
@@ -462,17 +427,6 @@ impl DynamicTree {
     // ------------------------------------------------------------------
     // Mutations
     // ------------------------------------------------------------------
-
-    /// Adds `delta` to the cached subtree sizes of `from` and all its
-    /// ancestors up to the root.
-    fn adjust_ancestor_sizes(&mut self, from: NodeId, delta: isize) {
-        let mut cur = Some(from);
-        while let Some(c) = cur {
-            let d = self.live_mut(c);
-            d.subtree = Self::shifted(d.subtree, delta);
-            cur = d.parent;
-        }
-    }
 
     /// Adds `delta` to the cached depth of every node in the subtree of
     /// `top` (inclusive) — the whole subtree moves when an internal node is
@@ -485,40 +439,17 @@ impl DynamicTree {
         }
     }
 
-    /// Attaches a new leaf under `parent` without touching the ancestor size
-    /// caches or the change count — the bulk-construction primitive behind
-    /// region carving. The per-mutation ancestor walk is O(depth), which
-    /// turns copying a deep region (e.g. a carved path piece) quadratic;
-    /// bulk callers attach every node with this and then restore the size
-    /// caches in one [`DynamicTree::recompute_subtree_sizes`] pass.
-    pub(crate) fn attach_leaf_unsized(&mut self, parent: NodeId) -> Result<NodeId, TreeError> {
+    /// Attaches a new leaf under `parent` without counting a change: the
+    /// initial path and region carving build their trees with it.
+    pub(crate) fn attach_leaf(&mut self, parent: NodeId) -> Result<NodeId, TreeError> {
         let depth = self.data(parent)?.depth + 1;
         let child = self.alloc(NodeData {
             parent: Some(parent),
             children: Vec::new(),
             depth,
-            subtree: 1,
         })?;
         self.live_mut(parent).children.push(child);
         Ok(child)
-    }
-
-    /// Recomputes every cached subtree size in one pass over the reversed
-    /// pre-order (every node after its descendants) — the O(n) batch
-    /// counterpart of the per-mutation ancestor updates, paired with
-    /// [`DynamicTree::attach_leaf_unsized`] during bulk construction.
-    pub(crate) fn recompute_subtree_sizes(&mut self) {
-        let order: Vec<NodeId> = self.dfs(self.root).collect();
-        for &id in &order {
-            self.live_mut(id).subtree = 1;
-        }
-        for &id in order.iter().rev() {
-            let d = self.live_mut(id);
-            if let Some(parent) = d.parent {
-                let size = d.subtree;
-                self.live_mut(parent).subtree += size;
-            }
-        }
     }
 
     /// **add-leaf**: attaches a new leaf under `parent` and returns its id.
@@ -528,15 +459,7 @@ impl DynamicTree {
     /// * [`TreeError::UnknownNode`] if `parent` does not exist;
     /// * [`TreeError::IdSpaceExhausted`] if every id has been handed out.
     pub fn add_leaf(&mut self, parent: NodeId) -> Result<NodeId, TreeError> {
-        let depth = self.data(parent)?.depth + 1;
-        let child = self.alloc(NodeData {
-            parent: Some(parent),
-            children: Vec::new(),
-            depth,
-            subtree: 1,
-        })?;
-        self.live_mut(parent).children.push(child);
-        self.adjust_ancestor_sizes(parent, 1);
+        let child = self.attach_leaf(parent)?;
         self.applied(TopologyEvent::AddLeaf { parent, child });
         Ok(child)
     }
@@ -560,7 +483,6 @@ impl DynamicTree {
         self.replace_child(parent, node, &[]);
         self.slots[node.index()] = None;
         self.node_count -= 1;
-        self.adjust_ancestor_sizes(parent, -1);
         self.applied(TopologyEvent::RemoveLeaf { parent, node });
         Ok(())
     }
@@ -579,18 +501,16 @@ impl DynamicTree {
             Some(p) => p,
             None => return Err(TreeError::NoParentEdge(below)),
         };
-        // The new node takes `below`'s old depth and absorbs its subtree.
-        let (node_depth, node_subtree) = (below_data.depth, below_data.subtree + 1);
+        // The new node takes `below`'s old depth.
+        let depth = below_data.depth;
         let node = self.alloc(NodeData {
             parent: Some(parent),
             children: vec![below],
-            depth: node_depth,
-            subtree: node_subtree,
+            depth,
         })?;
         self.replace_child(parent, below, &[node]);
         self.live_mut(below).parent = Some(node);
         self.shift_subtree_depths(below, 1);
-        self.adjust_ancestor_sizes(parent, 1);
         self.applied(TopologyEvent::AddInternal {
             parent,
             node,
@@ -628,7 +548,6 @@ impl DynamicTree {
         }
         self.slots[node.index()] = None;
         self.node_count -= 1;
-        self.adjust_ancestor_sizes(parent, -1);
         self.applied(TopologyEvent::RemoveInternal { parent, node });
         Ok(())
     }
@@ -774,17 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn subtree_size_counts_descendants() {
-        let mut t = DynamicTree::new();
-        let a = t.add_leaf(t.root()).unwrap();
-        let _b = t.add_leaf(a).unwrap();
-        let _c = t.add_leaf(a).unwrap();
-        let _d = t.add_leaf(t.root()).unwrap();
-        assert_eq!(t.subtree_size(t.root()).unwrap(), 5);
-        assert_eq!(t.subtree_size(a).unwrap(), 3);
-    }
-
-    #[test]
     fn initial_constructions_do_not_pollute_the_log() {
         let star = DynamicTree::with_initial_star(10);
         assert_eq!(star.node_count(), 11);
@@ -836,9 +744,9 @@ mod tests {
     /// change (DESIGN.md §7 "Memory law").
     #[cfg(target_pointer_width = "64")]
     #[test]
-    fn a_spine_entry_is_8_bytes_a_live_node_at_most_48_and_a_log_entry_16() {
+    fn a_spine_entry_is_8_bytes_a_live_node_at_most_40_and_a_log_entry_16() {
         assert_eq!(std::mem::size_of::<Option<Box<NodeData>>>(), 8);
-        assert!(std::mem::size_of::<NodeData>() <= 48);
+        assert!(std::mem::size_of::<NodeData>() <= 40);
         assert_eq!(std::mem::size_of::<TopologyEvent>(), 16);
     }
 

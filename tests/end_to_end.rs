@@ -448,7 +448,7 @@ fn baselines_comparison_captures_the_papers_qualitative_claims() {
             TrivialController::submit(&mut trivial, deep, RequestKind::NonTopological).unwrap();
         }
         (
-            ours.moves() as f64 / requests as f64,
+            ours.metrics().moves as f64 / requests as f64,
             trivial.moves() as f64 / requests as f64,
         )
     };
