@@ -258,9 +258,10 @@ pub trait Controller {
 
     /// Forgets all but the newest `keep` answers (see
     /// [`RequestLedger::trim`]): a driver that runs without end bounds the
-    /// history with this; one that reads the whole history back — every
-    /// sweep and experiment — never calls it. Counters, events and the tree
-    /// are unaffected.
+    /// history with this — the server calls `trim_records(0)` after every
+    /// pump, once it has copied what `poll` needs; one that reads the whole
+    /// history back — every sweep and experiment — never calls it.
+    /// Counters, events and the tree are unaffected.
     fn trim_records(&mut self, keep: usize);
 
     /// The outcome of a specific ticket, if it has been answered.

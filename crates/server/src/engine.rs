@@ -19,7 +19,7 @@
 //!   what makes protocol semantics testable byte-for-byte.
 
 use crate::protocol::{self, ClientFrame, StatsSnapshot, Submission, WireKind, WireOutcome};
-use dcn_collections::FxHashMap;
+use dcn_collections::{FxHashMap, SlidingMap};
 use dcn_controller::{
     Controller, ControllerError, ControllerEvent, Outcome, RequestId, RequestKind, RequestRecord,
 };
@@ -27,11 +27,14 @@ use dcn_simnet::SimConfig;
 use dcn_tree::NodeId;
 use dcn_workload::{build_tree, ControllerSpec, Family, TreeShape};
 
-/// How many of the newest answers the served controller keeps: `poll` finds a
-/// ticket's outcome while it is among them and answers `expired-ticket` once
-/// it is not, so this bounds only how long a client that does *not*
-/// `subscribe` may wait before polling — 256 × the per-connection in-flight
-/// cap. A served process's memory follows this window, not its request count.
+/// How many of the newest tickets issued `poll` can still answer: the engine
+/// keeps the wire outcome (32 B) of every answered ticket among them and
+/// answers `expired-ticket` for an older one. This bounds only how long a
+/// client that does *not* `subscribe` may wait before polling — 256 × the
+/// per-connection in-flight cap. A ticket answered only after this many newer
+/// ones were issued (a straggler) polls `pending` while in flight and
+/// `expired-ticket` after; its events still stream. A served process's memory
+/// follows this window, not its request count.
 pub(crate) const ANSWER_WINDOW: usize = 65_536;
 
 /// Identifies one client connection for the engine's routing tables. The
@@ -146,12 +149,17 @@ pub struct EngineCore {
     /// Tickets in flight: ticket → (submitting client, its correlation
     /// tag), from `submit` until a pump has delivered the ticket's last
     /// event. `poll` reads `pending` while a ticket is here — even when the
-    /// controller resolved it inside `submit` — and the controller's own
-    /// record once it is not: that record is the only per-request state the
-    /// engine leaves behind, and only for the newest `ANSWER_WINDOW` answers.
+    /// controller resolved it inside `submit` — and `answers` once it is not.
     route: FxHashMap<u64, (ClientId, Option<u64>)>,
+    /// The wire outcome of every answered ticket at or above `answers_floor`:
+    /// the only per-request state a pump leaves behind, spanning at most the
+    /// newest `ANSWER_WINDOW` tickets issued.
+    answers: SlidingMap<RequestId, WireOutcome>,
+    /// `tickets_end − ANSWER_WINDOW` (floored at 0) as of the last pump;
+    /// every ticket below it has left `answers`. Only ever grows.
+    answers_floor: u64,
     /// One past the highest ticket issued: what tells a ticket whose answer
-    /// was trimmed from one that never existed.
+    /// left the window from one that never existed.
     tickets_end: u64,
     submitted: u64,
     refused: u64,
@@ -208,6 +216,8 @@ impl EngineCore {
             config,
             clients: FxHashMap::default(),
             route: FxHashMap::default(),
+            answers: SlidingMap::new(),
+            answers_floor: 0,
             tickets_end: 0,
             submitted: 0,
             refused: 0,
@@ -332,8 +342,8 @@ impl EngineCore {
             ClientFrame::Poll { ticket } => {
                 let reply = if self.route.contains_key(&ticket) {
                     protocol::outcome_frame(ticket, &WireOutcome::Pending)
-                } else if let Some(record) = self.ctrl.record(RequestId(ticket)) {
-                    protocol::outcome_frame(ticket, &wire_outcome(record))
+                } else if let Some(outcome) = self.answers.get(RequestId(ticket)) {
+                    protocol::outcome_frame(ticket, outcome)
                 } else {
                     self.protocol_errors += 1;
                     let (code, detail) = if ticket < self.tickets_end {
@@ -489,10 +499,11 @@ impl EngineCore {
     /// Advances the controller by one bounded step slice and routes every
     /// drained event to its submitting client (streamed only to subscribed
     /// connections; `poll` sees the same outcome either way), dropping each
-    /// ticket's routing entry with its last event, then lets the controller
-    /// forget all but its newest answers (65 536 of them, `ANSWER_WINDOW`;
-    /// an older ticket polls as `expired-ticket`). Returns `true` while
-    /// there is more in-flight work.
+    /// ticket's routing entry with its last event. It then moves the slice's
+    /// answers out of the controller, which keeps no history past a pump:
+    /// the engine keeps each one's wire outcome while its ticket is among
+    /// the newest `ANSWER_WINDOW` issued (65 536; an older ticket polls as
+    /// `expired-ticket`). Returns `true` while there is more in-flight work.
     ///
     /// A step error is final: the engine keeps it
     /// ([`EngineCore::last_engine_error`]), never steps again, answers every
@@ -555,11 +566,19 @@ impl EngineCore {
             };
             out.push((client, frame));
         }
-        // Trimming moves the retained records, so it waits until as many
-        // again have piled up: amortised O(1) per answer.
-        if self.ctrl.records().len() >= 2 * ANSWER_WINDOW {
-            self.ctrl.trim_records(ANSWER_WINDOW);
+        // Evict before inserting, so the window never spans more than
+        // `ANSWER_WINDOW` tickets.
+        let floor = self.tickets_end.saturating_sub(ANSWER_WINDOW as u64);
+        for ticket in self.answers_floor..floor {
+            self.answers.remove(RequestId(ticket));
         }
+        self.answers_floor = floor;
+        for record in self.ctrl.records() {
+            if record.id.0 >= floor {
+                self.answers.insert(record.id, wire_outcome(record));
+            }
+        }
+        self.ctrl.trim_records(0);
         !self.quiescent
     }
 
@@ -619,5 +638,40 @@ mod tests {
         };
         assert_eq!(huge.u_bound(), usize::MAX);
         assert_eq!(huge.with_u_bound(99).u_bound(), 99);
+    }
+
+    /// What `poll` keeps per answered ticket (DESIGN.md §9 "Per-request
+    /// state"): one 32-byte slot in the window.
+    #[test]
+    fn a_kept_answer_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<Option<WireOutcome>>() <= 32);
+    }
+
+    /// However many tickets pass, the answers kept for `poll` span at most
+    /// the newest `ANSWER_WINDOW` issued, and the served controller holds no
+    /// record once a pump has returned.
+    #[test]
+    fn the_answer_window_spans_at_most_answer_window_tickets() {
+        let mut engine =
+            EngineCore::new(ServeConfig::new(Family::Centralized, 1 << 20, 8)).unwrap();
+        let mut out = Vec::new();
+        engine.client_connected(1);
+        engine.handle_line(1, r#"{"op": "hello", "proto": 1}"#, &mut out);
+        let event = Submission {
+            node: 1,
+            kind: WireKind::Event,
+            tag: None,
+        };
+        for _ in 0..3 * ANSWER_WINDOW / 128 {
+            for _ in 0..128 {
+                engine.apply(1, ClientFrame::Submit(event), &mut out);
+            }
+            while engine.pump(&mut out) {}
+            assert!(engine.controller().records().is_empty());
+            assert!(engine.answers.span() <= ANSWER_WINDOW);
+            out.clear();
+        }
+        assert_eq!(engine.answers.len(), ANSWER_WINDOW);
+        assert_eq!(engine.answers_floor, 2 * ANSWER_WINDOW as u64);
     }
 }

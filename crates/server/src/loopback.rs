@@ -137,22 +137,54 @@ mod tests {
     use super::*;
     use crate::engine::ANSWER_WINDOW;
     use dcn_controller::{
-        Controller, ControllerEvent, ControllerMetrics, Progress, RequestId, RequestKind,
+        Controller, ControllerEvent, ControllerMetrics, Outcome, Progress, RequestId, RequestKind,
         RequestLedger, RequestRecord,
     };
     use dcn_tree::{DynamicTree, NodeId};
     use dcn_workload::Family;
 
-    /// A controller that issues tickets, never answers them, and whose
-    /// `step` and `run_to_quiescence` always err.
-    struct Broken {
+    /// A test controller: [`Stub::broken`] issues tickets, never answers
+    /// them, and errs on every `step` and `run_to_quiescence`;
+    /// [`Stub::straggling`] grants every request inside `submit` except the
+    /// first, which it holds in flight until `ANSWER_WINDOW` newer tickets
+    /// exist and grants at the next `step`.
+    struct Stub {
         ledger: RequestLedger,
         tree: DynamicTree,
+        broken: bool,
+        holding: bool,
     }
 
-    impl Controller for Broken {
+    impl Stub {
+        fn broken() -> Self {
+            Stub {
+                ledger: RequestLedger::new(),
+                tree: DynamicTree::with_initial_star(4),
+                broken: true,
+                holding: false,
+            }
+        }
+
+        fn straggling() -> Self {
+            Stub {
+                broken: false,
+                holding: true,
+                ..Stub::broken()
+            }
+        }
+
+        fn grant(&mut self, id: RequestId, origin: NodeId, kind: RequestKind) {
+            let outcome = Outcome::Granted {
+                serial: None,
+                new_node: None,
+            };
+            self.ledger.record(id, origin, kind, outcome);
+        }
+    }
+
+    impl Controller for Stub {
         fn name(&self) -> &'static str {
-            "broken"
+            "stub"
         }
         fn budget(&self) -> u64 {
             16
@@ -160,11 +192,30 @@ mod tests {
         fn waste_bound(&self) -> u64 {
             4
         }
-        fn submit(&mut self, _: NodeId, _: RequestKind) -> Result<RequestId, ControllerError> {
-            Ok(self.ledger.issue())
+        fn submit(
+            &mut self,
+            origin: NodeId,
+            kind: RequestKind,
+        ) -> Result<RequestId, ControllerError> {
+            let id = self.ledger.issue();
+            if !self.broken && id != RequestId(0) {
+                self.grant(id, origin, kind);
+            }
+            Ok(id)
         }
         fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-            Err(ControllerError::Sim("the simulator refused".to_string()))
+            if self.broken {
+                return Err(ControllerError::Sim("the simulator refused".to_string()));
+            }
+            if self.holding && self.ledger.issued() > ANSWER_WINDOW as u64 {
+                self.holding = false;
+                self.grant(
+                    RequestId(0),
+                    NodeId::from_index(0),
+                    RequestKind::NonTopological,
+                );
+            }
+            Ok(())
         }
         fn step(&mut self, _: u64) -> Result<Progress, ControllerError> {
             self.run_to_quiescence().map(|()| Progress::quiescent())
@@ -201,12 +252,11 @@ mod tests {
     /// were in flight read `pending`.
     #[test]
     fn a_step_error_fails_the_engine_for_good() {
-        let broken = Broken {
-            ledger: RequestLedger::new(),
-            tree: DynamicTree::with_initial_star(4),
-        };
         let config = ServeConfig::new(Family::Centralized, 16, 4);
-        let mut lb = Loopback::over(EngineCore::with_controller(config, Box::new(broken)));
+        let mut lb = Loopback::over(EngineCore::with_controller(
+            config,
+            Box::new(Stub::broken()),
+        ));
         let c = lb.connect();
         lb.send(c, r#"{"op": "hello", "proto": 1}"#);
         lb.send(c, r#"{"op": "subscribe"}"#);
@@ -272,9 +322,10 @@ mod tests {
         assert!(lb.engine().is_shutting_down());
     }
 
-    /// A served process remembers the newest answers, not all of them: the
-    /// history is cut back to `ANSWER_WINDOW` whenever it reaches twice
-    /// that, and `poll` tells a forgotten ticket from one that never was.
+    /// A served process remembers the newest tickets' answers, not all of
+    /// them: the controller keeps no record past a pump, `poll` answers for
+    /// the newest `ANSWER_WINDOW` tickets issued, and it tells a forgotten
+    /// ticket from one that never was.
     #[test]
     fn the_history_stays_within_the_answer_window() {
         let mut lb = Loopback::new(ServeConfig::new(Family::Centralized, 1 << 20, 8)).unwrap();
@@ -288,19 +339,14 @@ mod tests {
         for _ in 0..total / 128 {
             lb.send(c, &batch);
             lb.run_to_quiescence();
-            assert!(lb.engine().controller().records().len() <= 2 * ANSWER_WINDOW);
+            assert!(lb.engine().controller().records().is_empty());
         }
         assert_eq!(lb.recv(c).len(), 1 + total);
         assert_eq!(lb.engine().controller().granted(), total as u64);
-        let kept = lb.engine().controller().records().len();
-        assert!(
-            (ANSWER_WINDOW..=2 * ANSWER_WINDOW).contains(&kept),
-            "{kept}"
-        );
         assert_eq!(lb.engine().in_flight(), 0);
 
-        let newest = total as u64 - 1;
-        for ticket in [newest, newest + 1 - kept as u64, 0, newest - kept as u64] {
+        let (newest, window) = (total as u64 - 1, ANSWER_WINDOW as u64);
+        for ticket in [newest, newest + 1 - window, 0, newest - window] {
             lb.send(c, &format!(r#"{{"op": "poll", "ticket": {ticket}}}"#));
         }
         lb.send(c, r#"{"op": "poll", "ticket": 18446744073709551615}"#);
@@ -314,12 +360,14 @@ mod tests {
             )
         };
         assert_eq!(frames[0], granted(newest));
-        assert_eq!(frames[1], granted(newest + 1 - kept as u64));
-        assert_eq!(
-            frames[2],
-            r#"{"error": "expired-ticket", "detail": "ticket 0 was answered too long ago"}"#
-        );
-        assert!(frames[3].contains("expired-ticket"), "{}", frames[3]);
+        assert_eq!(frames[1], granted(newest + 1 - window));
+        let expired = |ticket: u64| {
+            format!(
+                r#"{{"error": "expired-ticket", "detail": "ticket {ticket} was answered too long ago"}}"#
+            )
+        };
+        assert_eq!(frames[2], expired(0));
+        assert_eq!(frames[3], expired(newest - window));
         assert_eq!(
             frames[4],
             r#"{"error": "unknown-ticket", "detail": "ticket 18446744073709551615 was never issued"}"#
@@ -330,6 +378,60 @@ mod tests {
             frames[6].contains(r#""protocol_errors": 4,"#),
             "{}",
             frames[6]
+        );
+    }
+
+    /// A straggler — a ticket answered only once `ANSWER_WINDOW` newer ones
+    /// were issued — polls `pending` while in flight and `expired-ticket`
+    /// once answered, while its event still streams to its subscribed
+    /// submitter.
+    #[test]
+    fn a_straggler_streams_its_answer_but_polls_as_expired() {
+        let config = ServeConfig::new(Family::Centralized, 16, 4);
+        let stub = Box::new(Stub::straggling());
+        let mut lb = Loopback::over(EngineCore::with_controller(config, stub));
+        let c = lb.connect();
+        lb.send(c, r#"{"op": "hello", "proto": 1}"#);
+        lb.send(c, r#"{"op": "subscribe"}"#);
+        lb.send(
+            c,
+            r#"{"op": "submit", "kind": "event", "node": 0, "tag": 7}"#,
+        );
+        assert_eq!(lb.recv(c).len(), 3);
+        let batch = format!(
+            r#"{{"op": "batch", "requests": [{}]}}"#,
+            vec![r#"{"kind": "event", "node": 1}"#; 128].join(", ")
+        );
+        let poll = |ticket: u64| format!(r#"{{"op": "poll", "ticket": {ticket}}}"#);
+        let pending = r#"{"ok": "outcome", "ticket": 0, "status": "pending"}"#;
+        for _ in 0..ANSWER_WINDOW / 128 {
+            lb.run_to_quiescence();
+            lb.send(c, &poll(0));
+            lb.send(c, &batch);
+        }
+        let polls = lb.recv(c).iter().filter(|f| *f == pending).count();
+        assert_eq!(polls, ANSWER_WINDOW / 128);
+        // The newest of the window's tickets was just issued: the straggler
+        // is still routed, so it still reads pending.
+        lb.send(c, &poll(0));
+        assert_eq!(lb.recv(c), [pending]);
+        assert_eq!(lb.engine().in_flight(), 1 + 128);
+
+        lb.run_to_quiescence();
+        let at = ANSWER_WINDOW + 1;
+        let event = format!(
+            r#"{{"event": "granted", "ticket": 0, "at": {at}, "kind": "event", "tag": 7}}"#
+        );
+        assert!(lb.recv(c).contains(&event), "{event} was not streamed");
+        assert_eq!(lb.engine().in_flight(), 0);
+        lb.send(c, &poll(0));
+        lb.send(c, &poll(1));
+        assert_eq!(
+            lb.recv(c),
+            [
+                r#"{"error": "expired-ticket", "detail": "ticket 0 was answered too long ago"}"#,
+                r#"{"ok": "outcome", "ticket": 1, "status": "granted", "at": 2, "kind": "event"}"#,
+            ]
         );
     }
 }

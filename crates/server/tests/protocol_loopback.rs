@@ -2,10 +2,11 @@
 //! transport: handshake, ticket lifecycle, subscription routing and
 //! shutdown for all six controller families, plus the parity test pinning
 //! the serve path against the batch [`ScenarioRunner`] — same scenario,
-//! same grant/reject sequence, same `records()`.
+//! every ticket polls as the runner recorded it, same counters.
 
 use dcn_controller::distributed::AdaptiveDistributedController;
-use dcn_controller::Controller;
+use dcn_controller::{Controller, Outcome, RequestRecord};
+use dcn_server::protocol::{self, WireOutcome};
 use dcn_server::{Loopback, ServeConfig};
 use dcn_simnet::SimConfig;
 use dcn_tree::NodeId;
@@ -39,6 +40,35 @@ fn recv_one(lb: &mut Loopback, client: u64) -> String {
         "expected exactly one frame, got {frames:?}"
     );
     frames.pop().unwrap()
+}
+
+/// The `poll` reply for an answered ticket, built from a controller's
+/// record of it: status, answer time, kind and created node.
+fn polled(record: &RequestRecord) -> String {
+    let outcome = match record.outcome {
+        Outcome::Granted { new_node, .. } => WireOutcome::Granted {
+            at: record.answered_at,
+            kind: record.kind,
+            new_node: new_node.map(|n| n.index() as u64),
+        },
+        Outcome::Rejected => WireOutcome::Rejected,
+        Outcome::Refused => WireOutcome::Refused,
+    };
+    protocol::outcome_frame(record.id.0, &outcome)
+}
+
+/// Asserts that `poll` answers every ticket `reference` recorded exactly as
+/// the record says.
+fn assert_polls_match(lb: &mut Loopback, client: u64, reference: &[RequestRecord], what: &str) {
+    for record in reference {
+        let ticket = record.id.0;
+        lb.send(client, &format!(r#"{{"op": "poll", "ticket": {ticket}}}"#));
+        assert_eq!(
+            recv_one(lb, client),
+            polled(record),
+            "{what}: ticket {ticket}"
+        );
+    }
 }
 
 #[test]
@@ -375,22 +405,20 @@ fn loopback_matches_scenario_runner_for_every_family() {
             let report = runner.run(ctrl.as_mut()).unwrap();
             report.check().unwrap();
 
-            // Same scenario through the wire protocol.
-            let lb = drive_loopback(&scenario);
-            let served = lb.engine().controller();
-
-            assert_eq!(
-                served.records(),
-                ctrl.records(),
-                "{family:?}/{arrival:?}: record history diverged"
-            );
-            assert_eq!(served.granted(), report.granted, "{family:?}/{arrival:?}");
-            assert_eq!(served.rejected(), report.rejected, "{family:?}/{arrival:?}");
+            // Same scenario through the wire protocol: every ticket polls as
+            // the runner's record of it, and no other ticket was issued.
+            let what = format!("{family:?}/{arrival:?}");
+            let mut lb = drive_loopback(&scenario);
+            let c = lb.connect();
+            lb.send(c, r#"{"op": "hello", "proto": 1}"#);
+            let _ = lb.recv(c);
+            assert_polls_match(&mut lb, c, ctrl.records(), &what);
             let stats = lb.engine().stats();
-            assert_eq!(
-                stats.refused, report.refused,
-                "{family:?}/{arrival:?}: refusal count diverged"
-            );
+            assert_eq!(stats.submitted, ctrl.records().len() as u64, "{what}");
+            assert_eq!(stats.granted, report.granted, "{what}");
+            assert_eq!(stats.rejected, report.rejected, "{what}");
+            assert_eq!(stats.refused, report.refused, "{what}");
+            assert_eq!(stats.messages, report.messages, "{what}");
         }
     }
 }
@@ -728,7 +756,8 @@ fn golden_session(config: ServeConfig) -> Vec<String> {
 /// takes the last permit; `granted` / `rejected` in `stats` and the other
 /// four rows did not move), and none when `adaptive-distributed` began to
 /// run in bounded slices on the epoch engine (the session's 48-event slices
-/// answer what its whole-run step answered).
+/// answer what its whole-run step answered), and none when `poll` moved back
+/// to a window of wire outcomes kept by the engine.
 #[test]
 fn golden_transcript_is_unchanged_for_every_family() {
     let golden: [(&str, usize, u64); 7] = [
@@ -835,8 +864,9 @@ fn poll_outcomes_repeat_the_streamed_events_field_for_field() {
 /// The paper's adaptive controller served in slices of 16 events: a deep
 /// request still reads `pending` after one slice, and a session that
 /// recycles permits and refreshes epochs answers every ticket, drains
-/// `in_flight()`, reconciles `stats` and keeps the records of a twin
-/// controller run to quiescence after every round — slicing moves nothing.
+/// `in_flight()`, reconciles `stats` and polls every ticket as a twin
+/// controller run to quiescence after every round recorded it — slicing
+/// moves nothing.
 #[test]
 fn adaptive_distributed_is_served_in_bounded_slices() {
     /// Submits to the server and the twin alike; returns the wire ticket.
@@ -913,7 +943,8 @@ fn adaptive_distributed_is_served_in_bounded_slices() {
     assert_eq!(answered, submitted);
     assert!(twin.recycles() >= 1, "no recycle forced");
     assert!(twin.epochs() >= 2, "no epoch refresh forced");
-    assert_eq!(lb.engine().controller().records(), twin.records());
+    assert_polls_match(&mut lb, c, twin.records(), "adaptive-distributed");
+    assert_eq!(lb.engine().stats().messages, twin.metrics().messages);
 
     lb.send(c, r#"{"op": "stats"}"#);
     let stats = parse(&recv_one(&mut lb, c));
@@ -937,9 +968,10 @@ fn answers(frames: &[String]) -> usize {
         .count()
 }
 
-/// The engine's only per-request table holds tickets in flight: it is
+/// The engine's routing table holds tickets in flight: it is
 /// `submitted − answered` at every point of a session and empty at
-/// quiescence, however many requests went through.
+/// quiescence, however many requests went through, and the served
+/// controller keeps no record past a pump.
 #[test]
 fn in_flight_is_submitted_minus_answered_and_zero_at_quiescence() {
     // 100 000 permits on the synchronous family, 64 a round.
@@ -961,8 +993,9 @@ fn in_flight_is_submitted_minus_answered_and_zero_at_quiescence() {
         lb.run_to_quiescence();
         assert_eq!(answers(&lb.recv(c)), 64);
         assert_eq!(lb.engine().in_flight(), 0);
+        assert!(lb.engine().controller().records().is_empty());
     }
-    assert_eq!(lb.engine().controller().records().len(), submitted);
+    assert_eq!(lb.engine().stats().granted, submitted as u64);
 
     // A churn session on the asynchronous family, pumped a slice at a time
     // so tickets of several rounds are in flight together.

@@ -36,14 +36,13 @@ fn a_churning_tree_holds_its_live_nodes_not_every_node_it_ever_had() {
     const CYCLES: usize = 200_000;
     const WARM_UP: usize = 50_000;
     const HELD: usize = 64;
-    const KEEP: usize = 1_024;
     let (m, w) = (4_194_304u64, 4_096u64);
     let tree = DynamicTree::with_initial_path(255);
     let u_bound = tree.node_count() + 2 + m as usize;
     let mut ctrl = DistributedController::new(SimConfig::new(23), tree, m, w, u_bound).unwrap();
 
     let mut added: VecDeque<NodeId> = VecDeque::new();
-    let (mut answers, mut warm_kib) = (0usize, 0u64);
+    let mut warm_kib = 0u64;
     for cycle in 0..CYCLES {
         if cycle == WARM_UP {
             warm_kib = resident_kib();
@@ -62,11 +61,8 @@ fn a_churning_tree_holds_its_live_nodes_not_every_node_it_ever_had() {
         added.push_back(leaf);
         assert!(ctrl.tree().node_count() <= 256 + HELD + 1, "cycle {cycle}");
 
-        answers += ctrl.drain_events().len();
-        if answers >= KEEP {
-            answers = 0;
-            ctrl.trim_records(KEEP);
-        }
+        ctrl.drain_events();
+        ctrl.trim_records(0);
     }
     let grown_kib = resident_kib().saturating_sub(warm_kib);
 
