@@ -20,10 +20,11 @@
 //! 2. Execution advances either all the way ([`Controller::run_to_quiescence`])
 //!    or in bounded slices ([`Controller::step`]), so a driver can interleave
 //!    new submissions with in-flight execution (open-loop workloads).
-//! 3. Outcomes are observed per request: as [`ControllerEvent`]s drained from
-//!    the event stream ([`Controller::drain_events`]), as [`RequestRecord`]s
-//!    in the history ([`Controller::records`]), or by ticket
-//!    ([`Controller::outcome`]).
+//! 3. Each ticket is answered once, with one [`RequestRecord`], which the
+//!    controller keeps in answer order until a driver takes it
+//!    ([`Controller::take_records`]); [`Controller::records`] reads the
+//!    answers not yet taken, and [`Controller::drain_events`] takes them as
+//!    [`ControllerEvent`]s.
 //!
 //! Cost counters are exposed uniformly through [`ControllerMetrics`].
 
@@ -57,7 +58,8 @@ pub struct ControllerMetrics {
 }
 
 /// A per-request outcome notification, drained from
-/// [`Controller::drain_events`].
+/// [`Controller::drain_events`]: every event is derived from one
+/// [`RequestRecord`] by [`ControllerEvent::push_for_record`].
 ///
 /// Events are emitted in answer order. Every ticket issued by
 /// [`Controller::submit`] resolves to exactly one of
@@ -106,8 +108,8 @@ impl ControllerEvent {
     /// Appends the events a resolved request produces, in emission order: the
     /// answer event matching the record's outcome (stamped with the record's
     /// answer time), plus one [`ControllerEvent::TopologyApplied`] for a
-    /// granted topological request. Shared by every family's event emission
-    /// so the event/record contract cannot drift per family.
+    /// granted topological request. The one source of events, so the
+    /// event/record contract cannot drift per family.
     pub fn push_for_record(record: &RequestRecord, events: &mut Vec<ControllerEvent>) {
         match record.outcome {
             Outcome::Granted { new_node, .. } => {
@@ -181,11 +183,12 @@ impl Progress {
 /// [`CentralizedController`](crate::centralized::CentralizedController) and
 /// the `TrivialController` / `AapsController` baselines in `dcn-baseline`.
 ///
-/// Synchronous families answer inside [`Controller::submit`] and emit their
-/// events immediately; the distributed families defer execution to
-/// [`Controller::run_to_quiescence`] / [`Controller::step`]. Drivers that mix
-/// submission and execution freely should drain events after every execution
-/// call; drivers that only want aggregates can keep reading
+/// Synchronous families answer inside [`Controller::submit`]; the
+/// distributed families defer execution to
+/// [`Controller::run_to_quiescence`] / [`Controller::step`]. A driver that
+/// runs without end takes the answers after every execution call; one that
+/// reads the whole history back — every sweep and experiment — never takes
+/// them, and one that only wants aggregates can keep reading
 /// [`Controller::granted`] / [`Controller::rejected`].
 pub trait Controller {
     /// A short human-readable family name (used in experiment rows).
@@ -215,10 +218,9 @@ pub trait Controller {
     ///
     /// Returns validation errors (unknown node, malformed topological
     /// request); such a request never entered the controller and resolves to
-    /// no event. The *answer* is not part of the return value — it is
-    /// observed through [`Controller::drain_events`] /
-    /// [`Controller::outcome`] once the execution has progressed far enough
-    /// (immediately for synchronous families).
+    /// no event. The *answer* is not part of the return value — it is a
+    /// record (see [`Controller::take_records`]) once the execution has
+    /// progressed far enough (immediately for synchronous families).
     fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError>;
 
     /// Runs until every submitted request is answered and every granted
@@ -243,30 +245,25 @@ pub trait Controller {
     /// Same as [`Controller::run_to_quiescence`].
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError>;
 
-    /// Removes and returns the per-request events produced since the last
-    /// drain, in answer order.
-    fn drain_events(&mut self) -> Vec<ControllerEvent>;
+    /// Removes and returns the answers given since the last take, in answer
+    /// order (grants, rejects and refusals alike), with submit/answer
+    /// virtual times: each ticket's record is handed out once. Counters and
+    /// the tree are unaffected.
+    fn take_records(&mut self) -> Vec<RequestRecord>;
 
-    /// All resolved requests so far, in answer order (grants, rejects and
-    /// refusals alike), with submit/answer virtual times — less what
-    /// [`Controller::trim_records`] dropped.
+    /// The answers not yet taken, in answer order — the whole history for a
+    /// driver that never takes.
     fn records(&self) -> &[RequestRecord];
 
-    /// The record of a specific ticket, if it has been answered (and not
-    /// trimmed since).
-    fn record(&self, id: RequestId) -> Option<&RequestRecord>;
-
-    /// Forgets all but the newest `keep` answers (see
-    /// [`RequestLedger::trim`]): a driver that runs without end bounds the
-    /// history with this — the server calls `trim_records(0)` after every
-    /// pump, once it has copied what `poll` needs; one that reads the whole
-    /// history back — every sweep and experiment — never calls it.
-    /// Counters, events and the tree are unaffected.
-    fn trim_records(&mut self, keep: usize);
-
-    /// The outcome of a specific ticket, if it has been answered.
-    fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.record(id).map(|record| record.outcome)
+    /// Takes the answers ([`Controller::take_records`]) as events, in answer
+    /// order: [`ControllerEvent::push_for_record`] over each record.
+    fn drain_events(&mut self) -> Vec<ControllerEvent> {
+        let records = self.take_records();
+        let mut events = Vec::with_capacity(records.len());
+        for record in &records {
+            ControllerEvent::push_for_record(record, &mut events);
+        }
+        events
     }
 
     /// Number of permits granted so far.
@@ -284,9 +281,9 @@ pub trait Controller {
 
 /// The core of a *synchronous* family — one that decides a request on the
 /// spot. Implementing it is all the centralized, trivial and AAPS families
-/// do: the ticket lifecycle of [`Controller`] (issue, record, emit,
-/// drain, look up) is supplied once by the blanket impl below over the
-/// family's embedded [`RequestLedger`].
+/// do: the ticket lifecycle of [`Controller`] (issue, record, take) is
+/// supplied once by the blanket impl below over the family's embedded
+/// [`RequestLedger`].
 pub trait SyncController {
     /// See [`Controller::name`].
     fn name(&self) -> &'static str;
@@ -372,20 +369,12 @@ impl<T: SyncController> Controller for T {
         Ok(Progress::quiescent())
     }
 
-    fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.ledger_mut().drain_events()
+    fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.ledger_mut().take_records()
     }
 
     fn records(&self) -> &[RequestRecord] {
         self.ledger().records()
-    }
-
-    fn record(&self, id: RequestId) -> Option<&RequestRecord> {
-        self.ledger().get(id)
-    }
-
-    fn trim_records(&mut self, keep: usize) {
-        self.ledger_mut().trim(keep);
     }
 
     fn granted(&self) -> u64 {
@@ -450,10 +439,12 @@ mod tests {
             assert!(ctrl.granted() >= ctrl.budget() - ctrl.waste_bound());
             assert!(ctrl.metrics().messages > 0 || ctrl.metrics().moves > 0);
             assert!(ctrl.supports(RequestKind::RemoveSelf));
-            // Tickets are unique and every one resolves to an outcome.
+            // Tickets are unique and every one resolves to one record.
             assert_eq!(ids.len(), 20);
+            let answered: Vec<RequestId> = ctrl.records().iter().map(|r| r.id).collect();
             for &id in &ids {
-                assert!(ctrl.outcome(id).is_some(), "{}: {id}", ctrl.name());
+                let once = answered.iter().filter(|&&a| a == id).count();
+                assert_eq!(once, 1, "{}: {id}", ctrl.name());
             }
             // Event totals mirror the counters exactly.
             let events = ctrl.drain_events();
@@ -467,7 +458,8 @@ mod tests {
                 .count() as u64;
             assert_eq!(granted, ctrl.granted(), "{}", ctrl.name());
             assert_eq!(rejected, ctrl.rejected(), "{}", ctrl.name());
-            // Draining is destructive.
+            // Draining takes the records.
+            assert!(ctrl.records().is_empty());
             assert!(ctrl.drain_events().is_empty());
         }
     }

@@ -6,7 +6,7 @@ use crate::domain::DomainAuditor;
 use crate::ledger::RequestLedger;
 use crate::package::{MobilePackage, PackageStore, PermitInterval};
 use crate::params::Params;
-use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
+use crate::request::{check_request, Outcome, RequestId, RequestKind};
 use crate::ControllerError;
 use dcn_collections::FxHashMap;
 use dcn_simnet::SimConfig;
@@ -490,10 +490,6 @@ impl InnerController for CentralizedController {
         let id = self.ledger.issue();
         self.ledger.record(id, at, kind, outcome);
         Ok(id)
-    }
-
-    fn take_records(&mut self) -> Vec<RequestRecord> {
-        self.ledger.take_records()
     }
 
     fn uncommitted_permits(&self) -> u64 {

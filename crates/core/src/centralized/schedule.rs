@@ -16,7 +16,7 @@
 //! most nodes ever alive at once) on size doubling.
 
 use super::CentralizedController;
-use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
+use crate::api::{Controller, ControllerMetrics, Progress};
 use crate::distributed::{
     InnerController, IterationDriver, IterationPlan, IterationPolicy, Runtime,
 };
@@ -137,10 +137,12 @@ impl<C: InnerController> IterationPolicy<C> for Schedule {
 /// let root = ctrl.tree().root();
 /// for _ in 0..5 {
 ///     let ticket = ctrl.submit(root, RequestKind::NonTopological)?;
-///     assert!(ctrl.outcome(ticket).unwrap().is_granted());
+///     let answer = ctrl.records().last().unwrap();
+///     assert!(answer.id == ticket && answer.outcome.is_granted());
 /// }
 /// let ticket = ctrl.submit(root, RequestKind::NonTopological)?;
-/// assert!(!ctrl.outcome(ticket).unwrap().is_granted());
+/// let answer = ctrl.records().last().unwrap();
+/// assert!(answer.id == ticket && !answer.outcome.is_granted());
 /// # Ok(())
 /// # }
 /// ```
@@ -269,20 +271,12 @@ impl Controller for IteratedController {
         Ok(Progress::quiescent())
     }
 
-    fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.engine.drain_controller_events()
+    fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.engine.take_records()
     }
 
     fn records(&self) -> &[RequestRecord] {
         self.engine.records()
-    }
-
-    fn record(&self, id: RequestId) -> Option<&RequestRecord> {
-        self.engine.record(id)
-    }
-
-    fn trim_records(&mut self, keep: usize) {
-        self.engine.trim_records(keep);
     }
 
     fn granted(&self) -> u64 {

@@ -4,7 +4,7 @@
 use super::agent::{CtrlAgent, RequestAgent};
 use super::epoch::InnerController;
 use super::protocol::{ControllerProtocol, PackageEvent};
-use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
+use crate::api::{Controller, ControllerMetrics, Progress};
 use crate::ledger::RequestLedger;
 use crate::package::PermitInterval;
 use crate::params::Params;
@@ -20,7 +20,7 @@ use dcn_simnet::{DynamicTree, Metrics, NodeId, SimConfig, Simulator};
 /// mobile agent at its origin) and executed concurrently by
 /// [`Controller::run_to_quiescence`] / [`Controller::step`]; answers are
 /// available afterwards through [`Controller::records`] /
-/// [`Controller::outcome`].
+/// [`Controller::take_records`].
 ///
 /// ```
 /// use dcn_controller::distributed::DistributedController;
@@ -248,20 +248,12 @@ impl Controller for DistributedController {
         })
     }
 
-    fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.ledger.drain_events()
+    fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.ledger.take_records()
     }
 
     fn records(&self) -> &[RequestRecord] {
         self.ledger.records()
-    }
-
-    fn record(&self, id: RequestId) -> Option<&RequestRecord> {
-        self.ledger.get(id)
-    }
-
-    fn trim_records(&mut self, keep: usize) {
-        self.ledger.trim(keep);
     }
 
     fn granted(&self) -> u64 {
@@ -295,10 +287,6 @@ impl InnerController for DistributedController {
         interval: Option<PermitInterval>,
     ) -> Result<Self, ControllerError> {
         Self::with_interval(config, tree, m, w, u_bound, interval)
-    }
-
-    fn take_records(&mut self) -> Vec<RequestRecord> {
-        self.ledger.take_records()
     }
 
     fn uncommitted_permits(&self) -> u64 {

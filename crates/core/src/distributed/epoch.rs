@@ -14,7 +14,7 @@
 //! k-shell exchange wave is not this loop.
 
 use super::driver::DistributedController;
-use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
+use crate::api::{Controller, ControllerMetrics, Progress};
 use crate::ledger::RequestLedger;
 use crate::package::PermitInterval;
 use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
@@ -24,8 +24,9 @@ use dcn_simnet::{DynamicTree, NodeId, SimConfig};
 
 /// The controller that runs one iteration: what the [`EpochShell`] and the
 /// [`IterationPolicy`] hooks read of it beyond [`Controller`] (`step`,
-/// `rejected`, `tree`, `metrics`). Public in name only — no module exports
-/// it — so that the engine's public signatures may bound on it.
+/// `take_records`, `rejected`, `tree`, `metrics`). Public in name only — no
+/// module exports it — so that the engine's public signatures may bound on
+/// it.
 pub trait InnerController: Controller + Sized {
     /// `true` for the §3 model: a request is answered inside `submit`, on
     /// the synchronous clock (tickets issued, see [`RequestLedger::record`]),
@@ -48,10 +49,6 @@ pub trait InnerController: Controller + Sized {
     fn enter(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
         self.submit(at, kind)
     }
-
-    /// Removes and returns the answers given so far (see
-    /// [`RequestLedger::take_records`]).
-    fn take_records(&mut self) -> Vec<RequestRecord>;
 
     /// Permits not yet granted: the root's storage plus every package.
     fn uncommitted_permits(&self) -> u64;
@@ -224,10 +221,9 @@ impl<C: InnerController> EpochShell<C> {
     }
 
     /// Takes the running epoch's fresh answers out of the inner controller
-    /// (nothing stays behind: no second copy of records, index or events) and
-    /// re-keys each to its outer ticket, original submission time and the
-    /// global clock. Origin, kind and any granted node stay in the inner
-    /// controller's addressing.
+    /// (nothing stays behind) and re-keys each to its outer ticket, original
+    /// submission time and the global clock. Origin, kind and any granted
+    /// node stay in the inner controller's addressing.
     pub(crate) fn collect(&mut self) -> Vec<RequestRecord> {
         let Some(ctrl) = self.live.as_mut() else {
             return Vec::new();
@@ -320,30 +316,6 @@ pub trait IterationPolicy<C = DistributedController> {
     }
 }
 
-/// An event drained from an [`IterationDriver`] (and so from any §5
-/// application).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AppEvent {
-    /// A per-request controller event (grant / reject / refusal / topology
-    /// application), with the driver's stable outer ticket.
-    Controller(ControllerEvent),
-    /// A new iteration started: the epoch announcement of the §5 protocols.
-    IterationStarted {
-        /// The 1-based iteration index.
-        index: u32,
-        /// The iteration-start network size `N_i` (the estimate announced to
-        /// every node).
-        estimate: u64,
-    },
-}
-
-impl AppEvent {
-    /// Returns `true` for the answer events that resolve a ticket.
-    pub fn is_answer(&self) -> bool {
-        matches!(self, AppEvent::Controller(e) if e.is_answer())
-    }
-}
-
 /// The ticket surface of an [`IterationDriver`] with its policy type erased
 /// (the runtime at the bottom of every `dcn-estimator` application stack).
 pub trait Runtime {
@@ -367,11 +339,11 @@ pub trait Runtime {
     /// Propagates simulator errors and rotation-time construction errors.
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError>;
 
-    /// Removes and returns the events produced since the last drain, in
-    /// emission order.
-    fn drain_events(&mut self) -> Vec<AppEvent>;
+    /// Removes and returns the answers given since the last take, in answer
+    /// order (see [`Controller::take_records`]).
+    fn take_records(&mut self) -> Vec<RequestRecord>;
 
-    /// All resolved requests so far, in answer order.
+    /// The answers not yet taken, in answer order.
     fn records(&self) -> &[RequestRecord];
 
     /// The current spanning tree.
@@ -415,9 +387,6 @@ pub struct IterationDriver<P, C = DistributedController> {
     policy: P,
     shell: EpochShell<C>,
     ledger: RequestLedger,
-    /// Drained events, in emission order; per-request events wait in the
-    /// ledger until an iteration boundary or a drain moves them here.
-    events: Vec<AppEvent>,
     /// The iteration-start size `N_i` announced to every node.
     estimate: u64,
     iterations: u32,
@@ -452,7 +421,6 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
             policy,
             shell: EpochShell::parked(tree),
             ledger: RequestLedger::new(),
-            events: Vec::new(),
             estimate: 0,
             iterations: 0,
             aux_messages: 0,
@@ -598,7 +566,7 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     }
 
     /// Moves the inner controller's fresh answers into the outer history:
-    /// grants become final records/events, rejects join the retry queue.
+    /// grants become final records, rejects join the retry queue.
     fn collect_answers(&mut self) {
         let before = self.ledger.records().len();
         for rec in self.shell.collect() {
@@ -627,15 +595,6 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
         }
     }
 
-    /// Moves the ledger's per-request events behind everything already
-    /// emitted (called before an iteration announcement and before a drain,
-    /// which keeps the stream in emission order).
-    fn flush_events(&mut self) {
-        let fresh = self.ledger.drain_events();
-        self.events
-            .extend(fresh.into_iter().map(AppEvent::Controller));
-    }
-
     /// Closes the running iteration, charges its closing wave and starts
     /// the next one.
     fn rotate(&mut self) -> Result<(), ControllerError> {
@@ -648,8 +607,8 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     }
 
     /// Plans and starts an iteration over the parked tree: charges the
-    /// announcement wave, derives the iteration seed, installs the inner
-    /// controller and emits [`AppEvent::IterationStarted`].
+    /// announcement wave, derives the iteration seed and installs the inner
+    /// controller.
     fn start_iteration(&mut self) -> Result<(), ControllerError> {
         let tree = self.shell.tree();
         let nodes = tree.node_count();
@@ -665,21 +624,7 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
         cfg.seed = self.seed_counter;
         self.seed_counter = self.seed_counter.wrapping_add(1);
         self.shell
-            .install(cfg, budget, waste, u_bound, plan.interval)?;
-        self.flush_events();
-        self.events.push(AppEvent::IterationStarted {
-            index: self.iterations,
-            estimate: self.estimate,
-        });
-        Ok(())
-    }
-
-    pub(crate) fn record(&self, id: RequestId) -> Option<&RequestRecord> {
-        self.ledger.get(id)
-    }
-
-    pub(crate) fn trim_records(&mut self, keep: usize) {
-        self.ledger.trim(keep);
+            .install(cfg, budget, waste, u_bound, plan.interval)
     }
 
     pub(crate) fn submitted(&self) -> u64 {
@@ -707,18 +652,6 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
             messages,
             ..totals
         }
-    }
-
-    /// The per-request events of [`Runtime::drain_events`], without the
-    /// iteration announcements.
-    pub(crate) fn drain_controller_events(&mut self) -> Vec<ControllerEvent> {
-        self.drain_events()
-            .into_iter()
-            .filter_map(|event| match event {
-                AppEvent::Controller(event) => Some(event),
-                AppEvent::IterationStarted { .. } => None,
-            })
-            .collect()
     }
 }
 
@@ -755,9 +688,8 @@ impl<P: IterationPolicy<C>, C: InnerController> Runtime for IterationDriver<P, C
         self.slice(Some(budget))
     }
 
-    fn drain_events(&mut self) -> Vec<AppEvent> {
-        self.flush_events();
-        std::mem::take(&mut self.events)
+    fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.ledger.take_records()
     }
 
     fn records(&self) -> &[RequestRecord] {
@@ -905,8 +837,7 @@ mod tests {
         assert_eq!(shell.collect().len(), 4);
         let inner = shell.live.as_mut().unwrap();
         assert!(inner.records().is_empty());
-        assert!(inner.outcome(RequestId(0)).is_none());
-        assert!(inner.drain_events().is_empty());
+        assert!(inner.take_records().is_empty());
         // A second collection finds nothing new, and no ticket is held.
         assert!(shell.collect().is_empty());
         assert!(shell.outer_of.is_empty());

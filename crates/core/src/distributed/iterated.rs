@@ -26,7 +26,7 @@
 
 use super::driver::DistributedController;
 use super::epoch::{IterationDriver, IterationPlan, IterationPolicy, Runtime};
-use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
+use crate::api::{Controller, ControllerMetrics, Progress};
 use crate::request::{RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;
 use crate::ControllerError;
@@ -199,20 +199,12 @@ impl Controller for AdaptiveDistributedController {
         self.engine.step(budget)
     }
 
-    fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.engine.drain_controller_events()
+    fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.engine.take_records()
     }
 
     fn records(&self) -> &[RequestRecord] {
         self.engine.records()
-    }
-
-    fn record(&self, id: RequestId) -> Option<&RequestRecord> {
-        self.engine.record(id)
-    }
-
-    fn trim_records(&mut self, keep: usize) {
-        self.engine.trim_records(keep);
     }
 
     fn granted(&self) -> u64 {

@@ -38,7 +38,7 @@ mod protocol;
 
 pub use agent::{CtrlAgent, RequestAgent};
 pub use driver::DistributedController;
-pub use epoch::{AppEvent, IterationDriver, IterationPlan, IterationPolicy, Runtime};
 pub(crate) use epoch::{EpochShell, InnerController, Pending};
+pub use epoch::{IterationDriver, IterationPlan, IterationPolicy, Runtime};
 pub use iterated::AdaptiveDistributedController;
 pub use protocol::{ControllerProtocol, CtrlOutput, CtrlWhiteboard, PackageEvent};

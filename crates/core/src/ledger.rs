@@ -1,12 +1,13 @@
-//! The [`RequestLedger`]: the one holder of tickets, records, the by-ticket
-//! index and the event buffer behind every [`Controller`](crate::Controller).
+//! The [`RequestLedger`]: the one holder of tickets and answers behind every
+//! [`Controller`](crate::Controller).
 //!
 //! The runtime API is *ticket-based*: every submission is issued a
-//! [`RequestId`], and its outcome is observable three ways — as a
-//! [`ControllerEvent`] drained from the event stream, as a [`RequestRecord`]
-//! in the per-request history, and by id through
-//! [`Controller::outcome`](crate::Controller::outcome). Every family embeds
-//! one ledger and enters answers through one of two doors:
+//! [`RequestId`], and its answer is one [`RequestRecord`], kept in answer
+//! order until a driver takes it
+//! ([`Controller::take_records`](crate::Controller::take_records)); the
+//! [`ControllerEvent`](crate::ControllerEvent) stream is derived from those
+//! records. Every family embeds one ledger and enters answers through one of
+//! two doors:
 //!
 //! * the synchronous families (centralized, iterated, trivial, AAPS) answer
 //!   inside `submit`: [`RequestLedger::issue`] a ticket, then
@@ -18,18 +19,11 @@
 //!   the §5 iteration driver) answer later on a simulated clock and
 //!   [`RequestLedger::push`] a finished record carrying its own
 //!   `submitted_at` / `answered_at`.
-//!
-//! The history is complete unless the owner asks otherwise: a process that
-//! serves requests without end calls [`RequestLedger::trim`] to keep only the
-//! newest answers, and the by-ticket index — a window over the ticket ids of
-//! the retained records — shrinks with it.
 
-use crate::api::ControllerEvent;
 use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
-use dcn_collections::SlidingMap;
 use dcn_tree::NodeId;
 
-/// Ticket issuing, event buffering and request history for one controller.
+/// Ticket issuing and the answers not yet taken, for one controller.
 ///
 /// ```
 /// use dcn_controller::{Outcome, RequestKind, RequestLedger};
@@ -43,22 +37,14 @@ use dcn_tree::NodeId;
 ///     RequestKind::NonTopological,
 ///     Outcome::Granted { serial: None, new_node: None },
 /// );
-/// assert!(ledger.outcome(id).unwrap().is_granted());
-/// assert_eq!(ledger.drain_events().len(), 1);
+/// assert!(ledger.records()[0].outcome.is_granted());
+/// assert_eq!(ledger.take_records().len(), 1);
+/// assert!(ledger.records().is_empty());
 /// ```
 #[derive(Debug, Default)]
 pub struct RequestLedger {
     next_id: u64,
-    events: Vec<ControllerEvent>,
     records: Vec<RequestRecord>,
-    /// Number of records [`RequestLedger::trim`] has dropped from the front
-    /// of `records`; only ever grows.
-    trimmed: u64,
-    /// Ticket → the record's number in answer order, counted from the
-    /// ledger's first answer: it sits at `records[number − trimmed]`, so a
-    /// trim moves no entry. Tickets are answered roughly in the order they
-    /// were issued, which makes the retained ones a window of ids.
-    index: SlidingMap<RequestId, u64>,
 }
 
 impl RequestLedger {
@@ -83,7 +69,7 @@ impl RequestLedger {
 
     /// Records the final answer for `id` at the synchronous clock (latency
     /// 0 — the synchronous families answer, and apply a granted change,
-    /// before `submit` returns); see [`RequestLedger::push`] for the events.
+    /// before `submit` returns).
     pub fn record(&mut self, id: RequestId, origin: NodeId, kind: RequestKind, outcome: Outcome) {
         let now = self.issued();
         self.push(RequestRecord {
@@ -96,30 +82,9 @@ impl RequestLedger {
         });
     }
 
-    /// Appends a finished record carrying its own times, indexes it by
-    /// ticket and emits the matching events: [`ControllerEvent::Granted`]
-    /// (plus [`ControllerEvent::TopologyApplied`] for granted topological
-    /// requests), [`ControllerEvent::Rejected`] or
-    /// [`ControllerEvent::Refused`].
+    /// Appends a finished record carrying its own times.
     pub fn push(&mut self, record: RequestRecord) {
-        ControllerEvent::push_for_record(&record, &mut self.events);
-        let number = self.trimmed + self.records.len() as u64;
-        self.index.insert(record.id, number);
         self.records.push(record);
-    }
-
-    /// Forgets all but the newest `keep` answers: the older records leave
-    /// [`RequestLedger::records`] and their tickets read as unanswered from
-    /// then on ([`RequestLedger::get`] is `None`). Tickets, counters and
-    /// buffered events are untouched. Costs a move of the `keep` retained
-    /// records, so a caller that trims as it goes lets the history reach a
-    /// multiple of `keep` between calls.
-    pub fn trim(&mut self, keep: usize) {
-        let excess = self.records.len().saturating_sub(keep);
-        for record in self.records.drain(..excess) {
-            self.index.remove(record.id);
-        }
-        self.trimmed += excess as u64;
     }
 
     /// Issues a ticket and records a refusal in one step (the path taken when
@@ -131,68 +96,22 @@ impl RequestLedger {
         id
     }
 
-    /// Removes and returns the buffered events, in emission order.
-    pub fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// The answers recorded so far (and not trimmed or taken since), in
-    /// answer order.
+    /// The answers recorded and not taken since, in answer order.
     pub fn records(&self) -> &[RequestRecord] {
         &self.records
     }
 
-    /// Removes and returns the recorded answers, dropping their index
-    /// entries and buffered events with them: the epoch engine
-    /// ([`IterationDriver`](crate::distributed::IterationDriver)) moves an
-    /// inner controller's answers out to re-key them under the outer
-    /// tickets, so nothing is held twice.
+    /// Removes and returns the answers recorded since the last take, in
+    /// answer order: each answer is handed out once.
     pub fn take_records(&mut self) -> Vec<RequestRecord> {
-        self.index.clear();
-        self.events.clear();
         std::mem::take(&mut self.records)
-    }
-
-    /// The record of a specific request, if it has been answered (and not
-    /// dropped by [`RequestLedger::trim`] or moved out by
-    /// [`RequestLedger::take_records`]).
-    pub fn get(&self, id: RequestId) -> Option<&RequestRecord> {
-        let number = *self.index.get(id)?;
-        Some(&self.records[(number - self.trimmed) as usize])
-    }
-
-    /// The outcome of a specific request, if it has been answered.
-    pub fn outcome(&self, id: RequestId) -> Option<Outcome> {
-        self.get(id).map(|record| record.outcome)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl RequestLedger {
-        /// A ledger that has already answered and trimmed `trimmed` requests
-        /// — a week of serving in one line.
-        fn with_trimmed(trimmed: u64) -> Self {
-            RequestLedger {
-                next_id: trimmed,
-                trimmed,
-                ..RequestLedger::default()
-            }
-        }
-    }
-
-    fn rejected(id: RequestId, answered_at: u64) -> RequestRecord {
-        RequestRecord {
-            id,
-            origin: NodeId::from_index(0),
-            kind: RequestKind::NonTopological,
-            outcome: Outcome::Rejected,
-            submitted_at: 0,
-            answered_at,
-        }
-    }
+    use crate::api::ControllerEvent;
 
     #[test]
     fn tickets_are_sequential_and_tick_the_clock() {
@@ -215,7 +134,10 @@ mod tests {
                 new_node: Some(NodeId::from_index(9)),
             },
         );
-        let events = ledger.drain_events();
+        let mut events = Vec::new();
+        for record in ledger.take_records() {
+            ControllerEvent::push_for_record(&record, &mut events);
+        }
         assert_eq!(events.len(), 2);
         assert!(matches!(events[0], ControllerEvent::Granted { .. }));
         assert!(matches!(
@@ -225,26 +147,22 @@ mod tests {
                 ..
             } if n == NodeId::from_index(9)
         ));
-        // Draining empties the buffer.
-        assert!(ledger.drain_events().is_empty());
+        // Taking empties the ledger.
+        assert!(ledger.take_records().is_empty());
     }
 
     #[test]
     fn refusals_are_recorded_and_retrievable() {
         let mut ledger = RequestLedger::new();
         let id = ledger.refuse(NodeId::from_index(1), RequestKind::RemoveSelf);
-        assert_eq!(ledger.outcome(id), Some(Outcome::Refused));
-        assert_eq!(ledger.get(id), Some(&ledger.records()[0]));
-        // An issued but unanswered ticket, and one never issued, have none.
+        // An issued but unanswered ticket has no record.
         let open = ledger.issue();
-        assert_eq!(ledger.get(open), None);
-        assert_eq!(ledger.get(RequestId(u64::MAX)), None);
-        assert!(matches!(
-            ledger.drain_events()[..],
-            [ControllerEvent::Refused { id: got }] if got == id
-        ));
+        assert_eq!(ledger.records().len(), 1);
+        let record = ledger.records()[0];
+        assert_eq!((record.id, record.outcome), (id, Outcome::Refused));
+        assert!(ledger.records().iter().all(|r| r.id != open));
         // Synchronous records carry zero latency.
-        assert_eq!(ledger.records()[0].latency(), 0);
+        assert_eq!(record.latency(), 0);
     }
 
     #[test]
@@ -260,79 +178,12 @@ mod tests {
             answered_at: 25,
         });
         assert_eq!(ledger.records()[0].latency(), 15);
-        assert_eq!(ledger.outcome(id), Some(Outcome::Rejected));
-        assert_eq!(ledger.get(id).map(|r| r.answered_at), Some(25));
         let taken = ledger.take_records();
         assert_eq!(taken.len(), 1);
+        assert_eq!((taken[0].id, taken[0].answered_at), (id, 25));
         assert!(ledger.records().is_empty());
-        assert_eq!(ledger.outcome(id), None);
-        assert_eq!(ledger.get(id), None);
-        assert!(ledger.drain_events().is_empty());
+        assert!(ledger.take_records().is_empty());
         // Tickets keep counting: a taken history never reissues an id.
         assert_eq!(ledger.issue(), RequestId(1));
-    }
-
-    #[test]
-    fn trim_keeps_lookups_right_under_out_of_order_answers() {
-        let mut ledger = RequestLedger::new();
-        let ids: Vec<RequestId> = (0..12).map(|_| ledger.issue()).collect();
-        // Answered in an order that is neither ticket order nor its reverse;
-        // ticket 11 stays in flight.
-        let order = [3, 0, 1, 7, 2, 5, 4, 10, 6, 9, 8];
-        for (at, &t) in order.iter().enumerate() {
-            ledger.push(rejected(ids[t], at as u64));
-        }
-        ledger.trim(4);
-        assert_eq!(ledger.records().len(), 4);
-        for (at, &t) in order.iter().enumerate() {
-            let got = ledger.get(ids[t]).map(|r| (r.id, r.answered_at));
-            if at < order.len() - 4 {
-                assert_eq!(got, None, "ticket {t} was trimmed");
-            } else {
-                assert_eq!(got, Some((ids[t], at as u64)), "ticket {t} is retained");
-            }
-        }
-        // In flight and never issued: no record before or after.
-        assert_eq!(ledger.get(ids[11]), None);
-        assert_eq!(ledger.get(RequestId(12)), None);
-        assert_eq!(ledger.get(RequestId(u64::MAX)), None);
-        // A ticket below every retained one is answered late: it is inserted
-        // below the index window's front and found.
-        ledger.push(rejected(ids[11], 99));
-        ledger.trim(2);
-        assert_eq!(ledger.get(ids[11]).map(|r| r.answered_at), Some(99));
-        assert_eq!(ledger.get(ids[8]).map(|r| r.answered_at), Some(10));
-        assert_eq!(ledger.get(ids[9]), None);
-        // Trimming to more than is held, or again, changes nothing; events
-        // and the ticket counter never noticed.
-        ledger.trim(2);
-        ledger.trim(100);
-        assert_eq!(ledger.records().len(), 2);
-        assert_eq!(ledger.drain_events().len(), 12);
-        assert_eq!(ledger.issue(), RequestId(12));
-        ledger.trim(0);
-        assert!(ledger.records().is_empty());
-        assert_eq!(ledger.get(ids[11]), None);
-    }
-
-    #[test]
-    fn record_numbers_do_not_overflow_past_u32() {
-        let mut ledger = RequestLedger::with_trimmed(u64::from(u32::MAX) + 7);
-        let ids: Vec<RequestId> = (0..6).map(|_| ledger.issue()).collect();
-        assert_eq!(ids[0], RequestId(u64::from(u32::MAX) + 7));
-        for (at, &id) in ids.iter().enumerate() {
-            ledger.push(rejected(id, at as u64));
-        }
-        ledger.trim(3);
-        assert_eq!(ledger.get(ids[2]), None);
-        for (at, &id) in ids.iter().enumerate().skip(3) {
-            assert_eq!(ledger.get(id).map(|r| r.answered_at), Some(at as u64));
-        }
-        // Taking the history and answering on keeps the numbering sound.
-        assert_eq!(ledger.take_records().len(), 3);
-        let late = ledger.issue();
-        ledger.push(rejected(late, 50));
-        assert_eq!(ledger.get(late).map(|r| r.answered_at), Some(50));
-        assert_eq!(ledger.get(ids[5]), None);
     }
 }

@@ -35,8 +35,9 @@
 //! Every family is driven through the ticket-based [`Controller`] trait: a
 //! submission returns a [`RequestId`] ticket, execution advances either all
 //! the way ([`Controller::run_to_quiescence`]) or in bounded slices
-//! ([`Controller::step`]), and per-request outcomes are observed as
-//! [`ControllerEvent`]s or looked up by ticket:
+//! ([`Controller::step`]), and each ticket's answer is one record, handed
+//! out once by [`Controller::take_records`] (or as [`ControllerEvent`]s by
+//! [`Controller::drain_events`]):
 //!
 //! ```
 //! use dcn_controller::distributed::DistributedController;
@@ -54,16 +55,17 @@
 //!
 //! // Submit returns a ticket; the agent is now in flight.
 //! let ticket = Controller::submit(&mut ctrl, leaf, RequestKind::AddLeaf)?;
-//! assert!(Controller::outcome(&ctrl, ticket).is_none());
+//! assert!(ctrl.records().is_empty());
 //!
 //! // Advance the simulator in bounded slices until it is quiescent —
 //! // open-loop drivers submit more requests between slices.
 //! while !Controller::step(&mut ctrl, 32)?.quiescent {}
 //!
-//! // The answer arrives as an event (and as a record retrievable by ticket).
+//! // The answer is a record until it is taken, here as events.
+//! assert!(ctrl.records()[0].id == ticket && ctrl.records()[0].outcome.is_granted());
 //! let events = Controller::drain_events(&mut ctrl);
 //! assert!(matches!(events[0], ControllerEvent::Granted { id, .. } if id == ticket));
-//! assert!(Controller::outcome(&ctrl, ticket).unwrap().is_granted());
+//! assert!(ctrl.records().is_empty());
 //! assert_eq!(ctrl.granted(), 1);
 //! # Ok(())
 //! # }

@@ -8,8 +8,8 @@ use std::fmt;
 ///
 /// Every [`Controller::submit`](crate::Controller::submit) call that reaches a
 /// controller issues one — it is the *ticket* under which the request's
-/// outcome is later reported ([`ControllerEvent`](crate::ControllerEvent),
-/// [`RequestRecord`], [`Controller::outcome`](crate::Controller::outcome)).
+/// outcome is later reported (a [`RequestRecord`], and the
+/// [`ControllerEvent`](crate::ControllerEvent)s derived from it).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
 

@@ -42,12 +42,13 @@
 
 pub(crate) mod exchange;
 
-use crate::api::{Controller, ControllerEvent, ControllerMetrics, Progress};
+use crate::api::{Controller, ControllerMetrics, Progress};
 use crate::distributed::{EpochShell, Pending};
 use crate::ledger::RequestLedger;
 use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;
 use crate::ControllerError;
+use dcn_collections::SlidingMap;
 use dcn_rng::split_mix64;
 use dcn_simnet::SimConfig;
 use dcn_tree::{DynamicTree, LocalMap, NodeId, RegionMap, TopologyEvent};
@@ -61,7 +62,7 @@ const THREAD_SLICE_FLOOR: u64 = 256;
 /// controller reports a livelock instead of spinning.
 const MAX_BARREN_WAVES: u64 = 8;
 
-/// Per-ticket routing and bookkeeping state (dense by global ticket id).
+/// Routing and bookkeeping state of one unanswered ticket.
 #[derive(Clone, Copy, Debug)]
 struct Ticket {
     /// Global node the request arrived at.
@@ -142,8 +143,10 @@ pub struct ShardedController {
     mirror: DynamicTree,
     map: RegionMap,
     shards: Vec<Shard>,
-    /// Routing state per ticket; `tickets.len()` is the number issued.
-    tickets: Vec<Ticket>,
+    /// Routing state of every unanswered ticket, from `submit` until
+    /// [`ShardedController::resolve`] answers it: the window spans the
+    /// tickets in flight or parked, not every ticket issued.
+    tickets: SlidingMap<RequestId, Ticket>,
     ledger: RequestLedger,
     /// Parked tickets awaiting the next exchange wave (FIFO).
     pending: Vec<u64>,
@@ -239,7 +242,7 @@ impl ShardedController {
             mirror,
             map,
             shards: shard_vec,
-            tickets: Vec::new(),
+            tickets: SlidingMap::new(),
             ledger: RequestLedger::new(),
             pending: Vec::new(),
             granted_total: 0,
@@ -270,7 +273,7 @@ impl ShardedController {
 
     /// Number of requests submitted so far.
     pub fn submitted(&self) -> u64 {
-        self.tickets.len() as u64
+        self.ledger.issued()
     }
 
     /// A correctness summary of the execution so far, aggregated across
@@ -314,6 +317,19 @@ impl ShardedController {
         }
     }
 
+    /// The routing state of an unanswered ticket.
+    fn ticket(&self, gid: u64) -> Ticket {
+        #[expect(
+            clippy::expect_used,
+            reason = "a ticket stays in the table from submit until resolve"
+        )]
+        let ticket = self
+            .tickets
+            .get(RequestId(gid))
+            .expect("unanswered tickets are in the table");
+        *ticket
+    }
+
     /// Hands a routed ticket to its shard's running epoch, or parks it for
     /// the next exchange wave when the shard currently has no slice.
     fn dispatch(
@@ -323,6 +339,7 @@ impl ShardedController {
         lat: NodeId,
         lkind: RequestKind,
     ) -> Result<(), ControllerError> {
+        let submitted_at = self.ticket(gid).submitted_at;
         let shell = &mut self.shards[shard].shell;
         if shell.live().is_none() {
             self.pending.push(gid);
@@ -332,14 +349,15 @@ impl ShardedController {
             id: RequestId(gid),
             origin: lat,
             kind: lkind,
-            submitted_at: self.tickets[gid as usize].submitted_at,
+            submitted_at,
         })
     }
 
-    /// Appends a globally resolved record: translates bookkeeping, updates
-    /// the grant/reject/refusal totals and emits the per-request events.
+    /// Answers a ticket for good: drops its routing state, updates the
+    /// grant/reject/refusal totals and records the answer.
     fn resolve(&mut self, gid: u64, outcome: Outcome, answered_at: u64) {
-        let t = self.tickets[gid as usize];
+        let t = self.ticket(gid);
+        self.tickets.remove(RequestId(gid));
         match outcome {
             Outcome::Granted { .. } => {
                 self.granted_total += 1;
@@ -435,9 +453,7 @@ impl ShardedController {
             // The global budget is spent: every parked ticket is rejected.
             // Liveness holds trivially — granted == M ≥ M − W.
             for gid in std::mem::take(&mut self.pending) {
-                let at = self.shards[self.tickets[gid as usize].shard as usize]
-                    .shell
-                    .now();
+                let at = self.shards[self.ticket(gid).shard as usize].shell.now();
                 self.resolve(gid, Outcome::Rejected, at);
             }
             return Ok(());
@@ -452,7 +468,7 @@ impl ShardedController {
         self.epoch += 1;
         let mut wants = vec![false; self.k];
         for &gid in &self.pending {
-            wants[self.tickets[gid as usize].shard as usize] = true;
+            wants[self.ticket(gid).shard as usize] = true;
         }
         let slices = exchange::slices(pool, self.w, self.k, &wants);
         let base_config = self.base_config;
@@ -467,7 +483,7 @@ impl ShardedController {
         // Resubmit parked tickets in arrival order; shards still without a
         // slice keep theirs parked for the next wave.
         for gid in std::mem::take(&mut self.pending) {
-            let t = self.tickets[gid as usize];
+            let t = self.ticket(gid);
             if check_request(&self.mirror, t.origin, t.kind).is_err() {
                 // The wave outlived the request's target (e.g. the node was
                 // removed by a grant while the ticket was parked): outside
@@ -508,15 +524,16 @@ impl Controller for ShardedController {
     fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
         check_request(&self.mirror, at, kind)?;
         let (shard, lat, lkind) = self.route(at, kind)?;
-        let gid = self.tickets.len() as u64;
-        self.tickets.push(Ticket {
+        let id = self.ledger.issue();
+        let ticket = Ticket {
             origin: at,
             kind,
             shard: shard as u32,
             submitted_at: self.shards[shard].shell.now(),
-        });
-        self.dispatch(gid, shard, lat, lkind)?;
-        Ok(RequestId(gid))
+        };
+        self.tickets.insert(id, ticket);
+        self.dispatch(id.0, shard, lat, lkind)?;
+        Ok(id)
     }
 
     fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
@@ -571,20 +588,12 @@ impl Controller for ShardedController {
         })
     }
 
-    fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        self.ledger.drain_events()
+    fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.ledger.take_records()
     }
 
     fn records(&self) -> &[RequestRecord] {
         self.ledger.records()
-    }
-
-    fn record(&self, id: RequestId) -> Option<&RequestRecord> {
-        self.ledger.get(id)
-    }
-
-    fn trim_records(&mut self, keep: usize) {
-        self.ledger.trim(keep);
     }
 
     fn granted(&self) -> u64 {
@@ -786,7 +795,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_counts_refusals_after_the_records_are_trimmed() {
+    fn summary_counts_refusals_after_the_records_are_taken() {
         // Two permits per shard; one leaf asks to leave and then for three
         // leaves of its own. Its shard grants the removal and one leaf and
         // parks the other two; by the time the wave resubmits them the node
@@ -803,9 +812,45 @@ mod tests {
         assert!(refused.count() >= 1, "{:?}", ctrl.records());
         let before = ctrl.summary();
         assert_eq!(before.unanswered, 0);
-        ctrl.trim_records(0);
+        assert_eq!(ctrl.take_records().len() as u64, ctrl.submitted());
         assert!(ctrl.records().is_empty());
         assert_eq!(ctrl.summary(), before);
+    }
+
+    /// The ticket table holds exactly the tickets in flight, not every
+    /// request submitted: a served federation would otherwise keep one entry
+    /// per request for ever. Answers come back out of ticket order across
+    /// shards, so the window spans the oldest to the newest unanswered
+    /// ticket, which can be wider than the number in flight.
+    #[test]
+    fn the_ticket_table_spans_the_requests_in_flight() {
+        const REQUESTS: u64 = 10_000;
+        const CAP: usize = 64;
+        let mut ctrl =
+            ShardedController::new(SimConfig::new(17), star_tree(63), 1 << 20, 64, 1 << 21, 4)
+                .unwrap();
+        let leaves: Vec<NodeId> = ShardedController::tree(&ctrl).nodes().skip(1).collect();
+        let mut in_flight = std::collections::BTreeSet::new();
+        let mut submitted = 0u64;
+        while submitted < REQUESTS || !in_flight.is_empty() {
+            while submitted < REQUESTS && in_flight.len() < CAP {
+                let at = leaves[(submitted as usize * 7) % leaves.len()];
+                in_flight.insert(ctrl.submit(at, RequestKind::NonTopological).unwrap());
+                submitted += 1;
+            }
+            ctrl.step(64).unwrap();
+            for record in ctrl.take_records() {
+                assert!(in_flight.remove(&record.id), "{record:?} answered twice");
+            }
+            let extent = match (in_flight.first(), in_flight.last()) {
+                (Some(oldest), Some(newest)) => (newest.0 - oldest.0 + 1) as usize,
+                _ => 0,
+            };
+            assert_eq!(ctrl.tickets.len(), in_flight.len());
+            assert_eq!(ctrl.tickets.span(), extent);
+        }
+        assert_eq!(ctrl.granted(), REQUESTS);
+        assert_eq!(ctrl.tickets.span(), 0);
     }
 
     #[test]

@@ -185,9 +185,10 @@ fn a_queued_agent_overtakes_the_one_that_released_the_node_on_its_descent() {
         .unwrap();
     ctrl.run_to_quiescence().unwrap();
 
-    let answered_at = |id| ctrl.record(id).unwrap().answered_at;
-    assert!(ctrl.outcome(id_a).unwrap().is_granted());
-    assert!(ctrl.outcome(id_b).unwrap().is_granted());
+    let record = |id| *ctrl.records().iter().find(|r| r.id == id).unwrap();
+    let answered_at = |id| record(id).answered_at;
+    assert!(record(id_a).outcome.is_granted());
+    assert!(record(id_b).outcome.is_granted());
     assert_eq!(answered_at(id_b), 221, "B is served one hop after A left P");
     assert_eq!(answered_at(id_a), 340, "A walks its path exactly twice");
     assert_eq!(ctrl.metrics().waits, 1);

@@ -141,7 +141,9 @@ fn iterated_controller_with_zero_waste_grants_exactly_m() {
                 continue;
             };
             let ticket = ctrl.submit(at, kind).unwrap();
-            match ctrl.outcome(ticket).unwrap() {
+            let answer = ctrl.records().last().unwrap();
+            assert_eq!(answer.id, ticket, "case {case}: answered inside submit");
+            match answer.outcome {
                 Outcome::Granted { .. } => granted += 1,
                 Outcome::Rejected => rejected += 1,
                 Outcome::Refused => unreachable!("core families never refuse"),

@@ -5,7 +5,7 @@
 //! inherits the whole ticket surface.
 
 use crate::invariant::InvariantError;
-use dcn_controller::distributed::{AppEvent, Runtime};
+use dcn_controller::distributed::Runtime;
 use dcn_controller::{ControllerError, Progress, RequestId, RequestKind, RequestRecord};
 use dcn_simnet::NodeId;
 use dcn_tree::DynamicTree;
@@ -101,12 +101,13 @@ pub trait Application {
         Ok(self.records()[before..].to_vec())
     }
 
-    /// Removes and returns the events produced since the last drain.
-    fn drain_events(&mut self) -> Vec<AppEvent> {
-        self.runtime_mut().drain_events()
+    /// Removes and returns the answers given since the last take, in answer
+    /// order (see [`Runtime::take_records`]).
+    fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.runtime_mut().take_records()
     }
 
-    /// All resolved requests so far, in answer order.
+    /// The answers not yet taken, in answer order.
     fn records(&self) -> &[RequestRecord] {
         self.runtime().records()
     }
@@ -196,18 +197,13 @@ mod tests {
     }
 
     #[test]
-    fn construction_emits_the_first_iteration_event() {
+    fn construction_starts_the_first_iteration() {
         let mut d = driver(10, 1);
         assert_eq!(d.iterations(), 1);
         assert_eq!(d.driver.estimate(), 11);
-        let events = d.drain_events();
-        assert_eq!(
-            events,
-            vec![AppEvent::IterationStarted {
-                index: 1,
-                estimate: 11
-            }]
-        );
+        // Announcing N_1 is charged; no ticket has been answered.
+        assert_eq!(d.messages(), 11);
+        assert!(d.take_records().is_empty());
     }
 
     #[test]
@@ -234,15 +230,9 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 10);
-        // The event stream contains the rotation announcements and exactly
-        // one answer per ticket.
-        let events = d.drain_events();
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e, AppEvent::IterationStarted { .. }))
-            .count();
-        assert_eq!(starts as u32, d.iterations());
-        assert_eq!(events.iter().filter(|e| e.is_answer()).count(), 10);
+        // Taking hands out exactly one answer per ticket, once.
+        assert_eq!(d.take_records().len(), 10);
+        assert!(d.take_records().is_empty());
     }
 
     #[test]
@@ -300,18 +290,9 @@ mod tests {
         assert!(d.iterations() >= 2);
         // Announce (n per iteration) + closing waves (2n per rotation, over
         // the tree the next iteration announces) are charged on top of
-        // controller messages.
-        let charged: u64 = d
-            .drain_events()
-            .iter()
-            .filter_map(|e| match *e {
-                AppEvent::IterationStarted { index, estimate } => {
-                    Some(if index == 1 { estimate } else { 3 * estimate })
-                }
-                AppEvent::Controller(_) => None,
-            })
-            .sum();
-        assert!(charged > 0 && d.messages() >= charged);
+        // controller messages; the tree only grows from its 10 nodes.
+        let charged = 10 + 3 * 10 * u64::from(d.iterations() - 1);
+        assert!(d.messages() >= charged);
         let before = d.messages();
         d.charge_messages(5);
         assert_eq!(d.messages(), before + 5);

@@ -27,18 +27,18 @@
 //!
 //! All six applications run on `dcn-controller`'s one epoch engine, the
 //! [`IterationDriver`] (re-exported here with [`IterationPlan`],
-//! [`IterationPolicy`], [`AppEvent`] and [`Runtime`]; the adaptive
+//! [`IterationPolicy`] and [`Runtime`]; the adaptive
 //! distributed controller of Theorem 4.9 is its other user). It plans each
 //! iteration through the application's [`IterationPolicy`] (per-iteration
 //! α/β budgets, interval mode, renaming) — the hooks the applications leave
 //! at their defaults are the §5 behaviour: rotate when an iteration is
 //! exhausted and retry there, `2n` for the closing count wave — and exposes,
-//! through the policy-erased [`Runtime`] trait, the same ticket/event/step
-//! seam as the controller runtime: `submit` → [`RequestId`] tickets
-//! that survive iteration rebuilds, bounded `step(budget)`, `drain_events()`
-//! streaming [`AppEvent`]s (including [`AppEvent::IterationStarted`] at every
-//! epoch boundary) and a `records()` history. Every application implements
-//! the uniform [`Application`] trait — its name, the runtime beneath it, an
+//! through the policy-erased [`Runtime`] trait, the same ticket/step seam as
+//! the controller runtime: `submit` → [`RequestId`] tickets that survive
+//! iteration rebuilds, bounded `step(budget)`, and the answers as records,
+//! read with `records()` or handed out once by `take_records()`;
+//! `iterations()` and `estimate()` report the epochs. Every application
+//! implements the uniform [`Application`] trait — its name, the runtime beneath it, an
 //! after-slice hook and its invariant check; the ticket surface is provided
 //! — so the scenario runner and sweep engine in `dcn-workload` drive the §5
 //! protocols exactly as they drive the controllers. Invariant violations are
@@ -66,9 +66,7 @@ mod names;
 mod size;
 mod subtree;
 
-pub use dcn_controller::distributed::{
-    AppEvent, IterationDriver, IterationPlan, IterationPolicy, Runtime,
-};
+pub use dcn_controller::distributed::{IterationDriver, IterationPlan, IterationPolicy, Runtime};
 pub use driver::Application;
 pub use heavy::HeavyChildDecomposition;
 pub use invariant::InvariantError;

@@ -3,8 +3,8 @@
 //! [`EngineCore`] is the single-writer heart of the server. It owns one
 //! [`ControllerSpec`]-constructed controller and turns decoded
 //! [`ClientFrame`]s into reply frames, pumping the controller with bounded
-//! [`Controller::step`] slices and routing drained
-//! [`ControllerEvent`]s back to the client that submitted each ticket.
+//! [`Controller::step`] slices and routing the [`ControllerEvent`]s of the
+//! answers it takes back to the client that submitted each ticket.
 //!
 //! Crucially, the core is **pure state machine**: no sockets, no threads, no
 //! wall clock — time is the controller's own virtual clock. Both transports
@@ -496,13 +496,13 @@ impl EngineCore {
         }
     }
 
-    /// Advances the controller by one bounded step slice and routes every
-    /// drained event to its submitting client (streamed only to subscribed
-    /// connections; `poll` sees the same outcome either way), dropping each
-    /// ticket's routing entry with its last event. It then moves the slice's
-    /// answers out of the controller, which keeps no history past a pump:
-    /// the engine keeps each one's wire outcome while its ticket is among
-    /// the newest `ANSWER_WINDOW` issued (65 536; an older ticket polls as
+    /// Advances the controller by one bounded step slice and takes the
+    /// slice's answers out of it, so the controller keeps no history past a
+    /// pump. Each answer's events go to its submitting client (streamed only
+    /// to subscribed connections; `poll` sees the same outcome either way),
+    /// and its ticket's routing entry goes with the last of them; the engine
+    /// keeps its wire outcome while the ticket is among the newest
+    /// `ANSWER_WINDOW` issued (65 536; an older ticket polls as
     /// `expired-ticket`). Returns `true` while there is more in-flight work.
     ///
     /// A step error is final: the engine keeps it
@@ -520,52 +520,6 @@ impl EngineCore {
                 self.quiescent = true;
             }
         }
-        for ev in self.ctrl.drain_events() {
-            let ticket = ev.id().0;
-            // A ticket's last event is its answer, except that a granted
-            // topological request's `TopologyApplied` follows its `Granted`
-            // (`ControllerEvent::push_for_record` emits the pair together).
-            let last = match ev {
-                ControllerEvent::Granted { kind, .. } => !kind.is_topological(),
-                ControllerEvent::Refused { .. } => {
-                    self.refused += 1;
-                    true
-                }
-                ControllerEvent::Rejected { .. } | ControllerEvent::TopologyApplied { .. } => true,
-            };
-            let routed = if last {
-                self.route.remove(&ticket)
-            } else {
-                self.route.get(&ticket).copied()
-            };
-            // Streamed only while the submitter is connected and subscribed.
-            let Some((client, tag)) = routed else {
-                continue;
-            };
-            if !self.clients.get(&client).is_some_and(|c| c.subscribed) {
-                continue;
-            }
-            let frame = match ev {
-                ControllerEvent::Granted { at, kind, .. } => {
-                    let outcome = WireOutcome::Granted {
-                        at,
-                        kind,
-                        new_node: None,
-                    };
-                    protocol::event_frame(ticket, &outcome, tag)
-                }
-                ControllerEvent::Rejected { .. } => {
-                    protocol::event_frame(ticket, &WireOutcome::Rejected, tag)
-                }
-                ControllerEvent::Refused { .. } => {
-                    protocol::event_frame(ticket, &WireOutcome::Refused, tag)
-                }
-                ControllerEvent::TopologyApplied { kind, node, .. } => {
-                    protocol::topology_event_frame(ticket, kind, node.map(wire_index), tag)
-                }
-            };
-            out.push((client, frame));
-        }
         // Evict before inserting, so the window never spans more than
         // `ANSWER_WINDOW` tickets.
         let floor = self.tickets_end.saturating_sub(ANSWER_WINDOW as u64);
@@ -573,13 +527,67 @@ impl EngineCore {
             self.answers.remove(RequestId(ticket));
         }
         self.answers_floor = floor;
-        for record in self.ctrl.records() {
+        let mut events = Vec::new();
+        for record in self.ctrl.take_records() {
+            events.clear();
+            ControllerEvent::push_for_record(&record, &mut events);
+            for &ev in &events {
+                self.route_event(ev, out);
+            }
             if record.id.0 >= floor {
-                self.answers.insert(record.id, wire_outcome(record));
+                self.answers.insert(record.id, wire_outcome(&record));
             }
         }
-        self.ctrl.trim_records(0);
         !self.quiescent
+    }
+
+    /// Routes one answer's event to the ticket's submitting client, dropping
+    /// the routing entry with the ticket's last event.
+    fn route_event(&mut self, ev: ControllerEvent, out: &mut Vec<Outgoing>) {
+        let ticket = ev.id().0;
+        // A ticket's last event is its answer, except that a granted
+        // topological request's `TopologyApplied` follows its `Granted`
+        // (`ControllerEvent::push_for_record` emits the pair together).
+        let last = match ev {
+            ControllerEvent::Granted { kind, .. } => !kind.is_topological(),
+            ControllerEvent::Refused { .. } => {
+                self.refused += 1;
+                true
+            }
+            ControllerEvent::Rejected { .. } | ControllerEvent::TopologyApplied { .. } => true,
+        };
+        let routed = if last {
+            self.route.remove(&ticket)
+        } else {
+            self.route.get(&ticket).copied()
+        };
+        // Streamed only while the submitter is connected and subscribed.
+        let Some((client, tag)) = routed else {
+            return;
+        };
+        if !self.clients.get(&client).is_some_and(|c| c.subscribed) {
+            return;
+        }
+        let frame = match ev {
+            ControllerEvent::Granted { at, kind, .. } => {
+                let outcome = WireOutcome::Granted {
+                    at,
+                    kind,
+                    new_node: None,
+                };
+                protocol::event_frame(ticket, &outcome, tag)
+            }
+            ControllerEvent::Rejected { .. } => {
+                protocol::event_frame(ticket, &WireOutcome::Rejected, tag)
+            }
+            ControllerEvent::Refused { .. } => {
+                protocol::event_frame(ticket, &WireOutcome::Refused, tag)
+            }
+            ControllerEvent::TopologyApplied { kind, node, .. } => {
+                protocol::topology_event_frame(ticket, kind, node.map(wire_index), tag)
+            }
+        };
+        out.push((client, frame));
     }
 
     /// The current counter snapshot (the payload of a `stats` reply).

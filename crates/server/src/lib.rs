@@ -13,7 +13,7 @@
 //! |---|---|
 //! | accept a request | [`Controller::submit`](dcn_controller::Controller::submit) → ticket |
 //! | make progress | [`Controller::step`](dcn_controller::Controller::step)`(budget)` |
-//! | push outcomes | [`Controller::drain_events`](dcn_controller::Controller::drain_events) |
+//! | push outcomes | [`Controller::take_records`](dcn_controller::Controller::take_records) |
 //!
 //! Three layers, strictly separated:
 //!

@@ -137,8 +137,8 @@ mod tests {
     use super::*;
     use crate::engine::ANSWER_WINDOW;
     use dcn_controller::{
-        Controller, ControllerEvent, ControllerMetrics, Outcome, Progress, RequestId, RequestKind,
-        RequestLedger, RequestRecord,
+        Controller, ControllerMetrics, Outcome, Progress, RequestId, RequestKind, RequestLedger,
+        RequestRecord,
     };
     use dcn_tree::{DynamicTree, NodeId};
     use dcn_workload::Family;
@@ -220,17 +220,11 @@ mod tests {
         fn step(&mut self, _: u64) -> Result<Progress, ControllerError> {
             self.run_to_quiescence().map(|()| Progress::quiescent())
         }
-        fn drain_events(&mut self) -> Vec<ControllerEvent> {
-            self.ledger.drain_events()
+        fn take_records(&mut self) -> Vec<RequestRecord> {
+            self.ledger.take_records()
         }
         fn records(&self) -> &[RequestRecord] {
             self.ledger.records()
-        }
-        fn record(&self, id: RequestId) -> Option<&RequestRecord> {
-            self.ledger.get(id)
-        }
-        fn trim_records(&mut self, keep: usize) {
-            self.ledger.trim(keep);
         }
         fn granted(&self) -> u64 {
             0

@@ -9,7 +9,7 @@
 //! applications behind a `Box<dyn Application>`, so the scenario runner
 //! ([`ScenarioRunner::run_app`](crate::ScenarioRunner::run_app)) and the
 //! sweep engine's apps axis drive them all through the ticketed
-//! submit/step/drain_events seam.
+//! submit/step/records seam.
 
 use crate::runner::ScenarioRunner;
 use crate::scenario::Scenario;
@@ -223,9 +223,8 @@ mod tests {
             let at = app.tree().root();
             let id = app.submit(at, RequestKind::AddLeaf).unwrap();
             app.run_to_quiescence().unwrap();
-            let answers = app.drain_events().iter().filter(|e| e.is_answer()).count();
-            assert_eq!(answers, 1, "{}", family.name());
-            assert_eq!(app.records().last().map(|r| r.id), Some(id));
+            let answers: Vec<_> = app.take_records().iter().map(|r| r.id).collect();
+            assert_eq!(answers, [id], "{}", family.name());
             app.check_invariants().unwrap();
         }
     }

@@ -71,5 +71,5 @@ pub use sweep::{
 pub use dcn_controller::{
     Controller, ControllerEvent, Progress, RequestId, RequestKind, RequestRecord,
 };
-pub use dcn_estimator::{AppEvent, Application, InvariantError};
+pub use dcn_estimator::{Application, InvariantError};
 pub use dcn_tree::{DynamicTree, NodeId};

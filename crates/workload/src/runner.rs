@@ -8,9 +8,9 @@
 //! identical request-for-request, so families can be compared row by row.
 //!
 //! The runner is ticket-based: every submission yields a
-//! [`RequestId`](dcn_controller::RequestId), outcomes are tallied from the
-//! drained [`ControllerEvent`] stream, and per-request answer latencies are
-//! read from the controller's [`RequestRecord`] history. Under
+//! [`RequestId`](dcn_controller::RequestId), and outcomes and per-request
+//! answer latencies are read from the run's
+//! [`RequestRecord`](dcn_controller::RequestRecord)s. Under
 //! [`ArrivalMode::Interleaved`] the runner advances execution in bounded
 //! [`Controller::step`] slices between batches, so new requests arrive while
 //! the distributed family's agents are still in flight (the paper's online
@@ -21,8 +21,8 @@ use crate::placement::Placement;
 use crate::scenario::{ArrivalMode, Scenario};
 use crate::shape::build_tree;
 use dcn_controller::verify::{ExecutionSummary, Violation};
-use dcn_controller::{Controller, ControllerError, ControllerEvent, RequestKind};
-use dcn_estimator::{AppEvent, Application};
+use dcn_controller::{Controller, ControllerError, Outcome, RequestKind};
+use dcn_estimator::Application;
 use dcn_rng::{DetRng, SeedableRng};
 use dcn_tree::{DynamicTree, NodeId};
 
@@ -40,7 +40,7 @@ pub struct RunReport {
     /// Requests actually processed by the controller's machinery (tickets
     /// issued minus refusals).
     pub submitted: u64,
-    /// Tickets that resolved to [`ControllerEvent::Refused`]: operations the
+    /// Tickets that resolved to [`Outcome::Refused`]: operations the
     /// controller's dynamic model does not support (the AAPS baseline refuses
     /// deletions and internal insertions).
     pub refused: u64,
@@ -339,8 +339,9 @@ impl ScenarioRunner {
     /// Drives `ctrl` through the scenario and reports the outcome.
     ///
     /// The controller should be freshly constructed: the report reads the
-    /// controller's cumulative counters, and the latency columns cover the
-    /// records produced during this run only.
+    /// controller's cumulative counters, and the refusal and latency columns
+    /// cover the records produced during this run only (nothing may take
+    /// them while it runs).
     ///
     /// # Errors
     ///
@@ -349,19 +350,15 @@ impl ScenarioRunner {
     /// [`Controller::run_to_quiescence`].
     pub fn run(&self, ctrl: &mut dyn Controller) -> Result<RunReport, ControllerError> {
         let scenario = &self.scenario;
-        // Events and records from earlier runs over the same controller are
-        // not this run's outcomes.
-        ctrl.drain_events();
-        let records_before = ctrl.records().len();
+        // Records from earlier runs over the same controller are not this
+        // run's outcomes.
+        let before = ctrl.records().len();
         let (issued, dropped) = self.drive(ctrl, |_| {})?;
 
-        let events = ctrl.drain_events();
-        let refused = events
-            .iter()
-            .filter(|e| matches!(e, ControllerEvent::Refused { .. }))
-            .count() as u64;
+        let records = &ctrl.records()[before..];
+        let refused = records.iter().filter(|r| r.outcome.is_refused()).count() as u64;
         let (p50_answer_latency, p95_answer_latency) = percentiles(
-            ctrl.records()[records_before..]
+            records
                 .iter()
                 .filter(|r| !r.outcome.is_refused())
                 .map(|r| r.latency()),
@@ -420,10 +417,9 @@ impl ScenarioRunner {
         let mut invariant_checks = 0u64;
         let mut invariant_violations = 0u64;
         let mut first_violation: Option<String> = None;
-        // Events and records from earlier runs over the same application are
-        // not this run's outcomes.
-        app.drain_events();
-        let records_before = app.records().len();
+        // Records from earlier runs over the same application are not this
+        // run's outcomes.
+        let before = app.records().len();
         // A quiescent point: the §5 guarantees must hold.
         let (issued, dropped) = self.drive(app, |app| {
             invariant_checks += 1;
@@ -433,17 +429,14 @@ impl ScenarioRunner {
             }
         })?;
 
-        let events = app.drain_events();
-        let granted = events
+        let records = &app.records()[before..];
+        let granted = records.iter().filter(|r| r.outcome.is_granted()).count() as u64;
+        let rejected = records
             .iter()
-            .filter(|e| matches!(e, AppEvent::Controller(ControllerEvent::Granted { .. })))
-            .count() as u64;
-        let rejected = events
-            .iter()
-            .filter(|e| matches!(e, AppEvent::Controller(ControllerEvent::Rejected { .. })))
+            .filter(|r| r.outcome == Outcome::Rejected)
             .count() as u64;
         let (p50_answer_latency, p95_answer_latency) =
-            percentiles(app.records()[records_before..].iter().map(|r| r.latency()));
+            percentiles(records.iter().map(|r| r.latency()));
         Ok(AppReport {
             app: app.name().to_string(),
             scenario: scenario.name.clone(),

@@ -66,7 +66,7 @@ fn all_six_controller_families_respect_safety_on_the_same_scenario() {
             "{}: inconsistent tree",
             report.controller
         );
-        // Per-request outcomes are retrievable by ticket for every family.
+        // Every ticket is answered by exactly one record, for every family.
         let records = ctrl.records();
         assert_eq!(
             records.len() as u64,
@@ -74,16 +74,16 @@ fn all_six_controller_families_respect_safety_on_the_same_scenario() {
             "{}: one record per ticket",
             report.controller
         );
-        for rec in records {
-            assert_eq!(
-                ctrl.outcome(rec.id),
-                Some(rec.outcome),
-                "{}: {:?} must be retrievable by ticket",
-                report.controller,
-                rec.id
-            );
-            assert!(rec.answered_at >= rec.submitted_at);
-        }
+        let mut ids: Vec<_> = records.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(
+            ids.len(),
+            records.len(),
+            "{}: a ticket answered twice",
+            report.controller
+        );
+        assert!(records.iter().all(|r| r.answered_at >= r.submitted_at));
     }
 }
 

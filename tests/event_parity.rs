@@ -2,18 +2,21 @@
 //! build environment has no proptest; every failure reproduces from its
 //! printed case seed).
 //!
-//! Two properties must hold for **all six** controller families:
+//! Three properties must hold for **all six** controller families:
 //!
 //! 1. **Event/counter parity.** The drained [`ControllerEvent`] stream is not
 //!    a parallel truth: its `Granted` / `Rejected` / `Refused` totals equal
 //!    the `granted()` / `rejected()` counters and the refusal count exactly,
-//!    every answer event carries a ticket that resolves through `outcome()`,
-//!    and the record history matches event for event.
-//! 2. **Step ≡ run.** Driving execution with `step(budget)` until quiescence
+//!    and it is [`ControllerEvent::push_for_record`] over the records the
+//!    same calls would have taken (checked on a twin run).
+//! 2. **Exactly once.** The records taken after every bounded `step` slice,
+//!    concatenated, answer each issued ticket exactly once, and a take after
+//!    the last answer finds nothing.
+//! 3. **Step ≡ run.** Driving execution with `step(budget)` until quiescence
 //!    is observationally identical to one `run_to_quiescence` call: same
-//!    records, same events, same counters, same tree, same cost metrics.
+//!    records taken, same counters, same tree, same cost metrics.
 
-use dcn::controller::{Controller, ControllerEvent, Outcome};
+use dcn::controller::{Controller, ControllerEvent, RequestId, RequestRecord};
 use dcn::workload::{
     build_tree, ChurnGenerator, ChurnModel, ControllerSpec, Family, Scenario, TreeShape,
 };
@@ -40,8 +43,8 @@ fn scenario(seed: u64) -> Scenario {
 fn drive(
     ctrl: &mut dyn Controller,
     scenario: &Scenario,
-    advance: &dyn Fn(&mut dyn Controller),
-) -> Vec<dcn::controller::RequestId> {
+    advance: &mut dyn FnMut(&mut dyn Controller),
+) -> Vec<RequestId> {
     let mut churn = ChurnGenerator::new(scenario.churn, scenario.seed.wrapping_add(17));
     let mut tickets = Vec::new();
     while tickets.len() < scenario.requests {
@@ -66,12 +69,24 @@ fn run_fully(ctrl: &mut dyn Controller) {
     ctrl.run_to_quiescence().unwrap();
 }
 
-fn step_until_quiescent(ctrl: &mut dyn Controller) {
-    loop {
-        if ctrl.step(7).unwrap().quiescent {
+/// Steps in slices of 7 events until quiescent, taking the answers after
+/// every slice into `taken`.
+fn step_and_take(taken: &mut Vec<RequestRecord>) -> impl FnMut(&mut dyn Controller) + '_ {
+    |ctrl| loop {
+        let quiescent = ctrl.step(7).unwrap().quiescent;
+        taken.extend(ctrl.take_records());
+        if quiescent {
             break;
         }
     }
+}
+
+fn build(family: Family, scenario: &Scenario) -> Box<dyn Controller> {
+    let tree = build_tree(scenario.shape);
+    let u_bound = tree.node_count() + scenario.requests + 2;
+    ControllerSpec::for_scenario(family, scenario)
+        .build(tree, u_bound)
+        .unwrap()
 }
 
 #[test]
@@ -79,12 +94,8 @@ fn event_totals_equal_counters_for_all_six_families() {
     for case in 0..CASES {
         let scenario = scenario(case);
         for family in Family::ALL {
-            let tree = build_tree(scenario.shape);
-            let u_bound = tree.node_count() + scenario.requests + 2;
-            let mut ctrl = ControllerSpec::for_scenario(family, &scenario)
-                .build(tree, u_bound)
-                .unwrap();
-            let tickets = drive(ctrl.as_mut(), &scenario, &run_fully);
+            let mut ctrl = build(family, &scenario);
+            let tickets = drive(ctrl.as_mut(), &scenario, &mut run_fully);
             let events = ctrl.drain_events();
 
             let granted = events
@@ -119,12 +130,6 @@ fn event_totals_equal_counters_for_all_six_families() {
                 "case {case} {}: every ticket resolves to exactly one answer",
                 family.name()
             );
-            assert_eq!(
-                ctrl.records().len(),
-                answers,
-                "case {case} {}: one record per answer",
-                family.name()
-            );
             if family == Family::Aaps {
                 assert!(
                     refused > 0,
@@ -133,19 +138,47 @@ fn event_totals_equal_counters_for_all_six_families() {
             } else {
                 assert_eq!(refused, 0, "case {case} {}", family.name());
             }
-            // Every answer event's ticket resolves through outcome(), and the
-            // outcome kind matches the event kind.
-            for event in &events {
-                let outcome = ctrl
-                    .outcome(event.id())
-                    .unwrap_or_else(|| panic!("case {case} {}: {:?}", family.name(), event));
-                match event {
-                    ControllerEvent::Granted { .. } => assert!(outcome.is_granted()),
-                    ControllerEvent::Rejected { .. } => assert_eq!(outcome, Outcome::Rejected),
-                    ControllerEvent::Refused { .. } => assert_eq!(outcome, Outcome::Refused),
-                    ControllerEvent::TopologyApplied { .. } => assert!(outcome.is_granted()),
-                }
+            // Draining took the answers, and the events are exactly those
+            // of the records a twin run's same calls take.
+            assert!(ctrl.records().is_empty(), "case {case} {}", family.name());
+            let mut twin = build(family, &scenario);
+            drive(twin.as_mut(), &scenario, &mut run_fully);
+            let mut derived = Vec::new();
+            for record in &twin.take_records() {
+                ControllerEvent::push_for_record(record, &mut derived);
             }
+            assert_eq!(
+                events,
+                derived,
+                "case {case} {}: events are derived from records",
+                family.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn every_ticket_is_taken_exactly_once_for_all_six_families() {
+    for case in 0..CASES {
+        let scenario = scenario(2_000 + case);
+        for family in Family::ALL {
+            let mut ctrl = build(family, &scenario);
+            let mut taken = Vec::new();
+            let tickets = drive(ctrl.as_mut(), &scenario, &mut step_and_take(&mut taken));
+            let mut answered: Vec<RequestId> = taken.iter().map(|r| r.id).collect();
+            answered.sort_unstable();
+            assert_eq!(
+                answered,
+                tickets,
+                "case {case} {}: each issued ticket taken exactly once",
+                family.name()
+            );
+            assert!(
+                ctrl.take_records().is_empty(),
+                "case {case} {}: a second take is empty",
+                family.name()
+            );
+            assert!(ctrl.records().is_empty(), "case {case} {}", family.name());
         }
     }
 }
@@ -155,17 +188,15 @@ fn stepping_until_quiescent_is_observationally_identical_to_running() {
     for case in 0..CASES {
         let scenario = scenario(1_000 + case);
         for family in Family::ALL {
-            let build = || {
-                let tree = build_tree(scenario.shape);
-                let u_bound = tree.node_count() + scenario.requests + 2;
-                ControllerSpec::for_scenario(family, &scenario)
-                    .build(tree, u_bound)
-                    .unwrap()
-            };
-            let mut ran = build();
-            let ran_tickets = drive(ran.as_mut(), &scenario, &run_fully);
-            let mut stepped = build();
-            let stepped_tickets = drive(stepped.as_mut(), &scenario, &step_until_quiescent);
+            let mut ran = build(family, &scenario);
+            let ran_tickets = drive(ran.as_mut(), &scenario, &mut run_fully);
+            let mut stepped = build(family, &scenario);
+            let mut stepped_records = Vec::new();
+            let stepped_tickets = drive(
+                stepped.as_mut(),
+                &scenario,
+                &mut step_and_take(&mut stepped_records),
+            );
 
             assert_eq!(
                 ran_tickets,
@@ -174,15 +205,9 @@ fn stepping_until_quiescent_is_observationally_identical_to_running() {
                 family.name()
             );
             assert_eq!(
-                ran.drain_events(),
-                stepped.drain_events(),
-                "case {case} {}: identical event streams",
-                family.name()
-            );
-            assert_eq!(
-                ran.records(),
-                stepped.records(),
-                "case {case} {}: identical record histories",
+                ran.take_records(),
+                stepped_records,
+                "case {case} {}: identical records taken",
                 family.name()
             );
             assert_eq!(

@@ -28,7 +28,7 @@ fn resident_kib() -> u64 {
 /// The shape of the benchmark's `serve-dist-churn`: the distributed family
 /// over path-256 with the served `M`, `W` and `U`, a leaf added under an
 /// initial node and the oldest added leaf removed, cycle after cycle, with
-/// the answers trimmed as a server trims them (so no history is in the
+/// the answers taken as a server takes them (so no history is in the
 /// figure). The leaves hang under the eight nodes next to the root — where a
 /// node hangs changes what a request costs, not what a node keeps.
 #[test]
@@ -61,8 +61,7 @@ fn a_churning_tree_holds_its_live_nodes_not_every_node_it_ever_had() {
         added.push_back(leaf);
         assert!(ctrl.tree().node_count() <= 256 + HELD + 1, "cycle {cycle}");
 
-        ctrl.drain_events();
-        ctrl.trim_records(0);
+        ctrl.take_records();
     }
     let grown_kib = resident_kib().saturating_sub(warm_kib);
 
