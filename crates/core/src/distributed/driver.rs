@@ -12,6 +12,7 @@ use crate::request::{check_request, RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;
 use crate::ControllerError;
 use dcn_simnet::{DynamicTree, Metrics, NodeId, SimConfig, Simulator};
+use dcn_tree::ChangeLog;
 
 /// The distributed (M, W)-Controller over a simulated asynchronous network,
 /// for a known bound `U` on the number of nodes ever to exist (§4.3).
@@ -168,6 +169,12 @@ impl DistributedController {
     /// the epoch shell, its locks and event counters for tests.
     pub fn sim(&self) -> &Simulator<ControllerProtocol> {
         &self.sim
+    }
+
+    /// Takes the changes the tree recorded so far (see
+    /// [`DynamicTree::take_change_log`]).
+    pub(crate) fn take_change_log(&mut self) -> ChangeLog {
+        self.sim.take_change_log()
     }
 
     /// Like [`Controller::submit`], but the request arrives `delay` simulated

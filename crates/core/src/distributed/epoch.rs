@@ -21,6 +21,7 @@ use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestReco
 use crate::ControllerError;
 use dcn_collections::SlidingMap;
 use dcn_simnet::{DynamicTree, NodeId, SimConfig};
+use dcn_tree::ChangeLog;
 
 /// The controller that runs one iteration: what the [`EpochShell`] and the
 /// [`IterationPolicy`] hooks read of it beyond [`Controller`] (`step`,
@@ -250,6 +251,15 @@ impl EpochShell {
     /// `true` when nothing is in flight (always, while parked).
     pub(crate) fn is_quiescent(&self) -> bool {
         self.live.as_ref().map_or(true, |c| c.sim().is_quiescent())
+    }
+
+    /// Takes the changes the tree, live or parked, recorded so far (see
+    /// [`DynamicTree::take_change_log`]).
+    pub(crate) fn take_change_log(&mut self) -> ChangeLog {
+        match &mut self.live {
+            Some(ctrl) => ctrl.take_change_log(),
+            None => self.parked.take_change_log(),
+        }
     }
 }
 

@@ -76,9 +76,10 @@ struct Ticket {
     submitted_at: u64,
 }
 
-/// One shard: the region's epoch shell (parked while its slice is empty), its
-/// address map, and the cursor into the region tree's change log (switched on
-/// by [`ShardedController::new`], the log's one reader here).
+/// One shard: the region's epoch shell (parked while its slice is empty) and
+/// its address map. The region tree records its changes (switched on by
+/// [`ShardedController::new`]) for the log's one reader,
+/// `ShardedController::collect_shard`, which takes them after every slice.
 #[derive(Debug)]
 struct Shard {
     /// The region's sequence of slice controllers.
@@ -87,8 +88,6 @@ struct Shard {
     map: LocalMap,
     /// Base seed for this shard; per-epoch seeds are derived from it.
     seed: u64,
-    /// Replay cursor into the region tree's change log.
-    log_cursor: usize,
     /// Result of the last parallel execution slice, harvested in shard order.
     step_out: Option<Result<Progress, ControllerError>>,
 }
@@ -203,14 +202,12 @@ impl ShardedController {
             let map = RegionMap::identity(&tree);
             let local = LocalMap::identity(&tree);
             tree.record_changes();
-            let log_cursor = tree.change_log().len();
             let mut shell = EpochShell::parked(tree);
             shell.install(config, m, w, u_bound, None)?;
             shard_vec.push(Shard {
                 shell,
                 map: local,
                 seed: config.seed,
-                log_cursor,
                 step_out: None,
             });
             (mirror, map)
@@ -225,7 +222,6 @@ impl ShardedController {
                     shell: EpochShell::parked(region.tree),
                     map: region.map,
                     seed,
-                    log_cursor: 0,
                     step_out: None,
                 };
                 if m_i > 0 {
@@ -376,17 +372,18 @@ impl ShardedController {
         });
     }
 
-    /// Replays shard `i`'s fresh change-log entries into the global mirror
-    /// (in log order) and translates its fresh records into global ones.
-    /// Called in ascending shard order after every execution slice, which
-    /// fixes the global interleaving independently of thread scheduling.
+    /// Takes shard `i`'s recorded changes and replays them into the global
+    /// mirror (in log order), then translates its fresh records into global
+    /// ones. Called in ascending shard order after every execution slice,
+    /// which fixes the global interleaving independently of thread
+    /// scheduling.
     fn collect_shard(&mut self, i: usize) -> Result<(), ControllerError> {
         let corrupt = || ControllerError::Sim("shard address maps out of sync".to_string());
         // Phase 1: replay topology changes, learning new node addresses.
         {
             let sh = &mut self.shards[i];
-            let log = sh.shell.tree().change_log();
-            for &event in &log.events()[sh.log_cursor..] {
+            let log = sh.shell.take_change_log();
+            for &event in log.events() {
                 match event {
                     TopologyEvent::AddLeaf { parent, child } => {
                         let gparent = sh.map.to_global(parent).ok_or_else(corrupt)?;
@@ -416,7 +413,6 @@ impl ShardedController {
                     }
                 }
             }
-            sh.log_cursor = log.len();
         }
         // Phase 2: translate fresh records (the shell hands them over under
         // their global tickets and clock). Local rejections are intercepted
@@ -862,9 +858,54 @@ mod tests {
         let shard_tree = ctrl.shards[0].shell.tree();
         let applied = shard_tree.changes() - built;
         assert!(applied > 0);
-        assert_eq!(shard_tree.change_log().len() as u64, applied);
-        assert_eq!(ctrl.mirror.changes() - built, applied);
+        // Every applied change was taken from the shard's log, and the mirror
+        // replayed each one it took once.
+        assert!(shard_tree.change_log().is_empty());
+        let taken = ctrl.mirror.changes() - built;
+        assert_eq!(taken, applied);
         assert!(ctrl.mirror.change_log().is_empty());
+    }
+
+    /// A served federation keeps no topology history: after every step each
+    /// shard's log is empty, however many changes its tree has applied.
+    #[test]
+    fn shard_logs_are_empty_after_every_step() {
+        const REQUESTS: u64 = 10_000;
+        const CAP: usize = 64;
+        let mut ctrl =
+            ShardedController::new(SimConfig::new(29), star_tree(63), 1 << 20, 64, 1 << 21, 4)
+                .unwrap();
+        let built: u64 = ctrl.shards.iter().map(|sh| sh.shell.tree().changes()).sum();
+        let mut in_flight = std::collections::BTreeSet::new();
+        let mut submitted = 0u64;
+        while submitted < REQUESTS || !in_flight.is_empty() {
+            let nodes: Vec<NodeId> = ShardedController::tree(&ctrl).nodes().collect();
+            while submitted < REQUESTS && in_flight.len() < CAP {
+                let at = nodes[(submitted as usize * 7 + 1) % nodes.len()];
+                let parent = ctrl.tree().parent(at);
+                let (at, kind) = match (submitted % 4, parent) {
+                    (0, _) | (1, None) => (at, RequestKind::AddLeaf),
+                    (1, Some(_)) => (at, RequestKind::RemoveSelf),
+                    (2, Some(p)) => (p, RequestKind::AddInternalAbove(at)),
+                    _ => (at, RequestKind::NonTopological),
+                };
+                in_flight.insert(ctrl.submit(at, kind).unwrap());
+                submitted += 1;
+            }
+            ctrl.step(64).unwrap();
+            for record in ctrl.take_records() {
+                assert!(in_flight.remove(&record.id), "{record:?} answered twice");
+            }
+            for sh in &ctrl.shards {
+                assert!(sh.shell.tree().change_log().is_empty());
+            }
+        }
+        let applied: u64 = ctrl.shards.iter().map(|sh| sh.shell.tree().changes()).sum();
+        assert!(
+            applied - built > REQUESTS / 4,
+            "{} changes",
+            applied - built
+        );
     }
 
     #[test]

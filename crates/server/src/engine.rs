@@ -19,23 +19,110 @@
 //!   what makes protocol semantics testable byte-for-byte.
 
 use crate::protocol::{self, ClientFrame, StatsSnapshot, Submission, WireKind, WireOutcome};
-use dcn_collections::{FxHashMap, SlidingMap};
+use dcn_collections::FxHashMap;
 use dcn_controller::{
-    Controller, ControllerError, ControllerEvent, Outcome, RequestId, RequestKind, RequestRecord,
+    Controller, ControllerError, ControllerEvent, Outcome, RequestKind, RequestRecord,
 };
 use dcn_simnet::SimConfig;
 use dcn_tree::NodeId;
 use dcn_workload::{build_tree, ControllerSpec, Family, TreeShape};
+use std::ops::Range;
 
 /// How many of the newest tickets issued `poll` can still answer: the engine
-/// keeps the wire outcome (32 B) of every answered ticket among them and
-/// answers `expired-ticket` for an older one. This bounds only how long a
-/// client that does *not* `subscribe` may wait before polling — 256 × the
-/// per-connection in-flight cap. A ticket answered only after this many newer
-/// ones were issued (a straggler) polls `pending` while in flight and
-/// `expired-ticket` after; its events still stream. A served process's memory
-/// follows this window, not its request count.
+/// keeps a 16 B [`Answer`] of every answered ticket among them, in a ring of
+/// this many slots, and answers `expired-ticket` for an older one. This
+/// bounds only how long a client that does *not* `subscribe` may wait before
+/// polling — 256 × the per-connection in-flight cap. A ticket answered only
+/// after this many newer ones were issued (a straggler) polls `pending` while
+/// in flight and `expired-ticket` after; its events still stream. A served
+/// process's memory follows this window, not its request count.
 pub(crate) const ANSWER_WINDOW: usize = 65_536;
+
+/// The wire names of the granted kinds, in the order of their [`Answer`]
+/// codes.
+const GRANTED_KINDS: [&str; 4] = ["add-leaf", "add-internal-above", "remove-self", "event"];
+
+/// What `poll` reports for one answered ticket, in 16 bytes: one slot of the
+/// engine's ring (DESIGN.md §9 "Per-request state").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Answer {
+    /// A grant's virtual answer time (0 for the other outcomes).
+    at: u64,
+    /// The node a granted insertion created, when `code` has
+    /// [`Answer::HAS_NODE`].
+    node: u32,
+    /// [`Answer::VACANT`], [`Answer::REJECTED`], [`Answer::REFUSED`] or
+    /// [`Answer::GRANTED`] `+ i` for the kind `GRANTED_KINDS[i]`, plus the
+    /// [`Answer::HAS_NODE`] bit.
+    code: u8,
+}
+
+impl Answer {
+    const VACANT: u8 = 0;
+    const REJECTED: u8 = 1;
+    const REFUSED: u8 = 2;
+    const GRANTED: u8 = 3;
+    const HAS_NODE: u8 = 0x80;
+    /// An empty slot: no answer kept.
+    const NONE: Answer = Answer {
+        at: 0,
+        node: 0,
+        code: Answer::VACANT,
+    };
+
+    /// The answer a controller record gives — field for field what the
+    /// ticket's streamed events said.
+    fn of(record: &RequestRecord) -> Answer {
+        match record.outcome {
+            Outcome::Granted { new_node, .. } => {
+                let kind = match record.kind {
+                    RequestKind::AddLeaf => 0,
+                    RequestKind::AddInternalAbove(_) => 1,
+                    RequestKind::RemoveSelf => 2,
+                    RequestKind::NonTopological => 3,
+                };
+                let (node, has_node) = match new_node {
+                    // A `NodeId` is a `u32` index.
+                    Some(n) => (n.index() as u32, Answer::HAS_NODE),
+                    None => (0, 0),
+                };
+                Answer {
+                    at: record.answered_at,
+                    node,
+                    code: (Answer::GRANTED + kind) | has_node,
+                }
+            }
+            Outcome::Rejected => Answer {
+                code: Answer::REJECTED,
+                ..Answer::NONE
+            },
+            Outcome::Refused => Answer {
+                code: Answer::REFUSED,
+                ..Answer::NONE
+            },
+        }
+    }
+
+    /// The `poll` reply for `ticket`, or `None` for a vacant slot.
+    fn frame(self, ticket: u64) -> Option<String> {
+        let frame = match self.code & !Answer::HAS_NODE {
+            Answer::VACANT => return None,
+            Answer::REJECTED => protocol::outcome_frame(ticket, &WireOutcome::Rejected),
+            Answer::REFUSED => protocol::outcome_frame(ticket, &WireOutcome::Refused),
+            granted => {
+                let kind = GRANTED_KINDS[usize::from(granted - Answer::GRANTED)];
+                let node = (self.code & Answer::HAS_NODE != 0).then_some(u64::from(self.node));
+                protocol::granted_outcome_frame(ticket, self.at, kind, node)
+            }
+        };
+        Some(frame)
+    }
+}
+
+/// The ring slot of `ticket`.
+fn slot(ticket: u64) -> usize {
+    (ticket % ANSWER_WINDOW as u64) as usize
+}
 
 /// Identifies one client connection for the engine's routing tables. The
 /// transport allocates these (monotonically, starting at 1).
@@ -151,13 +238,14 @@ pub struct EngineCore {
     /// event. `poll` reads `pending` while a ticket is here — even when the
     /// controller resolved it inside `submit` — and `answers` once it is not.
     route: FxHashMap<u64, (ClientId, Option<u64>)>,
-    /// The wire outcome of every answered ticket at or above `answers_floor`:
-    /// the only per-request state a pump leaves behind, spanning at most the
-    /// newest `ANSWER_WINDOW` tickets issued.
-    answers: SlidingMap<RequestId, WireOutcome>,
-    /// `tickets_end − ANSWER_WINDOW` (floored at 0) as of the last pump;
-    /// every ticket below it has left `answers`. Only ever grows.
-    answers_floor: u64,
+    /// `poll`'s window, the only per-request state a pump leaves behind: a
+    /// ring whose slot `t % ANSWER_WINDOW` holds, for each ticket `t` in
+    /// [`EngineCore::window`], its answer or nothing. It grows with the
+    /// tickets issued, up to `ANSWER_WINDOW` slots (1 MiB) and never past.
+    answers: Vec<Answer>,
+    /// `tickets_end` as of the last pump, which vacated the slot of every
+    /// ticket below it for that ticket. Only ever grows.
+    vacated_end: u64,
     /// One past the highest ticket issued: what tells a ticket whose answer
     /// left the window from one that never existed.
     tickets_end: u64,
@@ -216,8 +304,8 @@ impl EngineCore {
             config,
             clients: FxHashMap::default(),
             route: FxHashMap::default(),
-            answers: SlidingMap::new(),
-            answers_floor: 0,
+            answers: Vec::new(),
+            vacated_end: 0,
             tickets_end: 0,
             submitted: 0,
             refused: 0,
@@ -340,10 +428,14 @@ impl EngineCore {
                 }
             }
             ClientFrame::Poll { ticket } => {
+                let answer = self
+                    .window()
+                    .contains(&ticket)
+                    .then(|| self.answers[slot(ticket)]);
                 let reply = if self.route.contains_key(&ticket) {
                     protocol::outcome_frame(ticket, &WireOutcome::Pending)
-                } else if let Some(outcome) = self.answers.get(RequestId(ticket)) {
-                    protocol::outcome_frame(ticket, outcome)
+                } else if let Some(frame) = answer.and_then(|a| a.frame(ticket)) {
+                    frame
                 } else {
                     self.protocol_errors += 1;
                     let (code, detail) = if ticket < self.tickets_end {
@@ -501,7 +593,7 @@ impl EngineCore {
     /// pump. Each answer's events go to its submitting client (streamed only
     /// to subscribed connections; `poll` sees the same outcome either way),
     /// and its ticket's routing entry goes with the last of them; the engine
-    /// keeps its wire outcome while the ticket is among the newest
+    /// keeps a 16 B answer while the ticket is among the newest
     /// `ANSWER_WINDOW` issued (65 536; an older ticket polls as
     /// `expired-ticket`). Returns `true` while there is more in-flight work.
     ///
@@ -520,13 +612,16 @@ impl EngineCore {
                 self.quiescent = true;
             }
         }
-        // Evict before inserting, so the window never spans more than
-        // `ANSWER_WINDOW` tickets.
-        let floor = self.tickets_end.saturating_sub(ANSWER_WINDOW as u64);
-        for ticket in self.answers_floor..floor {
-            self.answers.remove(RequestId(ticket));
+        // Vacate before writing: the slot of each ticket issued since the
+        // last pump (at most one full ring) held the answer of the ticket
+        // `ANSWER_WINDOW` below it, which leaves the window now.
+        self.grow_ring();
+        let oldest = self.tickets_end.saturating_sub(ANSWER_WINDOW as u64);
+        for ticket in self.vacated_end.max(oldest)..self.tickets_end {
+            self.answers[slot(ticket)] = Answer::NONE;
         }
-        self.answers_floor = floor;
+        self.vacated_end = self.tickets_end;
+        let window = self.window();
         let mut events = Vec::new();
         for record in self.ctrl.take_records() {
             events.clear();
@@ -534,11 +629,29 @@ impl EngineCore {
             for &ev in &events {
                 self.route_event(ev, out);
             }
-            if record.id.0 >= floor {
-                self.answers.insert(record.id, wire_outcome(&record));
+            if window.contains(&record.id.0) {
+                self.answers[slot(record.id.0)] = Answer::of(&record);
             }
         }
         !self.quiescent
+    }
+
+    /// The tickets whose ring slots hold their own answer or nothing: the
+    /// newest `ANSWER_WINDOW` below `vacated_end`.
+    fn window(&self) -> Range<u64> {
+        self.vacated_end.saturating_sub(ANSWER_WINDOW as u64)..self.vacated_end
+    }
+
+    /// Gives every ticket issued a (vacant) slot, up to `ANSWER_WINDOW`:
+    /// doubling as a `Vec` does, but capped, so a full ring holds exactly
+    /// `ANSWER_WINDOW` slots.
+    fn grow_ring(&mut self) {
+        let len = self.tickets_end.min(ANSWER_WINDOW as u64) as usize;
+        if len > self.answers.capacity() {
+            let capacity = len.max(2 * self.answers.capacity()).min(ANSWER_WINDOW);
+            self.answers.reserve_exact(capacity - self.answers.len());
+        }
+        self.answers.resize(len, Answer::NONE);
     }
 
     /// Routes one answer's event to the ticket's submitting client, dropping
@@ -614,20 +727,6 @@ fn wire_index(node: NodeId) -> u64 {
     node.index() as u64
 }
 
-/// A controller record as `poll` reports it — field for field what the
-/// ticket's streamed events said.
-fn wire_outcome(record: &RequestRecord) -> WireOutcome {
-    match record.outcome {
-        Outcome::Granted { new_node, .. } => WireOutcome::Granted {
-            at: record.answered_at,
-            kind: record.kind,
-            new_node: new_node.map(wire_index),
-        },
-        Outcome::Rejected => WireOutcome::Rejected,
-        Outcome::Refused => WireOutcome::Refused,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,19 +748,21 @@ mod tests {
     }
 
     /// What `poll` keeps per answered ticket (DESIGN.md §9 "Per-request
-    /// state"): one 32-byte slot in the window.
+    /// state"): one 16-byte slot of the ring.
     #[test]
-    fn a_kept_answer_is_at_most_32_bytes() {
-        assert!(std::mem::size_of::<Option<WireOutcome>>() <= 32);
+    fn a_kept_answer_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Answer>(), 16);
     }
 
     /// However many tickets pass, the answers kept for `poll` span at most
-    /// the newest `ANSWER_WINDOW` issued, and the served controller holds no
-    /// record once a pump has returned.
+    /// the newest `ANSWER_WINDOW` issued in a ring that never outgrows
+    /// `ANSWER_WINDOW` slots (nor exists before a ticket does), and the
+    /// served controller holds no record once a pump has returned.
     #[test]
     fn the_answer_window_spans_at_most_answer_window_tickets() {
         let mut engine =
             EngineCore::new(ServeConfig::new(Family::Centralized, 1 << 20, 8)).unwrap();
+        assert_eq!(engine.answers.capacity(), 0);
         let mut out = Vec::new();
         engine.client_connected(1);
         engine.handle_line(1, r#"{"op": "hello", "proto": 1}"#, &mut out);
@@ -676,10 +777,15 @@ mod tests {
             }
             while engine.pump(&mut out) {}
             assert!(engine.controller().records().is_empty());
-            assert!(engine.answers.span() <= ANSWER_WINDOW);
+            assert!(engine.answers.capacity() <= ANSWER_WINDOW);
             out.clear();
         }
-        assert_eq!(engine.answers.len(), ANSWER_WINDOW);
-        assert_eq!(engine.answers_floor, 2 * ANSWER_WINDOW as u64);
+        assert_eq!(engine.answers.capacity(), ANSWER_WINDOW);
+        let kept = engine.answers.iter().filter(|a| **a != Answer::NONE);
+        assert_eq!(kept.count(), ANSWER_WINDOW);
+        assert_eq!(
+            engine.window(),
+            2 * ANSWER_WINDOW as u64..3 * ANSWER_WINDOW as u64
+        );
     }
 }

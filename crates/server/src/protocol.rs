@@ -321,15 +321,7 @@ pub fn outcome_frame(ticket: u64, outcome: &WireOutcome) -> String {
             format!("{{\"ok\": \"outcome\", \"ticket\": {ticket}, \"status\": \"pending\"}}")
         }
         WireOutcome::Granted { at, kind, new_node } => {
-            let mut out = format!(
-                "{{\"ok\": \"outcome\", \"ticket\": {ticket}, \"status\": \"granted\", \"at\": {at}, \"kind\": {}",
-                json_quote(kind_name(*kind))
-            );
-            if let Some(n) = new_node {
-                let _ = write!(out, ", \"new_node\": {n}");
-            }
-            out.push('}');
-            out
+            granted_outcome_frame(ticket, *at, kind_name(*kind), *new_node)
         }
         WireOutcome::Rejected => {
             format!("{{\"ok\": \"outcome\", \"ticket\": {ticket}, \"status\": \"rejected\"}}")
@@ -338,6 +330,26 @@ pub fn outcome_frame(ticket: u64, outcome: &WireOutcome) -> String {
             format!("{{\"ok\": \"outcome\", \"ticket\": {ticket}, \"status\": \"refused\"}}")
         }
     }
+}
+
+/// Encodes the `outcome` reply for a granted ticket from the kind's wire
+/// name (what the engine keeps of an answer: an `add-internal-above` child is
+/// never on the wire).
+pub(crate) fn granted_outcome_frame(
+    ticket: u64,
+    at: u64,
+    kind: &str,
+    new_node: Option<u64>,
+) -> String {
+    let mut out = format!(
+        "{{\"ok\": \"outcome\", \"ticket\": {ticket}, \"status\": \"granted\", \"at\": {at}, \"kind\": {}",
+        json_quote(kind)
+    );
+    if let Some(n) = new_node {
+        let _ = write!(out, ", \"new_node\": {n}");
+    }
+    out.push('}');
+    out
 }
 
 /// Encodes a streamed outcome event for a subscribed connection.

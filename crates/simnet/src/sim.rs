@@ -22,6 +22,7 @@ use crate::taxi::{AgentTaxi, NodeTaxi};
 use crate::topology::{TopologyChange, CHANGE_DELAY};
 use crate::{DynamicTree, NodeId};
 use dcn_rng::{DetRng, SeedableRng};
+use dcn_tree::ChangeLog;
 use std::error::Error;
 use std::fmt;
 
@@ -151,6 +152,12 @@ impl<P: Protocol> Simulator<P> {
     /// network at an epoch boundary).
     pub fn into_tree(self) -> DynamicTree {
         self.tree
+    }
+
+    /// Takes the changes the tree recorded so far (see
+    /// [`DynamicTree::take_change_log`]).
+    pub fn take_change_log(&mut self) -> ChangeLog {
+        self.tree.take_change_log()
     }
 
     /// Current simulated time.

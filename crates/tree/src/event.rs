@@ -100,7 +100,8 @@ impl ChangeLog {
     }
 
     /// The recorded events in order of occurrence. Readers that follow the
-    /// log keep a cursor and read `events()[cursor..]`.
+    /// log keep a cursor and read `events()[cursor..]`, or take it as they go
+    /// ([`DynamicTree::take_change_log`](crate::DynamicTree::take_change_log)).
     pub fn events(&self) -> &[TopologyEvent] {
         &self.events
     }

@@ -152,6 +152,14 @@ impl DynamicTree {
         &self.log
     }
 
+    /// Takes the changes recorded so far and leaves an empty log starting at
+    /// the current node count, so a reader that replays what it takes keeps
+    /// the tree from holding any history (and `sizes_at_changes` stays right
+    /// for what is recorded next). Recording, if on, goes on.
+    pub fn take_change_log(&mut self) -> ChangeLog {
+        std::mem::replace(&mut self.log, ChangeLog::starting_at(self.node_count))
+    }
+
     /// Counts an applied change and records it if a reader asked.
     fn applied(&mut self, event: TopologyEvent) {
         self.changes += 1;
