@@ -344,7 +344,7 @@ fn sharded_grid_output_matches_the_pre_shell_golden_hashes() {
 /// out on purpose — the pre-shell code reset them at every rebuild.
 fn adaptive_distributed_fingerprint(seed: u64) -> u64 {
     use dcn_controller::distributed::AdaptiveDistributedController;
-    use dcn_controller::{Controller, Outcome, RequestKind};
+    use dcn_controller::{Controller, RequestKind};
     use dcn_simnet::SimConfig;
     use dcn_tree::{DynamicTree, NodeId};
 
@@ -369,8 +369,47 @@ fn adaptive_distributed_fingerprint(seed: u64) -> u64 {
     }
     assert!(ctrl.recycles() >= 1, "seed {seed}: no recycle forced");
     assert!(ctrl.epochs() >= 2, "seed {seed}: no epoch refresh forced");
+    fingerprint(&ctrl)
+}
+
+/// The same fingerprint in the hierarchical regime (`W ≥ 4U`, so `φ > 1`
+/// from the first epoch): a 15-node path with M = 4 096 and W = 1 024, asked
+/// for more permits than M. Its epochs re-open with `L ≤ 2W` and its rejects
+/// meet between 1 and `2W` uncommitted permits, which is where a halving rule
+/// that opens every epoch at `L/2`, or takes rejects as final only at zero
+/// uncommitted permits, spends different messages.
+fn hierarchical_adaptive_distributed_fingerprint(seed: u64) -> u64 {
+    use dcn_controller::distributed::AdaptiveDistributedController;
+    use dcn_controller::{Controller, RequestKind};
+    use dcn_simnet::SimConfig;
+    use dcn_tree::{DynamicTree, NodeId};
+
+    let tree = DynamicTree::with_initial_path(15);
+    let mut ctrl =
+        AdaptiveDistributedController::new(SimConfig::new(seed), tree, 4_096, 1_024).unwrap();
+    for round in 0..11usize {
+        let nodes: Vec<NodeId> = Controller::tree(&ctrl).nodes().collect();
+        for i in 0..400usize {
+            let at = nodes[(i * 7 + round) % nodes.len()];
+            let kind = if round % 3 == 0 && i < 8 {
+                RequestKind::AddLeaf
+            } else {
+                RequestKind::NonTopological
+            };
+            Controller::submit(&mut ctrl, at, kind).unwrap();
+        }
+        Controller::run_to_quiescence(&mut ctrl).unwrap();
+    }
+    assert!(ctrl.is_exhausted(), "seed {seed}: M not exhausted");
+    assert!(ctrl.epochs() >= 2, "seed {seed}: no epoch refresh forced");
+    fingerprint(&ctrl)
+}
+
+fn fingerprint(ctrl: &dcn_controller::distributed::AdaptiveDistributedController) -> u64 {
+    use dcn_controller::{Controller, Outcome};
+
     let mut words: Vec<u64> = Vec::new();
-    for r in Controller::records(&ctrl) {
+    for r in Controller::records(ctrl) {
         let outcome = match r.outcome {
             Outcome::Granted { .. } => 1,
             Outcome::Rejected => 2,
@@ -379,7 +418,7 @@ fn adaptive_distributed_fingerprint(seed: u64) -> u64 {
         words.extend([r.id.0, outcome, r.submitted_at, r.answered_at]);
     }
     words.extend([
-        Controller::metrics(&ctrl).messages,
+        Controller::metrics(ctrl).messages,
         ctrl.epochs() as u64,
         ctrl.recycles() as u64,
     ]);
@@ -402,4 +441,6 @@ fn adaptive_distributed_runs_match_the_pre_shell_fingerprints() {
         ],
         "{got:x?}"
     );
+    let hierarchical = hierarchical_adaptive_distributed_fingerprint(5);
+    assert_eq!(hierarchical, 0xee6c_9cea_0707_6e57, "{hierarchical:x}");
 }

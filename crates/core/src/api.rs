@@ -173,12 +173,13 @@ impl Progress {
 
 /// The shared behaviour of every (M, W)-controller in the workspace.
 ///
-/// Implemented directly by the asynchronous families —
+/// Implemented directly by
 /// [`DistributedController`](crate::distributed::DistributedController),
+/// [`ShardedController`](crate::sharded::ShardedController) and
+/// [`Iterated`](crate::Iterated) — the asynchronous
 /// [`AdaptiveDistributedController`](crate::distributed::AdaptiveDistributedController),
-/// [`ShardedController`](crate::sharded::ShardedController) — and by
-/// [`IteratedController`](crate::centralized::IteratedController), which
-/// runs the epoch engine to quiescence inside `submit`; and, through the one
+/// and the [`IteratedController`](crate::centralized::IteratedController),
+/// which runs the epoch engine to quiescence inside `submit`; and, through the one
 /// blanket impl over [`SyncController`], by
 /// [`CentralizedController`](crate::centralized::CentralizedController) and
 /// the `TrivialController` / `AapsController` baselines in `dcn-baseline`.

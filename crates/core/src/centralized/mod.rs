@@ -11,13 +11,12 @@
 //! * [`IteratedController`] — the iteration trick of Observation 3.4 that
 //!   improves the factor `M/W` to `log(M/(W+1))` and also handles `W = 0`,
 //!   and with [`IteratedController::adaptive`] the unknown-`U` controllers
-//!   of Theorem 3.5 (both [`RefreshPolicy`] values). Its rounds are base
-//!   controllers run by the one epoch engine
-//!   ([`IterationDriver`](crate::distributed::IterationDriver)), which also
-//!   runs the distributed schedules.
+//!   of Theorem 3.5 (both [`RefreshPolicy`] values). It is the one iterated
+//!   wrapper, [`Iterated`](crate::Iterated), over base-controller rounds;
+//!   over distributed rounds the same wrapper is the
+//!   [`AdaptiveDistributedController`](crate::distributed::AdaptiveDistributedController).
 
 mod base;
-mod schedule;
 
+pub use crate::iterated::{IteratedController, RefreshPolicy};
 pub use base::CentralizedController;
-pub use schedule::{IteratedController, RefreshPolicy};

@@ -4,10 +4,8 @@
 //! what is left with a broadcast/upcast, start the next one. The
 //! [`EpochShell`] is the mechanism (inner controller, global clock, cost
 //! totals, outer tickets in flight); the [`IterationDriver`] is the loop over
-//! it, with every choice that differs between the §5 applications, the
-//! [`AdaptiveDistributedController`](super::AdaptiveDistributedController)
-//! and the centralized
-//! [`IteratedController`](crate::centralized::IteratedController) an
+//! it, with every choice that differs between the §5 applications and the
+//! iterated controllers ([`Iterated`](crate::Iterated)) an
 //! [`IterationPolicy`] hook. The inner controller is an [`InnerController`]:
 //! the distributed one of §4, or the centralized one of §3. The
 //! [`ShardedController`](crate::ShardedController) drives bare shells: its

@@ -25,20 +25,22 @@
 //! Past the fixed-`U` controller, [`IterationDriver`] is the one epoch
 //! engine: a sequence of such controllers — or of the centralized ones of §3
 //! — behind stable tickets, rotated at quiescent points by an
-//! [`IterationPolicy`]. The [`AdaptiveDistributedController`] (Theorem 4.9 /
-//! Appendix A), the §5 applications of `dcn-estimator` and the centralized
+//! [`IterationPolicy`]. It has two kinds of users: the §5 applications of
+//! `dcn-estimator`, and the one iterated wrapper,
+//! [`Iterated`](crate::Iterated), whose schedule is the
+//! [`AdaptiveDistributedController`] (Theorem 4.9 / Appendix A) over these
+//! controllers and the
 //! [`IteratedController`](crate::centralized::IteratedController)
-//! (Observation 3.4 / Theorem 3.5) are its policies.
+//! (Observation 3.4 / Theorem 3.5) over the centralized ones.
 
 mod agent;
 mod driver;
 mod epoch;
-mod iterated;
 mod protocol;
 
+pub use crate::iterated::AdaptiveDistributedController;
 pub use agent::{CtrlAgent, RequestAgent};
 pub use driver::DistributedController;
 pub(crate) use epoch::{EpochShell, InnerController, Pending};
 pub use epoch::{IterationDriver, IterationPlan, IterationPolicy, Runtime};
-pub use iterated::AdaptiveDistributedController;
 pub use protocol::{ControllerProtocol, CtrlOutput, CtrlWhiteboard, PackageEvent};

@@ -19,13 +19,17 @@
 //!   *filler node*, and the recursive `Proc` distribution leaves a trail of
 //!   geometrically sized packages behind. Includes the iterated controller of
 //!   Observation 3.4 and the adaptive (unknown-`U`) controllers of
-//!   Theorem 3.5, both schedules of the epoch engine.
+//!   Theorem 3.5.
 //! * [`distributed`] — the mobile-agent implementation of §4 running on the
 //!   [`dcn_simnet`] asynchronous network simulator, with path locking, FIFO
 //!   waiting queues and reject waves, plus the one epoch engine
-//!   ([`distributed::IterationDriver`]) that runs the adaptive controller of
-//!   §4.5 / Appendix A, the §5 applications of `dcn-estimator` and the
-//!   centralized schedules.
+//!   ([`distributed::IterationDriver`]) that runs the §5 applications of
+//!   `dcn-estimator` and the iterated controllers.
+//! * [`Iterated`] — the one iterated controller: Observation 3.4's halving
+//!   rounds, in Theorem 3.5's epochs when `U` is unknown, over centralized
+//!   rounds ([`centralized::IteratedController`]) or distributed ones (the
+//!   adaptive controller of §4.5 / Appendix A,
+//!   [`distributed::AdaptiveDistributedController`]).
 //! * [`domain`] — the *package domain* bookkeeping used by the paper's
 //!   analysis (§3.2), implemented as an auditor so tests can check the domain
 //!   invariants on real executions.
@@ -80,6 +84,7 @@ pub mod centralized;
 pub mod distributed;
 pub mod domain;
 mod error;
+mod iterated;
 mod ledger;
 mod package;
 mod params;
@@ -89,6 +94,7 @@ pub mod verify;
 
 pub use api::{Controller, ControllerEvent, ControllerMetrics, Progress, SyncController};
 pub use error::ControllerError;
+pub use iterated::Iterated;
 pub use ledger::RequestLedger;
 pub use package::{MobilePackage, PackageStore, PermitInterval};
 pub use params::Params;
