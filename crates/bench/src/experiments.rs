@@ -10,12 +10,11 @@ use crate::{
 };
 use dcn_controller::centralized::{IteratedController, RefreshPolicy};
 use dcn_controller::Controller;
-use dcn_estimator::{HeavyChildDecomposition, NameAssigner};
+use dcn_estimator::{HeavyChildDecomposition, NameAssigner, SizeEstimator};
 use dcn_simnet::SimConfig;
 use dcn_workload::{
-    build_tree, AppFamily, AppReport, AppSpec, Application, ArrivalMode, CellKind, CellResult,
-    ChurnGenerator, ChurnModel, Placement, RunReport, Scenario, ScenarioRunner, SweepCell,
-    TreeShape,
+    build_tree, AppReport, Application, ArrivalMode, CellKind, CellResult, ChurnGenerator,
+    ChurnModel, Placement, RunReport, Scenario, ScenarioRunner, SweepCell, TreeShape,
 };
 
 /// One row of the experiment index.
@@ -460,11 +459,10 @@ fn f1_size_estimation() -> Vec<Row> {
                 seed: 11,
             };
             let runner = ScenarioRunner::new(scenario.clone()).with_batch(12);
-            let mut app = AppSpec::for_scenario(AppFamily::SizeEstimator, &scenario)
-                .with_beta(beta)
-                .build_for(&runner)
-                .unwrap_or_else(|e| panic!("{}: invalid parameters: {e}", scenario.name));
-            let report = drive_app(&runner, app.as_mut());
+            let mut app =
+                SizeEstimator::new(SimConfig::new(scenario.seed), runner.initial_tree(), beta)
+                    .unwrap_or_else(|e| panic!("{}: invalid parameters: {e}", scenario.name));
+            let report = drive_app(&runner, &mut app);
             let n_now = report.final_nodes.max(2) as f64;
             let bound = n_now.log2().powi(2);
             rows.push(Row::new(

@@ -359,9 +359,7 @@ mod tests {
         let scenario = small_scenario();
         let runner = ScenarioRunner::new(scenario.clone());
         for family in AppFamily::ALL {
-            let mut app = dcn_workload::AppSpec::for_scenario(family, &scenario)
-                .build_for(&runner)
-                .unwrap();
+            let mut app = app_factory(family.name(), &scenario).unwrap();
             let report = runner.run_app(app.as_mut()).unwrap();
             assert_eq!(report.app, family.name());
             assert!(report.granted > 0, "{}", family.name());

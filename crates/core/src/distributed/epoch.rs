@@ -324,55 +324,6 @@ pub trait IterationPolicy<C = DistributedController> {
     }
 }
 
-/// The ticket surface of an [`IterationDriver`] with its policy type erased
-/// (the runtime at the bottom of every `dcn-estimator` application stack).
-pub trait Runtime {
-    /// Submits a request arriving at `at` under a stable ticket; execution
-    /// happens in the next [`Runtime::step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors against the *current* tree (unknown node,
-    /// malformed topological request); such a request never entered the
-    /// driver and resolves to no event.
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError>;
-
-    /// Advances execution by at most `budget` inner simulator events.
-    /// `Progress::quiescent` is `true` once no ticket is unanswered. A slice
-    /// never spans an iteration boundary: it ends (not quiescent) right
-    /// after a rotation, before any retried request runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors and rotation-time construction errors.
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError>;
-
-    /// Removes and returns the answers given since the last take, in answer
-    /// order (see [`Controller::take_records`]).
-    fn take_records(&mut self) -> Vec<RequestRecord>;
-
-    /// The answers not yet taken, in answer order.
-    fn records(&self) -> &[RequestRecord];
-
-    /// The current spanning tree.
-    fn tree(&self) -> &DynamicTree;
-
-    /// Iterations (epochs) started so far.
-    fn iterations(&self) -> u32;
-
-    /// Topological changes granted so far.
-    fn changes(&self) -> u64;
-
-    /// Total messages so far: inner controller messages plus every charged
-    /// wave.
-    fn messages(&self) -> u64;
-
-    /// Charges `messages` application-level protocol messages (re-labelings,
-    /// pointer flips, vote deliveries) to the driver's counter —
-    /// applications declare costs, they do not own counters.
-    fn charge_messages(&mut self, messages: u64);
-}
-
 /// Consecutive grant-free rotations after which the driver stops retrying
 /// and rejects the stragglers (a fresh iteration normally grants at least
 /// one request; this is the safety valve the old per-app loops capped at 64
@@ -390,9 +341,8 @@ const MAX_STALLED_ROTATIONS: u32 = 64;
 /// the policy says whether to rotate and retry them or answer them for good.
 /// Seeds run `seed, seed+1, …` over the rotations.
 #[derive(Debug)]
-pub struct IterationDriver<P, C = DistributedController> {
+pub struct IterationDriver<P: ?Sized, C = DistributedController> {
     config: SimConfig,
-    policy: P,
     shell: EpochShell<C>,
     ledger: RequestLedger,
     /// The iteration-start size `N_i` announced to every node.
@@ -414,19 +364,24 @@ pub struct IterationDriver<P, C = DistributedController> {
     /// [`IterationPolicy::rejects_are_final`]): every request from then on
     /// is answered with a final reject.
     spent: bool,
+    /// Last, so that `&IterationDriver<P>` coerces to
+    /// `&IterationDriver<dyn IterationPolicy>`.
+    policy: P,
 }
 
-impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
+impl<P: IterationPolicy<C> + ?Sized, C: InnerController> IterationDriver<P, C> {
     /// Creates the driver over `tree`, planning and starting the first
     /// iteration through `policy`.
     ///
     /// # Errors
     ///
     /// Returns controller construction errors (invalid plan parameters).
-    pub fn new(config: SimConfig, tree: DynamicTree, policy: P) -> Result<Self, ControllerError> {
+    pub fn new(config: SimConfig, tree: DynamicTree, policy: P) -> Result<Self, ControllerError>
+    where
+        P: Sized,
+    {
         let mut driver = IterationDriver {
             config,
-            policy,
             shell: EpochShell::parked(tree),
             ledger: RequestLedger::new(),
             estimate: 0,
@@ -439,6 +394,7 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
             retry: Vec::new(),
             stalled_rotations: 0,
             spent: false,
+            policy,
         };
         driver.start_iteration()?;
         Ok(driver)
@@ -453,6 +409,81 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     /// of the size-estimation protocol).
     pub fn estimate(&self) -> u64 {
         self.estimate
+    }
+
+    /// Submits a request arriving at `at` under a stable ticket; execution
+    /// happens in the next [`IterationDriver::step`].
+    ///
+    /// # Errors
+    ///
+    /// Returns validation errors against the *current* tree (unknown node,
+    /// malformed topological request); such a request never entered the
+    /// driver and resolves to no event.
+    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
+        // A spent centralized run answers any request from the reject
+        // packages of its reject wave, unchecked.
+        if !(C::CENTRALIZED && self.spent) {
+            check_request(self.shell.tree(), at, kind)?;
+        }
+        let request = Pending {
+            id: self.ledger.issue(),
+            origin: at,
+            kind,
+            submitted_at: self.shell.now(),
+        };
+        self.queued.push(request);
+        Ok(request.id)
+    }
+
+    /// Advances execution by at most `budget` inner simulator events.
+    /// `Progress::quiescent` is `true` once no ticket is unanswered. A slice
+    /// never spans an iteration boundary: it ends (not quiescent) right
+    /// after a rotation, before any retried request runs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors and rotation-time construction errors.
+    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
+        self.slice(Some(budget))
+    }
+
+    /// Removes and returns the answers given since the last take, in answer
+    /// order (see [`Controller::take_records`]).
+    pub fn take_records(&mut self) -> Vec<RequestRecord> {
+        self.ledger.take_records()
+    }
+
+    /// The answers not yet taken, in answer order.
+    pub fn records(&self) -> &[RequestRecord] {
+        self.ledger.records()
+    }
+
+    /// The current spanning tree.
+    pub fn tree(&self) -> &DynamicTree {
+        self.shell.tree()
+    }
+
+    /// Iterations (epochs) started so far.
+    pub fn iterations(&self) -> u32 {
+        self.iterations
+    }
+
+    /// Topological changes granted so far.
+    pub fn changes(&self) -> u64 {
+        self.changes_total
+    }
+
+    /// Total messages so far: inner controller messages plus every charged
+    /// wave.
+    pub fn messages(&self) -> u64 {
+        self.shell.messages() + self.aux_messages
+    }
+
+    /// Charges `messages` application-level protocol messages (re-labelings,
+    /// pointer flips, vote deliveries) to the driver's counter —
+    /// applications declare costs, they do not own counters.
+    pub fn charge_messages(&mut self, messages: u64) {
+        self.aux_messages += messages;
     }
 
     /// Runs until every ticket is answered, each iteration under the
@@ -663,7 +694,7 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     }
 }
 
-impl<P> IterationDriver<P> {
+impl<P: ?Sized> IterationDriver<P> {
     /// The number of permits that travelled down through `node` in the
     /// current iteration (read off the inner controller's whiteboard; used
     /// by the subtree estimator).
@@ -673,55 +704,11 @@ impl<P> IterationDriver<P> {
             .and_then(|inner| inner.whiteboard(node))
             .map_or(0, |wb| wb.permits_passed_down)
     }
-}
 
-impl<P: IterationPolicy<C>, C: InnerController> Runtime for IterationDriver<P, C> {
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        // A spent centralized run answers any request from the reject
-        // packages of its reject wave, unchecked.
-        if !(C::CENTRALIZED && self.spent) {
-            check_request(self.shell.tree(), at, kind)?;
-        }
-        let request = Pending {
-            id: self.ledger.issue(),
-            origin: at,
-            kind,
-            submitted_at: self.shell.now(),
-        };
-        self.queued.push(request);
-        Ok(request.id)
-    }
-
-    fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        self.slice(Some(budget))
-    }
-
-    fn take_records(&mut self) -> Vec<RequestRecord> {
-        self.ledger.take_records()
-    }
-
-    fn records(&self) -> &[RequestRecord] {
-        self.ledger.records()
-    }
-
-    fn tree(&self) -> &DynamicTree {
-        self.shell.tree()
-    }
-
-    fn iterations(&self) -> u32 {
-        self.iterations
-    }
-
-    fn changes(&self) -> u64 {
-        self.changes_total
-    }
-
-    fn messages(&self) -> u64 {
-        self.shell.messages() + self.aux_messages
-    }
-
-    fn charge_messages(&mut self, messages: u64) {
-        self.aux_messages += messages;
+    /// Takes the changes the tree recorded so far (see
+    /// [`DynamicTree::take_change_log`]).
+    pub fn take_change_log(&mut self) -> ChangeLog {
+        self.shell.take_change_log()
     }
 }
 

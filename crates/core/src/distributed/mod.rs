@@ -42,5 +42,5 @@ pub use crate::iterated::AdaptiveDistributedController;
 pub use agent::{CtrlAgent, RequestAgent};
 pub use driver::DistributedController;
 pub(crate) use epoch::{EpochShell, InnerController, Pending};
-pub use epoch::{IterationDriver, IterationPlan, IterationPolicy, Runtime};
+pub use epoch::{IterationDriver, IterationPlan, IterationPolicy};
 pub use protocol::{ControllerProtocol, CtrlOutput, CtrlWhiteboard, PackageEvent};

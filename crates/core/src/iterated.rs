@@ -28,7 +28,6 @@ use crate::api::{Controller, ControllerMetrics, Progress};
 use crate::centralized::CentralizedController;
 use crate::distributed::{
     DistributedController, InnerController, IterationDriver, IterationPlan, IterationPolicy,
-    Runtime,
 };
 use crate::request::{RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;

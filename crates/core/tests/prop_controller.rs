@@ -294,7 +294,7 @@ fn distributed_agents_lock_in_two_phases_and_keep_the_domain_invariants() {
         }
 
         let mut auditor = DomainAuditor::new();
-        let mut log_cursor = ctrl.tree().change_log().len();
+        let mut replayed = ctrl.tree().change_log().len();
         // Lock owner per node-arena index, as of the previous event.
         let mut owners: Vec<Option<AgentId>> = Vec::new();
         let mut released: BTreeSet<AgentId> = BTreeSet::new();
@@ -328,7 +328,7 @@ fn distributed_agents_lock_in_two_phases_and_keep_the_domain_invariants() {
             // topology changes, then check the three invariants.
             let events = ctrl.take_package_events();
             let changes = ctrl.tree().change_log().len();
-            if events.is_empty() && changes == log_cursor {
+            if events.is_empty() && changes == replayed {
                 continue;
             }
             for event in events {
@@ -346,12 +346,12 @@ fn distributed_agents_lock_in_two_phases_and_keep_the_domain_invariants() {
                     PackageEvent::Taken { pkg } => auditor.package_consumed(pkg),
                 }
             }
-            for &event in &ctrl.tree().change_log().events()[log_cursor..] {
+            for &event in &ctrl.tree().change_log().events()[replayed..] {
                 if let TopologyEvent::AddInternal { node, below, .. } = event {
                     auditor.on_add_internal(node, below, ctrl.tree());
                 }
             }
-            log_cursor = changes;
+            replayed = changes;
             let host_of = |pkg: u64| {
                 ctrl.sim()
                     .whiteboards()

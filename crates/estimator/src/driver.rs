@@ -1,11 +1,10 @@
-//! The [`Application`] seam: an application names the epoch engine's
-//! [`Runtime`] at the bottom of its stack (the `dcn-controller`
-//! [`IterationDriver`](crate::IterationDriver) it owns or is layered on),
-//! hooks the end of every execution slice, checks its own invariant — and
-//! inherits the whole ticket surface.
+//! The [`Application`] seam: an application names the epoch engine at the
+//! bottom of its stack (the `dcn-controller` [`IterationDriver`] it owns or
+//! is layered on, its policy type erased), hooks the end of every execution
+//! slice, checks its own invariant — and inherits the whole ticket surface.
 
 use crate::invariant::InvariantError;
-use dcn_controller::distributed::Runtime;
+use dcn_controller::distributed::{IterationDriver, IterationPolicy};
 use dcn_controller::{ControllerError, Progress, RequestId, RequestKind, RequestRecord};
 use dcn_simnet::NodeId;
 use dcn_tree::DynamicTree;
@@ -15,19 +14,20 @@ use dcn_tree::DynamicTree;
 /// `dyn Application` exactly as the controller drivers program against
 /// `dyn Controller`.
 ///
-/// An application supplies four things — its name, the [`Runtime`] at the
-/// bottom of its stack, what it does after every execution slice, and its
-/// invariant check. The ticket surface is provided over the runtime.
+/// An application supplies four things — its name, the [`IterationDriver`]
+/// at the bottom of its stack, what it does after every execution slice, and
+/// its invariant check. The ticket surface is provided over the driver.
 pub trait Application {
     /// A short application name (used in report rows and sweep grids).
     fn name(&self) -> &'static str;
 
     /// The iteration driver at the bottom of this application's stack (its
-    /// own, or that of the application it is layered on).
-    fn runtime(&self) -> &dyn Runtime;
+    /// own, or that of the application it is layered on), its policy type
+    /// erased: `&self.driver` coerces.
+    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy>;
 
     /// Mutable access to the iteration driver at the bottom of the stack.
-    fn runtime_mut(&mut self) -> &mut dyn Runtime;
+    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy>;
 
     /// Called after every execution slice (each [`Application::step`], hence
     /// also at the end of [`Application::run_to_quiescence`] /
@@ -47,7 +47,8 @@ pub trait Application {
     /// Returns the first violated invariant.
     fn check_invariants(&self) -> Result<(), InvariantError>;
 
-    /// Submits a request under a stable ticket (see [`Runtime::submit`]).
+    /// Submits a request under a stable ticket (see
+    /// [`IterationDriver::submit`]).
     ///
     /// # Errors
     ///
@@ -57,7 +58,7 @@ pub trait Application {
     }
 
     /// Advances execution by at most `budget` simulator events (see
-    /// [`Runtime::step`]), then runs [`Application::after_slice`].
+    /// [`IterationDriver::step`]), then runs [`Application::after_slice`].
     ///
     /// # Errors
     ///
@@ -102,7 +103,7 @@ pub trait Application {
     }
 
     /// Removes and returns the answers given since the last take, in answer
-    /// order (see [`Runtime::take_records`]).
+    /// order (see [`IterationDriver::take_records`]).
     fn take_records(&mut self) -> Vec<RequestRecord> {
         self.runtime_mut().take_records()
     }
@@ -133,7 +134,7 @@ pub trait Application {
     }
 
     /// Charges `messages` protocol messages of this application (see
-    /// [`Runtime::charge_messages`]).
+    /// [`IterationDriver::charge_messages`]).
     fn charge_messages(&mut self, messages: u64) {
         self.runtime_mut().charge_messages(messages);
     }
@@ -142,7 +143,7 @@ pub trait Application {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_controller::distributed::{IterationDriver, IterationPlan, IterationPolicy};
+    use dcn_controller::distributed::IterationPlan;
     use dcn_simnet::SimConfig;
 
     /// A minimal policy: budget n/2, no interval, one broadcast per
@@ -173,11 +174,11 @@ mod tests {
             "bare"
         }
 
-        fn runtime(&self) -> &dyn Runtime {
+        fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
             &self.driver
         }
 
-        fn runtime_mut(&mut self) -> &mut dyn Runtime {
+        fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
             &mut self.driver
         }
 

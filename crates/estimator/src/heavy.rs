@@ -2,7 +2,7 @@
 
 use crate::invariant::InvariantError;
 use crate::subtree::SubtreeEstimator;
-use crate::{Application, Runtime};
+use crate::{Application, IterationDriver, IterationPolicy};
 use dcn_collections::SecondaryMap;
 use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
@@ -129,11 +129,11 @@ impl Application for HeavyChildDecomposition {
         "heavy-child"
     }
 
-    fn runtime(&self) -> &dyn Runtime {
+    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
         self.subtree.runtime()
     }
 
-    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
         self.subtree.runtime_mut()
     }
 

@@ -2,7 +2,7 @@
 
 use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
-use crate::{Application, Runtime};
+use crate::{Application, IterationDriver, IterationPolicy};
 use dcn_collections::SecondaryMap;
 use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
@@ -128,11 +128,11 @@ impl Application for AncestryLabeling {
         "ancestry-labeling"
     }
 
-    fn runtime(&self) -> &dyn Runtime {
+    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
         self.size.runtime()
     }
 
-    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
         self.size.runtime_mut()
     }
 

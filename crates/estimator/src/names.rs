@@ -1,7 +1,7 @@
 //! The name-assignment protocol (Theorem 5.2).
 
 use crate::invariant::InvariantError;
-use crate::{Application, Runtime};
+use crate::Application;
 use dcn_collections::{FxHashMap, SecondaryMap};
 use dcn_controller::distributed::{IterationDriver, IterationPlan, IterationPolicy};
 use dcn_controller::{ControllerError, Outcome, PermitInterval, RequestKind, RequestRecord};
@@ -139,11 +139,11 @@ impl Application for NameAssigner {
         "name-assigner"
     }
 
-    fn runtime(&self) -> &dyn Runtime {
+    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
         &self.driver
     }
 
-    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
         &mut self.driver
     }
 

@@ -1,7 +1,7 @@
 //! The size-estimation protocol (Theorem 5.1).
 
 use crate::invariant::InvariantError;
-use crate::{Application, Runtime};
+use crate::Application;
 use dcn_controller::distributed::{IterationDriver, IterationPlan, IterationPolicy};
 use dcn_controller::ControllerError;
 use dcn_simnet::{NodeId, SimConfig};
@@ -128,11 +128,11 @@ impl Application for SizeEstimator {
         "size-estimator"
     }
 
-    fn runtime(&self) -> &dyn Runtime {
+    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
         &self.driver
     }
 
-    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
         &mut self.driver
     }
 
@@ -243,6 +243,16 @@ mod tests {
         assert_eq!(answered, ids, "each ticket answered once");
         assert!(est.records().is_empty());
         est.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn beta_flows_into_the_size_estimator() {
+        let est =
+            SizeEstimator::new(SimConfig::new(0), DynamicTree::with_initial_star(8), 3.0).unwrap();
+        assert_eq!(est.beta(), 3.0);
+        // β = 3 tolerates a 3× size mismatch: estimate 9 vs n up to 27.
+        assert_eq!(est.estimate(), 9);
+        assert!(est.check_invariants().is_ok());
     }
 
     #[test]

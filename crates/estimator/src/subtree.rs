@@ -2,7 +2,7 @@
 
 use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
-use crate::{Application, Runtime};
+use crate::{Application, IterationDriver, IterationPolicy};
 use dcn_collections::SecondaryMap;
 use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
@@ -34,15 +34,14 @@ pub struct SubtreeEstimator {
     shadow_parent: SecondaryMap<NodeId, NodeId>,
     /// The iteration for which `omega0` was computed.
     iteration_tag: u32,
-    /// Index into the tree change log up to which super-weights are current.
-    log_cursor: usize,
 }
 
 impl SubtreeEstimator {
     /// Creates the estimator over `tree` with approximation factor `beta`
     /// (use `β = √3` when feeding the heavy-child decomposition). The
     /// reference super-weights are replayed from the tree's change log, so
-    /// the tree records its changes from here on.
+    /// the tree records its changes from here on; each slice takes what it
+    /// replays, so the tree keeps no history.
     ///
     /// # Errors
     ///
@@ -60,7 +59,6 @@ impl SubtreeEstimator {
             super_weight: SecondaryMap::new(),
             shadow_parent: SecondaryMap::new(),
             iteration_tag: 0,
-            log_cursor: 0,
         };
         est.refresh_omega0();
         Ok(est)
@@ -107,26 +105,25 @@ impl SubtreeEstimator {
 
     /// Recomputes ω₀ (subtree sizes, summed up a post-order) for the current
     /// iteration and resets the super-weight reference and the shadow parent
-    /// map; charged as one broadcast/upcast wave through the driver.
+    /// map (the changes logged before the rotation are dropped); charged as
+    /// one broadcast/upcast wave through the driver.
     fn refresh_omega0(&mut self) {
-        let charge;
-        {
-            let tree = self.size.tree();
-            self.omega0.clear();
-            self.shadow_parent.clear();
-            let order: Vec<NodeId> = tree.dfs(tree.root()).collect();
-            for &node in order.iter().rev() {
-                let size = *self.omega0.get_or_insert_with(node, || 1);
-                if let Some(parent) = tree.parent(node) {
-                    *self.omega0.get_or_insert_with(parent, || 1) += size;
-                    self.shadow_parent.insert(node, parent);
-                }
+        let tree = self.size.tree();
+        self.omega0.clear();
+        self.shadow_parent.clear();
+        let order: Vec<NodeId> = tree.dfs(tree.root()).collect();
+        for &node in order.iter().rev() {
+            let size = *self.omega0.get_or_insert_with(node, || 1);
+            if let Some(parent) = tree.parent(node) {
+                *self.omega0.get_or_insert_with(parent, || 1) += size;
+                self.shadow_parent.insert(node, parent);
             }
-            self.super_weight = self.omega0.clone();
-            charge = 2 * tree.node_count() as u64;
-            self.log_cursor = tree.change_log().len();
         }
-        self.charge_messages(charge);
+        self.super_weight = self.omega0.clone();
+        let charge = 2 * tree.node_count() as u64;
+        let driver = self.runtime_mut();
+        driver.take_change_log();
+        driver.charge_messages(charge);
         self.iteration_tag = self.size.iterations();
     }
 
@@ -140,18 +137,16 @@ impl SubtreeEstimator {
         }
     }
 
-    /// Replays the tree change log to keep the reference super-weights
-    /// current: every inserted node contributes 1 to all the ancestors it
-    /// had *at insertion time* (and deletions do not subtract — the
-    /// super-weight counts everything that existed at any point in the
+    /// Takes and replays the tree's change log to keep the reference
+    /// super-weights current: every inserted node contributes 1 to all the
+    /// ancestors it had *at insertion time* (and deletions do not subtract —
+    /// the super-weight counts everything that existed at any point in the
     /// iteration). The shadow parent map is replayed alongside, so a node
     /// inserted and deleted within one sync window still credits the right
     /// chain even though the live tree no longer contains it.
     fn update_super_weights(&mut self) {
-        let log = self.size.tree().change_log();
-        let fresh = log.events()[self.log_cursor..].to_vec();
-        self.log_cursor = log.len();
-        for event in fresh {
+        let log = self.runtime_mut().take_change_log();
+        for &event in log.events() {
             match event {
                 TopologyEvent::AddLeaf { parent, child } => {
                     self.super_weight.insert(child, 1);
@@ -200,11 +195,11 @@ impl Application for SubtreeEstimator {
         "subtree-estimator"
     }
 
-    fn runtime(&self) -> &dyn Runtime {
+    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
         self.size.runtime()
     }
 
-    fn runtime_mut(&mut self) -> &mut dyn Runtime {
+    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
         self.size.runtime_mut()
     }
 
@@ -274,6 +269,21 @@ mod tests {
         // snapshot taken after the retries ran would have lost the four.
         assert_eq!(est.true_super_weight(n(10)), 10);
         est.check_estimates().unwrap();
+    }
+
+    #[test]
+    fn the_tree_keeps_no_change_history() {
+        let tree = DynamicTree::with_initial_star(6);
+        let mut est = SubtreeEstimator::new(SimConfig::new(13), tree, 2.0).unwrap();
+        for _ in 0..12 {
+            let newest = est.tree().nodes().last().unwrap();
+            est.run_batch(&[(newest, RequestKind::AddLeaf); 3]).unwrap();
+            // Every slice takes what it replays, rotation slices included.
+            assert_eq!(est.tree().change_log().len(), 0);
+            est.check_estimates().unwrap();
+        }
+        assert!(est.iterations() > 1, "the growth spans iterations");
+        assert_eq!(est.changes(), 36);
     }
 
     #[test]

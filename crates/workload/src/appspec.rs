@@ -1,25 +1,20 @@
-//! [`AppSpec`]: the uniform factory for every §5 application, parallel to
-//! [`ControllerSpec`](crate::ControllerSpec).
+//! [`app_factory`]: the one factory for every §5 application, beside
+//! [`family_factory`](crate::family_factory) for the controllers.
 //!
-//! Before this module, every driver that needed a §5 application — the F1–F3
-//! experiment binaries, the examples — constructed it by hand and drove it
-//! through a bespoke batch loop. An [`AppSpec`] captures the *application
-//! family* plus the shared parameters (approximation factor β where the
-//! family takes one, simulator configuration) and builds any of the six
-//! applications behind a `Box<dyn Application>`, so the scenario runner
-//! ([`ScenarioRunner::run_app`](crate::ScenarioRunner::run_app)) and the
-//! sweep engine's apps axis drive them all through the ticketed
+//! It resolves an [`AppFamily`] name and builds that application over a
+//! scenario's initial tree behind a `Box<dyn Application>`, so the scenario
+//! runner ([`ScenarioRunner::run_app`](crate::ScenarioRunner::run_app)) and
+//! the sweep engine's apps axis drive all six through the ticketed
 //! submit/step/records seam.
 
-use crate::runner::ScenarioRunner;
 use crate::scenario::Scenario;
+use crate::shape::build_tree;
 use dcn_controller::ControllerError;
 use dcn_estimator::{
     AncestryLabeling, Application, HeavyChildDecomposition, MajorityCommitment, NameAssigner,
     SizeEstimator, SubtreeEstimator,
 };
 use dcn_simnet::SimConfig;
-use dcn_tree::DynamicTree;
 
 /// The §5 application families the workspace can build and sweep. All of
 /// them implement the shared [`Application`] trait, so every driver exercises
@@ -71,108 +66,27 @@ impl AppFamily {
     }
 }
 
-/// A complete recipe for one §5 application: family × β × simulator
-/// configuration. Build it over any tree with [`AppSpec::build`], or over a
-/// scenario's initial tree with [`AppSpec::build_for`].
+/// The application factory covering every §5 family: resolves a
+/// [`SweepGrid`](crate::SweepGrid) apps-axis string and builds the
+/// application over the scenario's initial tree, its simulator seeded with
+/// the scenario seed so the inner controllers' delay schedules replay with
+/// the workload. The families that take an approximation factor (size
+/// estimation, subtree estimation, majority commitment) get `β = 2`; the
+/// heavy-child decomposition fixes `β = √3` and the name assigner and
+/// ancestry labeling fix their own factors, as the paper prescribes.
 ///
 /// ```
-/// use dcn_workload::{AppFamily, AppSpec, Scenario, ScenarioRunner};
+/// use dcn_workload::{app_factory, AppFamily, Scenario, ScenarioRunner};
 ///
 /// let scenario = Scenario::smoke();
 /// let runner = ScenarioRunner::new(scenario.clone());
 /// for family in AppFamily::ALL {
-///     let mut app = AppSpec::for_scenario(family, &scenario)
-///         .build_for(&runner)
-///         .unwrap();
+///     let mut app = app_factory(family.name(), &scenario).unwrap();
 ///     let report = runner.run_app(app.as_mut()).unwrap();
 ///     assert_eq!(report.app, family.name());
 ///     assert_eq!(report.invariant_violations, 0);
 /// }
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AppSpec {
-    /// Which application family to build.
-    pub family: AppFamily,
-    /// The approximation factor β for the families that take one (size
-    /// estimation, subtree estimation, majority commitment); the heavy-child
-    /// decomposition fixes `β = √3` and the name assigner / ancestry
-    /// labeling fix their own factors, as the paper prescribes.
-    pub beta: f64,
-    /// Simulator configuration (seed, delay model, event budget) for the
-    /// inner distributed controllers.
-    pub sim: SimConfig,
-}
-
-impl AppSpec {
-    /// A spec with the default `β = 2` and a default simulator configuration
-    /// (seed 0).
-    pub fn new(family: AppFamily) -> Self {
-        AppSpec {
-            family,
-            beta: 2.0,
-            sim: SimConfig::new(0),
-        }
-    }
-
-    /// Replaces the approximation factor β.
-    pub fn with_beta(mut self, beta: f64) -> Self {
-        self.beta = beta;
-        self
-    }
-
-    /// Replaces the simulator configuration.
-    pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
-        self
-    }
-
-    /// The spec matching a scenario: the simulator is seeded with the
-    /// scenario seed so the inner controllers' delay schedules replay with
-    /// the workload.
-    pub fn for_scenario(family: AppFamily, scenario: &Scenario) -> Self {
-        AppSpec::new(family).with_sim(SimConfig::new(scenario.seed))
-    }
-
-    /// Builds the application over `tree`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller construction errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `beta <= 1` for a family that takes the factor.
-    pub fn build(&self, tree: DynamicTree) -> Result<Box<dyn Application>, ControllerError> {
-        Ok(match self.family {
-            AppFamily::SizeEstimator => Box::new(SizeEstimator::new(self.sim, tree, self.beta)?),
-            AppFamily::NameAssigner => Box::new(NameAssigner::new(self.sim, tree)?),
-            AppFamily::SubtreeEstimator => {
-                Box::new(SubtreeEstimator::new(self.sim, tree, self.beta)?)
-            }
-            AppFamily::HeavyChild => Box::new(HeavyChildDecomposition::new(self.sim, tree)?),
-            AppFamily::AncestryLabeling => Box::new(AncestryLabeling::new(self.sim, tree)?),
-            AppFamily::MajorityCommitment => {
-                Box::new(MajorityCommitment::new(self.sim, tree, self.beta)?)
-            }
-        })
-    }
-
-    /// Builds the application over a runner's initial tree.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AppSpec::build`].
-    pub fn build_for(
-        &self,
-        runner: &ScenarioRunner,
-    ) -> Result<Box<dyn Application>, ControllerError> {
-        self.build(runner.initial_tree())
-    }
-}
-
-/// The application factory covering every §5 family: resolves a
-/// [`SweepGrid`](crate::SweepGrid) apps-axis string and builds the
-/// application over the cell's scenario.
 ///
 /// # Errors
 ///
@@ -181,9 +95,18 @@ impl AppSpec {
 pub fn app_factory(family: &str, scenario: &Scenario) -> Result<Box<dyn Application>, String> {
     let family = AppFamily::from_name(family)
         .ok_or_else(|| format!("unknown application family {family:?}"))?;
-    AppSpec::for_scenario(family, scenario)
-        .build(crate::shape::build_tree(scenario.shape))
-        .map_err(|e| e.to_string())
+    let (sim, tree) = (SimConfig::new(scenario.seed), build_tree(scenario.shape));
+    let build = || -> Result<Box<dyn Application>, ControllerError> {
+        Ok(match family {
+            AppFamily::SizeEstimator => Box::new(SizeEstimator::new(sim, tree, 2.0)?),
+            AppFamily::NameAssigner => Box::new(NameAssigner::new(sim, tree)?),
+            AppFamily::SubtreeEstimator => Box::new(SubtreeEstimator::new(sim, tree, 2.0)?),
+            AppFamily::HeavyChild => Box::new(HeavyChildDecomposition::new(sim, tree)?),
+            AppFamily::AncestryLabeling => Box::new(AncestryLabeling::new(sim, tree)?),
+            AppFamily::MajorityCommitment => Box::new(MajorityCommitment::new(sim, tree, 2.0)?),
+        })
+    };
+    build().map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -203,8 +126,7 @@ mod tests {
     fn every_app_builds_and_reports_its_own_name() {
         let scenario = Scenario::smoke();
         for family in AppFamily::ALL {
-            let app = AppSpec::for_scenario(family, &scenario)
-                .build_for(&ScenarioRunner::new(scenario.clone()))
+            let app = app_factory(family.name(), &scenario)
                 .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
             assert_eq!(app.name(), family.name());
             assert!(app.tree().node_count() > 0);
@@ -217,9 +139,7 @@ mod tests {
     fn built_apps_answer_tickets_uniformly() {
         let scenario = Scenario::smoke();
         for family in AppFamily::ALL {
-            let mut app = AppSpec::for_scenario(family, &scenario)
-                .build_for(&ScenarioRunner::new(scenario.clone()))
-                .unwrap();
+            let mut app = app_factory(family.name(), &scenario).unwrap();
             let at = app.tree().root();
             let id = app.submit(at, RequestKind::AddLeaf).unwrap();
             app.run_to_quiescence().unwrap();
@@ -235,13 +155,5 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(err.contains("martian"));
-    }
-
-    #[test]
-    fn beta_flows_into_the_size_estimator() {
-        let spec = AppSpec::new(AppFamily::SizeEstimator).with_beta(3.0);
-        let app = spec.build(DynamicTree::with_initial_star(8)).unwrap();
-        // β = 3 tolerates a 3× size mismatch: estimate 9 vs n up to 27.
-        assert!(app.check_invariants().is_ok());
     }
 }

@@ -28,8 +28,8 @@
 //! Concrete controllers are built through the uniform [`ControllerSpec`]
 //! factory ([`Family`] × `M` × `W` × sim-config), which replaces the
 //! per-driver construction match arms; [`family_factory`] adapts it to the
-//! sweep engine's factory hook. The §5 applications have the parallel
-//! [`AppSpec`] factory ([`AppFamily`] × β × sim-config) and run through the
+//! sweep engine's factory hook. The §5 applications are built by
+//! [`app_factory`] (an [`AppFamily`] over a scenario) and run through the
 //! same machinery via [`ScenarioRunner::run_app`], which returns an
 //! [`AppReport`] (amortized messages per change, iteration counts, invariant
 //! violations, latency percentiles).
@@ -54,7 +54,7 @@ mod shape;
 mod spec;
 mod sweep;
 
-pub use appspec::{app_factory, AppFamily, AppSpec};
+pub use appspec::{app_factory, AppFamily};
 pub use churn::{ChurnGenerator, ChurnModel, ChurnOp};
 pub use json::quote as json_quote;
 pub use placement::Placement;

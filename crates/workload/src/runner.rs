@@ -733,11 +733,9 @@ mod tests {
 
     #[test]
     fn runner_drives_an_application_to_a_consistent_report() {
-        use crate::appspec::{AppFamily, AppSpec};
+        use crate::appspec::app_factory;
         let runner = ScenarioRunner::new(scenario(60, 40, 10, 13));
-        let mut app = AppSpec::for_scenario(AppFamily::SizeEstimator, runner.scenario())
-            .build_for(&runner)
-            .unwrap();
+        let mut app = app_factory("size-estimator", runner.scenario()).unwrap();
         let report = runner.run_app(app.as_mut()).unwrap();
         assert_eq!(report.app, "size-estimator");
         assert_eq!(report.submitted, 60);
@@ -750,38 +748,30 @@ mod tests {
         assert!(report.p95_answer_latency > 0);
         report.check().unwrap();
         // Identically-seeded reruns reproduce the report exactly.
-        let mut again = AppSpec::for_scenario(AppFamily::SizeEstimator, runner.scenario())
-            .build_for(&runner)
-            .unwrap();
+        let mut again = app_factory("size-estimator", runner.scenario()).unwrap();
         assert_eq!(runner.run_app(again.as_mut()).unwrap(), report);
     }
 
     #[test]
     fn interleaved_arrivals_drive_applications_too() {
-        use crate::appspec::{AppFamily, AppSpec};
+        use crate::appspec::app_factory;
         let mut s = scenario(48, 40, 10, 23);
         s.arrival = ArrivalMode::Interleaved { quantum: 12 };
         let runner = ScenarioRunner::new(s);
-        let mut app = AppSpec::for_scenario(AppFamily::NameAssigner, runner.scenario())
-            .build_for(&runner)
-            .unwrap();
+        let mut app = app_factory("name-assigner", runner.scenario()).unwrap();
         let report = runner.run_app(app.as_mut()).unwrap();
         assert_eq!(report.granted + report.rejected, report.submitted);
         report.check().unwrap();
         // Reproducible like the closed loop.
-        let mut again = AppSpec::for_scenario(AppFamily::NameAssigner, runner.scenario())
-            .build_for(&runner)
-            .unwrap();
+        let mut again = app_factory("name-assigner", runner.scenario()).unwrap();
         assert_eq!(runner.run_app(again.as_mut()).unwrap(), report);
     }
 
     #[test]
     fn app_report_check_flags_violations_and_unanswered_tickets() {
-        use crate::appspec::{AppFamily, AppSpec};
+        use crate::appspec::app_factory;
         let runner = ScenarioRunner::new(scenario(20, 30, 10, 31));
-        let mut app = AppSpec::for_scenario(AppFamily::HeavyChild, runner.scenario())
-            .build_for(&runner)
-            .unwrap();
+        let mut app = app_factory("heavy-child", runner.scenario()).unwrap();
         let mut report = runner.run_app(app.as_mut()).unwrap();
         report.check().unwrap();
         let clean = report.clone();

@@ -332,14 +332,14 @@ fn all_section_five_applications_hold_their_invariants_under_one_shared_trace() 
 }
 
 /// The acceptance test of the application-layer refactor: all six §5
-/// applications — built through the *same* `AppSpec` factory — run the same
+/// applications — built through the *same* `app_factory` — run the same
 /// seeded scenario through the single `ScenarioRunner::run_app` code path,
 /// in both the closed-loop and open-loop arrival modes; every ticket
 /// resolves and every application-specific invariant holds at the quiescent
 /// checkpoints.
 #[test]
 fn all_six_applications_run_through_the_unified_ticketed_runtime() {
-    use dcn::workload::{AppFamily, AppSpec};
+    use dcn::workload::{app_factory, AppFamily};
 
     let base = Scenario {
         name: "e2e-apps".to_string(),
@@ -364,8 +364,7 @@ fn all_six_applications_run_through_the_unified_ticketed_runtime() {
             let mut scenario = base.clone();
             scenario.arrival = arrival;
             let runner = ScenarioRunner::new(scenario.clone());
-            let mut app = AppSpec::for_scenario(family, &scenario)
-                .build_for(&runner)
+            let mut app = app_factory(family.name(), &scenario)
                 .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
             let report = runner
                 .run_app(app.as_mut())
@@ -383,9 +382,7 @@ fn all_six_applications_run_through_the_unified_ticketed_runtime() {
                 .check()
                 .unwrap_or_else(|e| panic!("{} ({arrival:?}): {e}", family.name()));
             // The run is reproducible ticket-for-ticket.
-            let mut again = AppSpec::for_scenario(family, &scenario)
-                .build_for(&runner)
-                .unwrap();
+            let mut again = app_factory(family.name(), &scenario).unwrap();
             assert_eq!(runner.run_app(again.as_mut()).unwrap(), report);
         }
     }
