@@ -176,7 +176,7 @@ impl ControllerProtocol {
                 // Not enough permits: trigger the reject wave and answer with
                 // a reject.
                 ctx.whiteboard_mut().store.place_reject();
-                for child in ctx.children().to_vec() {
+                for child in ctx.children() {
                     ctx.spawn_agent(CtrlAgent::RejectWave {
                         next_child: Some(child),
                     });
@@ -361,7 +361,7 @@ impl ControllerProtocol {
     /// every child.
     fn reject_wave_step(&mut self, ctx: &mut NodeCtx<'_, Self>) -> Action {
         ctx.whiteboard_mut().store.place_reject();
-        for child in ctx.children().to_vec() {
+        for child in ctx.children() {
             ctx.spawn_agent(CtrlAgent::RejectWave {
                 next_child: Some(child),
             });

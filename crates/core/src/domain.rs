@@ -267,7 +267,7 @@ mod tests {
         aud.package_deposited(1, 0, host, &path_up, &p);
         // Insert an internal node just below the host (i.e. above the current
         // topmost domain member).
-        let top_member = *tree.children(host).unwrap().first().unwrap();
+        let top_member = tree.children(host).unwrap().next().unwrap();
         let new_node = tree.add_internal_above(top_member).unwrap();
         aud.on_add_internal(new_node, top_member, &tree);
         aud.check_invariants(&tree, &p, |_| Some(host)).unwrap();
@@ -283,8 +283,8 @@ mod tests {
         let mut aud = DomainAuditor::new();
         aud.package_deposited(1, 0, host, &path_up, &p);
         // Delete a node in the middle of the domain (an internal node).
-        let victim = *tree.children(host).unwrap().first().unwrap();
-        let victim2 = *tree.children(victim).unwrap().first().unwrap();
+        let victim = tree.children(host).unwrap().next().unwrap();
+        let victim2 = tree.children(victim).unwrap().next().unwrap();
         tree.remove_internal(victim2).unwrap();
         aud.check_invariants(&tree, &p, |_| Some(host)).unwrap();
         // Domain size (invariant 1) still counts the deleted node.

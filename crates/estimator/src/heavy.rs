@@ -107,8 +107,6 @@ impl HeavyChildDecomposition {
                 let Some(best) = tree
                     .children(node)
                     .unwrap_or_default()
-                    .iter()
-                    .copied()
                     .max_by_key(|&c| (self.subtree.estimate(c), std::cmp::Reverse(c)))
                 else {
                     continue;

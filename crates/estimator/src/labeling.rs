@@ -111,7 +111,7 @@ impl AncestryLabeling {
                 }
                 counter += 1;
                 stack.push((node, Some(counter)));
-                for &child in tree.children(node).unwrap_or_default().iter().rev() {
+                for child in tree.children(node).unwrap_or_default().rev() {
                     stack.push((child, None));
                 }
             }

@@ -2,6 +2,7 @@
 
 use crate::topology::TopologyChange;
 use crate::NodeId;
+use dcn_tree::Children;
 use std::fmt;
 
 /// Identifier of a mobile agent.
@@ -84,9 +85,9 @@ pub(crate) enum Effect<P: Protocol> {
 pub struct NodeCtx<'a, P: Protocol> {
     pub(crate) node: NodeId,
     pub(crate) parent: Option<NodeId>,
-    /// Borrowed straight from the tree arena — the hot loop never copies a
+    /// Walks the tree arena's sibling links — the hot loop never copies a
     /// child list.
-    pub(crate) children: &'a [NodeId],
+    pub(crate) children: Children<'a>,
     pub(crate) time: u64,
     pub(crate) agent_id: AgentId,
     pub(crate) origin: NodeId,
@@ -113,8 +114,10 @@ impl<'a, P: Protocol> NodeCtx<'a, P> {
     }
 
     /// The children of this node (a node knows its ports to its children).
-    pub fn children(&self) -> &[NodeId] {
-        self.children
+    /// The iterator borrows the tree, not the context, so an agent may spawn
+    /// or emit while it walks them.
+    pub fn children(&self) -> Children<'a> {
+        self.children.clone()
     }
 
     /// The child-degree `deg(v)` of this node.

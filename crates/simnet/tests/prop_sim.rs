@@ -422,7 +422,7 @@ fn the_kth_hop_is_delayed_by_the_kth_sample_of_the_seeds_stream() {
             }
             sim.run_until_quiescent().unwrap();
             side_leaf = sim.tree().nodes().last();
-            let beside = |l| l != bottom && sim.tree().children(l).is_ok_and(<[_]>::is_empty);
+            let beside = |l| l != bottom && sim.tree().is_leaf(l) == Ok(true);
             assert!(side_leaf.is_some_and(beside), "seed {seed}");
         }
         assert_eq!(sim.metrics().topology_changes_applied, scheduled);

@@ -26,6 +26,18 @@
 //! allocated corresponds to the paper's quantity `U`, the number of nodes ever
 //! to exist in the network.
 //!
+//! **Storage.** A tree allocates nothing per node. It holds two vectors: the
+//! *spine*, one 4-byte entry per identifier ever minted (the index of the
+//! node's record, or a vacant mark once it is removed), and the *records*,
+//! one flat `Copy` record of 32 bytes per live node — parent, first and last
+//! child, previous and next sibling, child count, cached depth and owning
+//! id. Links name record indices, so a walk up the tree is one load per hop
+//! and never touches the spine. A removed node's record is reused by the
+//! next node created (last freed, first reused). [`DynamicTree::children`]
+//! walks the sibling links as a [`Children`] iterator (double-ended, exact
+//! size); child-degree and leaf tests read the count, and removing a leaf or
+//! splitting an edge relinks in `O(1)`. [`DynamicTree::dfs`] keeps no stack.
+//!
 //! ```
 //! use dcn_tree::DynamicTree;
 //!
@@ -60,5 +72,5 @@ pub use error::TreeError;
 pub use event::{ChangeLog, TopologyEvent};
 pub use id::NodeId;
 pub use region::{CarvedRegion, LocalMap, RegionMap};
-pub use traversal::{Ancestors, DfsIter};
+pub use traversal::{Ancestors, Children, DfsIter};
 pub use tree::DynamicTree;

@@ -147,7 +147,7 @@ impl RegionMap {
         while let Some((node, expanded)) = stack.pop() {
             if !expanded {
                 stack.push((node, true));
-                for &c in tree.children(node).unwrap_or_default().iter().rev() {
+                for c in tree.children(node).unwrap_or_default().rev() {
                     stack.push((c, false));
                 }
             } else {
@@ -389,8 +389,7 @@ mod tests {
             .tree
             .children(region.tree.root())
             .unwrap()
-            .first()
-            .copied()
+            .next()
             .unwrap();
         let local = region.tree.add_leaf(top).unwrap();
         let global = NodeId::from_index(tree.total_created());

@@ -1,9 +1,95 @@
-//! Tree traversal iterators.
+//! Tree traversal iterators. Each walks the arena's record links directly:
+//! none allocates, and each step is one record load.
 
-use crate::{DynamicTree, NodeId};
+use crate::tree::{Record, NIL};
+use crate::NodeId;
+
+/// The record after `cur` in a pre-order walk of the subtree of `top`: the
+/// first child, else the next sibling of the nearest node on the way back up
+/// to `top` that has one, else [`NIL`] (the walk is over).
+pub(crate) fn preorder_next(records: &[Record], top: u32, cur: u32) -> u32 {
+    let first = records[cur as usize].first;
+    if first != NIL {
+        return first;
+    }
+    let mut at = cur;
+    while at != top {
+        let r = &records[at as usize];
+        if r.next != NIL {
+            return r.next;
+        }
+        at = r.parent;
+    }
+    NIL
+}
+
+/// Iterator over the children of a node in insertion order, produced by
+/// [`DynamicTree::children`](crate::DynamicTree::children). It walks the
+/// sibling links from either end and knows how many children are left.
+///
+/// ```
+/// use dcn_tree::DynamicTree;
+/// let mut t = DynamicTree::new();
+/// let a = t.add_leaf(t.root()).unwrap();
+/// let b = t.add_leaf(t.root()).unwrap();
+/// let kids = t.children(t.root()).unwrap();
+/// assert_eq!(kids.len(), 2);
+/// assert_eq!(kids.clone().collect::<Vec<_>>(), vec![a, b]);
+/// assert_eq!(kids.rev().collect::<Vec<_>>(), vec![b, a]);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Children<'a> {
+    records: &'a [Record],
+    front: u32,
+    back: u32,
+    len: u32,
+}
+
+impl<'a> Children<'a> {
+    pub(crate) fn new(records: &'a [Record], parent: &Record) -> Self {
+        Children {
+            records,
+            front: parent.first,
+            back: parent.last,
+            len: parent.degree,
+        }
+    }
+}
+
+impl Iterator for Children<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        let r = &self.records[self.front as usize];
+        self.front = r.next;
+        Some(r.id)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len as usize, Some(self.len as usize))
+    }
+}
+
+impl DoubleEndedIterator for Children<'_> {
+    fn next_back(&mut self) -> Option<NodeId> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        let r = &self.records[self.back as usize];
+        self.back = r.prev;
+        Some(r.id)
+    }
+}
+
+impl ExactSizeIterator for Children<'_> {}
 
 /// Iterator over a node and its ancestors up to the root, produced by
-/// [`DynamicTree::ancestors`].
+/// [`DynamicTree::ancestors`](crate::DynamicTree::ancestors).
 ///
 /// ```
 /// use dcn_tree::DynamicTree;
@@ -15,18 +101,17 @@ use crate::{DynamicTree, NodeId};
 /// ```
 #[derive(Debug)]
 pub struct Ancestors<'a> {
-    tree: &'a DynamicTree,
-    next: Option<NodeId>,
+    records: &'a [Record],
+    next: u32,
 }
 
 impl<'a> Ancestors<'a> {
-    pub(crate) fn new(tree: &'a DynamicTree, start: NodeId) -> Self {
-        let next = if tree.contains(start) {
-            Some(start)
-        } else {
-            None
-        };
-        Ancestors { tree, next }
+    /// The walk up from record `start` ([`NIL`] for an empty walk).
+    pub(crate) fn new(records: &'a [Record], start: u32) -> Self {
+        Ancestors {
+            records,
+            next: start,
+        }
     }
 }
 
@@ -34,14 +119,19 @@ impl Iterator for Ancestors<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let cur = self.next?;
-        self.next = self.tree.parent(cur);
-        Some(cur)
+        if self.next == NIL {
+            return None;
+        }
+        let r = &self.records[self.next as usize];
+        self.next = r.parent;
+        Some(r.id)
     }
 }
 
 /// Depth-first pre-order iterator over a subtree, produced by
-/// [`DynamicTree::dfs`]. Children are visited in insertion order.
+/// [`DynamicTree::dfs`](crate::DynamicTree::dfs). Children are visited in
+/// insertion order. It keeps no stack: it follows first-child and
+/// next-sibling links down and parent links back up.
 ///
 /// ```
 /// use dcn_tree::DynamicTree;
@@ -54,18 +144,19 @@ impl Iterator for Ancestors<'_> {
 /// ```
 #[derive(Debug)]
 pub struct DfsIter<'a> {
-    tree: &'a DynamicTree,
-    stack: Vec<NodeId>,
+    records: &'a [Record],
+    top: u32,
+    next: u32,
 }
 
 impl<'a> DfsIter<'a> {
-    pub(crate) fn new(tree: &'a DynamicTree, start: NodeId) -> Self {
-        let stack = if tree.contains(start) {
-            vec![start]
-        } else {
-            Vec::new()
-        };
-        DfsIter { tree, stack }
+    /// The walk of the subtree of record `top` ([`NIL`] for an empty walk).
+    pub(crate) fn new(records: &'a [Record], top: u32) -> Self {
+        DfsIter {
+            records,
+            top,
+            next: top,
+        }
     }
 }
 
@@ -73,20 +164,19 @@ impl Iterator for DfsIter<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let cur = self.stack.pop()?;
-        if let Ok(children) = self.tree.children(cur) {
-            // Push in reverse so the first child is visited first.
-            for &c in children.iter().rev() {
-                self.stack.push(c);
-            }
+        if self.next == NIL {
+            return None;
         }
-        Some(cur)
+        let cur = self.next;
+        self.next = preorder_next(self.records, self.top, cur);
+        Some(self.records[cur as usize].id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DynamicTree;
 
     fn sample_tree() -> (DynamicTree, Vec<NodeId>) {
         // root -> a -> (b, c), root -> d

@@ -1,19 +1,53 @@
 //! The [`DynamicTree`] arena.
 
 use crate::event::{ChangeLog, TopologyEvent};
-use crate::traversal::{Ancestors, DfsIter};
+use crate::traversal::{preorder_next, Ancestors, Children, DfsIter};
 use crate::{NodeId, TreeError};
 
-/// Per-node payload stored in the arena.
-#[derive(Clone, Debug)]
-struct NodeData {
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
+/// The "no link" mark of a record's links and the vacant mark of a spine
+/// entry. Links name record indices, not ids, so the id `u32::MAX` stays an
+/// id like any other; a record index never reaches this value.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// The flat record of one live node. Every link is the index of another
+/// record (or [`NIL`]), so walking the tree never goes through the spine.
+/// The children of a node form a doubly linked list in insertion order
+/// through their `prev` / `next` links; a vacant record is on the free list
+/// through its `next` link.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Record {
+    /// The id this record belongs to.
+    pub(crate) id: NodeId,
+    pub(crate) parent: u32,
+    pub(crate) first: u32,
+    pub(crate) last: u32,
+    pub(crate) prev: u32,
+    pub(crate) next: u32,
+    /// Number of children (the paper's child-degree).
+    pub(crate) degree: u32,
     /// Cached hop distance to the root, maintained incrementally by every
     /// mutation (`add_internal_above` / `remove_internal` shift whole
     /// subtrees). Verified against a from-scratch recomputation by
     /// [`DynamicTree::check_invariants`].
-    depth: usize,
+    pub(crate) depth: u32,
+}
+
+impl Record {
+    /// A childless record under `parent`, after the sibling `prev`. It
+    /// carries the root's id until [`DynamicTree::alloc`] gives it the id
+    /// it mints.
+    fn leaf(parent: u32, prev: u32, depth: u32) -> Self {
+        Record {
+            id: NodeId(0),
+            parent,
+            first: NIL,
+            last: NIL,
+            prev,
+            next: NIL,
+            degree: 0,
+            depth,
+        }
+    }
 }
 
 /// A dynamic rooted tree supporting the four topological changes of the paper
@@ -38,10 +72,15 @@ struct NodeData {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DynamicTree {
-    /// The spine: one entry per id ever minted, one heap record per live
-    /// node. A removed node's record is dropped with it; what stays is the
-    /// vacant 8-byte entry that keeps ids sequential and never reused.
-    slots: Vec<Option<Box<NodeData>>>,
+    /// The spine: one 4-byte entry per id ever minted, holding the index of
+    /// the id's record, or [`NIL`] once the node is removed. The vacant entry
+    /// is what keeps ids sequential and never reused.
+    spine: Vec<u32>,
+    /// One flat record per live node, no heap allocation of its own. A
+    /// removed node's record goes on the free list headed by `free` and is
+    /// the next one reused (last in, first out).
+    records: Vec<Record>,
+    free: u32,
     root: NodeId,
     node_count: usize,
     /// Topological changes applied through the four mutators so far.
@@ -61,13 +100,19 @@ impl Default for DynamicTree {
 impl DynamicTree {
     /// Creates a tree containing only the root node.
     pub fn new() -> Self {
-        let root_data = NodeData {
-            parent: None,
-            children: Vec::new(),
-            depth: 0,
-        };
+        Self::with_room(0)
+    }
+
+    /// A tree with only the root, and room for `extra` more nodes.
+    fn with_room(extra: usize) -> Self {
+        let mut spine = Vec::with_capacity(extra + 1);
+        let mut records = Vec::with_capacity(extra + 1);
+        spine.push(0);
+        records.push(Record::leaf(NIL, NIL, 0));
         DynamicTree {
-            slots: vec![Some(Box::new(root_data))],
+            spine,
+            records,
+            free: NIL,
             root: NodeId(0),
             node_count: 1,
             changes: 0,
@@ -79,7 +124,7 @@ impl DynamicTree {
     /// Creates a tree with `extra` leaves hanging directly off the root, for a
     /// total of `extra + 1` nodes (the initial network `n0`).
     pub fn with_initial_star(extra: usize) -> Self {
-        let mut t = Self::new();
+        let mut t = Self::with_room(extra);
         for _ in 0..extra {
             #[expect(
                 clippy::expect_used,
@@ -93,7 +138,7 @@ impl DynamicTree {
     /// Creates a tree that is a path of `len + 1` nodes starting at the root;
     /// building it counts no [`changes`](Self::changes).
     pub fn with_initial_path(len: usize) -> Self {
-        let mut t = Self::new();
+        let mut t = Self::with_room(len);
         let mut tip = t.root;
         for _ in 0..len {
             #[expect(
@@ -119,12 +164,12 @@ impl DynamicTree {
     /// Total number of node ids ever allocated, including deleted nodes (the
     /// paper's `U`).
     pub fn total_created(&self) -> usize {
-        self.slots.len()
+        self.spine.len()
     }
 
     /// Returns `true` if `id` currently exists in the tree.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.slots.get(id.index()).is_some_and(Option::is_some)
+        self.slot(id).is_ok()
     }
 
     /// Number of topological changes applied to this tree through
@@ -168,40 +213,48 @@ impl DynamicTree {
         }
     }
 
-    fn data(&self, id: NodeId) -> Result<&NodeData, TreeError> {
-        self.slots
-            .get(id.index())
-            .and_then(Option::as_deref)
-            .ok_or(TreeError::UnknownNode(id))
+    /// The record index of a live node.
+    fn slot(&self, id: NodeId) -> Result<u32, TreeError> {
+        match self.spine.get(id.index()) {
+            Some(&r) if r != NIL => Ok(r),
+            _ => Err(TreeError::UnknownNode(id)),
+        }
     }
 
-    /// The record of a node reached through a link of a live node — the
-    /// root, a parent or child link, an id `dfs()` yielded, or one the caller
-    /// validated with [`data`](Self::data) an instant ago. Such a link always
-    /// points at a live slot, so a miss is a corrupted arena.
-    #[expect(
-        clippy::expect_used,
-        reason = "a link of a live node points at a live slot; a miss is a corrupted arena"
-    )]
-    fn live_mut(&mut self, id: NodeId) -> &mut NodeData {
-        self.slots[id.index()]
-            .as_deref_mut()
-            .expect("a link of a live node points at a live slot")
+    /// The record at index `r`, reached from the spine or through a link of
+    /// a live record; either always points at a live record, so an index
+    /// past the end is a corrupted arena (and panics).
+    fn rec(&self, r: u32) -> &Record {
+        &self.records[r as usize]
     }
 
-    /// Puts `with` in `child`'s place in `parent`'s child list, keeping the
-    /// order of the others.
-    #[expect(
-        clippy::expect_used,
-        reason = "`parent` was read from `child`'s own parent link, so the back-edge exists"
-    )]
-    fn replace_child(&mut self, parent: NodeId, child: NodeId, with: &[NodeId]) {
-        let children = &mut self.live_mut(parent).children;
-        let pos = children
-            .iter()
-            .position(|&c| c == child)
-            .expect("a parent link has its back-edge");
-        children.splice(pos..=pos, with.iter().copied());
+    fn rec_mut(&mut self, r: u32) -> &mut Record {
+        &mut self.records[r as usize]
+    }
+
+    /// The record of a live node.
+    fn data(&self, id: NodeId) -> Result<&Record, TreeError> {
+        Ok(self.rec(self.slot(id)?))
+    }
+
+    /// Points the link on `prev`'s side of a sibling list at `to`: `prev`'s
+    /// `next`, or `parent`'s `first` when `prev` is [`NIL`].
+    fn link_after(&mut self, parent: u32, prev: u32, to: u32) {
+        if prev == NIL {
+            self.rec_mut(parent).first = to;
+        } else {
+            self.rec_mut(prev).next = to;
+        }
+    }
+
+    /// Points the link on `next`'s side of a sibling list at `to`: `next`'s
+    /// `prev`, or `parent`'s `last` when `next` is [`NIL`].
+    fn link_before(&mut self, parent: u32, next: u32, to: u32) {
+        if next == NIL {
+            self.rec_mut(parent).last = to;
+        } else {
+            self.rec_mut(next).prev = to;
+        }
     }
 
     /// A cached depth moved by `delta`. The cache is load-bearing, so an
@@ -210,7 +263,7 @@ impl DynamicTree {
         clippy::expect_used,
         reason = "a cache below zero is a corrupted arena; fail loud rather than wrap"
     )]
-    fn shifted(cached: usize, delta: isize) -> usize {
+    fn shifted(cached: u32, delta: i32) -> u32 {
         cached.checked_add_signed(delta).expect("cache underflow")
     }
 
@@ -222,11 +275,38 @@ impl DynamicTree {
             .map_err(|_| TreeError::IdSpaceExhausted)
     }
 
-    fn alloc(&mut self, data: NodeData) -> Result<NodeId, TreeError> {
-        let id = Self::next_id(self.slots.len())?;
-        self.slots.push(Some(Box::new(data)));
+    /// Mints the next id and gives it `record`, in the most recently freed
+    /// record slot if there is one. Returns the id and its record index.
+    fn alloc(&mut self, mut record: Record) -> Result<(NodeId, u32), TreeError> {
+        let id = Self::next_id(self.spine.len())?;
+        record.id = id;
+        let r = if self.free == NIL {
+            // Record indices stay below `NIL`: a tree holding 2³² − 1 live
+            // nodes at once (128 GiB of records) has no room for another.
+            let r = u32::try_from(self.records.len())
+                .ok()
+                .filter(|&r| r != NIL)
+                .ok_or(TreeError::IdSpaceExhausted)?;
+            self.records.push(record);
+            r
+        } else {
+            let r = self.free;
+            self.free = self.rec(r).next;
+            *self.rec_mut(r) = record;
+            r
+        };
+        self.spine.push(r);
         self.node_count += 1;
-        Ok(id)
+        Ok((id, r))
+    }
+
+    /// Vacates the spine entry of `id` and puts its record `r` on the free
+    /// list.
+    fn release(&mut self, id: NodeId, r: u32) {
+        self.spine[id.index()] = NIL;
+        self.rec_mut(r).next = self.free;
+        self.free = r;
+        self.node_count -= 1;
     }
 
     // ------------------------------------------------------------------
@@ -238,25 +318,28 @@ impl DynamicTree {
     /// Returns `None` also for unknown nodes; use [`DynamicTree::contains`]
     /// to distinguish.
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.data(id).ok().and_then(|d| d.parent)
+        let p = self.data(id).ok()?.parent;
+        (p != NIL).then(|| self.rec(p).id)
     }
 
-    /// Children of `id` in insertion order.
+    /// Children of `id` in insertion order, as a double-ended iterator that
+    /// knows its length.
     ///
     /// # Errors
     ///
     /// Returns [`TreeError::UnknownNode`] if `id` does not exist.
-    pub fn children(&self, id: NodeId) -> Result<&[NodeId], TreeError> {
-        Ok(&self.data(id)?.children)
+    pub fn children(&self, id: NodeId) -> Result<Children<'_>, TreeError> {
+        Ok(Children::new(&self.records, self.data(id)?))
     }
 
     /// Number of children of `id` (the paper's child-degree `deg(v)`).
+    /// `O(1)`.
     ///
     /// # Errors
     ///
     /// Returns [`TreeError::UnknownNode`] if `id` does not exist.
     pub fn child_degree(&self, id: NodeId) -> Result<usize, TreeError> {
-        Ok(self.data(id)?.children.len())
+        Ok(self.data(id)?.degree as usize)
     }
 
     /// Returns `true` if `id` is a leaf (no children). The root with no
@@ -266,7 +349,7 @@ impl DynamicTree {
     ///
     /// Returns [`TreeError::UnknownNode`] if `id` does not exist.
     pub fn is_leaf(&self, id: NodeId) -> Result<bool, TreeError> {
-        Ok(self.data(id)?.children.is_empty())
+        Ok(self.data(id)?.degree == 0)
     }
 
     /// Hop distance from `id` to the root (the paper's *depth*). The root has
@@ -281,7 +364,7 @@ impl DynamicTree {
     /// the id may be stale.
     pub fn depth(&self, id: NodeId) -> usize {
         match self.data(id) {
-            Ok(d) => d.depth,
+            Ok(d) => d.depth as usize,
             Err(_) => panic!("depth() called on unknown node {id}"),
         }
     }
@@ -289,22 +372,12 @@ impl DynamicTree {
     /// Returns `true` if `anc` is an ancestor of `desc` (a node is its own
     /// ancestor, matching the paper's convention).
     pub fn is_ancestor(&self, anc: NodeId, desc: NodeId) -> bool {
-        if !self.contains(anc) || !self.contains(desc) {
-            return false;
-        }
-        let mut cur = Some(desc);
-        while let Some(c) = cur {
-            if c == anc {
-                return true;
-            }
-            cur = self.parent(c);
-        }
-        false
+        self.contains(anc) && self.ancestors(desc).any(|c| c == anc)
     }
 
     /// Iterator over `id` and its ancestors up to and including the root.
     pub fn ancestors(&self, id: NodeId) -> Ancestors<'_> {
-        Ancestors::new(self, id)
+        Ancestors::new(&self.records, self.slot(id).unwrap_or(NIL))
     }
 
     /// The path from `from` up to its ancestor `to`, inclusive of both ends.
@@ -314,93 +387,97 @@ impl DynamicTree {
     /// Returns [`TreeError::UnknownNode`] if either node does not exist or if
     /// `to` is not an ancestor of `from`.
     pub fn path_between(&self, from: NodeId, to: NodeId) -> Result<Vec<NodeId>, TreeError> {
-        if !self.contains(from) {
-            return Err(TreeError::UnknownNode(from));
-        }
-        if !self.contains(to) {
-            return Err(TreeError::UnknownNode(to));
-        }
+        self.slot(from)?;
+        self.slot(to)?;
         let mut path = Vec::new();
-        let mut cur = Some(from);
-        while let Some(c) = cur {
+        for c in self.ancestors(from) {
             path.push(c);
             if c == to {
                 return Ok(path);
             }
-            cur = self.parent(c);
         }
         Err(TreeError::UnknownNode(to))
     }
 
     /// The ancestor of `id` exactly `hops` edges above it, if it exists.
     pub fn ancestor_at_distance(&self, id: NodeId, hops: usize) -> Option<NodeId> {
-        let mut cur = id;
-        if !self.contains(id) {
-            return None;
-        }
-        for _ in 0..hops {
-            cur = self.parent(cur)?;
-        }
-        Some(cur)
+        self.ancestors(id).nth(hops)
     }
 
     /// Iterator over all currently existing nodes, in id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            if s.is_some() {
-                Some(NodeId(i as u32))
-            } else {
-                None
-            }
-        })
+        self.spine
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| r != NIL)
+            .map(|(i, _)| NodeId(i as u32))
     }
 
     /// Depth-first (pre-order) traversal starting at `start`.
     pub fn dfs(&self, start: NodeId) -> DfsIter<'_> {
-        DfsIter::new(self, start)
+        DfsIter::new(&self.records, self.slot(start).unwrap_or(NIL))
     }
 
     /// Checks internal structural invariants; used by tests and debug builds.
     ///
-    /// Verified invariants: parent/child pointers are mutually consistent,
-    /// every existing non-root node has an existing parent, the root has no
-    /// parent, every node is reachable from the root, the node count matches
-    /// the number of occupied slots, and the cached depths agree with a
-    /// from-scratch recomputation.
+    /// Verified invariants: every spine entry points at a record owned by
+    /// its id, parent/child links are mutually consistent (each child list
+    /// is linked both ways and holds as many children as its count says),
+    /// the root alone has no parent, every node is reachable from the root,
+    /// the node count matches the occupied entries, every other record is on
+    /// the free list, and the cached depths agree with a from-scratch
+    /// recomputation.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let records = self.records.len();
+        let live =
+            |r: u32| (r as usize) < records && self.spine.get(self.rec(r).id.index()) == Some(&r);
         let mut seen = 0usize;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(data) = slot else { continue };
+        for (id, r) in self.nodes().map(|id| (id, self.spine[id.index()])) {
             seen += 1;
-            let id = NodeId(i as u32);
-            match data.parent {
-                None => {
-                    if id != self.root {
-                        return Err(format!("non-root node {id} has no parent"));
-                    }
-                }
-                Some(p) => {
-                    let pd = self
-                        .data(p)
-                        .map_err(|_| format!("parent {p} of {id} does not exist"))?;
-                    if !pd.children.contains(&id) {
-                        return Err(format!("{p} does not list {id} as a child"));
-                    }
-                }
+            if !live(r) {
+                return Err(format!("spine entry {r} of {id} is not {id}'s record"));
             }
-            for &c in &data.children {
-                let cd = self
-                    .data(c)
-                    .map_err(|_| format!("child {c} of {id} does not exist"))?;
-                if cd.parent != Some(id) {
-                    return Err(format!("child {c} of {id} has parent {:?}", cd.parent));
+            let data = self.rec(r);
+            if data.parent == NIL {
+                if id != self.root {
+                    return Err(format!("non-root node {id} has no parent"));
                 }
+            } else if !live(data.parent) {
+                return Err(format!("parent of {id} does not exist"));
+            }
+            let (mut prev, mut c, mut count) = (NIL, data.first, 0u32);
+            while c != NIL {
+                if !live(c) || count > data.degree {
+                    return Err(format!("child list of {id} is broken"));
+                }
+                let cd = self.rec(c);
+                if cd.parent != r || cd.prev != prev {
+                    return Err(format!("child {} of {id} is linked wrong", cd.id));
+                }
+                (prev, c, count) = (c, cd.next, count + 1);
+            }
+            if prev != data.last || count != data.degree {
+                return Err(format!(
+                    "{id} counts {} children and ends its list at {}, walked {count} ending at {prev}",
+                    data.degree, data.last
+                ));
             }
         }
         if seen != self.node_count {
             return Err(format!(
                 "node_count {} != occupied slots {}",
                 self.node_count, seen
+            ));
+        }
+        let mut freed = 0usize;
+        let mut f = self.free;
+        while f != NIL && freed <= records {
+            freed += 1;
+            f = self.rec(f).next;
+        }
+        if seen + freed != records {
+            return Err(format!(
+                "{seen} live and {freed} free records, {records} in all"
             ));
         }
         let reachable = self.dfs(self.root).count();
@@ -410,22 +487,12 @@ impl DynamicTree {
                 self.node_count
             ));
         }
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(data) = slot else { continue };
-            let id = NodeId(i as u32);
-            let true_depth = {
-                let mut d = 0usize;
-                let mut cur = id;
-                while let Some(p) = self.parent(cur) {
-                    d += 1;
-                    cur = p;
-                }
-                d
-            };
-            if data.depth != true_depth {
+        for id in self.nodes() {
+            let true_depth = self.ancestors(id).count() - 1;
+            let cached = self.depth(id);
+            if cached != true_depth {
                 return Err(format!(
-                    "cached depth {} of {id} != recomputed {true_depth}",
-                    data.depth
+                    "cached depth {cached} of {id} != recomputed {true_depth}"
                 ));
             }
         }
@@ -437,26 +504,28 @@ impl DynamicTree {
     // ------------------------------------------------------------------
 
     /// Adds `delta` to the cached depth of every node in the subtree of
-    /// `top` (inclusive) — the whole subtree moves when an internal node is
-    /// spliced in or out above it.
-    fn shift_subtree_depths(&mut self, top: NodeId, delta: isize) {
-        let ids: Vec<NodeId> = self.dfs(top).collect();
-        for id in ids {
-            let d = self.live_mut(id);
+    /// record `top` (inclusive) — the whole subtree moves when an internal
+    /// node is spliced in or out above it. Walks the links; allocates
+    /// nothing.
+    fn shift_subtree_depths(&mut self, top: u32, delta: i32) {
+        let mut cur = top;
+        while cur != NIL {
+            let d = self.rec_mut(cur);
             d.depth = Self::shifted(d.depth, delta);
+            cur = preorder_next(&self.records, top, cur);
         }
     }
 
     /// Attaches a new leaf under `parent` without counting a change: the
     /// initial path and region carving build their trees with it.
     pub(crate) fn attach_leaf(&mut self, parent: NodeId) -> Result<NodeId, TreeError> {
-        let depth = self.data(parent)?.depth + 1;
-        let child = self.alloc(NodeData {
-            parent: Some(parent),
-            children: Vec::new(),
-            depth,
-        })?;
-        self.live_mut(parent).children.push(child);
+        let p = self.slot(parent)?;
+        let above = *self.rec(p);
+        let (child, c) = self.alloc(Record::leaf(p, above.last, above.depth + 1))?;
+        self.link_after(p, above.last, c);
+        let pd = self.rec_mut(p);
+        pd.last = c;
+        pd.degree += 1;
         Ok(child)
     }
 
@@ -472,7 +541,7 @@ impl DynamicTree {
         Ok(child)
     }
 
-    /// **remove-leaf**: removes the non-root leaf `node`.
+    /// **remove-leaf**: removes the non-root leaf `node`. `O(1)`.
     ///
     /// # Errors
     ///
@@ -480,23 +549,28 @@ impl DynamicTree {
     /// * [`TreeError::NotALeaf`] if `node` has children;
     /// * [`TreeError::UnknownNode`] if `node` does not exist.
     pub fn remove_leaf(&mut self, node: NodeId) -> Result<(), TreeError> {
-        let data = self.data(node)?;
+        let r = self.slot(node)?;
+        let data = *self.rec(r);
         // Only the root has no parent.
-        let Some(parent) = data.parent else {
+        if data.parent == NIL {
             return Err(TreeError::RootImmutable);
-        };
-        if !data.children.is_empty() {
+        }
+        if data.degree != 0 {
             return Err(TreeError::NotALeaf(node));
         }
-        self.replace_child(parent, node, &[]);
-        self.slots[node.index()] = None;
-        self.node_count -= 1;
+        let p = data.parent;
+        self.link_after(p, data.prev, data.next);
+        self.link_before(p, data.next, data.prev);
+        self.rec_mut(p).degree -= 1;
+        self.release(node, r);
+        let parent = self.rec(p).id;
         self.applied(TopologyEvent::RemoveLeaf { parent, node });
         Ok(())
     }
 
     /// **add-internal**: splits the edge between `below` and its parent with a
-    /// new node, which becomes the parent of `below`. Returns the new node.
+    /// new node, which becomes the parent of `below`, in `below`'s place
+    /// among its siblings. Returns the new node.
     ///
     /// # Errors
     ///
@@ -504,21 +578,28 @@ impl DynamicTree {
     /// * [`TreeError::UnknownNode`] if `below` does not exist;
     /// * [`TreeError::IdSpaceExhausted`] if every id has been handed out.
     pub fn add_internal_above(&mut self, below: NodeId) -> Result<NodeId, TreeError> {
-        let below_data = self.data(below)?;
-        let parent = match below_data.parent {
-            Some(p) => p,
-            None => return Err(TreeError::NoParentEdge(below)),
-        };
-        // The new node takes `below`'s old depth.
-        let depth = below_data.depth;
-        let node = self.alloc(NodeData {
-            parent: Some(parent),
-            children: vec![below],
-            depth,
+        let b = self.slot(below)?;
+        let data = *self.rec(b);
+        if data.parent == NIL {
+            return Err(TreeError::NoParentEdge(below));
+        }
+        let p = data.parent;
+        // The new node takes `below`'s old place and depth.
+        let (node, n) = self.alloc(Record {
+            first: b,
+            last: b,
+            next: data.next,
+            degree: 1,
+            ..Record::leaf(p, data.prev, data.depth)
         })?;
-        self.replace_child(parent, below, &[node]);
-        self.live_mut(below).parent = Some(node);
-        self.shift_subtree_depths(below, 1);
+        self.link_after(p, data.prev, n);
+        self.link_before(p, data.next, n);
+        let bd = self.rec_mut(b);
+        bd.parent = n;
+        bd.prev = NIL;
+        bd.next = NIL;
+        self.shift_subtree_depths(b, 1);
+        let parent = self.rec(p).id;
         self.applied(TopologyEvent::AddInternal {
             parent,
             node,
@@ -540,22 +621,33 @@ impl DynamicTree {
     /// * [`TreeError::NotInternal`] if `node` is a leaf;
     /// * [`TreeError::UnknownNode`] if `node` does not exist.
     pub fn remove_internal(&mut self, node: NodeId) -> Result<(), TreeError> {
-        let data = self.data(node)?;
+        let r = self.slot(node)?;
+        let data = *self.rec(r);
         // Only the root has no parent.
-        let Some(parent) = data.parent else {
+        if data.parent == NIL {
             return Err(TreeError::RootImmutable);
-        };
-        if data.children.is_empty() {
+        }
+        if data.degree == 0 {
             return Err(TreeError::NotInternal(node));
         }
-        let children = data.children.clone();
-        self.replace_child(parent, node, &children);
-        for &c in &children {
-            self.live_mut(c).parent = Some(parent);
-            self.shift_subtree_depths(c, -1);
+        let p = data.parent;
+        // The whole subtree rises a level (`node`'s own record with it,
+        // which is about to be freed anyway).
+        self.shift_subtree_depths(r, -1);
+        let mut c = data.first;
+        while c != NIL {
+            let cd = self.rec_mut(c);
+            cd.parent = p;
+            c = cd.next;
         }
-        self.slots[node.index()] = None;
-        self.node_count -= 1;
+        // Splice the child list, first to last, into `node`'s place.
+        self.link_after(p, data.prev, data.first);
+        self.rec_mut(data.first).prev = data.prev;
+        self.link_before(p, data.next, data.last);
+        self.rec_mut(data.last).next = data.next;
+        self.rec_mut(p).degree += data.degree - 1;
+        self.release(node, r);
+        let parent = self.rec(p).id;
         self.applied(TopologyEvent::RemoveInternal { parent, node });
         Ok(())
     }
@@ -598,7 +690,7 @@ mod tests {
         assert_eq!(t.depth(b), 2);
         assert_eq!(t.depth(c), 3);
         assert_eq!(t.node_count(), 4);
-        assert_eq!(t.children(a).unwrap(), &[b]);
+        assert!(t.children(a).unwrap().eq([b]));
         assert!(t.check_invariants().is_ok());
     }
 
@@ -632,8 +724,8 @@ mod tests {
         let mid = t.add_internal_above(b).unwrap();
         assert_eq!(t.parent(mid), Some(a));
         assert_eq!(t.parent(b), Some(mid));
-        assert_eq!(t.children(a).unwrap(), &[mid]);
-        assert_eq!(t.children(mid).unwrap(), &[b]);
+        assert!(t.children(a).unwrap().eq([mid]));
+        assert!(t.children(mid).unwrap().eq([b]));
         assert_eq!(t.depth(b), 3);
         assert!(t.check_invariants().is_ok());
     }
@@ -656,9 +748,9 @@ mod tests {
         let c1 = t.add_leaf(a).unwrap();
         let c2 = t.add_leaf(a).unwrap();
         let y = t.add_leaf(r).unwrap();
-        assert_eq!(t.children(r).unwrap(), &[x, a, y]);
+        assert!(t.children(r).unwrap().eq([x, a, y]));
         t.remove_internal(a).unwrap();
-        assert_eq!(t.children(r).unwrap(), &[x, c1, c2, y]);
+        assert!(t.children(r).unwrap().eq([x, c1, c2, y]));
         assert_eq!(t.parent(c1), Some(r));
         assert_eq!(t.parent(c2), Some(r));
         assert!(!t.contains(a));
@@ -748,13 +840,32 @@ mod tests {
         assert!(t.change_log().is_empty());
     }
 
-    /// What a tree costs per id ever minted, per live node and per recorded
-    /// change (DESIGN.md §7 "Memory law").
-    #[cfg(target_pointer_width = "64")]
     #[test]
-    fn a_spine_entry_is_8_bytes_a_live_node_at_most_40_and_a_log_entry_16() {
-        assert_eq!(std::mem::size_of::<Option<Box<NodeData>>>(), 8);
-        assert!(std::mem::size_of::<NodeData>() <= 40);
+    fn a_removed_nodes_record_is_the_next_one_reused() {
+        let mut t = DynamicTree::with_initial_star(3);
+        let (a, b) = (NodeId(1), NodeId(2));
+        let (ra, rb) = (t.spine[a.index()], t.spine[b.index()]);
+        t.remove_leaf(a).unwrap();
+        t.remove_leaf(b).unwrap();
+        let c = t.add_leaf(t.root()).unwrap();
+        let d = t.add_internal_above(c).unwrap();
+        assert_eq!((t.spine[c.index()], t.spine[d.index()]), (rb, ra));
+        assert_eq!(t.records.len(), 4);
+        assert!(t.children(t.root()).unwrap().eq([NodeId(3), d]));
+        assert!(t.check_invariants().is_ok());
+    }
+
+    /// What a tree costs per id ever minted, per live node and per recorded
+    /// change (DESIGN.md §7 "Memory law"): a 4-byte spine entry, one flat
+    /// record of at most 32 B that owns no heap (it is `Copy`), a 16-byte
+    /// log entry.
+    #[test]
+    fn a_spine_entry_is_4_bytes_a_live_node_one_copy_record_of_at_most_32_and_a_log_entry_16() {
+        fn owns_no_heap<T: Copy>() {}
+        owns_no_heap::<Record>();
+        let t = DynamicTree::new();
+        assert_eq!(std::mem::size_of_val(&t.spine[0]), 4);
+        assert!(std::mem::size_of::<Record>() <= 32);
         assert_eq!(std::mem::size_of::<TopologyEvent>(), 16);
     }
 
@@ -779,7 +890,7 @@ mod tests {
         let mut t = DynamicTree::new();
         let ghost = NodeId::from_index(99);
         assert_eq!(t.add_leaf(ghost), Err(TreeError::UnknownNode(ghost)));
-        assert_eq!(t.children(ghost), Err(TreeError::UnknownNode(ghost)));
+        assert_eq!(t.children(ghost).err(), Some(TreeError::UnknownNode(ghost)));
         assert_eq!(t.remove_leaf(ghost), Err(TreeError::UnknownNode(ghost)));
         assert!(!t.is_ancestor(ghost, t.root()));
     }

@@ -177,7 +177,10 @@ fn a_recorded_history_replays_to_the_same_tree() {
         assert!(a.nodes().eq(b.nodes()), "case {case}");
         for v in a.nodes() {
             assert_eq!(a.parent(v), b.parent(v), "case {case}: parent of {v}");
-            assert_eq!(a.children(v), b.children(v), "case {case}: children of {v}");
+            assert!(
+                a.children(v).unwrap().eq(b.children(v).unwrap()),
+                "case {case}: children of {v}"
+            );
             assert_eq!(a.depth(v), b.depth(v), "case {case}: depth of {v}");
         }
         assert!(b.check_invariants().is_ok(), "case {case}");
@@ -258,6 +261,233 @@ fn cached_depths_and_sizes_match_recomputation() {
                     "case {case}: cached depth of {v} drifted after op {i} ({op:?})"
                 );
             }
+        }
+    }
+}
+
+/// A naive reference tree: per id ever minted, `None` once removed, else
+/// the parent link and the child list in order. Every mutator is written
+/// the obvious way, so the arena's relinking is checked against a model
+/// that cannot share its bugs.
+struct Model(Vec<Option<(Option<NodeId>, Vec<NodeId>)>>);
+
+impl Model {
+    fn new() -> Self {
+        Model(vec![Some((None, Vec::new()))])
+    }
+
+    fn live(&self, v: NodeId) -> Option<&(Option<NodeId>, Vec<NodeId>)> {
+        self.0.get(v.index()).and_then(Option::as_ref)
+    }
+
+    fn parent(&self, v: NodeId) -> Option<NodeId> {
+        self.live(v).and_then(|(p, _)| *p)
+    }
+
+    fn children(&self, v: NodeId) -> &[NodeId] {
+        &self.live(v).expect("a live node").1
+    }
+
+    fn mint(&mut self, parent: NodeId, children: Vec<NodeId>) -> NodeId {
+        let id = NodeId::from_index(self.0.len());
+        self.0.push(Some((Some(parent), children)));
+        id
+    }
+
+    /// Puts `with` in `child`'s place in the child list of `child`'s parent.
+    fn replace_in_parent(&mut self, child: NodeId, with: &[NodeId]) -> NodeId {
+        let p = self.parent(child).expect("a non-root node");
+        let list = &mut self.0[p.index()].as_mut().expect("a live parent").1;
+        let pos = list.iter().position(|&c| c == child).expect("a back-edge");
+        list.splice(pos..=pos, with.iter().copied());
+        p
+    }
+
+    fn set_parent(&mut self, v: NodeId, p: NodeId) {
+        self.0[v.index()].as_mut().expect("a live node").0 = Some(p);
+    }
+
+    fn add_leaf(&mut self, p: NodeId) -> Result<NodeId, TreeError> {
+        self.live(p).ok_or(TreeError::UnknownNode(p))?;
+        let id = self.mint(p, Vec::new());
+        self.0[p.index()]
+            .as_mut()
+            .expect("a live parent")
+            .1
+            .push(id);
+        Ok(id)
+    }
+
+    fn remove_leaf(&mut self, v: NodeId) -> Result<(), TreeError> {
+        let (p, kids) = self.live(v).ok_or(TreeError::UnknownNode(v))?;
+        if p.is_none() {
+            return Err(TreeError::RootImmutable);
+        }
+        if !kids.is_empty() {
+            return Err(TreeError::NotALeaf(v));
+        }
+        self.replace_in_parent(v, &[]);
+        self.0[v.index()] = None;
+        Ok(())
+    }
+
+    fn add_internal_above(&mut self, below: NodeId) -> Result<NodeId, TreeError> {
+        let (p, _) = self.live(below).ok_or(TreeError::UnknownNode(below))?;
+        let p = p.ok_or(TreeError::NoParentEdge(below))?;
+        let id = self.mint(p, vec![below]);
+        self.replace_in_parent(below, &[id]);
+        self.set_parent(below, id);
+        Ok(id)
+    }
+
+    fn remove_internal(&mut self, v: NodeId) -> Result<(), TreeError> {
+        let (p, kids) = self.live(v).ok_or(TreeError::UnknownNode(v))?;
+        if p.is_none() {
+            return Err(TreeError::RootImmutable);
+        }
+        if kids.is_empty() {
+            return Err(TreeError::NotInternal(v));
+        }
+        let kids = kids.clone();
+        let p = self.replace_in_parent(v, &kids);
+        for &c in &kids {
+            self.set_parent(c, p);
+        }
+        self.0[v.index()] = None;
+        Ok(())
+    }
+
+    fn nodes(&self) -> Vec<NodeId> {
+        (0..self.0.len())
+            .map(NodeId::from_index)
+            .filter(|&v| self.live(v).is_some())
+            .collect()
+    }
+
+    fn depth(&self, v: NodeId) -> usize {
+        let mut d = 0;
+        let mut cur = v;
+        while let Some(p) = self.parent(cur) {
+            d += 1;
+            cur = p;
+        }
+        d
+    }
+
+    fn dfs(&self, v: NodeId, out: &mut Vec<NodeId>) {
+        out.push(v);
+        for &c in self.children(v) {
+            self.dfs(c, out);
+        }
+    }
+
+    /// The live node with the most children (the lowest id on a tie).
+    fn widest(&self) -> NodeId {
+        let mut best = NodeId::from_index(0);
+        for v in self.nodes() {
+            if self.children(v).len() > self.children(best).len() {
+                best = v;
+            }
+        }
+        best
+    }
+}
+
+/// The children of `v` in the arena, front to back and back to front.
+fn arena_children(tree: &DynamicTree, v: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
+    let kids = tree.children(v).expect("a live node");
+    (kids.clone().collect(), kids.rev().collect())
+}
+
+/// Draws a target for an operation: a third of the time an inner child of
+/// the widest node (so `remove_internal` splices long child lists into the
+/// middle of long child lists), else any node ever minted, dead ones
+/// included (so the error paths are compared too).
+fn differential_target(model: &Model, rng: &mut DetRng) -> NodeId {
+    if rng.gen_range(0u32..3) == 0 {
+        let inner: Vec<NodeId> = model
+            .children(model.widest())
+            .iter()
+            .copied()
+            .filter(|&c| !model.children(c).is_empty())
+            .collect();
+        if !inner.is_empty() {
+            return inner[rng.gen_range(0..inner.len())];
+        }
+    }
+    NodeId::from_index(rng.gen_range(0..model.0.len()))
+}
+
+/// The arena and the naive model agree after every operation: on the
+/// result of the operation, the parent, the children (both ways round), the
+/// depth, the child-degree and leaf test of every live node, the error for
+/// every dead id, the id-ordered node list, the pre-order from the root and
+/// from a random node, and the arena's own invariant check.
+#[test]
+fn the_arena_agrees_with_a_naive_model_after_every_op() {
+    for case in 0..64u64 {
+        let mut rng = DetRng::seed_from_u64(8_000 + case);
+        let mut tree = DynamicTree::new();
+        let mut model = Model::new();
+        for step in 0..300 {
+            let v = differential_target(&model, &mut rng);
+            // Weights 4 : 1 : 2 : 3 — splices are the risk, so
+            // remove-internal is drawn as often as the two insertions.
+            let (what, same) = match rng.gen_range(0u32..10) {
+                0..=3 => {
+                    // New leaves go under the eight oldest live nodes, so
+                    // degrees grow.
+                    let live = model.nodes();
+                    let p = live[rng.gen_range(0..live.len().min(8))];
+                    ("add_leaf", tree.add_leaf(p) == model.add_leaf(p))
+                }
+                4 => ("remove_leaf", tree.remove_leaf(v) == model.remove_leaf(v)),
+                5..=6 => (
+                    "add_internal_above",
+                    tree.add_internal_above(v) == model.add_internal_above(v),
+                ),
+                _ => (
+                    "remove_internal",
+                    tree.remove_internal(v) == model.remove_internal(v),
+                ),
+            };
+            let at = format!("case {case} step {step}: {what}({v})");
+            assert!(same, "{at}: results differ");
+            assert_eq!(tree.check_invariants(), Ok(()), "{at}");
+            assert_eq!(tree.total_created(), model.0.len(), "{at}");
+            let nodes = model.nodes();
+            assert!(tree.nodes().eq(nodes.iter().copied()), "{at}: nodes()");
+            assert_eq!(tree.node_count(), nodes.len(), "{at}");
+            for i in 0..model.0.len() {
+                let u = NodeId::from_index(i);
+                if model.live(u).is_none() {
+                    assert!(!tree.contains(u), "{at}: {u} is dead");
+                    assert_eq!(tree.child_degree(u), Err(TreeError::UnknownNode(u)), "{at}");
+                    assert_eq!(tree.is_leaf(u), Err(TreeError::UnknownNode(u)), "{at}");
+                    continue;
+                }
+                let kids = model.children(u);
+                let (fwd, back) = arena_children(&tree, u);
+                assert_eq!(fwd, kids, "{at}: children of {u}");
+                assert!(
+                    back.iter().eq(kids.iter().rev()),
+                    "{at}: reversed children of {u}"
+                );
+                assert_eq!(tree.parent(u), model.parent(u), "{at}: parent of {u}");
+                assert_eq!(tree.depth(u), model.depth(u), "{at}: depth of {u}");
+                assert_eq!(tree.child_degree(u), Ok(kids.len()), "{at}: degree of {u}");
+                assert_eq!(tree.is_leaf(u), Ok(kids.is_empty()), "{at}: is_leaf({u})");
+            }
+            let mut order = Vec::new();
+            model.dfs(tree.root(), &mut order);
+            assert!(tree.dfs(tree.root()).eq(order.iter().copied()), "{at}: dfs");
+            let start = nodes[rng.gen_range(0..nodes.len())];
+            order.clear();
+            model.dfs(start, &mut order);
+            assert!(
+                tree.dfs(start).eq(order.iter().copied()),
+                "{at}: dfs({start})"
+            );
         }
     }
 }

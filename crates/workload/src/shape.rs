@@ -1,6 +1,6 @@
 //! Initial tree shapes.
 
-use dcn_rng::{DetRng, Rng, SeedableRng, SliceRandom};
+use dcn_rng::{DetRng, Rng, SeedableRng};
 use dcn_tree::{DynamicTree, NodeId};
 
 /// The shape of the initial spanning tree.
@@ -176,11 +176,16 @@ pub(crate) fn random_node<R: Rng>(
     rng: &mut R,
     exclude_root: bool,
 ) -> Option<NodeId> {
-    let nodes: Vec<NodeId> = tree
-        .nodes()
+    // The one draw a slice's `choose` makes over the same candidates, taken
+    // without collecting them: the root is always live.
+    let len = tree.node_count() - usize::from(exclude_root);
+    if len == 0 {
+        return None;
+    }
+    let k = rng.gen_range(0..len);
+    tree.nodes()
         .filter(|&n| !(exclude_root && n == tree.root()))
-        .collect();
-    nodes.choose(rng).copied()
+        .nth(k)
 }
 
 #[cfg(test)]
@@ -240,6 +245,48 @@ mod tests {
         let b = build_tree(TreeShape::RandomRecursive { nodes: 40, seed: 9 });
         let parents = |t: &DynamicTree| t.nodes().map(|n| t.parent(n)).collect::<Vec<_>>();
         assert_eq!(parents(&a), parents(&b));
+    }
+
+    /// The pick is the one the old collect-and-`choose` made, draw for draw,
+    /// on trees that have lost nodes (so the live ids have gaps).
+    #[test]
+    fn random_node_picks_what_collect_and_choose_picked() {
+        use dcn_rng::SliceRandom;
+        fn collected<R: Rng>(
+            tree: &DynamicTree,
+            rng: &mut R,
+            exclude_root: bool,
+        ) -> Option<NodeId> {
+            let nodes: Vec<NodeId> = tree
+                .nodes()
+                .filter(|&n| !(exclude_root && n == tree.root()))
+                .collect();
+            nodes.choose(rng).copied()
+        }
+        for seed in 0..1_000u64 {
+            let mut grow = DetRng::seed_from_u64(seed);
+            let mut tree = build_tree(TreeShape::RandomRecursive {
+                nodes: (seed % 40) as usize,
+                seed,
+            });
+            for _ in 0..seed % 30 {
+                if let Some(v) = collected(&tree, &mut grow, true) {
+                    tree.remove(v).unwrap();
+                }
+            }
+            for exclude_root in [false, true] {
+                let mut ours = DetRng::seed_from_u64(seed ^ 0x5eed);
+                let mut old = ours.clone();
+                for _ in 0..4 {
+                    assert_eq!(
+                        random_node(&tree, &mut ours, exclude_root),
+                        collected(&tree, &mut old, exclude_root),
+                        "seed {seed}, exclude_root {exclude_root}"
+                    );
+                }
+                assert_eq!(ours.gen::<u64>(), old.gen::<u64>(), "seed {seed}");
+            }
+        }
     }
 
     #[test]
