@@ -10,9 +10,9 @@
 //!
 //! Controller experiments are expressed as [`Scenario`]s and executed through
 //! the shared [`ScenarioRunner`] — one driver loop for every
-//! [`Controller`] family ([`Family`] enumerates them, [`run_family`] builds
-//! and drives one); the §5 application experiments run through the same
-//! runner via [`ScenarioRunner::run_app`].
+//! [`Controller`](dcn_controller::Controller) family ([`Family`] enumerates
+//! them, [`run_family`] builds and drives one); the §5 application
+//! experiments run through the same runner via [`ScenarioRunner::run_app`].
 //!
 //! `dcn-exp` prints a table of rows (`experiment, parameters, measured,
 //! bound, ratio`) per experiment and, when the `DCN_JSON` environment
@@ -23,7 +23,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
-use dcn_controller::{Controller, ControllerError};
 use dcn_workload::{
     ArrivalMode, ChurnModel, ControllerSpec, MwBudget, Placement, RunReport, Scenario,
     ScenarioRunner, SweepCell, SweepEngine, SweepGrid, SweepReport, TreeShape,
@@ -234,22 +233,6 @@ pub fn sweep_sizes(full: &[usize], quick: &[usize]) -> Vec<usize> {
     }
 }
 
-/// Builds a fresh controller of `family` over the scenario's initial tree,
-/// sized for the scenario's budget and request count — a thin wrapper around
-/// [`ControllerSpec::for_scenario`](dcn_workload::ControllerSpec), kept so
-/// experiments read naturally.
-///
-/// # Errors
-///
-/// Propagates parameter validation errors (e.g. `W = 0` for families that
-/// require `W ≥ 1`).
-pub fn build_controller(
-    family: Family,
-    scenario: &Scenario,
-) -> Result<Box<dyn Controller>, ControllerError> {
-    ControllerSpec::for_scenario(family, scenario).build_for(&ScenarioRunner::new(scenario.clone()))
-}
-
 /// The worker-thread count used by the harness binaries: `DCN_WORKERS` if
 /// set, otherwise the machine's available parallelism (at least 2 so the
 /// parallel path is always exercised).
@@ -285,9 +268,11 @@ pub fn run_cells(grid_name: &str, cells: Vec<SweepCell>, workers: usize) -> Swee
 /// Panics on invalid scenario parameters or simulator errors (experiment
 /// harness context, where that is a bug in the sweep definition).
 pub fn run_family(family: Family, scenario: &Scenario) -> RunReport {
-    let mut ctrl = build_controller(family, scenario)
+    let runner = ScenarioRunner::new(scenario.clone());
+    let mut ctrl = ControllerSpec::for_scenario(family, scenario)
+        .build_for(&runner)
         .unwrap_or_else(|e| panic!("{}: invalid parameters: {e}", family.name()));
-    ScenarioRunner::new(scenario.clone())
+    runner
         .run(ctrl.as_mut())
         .unwrap_or_else(|e| panic!("{}: run failed: {e}", family.name()))
 }

@@ -142,8 +142,8 @@ fn apps_grid_reports_are_byte_identical_across_worker_counts() {
 /// shared [`dcn_bench::quick_grid`] with the CLI's default seed) are pinned.
 /// Any change to iteration order, seed derivation, rng consumption or report
 /// formatting moves these hashes; a storage layer swap must not (the pins
-/// were first recorded *before* the PR-5 HashMap → SecondaryMap/FxHashMap
-/// migration and survived it).
+/// were first recorded *before* the HashMap → slot map/FxHashMap migration
+/// and survived it).
 ///
 /// Re-pinned, consciously, when the distributed request agent began
 /// releasing its locks on the way down: every distributed-derived row

@@ -7,17 +7,15 @@
 //! On the simulator's event loop that hashing dominates the profile, so this
 //! crate provides the storage shapes the hot paths actually need:
 //!
-//! * [`SecondaryMap`] — a dense `Vec<Option<V>>` slot map keyed by any
-//!   [`EntityKey`]. O(1) access with no hashing at all, and iteration in
-//!   **index order**, which makes every loop over it deterministic by
-//!   construction (a property the byte-identical sweep reports rely on).
+//! * [`SlidingMap`] — a dense slot map keyed by any [`EntityKey`]: a
+//!   `VecDeque<Option<V>>` behind a moving window (the index of its first
+//!   slot). O(1) access with no hashing at all, and iteration in **index
+//!   order**, which makes every loop over it deterministic by construction
+//!   (a property the byte-identical sweep reports rely on). Removal pops the
+//!   vacant ends, so memory follows the span of the *live* keys instead of
+//!   the largest key ever seen: per-request and per-agent tables, which a
+//!   long-running process fills without bound, keep only the work in flight.
 //!   Use it whenever the key is one of the workspace's dense entity ids.
-//! * [`SlidingMap`] — the same dense slots behind a moving window
-//!   (`VecDeque<Option<V>>` + the index of its first slot), for tables whose
-//!   entries are short-lived: removal pops the vacant ends, so memory follows
-//!   the span of the *live* keys instead of the largest key ever seen. Use
-//!   it for per-request and per-agent state, which a long-running process
-//!   creates without bound and keeps only while the work is in flight.
 //! * [`CalendarQueue`] — a timing-wheel priority queue for bounded-delay
 //!   discrete-event scheduling: O(1) schedule/pop through a width-1 bucket
 //!   wheel for the near horizon, a binary-heap overflow tier for far-future
@@ -34,13 +32,12 @@
 //!   escape into outputs (sort first, or aggregate order-insensitively).
 //!
 //! The storage policy for the workspace (DESIGN.md "Performance model"):
-//! dense entity key → [`SecondaryMap`], or [`SlidingMap`] when entries die
-//! roughly in the order their keys were issued; sparse or composite key →
+//! dense entity key → [`SlidingMap`]; sparse or composite key →
 //! [`FxHashMap`]; no `std` SipHash maps (clippy refuses their constructors,
 //! DESIGN.md §8).
 //!
 //! ```
-//! use dcn_collections::{EntityKey, SecondaryMap};
+//! use dcn_collections::{EntityKey, SlidingMap};
 //!
 //! #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 //! struct Id(u32);
@@ -53,12 +50,12 @@
 //!     }
 //! }
 //!
-//! let mut map: SecondaryMap<Id, &str> = SecondaryMap::new();
+//! let mut map: SlidingMap<Id, &str> = SlidingMap::new();
 //! map.insert(Id(3), "three");
 //! map.insert(Id(1), "one");
 //! assert_eq!(map.get(Id(3)), Some(&"three"));
 //! // Iteration is in index order, not insertion order.
-//! let keys: Vec<Id> = map.keys().collect();
+//! let keys: Vec<Id> = map.iter().map(|(k, _)| k).collect();
 //! assert_eq!(keys, vec![Id(1), Id(3)]);
 //! ```
 
@@ -68,12 +65,10 @@
 
 mod calendar;
 mod fx;
-mod secondary;
 mod sliding;
 
 pub use calendar::CalendarQueue;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use secondary::SecondaryMap;
 pub use sliding::SlidingMap;
 
 /// A dense entity identifier: a copyable key that is (reversibly) a plain
@@ -82,10 +77,9 @@ pub use sliding::SlidingMap;
 /// Implemented by the workspace's arena ids (`NodeId`, `AgentId`,
 /// `RequestId`), whose values are allocated sequentially and never reused.
 /// The contract is `from_index(k.index()) == k` for every key handed to a
-/// [`SecondaryMap`] or [`SlidingMap`]; indices should be dense (small
-/// relative to the number of live entities), since a `SecondaryMap`
-/// allocates up to the largest index it has seen and a `SlidingMap` from
-/// the smallest live index to the largest.
+/// [`SlidingMap`]; live indices should be dense (a narrow range relative to
+/// the number of live entities), since the map allocates from the smallest
+/// live index to the largest.
 pub trait EntityKey: Copy + Eq {
     /// The raw array index of this key.
     fn index(self) -> usize;

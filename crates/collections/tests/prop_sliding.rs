@@ -1,9 +1,13 @@
 //! Seeded case-loop property test: a [`SlidingMap`] must hold exactly what a
 //! `BTreeMap<usize, V>` holds — same contents, same ascending iteration —
-//! while its window (`span`) covers exactly the live keys, under the access
-//! patterns of its two clients: ids issued in sequence with entries removed
-//! in any order (the agent table), and inserts that arrive out of order and
-//! below the window's front (the ledger index under asynchronous answers).
+//! while its window (`span`) covers exactly the live keys, after every
+//! operation: insert, remove, get / `contains_key`, `get_mut`,
+//! `get_or_insert_with`, `retain`, `iter_mut`, re-insertion into a slot just
+//! vacated, and `clear` followed by a fresh insert. The key patterns are
+//! those of its clients: ids issued in sequence with entries removed in any
+//! order (the agent table), inserts that arrive out of order and below the
+//! window's front (the ledger index under asynchronous answers), and one
+//! fixed id range filled, thinned and refilled (the per-node tables).
 
 use dcn_collections::{EntityKey, SlidingMap};
 use dcn_rng::{DetRng, Rng, SeedableRng};
@@ -36,6 +40,15 @@ fn assert_matches_model(map: &SlidingMap<Id, u64>, model: &BTreeMap<usize, u64>)
     assert_eq!(map.span(), span);
 }
 
+/// A uniformly chosen live key of the model, if any.
+fn nth_live_key(rng: &mut DetRng, model: &BTreeMap<usize, u64>) -> Option<usize> {
+    if model.is_empty() {
+        return None;
+    }
+    let nth = rng.gen_range(0usize..model.len());
+    model.keys().nth(nth).copied()
+}
+
 #[test]
 fn sliding_map_matches_a_btreemap_model() {
     for case in 0..300u64 {
@@ -52,29 +65,117 @@ fn sliding_map_matches_a_btreemap_model() {
             let key = newest.saturating_sub(rng.gen_range(0usize..reach));
             match rng.gen_range(0u32..100) {
                 // In-order, out-of-order and below-the-front inserts alike.
-                0..=39 => {
+                0..=29 => {
                     let value = rng.gen::<u64>();
                     assert_eq!(map.insert(Id(key), value), model.insert(key, value));
                 }
                 // Removal of a random band key, or of a random live key so
                 // that every position (front, back, middle) is hit.
-                40..=59 => {
+                30..=44 => {
                     assert_eq!(map.remove(Id(key)), model.remove(&key));
                 }
-                60..=79 => {
-                    if !model.is_empty() {
-                        let nth = rng.gen_range(0usize..model.len());
-                        let victim = *model.keys().nth(nth).unwrap();
+                45..=59 => {
+                    if let Some(victim) = nth_live_key(&mut rng, &model) {
                         assert_eq!(map.remove(Id(victim)), model.remove(&victim));
                     }
                 }
-                80..=92 => {
+                60..=69 => {
                     assert_eq!(map.get(Id(key)), model.get(&key));
+                    assert_eq!(map.contains_key(Id(key)), model.contains_key(&key));
                     // Far below and far above the window read as absent.
                     assert_eq!(map.get(Id(key / 2)), model.get(&(key / 2)));
-                    assert_eq!(map.get(Id(key + 10 * reach)), None);
+                    assert!(!map.contains_key(Id(key + 10 * reach)));
                 }
-                93..=97 => {
+                70..=74 => {
+                    if let (Some(v), Some(w)) = (map.get_mut(Id(key)), model.get_mut(&key)) {
+                        *v = v.wrapping_add(op as u64);
+                        *w = w.wrapping_add(op as u64);
+                    }
+                }
+                75..=79 => {
+                    let add = rng.gen_range(1u64..10);
+                    *map.get_or_insert_with(Id(key), || 1000) += add;
+                    *model.entry(key).or_insert(1000) += add;
+                }
+                // Retain by value (any positions) or by residue (often the
+                // ends): both must leave a trimmed window.
+                80..=84 => {
+                    let cutoff = rng.gen::<u64>();
+                    map.retain(|_, v| *v >= cutoff);
+                    model.retain(|_, v| *v >= cutoff);
+                }
+                85..=87 => {
+                    let residue = key % 3;
+                    map.retain(|k, _| k.index() % 3 != residue);
+                    model.retain(|k, _| k % 3 != residue);
+                }
+                88..=91 => {
+                    for (k, v) in map.iter_mut() {
+                        *v = v.wrapping_add(k.index() as u64);
+                    }
+                    for (k, v) in model.iter_mut() {
+                        *v = v.wrapping_add(*k as u64);
+                    }
+                }
+                // Re-insert into a slot just vacated, wherever it lies.
+                92..=96 => {
+                    if let Some(victim) = nth_live_key(&mut rng, &model) {
+                        assert_eq!(map.remove(Id(victim)), model.remove(&victim));
+                        assert_matches_model(&map, &model);
+                        let value = rng.gen::<u64>();
+                        assert_eq!(map.insert(Id(victim), value), None);
+                        model.insert(victim, value);
+                    }
+                }
+                _ => {
+                    map.clear();
+                    model.clear();
+                    assert_matches_model(&map, &model);
+                    let value = rng.gen::<u64>();
+                    assert_eq!(map.insert(Id(key), value), None);
+                    model.insert(key, value);
+                }
+            }
+            assert_matches_model(&map, &model);
+        }
+    }
+}
+
+#[test]
+fn a_fixed_id_range_matches_a_btreemap_model() {
+    // The per-node pattern: keys from one small range starting at 0, each
+    // filled, vacated and refilled many times over.
+    for case in 0..300u64 {
+        let mut rng = DetRng::seed_from_u64(0x5ec0_0000 + case);
+        let key_space = 1 + rng.gen_range(0usize..48);
+        let mut map: SlidingMap<Id, u64> = SlidingMap::new();
+        let mut model: BTreeMap<usize, u64> = BTreeMap::new();
+        let ops = rng.gen_range(20usize..160);
+        for op in 0..ops {
+            let key = rng.gen_range(0usize..key_space);
+            match rng.gen_range(0u32..100) {
+                0..=44 => {
+                    let value = rng.gen::<u64>();
+                    assert_eq!(map.insert(Id(key), value), model.insert(key, value));
+                }
+                45..=69 => {
+                    assert_eq!(map.remove(Id(key)), model.remove(&key));
+                }
+                70..=84 => {
+                    assert_eq!(map.get(Id(key)), model.get(&key));
+                    assert_eq!(map.contains_key(Id(key)), model.contains_key(&key));
+                }
+                85..=89 => {
+                    let add = rng.gen_range(1u64..10);
+                    *map.get_or_insert_with(Id(key), || 1000) += add;
+                    *model.entry(key).or_insert(1000) += add;
+                }
+                90..=94 => {
+                    let cutoff = rng.gen::<u64>();
+                    map.retain(|_, v| *v >= cutoff);
+                    model.retain(|_, v| *v >= cutoff);
+                }
+                95..=97 => {
                     if let (Some(v), Some(w)) = (map.get_mut(Id(key)), model.get_mut(&key)) {
                         *v = v.wrapping_add(op as u64);
                         *w = w.wrapping_add(op as u64);
@@ -187,4 +288,27 @@ fn emptying_and_refilling_starts_a_fresh_window() {
     map.insert(Id(9_000_000), 4);
     assert_eq!((map.len(), map.span()), (1, 1));
     assert_eq!(map.get(Id(9_000_000)), Some(&4));
+}
+
+#[test]
+fn vacated_slots_are_reused_without_ghosts() {
+    // The per-node pattern: fill, thin and refill the same indices and check
+    // that no stale value, length drift or stale window survives the churn.
+    let mut map: SlidingMap<Id, u64> = SlidingMap::new();
+    let mut model: BTreeMap<usize, u64> = BTreeMap::new();
+    for round in 0..10u64 {
+        for k in 0..32usize {
+            map.insert(Id(k), round * 100 + k as u64);
+            model.insert(k, round * 100 + k as u64);
+        }
+        for k in (0..32usize).step_by(2) {
+            map.remove(Id(k));
+            model.remove(&k);
+        }
+        assert_matches_model(&map, &model);
+        map.retain(|k, _| k.index() < 31);
+        model.retain(|&k, _| k < 31);
+        assert_matches_model(&map, &model);
+    }
+    assert_eq!((map.len(), map.span()), (15, 29));
 }

@@ -63,11 +63,6 @@ impl Params {
         self.phi.saturating_mul(1u64 << level.min(63))
     }
 
-    /// Largest level a mobile package can have (`log U + 1`).
-    pub fn max_level(&self) -> u32 {
-        ceil_log2(self.u) as u32 + 1
-    }
-
     /// Returns `true` if an ancestor at hop distance `dist` holding a
     /// level-`level` mobile package is a *filler node* for the requesting
     /// node.

@@ -13,11 +13,9 @@
 //!    (inside an epoch shell, the mechanism under the
 //!    [`IterationDriver`](crate::distributed::IterationDriver) — but not its
 //!    loop) over its own simulated network, granting
-//!    locally against a budget slice `(M_i, W_i)` with `Σ M_i ≤ M`; with
-//!    more than one shard, execution
-//!    slices run on one worker thread per shard
-//!    ([`std::thread::scope`] — results are merged in shard order, so output
-//!    is byte-identical however the threads interleave);
+//!    locally against a budget slice `(M_i, W_i)` with `Σ M_i ≤ M`; every
+//!    execution slice steps the shards one after another in shard order on
+//!    the calling thread and merges their results in that order;
 //! 3. a shard that exhausts its slice *parks* the rejected ticket instead of
 //!    surfacing the rejection; once every shard is quiescent a deterministic
 //!    **exchange wave** recomputes all slices from the unspent global pool
@@ -35,7 +33,7 @@
 //! metrics are identical to driving the distributed family directly (a
 //! property test in dcn-bench pins this). Shard seeds for `k ≥ 2` are derived
 //! family-blind (`split_mix64(seed ^ split_mix64(shard))`), so results never
-//! depend on worker-thread count or scheduling.
+//! depend on the driving sweep's worker count.
 //!
 //! DESIGN.md §10 documents the addressing scheme, the wave protocol and the
 //! global-invariant argument.
@@ -52,11 +50,6 @@ use dcn_collections::SlidingMap;
 use dcn_rng::split_mix64;
 use dcn_simnet::SimConfig;
 use dcn_tree::{DynamicTree, LocalMap, NodeId, RegionMap, TopologyEvent};
-
-/// Execution slices at least this large are worth fanning out to the
-/// per-shard worker threads; smaller slices run the shards sequentially
-/// (identical results — threading is purely a wall-clock optimisation).
-const THREAD_SLICE_FLOOR: u64 = 256;
 
 /// Safety valve: consecutive exchange waves without a single grant before the
 /// controller reports a livelock instead of spinning.
@@ -88,8 +81,6 @@ struct Shard {
     map: LocalMap,
     /// Base seed for this shard; per-epoch seeds are derived from it.
     seed: u64,
-    /// Result of the last parallel execution slice, harvested in shard order.
-    step_out: Option<Result<Progress, ControllerError>>,
 }
 
 impl Shard {
@@ -208,7 +199,6 @@ impl ShardedController {
                 shell,
                 map: local,
                 seed: config.seed,
-                step_out: None,
             });
             (mirror, map)
         } else {
@@ -222,7 +212,6 @@ impl ShardedController {
                     shell: EpochShell::parked(region.tree),
                     map: region.map,
                     seed,
-                    step_out: None,
                 };
                 if m_i > 0 {
                     shard.install(&config, seed, m_i, w_i)?;
@@ -375,8 +364,7 @@ impl ShardedController {
     /// Takes shard `i`'s recorded changes and replays them into the global
     /// mirror (in log order), then translates its fresh records into global
     /// ones. Called in ascending shard order after every execution slice,
-    /// which fixes the global interleaving independently of thread
-    /// scheduling.
+    /// which fixes the global interleaving.
     fn collect_shard(&mut self, i: usize) -> Result<(), ControllerError> {
         let corrupt = || ControllerError::Sim("shard address maps out of sync".to_string());
         // Phase 1: replay topology changes, learning new node addresses.
@@ -541,11 +529,10 @@ impl Controller for ShardedController {
         }
     }
 
-    /// Advances every shard by an equal share of `budget` (on worker threads
-    /// when the share is large enough to pay for the spawn), then merges
-    /// results in shard order and runs an exchange wave if the federation is
-    /// quiescent with parked tickets. Propagates shard simulator errors
-    /// (first shard wins) and exchange livelock errors.
+    /// Advances every shard, in shard order, by an equal share of `budget`,
+    /// then merges results in shard order and runs an exchange wave if the
+    /// federation is quiescent with parked tickets. Propagates shard
+    /// simulator errors (first shard wins) and exchange livelock errors.
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
         if self.k == 1 {
             let progress = self.shards[0].shell.step(Some(budget))?;
@@ -553,26 +540,14 @@ impl Controller for ShardedController {
             return Ok(progress);
         }
         let slice = (budget / self.k as u64).max(1);
-        if slice >= THREAD_SLICE_FLOOR {
-            std::thread::scope(|scope| {
-                for sh in self.shards.iter_mut() {
-                    if sh.shell.live().is_some() {
-                        scope.spawn(move || {
-                            sh.step_out = Some(sh.shell.step(Some(slice)));
-                        });
-                    }
-                }
-            });
-        } else {
-            for sh in self.shards.iter_mut() {
-                sh.step_out = Some(sh.shell.step(Some(slice)));
-            }
-        }
+        let results: Vec<_> = self
+            .shards
+            .iter_mut()
+            .map(|sh| sh.shell.step(Some(slice)))
+            .collect();
         let mut processed = 0;
-        for i in 0..self.k {
-            if let Some(result) = self.shards[i].step_out.take() {
-                processed += result?.processed;
-            }
+        for (i, result) in results.into_iter().enumerate() {
+            processed += result?.processed;
             self.collect_shard(i)?;
         }
         if self.shards_quiescent() && !self.pending.is_empty() {
@@ -741,8 +716,8 @@ mod tests {
 
     #[test]
     fn sharded_output_is_independent_of_thread_interleaving() {
-        // Identical runs (same seed) must produce identical records and
-        // events whether slices are large (threaded) or small (sequential).
+        // Identical runs (same seed) must produce identical records, and
+        // small and large slices must answer the same requests.
         let run = |quantum: u64| {
             let mut ctrl =
                 ShardedController::new(SimConfig::new(23), deep_tree(4, 2), 16, 4, 300, 4).unwrap();
@@ -758,7 +733,7 @@ mod tests {
             ctrl.run_to_quiescence().unwrap();
             ctrl.records().to_vec()
         };
-        // 4 shards: quantum 64 -> slice 16 (sequential); 4096 -> 1024 (threads).
+        // 4 shards: quantum 64 -> slice 16; 4096 -> 1024.
         assert_eq!(run(64), run(64));
         let seq: Vec<RequestId> = run(64).iter().map(|r| r.id).collect();
         let par: Vec<RequestId> = run(4096).iter().map(|r| r.id).collect();

@@ -3,7 +3,7 @@
 use crate::invariant::InvariantError;
 use crate::subtree::SubtreeEstimator;
 use crate::{Application, IterationDriver, IterationPolicy};
-use dcn_collections::SecondaryMap;
+use dcn_collections::SlidingMap;
 use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
@@ -20,7 +20,7 @@ use dcn_tree::DynamicTree;
 #[derive(Debug)]
 pub struct HeavyChildDecomposition {
     subtree: SubtreeEstimator,
-    heavy: SecondaryMap<NodeId, NodeId>,
+    heavy: SlidingMap<NodeId, NodeId>,
 }
 
 impl HeavyChildDecomposition {
@@ -33,7 +33,7 @@ impl HeavyChildDecomposition {
         let subtree = SubtreeEstimator::new(config, tree, f64::sqrt(3.0))?;
         let mut decomposition = HeavyChildDecomposition {
             subtree,
-            heavy: SecondaryMap::new(),
+            heavy: SlidingMap::new(),
         };
         decomposition.refresh_pointers();
         Ok(decomposition)
@@ -99,7 +99,7 @@ impl HeavyChildDecomposition {
     /// the shared driver.
     fn refresh_pointers(&mut self) {
         let mut flips = 0u64;
-        let mut new_heavy = SecondaryMap::new();
+        let mut new_heavy = SlidingMap::new();
         {
             let tree = self.subtree.tree();
             for node in tree.nodes() {

@@ -3,7 +3,7 @@
 use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
 use crate::{Application, IterationDriver, IterationPolicy};
-use dcn_collections::SecondaryMap;
+use dcn_collections::SlidingMap;
 use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
@@ -43,7 +43,7 @@ impl AncestryLabel {
 #[derive(Debug)]
 pub struct AncestryLabeling {
     size: SizeEstimator,
-    labels: SecondaryMap<NodeId, AncestryLabel>,
+    labels: SlidingMap<NodeId, AncestryLabel>,
     /// The node count at the time of the last re-labeling.
     labeled_at: u64,
     relabels: u32,
@@ -59,7 +59,7 @@ impl AncestryLabeling {
         let size = SizeEstimator::new(config, tree, 2.0)?;
         let mut labeling = AncestryLabeling {
             size,
-            labels: SecondaryMap::new(),
+            labels: SlidingMap::new(),
             labeled_at: 0,
             relabels: 0,
         };

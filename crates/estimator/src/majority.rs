@@ -19,7 +19,7 @@
 use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
 use crate::{Application, IterationDriver, IterationPolicy};
-use dcn_collections::SecondaryMap;
+use dcn_collections::SlidingMap;
 use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
@@ -54,10 +54,10 @@ pub enum Decision {
 #[derive(Debug)]
 pub struct MajorityCommitment {
     size: SizeEstimator,
-    // Vote sets are node-keyed, so they are dense secondary maps (the unit
+    // Vote sets are node-keyed, so they are dense slot maps (the unit
     // value makes them sets); membership is an O(1) slot probe.
-    commit_votes: SecondaryMap<NodeId, ()>,
-    abort_votes: SecondaryMap<NodeId, ()>,
+    commit_votes: SlidingMap<NodeId, ()>,
+    abort_votes: SlidingMap<NodeId, ()>,
     decision: Option<Decision>,
 }
 
@@ -75,8 +75,8 @@ impl MajorityCommitment {
     pub fn new(config: SimConfig, tree: DynamicTree, beta: f64) -> Result<Self, ControllerError> {
         Ok(MajorityCommitment {
             size: SizeEstimator::new(config, tree, beta)?,
-            commit_votes: SecondaryMap::new(),
-            abort_votes: SecondaryMap::new(),
+            commit_votes: SlidingMap::new(),
+            abort_votes: SlidingMap::new(),
             decision: None,
         })
     }
@@ -104,16 +104,16 @@ impl MajorityCommitment {
     /// Number of commit votes received from nodes that still exist.
     pub fn commit_votes(&self) -> u64 {
         self.commit_votes
-            .keys()
-            .filter(|&v| self.tree().contains(v))
+            .iter()
+            .filter(|&(v, _)| self.tree().contains(v))
             .count() as u64
     }
 
     /// Number of abort votes received from nodes that still exist.
     pub fn abort_votes(&self) -> u64 {
         self.abort_votes
-            .keys()
-            .filter(|&v| self.tree().contains(v))
+            .iter()
+            .filter(|&(v, _)| self.tree().contains(v))
             .count() as u64
     }
 

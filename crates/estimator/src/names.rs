@@ -2,7 +2,7 @@
 
 use crate::invariant::InvariantError;
 use crate::Application;
-use dcn_collections::{FxHashMap, SecondaryMap};
+use dcn_collections::{FxHashMap, SlidingMap};
 use dcn_controller::distributed::{IterationDriver, IterationPlan, IterationPolicy};
 use dcn_controller::{ControllerError, Outcome, PermitInterval, RequestKind, RequestRecord};
 use dcn_simnet::{NodeId, SimConfig};
@@ -14,7 +14,7 @@ use dcn_tree::DynamicTree;
 /// from the interval `(N_i, 3N_i/2]` via the controller's interval mode.
 #[derive(Debug, Default)]
 pub(crate) struct NamePolicy {
-    ids: SecondaryMap<NodeId, u64>,
+    ids: SlidingMap<NodeId, u64>,
     /// Serial numbers granted to insertions but not yet matched to a node
     /// appearing in the tree (the simulator applies changes with a small
     /// lag behind the grant answer).
@@ -22,7 +22,7 @@ pub(crate) struct NamePolicy {
 }
 
 impl NamePolicy {
-    pub(crate) fn ids(&self) -> &SecondaryMap<NodeId, u64> {
+    pub(crate) fn ids(&self) -> &SlidingMap<NodeId, u64> {
         &self.ids
     }
 }

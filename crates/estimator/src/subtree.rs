@@ -3,7 +3,7 @@
 use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
 use crate::{Application, IterationDriver, IterationPolicy};
-use dcn_collections::SecondaryMap;
+use dcn_collections::SlidingMap;
 use dcn_controller::{ControllerError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::{DynamicTree, TopologyEvent};
@@ -24,14 +24,14 @@ use dcn_tree::{DynamicTree, TopologyEvent};
 pub struct SubtreeEstimator {
     size: SizeEstimator,
     /// ω₀: subtree sizes at the start of the current iteration.
-    omega0: SecondaryMap<NodeId, u64>,
+    omega0: SlidingMap<NodeId, u64>,
     /// True super-weights (reference tracker used for validation and
     /// experiments; the protocol itself never needs them).
-    super_weight: SecondaryMap<NodeId, u64>,
+    super_weight: SlidingMap<NodeId, u64>,
     /// Shadow parent pointers replayed alongside the change log, so ancestor
     /// chains are resolved *as of each event* — a node inserted and removed
     /// within one sync window still credits the ancestors it had.
-    shadow_parent: SecondaryMap<NodeId, NodeId>,
+    shadow_parent: SlidingMap<NodeId, NodeId>,
     /// The iteration for which `omega0` was computed.
     iteration_tag: u32,
 }
@@ -55,9 +55,9 @@ impl SubtreeEstimator {
         let size = SizeEstimator::new(config, tree, beta)?;
         let mut est = SubtreeEstimator {
             size,
-            omega0: SecondaryMap::new(),
-            super_weight: SecondaryMap::new(),
-            shadow_parent: SecondaryMap::new(),
+            omega0: SlidingMap::new(),
+            super_weight: SlidingMap::new(),
+            shadow_parent: SlidingMap::new(),
             iteration_tag: 0,
         };
         est.refresh_omega0();

@@ -7,9 +7,8 @@
 //!
 //! Two kinds of caller feed it:
 //!
-//! * **trusted, recorded documents** — scenario record-and-replay
-//!   ([`Scenario::to_json`](crate::Scenario::to_json) /
-//!   [`Scenario::from_json`](crate::Scenario::from_json)) and the bench
+//! * **trusted, recorded documents** — scenario records
+//!   ([`Scenario::to_json`](crate::Scenario::to_json)) and the bench
 //!   harness's JSON-lines output (via the [`quote`] escaper);
 //! * **untrusted network input** — the `dcn-serve` wire protocol
 //!   (`crates/server`) parses every client line through [`parse_limited`].
@@ -37,10 +36,8 @@ pub const MAX_DEPTH: usize = 64;
 ///
 /// Typed (rather than a bare `String`) so network-facing callers can map
 /// each failure mode onto a protocol-level error frame; [`fmt::Display`]
-/// renders the historical human-readable message, and
-/// `From<JsonError> for String` keeps the trusted record-and-replay
-/// callers (`Scenario::from_json`) on their established `Result<_, String>`
-/// surface.
+/// renders the human-readable message, and `From<JsonError> for String`
+/// lets callers with a `Result<_, String>` surface use `?` on it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JsonError {
     /// The parser met a byte that cannot start or continue the expected
@@ -217,25 +214,6 @@ impl Value {
                 "expected an unsigned integer, found {other:?}"
             ))),
         }
-    }
-
-    /// The value as a `usize` (via [`Value::as_u64`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Value::as_u64`].
-    pub fn as_usize(&self) -> Result<usize, JsonError> {
-        Ok(self.as_u64()? as usize)
-    }
-
-    /// The value as a `u8`, range-checked.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError::Schema`] for non-integers and for values above 255.
-    pub fn as_u8(&self) -> Result<u8, JsonError> {
-        let v = self.as_u64()?;
-        u8::try_from(v).map_err(|_| JsonError::Schema(format!("value {v} does not fit in u8")))
     }
 
     /// The value as a boolean.
@@ -664,7 +642,6 @@ mod tests {
     #[test]
     fn integer_conversions_are_checked() {
         let v = parse(r#"{"x": 300, "y": 1.5}"#).unwrap();
-        assert!(v.get("x").unwrap().as_u8().is_err());
         assert_eq!(v.get("x").unwrap().as_u64().unwrap(), 300);
         assert!(v.get("y").unwrap().as_u64().is_err());
         assert!(v.get("missing").is_err());

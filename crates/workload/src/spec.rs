@@ -114,12 +114,6 @@ impl ControllerSpec {
         }
     }
 
-    /// Replaces the simulator configuration (distributed families only).
-    pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
-        self
-    }
-
     /// The spec matching a scenario's budget, waste bound and seed (the
     /// simulator is seeded with the scenario seed so distributed delay
     /// schedules replay with the workload).

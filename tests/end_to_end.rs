@@ -464,46 +464,3 @@ fn baselines_comparison_captures_the_papers_qualitative_claims() {
          (ours {ours_growth:.2}x vs trivial {trivial_growth:.2}x)"
     );
 }
-
-#[test]
-fn scenario_serialisation_supports_replay() {
-    let scenario = Scenario {
-        name: "replay".to_string(),
-        shape: TreeShape::Caterpillar { spine: 8, legs: 2 },
-        churn: ChurnModel::LeafChurn { insert_percent: 60 },
-        placement: Placement::Leaves,
-        arrival: ArrivalMode::Interleaved { quantum: 20 },
-        requests: 100,
-        m: 100,
-        w: 25,
-        seed: 5,
-    };
-    let json = scenario.to_json();
-    let back = Scenario::from_json(&json).unwrap();
-    assert_eq!(back, scenario);
-    // The replayed scenario drives an identical run: same tree, same report.
-    let runner_a = ScenarioRunner::new(scenario);
-    let runner_b = ScenarioRunner::new(back);
-    assert_eq!(
-        runner_a.initial_tree().node_count(),
-        runner_b.initial_tree().node_count()
-    );
-    let mut ctrl_a = IteratedController::new(
-        runner_a.initial_tree(),
-        runner_a.scenario().m,
-        runner_a.scenario().w,
-        runner_a.suggested_u_bound(),
-    )
-    .unwrap();
-    let mut ctrl_b = IteratedController::new(
-        runner_b.initial_tree(),
-        runner_b.scenario().m,
-        runner_b.scenario().w,
-        runner_b.suggested_u_bound(),
-    )
-    .unwrap();
-    assert_eq!(
-        runner_a.run(&mut ctrl_a).unwrap(),
-        runner_b.run(&mut ctrl_b).unwrap()
-    );
-}
