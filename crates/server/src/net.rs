@@ -2,8 +2,8 @@
 //! one single-writer engine thread.
 //!
 //! ```text
-//!  accept thread ──spawns──► reader thread ──(bounded inbox)──► engine thread
-//!                            writer thread ◄──(bounded outbox)──┘
+//!  accept thread ──spawns──► reader thread ──(capped inbox)──► engine thread
+//!                            writer thread ◄──(capped outbox)──┘
 //! ```
 //!
 //! The engine thread is the only thread that touches the controller (a
@@ -14,7 +14,10 @@
 //! loopback transport.
 //!
 //! Backpressure is bounded at both ends and degrades to protocol-level
-//! rejection rather than unbounded queueing:
+//! rejection rather than unbounded queueing. Both directions use one
+//! mechanism: an unbounded channel beside a per-connection count of what is
+//! queued, capped (a `Bound`), so a queue takes memory as items queue and
+//! a connection costs nothing for its cap at accept:
 //!
 //! * **inbox** — each connection may have at most
 //!   [`NetOptions::inbox_limit`] lines in flight toward the engine; past
@@ -36,7 +39,7 @@ use dcn_collections::FxHashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvError, SendError, Sender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
@@ -60,15 +63,112 @@ impl Default for NetOptions {
     }
 }
 
+/// A per-connection count of queued items and its cap, shared by whoever
+/// queues and whoever takes out. A producer claims a place before it queues
+/// an item and the consumer releases it on taking the item, so the channel
+/// beside it can be unbounded and hold only what is queued.
+#[derive(Clone)]
+struct Bound {
+    queued: Arc<AtomicUsize>,
+    limit: usize,
+}
+
+impl Bound {
+    fn new(limit: usize) -> Self {
+        Bound {
+            queued: Arc::new(AtomicUsize::new(0)),
+            limit,
+        }
+    }
+
+    /// Claims a place for one item; `false` at the cap.
+    fn try_claim(&self) -> bool {
+        self.queued
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |q| {
+                (q < self.limit).then_some(q + 1)
+            })
+            .is_ok()
+    }
+
+    /// Gives back the place of an item taken out.
+    fn release(&self) {
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The sending half of one connection's outbox: at most `outbox_limit`
+/// frames queued, in a channel that grows as frames queue.
+#[derive(Clone)]
+struct Outbox {
+    tx: Sender<String>,
+    bound: Bound,
+}
+
+impl Outbox {
+    /// Queues `frame`: `Full` at the cap, `Disconnected` once the writer's
+    /// half is gone (whatever was queued then).
+    fn try_send(&self, frame: String) -> Result<(), TrySendError<String>> {
+        if !self.bound.try_claim() {
+            return Err(TrySendError::Full(frame));
+        }
+        // A failed send keeps its claim: the receiver is gone, and its drop
+        // cleared the count.
+        self.tx
+            .send(frame)
+            .map_err(|SendError(frame)| TrySendError::Disconnected(frame))
+    }
+}
+
+/// The writer's half of an outbox: taking a frame out releases its place.
+struct OutboxRx {
+    rx: Receiver<String>,
+    bound: Bound,
+}
+
+impl OutboxRx {
+    fn recv(&self) -> Result<String, RecvError> {
+        let frame = self.rx.recv()?;
+        self.bound.release();
+        Ok(frame)
+    }
+
+    fn try_recv(&self) -> Result<String, TryRecvError> {
+        let frame = self.rx.try_recv()?;
+        self.bound.release();
+        Ok(frame)
+    }
+}
+
+impl Drop for OutboxRx {
+    /// Empties the count, so a sender meets the closed channel and reads
+    /// `Disconnected` even if the queue was full when the writer went.
+    fn drop(&mut self) {
+        self.bound.queued.store(0, Ordering::SeqCst);
+    }
+}
+
+/// A connection's outbox of at most `limit` frames.
+fn outbox(limit: usize) -> (Outbox, OutboxRx) {
+    let (tx, rx) = mpsc::channel();
+    let bound = Bound::new(limit);
+    (
+        Outbox {
+            tx,
+            bound: bound.clone(),
+        },
+        OutboxRx { rx, bound },
+    )
+}
+
 enum EngineMsg {
     Connect {
         client: ClientId,
-        outbox: SyncSender<String>,
+        outbox: Outbox,
     },
     Line {
         client: ClientId,
         line: String,
-        inflight: Arc<AtomicUsize>,
+        inflight: Bound,
     },
     Disconnect {
         client: ClientId,
@@ -173,7 +273,7 @@ fn engine_loop(
     stop: &AtomicBool,
     local: SocketAddr,
 ) {
-    let mut outboxes: FxHashMap<ClientId, SyncSender<String>> = FxHashMap::default();
+    let mut outboxes: FxHashMap<ClientId, Outbox> = FxHashMap::default();
     let mut out: Vec<Outgoing> = Vec::new();
     loop {
         // Block for input only while the controller has nothing in flight;
@@ -226,7 +326,7 @@ fn engine_loop(
 
 fn handle_msg(
     engine: &mut EngineCore,
-    outboxes: &mut FxHashMap<ClientId, SyncSender<String>>,
+    outboxes: &mut FxHashMap<ClientId, Outbox>,
     msg: EngineMsg,
     out: &mut Vec<Outgoing>,
 ) {
@@ -241,7 +341,7 @@ fn handle_msg(
             inflight,
         } => {
             engine.handle_line(client, &line, out);
-            inflight.fetch_sub(1, Ordering::SeqCst);
+            inflight.release();
         }
         EngineMsg::Disconnect { client } => {
             outboxes.remove(&client);
@@ -288,7 +388,7 @@ fn spawn_connection(
 ) -> io::Result<()> {
     let _ = stream.set_nodelay(true);
     let write_half = stream.try_clone()?;
-    let (out_tx, out_rx) = mpsc::sync_channel::<String>(options.outbox_limit);
+    let (out_tx, out_rx) = outbox(options.outbox_limit);
     if tx
         .send(EngineMsg::Connect {
             client,
@@ -308,7 +408,7 @@ fn spawn_connection(
     Ok(())
 }
 
-fn writer_loop(stream: TcpStream, out_rx: &Receiver<String>) {
+fn writer_loop(stream: TcpStream, out_rx: &OutboxRx) {
     let mut w = BufWriter::new(&stream);
     while let Ok(first) = out_rx.recv() {
         let mut write_one = |line: String| -> io::Result<()> {
@@ -403,11 +503,11 @@ fn reader_loop(
     stream: TcpStream,
     client: ClientId,
     tx: &Sender<EngineMsg>,
-    out_tx: &SyncSender<String>,
+    out_tx: &Outbox,
     options: NetOptions,
 ) {
     let mut reader = BufReader::new(stream);
-    let inflight = Arc::new(AtomicUsize::new(0));
+    let inflight = Bound::new(options.inbox_limit);
     loop {
         match read_limited_line(&mut reader, protocol::MAX_LINE_BYTES) {
             Ok(LineRead::Line(line)) => {
@@ -416,7 +516,7 @@ fn reader_loop(
                 // an ever-growing queue. (If even the error frame does not
                 // fit in the outbox, it is dropped like any other frame to
                 // a slow reader.)
-                if inflight.load(Ordering::SeqCst) >= options.inbox_limit {
+                if !inflight.try_claim() {
                     let _ = out_tx.try_send(protocol::error_frame(
                         "overloaded",
                         "per-connection inbox is full; back off and retry",
@@ -424,12 +524,11 @@ fn reader_loop(
                     ));
                     continue;
                 }
-                inflight.fetch_add(1, Ordering::SeqCst);
                 if tx
                     .send(EngineMsg::Line {
                         client,
                         line,
-                        inflight: Arc::clone(&inflight),
+                        inflight: inflight.clone(),
                     })
                     .is_err()
                 {
@@ -487,5 +586,38 @@ mod tests {
         assert_eq!(read_all(b"xxxxxxxxxxxxxxxx", 8), ["<too-long>"]);
         assert_eq!(read_all(b"", 8), Vec::<String>::new());
         assert_eq!(read_all(b"\xff\xfe\n", 8), ["<bad-utf8>"]);
+    }
+
+    #[test]
+    fn the_outbox_holds_at_most_its_limit_and_clones_share_the_count() {
+        let (tx, rx) = outbox(2);
+        let twin = tx.clone();
+        assert!(tx.try_send("a".into()).is_ok());
+        assert!(twin.try_send("b".into()).is_ok());
+        // Full at the cap, for either handle, and the frame comes back.
+        assert!(matches!(tx.try_send("c".into()), Err(TrySendError::Full(f)) if f == "c"));
+        assert!(matches!(
+            twin.try_send("c".into()),
+            Err(TrySendError::Full(_))
+        ));
+        // One taken out makes room for exactly one more.
+        assert_eq!(rx.recv().as_deref(), Ok("a"));
+        assert!(twin.try_send("c".into()).is_ok());
+        assert!(matches!(
+            tx.try_send("d".into()),
+            Err(TrySendError::Full(_))
+        ));
+        assert_eq!(rx.try_recv().as_deref(), Ok("b"));
+        assert_eq!(rx.try_recv().as_deref(), Ok("c"));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        // Once the receiver is gone every send is `Disconnected`, also from
+        // a full queue.
+        assert!(tx.try_send("d".into()).is_ok() && twin.try_send("e".into()).is_ok());
+        drop(rx);
+        assert!(matches!(tx.try_send("f".into()), Err(TrySendError::Disconnected(f)) if f == "f"));
+        assert!(matches!(
+            twin.try_send("g".into()),
+            Err(TrySendError::Disconnected(_))
+        ));
     }
 }

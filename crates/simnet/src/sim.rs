@@ -71,11 +71,12 @@ pub struct Simulator<P: Protocol> {
     /// delay in `dispatch_move` (see the module doc).
     rng: DetRng,
     queue: EventQueue,
-    /// Per-node hot state (whiteboard and taxi), one record per live
-    /// node behind a spine over the dense node-arena index: a step() pays a
-    /// single liveness check and one pointer, a removed node gives its
-    /// record back, and every iteration over node state is index-ordered
-    /// (deterministic) by construction.
+    /// Per-node hot state (whiteboard and taxi), one record per live node
+    /// behind a spine over the tree's record slots: a step() pays a single
+    /// liveness check and one pointer, a removed node gives its record back
+    /// and leaves no entry (the spine is as long as the most nodes ever live
+    /// at once), and every iteration over node state walks the tree's ids in
+    /// order (deterministic) by construction.
     nodes: HotNodeState<P::Whiteboard>,
     /// Agent ids are never reused, but the table holds slots for the live
     /// agents only (a window over the ids), so a simulator that runs without
@@ -108,12 +109,11 @@ impl<P: Protocol> Simulator<P> {
     /// created top-down so that every node's whiteboard can be derived from
     /// its parent's (the paper's parameter hand-off).
     pub fn with_tree(config: SimConfig, mut protocol: P, tree: DynamicTree) -> Self {
-        let mut nodes: HotNodeState<P::Whiteboard> =
-            HotNodeState::with_capacity(tree.total_created());
+        let mut nodes: HotNodeState<P::Whiteboard> = HotNodeState::with_capacity(tree.node_count());
         for node in tree.dfs(tree.root()) {
-            let parent_wb = tree.parent(node).and_then(|p| nodes.whiteboard(p));
+            let parent_wb = tree.parent(node).and_then(|p| nodes.whiteboard(&tree, p));
             let wb = protocol.make_whiteboard(node, parent_wb);
-            nodes.insert(node, wb);
+            nodes.insert(&tree, node, wb);
         }
         Simulator {
             config,
@@ -186,18 +186,18 @@ impl<P: Protocol> Simulator<P> {
 
     /// The whiteboard of `node`, if the node exists.
     pub fn whiteboard(&self, node: NodeId) -> Option<&P::Whiteboard> {
-        self.nodes.whiteboard(node)
+        self.nodes.whiteboard(&self.tree, node)
     }
 
     /// Mutable whiteboard access (driver-side initialisation only).
     pub fn whiteboard_mut(&mut self, node: NodeId) -> Option<&mut P::Whiteboard> {
-        self.nodes.whiteboard_mut(node)
+        self.nodes.whiteboard_mut(&self.tree, node)
     }
 
     /// Iterates over the whiteboards of all currently existing nodes, in
     /// node-index order.
     pub fn whiteboards(&self) -> impl Iterator<Item = (NodeId, &P::Whiteboard)> {
-        self.nodes.iter_whiteboards()
+        self.nodes.iter_whiteboards(&self.tree)
     }
 
     /// Returns `true` if `node` is currently locked by some agent.
@@ -207,7 +207,7 @@ impl<P: Protocol> Simulator<P> {
 
     /// The agent currently holding `node`'s lock, if any.
     pub fn locked_by(&self, node: NodeId) -> Option<AgentId> {
-        self.nodes.taxi(node).and_then(|t| t.locked_by)
+        self.nodes.taxi(&self.tree, node).and_then(|t| t.locked_by)
     }
 
     /// Number of agents currently alive (travelling, active or queued).
@@ -360,7 +360,7 @@ impl<P: Protocol> Simulator<P> {
     // ------------------------------------------------------------------
 
     fn schedule_activation(&mut self, agent: AgentId, at: NodeId, delay: Time) {
-        if let Some(t) = self.nodes.taxi_mut(at) {
+        if let Some(t) = self.nodes.taxi_mut(&self.tree, at) {
             t.inbound += 1;
         }
         self.queue
@@ -370,7 +370,7 @@ impl<P: Protocol> Simulator<P> {
     fn process_activation(&mut self, agent: AgentId, at: NodeId) -> Result<(), SimError> {
         // One lookup serves the whole activation: the node's record holds
         // its taxi state and its whiteboard together.
-        let mut node = self.nodes.slot_mut(at);
+        let mut node = self.nodes.slot_mut(&self.tree, at);
         if let Some(node) = &mut node {
             node.taxi.inbound = node.taxi.inbound.saturating_sub(1);
         }
@@ -439,7 +439,7 @@ impl<P: Protocol> Simulator<P> {
                     let is_child = arrived_from
                         .map(|c| self.tree.parent(c) == Some(at))
                         .unwrap_or(false);
-                    if let Some(t) = self.nodes.taxi_mut(at) {
+                    if let Some(t) = self.nodes.taxi_mut(&self.tree, at) {
                         t.locked_by = Some(agent);
                         if is_child {
                             t.down_child = arrived_from;
@@ -449,7 +449,7 @@ impl<P: Protocol> Simulator<P> {
                     }
                 }
                 Effect::Unlock => {
-                    let dequeued = if let Some(t) = self.nodes.taxi_mut(at) {
+                    let dequeued = if let Some(t) = self.nodes.taxi_mut(&self.tree, at) {
                         t.locked_by = None;
                         t.queue.pop_front()
                     } else {
@@ -484,7 +484,7 @@ impl<P: Protocol> Simulator<P> {
                 Ok(())
             }
             Action::Down => {
-                let target = self.nodes.taxi(at).and_then(|t| t.down_child);
+                let target = self.nodes.taxi(&self.tree, at).and_then(|t| t.down_child);
                 let Some(target) = target else {
                     return Err(SimError::ProtocolViolation(format!(
                         "agent {agent} issued Down at {at} with no descent pointer"
@@ -510,7 +510,7 @@ impl<P: Protocol> Simulator<P> {
                 Ok(())
             }
             Action::WaitForUnlock => {
-                if let Some(t) = self.nodes.taxi_mut(at) {
+                if let Some(t) = self.nodes.taxi_mut(&self.tree, at) {
                     t.queue.push_back(agent);
                     self.metrics.waits += 1;
                     self.metrics.max_queue_len = self.metrics.max_queue_len.max(t.queue.len());
@@ -550,7 +550,7 @@ impl<P: Protocol> Simulator<P> {
     /// pointer move, and its `inbound` falls, only inside an activation at
     /// that node, so no gate opens anywhere else.
     fn retry_parked(&mut self, at: NodeId) {
-        let Some(taxi) = self.nodes.taxi_mut(at) else {
+        let Some(taxi) = self.nodes.taxi_mut(&self.tree, at) else {
             return;
         };
         if taxi.parked.is_empty() {
@@ -575,7 +575,7 @@ impl<P: Protocol> Simulator<P> {
             }
             ChangeOutcome::Busy(node) => {
                 // `Busy` names a node whose taxi state it has just read.
-                if let Some(taxi) = self.nodes.taxi_mut(node) {
+                if let Some(taxi) = self.nodes.taxi_mut(&self.tree, node) {
                     taxi.parked.push(change);
                 }
             }
@@ -610,12 +610,12 @@ impl<P: Protocol> Simulator<P> {
                 // edge must stay intact until that agent releases it.
                 let below_locked = self
                     .nodes
-                    .taxi(below)
+                    .taxi(&self.tree, below)
                     .map(NodeTaxi::is_locked)
                     .unwrap_or(false);
                 let crossing = self
                     .nodes
-                    .taxi(parent)
+                    .taxi(&self.tree, parent)
                     .map(|t| t.is_locked() && t.down_child == Some(below))
                     .unwrap_or(false);
                 if crossing || below_locked {
@@ -638,7 +638,7 @@ impl<P: Protocol> Simulator<P> {
                 }
                 let busy = self
                     .nodes
-                    .taxi(node)
+                    .taxi(&self.tree, node)
                     .map(|t| t.is_locked() || !t.queue.is_empty() || t.inbound > 0)
                     .unwrap_or(false);
                 if busy {
@@ -652,14 +652,19 @@ impl<P: Protocol> Simulator<P> {
                 // The gate is open, so nothing waits here (the hook took
                 // this node's list before re-attempting any of it): no
                 // parked change is lost with the slot.
-                debug_assert!(self.nodes.taxi(node).is_some_and(|t| t.parked.is_empty()));
+                debug_assert!(self
+                    .nodes
+                    .taxi(&self.tree, node)
+                    .is_some_and(|t| t.parked.is_empty()));
                 // Hand the whiteboard contents to the parent ("graceful"
-                // rule); the node's taxi state goes with its record.
-                if let Some(removed_wb) = self.nodes.remove(node) {
+                // rule); the node's taxi state goes with its record. The
+                // entry is vacated while the tree still names its slot, so
+                // the slot is empty when the tree hands it out again.
+                if let Some(removed_wb) = self.nodes.remove(&self.tree, node) {
                     // The parent always has a whiteboard while its child
                     // existed; if not, the merge is skipped rather than
                     // panicking (the removed contents are lost either way).
-                    if let Some(parent_wb) = self.nodes.whiteboard_mut(parent) {
+                    if let Some(parent_wb) = self.nodes.whiteboard_mut(&self.tree, parent) {
                         let aux = self.protocol.merge_whiteboard(removed_wb, parent_wb);
                         self.metrics.aux_messages += aux;
                     }
@@ -676,9 +681,9 @@ impl<P: Protocol> Simulator<P> {
     }
 
     fn init_new_node(&mut self, node: NodeId, parent: NodeId) {
-        let parent_wb = self.nodes.whiteboard(parent);
+        let parent_wb = self.nodes.whiteboard(&self.tree, parent);
         let wb = self.protocol.make_whiteboard(node, parent_wb);
-        self.nodes.insert(node, wb);
+        self.nodes.insert(&self.tree, node, wb);
     }
 }
 
@@ -866,6 +871,41 @@ mod tests {
         assert_eq!(sim.live_agents(), 0);
     }
 
+    /// The node table follows the live nodes, not the ids: a tree held at a
+    /// fixed size through 10 000 add-leaf / remove cycles mints 10 000 ids,
+    /// and the table's spine stays no longer than the tree's record count
+    /// (the most nodes ever live at once, since a freed record is reused
+    /// before a new one is made).
+    #[test]
+    fn the_node_table_spans_the_most_nodes_ever_live_not_the_ids_minted() {
+        let mut sim = star();
+        let root = sim.tree().root();
+        let mut added: VecDeque<NodeId> = VecDeque::new();
+        let mut records = sim.tree().node_count();
+        for cycle in 0..10_000 {
+            let leaf = NodeId::from_index(sim.tree().total_created());
+            sim.schedule_change(TopologyChange::AddLeaf { parent: root });
+            sim.run_until_quiescent().unwrap();
+            assert!(sim.tree().contains(leaf), "cycle {cycle}");
+            added.push_back(leaf);
+            records = records.max(sim.tree().node_count());
+            if added.len() > 4 {
+                let gone = added.pop_front().unwrap();
+                sim.schedule_change(TopologyChange::Remove { node: gone });
+                sim.run_until_quiescent().unwrap();
+                assert!(sim.whiteboard(gone).is_none() && sim.locked_by(gone).is_none());
+            }
+        }
+        assert!(sim.whiteboards().map(|(id, _)| id).eq(sim.tree().nodes()));
+        assert_eq!(sim.tree().total_created(), 10_009);
+        assert_eq!(records, 14);
+        assert!(
+            sim.nodes.spine_len() <= records,
+            "{} spine entries for {records} records",
+            sim.nodes.spine_len()
+        );
+    }
+
     // ------------------------------------------------------------------
     // A granted change waits on its gate
     // ------------------------------------------------------------------
@@ -894,7 +934,7 @@ mod tests {
     }
 
     fn parked(sim: &Simulator<Walk>, node: NodeId) -> &[TopologyChange] {
-        sim.nodes.taxi(node).map_or(&[], |t| &t.parked)
+        sim.nodes.taxi(&sim.tree, node).map_or(&[], |t| &t.parked)
     }
 
     fn resolved(sim: &Simulator<Walk>) -> (u64, u64) {
@@ -1051,7 +1091,7 @@ mod tests {
     /// `change` sits on `node` for a reason that still holds: exactly the
     /// condition under which `try_apply_change` names `node` as busy.
     fn gate_is_closed(sim: &Simulator<Walk>, node: NodeId, change: TopologyChange) -> bool {
-        let Some(taxi) = sim.nodes.taxi(node) else {
+        let Some(taxi) = sim.nodes.taxi(&sim.tree, node) else {
             return false;
         };
         match change {

@@ -33,7 +33,9 @@
 //! child, previous and next sibling, child count, cached depth and owning
 //! id. Links name record indices, so a walk up the tree is one load per hop
 //! and never touches the spine. A removed node's record is reused by the
-//! next node created (last freed, first reused). [`DynamicTree::children`]
+//! next node created (last freed, first reused), and
+//! [`DynamicTree::record_slot`] names it, so a side table keyed by it spans
+//! the most nodes ever live at once. [`DynamicTree::children`]
 //! walks the sibling links as a [`Children`] iterator (double-ended, exact
 //! size); child-degree and leaf tests read the count, and removing a leaf or
 //! splitting an edge relinks in `O(1)`. [`DynamicTree::dfs`] keeps no stack.

@@ -172,6 +172,15 @@ impl DynamicTree {
         self.slot(id).is_ok()
     }
 
+    /// The index of live `id`'s record, or `None` if `id` does not exist. A
+    /// side table keyed by it holds an entry per record, so it is as long as
+    /// the most nodes ever live at once, not the ids ever minted: the index
+    /// stays the same while the node lives, and a removed node's index is
+    /// the next one a new node gets (last in, first out).
+    pub fn record_slot(&self, id: NodeId) -> Option<usize> {
+        self.slot(id).ok().map(|r| r as usize)
+    }
+
     /// Number of topological changes applied to this tree through
     /// [`add_leaf`](Self::add_leaf), [`remove_leaf`](Self::remove_leaf),
     /// [`add_internal_above`](Self::add_internal_above) and

@@ -422,14 +422,21 @@ fn differential_target(model: &Model, rng: &mut DetRng) -> NodeId {
 /// result of the operation, the parent, the children (both ways round), the
 /// depth, the child-degree and leaf test of every live node, the error for
 /// every dead id, the id-ordered node list, the pre-order from the root and
-/// from a random node, and the arena's own invariant check.
+/// from a random node, and the arena's own invariant check. The record
+/// slots of the live nodes are distinct, below the record count (the most
+/// nodes ever live at once: a freed record is reused before a new one is
+/// made), and unchanged for every node the operation did not remove.
 #[test]
 fn the_arena_agrees_with_a_naive_model_after_every_op() {
     for case in 0..64u64 {
         let mut rng = DetRng::seed_from_u64(8_000 + case);
         let mut tree = DynamicTree::new();
         let mut model = Model::new();
+        let mut records = 1;
         for step in 0..300 {
+            let slots_before: Vec<Option<usize>> = (0..model.0.len())
+                .map(|i| tree.record_slot(NodeId::from_index(i)))
+                .collect();
             let v = differential_target(&model, &mut rng);
             // Weights 4 : 1 : 2 : 3 — splices are the risk, so
             // remove-internal is drawn as often as the two insertions.
@@ -458,6 +465,24 @@ fn the_arena_agrees_with_a_naive_model_after_every_op() {
             let nodes = model.nodes();
             assert!(tree.nodes().eq(nodes.iter().copied()), "{at}: nodes()");
             assert_eq!(tree.node_count(), nodes.len(), "{at}");
+            records = records.max(nodes.len());
+            let mut taken = vec![false; records];
+            for i in 0..model.0.len() {
+                let u = NodeId::from_index(i);
+                let Some(r) = tree.record_slot(u) else {
+                    assert!(model.live(u).is_none(), "{at}: live {u} has no slot");
+                    continue;
+                };
+                assert!(model.live(u).is_some(), "{at}: dead {u} has slot {r}");
+                assert!(r < records, "{at}: slot {r} of {u} past {records} records");
+                assert!(
+                    !std::mem::replace(&mut taken[r], true),
+                    "{at}: slot {r} twice"
+                );
+                if let Some(&Some(before)) = slots_before.get(i) {
+                    assert_eq!(r, before, "{at}: {u} moved from slot {before}");
+                }
+            }
             for i in 0..model.0.len() {
                 let u = NodeId::from_index(i);
                 if model.live(u).is_none() {

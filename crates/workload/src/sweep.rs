@@ -387,15 +387,22 @@ impl SweepEngine {
     ///
     /// Cells are distributed over the worker pool via an atomic cursor;
     /// results are reassembled in cell-index order, so the report — and any
-    /// CSV/JSON derived from it — is independent of scheduling.
+    /// CSV/JSON derived from it — is independent of scheduling. With one
+    /// worker (or one cell) the cells run in order on the calling thread.
     pub fn run_cells(
         &self,
         grid_name: String,
         cells: Vec<SweepCell>,
         factory: &ControllerFactory<'_>,
     ) -> SweepReport {
-        let cursor = AtomicUsize::new(0);
         let workers = self.workers.min(cells.len()).max(1);
+        if workers == 1 {
+            return SweepReport {
+                grid: grid_name,
+                cells: cells.iter().map(|cell| run_cell(cell, factory)).collect(),
+            };
+        }
+        let cursor = AtomicUsize::new(0);
         let mut done: Vec<(usize, CellResult)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {

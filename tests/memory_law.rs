@@ -68,10 +68,11 @@ fn a_churning_tree_holds_its_live_nodes_not_every_node_it_ever_had() {
     assert_eq!(ctrl.rejected(), 0);
     assert!(ctrl.tree().total_created() >= CYCLES);
     assert_eq!(ctrl.tree().node_count(), 256 + HELD);
-    // 150 000 nodes came and went since the warm-up: 12 B of spine each
-    // (1.7 MiB), not a 304-byte record each (43 MiB).
+    // 150 000 nodes came and went since the warm-up: the tree's 4-byte
+    // spine entry each (584 KiB measured), not the 12 B of a node table
+    // keyed by id as well (1 756 KiB), nor a 304-byte record each (43 MiB).
     assert!(
-        grown_kib <= 8 * 1024,
+        grown_kib <= 1024,
         "resident set grew by {grown_kib} KiB over the last {} cycles",
         CYCLES - WARM_UP
     );
