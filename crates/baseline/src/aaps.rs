@@ -31,13 +31,18 @@ type BinKey = (NodeId, u32);
 ///
 /// ```
 /// use dcn_baseline::AapsController;
-/// use dcn_controller::{Controller, RequestKind};
+/// use dcn_controller::{Controller, Outcome, RequestKind};
 /// use dcn_tree::DynamicTree;
 ///
 /// let tree = DynamicTree::with_initial_path(8);
 /// let mut ctrl = AapsController::new(tree, 16, 8, 64).unwrap();
 /// let leaf = ctrl.tree().nodes().last().unwrap();
-/// assert!(ctrl.submit(leaf, RequestKind::AddLeaf).unwrap().is_granted());
+/// let ticket = ctrl.submit(leaf, RequestKind::AddLeaf).unwrap();
+/// assert_eq!(ctrl.records()[0].id, ticket);
+/// assert!(ctrl.records()[0].outcome.is_granted());
+/// // Outside the grow-only model: a refusal ticket, not an error.
+/// ctrl.submit(leaf, RequestKind::RemoveSelf).unwrap();
+/// assert_eq!(ctrl.records()[1].outcome, Outcome::Refused);
 /// ```
 #[derive(Debug)]
 pub struct AapsController {
@@ -207,15 +212,63 @@ impl AapsController {
         true
     }
 
-    /// Submits a request arriving at `at` and applies the granted event.
+    /// Number of permits that are not yet granted (storage plus bins).
+    pub fn uncommitted_permits(&self) -> u64 {
+        self.storage + self.bins.values().sum::<u64>()
+    }
+
+    /// The largest per-node bin footprint in bits: one `O(log M)` counter per
+    /// non-empty bin level hosted at the node (plus the root's storage
+    /// counter).
+    pub fn peak_node_memory_bits(&self) -> u64 {
+        let log_m = 64 - self.m.max(1).leading_zeros() as u64;
+        let mut per_node: FxHashMap<NodeId, u64> = FxHashMap::default();
+        for (&(node, _level), &count) in &self.bins {
+            if count > 0 {
+                *per_node.entry(node).or_insert(0) += log_m;
+            }
+        }
+        let storage_bits = 64 - self.storage.max(1).leading_zeros() as u64;
+        per_node
+            .values()
+            .copied()
+            .max()
+            .unwrap_or(0)
+            .max(storage_bits)
+    }
+}
+
+impl SyncController for AapsController {
+    fn name(&self) -> &'static str {
+        "aaps"
+    }
+
+    fn budget(&self) -> u64 {
+        self.m
+    }
+
+    fn waste_bound(&self) -> u64 {
+        self.w
+    }
+
+    fn supports(&self, kind: RequestKind) -> bool {
+        // The AAPS dynamic model: leaf insertions and non-topological events
+        // only — exactly the restriction the paper's controller lifts.
+        matches!(kind, RequestKind::AddLeaf | RequestKind::NonTopological)
+    }
+
+    /// Draws a permit from the nearest level-0 bin and applies the granted
+    /// event. Through [`Controller`] a kind outside the model resolves to a
+    /// refusal ticket and never gets here.
     ///
     /// # Errors
     ///
     /// * [`ControllerError::UnknownNode`] for a request at a missing node;
-    /// * [`ControllerError::Tree`] wrapping the refusal when the request asks
-    ///   for a change outside the grow-only model (deletion or internal
-    ///   insertion).
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
+    /// * [`ControllerError::Sim`] when called directly with a change outside
+    ///   the grow-only model (deletion or internal insertion).
+    ///
+    /// [`Controller`]: dcn_controller::Controller
+    fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
         if !self.tree.contains(at) {
             return Err(ControllerError::UnknownNode(at));
         }
@@ -263,60 +316,6 @@ impl AapsController {
         })
     }
 
-    /// Number of permits that are not yet granted (storage plus bins).
-    pub fn uncommitted_permits(&self) -> u64 {
-        self.storage + self.bins.values().sum::<u64>()
-    }
-
-    /// The largest per-node bin footprint in bits: one `O(log M)` counter per
-    /// non-empty bin level hosted at the node (plus the root's storage
-    /// counter).
-    pub fn peak_node_memory_bits(&self) -> u64 {
-        let log_m = 64 - self.m.max(1).leading_zeros() as u64;
-        let mut per_node: FxHashMap<NodeId, u64> = FxHashMap::default();
-        for (&(node, _level), &count) in &self.bins {
-            if count > 0 {
-                *per_node.entry(node).or_insert(0) += log_m;
-            }
-        }
-        let storage_bits = 64 - self.storage.max(1).leading_zeros() as u64;
-        per_node
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .max(storage_bits)
-    }
-}
-
-impl SyncController for AapsController {
-    fn name(&self) -> &'static str {
-        "aaps"
-    }
-
-    fn budget(&self) -> u64 {
-        self.m
-    }
-
-    fn waste_bound(&self) -> u64 {
-        self.w
-    }
-
-    fn supports(&self, kind: RequestKind) -> bool {
-        // The AAPS dynamic model: leaf insertions and non-topological events
-        // only — exactly the restriction the paper's controller lifts.
-        matches!(kind, RequestKind::AddLeaf | RequestKind::NonTopological)
-    }
-
-    /// Only reached for supported kinds: through [`Controller`] a kind
-    /// outside the model resolves to a refusal ticket instead (the raw
-    /// [`AapsController::submit`] keeps erroring for direct callers).
-    ///
-    /// [`Controller`]: dcn_controller::Controller
-    fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
-        self.submit(at, kind)
-    }
-
     fn granted(&self) -> u64 {
         self.granted
     }
@@ -358,7 +357,7 @@ mod tests {
         for i in 0..(m as usize + 10) {
             let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
             let at = nodes[(i * 7) % nodes.len()];
-            let _ = ctrl.submit(at, RequestKind::AddLeaf).unwrap();
+            let _ = ctrl.decide(at, RequestKind::AddLeaf).unwrap();
             assert_eq!(ctrl.granted() + ctrl.uncommitted_permits(), m);
         }
         assert!(ctrl.granted() <= m);
@@ -371,9 +370,9 @@ mod tests {
         let tree = DynamicTree::with_initial_path(4);
         let mut ctrl = AapsController::new(tree, 10, 5, 32).unwrap();
         let leaf = NodeId::from_index(4);
-        assert!(ctrl.submit(leaf, RequestKind::RemoveSelf).is_err());
+        assert!(ctrl.decide(leaf, RequestKind::RemoveSelf).is_err());
         assert!(ctrl
-            .submit(leaf, RequestKind::AddInternalAbove(NodeId::from_index(3)))
+            .decide(leaf, RequestKind::AddInternalAbove(NodeId::from_index(3)))
             .is_err());
     }
 
@@ -392,9 +391,9 @@ mod tests {
         let tree = DynamicTree::with_initial_path(64);
         let deep = NodeId::from_index(64);
         let mut ctrl = AapsController::new(tree, 1000, 500, 256).unwrap();
-        ctrl.submit(deep, RequestKind::NonTopological).unwrap();
+        ctrl.decide(deep, RequestKind::NonTopological).unwrap();
         let first = ctrl.messages();
-        ctrl.submit(deep, RequestKind::NonTopological).unwrap();
+        ctrl.decide(deep, RequestKind::NonTopological).unwrap();
         let second = ctrl.messages() - first;
         assert!(
             second < first,
@@ -415,7 +414,7 @@ mod tests {
             for i in 0..(3 * m as usize) {
                 let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
                 let at = nodes[(i * 11) % nodes.len()];
-                match ctrl.submit(at, RequestKind::NonTopological).unwrap() {
+                match ctrl.decide(at, RequestKind::NonTopological).unwrap() {
                     Outcome::Granted { .. } => {}
                     Outcome::Rejected => rejected += 1,
                     Outcome::Refused => unreachable!("events are inside the AAPS model"),
@@ -443,7 +442,7 @@ mod tests {
         let mut rejected = 0;
         for i in 0..60 {
             match ctrl
-                .submit(nodes[i % nodes.len()], RequestKind::NonTopological)
+                .decide(nodes[i % nodes.len()], RequestKind::NonTopological)
                 .unwrap()
             {
                 Outcome::Granted { .. } => granted += 1,

@@ -51,15 +51,32 @@ impl TrivialController {
     pub fn moves(&self) -> u64 {
         self.moves
     }
+}
 
-    /// Submits a request arriving at `at` and applies the granted event.
+impl SyncController for TrivialController {
+    fn name(&self) -> &'static str {
+        "trivial"
+    }
+
+    fn budget(&self) -> u64 {
+        self.m
+    }
+
+    fn waste_bound(&self) -> u64 {
+        // The root always knows the exact remaining budget, so nothing is
+        // ever wasted.
+        0
+    }
+
+    /// Sends the request to the root and the answer back, and applies the
+    /// granted event.
     ///
     /// # Errors
     ///
     /// * [`ControllerError::UnknownNode`] for a request at a missing node;
     /// * [`ControllerError::CannotRemoveRoot`] /
     ///   [`ControllerError::NotParentOf`] for malformed topological requests.
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
+    fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
         check_request(&self.tree, at, kind)?;
         let depth = self.tree.depth(at) as u64;
         self.messages += 2 * depth;
@@ -83,26 +100,6 @@ impl TrivialController {
             serial: Some(self.m - self.remaining),
             new_node,
         })
-    }
-}
-
-impl SyncController for TrivialController {
-    fn name(&self) -> &'static str {
-        "trivial"
-    }
-
-    fn budget(&self) -> u64 {
-        self.m
-    }
-
-    fn waste_bound(&self) -> u64 {
-        // The root always knows the exact remaining budget, so nothing is
-        // ever wasted.
-        0
-    }
-
-    fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
-        self.submit(at, kind)
     }
 
     fn granted(&self) -> u64 {
@@ -148,7 +145,7 @@ mod tests {
         let mut granted = 0;
         for i in 0..12 {
             if ctrl
-                .submit(nodes[i % nodes.len()], RequestKind::NonTopological)
+                .decide(nodes[i % nodes.len()], RequestKind::NonTopological)
                 .unwrap()
                 .is_granted()
             {
@@ -164,7 +161,7 @@ mod tests {
         let tree = DynamicTree::with_initial_path(100);
         let deep = NodeId::from_index(100);
         let mut ctrl = TrivialController::new(tree, 10);
-        ctrl.submit(deep, RequestKind::NonTopological).unwrap();
+        ctrl.decide(deep, RequestKind::NonTopological).unwrap();
         assert_eq!(ctrl.messages(), 200);
         assert_eq!(ctrl.moves(), 100);
     }
@@ -174,16 +171,16 @@ mod tests {
         let tree = DynamicTree::with_initial_path(4);
         let mut ctrl = TrivialController::new(tree, 10);
         let leaf = NodeId::from_index(4);
-        let out = ctrl.submit(leaf, RequestKind::AddLeaf).unwrap();
+        let out = ctrl.decide(leaf, RequestKind::AddLeaf).unwrap();
         let new = match out {
             Outcome::Granted { new_node, .. } => new_node.unwrap(),
             Outcome::Rejected | Outcome::Refused => panic!("should grant"),
         };
-        ctrl.submit(leaf, RequestKind::AddInternalAbove(new))
+        ctrl.decide(leaf, RequestKind::AddInternalAbove(new))
             .unwrap();
         // `leaf` is now an internal node; the trivial controller can still
         // remove it (it supports the full dynamic model).
-        ctrl.submit(leaf, RequestKind::RemoveSelf).unwrap();
+        ctrl.decide(leaf, RequestKind::RemoveSelf).unwrap();
         assert!(!ctrl.tree().contains(leaf));
         assert!(ctrl.tree().check_invariants().is_ok());
     }
@@ -194,11 +191,11 @@ mod tests {
         let mut ctrl = TrivialController::new(tree, 10);
         let root = ctrl.tree().root();
         assert!(matches!(
-            ctrl.submit(root, RequestKind::RemoveSelf),
+            ctrl.decide(root, RequestKind::RemoveSelf),
             Err(ControllerError::CannotRemoveRoot)
         ));
         assert!(matches!(
-            ctrl.submit(NodeId::from_index(77), RequestKind::NonTopological),
+            ctrl.decide(NodeId::from_index(77), RequestKind::NonTopological),
             Err(ControllerError::UnknownNode(_))
         ));
     }

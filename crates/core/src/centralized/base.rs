@@ -21,15 +21,16 @@ use dcn_tree::{DynamicTree, NodeId};
 ///
 /// ```
 /// use dcn_controller::centralized::CentralizedController;
-/// use dcn_controller::RequestKind;
+/// use dcn_controller::{Controller, RequestKind};
 /// use dcn_tree::DynamicTree;
 ///
 /// # fn main() -> Result<(), dcn_controller::ControllerError> {
 /// let tree = DynamicTree::with_initial_path(10);
 /// let mut ctrl = CentralizedController::new(tree, 20, 4, 64)?;
 /// let deep = ctrl.tree().nodes().last().unwrap();
-/// let outcome = ctrl.submit(deep, RequestKind::AddLeaf)?;
-/// assert!(outcome.is_granted());
+/// let ticket = ctrl.submit(deep, RequestKind::AddLeaf)?;
+/// assert_eq!(ctrl.records()[0].id, ticket);
+/// assert!(ctrl.records()[0].outcome.is_granted());
 /// assert!(ctrl.moves() > 0); // permits travelled from the root
 /// # Ok(())
 /// # }
@@ -48,8 +49,7 @@ pub struct CentralizedController {
     reject_wave_done: bool,
     auditor: Option<DomainAuditor>,
     /// Ticket/event/record bookkeeping for submissions through the
-    /// [`Controller`](crate::Controller) trait and the epoch engine (the raw
-    /// [`CentralizedController::submit`] below stays ticket-free).
+    /// [`Controller`](crate::Controller) trait and the epoch engine.
     ledger: RequestLedger,
 }
 
@@ -115,21 +115,6 @@ impl CentralizedController {
         &self.params
     }
 
-    /// The spanning tree as currently maintained by the controller.
-    pub fn tree(&self) -> &DynamicTree {
-        &self.tree
-    }
-
-    /// Number of permits granted so far.
-    pub fn granted(&self) -> u64 {
-        self.granted
-    }
-
-    /// Number of requests rejected so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
     /// Move complexity accumulated so far (the paper's cost measure for the
     /// centralized setting).
     pub fn moves(&self) -> u64 {
@@ -193,29 +178,6 @@ impl CentralizedController {
         aud.check_invariants(&self.tree, &self.params, host_of)
     }
 
-    /// Submits a request at node `at`. Rejected requests trigger the
-    /// reject-wave (a reject package is delivered to every node, counted in
-    /// the move complexity), after which every subsequent request is rejected
-    /// locally.
-    ///
-    /// # Errors
-    ///
-    /// * [`ControllerError::UnknownNode`] if `at` does not exist;
-    /// * [`ControllerError::NotParentOf`] for a malformed
-    ///   [`RequestKind::AddInternalAbove`];
-    /// * [`ControllerError::CannotRemoveRoot`] for a
-    ///   [`RequestKind::RemoveSelf`] at the root.
-    pub fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
-        match self.try_submit(at, kind)? {
-            Some(outcome) => Ok(outcome),
-            None => {
-                self.broadcast_reject_wave();
-                self.rejected += 1;
-                Ok(Outcome::Rejected)
-            }
-        }
-    }
-
     /// Serves a request without issuing a reject of its own: `None` when the
     /// root's storage cannot supply the package the request needs (the
     /// exhausted round the epoch engine recycles). A node that holds a
@@ -223,7 +185,7 @@ impl CentralizedController {
     ///
     /// # Errors
     ///
-    /// Same as [`CentralizedController::submit`].
+    /// Same as [`SyncController::decide`] on this controller.
     fn try_submit(
         &mut self,
         at: NodeId,
@@ -430,8 +392,26 @@ impl SyncController for CentralizedController {
         self.params.w
     }
 
+    /// Rejected requests trigger the reject-wave (a reject package is
+    /// delivered to every node, counted in the move complexity), after which
+    /// every subsequent request is rejected locally.
+    ///
+    /// # Errors
+    ///
+    /// * [`ControllerError::UnknownNode`] if `at` does not exist;
+    /// * [`ControllerError::NotParentOf`] for a malformed
+    ///   [`RequestKind::AddInternalAbove`];
+    /// * [`ControllerError::CannotRemoveRoot`] for a
+    ///   [`RequestKind::RemoveSelf`] at the root.
     fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError> {
-        self.submit(at, kind)
+        match self.try_submit(at, kind)? {
+            Some(outcome) => Ok(outcome),
+            None => {
+                self.broadcast_reject_wave();
+                self.rejected += 1;
+                Ok(Outcome::Rejected)
+            }
+        }
     }
 
     fn granted(&self) -> u64 {

@@ -11,7 +11,7 @@ use crate::params::Params;
 use crate::request::{check_request, RequestId, RequestKind, RequestRecord};
 use crate::verify::ExecutionSummary;
 use crate::ControllerError;
-use dcn_simnet::{DynamicTree, Metrics, NodeId, SimConfig, Simulator};
+use dcn_simnet::{DynamicTree, NodeId, SimConfig, Simulator};
 use dcn_tree::ChangeLog;
 
 /// The distributed (M, W)-Controller over a simulated asynchronous network,
@@ -121,12 +121,6 @@ impl DistributedController {
     /// The controller parameters.
     pub fn params(&self) -> &Params {
         self.sim.protocol().params()
-    }
-
-    /// Simulator cost counters (messages are
-    /// [`Metrics::total_messages`]).
-    pub fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
     }
 
     /// Total number of messages sent so far (agent hops plus auxiliary

@@ -25,6 +25,15 @@ fn submit(
     Ok(answer.outcome)
 }
 
+/// The centralized controller's raw decision, without a ticket.
+fn decide(
+    ctrl: &mut CentralizedController,
+    at: NodeId,
+    kind: RequestKind,
+) -> Result<Outcome, ControllerError> {
+    dcn_controller::SyncController::decide(ctrl, at, kind)
+}
+
 #[test]
 fn grants_until_budget_then_rejects_and_liveness_holds() {
     let tree = DynamicTree::with_initial_star(31);
@@ -36,7 +45,7 @@ fn grants_until_budget_then_rejects_and_liveness_holds() {
     let mut rejected = 0;
     for i in 0..40 {
         let at = nodes[i % nodes.len()];
-        match ctrl.submit(at, RequestKind::NonTopological).unwrap() {
+        match decide(&mut ctrl, at, RequestKind::NonTopological).unwrap() {
             Outcome::Granted { .. } => granted += 1,
             Outcome::Rejected => rejected += 1,
             Outcome::Refused => unreachable!("core families never refuse"),
@@ -79,7 +88,7 @@ fn topological_requests_change_the_tree() {
     let leaf = deepest(ctrl.tree());
 
     // Add a leaf below the deepest node.
-    let out = ctrl.submit(leaf, RequestKind::AddLeaf).unwrap();
+    let out = decide(&mut ctrl, leaf, RequestKind::AddLeaf).unwrap();
     let new_leaf = match out {
         Outcome::Granted { new_node, .. } => new_node.unwrap(),
         Outcome::Rejected | Outcome::Refused => panic!("request should be granted"),
@@ -87,9 +96,7 @@ fn topological_requests_change_the_tree() {
     assert_eq!(ctrl.tree().parent(new_leaf), Some(leaf));
 
     // Split the edge above the new leaf.
-    let out = ctrl
-        .submit(leaf, RequestKind::AddInternalAbove(new_leaf))
-        .unwrap();
+    let out = decide(&mut ctrl, leaf, RequestKind::AddInternalAbove(new_leaf)).unwrap();
     let mid = match out {
         Outcome::Granted { new_node, .. } => new_node.unwrap(),
         Outcome::Rejected | Outcome::Refused => panic!("request should be granted"),
@@ -97,7 +104,7 @@ fn topological_requests_change_the_tree() {
     assert_eq!(ctrl.tree().parent(new_leaf), Some(mid));
 
     // Remove the internal node again.
-    let out = ctrl.submit(mid, RequestKind::RemoveSelf).unwrap();
+    let out = decide(&mut ctrl, mid, RequestKind::RemoveSelf).unwrap();
     assert!(out.is_granted());
     assert!(!ctrl.tree().contains(mid));
     assert_eq!(ctrl.tree().parent(new_leaf), Some(leaf));
@@ -137,16 +144,16 @@ fn validation_errors_are_reported() {
     let root = ctrl.tree().root();
     let ghost = NodeId::from_index(99);
     assert!(matches!(
-        ctrl.submit(ghost, RequestKind::NonTopological),
+        decide(&mut ctrl, ghost, RequestKind::NonTopological),
         Err(ControllerError::UnknownNode(_))
     ));
     assert!(matches!(
-        ctrl.submit(root, RequestKind::RemoveSelf),
+        decide(&mut ctrl, root, RequestKind::RemoveSelf),
         Err(ControllerError::CannotRemoveRoot)
     ));
     let leaf = deepest(ctrl.tree());
     assert!(matches!(
-        ctrl.submit(root, RequestKind::AddInternalAbove(leaf)),
+        decide(&mut ctrl, root, RequestKind::AddInternalAbove(leaf)),
         Err(ControllerError::NotParentOf { .. })
     ));
     assert!(matches!(
@@ -192,7 +199,11 @@ fn interval_mode_reports_distinct_serials_within_budget() {
     let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
     let mut serials = Vec::new();
     for i in 0..m as usize {
-        match ctrl.submit(nodes[i % nodes.len()], RequestKind::NonTopological) {
+        match decide(
+            &mut ctrl,
+            nodes[i % nodes.len()],
+            RequestKind::NonTopological,
+        ) {
             Ok(Outcome::Granted { serial, .. }) => serials.push(serial.unwrap()),
             Ok(Outcome::Rejected) => break,
             Ok(Outcome::Refused) => unreachable!("core families never refuse"),
@@ -417,8 +428,7 @@ fn moves_stay_within_the_theoretical_shape() {
     for i in 0..(m as usize) {
         let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
         let at = nodes[(i * 17) % nodes.len()];
-        if !ctrl
-            .submit(at, RequestKind::NonTopological)
+        if !decide(&mut ctrl, at, RequestKind::NonTopological)
             .unwrap()
             .is_granted()
         {

@@ -88,7 +88,7 @@ fn topological_changes_are_applied_gracefully_during_the_run() {
     assert!(!ctrl.tree().contains(mid));
     assert!(ctrl.tree().node_count() >= 12 + 6 - 1);
     assert!(ctrl.tree().check_invariants().is_ok());
-    assert!(ctrl.metrics().topology_changes_applied >= 7);
+    assert!(ctrl.sim().metrics().topology_changes_applied >= 7);
 }
 
 #[test]

@@ -29,7 +29,7 @@ fn requests_at_the_root_are_served_locally() {
     ctrl.run_to_quiescence().unwrap();
     assert_eq!(ctrl.granted(), 1);
     // No tree edge needs to be crossed for a request at the root.
-    assert_eq!(ctrl.metrics().agent_hops, 0);
+    assert_eq!(ctrl.sim().metrics().agent_hops, 0);
 }
 
 #[test]
@@ -42,7 +42,10 @@ fn a_hot_spot_of_requests_at_one_deep_node_serializes_through_its_lock() {
     }
     ctrl.run_to_quiescence().unwrap();
     assert_eq!(ctrl.granted(), 15);
-    assert!(ctrl.metrics().waits > 0, "the hot spot must cause queueing");
+    assert!(
+        ctrl.sim().metrics().waits > 0,
+        "the hot spot must cause queueing"
+    );
     // At this scale the distance parameter ψ exceeds the depth, so every
     // request degenerates to at most one root round-trip (the agent's
     // locking climb and its unlocking descent): the per-request cost is
@@ -191,7 +194,7 @@ fn a_queued_agent_overtakes_the_one_that_released_the_node_on_its_descent() {
     assert!(record(id_b).outcome.is_granted());
     assert_eq!(answered_at(id_b), 221, "B is served one hop after A left P");
     assert_eq!(answered_at(id_a), 340, "A walks its path exactly twice");
-    assert_eq!(ctrl.metrics().waits, 1);
+    assert_eq!(ctrl.sim().metrics().waits, 1);
     // B never went to the root: the two permits A drew there served both.
     assert_eq!(ctrl.whiteboard(root).unwrap().storage, m - 2);
     assert_eq!(ctrl.whiteboard(p).unwrap().store.mobile_count(), 0);

@@ -4,7 +4,7 @@
 //! ```text
 //! dcn-serve [--addr HOST:PORT] [--family NAME] [--m N] [--w N]
 //!           [--shape star|path] [--nodes N] [--seed N]
-//!           [--step-budget N] [--shards K] [--port-file PATH]
+//!           [--shards K] [--port-file PATH]
 //! ```
 //!
 //! Binds the address (port 0 picks an ephemeral port; `--port-file` writes
@@ -21,7 +21,7 @@
 
 #![forbid(unsafe_code)]
 
-use dcn_server::{serve, NetOptions, ServeConfig};
+use dcn_server::{serve, ServeConfig};
 use dcn_workload::{Family, TreeShape};
 use std::process::ExitCode;
 
@@ -33,7 +33,6 @@ struct Args {
     shape_kind: String,
     nodes: usize,
     seed: u64,
-    step_budget: u64,
     shards: usize,
     port_file: Option<String>,
 }
@@ -47,7 +46,6 @@ fn parse_args() -> Result<Args, String> {
         shape_kind: "star".to_string(),
         nodes: 64,
         seed: 0,
-        step_budget: 4096,
         shards: 1,
         port_file: None,
     };
@@ -73,11 +71,6 @@ fn parse_args() -> Result<Args, String> {
                 args.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--step-budget" => {
-                args.step_budget = value("--step-budget")?
-                    .parse()
-                    .map_err(|e| format!("--step-budget: {e}"))?;
             }
             "--shards" => {
                 args.shards = value("--shards")?
@@ -113,9 +106,8 @@ fn main() -> ExitCode {
     let config = ServeConfig::new(args.family, args.m, args.w)
         .with_shape(shape)
         .with_seed(args.seed)
-        .with_step_budget(args.step_budget)
         .with_shards(args.shards);
-    let handle = match serve(config, &args.addr, NetOptions::default()) {
+    let handle = match serve(config, &args.addr) {
         Ok(handle) => handle,
         Err(e) => {
             eprintln!("dcn-serve: {e}");

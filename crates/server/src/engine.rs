@@ -146,13 +146,6 @@ pub struct ServeConfig {
     /// Simulator events per [`Controller::step`] slice; bounds how long the
     /// engine computes between looking at its inbox.
     pub step_budget: u64,
-    /// Explicit node bound `U`, overriding the [`ServeConfig::u_bound`]
-    /// default (used by the parity tests, which must match
-    /// [`ScenarioRunner`](dcn_workload::ScenarioRunner)'s bound exactly —
-    /// families like the iterated controller partition their budget by a
-    /// `U`-dependent schedule, so a different bound is a different
-    /// controller).
-    pub u_bound_override: Option<usize>,
     /// Number of shards to carve the served tree into. `1` (the default)
     /// serves the plain configured family; `k ≥ 2` wraps the distributed
     /// family in a [`ShardedController`](dcn_controller::ShardedController)
@@ -170,7 +163,6 @@ impl ServeConfig {
             shape: TreeShape::Star { nodes: 8 },
             seed: 0,
             step_budget: 4096,
-            u_bound_override: None,
             shards: 1,
         }
     }
@@ -193,12 +185,6 @@ impl ServeConfig {
         self
     }
 
-    /// Pins the node bound `U` (see [`ServeConfig::u_bound_override`]).
-    pub fn with_u_bound(mut self, u_bound: usize) -> Self {
-        self.u_bound_override = Some(u_bound);
-        self
-    }
-
     /// Serves a sharded federation of `shards` regions (clamped to ≥ 1; see
     /// [`ServeConfig::shards`]).
     pub fn with_shards(mut self, shards: usize) -> Self {
@@ -206,15 +192,13 @@ impl ServeConfig {
         self
     }
 
-    /// The node bound `U` the controller is built with: the override if
-    /// set, else a bound that covers every tree this config can grow — the
-    /// initial nodes plus one per permit (each grant can add at most one
-    /// node), plus the root slack the constructors expect.
+    /// The node bound `U` the controller is built with: a bound that covers
+    /// every tree this config can grow — the initial nodes plus one per
+    /// permit (each grant can add at most one node), plus the root slack the
+    /// constructors expect.
     pub fn u_bound(&self) -> usize {
-        self.u_bound_override.unwrap_or_else(|| {
-            let permits = usize::try_from(self.m).unwrap_or(usize::MAX);
-            (self.shape.node_budget() + 2).saturating_add(permits)
-        })
+        let permits = usize::try_from(self.m).unwrap_or(usize::MAX);
+        (self.shape.node_budget() + 2).saturating_add(permits)
     }
 }
 
@@ -418,7 +402,7 @@ impl EngineCore {
                 m,
                 w,
             } => self.apply_hello(client, proto, family, m, w, out),
-            ClientFrame::Submit(s) | ClientFrame::Topology(s) => self.apply_submit(client, s, out),
+            ClientFrame::Submit(s) => self.apply_submit(client, s, out),
             // The parser validated the whole batch, so every element is
             // enqueued; replies come back one ticket frame per element, in
             // array order.
@@ -744,7 +728,6 @@ mod tests {
             ..config
         };
         assert_eq!(huge.u_bound(), usize::MAX);
-        assert_eq!(huge.with_u_bound(99).u_bound(), 99);
     }
 
     /// What `poll` keeps per answered ticket (DESIGN.md §9 "Per-request

@@ -41,4 +41,4 @@ pub mod protocol;
 
 pub use engine::{ClientId, EngineCore, Outgoing, ServeConfig};
 pub use loopback::Loopback;
-pub use net::{serve, NetOptions, ServerHandle};
+pub use net::{serve, ServerHandle};

@@ -38,7 +38,9 @@ impl Loopback {
         Ok(Loopback::over(EngineCore::new(config)?))
     }
 
-    fn over(engine: EngineCore) -> Self {
+    /// Builds a loopback server over an engine the caller built (e.g. with
+    /// [`EngineCore::with_controller`]).
+    pub fn over(engine: EngineCore) -> Self {
         Loopback {
             engine,
             next_client: 0,
@@ -273,7 +275,7 @@ mod tests {
         // Every way in is refused, tag echoed, one frame per batch element.
         for line in [
             r#"{"op": "submit", "kind": "event", "node": 0, "tag": 2}"#,
-            r#"{"op": "topology", "change": "insert", "node": 0, "tag": 3}"#,
+            r#"{"op": "submit", "kind": "add-leaf", "node": 0, "tag": 3}"#,
             r#"{"op": "batch", "requests": [{"kind": "event", "node": 1, "tag": 4}, {"kind": "add-leaf", "node": 99}]}"#,
         ] {
             lb.send(c, line);

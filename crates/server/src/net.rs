@@ -20,11 +20,11 @@
 //! a connection costs nothing for its cap at accept:
 //!
 //! * **inbox** — each connection may have at most
-//!   [`NetOptions::inbox_limit`] lines in flight toward the engine; past
+//!   `INBOX_LIMIT` (256) lines in flight toward the engine; past
 //!   that the reader immediately answers `{"error": "overloaded"}` and
 //!   drops the line.
 //! * **outbox** — each connection's reply queue holds at most
-//!   [`NetOptions::outbox_limit`] frames; a slow reader loses further
+//!   `OUTBOX_LIMIT` (8 192) frames; a slow reader loses further
 //!   frames, which the engine counts and reports as `dropped_frames` in
 //!   `stats`.
 //!
@@ -43,25 +43,13 @@ use std::sync::mpsc::{Receiver, RecvError, SendError, Sender, TryRecvError, TryS
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
-/// Transport tuning knobs (the protocol itself has no options).
-#[derive(Clone, Copy, Debug)]
-pub struct NetOptions {
-    /// Most request lines one connection may have queued toward the engine
-    /// before further lines are answered with an `overloaded` error frame.
-    pub inbox_limit: usize,
-    /// Most reply/event frames queued toward one connection before further
-    /// frames for it are dropped (counted in `stats.dropped_frames`).
-    pub outbox_limit: usize,
-}
+/// Most request lines one connection may have queued toward the engine
+/// before further lines are answered with an `overloaded` error frame.
+const INBOX_LIMIT: usize = 256;
 
-impl Default for NetOptions {
-    fn default() -> Self {
-        NetOptions {
-            inbox_limit: 256,
-            outbox_limit: 8192,
-        }
-    }
-}
+/// Most reply/event frames queued toward one connection before further
+/// frames for it are dropped (counted in `stats.dropped_frames`).
+const OUTBOX_LIMIT: usize = 8192;
 
 /// A per-connection count of queued items and its cap, shared by whoever
 /// queues and whoever takes out. A producer claims a place before it queues
@@ -96,7 +84,7 @@ impl Bound {
     }
 }
 
-/// The sending half of one connection's outbox: at most `outbox_limit`
+/// The sending half of one connection's outbox: at most [`OUTBOX_LIMIT`]
 /// frames queued, in a channel that grows as frames queue.
 #[derive(Clone)]
 struct Outbox {
@@ -216,7 +204,7 @@ impl ServerHandle {
 ///
 /// Socket errors from bind/accept setup, plus controller construction
 /// failures surfaced as [`io::ErrorKind::InvalidInput`].
-pub fn serve(config: ServeConfig, addr: &str, options: NetOptions) -> io::Result<ServerHandle> {
+pub fn serve(config: ServeConfig, addr: &str) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let (tx, rx) = mpsc::channel::<EngineMsg>();
@@ -257,7 +245,7 @@ pub fn serve(config: ServeConfig, addr: &str, options: NetOptions) -> io::Result
     let accept_stop = Arc::clone(&stop);
     let accept = thread::Builder::new()
         .name("dcn-serve-accept".to_string())
-        .spawn(move || accept_loop(&listener, &accept_tx, &accept_stop, options))?;
+        .spawn(move || accept_loop(&listener, &accept_tx, &accept_stop))?;
 
     Ok(ServerHandle {
         local,
@@ -351,12 +339,7 @@ fn handle_msg(
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &Sender<EngineMsg>,
-    stop: &AtomicBool,
-    options: NetOptions,
-) {
+fn accept_loop(listener: &TcpListener, tx: &Sender<EngineMsg>, stop: &AtomicBool) {
     let mut next_client: ClientId = 0;
     loop {
         let stream = match listener.accept() {
@@ -372,7 +355,7 @@ fn accept_loop(
             return;
         }
         next_client += 1;
-        if spawn_connection(stream, next_client, tx.clone(), options).is_err() {
+        if spawn_connection(stream, next_client, tx.clone()).is_err() {
             // A failed clone/spawn closes this connection; the server
             // itself keeps accepting.
             continue;
@@ -380,15 +363,10 @@ fn accept_loop(
     }
 }
 
-fn spawn_connection(
-    stream: TcpStream,
-    client: ClientId,
-    tx: Sender<EngineMsg>,
-    options: NetOptions,
-) -> io::Result<()> {
+fn spawn_connection(stream: TcpStream, client: ClientId, tx: Sender<EngineMsg>) -> io::Result<()> {
     let _ = stream.set_nodelay(true);
     let write_half = stream.try_clone()?;
-    let (out_tx, out_rx) = outbox(options.outbox_limit);
+    let (out_tx, out_rx) = outbox(OUTBOX_LIMIT);
     if tx
         .send(EngineMsg::Connect {
             client,
@@ -404,7 +382,7 @@ fn spawn_connection(
         .spawn(move || writer_loop(write_half, &out_rx))?;
     thread::Builder::new()
         .name(format!("dcn-serve-read-{client}"))
-        .spawn(move || reader_loop(stream, client, &tx, &out_tx, options))?;
+        .spawn(move || reader_loop(stream, client, &tx, &out_tx))?;
     Ok(())
 }
 
@@ -499,15 +477,9 @@ fn finish_line(mut buf: Vec<u8>) -> LineRead {
     }
 }
 
-fn reader_loop(
-    stream: TcpStream,
-    client: ClientId,
-    tx: &Sender<EngineMsg>,
-    out_tx: &Outbox,
-    options: NetOptions,
-) {
+fn reader_loop(stream: TcpStream, client: ClientId, tx: &Sender<EngineMsg>, out_tx: &Outbox) {
     let mut reader = BufReader::new(stream);
-    let inflight = Bound::new(options.inbox_limit);
+    let inflight = Bound::new(INBOX_LIMIT);
     loop {
         match read_limited_line(&mut reader, protocol::MAX_LINE_BYTES) {
             Ok(LineRead::Line(line)) => {

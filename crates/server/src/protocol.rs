@@ -107,11 +107,6 @@ pub enum ClientFrame {
     /// `{"op":"submit", "kind", "node", "child"?, "tag"?}` — ask for a
     /// permit; replies with a ticket.
     Submit(Submission),
-    /// `{"op":"topology", "change", "node", "child"?, "tag"?}` — the
-    /// topology-maintenance alias of `submit`: `"insert"` adds a leaf,
-    /// `"insert-above"` splits an edge, `"delete"` removes a node. Same
-    /// ticket lifecycle as `submit`.
-    Topology(Submission),
     /// `{"op":"batch", "requests": [{"kind", "node", "child"?, "tag"?}, …]}`
     /// — up to [`MAX_BATCH_REQUESTS`] submit bodies in one frame, answered
     /// with one ticket reply per element in array order. The frame is
@@ -170,19 +165,18 @@ fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, JsonError> {
     v.get_opt(key)?.map(Value::as_u64).transpose()
 }
 
-fn submission(v: &Value, kind_key: &str, aliases: bool) -> Result<Submission, FrameError> {
-    let kind_str = v.get(kind_key)?.as_str()?.to_string();
-    let kind = match (kind_str.as_str(), aliases) {
-        ("add-leaf", false) | ("insert", true) => WireKind::AddLeaf,
-        ("add-internal-above", false) | ("insert-above", true) => WireKind::AddInternalAbove {
+fn submission(v: &Value) -> Result<Submission, FrameError> {
+    let kind = match v.get("kind")?.as_str()? {
+        "add-leaf" => WireKind::AddLeaf,
+        "add-internal-above" => WireKind::AddInternalAbove {
             child: v.get("child")?.as_u64()?,
         },
-        ("remove-self", false) | ("delete", true) => WireKind::RemoveSelf,
-        ("event", false) => WireKind::Event,
-        (other, _) => {
+        "remove-self" => WireKind::RemoveSelf,
+        "event" => WireKind::Event,
+        other => {
             return Err(FrameError::new(
                 "bad-frame",
-                format!("unknown {kind_key} {other:?}"),
+                format!("unknown kind {other:?}"),
             ))
         }
     };
@@ -213,7 +207,7 @@ pub fn parse_frame(line: &str) -> Result<ClientFrame, FrameError> {
             m: opt_u64(&v, "m")?,
             w: opt_u64(&v, "w")?,
         }),
-        "submit" => Ok(ClientFrame::Submit(submission(&v, "kind", false)?)),
+        "submit" => Ok(ClientFrame::Submit(submission(&v)?)),
         "batch" => {
             let elems = v.get("requests")?.as_array()?;
             if elems.is_empty() {
@@ -230,11 +224,10 @@ pub fn parse_frame(line: &str) -> Result<ClientFrame, FrameError> {
             }
             let mut subs = Vec::with_capacity(elems.len());
             for elem in elems {
-                subs.push(submission(elem, "kind", false)?);
+                subs.push(submission(elem)?);
             }
             Ok(ClientFrame::Batch(subs))
         }
-        "topology" => Ok(ClientFrame::Topology(submission(&v, "change", true)?)),
         "poll" => Ok(ClientFrame::Poll {
             ticket: v.get("ticket")?.as_u64()?,
         }),
@@ -275,7 +268,7 @@ pub fn welcome_frame(family: &str, m: u64, w: u64, nodes: usize) -> String {
     )
 }
 
-/// Encodes the `ticket` reply to an accepted `submit`/`topology`.
+/// Encodes the `ticket` reply to an accepted `submit` (or `batch` element).
 pub fn ticket_frame(ticket: u64, tag: Option<u64>) -> String {
     let mut out = format!("{{\"ok\": \"ticket\", \"ticket\": {ticket}");
     push_tag(&mut out, tag);
@@ -464,10 +457,10 @@ mod tests {
             })
         );
         let f =
-            parse_frame(r#"{"op": "topology", "change": "insert-above", "node": 1, "child": 4}"#);
+            parse_frame(r#"{"op": "submit", "kind": "add-internal-above", "node": 1, "child": 4}"#);
         assert_eq!(
             f.unwrap(),
-            ClientFrame::Topology(Submission {
+            ClientFrame::Submit(Submission {
                 node: 1,
                 kind: WireKind::AddInternalAbove { child: 4 },
                 tag: None
@@ -529,11 +522,16 @@ mod tests {
 
     #[test]
     fn submit_and_topology_spellings_do_not_cross() {
-        // `insert` is the topology alias; `submit` requires the kind names.
-        assert!(parse_frame(r#"{"op": "submit", "kind": "insert", "node": 0}"#).is_err());
-        assert!(parse_frame(r#"{"op": "topology", "change": "add-leaf", "node": 0}"#).is_err());
-        // `event` is a permit request, not a topology change.
-        assert!(parse_frame(r#"{"op": "topology", "change": "event", "node": 0}"#).is_err());
+        // `submit` takes the kind names only.
+        for change in ["insert", "insert-above", "delete"] {
+            let line = format!(r#"{{"op": "submit", "kind": "{change}", "node": 0, "child": 1}}"#);
+            assert_eq!(parse_frame(&line).unwrap_err().code, "bad-frame");
+        }
+        // `topology` is not an op, whatever it carries.
+        for change in ["insert", "add-leaf", "event"] {
+            let line = format!(r#"{{"op": "topology", "change": "{change}", "node": 0}}"#);
+            assert_eq!(parse_frame(&line).unwrap_err().code, "unknown-op");
+        }
     }
 
     #[test]

@@ -114,6 +114,32 @@ fn specific_malformed_lines_map_to_stable_error_codes() {
     );
 }
 
+/// `submit` is the one way in: a `topology` line is an unknown op, issues no
+/// ticket, and leaves the connection serving the next `submit`.
+#[test]
+fn a_topology_line_is_an_unknown_op_and_issues_no_ticket() {
+    let (mut lb, c) = server();
+    for change in ["insert", "insert-above", "delete"] {
+        let line = format!(
+            r#"{{"op": "topology", "change": "{change}", "node": 0, "child": 1, "tag": 5}}"#
+        );
+        let frame = reply_is_wellformed(&mut lb, c, &line);
+        let v = json::parse(&frame).unwrap();
+        assert_eq!(v.get("error").unwrap().as_str().unwrap(), "unknown-op");
+    }
+    lb.run_to_quiescence();
+    assert!(lb.recv(c).is_empty());
+    let frame = reply_is_wellformed(&mut lb, c, r#"{"op": "stats"}"#);
+    let v = json::parse(&frame).unwrap();
+    assert_eq!(v.get("submitted").unwrap().as_u64().unwrap(), 0);
+    let frame = reply_is_wellformed(
+        &mut lb,
+        c,
+        r#"{"op": "submit", "kind": "add-leaf", "node": 0, "tag": 6}"#,
+    );
+    assert_eq!(frame, r#"{"ok": "ticket", "ticket": 0, "tag": 6}"#);
+}
+
 /// Seeded fuzz loop: mutate valid frames by truncation, splicing and byte
 /// flips; whatever comes out, the server answers every line with one
 /// well-formed frame and keeps serving valid traffic in between.

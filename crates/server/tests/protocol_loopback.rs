@@ -7,7 +7,7 @@
 use dcn_controller::distributed::AdaptiveDistributedController;
 use dcn_controller::{Controller, Outcome, RequestRecord};
 use dcn_server::protocol::{self, WireOutcome};
-use dcn_server::{Loopback, ServeConfig};
+use dcn_server::{EngineCore, Loopback, ServeConfig};
 use dcn_simnet::SimConfig;
 use dcn_tree::NodeId;
 use dcn_workload::json::{self, Value};
@@ -154,10 +154,10 @@ fn full_round_trip_for_all_six_families() {
         assert_eq!(outcome.get("status").unwrap().as_str().unwrap(), "granted");
         assert_eq!(outcome.get("kind").unwrap().as_str().unwrap(), "event");
 
-        // topology: grow a leaf under the root via the alias op.
+        // add-leaf: grow a leaf under the root.
         lb.send(
             c,
-            r#"{"op": "topology", "change": "insert", "node": 0, "tag": 8}"#,
+            r#"{"op": "submit", "kind": "add-leaf", "node": 0, "tag": 8}"#,
         );
         let t = parse(&recv_one(&mut lb, c));
         assert_eq!(t.get("ok").unwrap().as_str().unwrap(), "ticket");
@@ -169,14 +169,14 @@ fn full_round_trip_for_all_six_families() {
         let status = outcome.get("status").unwrap().as_str().unwrap().to_string();
         assert!(
             status == "granted" || status == "rejected",
-            "{family:?}: topology insert resolved to {status}"
+            "{family:?}: add-leaf resolved to {status}"
         );
 
-        // topology delete: outside the AAPS baseline's grow-only model —
+        // remove-self: outside the AAPS baseline's grow-only model —
         // it must refuse (not crash, not grant); other families answer.
         lb.send(
             c,
-            r#"{"op": "topology", "change": "delete", "node": 3, "tag": 9}"#,
+            r#"{"op": "submit", "kind": "remove-self", "node": 3, "tag": 9}"#,
         );
         let reply = recv_one(&mut lb, c);
         let (kind, _) = frame_kind(&reply);
@@ -274,7 +274,7 @@ fn loopback_sessions_are_byte_identical() {
         r#"{"op": "submit", "kind": "event", "node": 2, "tag": 1}"#,
         r#"{"op": "submit", "kind": "add-leaf", "node": 0, "tag": 2}"#,
         r#"{"op": "poll", "ticket": 0}"#,
-        r#"{"op": "topology", "change": "insert", "node": 1, "tag": 3}"#,
+        r#"{"op": "submit", "kind": "add-leaf", "node": 1, "tag": 3}"#,
         r#"{"op": "stats"}"#,
     ];
     let run = || {
@@ -309,9 +309,15 @@ fn drive_loopback(scenario: &Scenario) -> Loopback {
     let config = ServeConfig::new(family, scenario.m, scenario.w)
         .with_shape(scenario.shape)
         .with_seed(scenario.seed)
-        .with_step_budget(step_budget)
-        .with_u_bound(runner.suggested_u_bound());
-    let mut lb = Loopback::new(config).unwrap();
+        .with_step_budget(step_budget);
+    // The runner's own controller: same seed and node bound `U` (families
+    // like the iterated controller partition their budget by a
+    // `U`-dependent schedule, so a different bound is a different
+    // controller).
+    let ctrl = ControllerSpec::for_scenario(family, scenario)
+        .build_for(&runner)
+        .unwrap();
+    let mut lb = Loopback::over(EngineCore::with_controller(config, ctrl));
     let c = lb.connect();
     lb.send(c, r#"{"op": "hello", "proto": 1}"#);
     let _ = lb.recv(c);
@@ -652,11 +658,11 @@ fn golden_session(config: ServeConfig) -> Vec<String> {
     s.poll_all(a);
     s.poll_all(b);
 
-    // Insertions through both spellings, polled after one bounded slice
+    // Insertions of both kinds, polled after one bounded slice
     // (the asynchronous families are still mid-flight) and at quiescence.
     s.send(
         a,
-        r#"{"op": "topology", "change": "insert", "node": 0, "tag": 2}"#,
+        r#"{"op": "submit", "kind": "add-leaf", "node": 0, "tag": 2}"#,
     );
     s.send(
         a,
@@ -664,7 +670,7 @@ fn golden_session(config: ServeConfig) -> Vec<String> {
     );
     s.send(
         a,
-        r#"{"op": "topology", "change": "insert-above", "node": 0, "child": 1, "tag": 4}"#,
+        r#"{"op": "submit", "kind": "add-internal-above", "node": 0, "child": 1, "tag": 4}"#,
     );
     s.poll_all(b);
     s.pump_slice();
@@ -676,7 +682,7 @@ fn golden_session(config: ServeConfig) -> Vec<String> {
     // and an out-of-range one as submission targets.
     s.send(
         a,
-        r#"{"op": "topology", "change": "delete", "node": 3, "tag": 5}"#,
+        r#"{"op": "submit", "kind": "remove-self", "node": 3, "tag": 5}"#,
     );
     s.quiesce();
     s.send(

@@ -4,7 +4,7 @@
 //! clean join. Wall-clock timing here only bounds how long the test waits —
 //! every protocol outcome asserted is deterministic.
 
-use dcn_server::{serve, NetOptions, ServeConfig};
+use dcn_server::{serve, ServeConfig};
 use dcn_workload::json;
 use dcn_workload::Family;
 use std::io::{BufRead, BufReader, Write};
@@ -44,7 +44,7 @@ impl Client {
 #[test]
 fn tcp_clients_submit_poll_and_shut_the_server_down() {
     let config = ServeConfig::new(Family::Distributed, 256, 16);
-    let handle = serve(config, "127.0.0.1:0", NetOptions::default()).expect("bind");
+    let handle = serve(config, "127.0.0.1:0").expect("bind");
     let addr = handle.local_addr();
 
     let workers: Vec<_> = (0..3u64)

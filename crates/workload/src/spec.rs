@@ -104,16 +104,6 @@ pub struct ControllerSpec {
 }
 
 impl ControllerSpec {
-    /// A spec with a default simulator configuration (seed 0).
-    pub fn new(family: Family, m: u64, w: u64) -> Self {
-        ControllerSpec {
-            family,
-            m,
-            w,
-            sim: SimConfig::new(0),
-        }
-    }
-
     /// The spec matching a scenario's budget, waste bound and seed (the
     /// simulator is seeded with the scenario seed so distributed delay
     /// schedules replay with the workload).

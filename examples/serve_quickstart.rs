@@ -18,7 +18,7 @@
 //! cargo run --example serve_quickstart
 //! ```
 
-use dcn::server::{serve, NetOptions, ServeConfig};
+use dcn::server::{serve, ServeConfig};
 use dcn::workload::json;
 use dcn::workload::{Family, TreeShape};
 use std::io::{BufRead, BufReader, Write};
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ServeConfig::new(Family::Distributed, 256, 16)
         .with_shape(TreeShape::Star { nodes: 32 })
         .with_seed(7);
-    let handle = serve(config, "127.0.0.1:0", NetOptions::default())?;
+    let handle = serve(config, "127.0.0.1:0")?;
     let addr = handle.local_addr();
     println!("serving {} on {addr}", Family::Distributed.name());
 

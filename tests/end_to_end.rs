@@ -3,10 +3,12 @@
 //! with correctness checked end to end.
 
 use dcn::baseline::{AapsController, TrivialController};
-use dcn::controller::centralized::IteratedController;
+use dcn::controller::centralized::{CentralizedController, IteratedController};
 use dcn::controller::distributed::{AdaptiveDistributedController, DistributedController};
 use dcn::controller::verify::ExecutionSummary;
-use dcn::controller::{Controller, Outcome, RequestKind};
+use dcn::controller::{
+    Controller, ControllerMetrics, Outcome, RequestId, RequestKind, RequestRecord,
+};
 use dcn::simnet::{DelayModel, SimConfig};
 use dcn::tree::NodeId;
 use dcn::workload::{
@@ -394,7 +396,7 @@ fn baselines_comparison_captures_the_papers_qualitative_claims() {
     //
     // (1) Dynamic-model generality: the AAPS-style baseline refuses deletions
     //     and internal insertions (visible both through `supports` and as an
-    //     error from the raw submit), while the paper's controller handles
+    //     error from the raw `decide`), while the paper's controller handles
     //     them.
     let mut aaps =
         AapsController::new(build_tree(TreeShape::Path { nodes: 15 }), 16, 8, 64).unwrap();
@@ -406,12 +408,11 @@ fn baselines_comparison_captures_the_papers_qualitative_claims() {
     assert!(!aaps.supports(RequestKind::RemoveSelf));
     assert!(!aaps.supports(RequestKind::AddInternalAbove(leaf)));
     assert!(aaps.supports(RequestKind::AddLeaf));
-    assert!(AapsController::submit(&mut aaps, leaf, RequestKind::RemoveSelf).is_err());
-    assert!(
-        AapsController::submit(&mut aaps, leaf, RequestKind::AddLeaf)
-            .unwrap()
-            .is_granted()
-    );
+    let decide = dcn::controller::SyncController::decide;
+    assert!(decide(&mut aaps, leaf, RequestKind::RemoveSelf).is_err());
+    assert!(decide(&mut aaps, leaf, RequestKind::AddLeaf)
+        .unwrap()
+        .is_granted());
 
     // (2) Shape of the cost: per-request move complexity of the paper's
     //     controller grows like polylog(n) while the trivial controller's
@@ -442,7 +443,7 @@ fn baselines_comparison_captures_the_papers_qualitative_claims() {
 
         let mut trivial = TrivialController::new(build_tree(TreeShape::Path { nodes: n - 1 }), m);
         for _ in 0..requests {
-            TrivialController::submit(&mut trivial, deep, RequestKind::NonTopological).unwrap();
+            trivial.submit(deep, RequestKind::NonTopological).unwrap();
         }
         (
             ours.metrics().moves as f64 / requests as f64,
@@ -463,4 +464,40 @@ fn baselines_comparison_captures_the_papers_qualitative_claims() {
         "the controller's per-request cost must grow much slower than the trivial one \
          (ours {ours_growth:.2}x vs trivial {trivial_growth:.2}x)"
     );
+}
+
+/// `submit` means one thing on every controller: called on a concrete
+/// synchronous family, as on `&mut dyn Controller`, it issues a ticket whose
+/// answer `records()` holds — on AAPS too, where a change outside its model
+/// is a refusal ticket, not an error. On a concrete distributed controller
+/// `metrics()` is `Controller::metrics`.
+#[test]
+fn submit_on_a_concrete_controller_issues_a_ticket() {
+    fn answer(records: &[RequestRecord], id: RequestId) -> Outcome {
+        records.iter().find(|r| r.id == id).unwrap().outcome
+    }
+    let tree = || build_tree(TreeShape::Path { nodes: 8 });
+    let at = tree().nodes().last().unwrap();
+
+    let mut central = CentralizedController::new(tree(), 16, 4, 64).unwrap();
+    let id = central.submit(at, RequestKind::AddLeaf).unwrap();
+    assert!(answer(central.records(), id).is_granted());
+
+    let mut trivial = TrivialController::new(tree(), 16);
+    let id = trivial.submit(at, RequestKind::RemoveSelf).unwrap();
+    assert!(answer(trivial.records(), id).is_granted());
+
+    let mut aaps = AapsController::new(tree(), 16, 8, 64).unwrap();
+    let id = aaps.submit(at, RequestKind::RemoveSelf).unwrap();
+    assert_eq!(answer(aaps.records(), id), Outcome::Refused);
+    let id = aaps.submit(at, RequestKind::AddLeaf).unwrap();
+    assert!(answer(aaps.records(), id).is_granted());
+
+    let mut dist = DistributedController::new(SimConfig::new(1), tree(), 16, 4, 64).unwrap();
+    let id = dist.submit(at, RequestKind::NonTopological).unwrap();
+    dist.run_to_quiescence().unwrap();
+    assert!(answer(dist.records(), id).is_granted());
+    let m: ControllerMetrics = dist.metrics();
+    assert_eq!(m.messages, dist.messages());
+    assert_eq!(m.moves, dist.sim().metrics().agent_hops);
 }
