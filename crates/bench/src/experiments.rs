@@ -2,7 +2,7 @@
 //! them up in. [`EXPERIMENTS`] is the experiment index: id, the claim each
 //! table is headed with, and the function that measures it. DESIGN.md §4
 //! says which of the shared drivers (`SweepEngine`, [`run_family`],
-//! [`ScenarioRunner::run_app`]) each one goes through, and why T2 alone keeps
+//! [`ScenarioRunner::run`]) each one goes through, and why T2 alone keeps
 //! a loop of its own.
 
 use crate::{
@@ -13,8 +13,8 @@ use dcn_controller::Controller;
 use dcn_estimator::{HeavyChildDecomposition, NameAssigner, SizeEstimator};
 use dcn_simnet::SimConfig;
 use dcn_workload::{
-    build_tree, AppReport, Application, ArrivalMode, CellKind, CellResult, ChurnGenerator,
-    ChurnModel, Placement, RunReport, Scenario, ScenarioRunner, SweepCell, TreeShape,
+    build_tree, ArrivalMode, CellResult, ChurnGenerator, ChurnModel, Placement, RunReport,
+    Scenario, ScenarioRunner, SweepCell, TreeShape,
 };
 
 /// One row of the experiment index.
@@ -90,7 +90,6 @@ pub const EXPERIMENTS: [Experiment; 10] = [
 fn push_cell(cells: &mut Vec<SweepCell>, family: &str, scenario: Scenario) {
     cells.push(SweepCell {
         index: cells.len(),
-        kind: CellKind::Controller,
         family: family.to_string(),
         scenario,
     });
@@ -114,9 +113,9 @@ fn clean(cell: &CellResult) -> &RunReport {
 /// # Panics
 ///
 /// Panics on simulator errors (a bug in the sweep definition).
-fn drive_app(runner: &ScenarioRunner, app: &mut dyn Application) -> AppReport {
+fn drive_app(runner: &ScenarioRunner, app: &mut dyn Controller) -> RunReport {
     runner
-        .run_app(app)
+        .run(app)
         .unwrap_or_else(|e| panic!("{}: run failed: {e}", runner.scenario().name))
 }
 

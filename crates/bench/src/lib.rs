@@ -11,8 +11,9 @@
 //! Controller experiments are expressed as [`Scenario`]s and executed through
 //! the shared [`ScenarioRunner`] — one driver loop for every
 //! [`Controller`](dcn_controller::Controller) family ([`Family`] enumerates
-//! them, [`run_family`] builds and drives one); the §5 application
-//! experiments run through the same runner via [`ScenarioRunner::run_app`].
+//! them, [`run_family`] builds and drives one); the §5 applications are
+//! controllers too ([`AppFamily`]), and their experiments run through the
+//! same [`ScenarioRunner::run`].
 //!
 //! `dcn-exp` prints a table of rows (`experiment, parameters, measured,
 //! bound, ratio`) per experiment and, when the `DCN_JSON` environment
@@ -28,7 +29,7 @@ use dcn_workload::{
     ScenarioRunner, SweepCell, SweepEngine, SweepGrid, SweepReport, TreeShape,
 };
 
-pub use dcn_workload::{app_factory, family_factory, AppFamily, Family};
+pub use dcn_workload::{family_factory, AppFamily, Family};
 
 pub mod experiments;
 
@@ -344,9 +345,9 @@ mod tests {
         let scenario = small_scenario();
         let runner = ScenarioRunner::new(scenario.clone());
         for family in AppFamily::ALL {
-            let mut app = app_factory(family.name(), &scenario).unwrap();
-            let report = runner.run_app(app.as_mut()).unwrap();
-            assert_eq!(report.app, family.name());
+            let mut app = family_factory(family.name(), &scenario).unwrap();
+            let report = runner.run(app.as_mut()).unwrap();
+            assert_eq!(report.controller, family.name());
             assert!(report.granted > 0, "{}", family.name());
             assert_eq!(report.invariant_violations, 0, "{}", family.name());
             report.check().unwrap();

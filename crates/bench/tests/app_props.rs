@@ -9,7 +9,8 @@
 //! number of seeded random cases through `dcn-rng`; every failure is
 //! reproducible from its printed case seed.
 
-use dcn_estimator::{AncestryLabeling, Application, HeavyChildDecomposition};
+use dcn_controller::Controller;
+use dcn_estimator::{AncestryLabeling, HeavyChildDecomposition};
 use dcn_rng::{DetRng, Rng, SeedableRng};
 use dcn_simnet::SimConfig;
 use dcn_workload::{build_tree, ChurnGenerator, ChurnModel, TreeShape};
@@ -35,7 +36,7 @@ fn shape_for(case: u64, nodes: usize) -> TreeShape {
 /// operations arrive), and the invariant is checked at every quiescent
 /// point. Returns (granted, rejected) tallies read from the record history.
 fn drive_incrementally(
-    app: &mut dyn Application,
+    app: &mut dyn Controller,
     case: u64,
     rng: &mut DetRng,
     rounds: usize,

@@ -70,7 +70,7 @@ fn sweep_reports_are_byte_identical_across_worker_counts() {
 }
 
 /// The same grid with the §5 apps axis attached: `size-estimator` and
-/// `name-assigner` cells run through `ScenarioRunner::run_app` inside the
+/// `name-assigner` cells run through `ScenarioRunner::run` inside the
 /// same engine, and the emitted CSV/JSON must stay byte-identical whether
 /// the grid runs on 1, 4 or 16 workers.
 fn apps_grid() -> SweepGrid {
@@ -112,10 +112,10 @@ fn apps_grid_reports_are_byte_identical_across_worker_counts() {
     for cell in serial
         .cells
         .iter()
-        .filter(|c| c.cell.kind == dcn_workload::CellKind::App)
+        .filter(|c| dcn_workload::AppFamily::from_name(&c.cell.family).is_some())
     {
         let report = cell
-            .app_report()
+            .run_report()
             .unwrap_or_else(|| panic!("cell {}: {:?}", cell.cell.index, cell.report));
         assert!(
             cell.violation.is_none(),

@@ -30,7 +30,7 @@
 
 use crate::ledger::RequestLedger;
 use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
-use crate::ControllerError;
+use crate::{ControllerError, InvariantError};
 use dcn_tree::DynamicTree;
 use dcn_tree::NodeId;
 
@@ -183,6 +183,8 @@ impl Progress {
 /// blanket impl over [`SyncController`], by
 /// [`CentralizedController`](crate::centralized::CentralizedController) and
 /// the `TrivialController` / `AapsController` baselines in `dcn-baseline`.
+/// The six §5 applications of `dcn-estimator` implement it too: each runs
+/// the epoch engine and adds [`Controller::check_invariants`].
 ///
 /// Synchronous families answer inside [`Controller::submit`]; the
 /// distributed families defer execution to
@@ -278,6 +280,46 @@ pub trait Controller {
 
     /// A snapshot of the cost counters.
     fn metrics(&self) -> ControllerMetrics;
+
+    /// Checks the controller's own guarantee against its current state —
+    /// a §5 application's theorem; drivers call it at quiescent points.
+    /// The default has nothing to check.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant.
+    fn check_invariants(&self) -> Result<(), InvariantError> {
+        Ok(())
+    }
+
+    /// Iterations (epochs, rounds) started so far: 1 for a controller that
+    /// never rebuilds.
+    fn iterations(&self) -> u32 {
+        1
+    }
+
+    /// Submits a batch of requests and runs to quiescence — the convenience
+    /// shim over the ticketed lifecycle. Operations that fail validation
+    /// against the current tree (an earlier grant removed their target) are
+    /// skipped; the returned records cover exactly this batch's tickets, in
+    /// answer order. Requests rejected because an iteration's budget ran out
+    /// are retried in the next iteration under the same ticket.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator and rotation errors.
+    fn run_batch(
+        &mut self,
+        ops: &[(NodeId, RequestKind)],
+    ) -> Result<Vec<RequestRecord>, ControllerError> {
+        let before = self.records().len();
+        for &(at, kind) in ops {
+            // Stale intra-batch operations are dropped.
+            let _ = self.submit(at, kind);
+        }
+        self.run_to_quiescence()?;
+        Ok(self.records()[before..].to_vec())
+    }
 }
 
 /// The core of a *synchronous* family — one that decides a request on the

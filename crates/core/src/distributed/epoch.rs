@@ -341,7 +341,7 @@ const MAX_STALLED_ROTATIONS: u32 = 64;
 /// the policy says whether to rotate and retry them or answer them for good.
 /// Seeds run `seed, seed+1, …` over the rotations.
 #[derive(Debug)]
-pub struct IterationDriver<P: ?Sized, C = DistributedController> {
+pub struct IterationDriver<P, C = DistributedController> {
     config: SimConfig,
     shell: EpochShell<C>,
     ledger: RequestLedger,
@@ -351,6 +351,8 @@ pub struct IterationDriver<P: ?Sized, C = DistributedController> {
     /// Charged waves: announcements, closing counts, application charges.
     aux_messages: u64,
     changes_total: u64,
+    /// Requests answered with a grant.
+    granted: u64,
     /// Requests answered with a final reject.
     rejected: u64,
     seed_counter: u64,
@@ -364,22 +366,17 @@ pub struct IterationDriver<P: ?Sized, C = DistributedController> {
     /// [`IterationPolicy::rejects_are_final`]): every request from then on
     /// is answered with a final reject.
     spent: bool,
-    /// Last, so that `&IterationDriver<P>` coerces to
-    /// `&IterationDriver<dyn IterationPolicy>`.
     policy: P,
 }
 
-impl<P: IterationPolicy<C> + ?Sized, C: InnerController> IterationDriver<P, C> {
+impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     /// Creates the driver over `tree`, planning and starting the first
     /// iteration through `policy`.
     ///
     /// # Errors
     ///
     /// Returns controller construction errors (invalid plan parameters).
-    pub fn new(config: SimConfig, tree: DynamicTree, policy: P) -> Result<Self, ControllerError>
-    where
-        P: Sized,
-    {
+    pub fn new(config: SimConfig, tree: DynamicTree, policy: P) -> Result<Self, ControllerError> {
         let mut driver = IterationDriver {
             config,
             shell: EpochShell::parked(tree),
@@ -388,6 +385,7 @@ impl<P: IterationPolicy<C> + ?Sized, C: InnerController> IterationDriver<P, C> {
             iterations: 0,
             aux_messages: 0,
             changes_total: 0,
+            granted: 0,
             rejected: 0,
             seed_counter: config.seed,
             queued: Vec::new(),
@@ -614,6 +612,7 @@ impl<P: IterationPolicy<C> + ?Sized, C: InnerController> IterationDriver<P, C> {
                     if rec.kind.is_topological() {
                         self.changes_total += 1;
                     }
+                    self.granted += 1;
                     self.stalled_rotations = 0;
                     self.answer(rec);
                 }
@@ -670,7 +669,13 @@ impl<P: IterationPolicy<C> + ?Sized, C: InnerController> IterationDriver<P, C> {
         self.ledger.issued()
     }
 
-    pub(crate) fn rejected(&self) -> u64 {
+    /// Requests answered with a grant so far.
+    pub fn granted(&self) -> u64 {
+        self.granted
+    }
+
+    /// Requests answered with a final reject so far.
+    pub fn rejected(&self) -> u64 {
         self.rejected
     }
 
@@ -678,7 +683,9 @@ impl<P: IterationPolicy<C> + ?Sized, C: InnerController> IterationDriver<P, C> {
         self.spent
     }
 
-    pub(crate) fn metrics(&self) -> ControllerMetrics {
+    /// The cost counters over every iteration so far, charged waves
+    /// included in `messages` (see [`Controller::metrics`]).
+    pub fn metrics(&self) -> ControllerMetrics {
         let totals = self.shell.totals();
         let messages = totals.messages + self.aux_messages;
         ControllerMetrics {
@@ -694,7 +701,7 @@ impl<P: IterationPolicy<C> + ?Sized, C: InnerController> IterationDriver<P, C> {
     }
 }
 
-impl<P: ?Sized> IterationDriver<P> {
+impl<P> IterationDriver<P> {
     /// The number of permits that travelled down through `node` in the
     /// current iteration (read off the inner controller's whiteboard; used
     /// by the subtree estimator).
@@ -890,5 +897,168 @@ mod tests {
             .unwrap();
         shell.step(None).unwrap();
         assert_eq!(shell.collect()[0].id, RequestId(7));
+    }
+
+    /// A minimal policy: budget n/2, no interval, one broadcast per
+    /// iteration.
+    struct HalfPolicy;
+
+    impl IterationPolicy for HalfPolicy {
+        fn plan(&mut self, tree: &DynamicTree) -> IterationPlan {
+            let n = tree.node_count() as u64;
+            IterationPlan {
+                budget: (n / 2).max(1),
+                waste: (n / 4).max(1),
+                interval: None,
+                announce_messages: n,
+                u_bound: None,
+            }
+        }
+    }
+
+    /// The bare engine: nothing but the driver, so its ticket surface is
+    /// what the tests exercise.
+    fn bare(tree: DynamicTree, seed: u64) -> IterationDriver<HalfPolicy> {
+        IterationDriver::new(SimConfig::new(seed), tree, HalfPolicy).unwrap()
+    }
+
+    fn driver(n: usize, seed: u64) -> IterationDriver<HalfPolicy> {
+        bare(DynamicTree::with_initial_star(n), seed)
+    }
+
+    #[test]
+    fn construction_starts_the_first_iteration() {
+        let mut d = driver(10, 1);
+        assert_eq!(d.iterations(), 1);
+        assert_eq!(d.estimate(), 11);
+        // Announcing N_1 is charged; no ticket has been answered.
+        assert_eq!(d.messages(), 11);
+        assert!(d.take_records().is_empty());
+    }
+
+    #[test]
+    fn tickets_survive_iteration_rotations() {
+        let mut d = driver(7, 2);
+        // Budget 4: submitting 10 leaf requests forces at least one
+        // exhaustion + rotation, yet every ticket resolves.
+        let root = d.tree().root();
+        let ids: Vec<RequestId> = (0..10)
+            .map(|_| d.submit(root, RequestKind::AddLeaf).unwrap())
+            .collect();
+        d.run_to_quiescence().unwrap();
+        assert!(d.iterations() > 1, "rotation expected");
+        for id in &ids {
+            assert!(
+                d.records()
+                    .iter()
+                    .any(|r| r.id == *id && r.outcome.is_granted()),
+                "{id} unresolved"
+            );
+        }
+        // Ticket ids are unique and stable.
+        let mut sorted: Vec<_> = ids.iter().map(|r| r.0).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 10);
+        // Taking hands out exactly one answer per ticket, once.
+        assert_eq!(d.take_records().len(), 10);
+        assert!(d.take_records().is_empty());
+    }
+
+    #[test]
+    fn a_slice_ends_at_the_rotation() {
+        let mut d = driver(7, 2);
+        // Budget 4 against six requests: the first iteration runs dry.
+        let root = d.tree().root();
+        for _ in 0..6 {
+            d.submit(root, RequestKind::AddLeaf).unwrap();
+        }
+        let p = d.step(u64::MAX).unwrap();
+        // The unbounded slice stopped right behind the rotation: iteration 2
+        // is installed, and the rejected requests have not been retried yet.
+        assert!(!p.quiescent);
+        assert_eq!(d.iterations(), 2);
+        let answered = d.records().len();
+        assert!(answered < 6);
+        assert_eq!(d.tree().node_count(), 8 + answered);
+        d.run_to_quiescence().unwrap();
+        assert_eq!(d.records().len(), 6);
+    }
+
+    #[test]
+    fn bounded_steps_interleave_submission_with_execution() {
+        let mut d = bare(DynamicTree::with_initial_path(20), 3);
+        let deep = d.tree().nodes().max_by_key(|&n| d.tree().depth(n)).unwrap();
+        d.submit(deep, RequestKind::AddLeaf).unwrap();
+        // A tiny slice leaves the request's agent in flight…
+        let p = d.step(2).unwrap();
+        assert_eq!(p.processed, 2);
+        assert!(!p.quiescent);
+        // …while a second request arrives mid-flight.
+        d.submit(deep, RequestKind::AddLeaf).unwrap();
+        let mut total = p.processed;
+        loop {
+            let p = d.step(64).unwrap();
+            total += p.processed;
+            if p.quiescent {
+                break;
+            }
+        }
+        assert!(total > 2);
+        assert_eq!(d.changes(), 2);
+        assert_eq!(d.records().len(), 2);
+    }
+
+    #[test]
+    fn wave_charges_accumulate_across_rotations() {
+        let mut d = driver(9, 4);
+        let root = d.tree().root();
+        for _ in 0..12 {
+            d.submit(root, RequestKind::AddLeaf).unwrap();
+        }
+        d.run_to_quiescence().unwrap();
+        assert!(d.iterations() >= 2);
+        // Announce (n per iteration) + closing waves (2n per rotation, over
+        // the tree the next iteration announces) are charged on top of
+        // controller messages; the tree only grows from its 10 nodes.
+        let charged = 10 + 3 * 10 * u64::from(d.iterations() - 1);
+        assert!(d.messages() >= charged);
+        let before = d.messages();
+        d.charge_messages(5);
+        assert_eq!(d.messages(), before + 5);
+    }
+
+    #[test]
+    fn submit_validates_against_the_current_tree() {
+        let mut d = driver(4, 5);
+        let root = d.tree().root();
+        assert!(matches!(
+            d.submit(NodeId::from_index(999), RequestKind::AddLeaf),
+            Err(ControllerError::UnknownNode(_))
+        ));
+        assert!(matches!(
+            d.submit(root, RequestKind::RemoveSelf),
+            Err(ControllerError::CannotRemoveRoot)
+        ));
+    }
+
+    #[test]
+    fn duplicate_and_dependent_requests_all_resolve() {
+        let mut d = driver(6, 6);
+        let leaf = d.tree().nodes().find(|&n| n != d.tree().root()).unwrap();
+        // Queue a removal of the leaf twice plus an insertion below it: every
+        // ticket must resolve to a final outcome — none may hang — and the
+        // tree must end up consistent with the leaf gone.
+        let ids = vec![
+            d.submit(leaf, RequestKind::RemoveSelf).unwrap(),
+            d.submit(leaf, RequestKind::RemoveSelf).unwrap(),
+            d.submit(leaf, RequestKind::AddLeaf).unwrap(),
+        ];
+        d.run_to_quiescence().unwrap();
+        for id in &ids {
+            assert!(d.records().iter().any(|r| r.id == *id), "{id} unresolved");
+        }
+        assert!(!d.tree().contains(leaf));
+        assert!(d.tree().check_invariants().is_ok());
     }
 }

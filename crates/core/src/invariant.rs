@@ -1,7 +1,8 @@
 //! The shared invariant-violation type of the §5 applications.
 //!
-//! Every application exposes `check_invariants() -> Result<(), InvariantError>`;
-//! the variants below enumerate every §5 guarantee the workspace verifies, so
+//! Every controller answers
+//! [`Controller::check_invariants`](crate::Controller::check_invariants); the
+//! variants below enumerate every §5 guarantee the workspace verifies, so
 //! drivers (the scenario runner, the sweep engine, the experiment binaries)
 //! report violations uniformly instead of juggling per-app `bool`s and
 //! free-text strings.

@@ -282,11 +282,6 @@ impl<C: InnerController> Iterated<C> {
         Ok(Iterated { engine })
     }
 
-    /// Rounds started so far, each epoch's opening round included.
-    pub fn iterations(&self) -> u32 {
-        self.engine.iterations()
-    }
-
     /// Epochs started so far (always 1 for a fixed bound `U`).
     pub fn epochs(&self) -> u32 {
         self.engine.policy().epochs
@@ -382,5 +377,10 @@ impl<C: InnerController> Controller for Iterated<C> {
 
     fn metrics(&self) -> ControllerMetrics {
         self.engine.metrics()
+    }
+
+    /// Rounds started so far, each epoch's opening round included.
+    fn iterations(&self) -> u32 {
+        self.engine.iterations()
     }
 }

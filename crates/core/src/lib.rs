@@ -84,6 +84,7 @@ pub mod centralized;
 pub mod distributed;
 pub mod domain;
 mod error;
+mod invariant;
 mod iterated;
 mod ledger;
 mod package;
@@ -94,6 +95,7 @@ pub mod verify;
 
 pub use api::{Controller, ControllerEvent, ControllerMetrics, Progress, SyncController};
 pub use error::ControllerError;
+pub use invariant::InvariantError;
 pub use iterated::Iterated;
 pub use ledger::RequestLedger;
 pub use package::{MobilePackage, PackageStore, PermitInterval};

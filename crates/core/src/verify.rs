@@ -62,6 +62,9 @@ pub enum Violation {
         /// Requests actually submitted.
         submitted: u64,
     },
+    /// A §5 guarantee failed at a quiescent point: the first
+    /// [`InvariantError`](crate::InvariantError), rendered.
+    Invariant(String),
 }
 
 impl std::fmt::Display for Violation {
@@ -85,6 +88,7 @@ impl std::fmt::Display for Violation {
                 f,
                 "accounting violated: {granted} grants + {rejected} rejects exceed the {submitted} submitted requests"
             ),
+            Violation::Invariant(text) => f.write_str(text),
         }
     }
 }

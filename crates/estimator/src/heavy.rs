@@ -1,10 +1,8 @@
 //! The heavy-child decomposition (Theorem 5.4).
 
-use crate::invariant::InvariantError;
 use crate::subtree::SubtreeEstimator;
-use crate::{Application, IterationDriver, IterationPolicy};
 use dcn_collections::SlidingMap;
-use dcn_controller::{ControllerError, Progress};
+use dcn_controller::{Controller, ControllerError, InvariantError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
@@ -118,21 +116,7 @@ impl HeavyChildDecomposition {
             }
         }
         self.heavy = new_heavy;
-        self.charge_messages(flips);
-    }
-}
-
-impl Application for HeavyChildDecomposition {
-    fn name(&self) -> &'static str {
-        "heavy-child"
-    }
-
-    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
-        self.subtree.runtime()
-    }
-
-    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
-        self.subtree.runtime_mut()
+        self.subtree.size.driver.charge_messages(flips);
     }
 
     /// After the subtree estimator's own hook, the heavy pointers are
@@ -146,6 +130,10 @@ impl Application for HeavyChildDecomposition {
             self.refresh_pointers();
         }
     }
+}
+
+impl Controller for HeavyChildDecomposition {
+    engine_controller!("heavy-child", subtree.size.driver, after_slice);
 
     fn check_invariants(&self) -> Result<(), InvariantError> {
         self.check_light_depth()

@@ -1,10 +1,8 @@
 //! Dynamic ancestry labeling (Corollary 5.7).
 
-use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
-use crate::{Application, IterationDriver, IterationPolicy};
 use dcn_collections::SlidingMap;
-use dcn_controller::{ControllerError, Progress};
+use dcn_controller::{Controller, ControllerError, InvariantError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
@@ -119,21 +117,7 @@ impl AncestryLabeling {
             charge = 2 * tree.node_count() as u64;
         }
         self.relabels += 1;
-        self.charge_messages(charge);
-    }
-}
-
-impl Application for AncestryLabeling {
-    fn name(&self) -> &'static str {
-        "ancestry-labeling"
-    }
-
-    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
-        self.size.runtime()
-    }
-
-    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
-        self.size.runtime_mut()
+        self.size.driver.charge_messages(charge);
     }
 
     /// Drops labels of deleted nodes and re-labels when the network halved
@@ -149,6 +133,10 @@ impl Application for AncestryLabeling {
             self.relabel();
         }
     }
+}
+
+impl Controller for AncestryLabeling {
+    engine_controller!("ancestry-labeling", size.driver, after_slice);
 
     /// Every existing node is labeled, label-based ancestry agrees with the
     /// tree, and label sizes are `O(log n)` (at most `2·(log2(n) + 3)` bits

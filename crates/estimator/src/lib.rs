@@ -36,13 +36,14 @@
 //! controllers': `submit` → [`RequestId`] tickets that survive iteration
 //! rebuilds, bounded `step(budget)`, and the answers as records, read with
 //! `records()` or handed out once by `take_records()`; `iterations()` and
-//! `estimate()` report the epochs. Every application implements the uniform
-//! [`Application`] trait — its name, the engine beneath it (as
-//! `&IterationDriver<dyn IterationPolicy>`, to which its own driver
-//! coerces), an after-slice hook and its invariant check; the ticket surface
-//! is provided — so the scenario runner and sweep engine in `dcn-workload`
-//! drive the §5 protocols exactly as they drive the controllers. Invariant
-//! violations are reported through the shared typed [`InvariantError`].
+//! `estimate()` report the epochs. Every application *is* a
+//! [`Controller`](dcn_controller::Controller): the ticket surface forwards to
+//! the engine beneath it (its own, or that of the application it is layered
+//! on), `step` runs the application's after-slice bookkeeping, and
+//! `check_invariants` checks its §5 guarantee — so the scenario runner and
+//! sweep engine in `dcn-workload` drive the §5 protocols exactly as they
+//! drive the controllers. Invariant violations are reported through the
+//! shared typed [`InvariantError`].
 //!
 //! ## Modelling note
 //!
@@ -57,9 +58,89 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
-mod driver;
+/// The engine half of a §5 application's
+/// [`Controller`](dcn_controller::Controller) impl, invoked inside it: the
+/// ticket surface forwards to the [`IterationDriver`] at the field path
+/// `self.<engine>` (the application's own, or that of the application it is
+/// layered on), and `step` runs the named inherent after-slice hook, if
+/// any, with each slice's progress. The application adds its name and its
+/// `check_invariants`.
+///
+/// A macro, not a blanket impl: the orphan rule forbids one outside
+/// `dcn-controller`, and inside it one would overlap the `SyncController`
+/// blanket impl.
+macro_rules! engine_controller {
+    ($name:literal, $($engine:ident).+ $(, $hook:ident)?) => {
+        fn name(&self) -> &'static str {
+            $name
+        }
+
+        /// `u64::MAX`: an application has no run-wide budget. Each
+        /// iteration's controller has its own, and the engine applies the
+        /// §5 retry rules, so a run report's safety and liveness checks are
+        /// vacuous here.
+        fn budget(&self) -> u64 {
+            u64::MAX
+        }
+
+        /// `u64::MAX`, for the reason given on `budget`.
+        fn waste_bound(&self) -> u64 {
+            u64::MAX
+        }
+
+        fn submit(
+            &mut self,
+            at: dcn_tree::NodeId,
+            kind: dcn_controller::RequestKind,
+        ) -> Result<dcn_controller::RequestId, dcn_controller::ControllerError> {
+            self.$($engine).+.submit(at, kind)
+        }
+
+        fn run_to_quiescence(&mut self) -> Result<(), dcn_controller::ControllerError> {
+            while !self.step(u64::MAX)?.quiescent {}
+            Ok(())
+        }
+
+        fn step(
+            &mut self,
+            budget: u64,
+        ) -> Result<dcn_controller::Progress, dcn_controller::ControllerError> {
+            let progress = self.$($engine).+.step(budget)?;
+            $(self.$hook(progress);)?
+            Ok(progress)
+        }
+
+        fn take_records(&mut self) -> Vec<dcn_controller::RequestRecord> {
+            self.$($engine).+.take_records()
+        }
+
+        fn records(&self) -> &[dcn_controller::RequestRecord] {
+            self.$($engine).+.records()
+        }
+
+        fn granted(&self) -> u64 {
+            self.$($engine).+.granted()
+        }
+
+        fn rejected(&self) -> u64 {
+            self.$($engine).+.rejected()
+        }
+
+        fn tree(&self) -> &dcn_tree::DynamicTree {
+            self.$($engine).+.tree()
+        }
+
+        fn metrics(&self) -> dcn_controller::ControllerMetrics {
+            self.$($engine).+.metrics()
+        }
+
+        fn iterations(&self) -> u32 {
+            self.$($engine).+.iterations()
+        }
+    };
+}
+
 mod heavy;
-mod invariant;
 mod labeling;
 mod majority;
 mod names;
@@ -67,9 +148,8 @@ mod size;
 mod subtree;
 
 pub use dcn_controller::distributed::{IterationDriver, IterationPlan, IterationPolicy};
-pub use driver::Application;
+pub use dcn_controller::InvariantError;
 pub use heavy::HeavyChildDecomposition;
-pub use invariant::InvariantError;
 pub use labeling::{AncestryLabel, AncestryLabeling};
 pub use majority::{Decision, MajorityCommitment};
 pub use names::NameAssigner;

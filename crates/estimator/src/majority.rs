@@ -16,11 +16,9 @@
 //! `n ≤ β·ñ` at all times, this threshold guarantees a strict majority of the
 //! *current* network, whatever the churn did.
 
-use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
-use crate::{Application, IterationDriver, IterationPolicy};
 use dcn_collections::SlidingMap;
-use dcn_controller::{ControllerError, Progress};
+use dcn_controller::{Controller, ControllerError, InvariantError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
@@ -37,7 +35,8 @@ pub enum Decision {
 /// Majority commitment driven by the β-size-estimation protocol.
 ///
 /// ```
-/// use dcn_estimator::{Application, Decision, MajorityCommitment};
+/// use dcn_controller::Controller;
+/// use dcn_estimator::{Decision, MajorityCommitment};
 /// use dcn_simnet::SimConfig;
 /// use dcn_tree::DynamicTree;
 ///
@@ -137,7 +136,7 @@ impl MajorityCommitment {
             return Ok(());
         }
         let hops = self.tree().depth(node) as u64;
-        self.charge_messages(hops);
+        self.size.driver.charge_messages(hops);
         if commit {
             self.abort_votes.remove(node);
             self.commit_votes.insert(node, ());
@@ -188,20 +187,6 @@ impl MajorityCommitment {
     fn votes_cast(&self) -> u64 {
         self.commit_votes() + self.abort_votes()
     }
-}
-
-impl Application for MajorityCommitment {
-    fn name(&self) -> &'static str {
-        "majority-commitment"
-    }
-
-    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
-        self.size.runtime()
-    }
-
-    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
-        self.size.runtime_mut()
-    }
 
     /// Drops votes of departed nodes and re-checks whether a decision can be
     /// made.
@@ -213,6 +198,10 @@ impl Application for MajorityCommitment {
         self.abort_votes.retain(|v, _| tree.contains(v));
         self.try_decide();
     }
+}
+
+impl Controller for MajorityCommitment {
+    engine_controller!("majority-commitment", size.driver, after_slice);
 
     fn check_invariants(&self) -> Result<(), InvariantError> {
         self.size.check_invariants()?;
@@ -234,7 +223,7 @@ mod tests {
         }
         assert_eq!(mc.decision(), Some(Decision::Commit));
         mc.check_safety().unwrap();
-        assert!(mc.messages() > 0);
+        assert!(mc.metrics().messages > 0);
     }
 
     #[test]

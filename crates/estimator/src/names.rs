@@ -1,10 +1,11 @@
 //! The name-assignment protocol (Theorem 5.2).
 
-use crate::invariant::InvariantError;
-use crate::Application;
 use dcn_collections::{FxHashMap, SlidingMap};
 use dcn_controller::distributed::{IterationDriver, IterationPlan, IterationPolicy};
-use dcn_controller::{ControllerError, Outcome, PermitInterval, RequestKind, RequestRecord};
+use dcn_controller::{
+    Controller, ControllerError, InvariantError, Outcome, PermitInterval, RequestKind,
+    RequestRecord,
+};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
@@ -91,8 +92,8 @@ impl IterationPolicy for NamePolicy {
 /// node's identity.
 ///
 /// ```
-/// use dcn_estimator::{Application, NameAssigner};
-/// use dcn_controller::RequestKind;
+/// use dcn_estimator::NameAssigner;
+/// use dcn_controller::{Controller, RequestKind};
 /// use dcn_simnet::SimConfig;
 /// use dcn_tree::DynamicTree;
 ///
@@ -134,18 +135,8 @@ impl NameAssigner {
     }
 }
 
-impl Application for NameAssigner {
-    fn name(&self) -> &'static str {
-        "name-assigner"
-    }
-
-    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
-        &self.driver
-    }
-
-    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
-        &mut self.driver
-    }
+impl Controller for NameAssigner {
+    engine_controller!("name-assigner", driver);
 
     /// Every existing node has an identity, identities are pairwise distinct,
     /// and every identity is at most `4n`.

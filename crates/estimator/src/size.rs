@@ -1,9 +1,7 @@
 //! The size-estimation protocol (Theorem 5.1).
 
-use crate::invariant::InvariantError;
-use crate::Application;
 use dcn_controller::distributed::{IterationDriver, IterationPlan, IterationPolicy};
-use dcn_controller::ControllerError;
+use dcn_controller::{Controller, ControllerError, InvariantError};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
@@ -55,11 +53,11 @@ impl IterationPolicy for SizePolicy {
 /// obtain a permit from a terminating `(α·N_i, α·N_i/2)`-controller with
 /// `α = 1 − 1/β`, which caps the drift of `n` away from `N_i`; when that
 /// controller is exhausted a new iteration starts (counted by
-/// [`Application::iterations`]).
+/// [`Controller::iterations`]).
 ///
 /// ```
-/// use dcn_estimator::{Application, SizeEstimator};
-/// use dcn_controller::RequestKind;
+/// use dcn_estimator::SizeEstimator;
+/// use dcn_controller::{Controller, RequestKind};
 /// use dcn_simnet::SimConfig;
 /// use dcn_tree::DynamicTree;
 ///
@@ -74,7 +72,9 @@ impl IterationPolicy for SizePolicy {
 /// ```
 #[derive(Debug)]
 pub struct SizeEstimator {
-    driver: IterationDriver<SizePolicy>,
+    /// The engine; the applications layered on this one charge their waves
+    /// here.
+    pub(crate) driver: IterationDriver<SizePolicy>,
 }
 
 impl SizeEstimator {
@@ -107,11 +107,11 @@ impl SizeEstimator {
     /// Amortized messages per topological change (the quantity Theorem 5.1
     /// bounds by `O(log² n)` when the number of changes is not too small).
     pub fn amortized_messages_per_change(&self) -> f64 {
-        self.messages() as f64 / self.changes().max(1) as f64
+        self.driver.messages() as f64 / self.driver.changes().max(1) as f64
     }
 
     /// `true` when the β-approximation invariant currently holds
-    /// (convenience wrapper over [`Application::check_invariants`]).
+    /// (convenience wrapper over [`Controller::check_invariants`]).
     pub fn estimate_is_valid(&self) -> bool {
         self.check_invariants().is_ok()
     }
@@ -123,18 +123,8 @@ impl SizeEstimator {
     }
 }
 
-impl Application for SizeEstimator {
-    fn name(&self) -> &'static str {
-        "size-estimator"
-    }
-
-    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
-        &self.driver
-    }
-
-    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
-        &mut self.driver
-    }
+impl Controller for SizeEstimator {
+    engine_controller!("size-estimator", driver);
 
     /// Checks the β-approximation invariant `n/β ≤ ñ ≤ β·n` against the
     /// current network size ([`InvariantError::EstimateOutOfBand`]).
@@ -253,6 +243,19 @@ mod tests {
         // β = 3 tolerates a 3× size mismatch: estimate 9 vs n up to 27.
         assert_eq!(est.estimate(), 9);
         assert!(est.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn run_batch_returns_exactly_this_batch_in_answer_order() {
+        let tree = DynamicTree::with_initial_star(8);
+        let mut est = SizeEstimator::new(SimConfig::new(7), tree, 2.0).unwrap();
+        let root = est.tree().root();
+        let first = est.run_batch(&[(root, RequestKind::AddLeaf); 3]).unwrap();
+        assert_eq!(first.len(), 3);
+        let second = est.run_batch(&[(root, RequestKind::AddLeaf); 2]).unwrap();
+        assert_eq!(second.len(), 2);
+        assert!(second.iter().all(|r| r.outcome.is_granted()));
+        assert_eq!(est.records().len(), 5);
     }
 
     #[test]

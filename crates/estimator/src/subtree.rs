@@ -1,10 +1,8 @@
 //! The subtree (super-weight) estimator of Lemma 5.3.
 
-use crate::invariant::InvariantError;
 use crate::size::SizeEstimator;
-use crate::{Application, IterationDriver, IterationPolicy};
 use dcn_collections::SlidingMap;
-use dcn_controller::{ControllerError, Progress};
+use dcn_controller::{Controller, ControllerError, InvariantError, Progress};
 use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::{DynamicTree, TopologyEvent};
 
@@ -22,7 +20,8 @@ use dcn_tree::{DynamicTree, TopologyEvent};
 /// controller's whiteboards.
 #[derive(Debug)]
 pub struct SubtreeEstimator {
-    size: SizeEstimator,
+    /// The size estimator beneath; its engine is this application's.
+    pub(crate) size: SizeEstimator,
     /// ω₀: subtree sizes at the start of the current iteration.
     omega0: SlidingMap<NodeId, u64>,
     /// True super-weights (reference tracker used for validation and
@@ -121,10 +120,10 @@ impl SubtreeEstimator {
         }
         self.super_weight = self.omega0.clone();
         let charge = 2 * tree.node_count() as u64;
-        let driver = self.runtime_mut();
+        let driver = &mut self.size.driver;
         driver.take_change_log();
         driver.charge_messages(charge);
-        self.iteration_tag = self.size.iterations();
+        self.iteration_tag = driver.iterations();
     }
 
     /// Credits one new descendant to `from` and every shadow ancestor above
@@ -145,7 +144,7 @@ impl SubtreeEstimator {
     /// inserted and deleted within one sync window still credits the right
     /// chain even though the live tree no longer contains it.
     fn update_super_weights(&mut self) {
-        let log = self.runtime_mut().take_change_log();
+        let log = self.size.driver.take_change_log();
         for &event in log.events() {
             match event {
                 TopologyEvent::AddLeaf { parent, child } => {
@@ -188,31 +187,21 @@ impl SubtreeEstimator {
             }
         }
     }
-}
-
-impl Application for SubtreeEstimator {
-    fn name(&self) -> &'static str {
-        "subtree-estimator"
-    }
-
-    fn runtime(&self) -> &IterationDriver<dyn IterationPolicy> {
-        self.size.runtime()
-    }
-
-    fn runtime_mut(&mut self) -> &mut IterationDriver<dyn IterationPolicy> {
-        self.size.runtime_mut()
-    }
 
     /// Brings ω₀ and the reference super-weights up to date after every
     /// execution slice: a fresh iteration resets them, otherwise the change
     /// log since the last slice is replayed.
-    fn after_slice(&mut self, _progress: Progress) {
-        if self.size.iterations() != self.iteration_tag {
+    pub(crate) fn after_slice(&mut self, _progress: Progress) {
+        if self.size.driver.iterations() != self.iteration_tag {
             self.refresh_omega0();
         } else {
             self.update_super_weights();
         }
     }
+}
+
+impl Controller for SubtreeEstimator {
+    engine_controller!("subtree-estimator", size.driver, after_slice);
 
     fn check_invariants(&self) -> Result<(), InvariantError> {
         self.size.check_invariants()?;
@@ -283,7 +272,7 @@ mod tests {
             est.check_estimates().unwrap();
         }
         assert!(est.iterations() > 1, "the growth spans iterations");
-        assert_eq!(est.changes(), 36);
+        assert_eq!(est.size.driver.changes(), 36);
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! number of seeded random cases through `dcn-rng`: every failure is
 //! reproducible from its printed case seed.
 
-use dcn_controller::RequestKind;
-use dcn_estimator::{
-    AncestryLabeling, Application, HeavyChildDecomposition, NameAssigner, SizeEstimator,
-};
+use dcn_controller::{Controller, RequestKind};
+use dcn_estimator::{AncestryLabeling, HeavyChildDecomposition, NameAssigner, SizeEstimator};
 use dcn_rng::{DetRng, Rng, SeedableRng};
 use dcn_simnet::SimConfig;
 use dcn_tree::{DynamicTree, NodeId};

@@ -18,9 +18,10 @@
 //!
 //! On top of the generators sits the [`ScenarioRunner`]: the single driver
 //! loop that pushes a seeded scenario through **any** [`Controller`]
-//! implementation — the paper's centralized and distributed controllers as
-//! well as the baselines — and returns a uniform [`RunReport`] with
-//! per-request answer-latency percentiles. Scenarios choose an
+//! implementation — the paper's centralized and distributed controllers, the
+//! baselines and the §5 applications — and returns a uniform [`RunReport`]
+//! with per-request answer-latency percentiles, iteration and change counts,
+//! and the invariant checks made at every quiescent point. Scenarios choose an
 //! [`ArrivalMode`]: closed-loop batches, or open-loop *interleaved* arrivals
 //! in which new requests are submitted through bounded
 //! [`Controller::step`] slices while distributed agents are still in flight.
@@ -28,11 +29,8 @@
 //! Concrete controllers are built through the uniform [`ControllerSpec`]
 //! factory ([`Family`] × `M` × `W` × sim-config), which replaces the
 //! per-driver construction match arms; [`family_factory`] adapts it to the
-//! sweep engine's factory hook. The §5 applications are built by
-//! [`app_factory`] (an [`AppFamily`] over a scenario) and run through the
-//! same machinery via [`ScenarioRunner::run_app`], which returns an
-//! [`AppReport`] (amortized messages per change, iteration counts, invariant
-//! violations, latency percentiles).
+//! sweep engine's factory hook and resolves the six §5 application names
+//! ([`AppFamily`]) too: an application is a controller with invariants.
 //!
 //! Above the runner sits the [`SweepEngine`]: a declarative [`SweepGrid`]
 //! (families + apps × shapes × churn × placement × arrivals × budgets ×
@@ -44,7 +42,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
-mod appspec;
 mod churn;
 pub mod json;
 mod placement;
@@ -54,22 +51,22 @@ mod shape;
 mod spec;
 mod sweep;
 
-pub use appspec::{app_factory, AppFamily};
 pub use churn::{ChurnGenerator, ChurnModel, ChurnOp};
 pub use json::quote as json_quote;
 pub use placement::Placement;
-pub use runner::{AppReport, OpStream, RunReport, ScenarioRunner};
+pub use runner::{OpStream, RunReport, ScenarioRunner};
 pub use scenario::{ArrivalMode, Scenario};
 pub use shape::{build_tree, TreeShape};
-pub use spec::{family_factory, parse_shard_family, shard_family_name, ControllerSpec, Family};
+pub use spec::{
+    family_factory, parse_shard_family, shard_family_name, AppFamily, ControllerSpec, Family,
+};
 pub use sweep::{
-    arrival_label, churn_label, kind_label, placement_label, shape_label, CellKind, CellReport,
-    CellResult, ControllerFactory, FamilySummary, MwBudget, SweepCell, SweepEngine, SweepGrid,
-    SweepReport,
+    arrival_label, churn_label, placement_label, shape_label, CellReport, CellResult,
+    ControllerFactory, FamilySummary, MwBudget, SweepCell, SweepEngine, SweepGrid, SweepReport,
 };
 
+pub use dcn_controller::InvariantError;
 pub use dcn_controller::{
     Controller, ControllerEvent, Progress, RequestId, RequestKind, RequestRecord,
 };
-pub use dcn_estimator::{Application, InvariantError};
 pub use dcn_tree::{DynamicTree, NodeId};

@@ -15,14 +15,16 @@
 //! [`Controller::step`] slices between batches, so new requests arrive while
 //! the distributed family's agents are still in flight (the paper's online
 //! setting); a final [`Controller::run_to_quiescence`] answers everything.
+//! At every quiescent point the runner asks
+//! [`Controller::check_invariants`] — a §5 application's theorem — and
+//! tallies the answers into the report.
 
 use crate::churn::{ChurnGenerator, ChurnOp};
 use crate::placement::Placement;
 use crate::scenario::{ArrivalMode, Scenario};
 use crate::shape::build_tree;
 use dcn_controller::verify::{ExecutionSummary, Violation};
-use dcn_controller::{Controller, ControllerError, Outcome, RequestKind};
-use dcn_estimator::Application;
+use dcn_controller::{Controller, ControllerError, RequestKind};
 use dcn_rng::{DetRng, SeedableRng};
 use dcn_tree::{DynamicTree, NodeId};
 
@@ -33,14 +35,16 @@ pub struct RunReport {
     pub controller: String,
     /// The scenario name.
     pub scenario: String,
-    /// The permit budget `M`.
+    /// The permit budget `M` ([`Controller::budget`]; `u64::MAX` for a §5
+    /// application, which has no run-wide budget).
     pub m: u64,
-    /// The waste bound `W`.
+    /// The waste bound `W` ([`Controller::waste_bound`]).
     pub w: u64,
     /// Requests actually processed by the controller's machinery (tickets
     /// issued minus refusals).
     pub submitted: u64,
-    /// Tickets that resolved to [`Outcome::Refused`]: operations the
+    /// Tickets that resolved to
+    /// [`Outcome::Refused`](dcn_controller::Outcome::Refused): operations the
     /// controller's dynamic model does not support (the AAPS baseline refuses
     /// deletions and internal insertions).
     pub refused: u64,
@@ -72,6 +76,18 @@ pub struct RunReport {
     /// Largest child-degree in the final tree (the `deg(v)` input of the
     /// Claim 4.8 memory bound, measured where the memory was measured).
     pub final_max_degree: usize,
+    /// Iterations (epochs, rounds, renamings) the controller ran
+    /// ([`Controller::iterations`]).
+    pub iterations: u32,
+    /// Topological changes granted during this run — the denominator of the
+    /// §5 amortized bounds.
+    pub changes: u64,
+    /// Invariant checks made during the run (at every quiescent point).
+    pub invariant_checks: u64,
+    /// How many of those checks failed. The §5 theorems say this must be 0.
+    pub invariant_violations: u64,
+    /// The first violated invariant, rendered, if any check failed.
+    pub first_violation: Option<String>,
 }
 
 impl RunReport {
@@ -98,7 +114,8 @@ impl RunReport {
     /// a run that *over*-answers — more grants plus rejects than requests
     /// submitted, i.e. a controller double-answered or a driver lost count —
     /// fails with [`Violation::OverAnswered`] rather than being silently
-    /// clamped to `unanswered = 0`.
+    /// clamped to `unanswered = 0`, and a failed invariant check fails with
+    /// [`Violation::Invariant`].
     pub fn check(&self) -> Result<(), Violation> {
         let answered = self.granted.saturating_add(self.rejected);
         if answered > self.submitted {
@@ -108,80 +125,21 @@ impl RunReport {
                 submitted: self.submitted,
             });
         }
-        self.summary().check()
+        self.summary().check()?;
+        if self.invariant_violations > 0 {
+            return Err(Violation::Invariant(
+                self.first_violation.clone().unwrap_or_else(|| {
+                    format!("{} invariant violations", self.invariant_violations)
+                }),
+            ));
+        }
+        Ok(())
     }
-}
 
-/// The uniform result of driving one §5 application through one scenario —
-/// the application-layer counterpart of [`RunReport`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AppReport {
-    /// The application family ([`Application::name`]).
-    pub app: String,
-    /// The scenario name.
-    pub scenario: String,
-    /// Tickets issued to the application.
-    pub submitted: u64,
-    /// Operations that went stale before submission (an earlier grant in the
-    /// same run removed or re-parented the node they referenced).
-    pub dropped: u64,
-    /// Permits granted by the application's inner controllers.
-    pub granted: u64,
-    /// Tickets that resolved to a final reject (iteration budgets kept
-    /// running out, or the request's target vanished while it was retried).
-    pub rejected: u64,
-    /// Iterations (epochs: announcements, renamings) the application ran.
-    pub iterations: u32,
-    /// Topological changes granted — the denominator of the §5 amortized
-    /// bounds.
-    pub changes: u64,
-    /// Total messages: inner controller messages plus every charged
-    /// protocol wave (announcements, renamings, re-labelings, upcasts).
-    pub messages: u64,
-    /// Invariant checks performed during the run (after every quiescent
-    /// point).
-    pub invariant_checks: u64,
-    /// How many of those checks failed. The §5 theorems say this must be 0.
-    pub invariant_violations: u64,
-    /// The first violated invariant, rendered, if any check failed.
-    pub first_violation: Option<String>,
-    /// Median answer latency in virtual time units over this run's answers.
-    pub p50_answer_latency: u64,
-    /// 95th-percentile answer latency in virtual time units.
-    pub p95_answer_latency: u64,
-    /// Network size when the run finished.
-    pub final_nodes: usize,
-}
-
-impl AppReport {
     /// Amortized messages per granted topological change (the quantity the
     /// §5 theorems bound, e.g. `O(log² n)` for size estimation).
     pub fn amortized_messages_per_change(&self) -> f64 {
         self.messages as f64 / self.changes.max(1) as f64
-    }
-
-    /// Checks the run: every ticket answered, and no invariant violated.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem.
-    pub fn check(&self) -> Result<(), String> {
-        if self.granted + self.rejected != self.submitted {
-            return Err(format!(
-                "{} tickets unanswered ({} granted + {} rejected of {} submitted)",
-                self.submitted.saturating_sub(self.granted + self.rejected),
-                self.granted,
-                self.rejected,
-                self.submitted
-            ));
-        }
-        if self.invariant_violations > 0 {
-            return Err(self
-                .first_violation
-                .clone()
-                .unwrap_or_else(|| format!("{} invariant violations", self.invariant_violations)));
-        }
-        Ok(())
     }
 }
 
@@ -307,8 +265,8 @@ impl ScenarioRunner {
     }
 
     /// The deterministic submission stream this runner will drive — the
-    /// exact `(node, kind)` sequence of [`ScenarioRunner::run`] /
-    /// [`ScenarioRunner::run_app`], freshly seeded. Each call returns an
+    /// exact `(node, kind)` sequence of [`ScenarioRunner::run`], freshly
+    /// seeded. Each call returns an
     /// independent stream starting from the beginning.
     pub fn op_stream(&self) -> OpStream {
         OpStream {
@@ -338,10 +296,16 @@ impl ScenarioRunner {
 
     /// Drives `ctrl` through the scenario and reports the outcome.
     ///
+    /// The runner submits the scenario's operation stream in batches,
+    /// executing between batches as the arrival mode says, and checks the
+    /// controller's invariants wherever it has just run to quiescence —
+    /// after each batch in the closed loop, and once at the end in either
+    /// mode.
+    ///
     /// The controller should be freshly constructed: the report reads the
-    /// controller's cumulative counters, and the refusal and latency columns
-    /// cover the records produced during this run only (nothing may take
-    /// them while it runs).
+    /// controller's cumulative counters, and the refusal, change and latency
+    /// columns cover the records produced during this run only (nothing may
+    /// take them while it runs).
     ///
     /// # Errors
     ///
@@ -353,10 +317,73 @@ impl ScenarioRunner {
         // Records from earlier runs over the same controller are not this
         // run's outcomes.
         let before = ctrl.records().len();
-        let (issued, dropped) = self.drive(ctrl, |_| {})?;
+        let mut stream = self.op_stream();
+        let mut issued = 0u64;
+        let mut dropped = 0u64;
+        let mut stalled_batches = 0u32;
+        let (mut invariant_checks, mut invariant_violations) = (0u64, 0u64);
+        let mut first_violation: Option<String> = None;
+        // A quiescent point: the controller's guarantees must hold.
+        let mut check = |ctrl: &dyn Controller| {
+            invariant_checks += 1;
+            if let Err(e) = ctrl.check_invariants() {
+                invariant_violations += 1;
+                first_violation.get_or_insert_with(|| e.to_string());
+            }
+        };
+
+        while (issued as usize) < scenario.requests {
+            let want = self.batch.min(scenario.requests - issued as usize);
+            let ops = stream.next_batch(ctrl.tree(), want);
+            if ops.is_empty() {
+                break;
+            }
+            let mut sent_this_batch = 0u64;
+            for op in &ops {
+                let (at, kind) = stream.place(ctrl.tree(), op);
+                // Synchronous families apply granted changes immediately, so
+                // a later op of the same batch may reference a node an
+                // earlier grant just removed; such stale ops are dropped.
+                // (Unsupported kinds are NOT dropped — they get a ticket and
+                // resolve to a refusal event.)
+                if ctrl.submit(at, kind).is_err() {
+                    dropped += 1;
+                    continue;
+                }
+                issued += 1;
+                sent_this_batch += 1;
+            }
+            match scenario.arrival {
+                ArrivalMode::Batch => {
+                    ctrl.run_to_quiescence()?;
+                    check(ctrl);
+                }
+                ArrivalMode::Interleaved { quantum } => {
+                    // A bounded slice: agents stay in flight while the next
+                    // batch is generated and submitted.
+                    ctrl.step(quantum)?;
+                }
+            }
+            // A model that refuses everything the generator produces must
+            // still terminate even if the generator runs dry of novel ops.
+            if sent_this_batch == 0 {
+                stalled_batches += 1;
+                if stalled_batches > 8 {
+                    break;
+                }
+            } else {
+                stalled_batches = 0;
+            }
+        }
+        ctrl.run_to_quiescence()?;
+        check(ctrl);
 
         let records = &ctrl.records()[before..];
         let refused = records.iter().filter(|r| r.outcome.is_refused()).count() as u64;
+        let changes = records
+            .iter()
+            .filter(|r| r.outcome.is_granted() && r.kind.is_topological())
+            .count() as u64;
         let (p50_answer_latency, p95_answer_latency) = percentiles(
             records
                 .iter()
@@ -392,173 +419,12 @@ impl ScenarioRunner {
                 .map(|v| ctrl.tree().child_degree(v).unwrap_or(0))
                 .max()
                 .unwrap_or(0),
-        })
-    }
-
-    /// Drives a [`dyn Application`](Application) — one of the §5 protocols —
-    /// through the scenario, mirroring [`ScenarioRunner::run`]: the same
-    /// churn stream, the same placement redraw for non-topological events,
-    /// and the same closed-loop / open-loop [`ArrivalMode`] machinery over
-    /// the ticketed submit/step seam. Invariants are checked at every
-    /// quiescent point (after each batch in the closed loop, at the final
-    /// quiescence in the open loop) and tallied into the report — a §5
-    /// theorem run must report zero violations.
-    ///
-    /// The application should be freshly constructed: the ticket tallies
-    /// and latency columns are scoped to this run, but the iteration,
-    /// change and message columns read the application's cumulative
-    /// counters (like [`ScenarioRunner::run`] does for controllers).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator and iteration-rotation errors.
-    pub fn run_app(&self, app: &mut dyn Application) -> Result<AppReport, ControllerError> {
-        let scenario = &self.scenario;
-        let mut invariant_checks = 0u64;
-        let mut invariant_violations = 0u64;
-        let mut first_violation: Option<String> = None;
-        // Records from earlier runs over the same application are not this
-        // run's outcomes.
-        let before = app.records().len();
-        // A quiescent point: the §5 guarantees must hold.
-        let (issued, dropped) = self.drive(app, |app| {
-            invariant_checks += 1;
-            if let Err(e) = app.check_invariants() {
-                invariant_violations += 1;
-                first_violation.get_or_insert_with(|| e.to_string());
-            }
-        })?;
-
-        let records = &app.records()[before..];
-        let granted = records.iter().filter(|r| r.outcome.is_granted()).count() as u64;
-        let rejected = records
-            .iter()
-            .filter(|r| r.outcome == Outcome::Rejected)
-            .count() as u64;
-        let (p50_answer_latency, p95_answer_latency) =
-            percentiles(records.iter().map(|r| r.latency()));
-        Ok(AppReport {
-            app: app.name().to_string(),
-            scenario: scenario.name.clone(),
-            submitted: issued,
-            dropped,
-            granted,
-            rejected,
-            iterations: app.iterations(),
-            changes: app.changes(),
-            messages: app.messages(),
+            iterations: ctrl.iterations(),
+            changes,
             invariant_checks,
             invariant_violations,
             first_violation,
-            p50_answer_latency,
-            p95_answer_latency,
-            final_nodes: app.tree().node_count(),
         })
-    }
-
-    /// The submission loop behind [`ScenarioRunner::run`] and
-    /// [`ScenarioRunner::run_app`]: submits the scenario's operation stream
-    /// in batches, executing between batches as the arrival mode says, and
-    /// returns `(issued, dropped)`. `at_quiescence` is called wherever the
-    /// target has just been run to quiescence — after each batch in the
-    /// closed loop, and once at the end in either mode.
-    fn drive<D: Driven + ?Sized>(
-        &self,
-        target: &mut D,
-        mut at_quiescence: impl FnMut(&mut D),
-    ) -> Result<(u64, u64), ControllerError> {
-        let scenario = &self.scenario;
-        let mut stream = self.op_stream();
-        let mut issued = 0u64;
-        let mut dropped = 0u64;
-        let mut stalled_batches = 0u32;
-
-        while (issued as usize) < scenario.requests {
-            let want = self.batch.min(scenario.requests - issued as usize);
-            let ops = stream.next_batch(target.tree(), want);
-            if ops.is_empty() {
-                break;
-            }
-            let mut sent_this_batch = 0u64;
-            for op in &ops {
-                let (at, kind) = stream.place(target.tree(), op);
-                // Synchronous families apply granted changes immediately, so
-                // a later op of the same batch may reference a node an
-                // earlier grant just removed; such stale ops are dropped.
-                // (Unsupported kinds are NOT dropped — they get a ticket and
-                // resolve to a refusal event.)
-                if target.submit(at, kind).is_err() {
-                    dropped += 1;
-                    continue;
-                }
-                issued += 1;
-                sent_this_batch += 1;
-            }
-            match scenario.arrival {
-                ArrivalMode::Batch => {
-                    target.run_to_quiescence()?;
-                    at_quiescence(target);
-                }
-                ArrivalMode::Interleaved { quantum } => {
-                    // A bounded slice: agents stay in flight while the next
-                    // batch is generated and submitted.
-                    target.step(quantum)?;
-                }
-            }
-            // A model that refuses everything the generator produces must
-            // still terminate even if the generator runs dry of novel ops.
-            if sent_this_batch == 0 {
-                stalled_batches += 1;
-                if stalled_batches > 8 {
-                    break;
-                }
-            } else {
-                stalled_batches = 0;
-            }
-        }
-        target.run_to_quiescence()?;
-        at_quiescence(target);
-        Ok((issued, dropped))
-    }
-}
-
-/// What the submission loop needs from the thing it drives. `dyn Controller`
-/// and `dyn Application` both offer it under these very names; this trait
-/// only lets [`ScenarioRunner::drive`] be written once over the two.
-trait Driven {
-    fn tree(&self) -> &DynamicTree;
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<(), ControllerError>;
-    fn step(&mut self, budget: u64) -> Result<(), ControllerError>;
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError>;
-}
-
-impl Driven for dyn Controller + '_ {
-    fn tree(&self) -> &DynamicTree {
-        Controller::tree(self)
-    }
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<(), ControllerError> {
-        Controller::submit(self, at, kind).map(drop)
-    }
-    fn step(&mut self, budget: u64) -> Result<(), ControllerError> {
-        Controller::step(self, budget).map(drop)
-    }
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        Controller::run_to_quiescence(self)
-    }
-}
-
-impl Driven for dyn Application + '_ {
-    fn tree(&self) -> &DynamicTree {
-        Application::tree(self)
-    }
-    fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<(), ControllerError> {
-        Application::submit(self, at, kind).map(drop)
-    }
-    fn step(&mut self, budget: u64) -> Result<(), ControllerError> {
-        Application::step(self, budget).map(drop)
-    }
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        Application::run_to_quiescence(self)
     }
 }
 
@@ -733,11 +599,11 @@ mod tests {
 
     #[test]
     fn runner_drives_an_application_to_a_consistent_report() {
-        use crate::appspec::app_factory;
+        use crate::spec::family_factory;
         let runner = ScenarioRunner::new(scenario(60, 40, 10, 13));
-        let mut app = app_factory("size-estimator", runner.scenario()).unwrap();
-        let report = runner.run_app(app.as_mut()).unwrap();
-        assert_eq!(report.app, "size-estimator");
+        let mut app = family_factory("size-estimator", runner.scenario()).unwrap();
+        let report = runner.run(app.as_mut()).unwrap();
+        assert_eq!(report.controller, "size-estimator");
         assert_eq!(report.submitted, 60);
         assert_eq!(report.granted + report.rejected, report.submitted);
         assert!(report.messages > 0);
@@ -748,39 +614,59 @@ mod tests {
         assert!(report.p95_answer_latency > 0);
         report.check().unwrap();
         // Identically-seeded reruns reproduce the report exactly.
-        let mut again = app_factory("size-estimator", runner.scenario()).unwrap();
-        assert_eq!(runner.run_app(again.as_mut()).unwrap(), report);
+        let mut again = family_factory("size-estimator", runner.scenario()).unwrap();
+        assert_eq!(runner.run(again.as_mut()).unwrap(), report);
     }
 
     #[test]
     fn interleaved_arrivals_drive_applications_too() {
-        use crate::appspec::app_factory;
+        use crate::spec::family_factory;
         let mut s = scenario(48, 40, 10, 23);
         s.arrival = ArrivalMode::Interleaved { quantum: 12 };
         let runner = ScenarioRunner::new(s);
-        let mut app = app_factory("name-assigner", runner.scenario()).unwrap();
-        let report = runner.run_app(app.as_mut()).unwrap();
+        let mut app = family_factory("name-assigner", runner.scenario()).unwrap();
+        let report = runner.run(app.as_mut()).unwrap();
         assert_eq!(report.granted + report.rejected, report.submitted);
         report.check().unwrap();
         // Reproducible like the closed loop.
-        let mut again = app_factory("name-assigner", runner.scenario()).unwrap();
-        assert_eq!(runner.run_app(again.as_mut()).unwrap(), report);
+        let mut again = family_factory("name-assigner", runner.scenario()).unwrap();
+        assert_eq!(runner.run(again.as_mut()).unwrap(), report);
     }
 
     #[test]
     fn app_report_check_flags_violations_and_unanswered_tickets() {
-        use crate::appspec::app_factory;
+        use crate::spec::family_factory;
+        use dcn_controller::verify::Violation;
         let runner = ScenarioRunner::new(scenario(20, 30, 10, 31));
-        let mut app = app_factory("heavy-child", runner.scenario()).unwrap();
-        let mut report = runner.run_app(app.as_mut()).unwrap();
+        let mut app = family_factory("heavy-child", runner.scenario()).unwrap();
+        let mut report = runner.run(app.as_mut()).unwrap();
         report.check().unwrap();
         let clean = report.clone();
+        // A failed check renders as the invariant's own text, verbatim: a
+        // sweep's status cell reads `violation: <text>`. This is the Lemma
+        // 5.3 finding of grid base seed 405.
+        let lemma = dcn_controller::InvariantError::SuperWeightOutOfBand {
+            node: NodeId::from_index(482),
+            estimate: 21,
+            truth: 4,
+            tolerance: 4.0,
+        }
+        .to_string();
+        assert_eq!(
+            lemma,
+            "super-weight estimate 21 for n482 outside [1.00, 16.00] (true super-weight 4)"
+        );
         report.invariant_violations = 1;
-        report.first_violation = Some("node n3 has 40 light ancestors".to_string());
-        assert!(report.check().unwrap_err().contains("light ancestors"));
+        report.first_violation = Some(lemma.clone());
+        let violation = report.check().unwrap_err();
+        assert_eq!(violation.to_string(), lemma);
+        assert_eq!(violation, Violation::Invariant(lemma));
         let mut unanswered = clean;
         unanswered.granted -= 1;
-        assert!(unanswered.check().unwrap_err().contains("unanswered"));
+        assert!(matches!(
+            unanswered.check(),
+            Err(Violation::Unanswered { count: 1 })
+        ));
     }
 
     #[test]

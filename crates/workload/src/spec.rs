@@ -9,15 +9,21 @@
 //! families behind a `Box<dyn Controller>`.
 //!
 //! The sweep engine's [`ControllerFactory`](crate::ControllerFactory) hook is
-//! covered by [`family_factory`], which resolves a grid's family *string* and
-//! builds the controller over the cell's scenario.
+//! covered by [`family_factory`], which resolves a grid's family *string* —
+//! a controller [`Family`], a sharded driver or a §5 [`AppFamily`] — and
+//! builds it over the cell's scenario.
 
 use crate::runner::ScenarioRunner;
 use crate::scenario::Scenario;
+use crate::shape::build_tree;
 use dcn_baseline::{AapsController, TrivialController};
 use dcn_controller::centralized::{CentralizedController, IteratedController};
 use dcn_controller::distributed::{AdaptiveDistributedController, DistributedController};
 use dcn_controller::{Controller, ControllerError, ShardedController};
+use dcn_estimator::{
+    AncestryLabeling, HeavyChildDecomposition, MajorityCommitment, NameAssigner, SizeEstimator,
+    SubtreeEstimator,
+};
 use dcn_simnet::SimConfig;
 use dcn_tree::DynamicTree;
 
@@ -68,6 +74,75 @@ impl Family {
     /// to resolve the family strings of a [`SweepGrid`](crate::SweepGrid)).
     pub fn from_name(name: &str) -> Option<Family> {
         Family::ALL.into_iter().find(|f| f.name() == name)
+    }
+}
+
+/// The §5 application families the workspace can build and sweep. Each is
+/// a [`Controller`] with invariants, so every driver exercises them through
+/// the same ticket/event code path as the controller families.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AppFamily {
+    /// The β-size-estimation protocol (Theorem 5.1).
+    SizeEstimator,
+    /// The name-assignment protocol (Theorem 5.2).
+    NameAssigner,
+    /// The subtree / super-weight estimator (Lemma 5.3).
+    SubtreeEstimator,
+    /// The heavy-child decomposition (Theorem 5.4).
+    HeavyChild,
+    /// The dynamic ancestry labeling (Corollary 5.7).
+    AncestryLabeling,
+    /// Majority commitment over a churning network (§1.3, §1.4).
+    MajorityCommitment,
+}
+
+impl AppFamily {
+    /// All six applications, in paper order.
+    pub const ALL: [AppFamily; 6] = [
+        AppFamily::SizeEstimator,
+        AppFamily::NameAssigner,
+        AppFamily::SubtreeEstimator,
+        AppFamily::HeavyChild,
+        AppFamily::AncestryLabeling,
+        AppFamily::MajorityCommitment,
+    ];
+
+    /// The application's display name (matches [`Controller::name`]).
+    pub fn name(&self) -> &'static str {
+        match self {
+            AppFamily::SizeEstimator => "size-estimator",
+            AppFamily::NameAssigner => "name-assigner",
+            AppFamily::SubtreeEstimator => "subtree-estimator",
+            AppFamily::HeavyChild => "heavy-child",
+            AppFamily::AncestryLabeling => "ancestry-labeling",
+            AppFamily::MajorityCommitment => "majority-commitment",
+        }
+    }
+
+    /// The family for a display name (the inverse of [`AppFamily::name`];
+    /// a sweep cell whose name resolves here is an application cell).
+    pub fn from_name(name: &str) -> Option<AppFamily> {
+        AppFamily::ALL.into_iter().find(|f| f.name() == name)
+    }
+
+    /// Builds the application over the scenario's initial tree, its
+    /// simulator seeded with the scenario seed so the inner controllers'
+    /// delay schedules replay with the workload. The families that take an
+    /// approximation factor (size estimation, subtree estimation, majority
+    /// commitment) get `β = 2`; the heavy-child decomposition fixes
+    /// `β = √3` and the name assigner and ancestry labeling fix their own
+    /// factors, as the paper prescribes. The scenario's `M` and `W` are not
+    /// used: an application sizes every iteration from the live network.
+    fn build(self, scenario: &Scenario) -> Result<Box<dyn Controller>, ControllerError> {
+        let (sim, tree) = (SimConfig::new(scenario.seed), build_tree(scenario.shape));
+        Ok(match self {
+            AppFamily::SizeEstimator => Box::new(SizeEstimator::new(sim, tree, 2.0)?),
+            AppFamily::NameAssigner => Box::new(NameAssigner::new(sim, tree)?),
+            AppFamily::SubtreeEstimator => Box::new(SubtreeEstimator::new(sim, tree, 2.0)?),
+            AppFamily::HeavyChild => Box::new(HeavyChildDecomposition::new(sim, tree)?),
+            AppFamily::AncestryLabeling => Box::new(AncestryLabeling::new(sim, tree)?),
+            AppFamily::MajorityCommitment => Box::new(MajorityCommitment::new(sim, tree, 2.0)?),
+        })
     }
 }
 
@@ -158,14 +233,32 @@ impl ControllerSpec {
 }
 
 /// The [`ControllerFactory`](crate::ControllerFactory) covering every family:
-/// resolves a [`SweepGrid`](crate::SweepGrid) family string and builds the
-/// controller over the cell's scenario.
+/// resolves a [`SweepGrid`](crate::SweepGrid) family, shard or app string
+/// and builds the controller over the cell's scenario.
+///
+/// ```
+/// use dcn_workload::{family_factory, AppFamily, Family, Scenario, ScenarioRunner};
+///
+/// let scenario = Scenario::smoke();
+/// let runner = ScenarioRunner::new(scenario.clone());
+/// let families = Family::ALL.map(|f| f.name());
+/// for name in families.into_iter().chain(AppFamily::ALL.map(|a| a.name())) {
+///     let mut ctrl = family_factory(name, &scenario).unwrap();
+///     let report = runner.run(ctrl.as_mut()).unwrap();
+///     assert_eq!(report.controller, name);
+///     assert_eq!(report.invariant_violations, 0);
+///     report.check().unwrap();
+/// }
+/// ```
 ///
 /// # Errors
 ///
 /// Returns a description for unknown family names and invalid parameter
 /// combinations (reported per cell by the engine, never propagated).
 pub fn family_factory(family: &str, scenario: &Scenario) -> Result<Box<dyn Controller>, String> {
+    if let Some(app) = AppFamily::from_name(family) {
+        return app.build(scenario).map_err(|e| e.to_string());
+    }
     if let Some(k) = parse_shard_family(family) {
         if k == 0 {
             return Err(format!("shard count must be at least 1 in {family:?}"));
@@ -182,8 +275,7 @@ pub fn family_factory(family: &str, scenario: &Scenario) -> Result<Box<dyn Contr
         .map(|c| Box::new(c) as Box<dyn Controller>)
         .map_err(|e| e.to_string());
     }
-    let family =
-        Family::from_name(family).ok_or_else(|| format!("unknown controller family {family:?}"))?;
+    let family = Family::from_name(family).ok_or_else(|| format!("unknown family {family:?}"))?;
     ControllerSpec::for_scenario(family, scenario)
         .build_for(&ScenarioRunner::new(scenario.clone()))
         .map_err(|e| e.to_string())
@@ -262,6 +354,65 @@ mod tests {
             assert!(ctrl.tree().changes() > built, "{}", family.name());
             assert!(ctrl.tree().change_log().is_empty(), "{}", family.name());
         }
+    }
+
+    #[test]
+    fn app_names_round_trip() {
+        for family in AppFamily::ALL {
+            assert_eq!(AppFamily::from_name(family.name()), Some(family));
+        }
+        assert_eq!(AppFamily::from_name("bogus"), None);
+    }
+
+    #[test]
+    fn every_app_builds_and_reports_its_own_name() {
+        let scenario = Scenario::smoke();
+        for family in AppFamily::ALL {
+            let app = family_factory(family.name(), &scenario)
+                .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
+            assert_eq!(app.name(), family.name());
+            assert!(app.tree().node_count() > 0);
+            app.check_invariants()
+                .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
+        }
+    }
+
+    #[test]
+    fn built_apps_answer_tickets_uniformly() {
+        let scenario = Scenario::smoke();
+        for family in AppFamily::ALL {
+            let mut app = family_factory(family.name(), &scenario).unwrap();
+            let at = app.tree().root();
+            let id = app.submit(at, RequestKind::AddLeaf).unwrap();
+            app.run_to_quiescence().unwrap();
+            let answers: Vec<_> = app.take_records().iter().map(|r| r.id).collect();
+            assert_eq!(answers, [id], "{}", family.name());
+            app.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn every_app_runs_through_the_one_runner_entry() {
+        let scenario = Scenario::smoke();
+        let runner = ScenarioRunner::new(scenario.clone());
+        for family in AppFamily::ALL {
+            let mut app: Box<dyn Controller> = family_factory(family.name(), &scenario).unwrap();
+            assert_eq!(app.name(), family.name());
+            let report = runner.run(app.as_mut()).unwrap();
+            assert!(report.iterations >= 1, "{}", family.name());
+            assert!(report.invariant_checks > 0, "{}", family.name());
+            report
+                .check()
+                .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
+        }
+    }
+
+    #[test]
+    fn factory_rejects_unknown_apps_with_a_description() {
+        let err = family_factory("martian-estimator", &Scenario::smoke())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.contains("martian-estimator"));
     }
 
     #[test]

@@ -22,12 +22,12 @@
 //!   corresponding cell, so rows compare request-for-request (the T4
 //!   methodology, applied grid-wide).
 
-use crate::appspec::app_factory;
 use crate::churn::ChurnModel;
 use crate::placement::Placement;
-use crate::runner::{percentiles, AppReport, RunReport, ScenarioRunner};
+use crate::runner::{percentiles, RunReport, ScenarioRunner};
 use crate::scenario::{ArrivalMode, Scenario};
 use crate::shape::TreeShape;
+use crate::spec::AppFamily;
 use dcn_controller::Controller;
 use dcn_rng::split_mix64;
 use std::fmt::Write as _;
@@ -55,9 +55,9 @@ pub struct SweepGrid {
     /// [`SweepEngine::run`] (the harness crate maps them to concrete
     /// controllers; `dcn-workload` itself stays family-agnostic).
     pub families: Vec<String>,
-    /// §5 application names (the apps axis), resolved by the canonical
-    /// [`app_factory`](crate::app_factory) and driven through
-    /// [`ScenarioRunner::run_app`]. App cells expand *after* the controller
+    /// §5 application names (the apps axis, [`AppFamily`] names), resolved
+    /// by the same factory as the families and driven through
+    /// [`ScenarioRunner::run`]. App cells expand *after* the controller
     /// cells; their per-cell seeds use the same family-blind derivation, so
     /// an application cell sees the identical workload stream as the
     /// controller cell with the same scenario coordinates. Empty for a
@@ -159,19 +159,13 @@ impl SweepGrid {
             .iter()
             .map(|&k| crate::spec::shard_family_name(k))
             .collect();
-        let drivers = self
-            .families
-            .iter()
-            .map(|f| (f, CellKind::Controller))
-            .chain(shard_names.iter().map(|n| (n, CellKind::Controller)))
-            .chain(self.apps.iter().map(|a| (a, CellKind::App)));
+        let drivers = self.families.iter().chain(&shard_names).chain(&self.apps);
         let mut cells = Vec::with_capacity(self.cell_count());
-        for (family, kind) in drivers {
+        for family in drivers {
             for scenario in &points {
                 cells.push(SweepCell {
                     index: cells.len(),
                     family: family.clone(),
-                    kind,
                     scenario: scenario.clone(),
                 });
             }
@@ -180,65 +174,39 @@ impl SweepGrid {
     }
 }
 
-/// Which runtime a sweep cell exercises: an (M, W)-controller family or a
-/// §5 application.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CellKind {
-    /// A controller family, resolved by the grid's [`ControllerFactory`] and
-    /// driven by [`ScenarioRunner::run`].
-    #[default]
-    Controller,
-    /// A §5 application, resolved by the canonical
-    /// [`app_factory`](crate::app_factory) and driven by
-    /// [`ScenarioRunner::run_app`].
-    App,
-}
-
 /// One cell of an expanded grid: a family driven through one seeded scenario.
 #[derive(Clone, Debug)]
 pub struct SweepCell {
     /// Position in the grid's expansion order (also the output row order).
     pub index: usize,
-    /// Controller-family or application name (resolved per [`CellKind`]).
+    /// Controller-family or application name, resolved by the engine's
+    /// factory; an [`AppFamily`] name makes the cell an application cell.
     pub family: String,
-    /// Whether this cell drives a controller or a §5 application.
-    pub kind: CellKind,
     /// The fully-specified scenario, including the derived seed.
     pub scenario: Scenario,
 }
 
-/// The report produced by one executed cell, per [`CellKind`].
+/// The report produced by one executed cell, tagged with the cell's kind:
+/// the emitters print different columns for the two.
 #[derive(Clone, Debug)]
 pub enum CellReport {
     /// A controller cell's [`RunReport`].
     Controller(RunReport),
-    /// An application cell's [`AppReport`].
-    App(AppReport),
+    /// An application cell's [`RunReport`].
+    App(RunReport),
 }
 
 impl CellReport {
-    /// The controller report, if this cell drove a controller.
-    pub fn controller(&self) -> Option<&RunReport> {
+    /// The run's report, whichever kind of cell ran.
+    pub fn run(&self) -> &RunReport {
         match self {
-            CellReport::Controller(r) => Some(r),
-            CellReport::App(_) => None,
-        }
-    }
-
-    /// The application report, if this cell drove a §5 application.
-    pub fn app(&self) -> Option<&AppReport> {
-        match self {
-            CellReport::App(r) => Some(r),
-            CellReport::Controller(_) => None,
+            CellReport::Controller(r) | CellReport::App(r) => r,
         }
     }
 
     /// Total messages, uniformly across both kinds.
     pub fn messages(&self) -> u64 {
-        match self {
-            CellReport::Controller(r) => r.messages,
-            CellReport::App(r) => r.messages,
-        }
+        self.run().messages
     }
 }
 
@@ -250,21 +218,15 @@ pub struct CellResult {
     /// The run's report, or a description of why it could not run (factory
     /// rejection or runner error).
     pub report: Result<CellReport, String>,
-    /// The first violated condition, if any: a §2.2
-    /// safety/liveness/accounting violation for controller cells, an
-    /// unanswered ticket or §5 invariant violation for application cells.
+    /// The first violated condition, if any ([`RunReport::check`]): a §2.2
+    /// safety/liveness/accounting violation, or a §5 invariant violation.
     pub violation: Option<String>,
 }
 
 impl CellResult {
-    /// The controller report, if this cell drove a controller and ran.
+    /// The run's report, if the cell ran.
     pub fn run_report(&self) -> Option<&RunReport> {
-        self.report.as_ref().ok().and_then(CellReport::controller)
-    }
-
-    /// The application report, if this cell drove an application and ran.
-    pub fn app_report(&self) -> Option<&AppReport> {
-        self.report.as_ref().ok().and_then(CellReport::app)
+        self.report.as_ref().ok().map(CellReport::run)
     }
 }
 
@@ -438,34 +400,32 @@ impl SweepEngine {
     }
 }
 
-/// Executes one cell: build the controller or application, drive the
-/// scenario, check the §2.2 conditions (controllers) or the ticket/invariant
-/// conditions (applications).
+/// Executes one cell: build the controller, drive the scenario, check the
+/// report ([`RunReport::check`]).
 fn run_cell(cell: &SweepCell, factory: &ControllerFactory<'_>) -> CellResult {
     let runner = ScenarioRunner::new(cell.scenario.clone());
-    let (report, violation) = match cell.kind {
-        CellKind::Controller => {
-            let report = factory(&cell.family, &cell.scenario)
-                .and_then(|mut ctrl| runner.run(ctrl.as_mut()).map_err(|e| e.to_string()));
-            let violation = report
-                .as_ref()
-                .ok()
-                .and_then(|r| r.check().err())
-                .map(|v| v.to_string());
-            (report.map(CellReport::Controller), violation)
-        }
-        CellKind::App => {
-            let report = app_factory(&cell.family, &cell.scenario)
-                .and_then(|mut app| runner.run_app(app.as_mut()).map_err(|e| e.to_string()));
-            let violation = report.as_ref().ok().and_then(|r| r.check().err());
-            (report.map(CellReport::App), violation)
-        }
-    };
+    let report = factory(&cell.family, &cell.scenario)
+        .and_then(|mut ctrl| runner.run(ctrl.as_mut()).map_err(|e| e.to_string()));
+    let violation = report
+        .as_ref()
+        .ok()
+        .and_then(|r| r.check().err())
+        .map(|v| v.to_string());
+    let report = report.map(if is_app(&cell.family) {
+        CellReport::App
+    } else {
+        CellReport::Controller
+    });
     CellResult {
         cell: cell.clone(),
         report,
         violation,
     }
+}
+
+/// `true` for an application cell: a cell's kind is a function of its name.
+fn is_app(family: &str) -> bool {
+    AppFamily::from_name(family).is_some()
 }
 
 impl SweepReport {
@@ -510,28 +470,21 @@ impl SweepReport {
                 // Moves and memory are controller-side cost measures; an
                 // application family's rows aggregate to 0 there and are
                 // compared on messages and latency instead.
-                let (p50_moves, p95_moves) = percentiles(
-                    reports
-                        .iter()
-                        .filter_map(|r| r.controller())
-                        .map(|r| r.moves),
-                );
+                let controllers = || {
+                    reports.iter().filter_map(|r| match r {
+                        CellReport::Controller(r) => Some(r),
+                        CellReport::App(_) => None,
+                    })
+                };
+                let (p50_moves, p95_moves) = percentiles(controllers().map(|r| r.moves));
                 let (p50_messages, p95_messages) =
                     percentiles(reports.iter().map(|r| r.messages()));
-                let (p50_memory_bits, p95_memory_bits) = percentiles(
-                    reports
-                        .iter()
-                        .filter_map(|r| r.controller())
-                        .map(|r| r.peak_node_memory_bits),
-                );
-                let (p50_latency, _) = percentiles(reports.iter().map(|r| match r {
-                    CellReport::Controller(r) => r.p50_answer_latency,
-                    CellReport::App(r) => r.p50_answer_latency,
-                }));
-                let (_, p95_latency) = percentiles(reports.iter().map(|r| match r {
-                    CellReport::Controller(r) => r.p95_answer_latency,
-                    CellReport::App(r) => r.p95_answer_latency,
-                }));
+                let (p50_memory_bits, p95_memory_bits) =
+                    percentiles(controllers().map(|r| r.peak_node_memory_bits));
+                let (p50_latency, _) =
+                    percentiles(reports.iter().map(|r| r.run().p50_answer_latency));
+                let (_, p95_latency) =
+                    percentiles(reports.iter().map(|r| r.run().p95_answer_latency));
                 FamilySummary {
                     family: family.to_string(),
                     cells: attempted,
@@ -574,7 +527,7 @@ impl SweepReport {
                 "{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 c.cell.index,
                 c.cell.family,
-                kind_label(c.cell.kind),
+                kind_label(&c.cell.family),
                 s.name,
                 shape_label(&s.shape),
                 churn_label(&s.churn),
@@ -673,7 +626,7 @@ impl SweepReport {
                 r#"{{"cell": {}, "family": {}, "kind": {}, "scenario": {}, "status": {}, "report": "#,
                 c.cell.index,
                 crate::json::quote(&c.cell.family),
-                crate::json::quote(kind_label(c.cell.kind)),
+                crate::json::quote(kind_label(&c.cell.family)),
                 c.cell.scenario.to_json(),
                 crate::json::quote(&cell_status(c)),
             );
@@ -755,11 +708,12 @@ fn cell_status(c: &CellResult) -> String {
     }
 }
 
-/// A short label for a cell kind (used in CSV/JSON rows).
-pub fn kind_label(kind: CellKind) -> &'static str {
-    match kind {
-        CellKind::Controller => "controller",
-        CellKind::App => "app",
+/// The kind column of a cell's CSV/JSON row.
+fn kind_label(family: &str) -> &'static str {
+    if is_app(family) {
+        "app"
+    } else {
+        "controller"
     }
 }
 
@@ -961,15 +915,10 @@ mod tests {
         // (1 family + 2 apps) × 2 shapes × 2 churns × 2 replicates.
         assert_eq!(grid.cell_count(), 24);
         let cells = grid.cells();
-        let controllers = cells
-            .iter()
-            .filter(|c| c.kind == CellKind::Controller)
-            .count();
-        let apps = cells.iter().filter(|c| c.kind == CellKind::App).count();
-        assert_eq!(controllers, 8);
+        let apps = cells.iter().filter(|c| is_app(&c.family)).count();
         assert_eq!(apps, 16);
         // Controller cells come first; app cells follow in apps order.
-        assert!(cells[..8].iter().all(|c| c.kind == CellKind::Controller));
+        assert!(cells[..8].iter().all(|c| !is_app(&c.family)));
         assert_eq!(cells[8].family, "size-estimator");
         assert_eq!(cells[16].family, "name-assigner");
     }
@@ -989,19 +938,19 @@ mod tests {
     #[test]
     fn app_cells_run_clean_and_deterministically_parallel() {
         let grid = apps_grid();
-        let serial = SweepEngine::new(1).run(&grid, &iterated_factory);
-        let parallel = SweepEngine::new(4).run(&grid, &iterated_factory);
+        let serial = SweepEngine::new(1).run(&grid, &crate::family_factory);
+        let parallel = SweepEngine::new(4).run(&grid, &crate::family_factory);
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(serial.to_json(), parallel.to_json());
         assert_eq!(serial.error_count(), 0);
         assert_eq!(serial.violation_count(), 0);
         // App cells produced app reports with clean invariants.
-        for cell in serial.cells.iter().filter(|c| c.cell.kind == CellKind::App) {
-            let report = cell.app_report().expect("app cell ran");
+        for cell in serial.cells.iter().filter(|c| is_app(&c.cell.family)) {
+            assert!(matches!(cell.report, Ok(CellReport::App(_))));
+            let report = cell.run_report().expect("app cell ran");
             assert_eq!(report.invariant_violations, 0);
             assert!(report.invariant_checks > 0);
             assert!(report.messages > 0);
-            assert!(cell.run_report().is_none());
         }
         // Summaries cover the app families (messages populated, moves 0).
         let summaries = serial.summaries();
@@ -1034,7 +983,9 @@ mod tests {
         grid.apps = vec!["martian-estimator".to_string()];
         let report = SweepEngine::new(2).run(&grid, &iterated_factory);
         assert_eq!(report.error_count(), 8);
-        assert!(report.to_csv().contains("error: unknown application"));
+        // The factory does not know the name, so neither is it an app cell.
+        assert!(report.to_csv().contains(",controller,"));
+        assert!(report.to_csv().contains("error: unknown family"));
     }
 
     #[test]
@@ -1051,7 +1002,7 @@ mod tests {
         assert_eq!(cells[8].family, "sharded:k1");
         assert_eq!(cells[16].family, "sharded:k2");
         assert_eq!(cells[24].family, "sharded:k8");
-        assert!(cells.iter().all(|c| c.kind == CellKind::Controller));
+        assert!(cells.iter().all(|c| !is_app(&c.family)));
         // Seeds are family-blind: every driver block repeats the same seed
         // sequence, so sharded:k1 meets the distributed family's workload.
         for i in 0..8 {

@@ -4,15 +4,16 @@
 //! "is peer u upstream of peer v?" locally (Corollary 5.7) — all maintained
 //! while the overlay changes.
 //!
-//! The §5 applications run on batch APIs layered *above* the controller, so
-//! this example drives them directly; the churn operations still come from
-//! the shared workload generators ([`ChurnOp::to_request`]).
+//! Each §5 application is a controller; this example drives them directly
+//! in batches (`run_batch`), with churn operations from the shared workload
+//! generators ([`ChurnOp::to_request`]).
 //!
 //! ```text
 //! cargo run --example overlay_directory
 //! ```
 
-use dcn::estimator::{AncestryLabeling, Application, HeavyChildDecomposition, NameAssigner};
+use dcn::controller::Controller;
+use dcn::estimator::{AncestryLabeling, HeavyChildDecomposition, NameAssigner};
 use dcn::simnet::SimConfig;
 use dcn::workload::{build_tree, ChurnGenerator, ChurnModel, ChurnOp, TreeShape};
 
@@ -42,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_id,
         4 * n,
         names.iterations(),
-        names.messages()
+        names.metrics().messages
     );
 
     // 2. Heavy-child decomposition for light-depth routing structures.

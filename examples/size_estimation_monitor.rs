@@ -2,9 +2,9 @@
 //! 2-approximation of the overlay size while peers join and leave, at a few
 //! messages per change.
 //!
-//! The size estimator runs on a batch API layered above the controller, so
-//! this example drives it directly; the churn operations still come from the
-//! shared workload generators ([`ChurnOp::to_request`]).
+//! The size estimator is a controller; this example drives it directly in
+//! batches (`run_batch`), with churn operations from the shared workload
+//! generators ([`ChurnOp::to_request`]).
 //!
 //! ```text
 //! cargo run --example size_estimation_monitor
@@ -14,7 +14,8 @@
 //! estimate held by the nodes is printed next to the true size after every
 //! churn wave and never drifts outside the factor-2 band.
 
-use dcn::estimator::{Application, SizeEstimator};
+use dcn::controller::Controller;
+use dcn::estimator::SizeEstimator;
 use dcn::simnet::SimConfig;
 use dcn::workload::{build_tree, ChurnGenerator, ChurnModel, ChurnOp, TreeShape};
 

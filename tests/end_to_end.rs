@@ -162,15 +162,29 @@ fn adaptive_distributed_controller_runs_through_the_scenario_runner() {
 #[test]
 fn a_constant_delay_run_is_pinned_field_for_field() {
     let recorded = [
-        (ArrivalMode::Batch, (12_386, 12_423), (264, 1_814), (137, 4)),
+        (
+            ArrivalMode::Batch,
+            (12_386, 12_423),
+            (264, 1_814),
+            (137, 4),
+            (149, 17),
+        ),
         (
             ArrivalMode::Interleaved { quantum: 48 },
             (10_181, 10_211),
             (6_956, 19_466),
             (139, 6),
+            (144, 1),
         ),
     ];
-    for (arrival, (moves, messages), (p50, p95), (final_nodes, final_max_degree)) in recorded {
+    for (
+        arrival,
+        (moves, messages),
+        (p50, p95),
+        (final_nodes, final_max_degree),
+        (changes, invariant_checks),
+    ) in recorded
+    {
         let scenario = Scenario {
             name: "constant-delay-control".to_string(),
             shape: TreeShape::Path { nodes: 64 },
@@ -210,6 +224,11 @@ fn a_constant_delay_run_is_pinned_field_for_field() {
             peak_node_memory_bits: 9,
             final_nodes,
             final_max_degree,
+            iterations: 1,
+            changes,
+            invariant_checks,
+            invariant_violations: 0,
+            first_violation: None,
         };
         assert_eq!(runner.run(&mut ctrl).unwrap(), expected);
     }
@@ -260,9 +279,7 @@ fn generated_churn_through_the_adaptive_controller_is_safe_and_live() {
 
 #[test]
 fn all_section_five_applications_hold_their_invariants_under_one_shared_trace() {
-    use dcn::estimator::{
-        AncestryLabeling, Application, HeavyChildDecomposition, NameAssigner, SizeEstimator,
-    };
+    use dcn::estimator::{AncestryLabeling, HeavyChildDecomposition, NameAssigner, SizeEstimator};
 
     // The same churn trace (same seed, same model) is fed to all four
     // applications; every application-specific invariant must hold after
@@ -334,14 +351,14 @@ fn all_section_five_applications_hold_their_invariants_under_one_shared_trace() 
 }
 
 /// The acceptance test of the application-layer refactor: all six §5
-/// applications — built through the *same* `app_factory` — run the same
-/// seeded scenario through the single `ScenarioRunner::run_app` code path,
+/// applications — built through the *same* `family_factory` — run the same
+/// seeded scenario through the single `ScenarioRunner::run` code path,
 /// in both the closed-loop and open-loop arrival modes; every ticket
 /// resolves and every application-specific invariant holds at the quiescent
 /// checkpoints.
 #[test]
 fn all_six_applications_run_through_the_unified_ticketed_runtime() {
-    use dcn::workload::{app_factory, AppFamily};
+    use dcn::workload::{family_factory, AppFamily};
 
     let base = Scenario {
         name: "e2e-apps".to_string(),
@@ -366,12 +383,12 @@ fn all_six_applications_run_through_the_unified_ticketed_runtime() {
             let mut scenario = base.clone();
             scenario.arrival = arrival;
             let runner = ScenarioRunner::new(scenario.clone());
-            let mut app = app_factory(family.name(), &scenario)
+            let mut app = family_factory(family.name(), &scenario)
                 .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
             let report = runner
-                .run_app(app.as_mut())
+                .run(app.as_mut())
                 .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
-            assert_eq!(report.app, family.name());
+            assert_eq!(report.controller, family.name());
             assert_eq!(
                 report.granted + report.rejected,
                 report.submitted,
@@ -384,8 +401,8 @@ fn all_six_applications_run_through_the_unified_ticketed_runtime() {
                 .check()
                 .unwrap_or_else(|e| panic!("{} ({arrival:?}): {e}", family.name()));
             // The run is reproducible ticket-for-ticket.
-            let mut again = app_factory(family.name(), &scenario).unwrap();
-            assert_eq!(runner.run_app(again.as_mut()).unwrap(), report);
+            let mut again = family_factory(family.name(), &scenario).unwrap();
+            assert_eq!(runner.run(again.as_mut()).unwrap(), report);
         }
     }
 }
