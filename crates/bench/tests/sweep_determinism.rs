@@ -177,14 +177,24 @@ fn quick_sweep_output_matches_the_pre_migration_golden_hashes() {
 }
 
 /// Same pin for the apps axis (`dcn-sweep --quick --apps`).
+///
+/// Re-pinned, consciously, when ancestry labels began to take new nodes
+/// from room reserved in their parent's interval instead of re-labeling the
+/// whole tree after every slice with an insertion. Diffed per family
+/// and column against the parent: only the 24 `ancestry-labeling` rows
+/// moved, in `messages` and `amortized_mpc` only (the family's messages
+/// 26 548 → 22 876), and so did that family's summary row (p50 / p95
+/// messages 933 / 2 022 → 786 / 1 798). The other nine families' rows and
+/// summaries are byte-identical, and so are the other three pins in this
+/// file and every `dcn-exp` pin in `exp_tables.rs`.
 #[test]
 fn quick_apps_sweep_output_matches_the_pre_migration_golden_hashes() {
     let report = run_grid(
         &dcn_bench::quick_grid(dcn_bench::DEFAULT_SWEEP_SEED, 1, true),
         4,
     );
-    assert_eq!(fnv1a(report.to_csv().as_bytes()), 0xaea3_c567_9bd6_ae0b);
-    assert_eq!(fnv1a(report.to_json().as_bytes()), 0x6635_358d_9306_4457);
+    assert_eq!(fnv1a(report.to_csv().as_bytes()), 0x81cd_f08b_fb7c_5fa7);
+    assert_eq!(fnv1a(report.to_json().as_bytes()), 0xc3a9_56b7_47b6_711f);
 }
 
 /// The sharded-controller grid: the `distributed` family side by side with

@@ -81,7 +81,9 @@ pub enum InvariantError {
         /// The unlabeled node.
         node: NodeId,
     },
-    /// Corollary 5.7: label containment disagrees with tree ancestry.
+    /// Corollary 5.7: label containment disagrees with tree ancestry — or,
+    /// when `by_label` and `by_tree` are both `false`, the labels of two
+    /// siblings overlap, so a node added below one of them could disagree.
     AncestryMismatch {
         /// The prospective ancestor.
         ancestor: NodeId,
@@ -151,6 +153,16 @@ impl fmt::Display for InvariantError {
                 "node {node} has {light} light ancestors, above the bound {bound} (n = {nodes})"
             ),
             InvariantError::MissingLabel { node } => write!(f, "node {node} has no label"),
+            InvariantError::AncestryMismatch {
+                ancestor,
+                descendant,
+                by_label: false,
+                by_tree: false,
+            } => write!(
+                f,
+                "labels of {ancestor} and {descendant} overlap, but neither is an \
+                 ancestor of the other"
+            ),
             InvariantError::AncestryMismatch {
                 ancestor,
                 descendant,
@@ -235,6 +247,15 @@ mod tests {
                     by_tree: false,
                 },
                 "disagrees",
+            ),
+            (
+                InvariantError::AncestryMismatch {
+                    ancestor: node,
+                    descendant: node,
+                    by_label: false,
+                    by_tree: false,
+                },
+                "overlap",
             ),
             (
                 InvariantError::LabelTooWide {

@@ -18,7 +18,8 @@
 //!   child such that every node has `O(log n)` light ancestors (Theorem 5.4);
 //! * [`AncestryLabeling`] — a dynamic extension of the classical interval
 //!   ancestry labeling that keeps labels of size `O(log n)` under controlled
-//!   deletions by re-labeling when the size estimate shrinks (Corollary 5.7);
+//!   deletions by re-labeling when the size estimate shrinks (Corollary 5.7),
+//!   and places insertions in room reserved inside their parent's interval;
 //! * [`MajorityCommitment`] — the Bar-Yehuda–Kutten majority-commitment
 //!   protocol generalized to churning networks via the size estimator (§1.3,
 //!   §1.4).

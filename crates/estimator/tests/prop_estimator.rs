@@ -39,6 +39,11 @@ fn random_ops(rng: &mut DetRng, lo: usize, hi: usize) -> Vec<Op> {
 
 fn concretize(tree: &DynamicTree, op: Op) -> Option<(NodeId, RequestKind)> {
     let nodes: Vec<NodeId> = tree.nodes().collect();
+    concretize_among(tree, &nodes, op)
+}
+
+/// Like [`concretize`], with the operation's node drawn from `nodes`.
+fn concretize_among(tree: &DynamicTree, nodes: &[NodeId], op: Op) -> Option<(NodeId, RequestKind)> {
     match op {
         Op::AddLeaf(k) => Some((nodes[k % nodes.len()], RequestKind::AddLeaf)),
         Op::AddInternal(k) => {
@@ -150,6 +155,56 @@ fn ancestry_labeling_invariants_hold() {
                 .filter_map(|&op| concretize(labels.tree(), op))
                 .collect();
             labels.run_batch(&batch).unwrap();
+            labels
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        }
+    }
+}
+
+/// Ancestry labeling under insertion-heavy churn (add-leaf 3 : add-internal
+/// 2 : remove 1): each batch is submitted in three parts with a short step
+/// after each, and a later part puts most of its operations on nodes the
+/// batch created, so new leaves and splits land under new nodes. Labels stay
+/// present, correct and short after every step.
+#[test]
+fn ancestry_labeling_invariants_hold_under_insertions() {
+    for case in 0..CASES {
+        let mut rng = DetRng::seed_from_u64(4_000 + case);
+        let seed = rng.gen_range(0u64..500);
+        let n0 = rng.gen_range(4usize..24);
+        let tree = DynamicTree::with_initial_star(n0);
+        let mut labels = AncestryLabeling::new(SimConfig::new(seed), tree).unwrap();
+        for _ in 0..6 {
+            let first_new = labels.tree().total_created();
+            for _ in 0..3 {
+                let tree = labels.tree();
+                let all: Vec<NodeId> = tree.nodes().collect();
+                let fresh: Vec<NodeId> = tree.nodes().filter(|v| v.index() >= first_new).collect();
+                let mut batch = Vec::new();
+                for _ in 0..rng.gen_range(1usize..6) {
+                    let k = rng.gen_range(0usize..128);
+                    let op = match rng.gen_range(0u32..6) {
+                        0..=2 => Op::AddLeaf(k),
+                        3..=4 => Op::AddInternal(k),
+                        _ => Op::Remove(k),
+                    };
+                    let pool = if fresh.is_empty() || rng.gen_bool(0.25) {
+                        &all
+                    } else {
+                        &fresh
+                    };
+                    batch.extend(concretize_among(tree, pool, op));
+                }
+                for (at, kind) in batch {
+                    labels.submit(at, kind).unwrap();
+                }
+                labels.step(rng.gen_range(1u64..64)).unwrap();
+                labels
+                    .check_invariants()
+                    .unwrap_or_else(|e| panic!("case {case}: {e}"));
+            }
+            labels.run_to_quiescence().unwrap();
             labels
                 .check_invariants()
                 .unwrap_or_else(|e| panic!("case {case}: {e}"));
