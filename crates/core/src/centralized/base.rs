@@ -178,8 +178,8 @@ impl CentralizedController {
         aud.check_invariants(&self.tree, &self.params, host_of)
     }
 
-    /// Serves a request without issuing a reject of its own: `None` when the
-    /// root's storage cannot supply the package the request needs (the
+    /// Serves a request without a reject wave: `None`, a counted reject, when
+    /// the root's storage cannot supply the package the request needs (the
     /// exhausted round the epoch engine recycles). A node that holds a
     /// reject package answers [`Outcome::Rejected`] at once.
     ///
@@ -219,6 +219,7 @@ impl CentralizedController {
                 let level = self.params.root_level_for_distance(dist);
                 let size = self.params.mobile_size(level);
                 if self.storage < size {
+                    self.rejected += 1;
                     return Ok(None);
                 }
                 self.storage -= size;
@@ -408,7 +409,6 @@ impl SyncController for CentralizedController {
             Some(outcome) => Ok(outcome),
             None => {
                 self.broadcast_reject_wave();
-                self.rejected += 1;
                 Ok(Outcome::Rejected)
             }
         }
@@ -490,5 +490,41 @@ impl InnerController for CentralizedController {
 
     fn broadcast_reject(&mut self) {
         self.broadcast_reject_wave();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::Controller;
+
+    /// The engine reads a round's `rejected()` to close it, so a round
+    /// counts the rejects it answers through `enter` too, not only through
+    /// `decide`.
+    #[test]
+    fn a_round_entered_past_its_budget_counts_its_rejects() {
+        let mut round = CentralizedController::start(
+            SimConfig::new(0),
+            DynamicTree::with_initial_star(7),
+            3,
+            1,
+            16,
+            None,
+        )
+        .unwrap();
+        let root = Controller::tree(&round).root();
+        for _ in 0..8 {
+            round.enter(root, RequestKind::NonTopological).unwrap();
+        }
+        let rejects = Controller::records(&round)
+            .iter()
+            .filter(|r| r.outcome == Outcome::Rejected)
+            .count() as u64;
+        assert!(
+            rejects > 0,
+            "a round of 3 permits rejects some of 8 requests"
+        );
+        assert_eq!(Controller::rejected(&round), rejects);
+        assert_eq!(Controller::granted(&round) + rejects, 8);
     }
 }

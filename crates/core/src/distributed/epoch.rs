@@ -302,7 +302,7 @@ pub trait IterationPolicy<C = DistributedController> {
 
     /// Asked at a quiescent point where `iteration` rejected requests: `true`
     /// makes those rejects, and every later answer, final; the default
-    /// rotates to a fresh iteration and retries them there.
+    /// retries them in the next iteration.
     fn rejects_are_final(&self, iteration: &C) -> bool {
         let _ = iteration;
         false
@@ -315,9 +315,8 @@ pub trait IterationPolicy<C = DistributedController> {
     }
 
     /// Asked at every slice: `true` ends the running `iteration` — it admits
-    /// nothing more, and its next quiescent point rotates. The default never
-    /// does: a §5 iteration takes requests until it is quiescent and
-    /// exhausted.
+    /// nothing more, and its next quiescent point rotates. An iteration that
+    /// has rejected ends whatever this says; the default ends no other.
     fn ends_iteration(&self, iteration: &C) -> bool {
         let _ = iteration;
         false
@@ -335,11 +334,13 @@ const MAX_STALLED_ROTATIONS: u32 = 64;
 /// outer tickets, parameterised by an [`IterationPolicy`].
 ///
 /// `submit` queues a request under a ticket that survives rotations; `step`
-/// hands the queue — new requests and rejected ones — to the running
-/// iteration unless the policy ends it, advances it by a bounded slice and
-/// collects the answers. Grants are final; at a quiescent point with rejects
-/// the policy says whether to rotate and retry them or answer them for good.
-/// Seeds run `seed, seed+1, …` over the rotations.
+/// hands the queue — new requests and the last iteration's rejects — to the
+/// running iteration, advances it by a bounded slice and collects the
+/// answers. Grants are final. An iteration admits nothing more after its
+/// first reject (or once the policy ends it): what it has in flight drains,
+/// and at its quiescent point the policy says whether to rotate and retry
+/// the rejects or answer them for good. Seeds run `seed, seed+1, …` over the
+/// rotations.
 #[derive(Debug)]
 pub struct IterationDriver<P, C = DistributedController> {
     config: SimConfig,
@@ -358,8 +359,7 @@ pub struct IterationDriver<P, C = DistributedController> {
     seed_counter: u64,
     /// Outer tickets submitted but not yet handed to the inner controller.
     queued: Vec<Pending>,
-    /// Requests rejected by the running iteration, for the next slice or
-    /// the quiescent point.
+    /// Requests rejected by the running iteration, retried by the next one.
     retry: Vec<Pending>,
     stalled_rotations: u32,
     /// Set once the run's budget is spent (a zero-budget plan, or
@@ -495,9 +495,8 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     /// the valve).
     fn slice(&mut self, budget: Option<u64>) -> Result<Progress, ControllerError> {
         // A closing iteration admits nothing: what it has in flight drains,
-        // the queue waits for the next one.
-        let closing = self.ends_iteration();
-        if !closing {
+        // its rejects and the queue wait for the next one.
+        if !self.ends_iteration() {
             self.flush_queued()?;
         }
         let progress = self.shell.step(budget)?;
@@ -522,7 +521,7 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
         if self.spent {
             // Rejects what a closing iteration held back.
             self.flush_queued()?;
-        } else if !self.retry.is_empty() || closing || self.ends_iteration() {
+        } else if self.ends_iteration() {
             // The slice ends at the rotation, so a hook that runs after it
             // sees the freshly installed iteration over the tree exactly as
             // it was parked (the subtree estimator's ω₀ snapshot is the
@@ -544,14 +543,13 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
         })
     }
 
-    /// The policy's [`IterationPolicy::ends_iteration`], until the budget
-    /// is spent.
+    /// `true` once the running iteration has rejected or the policy ends it
+    /// ([`IterationPolicy::ends_iteration`]), until the budget is spent.
     fn ends_iteration(&self) -> bool {
         !self.spent
-            && self
-                .shell
-                .live()
-                .is_some_and(|iteration| self.policy.ends_iteration(iteration))
+            && self.shell.live().is_some_and(|iteration| {
+                iteration.rejected() > 0 || self.policy.ends_iteration(iteration)
+            })
     }
 
     /// Hands queued and retried requests to the inner controller under their

@@ -126,10 +126,10 @@ impl<C: InnerController> IterationPolicy<C> for Schedule {
         }
     }
 
-    /// A round ends once it has rejected (nothing more is admitted: the
-    /// rejects wait for the recycle) or once the epoch is due for a refresh.
+    /// A round ends once its epoch is due for a refresh (and, like every
+    /// iteration, once it has rejected).
     fn ends_iteration(&self, iteration: &C) -> bool {
-        Controller::rejected(iteration) > 0 || self.refresh_due(iteration.tree())
+        self.refresh_due(iteration.tree())
     }
 }
 

@@ -31,8 +31,8 @@
 //! [`IterationPolicy`]; the iterated controllers are its other user). It
 //! plans each iteration through the application's [`IterationPolicy`]
 //! (per-iteration α/β budgets, interval mode, renaming) — the hooks the
-//! applications leave at their defaults are the §5 behaviour: rotate when an
-//! iteration is exhausted and retry there, `2n` for the closing count wave —
+//! applications leave at their defaults are the §5 behaviour: retry an
+//! iteration's rejects in the next one, `2n` for the closing count wave —
 //! and its inherent methods are the same ticket/step seam as the
 //! controllers': `submit` → [`RequestId`] tickets that survive iteration
 //! rebuilds, bounded `step(budget)`, and the answers as records, read with
@@ -77,9 +77,9 @@ macro_rules! engine_controller {
         }
 
         /// `u64::MAX`: an application has no run-wide budget. Each
-        /// iteration's controller has its own, and the engine applies the
-        /// §5 retry rules, so a run report's safety and liveness checks are
-        /// vacuous here.
+        /// iteration's controller has its own, and the engine retries its
+        /// rejects in the next one, so a run report's safety and liveness
+        /// checks are vacuous here.
         fn budget(&self) -> u64 {
             u64::MAX
         }

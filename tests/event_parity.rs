@@ -2,7 +2,8 @@
 //! build environment has no proptest; every failure reproduces from its
 //! printed case seed).
 //!
-//! Three properties must hold for **all six** controller families:
+//! Three properties must hold for **all six** controller families, and the
+//! third for the six §5 applications too:
 //!
 //! 1. **Event/counter parity.** The drained [`ControllerEvent`] stream is not
 //!    a parallel truth: its `Granted` / `Rejected` / `Refused` totals equal
@@ -13,15 +14,20 @@
 //!    concatenated, answer each issued ticket exactly once, and a take after
 //!    the last answer finds nothing.
 //! 3. **Step ≡ run.** Driving execution with `step(budget)` until quiescence
-//!    is observationally identical to one `run_to_quiescence` call: same
-//!    records taken, same counters, same tree, same cost metrics.
+//!    — at budgets 1 and 7, within a bounded number of slices — is
+//!    observationally identical to one `run_to_quiescence` call: same records
+//!    taken, same counters, same tree, same cost metrics.
 
 use dcn::controller::{Controller, ControllerEvent, RequestId, RequestRecord};
 use dcn::workload::{
-    build_tree, ChurnGenerator, ChurnModel, ControllerSpec, Family, Scenario, TreeShape,
+    build_tree, family_factory, AppFamily, ChurnGenerator, ChurnModel, ControllerSpec, Family,
+    Scenario, TreeShape,
 };
 
 const CASES: u64 = 6;
+
+/// Slices one step-until-quiescent loop may take before it counts as stuck.
+const MAX_SLICES: u32 = 10_000;
 
 fn scenario(seed: u64) -> Scenario {
     let mut s = Scenario::smoke();
@@ -69,15 +75,24 @@ fn run_fully(ctrl: &mut dyn Controller) {
     ctrl.run_to_quiescence().unwrap();
 }
 
-/// Steps in slices of 7 events until quiescent, taking the answers after
-/// every slice into `taken`.
-fn step_and_take(taken: &mut Vec<RequestRecord>) -> impl FnMut(&mut dyn Controller) + '_ {
-    |ctrl| loop {
-        let quiescent = ctrl.step(7).unwrap().quiescent;
-        taken.extend(ctrl.take_records());
-        if quiescent {
-            break;
+/// Steps in slices of `budget` events until quiescent, taking the answers
+/// after every slice into `taken`; fails after [`MAX_SLICES`] slices.
+fn step_and_take(
+    budget: u64,
+    taken: &mut Vec<RequestRecord>,
+) -> impl FnMut(&mut dyn Controller) + '_ {
+    move |ctrl| {
+        for _ in 0..MAX_SLICES {
+            let quiescent = ctrl.step(budget).unwrap().quiescent;
+            taken.extend(ctrl.take_records());
+            if quiescent {
+                return;
+            }
         }
+        panic!(
+            "{}: not quiescent after {MAX_SLICES} slices of {budget} events",
+            ctrl.name()
+        );
     }
 }
 
@@ -164,7 +179,7 @@ fn every_ticket_is_taken_exactly_once_for_all_six_families() {
         for family in Family::ALL {
             let mut ctrl = build(family, &scenario);
             let mut taken = Vec::new();
-            let tickets = drive(ctrl.as_mut(), &scenario, &mut step_and_take(&mut taken));
+            let tickets = drive(ctrl.as_mut(), &scenario, &mut step_and_take(7, &mut taken));
             let mut answered: Vec<RequestId> = taken.iter().map(|r| r.id).collect();
             answered.sort_unstable();
             assert_eq!(
@@ -185,55 +200,50 @@ fn every_ticket_is_taken_exactly_once_for_all_six_families() {
 
 #[test]
 fn stepping_until_quiescent_is_observationally_identical_to_running() {
-    for case in 0..CASES {
-        let scenario = scenario(1_000 + case);
-        for family in Family::ALL {
-            let mut ran = build(family, &scenario);
+    let names = Family::ALL
+        .map(|f| f.name())
+        .into_iter()
+        .chain(AppFamily::ALL.map(|a| a.name()));
+    for name in names {
+        for case in 0..CASES {
+            let scenario = scenario(1_000 + case);
+            let mut ran = family_factory(name, &scenario).unwrap();
             let ran_tickets = drive(ran.as_mut(), &scenario, &mut run_fully);
-            let mut stepped = build(family, &scenario);
-            let mut stepped_records = Vec::new();
-            let stepped_tickets = drive(
-                stepped.as_mut(),
-                &scenario,
-                &mut step_and_take(&mut stepped_records),
-            );
-
-            assert_eq!(
-                ran_tickets,
-                stepped_tickets,
-                "case {case} {}: identical submission streams",
-                family.name()
-            );
-            assert_eq!(
-                ran.take_records(),
-                stepped_records,
-                "case {case} {}: identical records taken",
-                family.name()
-            );
-            assert_eq!(
-                ran.granted(),
-                stepped.granted(),
-                "case {case} {}",
-                family.name()
-            );
-            assert_eq!(
-                ran.rejected(),
-                stepped.rejected(),
-                "case {case} {}",
-                family.name()
-            );
-            assert_eq!(
-                ran.metrics(),
-                stepped.metrics(),
-                "case {case} {}: identical cost metrics",
-                family.name()
-            );
-            assert_eq!(
-                ran.tree().node_count(),
-                stepped.tree().node_count(),
-                "case {case} {}: identical final trees",
-                family.name()
-            );
+            let ran_records = ran.take_records();
+            for budget in [1, 7] {
+                let mut stepped = family_factory(name, &scenario).unwrap();
+                let mut stepped_records = Vec::new();
+                let stepped_tickets = drive(
+                    stepped.as_mut(),
+                    &scenario,
+                    &mut step_and_take(budget, &mut stepped_records),
+                );
+                let at = format!("case {case} {name} budget {budget}");
+                assert_eq!(
+                    ran_tickets, stepped_tickets,
+                    "{at}: identical submission streams"
+                );
+                assert_eq!(
+                    ran_records, stepped_records,
+                    "{at}: identical records taken"
+                );
+                assert_eq!(ran.granted(), stepped.granted(), "{at}");
+                assert_eq!(ran.rejected(), stepped.rejected(), "{at}");
+                // Ancestry labeling charges its labeling per slice, so its
+                // cost still depends on the slicing (ROADMAP item 13).
+                if name != AppFamily::AncestryLabeling.name() {
+                    assert_eq!(
+                        ran.metrics(),
+                        stepped.metrics(),
+                        "{at}: identical cost metrics"
+                    );
+                }
+                assert_eq!(
+                    ran.tree().node_count(),
+                    stepped.tree().node_count(),
+                    "{at}: identical final trees"
+                );
+            }
         }
     }
 }
