@@ -23,10 +23,11 @@
 //!
 //! `--shards` adds the sharded-controller axis: each listed shard count `k`
 //! expands to a `sharded:k<k>` driver (the k-region `ShardedController`
-//! over the distributed family) at every scenario point, with the same
-//! family-blind seeds — so its outcome columns can be diffed against the
-//! plain families or across shard counts. Omitted, the grids are exactly
-//! the pre-axis grids (the golden-hash contract).
+//! over the distributed family; `sharded:k1` is the distributed family
+//! itself) at every scenario point, with the same family-blind seeds — so
+//! its outcome columns can be diffed against the plain families or across
+//! shard counts. Omitted, the grids are exactly the pre-axis grids (the
+//! golden-hash contract).
 //!
 //! Exits non-zero if any cell errored or violated a correctness condition
 //! (the CI smoke contract).

@@ -28,12 +28,10 @@
 //! Each wave is charged `k` messages (one slice announcement per shard) in
 //! [`Controller::metrics`], the `O(k)` exchange cost of the bin hierarchy.
 //!
-//! With `k = 1` the controller is a strict pass-through: same tree, same
-//! seed, same `U` bound, no rejection interception — records, events and
-//! metrics are identical to driving the distributed family directly (a
-//! property test in dcn-bench pins this). Shard seeds for `k ≥ 2` are derived
-//! family-blind (`split_mix64(seed ^ split_mix64(shard))`), so results never
-//! depend on the driving sweep's worker count.
+//! A federation has `k ≥ 2` shards: one shard would be the distributed
+//! family itself, which is what the sweep's `sharded:k1` driver builds. Shard
+//! seeds are derived family-blind (`split_mix64(seed ^ split_mix64(shard))`),
+//! so results never depend on the driving sweep's worker count.
 //!
 //! DESIGN.md §10 documents the addressing scheme, the wave protocol and the
 //! global-invariant argument.
@@ -154,26 +152,26 @@ pub struct ShardedController {
 
 impl ShardedController {
     /// Creates a sharded (m, w)-controller over `tree`, carved into `shards`
-    /// regions. `config.seed` seeds shard 0 directly and every further shard
-    /// through one `split_mix64` derivation; `u_bound` is the global bound on
-    /// nodes ever to exist (passed through verbatim when `shards == 1`).
+    /// regions. `config.seed` seeds every shard through one `split_mix64`
+    /// derivation; `u_bound` is the global bound on nodes ever to exist,
+    /// against which `(m, w)` is validated (each shard epoch derives its own).
     ///
     /// # Errors
     ///
     /// Same parameter validation as
     /// [`DistributedController::new`](crate::distributed::DistributedController::new),
-    /// plus `shards ≥ 1`.
+    /// plus `shards ≥ 2`.
     pub fn new(
         config: SimConfig,
-        mut tree: DynamicTree,
+        tree: DynamicTree,
         m: u64,
         w: u64,
         u_bound: usize,
         shards: usize,
     ) -> Result<Self, ControllerError> {
-        if shards == 0 {
+        if shards < 2 {
             return Err(ControllerError::Sim(
-                "shard count must be at least 1".to_string(),
+                "a federation needs at least 2 shards".to_string(),
             ));
         }
         if u_bound < tree.node_count() {
@@ -185,46 +183,28 @@ impl ShardedController {
         // Validate (m, w) once globally, before slicing.
         crate::params::Params::new(m, w, u_bound as u64)?;
 
+        let (map, regions) = RegionMap::carve(&tree, shards);
+        let slices = exchange::slices(m, w, shards, &vec![false; shards]);
         let mut shard_vec = Vec::with_capacity(shards);
-        let (mirror, map) = if shards == 1 {
-            // Strict pass-through: the single shard owns the caller's tree,
-            // seed and bound unchanged.
-            let mirror = tree.clone();
-            let map = RegionMap::identity(&tree);
-            let local = LocalMap::identity(&tree);
-            tree.record_changes();
-            let mut shell = EpochShell::parked(tree);
-            shell.install(config, m, w, u_bound, None)?;
-            shard_vec.push(Shard {
-                shell,
-                map: local,
-                seed: config.seed,
-            });
-            (mirror, map)
-        } else {
-            let (map, regions) = RegionMap::carve(&tree, shards);
-            let slices = exchange::slices(m, w, shards, &vec![false; shards]);
-            for (i, mut region) in regions.into_iter().enumerate() {
-                region.tree.record_changes();
-                let seed = split_mix64(config.seed ^ split_mix64(i as u64));
-                let (m_i, w_i) = slices[i];
-                let mut shard = Shard {
-                    shell: EpochShell::parked(region.tree),
-                    map: region.map,
-                    seed,
-                };
-                if m_i > 0 {
-                    shard.install(&config, seed, m_i, w_i)?;
-                }
-                shard_vec.push(shard);
+        for (i, mut region) in regions.into_iter().enumerate() {
+            region.tree.record_changes();
+            let seed = split_mix64(config.seed ^ split_mix64(i as u64));
+            let (m_i, w_i) = slices[i];
+            let mut shard = Shard {
+                shell: EpochShell::parked(region.tree),
+                map: region.map,
+                seed,
+            };
+            if m_i > 0 {
+                shard.install(&config, seed, m_i, w_i)?;
             }
-            (tree, map)
-        };
+            shard_vec.push(shard);
+        }
         Ok(ShardedController {
             k: shards,
             m,
             w,
-            mirror,
+            mirror: tree,
             map,
             shards: shard_vec,
             tickets: SlidingMap::new(),
@@ -239,11 +219,6 @@ impl ShardedController {
             barren_waves: 0,
             base_config: config,
         })
-    }
-
-    /// Number of shards (regions) the controller runs.
-    pub fn shard_count(&self) -> usize {
-        self.k
     }
 
     /// Number of exchange waves run so far.
@@ -404,12 +379,11 @@ impl ShardedController {
         }
         // Phase 2: translate fresh records (the shell hands them over under
         // their global tickets and clock). Local rejections are intercepted
-        // and parked for the exchange wave (k ≥ 2 only — with one shard the
-        // slice IS the global budget and the rejection is final).
+        // and parked for the exchange wave.
         for r in self.shards[i].shell.collect() {
             let gid = r.id.0;
             match r.outcome {
-                Outcome::Rejected if self.k > 1 => self.pending.push(gid),
+                Outcome::Rejected => self.pending.push(gid),
                 Outcome::Granted { serial, new_node } => {
                     let gnew = new_node.and_then(|l| self.shards[i].map.to_global(l));
                     let outcome = Outcome::Granted {
@@ -534,11 +508,6 @@ impl Controller for ShardedController {
     /// federation is quiescent with parked tickets. Propagates shard
     /// simulator errors (first shard wins) and exchange livelock errors.
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        if self.k == 1 {
-            let progress = self.shards[0].shell.step(Some(budget))?;
-            self.collect_shard(0)?;
-            return Ok(progress);
-        }
         let slice = (budget / self.k as u64).max(1);
         let results: Vec<_> = self
             .shards
@@ -602,7 +571,6 @@ impl Controller for ShardedController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::DistributedController;
 
     fn star_tree(extra: usize) -> DynamicTree {
         DynamicTree::with_initial_star(extra)
@@ -641,38 +609,6 @@ mod tests {
         }
         ctrl.run_to_quiescence().unwrap();
         ctrl.records().to_vec()
-    }
-
-    #[test]
-    fn one_shard_is_a_strict_pass_through_of_the_distributed_family() {
-        for seed in [1u64, 7, 42] {
-            let mut plain =
-                DistributedController::new(SimConfig::new(seed), deep_tree(3, 2), 24, 6, 120)
-                    .unwrap();
-            let mut sharded =
-                ShardedController::new(SimConfig::new(seed), deep_tree(3, 2), 24, 6, 120, 1)
-                    .unwrap();
-            let a = drive(&mut plain, 18);
-            let b = drive(&mut sharded, 18);
-            assert_eq!(a, b, "seed={seed}");
-            assert_eq!(
-                Controller::metrics(&plain),
-                ShardedController::metrics(&sharded)
-            );
-            assert_eq!(plain.granted(), sharded.granted());
-            assert_eq!(plain.rejected(), sharded.rejected());
-            // The mirror evolved through replay yet matches node for node.
-            assert_eq!(
-                plain.tree().node_count(),
-                ShardedController::tree(&sharded).node_count()
-            );
-            for node in plain.tree().nodes() {
-                assert_eq!(
-                    plain.tree().parent(node),
-                    ShardedController::tree(&sharded).parent(node)
-                );
-            }
-        }
     }
 
     #[test]
@@ -824,25 +760,8 @@ mod tests {
         assert_eq!(ctrl.tickets.span(), 0);
     }
 
-    #[test]
-    fn one_shard_mirror_records_nothing_while_its_shard_tree_does() {
-        let tree = deep_tree(3, 2);
-        let built = tree.changes();
-        let mut ctrl = ShardedController::new(SimConfig::new(9), tree, 24, 6, 120, 1).unwrap();
-        drive(&mut ctrl, 18);
-        let shard_tree = ctrl.shards[0].shell.tree();
-        let applied = shard_tree.changes() - built;
-        assert!(applied > 0);
-        // Every applied change was taken from the shard's log, and the mirror
-        // replayed each one it took once.
-        assert!(shard_tree.change_log().is_empty());
-        let taken = ctrl.mirror.changes() - built;
-        assert_eq!(taken, applied);
-        assert!(ctrl.mirror.change_log().is_empty());
-    }
-
-    /// A served federation keeps no topology history: after every step each
-    /// shard's log is empty, however many changes its tree has applied.
+    /// A long-running federation keeps no topology history: after every step
+    /// each shard's log is empty, however many changes its tree has applied.
     #[test]
     fn shard_logs_are_empty_after_every_step() {
         const REQUESTS: u64 = 10_000;
@@ -883,9 +802,66 @@ mod tests {
         );
     }
 
+    /// The mirror is the regions glued back together. Under churn with
+    /// removals, splits and exchange waves, once quiescent: every region node
+    /// but the proxy maps to a live mirror node, every region edge below a
+    /// non-proxy parent is a mirror edge, and the regions hold exactly the
+    /// mirror's nodes.
+    #[test]
+    fn the_mirror_is_the_regions_glued_back_together() {
+        for k in [2usize, 4, 8] {
+            for seed in [3u64, 31] {
+                let mut ctrl =
+                    ShardedController::new(SimConfig::new(seed), deep_tree(4, 2), 40, 8, 400, k)
+                        .unwrap();
+                for i in 0..120 {
+                    let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
+                    let at = nodes[(i * 7 + seed as usize) % nodes.len()];
+                    let (at, kind) = match (i % 4, ctrl.tree().parent(at)) {
+                        (1, Some(_)) => (at, RequestKind::RemoveSelf),
+                        (2, Some(p)) => (p, RequestKind::AddInternalAbove(at)),
+                        (3, _) => (at, RequestKind::NonTopological),
+                        _ => (at, RequestKind::AddLeaf),
+                    };
+                    ctrl.submit(at, kind).unwrap();
+                    if i % 6 == 5 {
+                        ctrl.step(64).unwrap();
+                    }
+                }
+                ctrl.run_to_quiescence().unwrap();
+                assert!(ctrl.waves() > 0, "k={k} seed={seed}: no exchange wave");
+                let mirror = &ctrl.mirror;
+                mirror.check_invariants().unwrap();
+                let mut members = 0;
+                for sh in &ctrl.shards {
+                    let region = sh.shell.tree();
+                    let proxy = region.root();
+                    for local in region.nodes().filter(|&l| l != proxy) {
+                        members += 1;
+                        let global = sh.map.to_global(local);
+                        assert!(
+                            global.is_some_and(|g| mirror.contains(g)),
+                            "k={k} seed={seed}: {local} maps to no live node"
+                        );
+                        let lparent = region.parent(local).unwrap();
+                        if lparent != proxy {
+                            assert_eq!(
+                                global.and_then(|g| mirror.parent(g)),
+                                sh.map.to_global(lparent),
+                                "k={k} seed={seed}: edge {lparent} -> {local}"
+                            );
+                        }
+                    }
+                }
+                assert_eq!(members, mirror.node_count(), "k={k} seed={seed}");
+            }
+        }
+    }
+
     #[test]
     fn zero_shards_and_bad_params_are_rejected() {
         assert!(ShardedController::new(SimConfig::new(0), star_tree(3), 8, 4, 64, 0).is_err());
+        assert!(ShardedController::new(SimConfig::new(0), star_tree(3), 8, 4, 64, 1).is_err());
         assert!(ShardedController::new(SimConfig::new(0), star_tree(3), 4, 8, 64, 2).is_err());
         assert!(ShardedController::new(SimConfig::new(0), star_tree(3), 8, 4, 1, 2).is_err());
     }

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! dcn-serve [--addr HOST:PORT] [--family NAME] [--m N] [--w N]
-//!           [--shape star|path] [--nodes N] [--seed N]
-//!           [--shards K] [--port-file PATH]
+//!           [--shape star|path] [--nodes N] [--seed N] [--port-file PATH]
 //! ```
 //!
 //! Binds the address (port 0 picks an ephemeral port; `--port-file` writes
@@ -33,7 +32,6 @@ struct Args {
     shape_kind: String,
     nodes: usize,
     seed: u64,
-    shards: usize,
     port_file: Option<String>,
 }
 
@@ -46,7 +44,6 @@ fn parse_args() -> Result<Args, String> {
         shape_kind: "star".to_string(),
         nodes: 64,
         seed: 0,
-        shards: 1,
         port_file: None,
     };
     let mut it = std::env::args().skip(1);
@@ -71,14 +68,6 @@ fn parse_args() -> Result<Args, String> {
                 args.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if args.shards == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
             }
             "--port-file" => args.port_file = Some(value("--port-file")?),
             other => return Err(format!("unknown flag {other:?}")),
@@ -105,8 +94,7 @@ fn main() -> ExitCode {
     };
     let config = ServeConfig::new(args.family, args.m, args.w)
         .with_shape(shape)
-        .with_seed(args.seed)
-        .with_shards(args.shards);
+        .with_seed(args.seed);
     let handle = match serve(config, &args.addr) {
         Ok(handle) => handle,
         Err(e) => {
@@ -124,13 +112,12 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "dcn-serve listening on {local} family={} m={} w={} nodes={} seed={} shards={}",
+        "dcn-serve listening on {local} family={} m={} w={} nodes={} seed={}",
         args.family.name(),
         args.m,
         args.w,
         args.nodes,
-        args.seed,
-        args.shards
+        args.seed
     );
     handle.join();
     println!("dcn-serve: drained and stopped");

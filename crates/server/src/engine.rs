@@ -146,11 +146,6 @@ pub struct ServeConfig {
     /// Simulator events per [`Controller::step`] slice; bounds how long the
     /// engine computes between looking at its inbox.
     pub step_budget: u64,
-    /// Number of shards to carve the served tree into. `1` (the default)
-    /// serves the plain configured family; `k ≥ 2` wraps the distributed
-    /// family in a [`ShardedController`](dcn_controller::ShardedController)
-    /// federation and requires `family` to be [`Family::Distributed`].
-    pub shards: usize,
 }
 
 impl ServeConfig {
@@ -163,7 +158,6 @@ impl ServeConfig {
             shape: TreeShape::Star { nodes: 8 },
             seed: 0,
             step_budget: 4096,
-            shards: 1,
         }
     }
 
@@ -182,13 +176,6 @@ impl ServeConfig {
     /// Replaces the per-slice step budget (clamped to ≥ 1).
     pub fn with_step_budget(mut self, step_budget: u64) -> Self {
         self.step_budget = step_budget.max(1);
-        self
-    }
-
-    /// Serves a sharded federation of `shards` regions (clamped to ≥ 1; see
-    /// [`ServeConfig::shards`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -251,32 +238,13 @@ impl EngineCore {
     /// Propagates the family's parameter validation (e.g. `W = 0` for
     /// families that require `W ≥ 1`).
     pub fn new(config: ServeConfig) -> Result<Self, ControllerError> {
-        let ctrl: Box<dyn Controller> = if config.shards > 1 {
-            // A sharded federation wraps the distributed protocol; other
-            // families have no region-local agents to shard.
-            if config.family != Family::Distributed {
-                return Err(ControllerError::Sim(format!(
-                    "--shards requires the distributed family, not {}",
-                    config.family.name()
-                )));
-            }
-            Box::new(dcn_controller::ShardedController::new(
-                SimConfig::new(config.seed),
-                build_tree(config.shape),
-                config.m,
-                config.w,
-                config.u_bound(),
-                config.shards,
-            )?)
-        } else {
-            let spec = ControllerSpec {
-                family: config.family,
-                m: config.m,
-                w: config.w,
-                sim: SimConfig::new(config.seed),
-            };
-            spec.build(build_tree(config.shape), config.u_bound())?
+        let spec = ControllerSpec {
+            family: config.family,
+            m: config.m,
+            w: config.w,
+            sim: SimConfig::new(config.seed),
         };
+        let ctrl = spec.build(build_tree(config.shape), config.u_bound())?;
         Ok(EngineCore::with_controller(config, ctrl))
     }
 

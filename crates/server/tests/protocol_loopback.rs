@@ -508,44 +508,6 @@ fn batch_frames_issue_tickets_in_order_and_reject_as_a_whole() {
     assert_eq!(frame_kind(&recv_one(&mut lb, fresh)).1, "hello-required");
 }
 
-/// `ServeConfig::with_shards` serves a sharded federation behind the same
-/// wire protocol: tickets grant, stats add up, and the option is rejected
-/// at construction for families without region-local agents.
-#[test]
-fn sharded_serving_grants_through_the_same_protocol() {
-    let config = ServeConfig::new(Family::Distributed, 64, 8)
-        .with_shape(TreeShape::Path { nodes: 32 })
-        .with_shards(4);
-    let mut lb = Loopback::new(config).unwrap();
-    let c = lb.connect();
-    lb.send(c, r#"{"op": "hello", "proto": 1, "family": "distributed"}"#);
-    assert_eq!(frame_kind(&recv_one(&mut lb, c)).1, "welcome");
-    lb.send(c, r#"{"op": "subscribe"}"#);
-    assert_eq!(frame_kind(&recv_one(&mut lb, c)).1, "subscribed");
-    for node in 0..16 {
-        lb.send(
-            c,
-            format!(r#"{{"op": "submit", "kind": "event", "node": {node}}}"#).as_str(),
-        );
-    }
-    let tickets = lb.recv(c);
-    assert_eq!(tickets.len(), 16);
-    lb.run_to_quiescence();
-    let granted = lb
-        .recv(c)
-        .iter()
-        .filter(|f| frame_kind(f) == ("event".to_string(), "granted".to_string()))
-        .count();
-    assert_eq!(granted, 16, "every ticket resolves across shard boundaries");
-    lb.send(c, r#"{"op": "stats"}"#);
-    let stats = parse(&recv_one(&mut lb, c));
-    assert_eq!(stats.get("granted").unwrap().as_u64().unwrap(), 16);
-
-    // Families without region-local agents cannot shard.
-    let bad = ServeConfig::new(Family::Centralized, 64, 8).with_shards(2);
-    assert!(Loopback::new(bad).is_err());
-}
-
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -555,21 +517,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The seven served configurations: the six families plus a two-shard
-/// federation, on a small budget so a session meets rejections too.
+/// The six served configurations, one per family, on a small budget so a
+/// session meets rejections too.
 fn served_configs() -> Vec<(&'static str, ServeConfig)> {
-    let mut configs: Vec<(&'static str, ServeConfig)> = Family::ALL
+    Family::ALL
         .iter()
         .map(|&f| (f.name(), ServeConfig::new(f, 12, 3).with_seed(5)))
-        .collect();
-    configs.push((
-        "sharded-k2",
-        ServeConfig::new(Family::Distributed, 12, 3)
-            .with_seed(5)
-            .with_shape(TreeShape::Path { nodes: 12 })
-            .with_shards(2),
-    ));
-    configs
+        .collect()
 }
 
 /// A scripted two-and-a-half-client session that records every reply line
@@ -763,17 +717,18 @@ fn golden_session(config: ServeConfig) -> Vec<String> {
 /// four rows did not move), and none when `adaptive-distributed` began to
 /// run in bounded slices on the epoch engine (the session's 48-event slices
 /// answer what its whole-run step answered), and none when `poll` moved back
-/// to a window of wire outcomes kept by the engine.
+/// to a window of wire outcomes kept by the engine. The `sharded-k2` row went
+/// when `dcn-serve` stopped serving sharded federations; the six family rows
+/// did not move.
 #[test]
 fn golden_transcript_is_unchanged_for_every_family() {
-    let golden: [(&str, usize, u64); 7] = [
+    let golden: [(&str, usize, u64); 6] = [
         ("centralized", 189, 0x9e44_2447_9521_1cf1),
         ("iterated", 189, 0x68ca_8484_9fa2_2e24),
         ("distributed", 189, 0x3620_23b9_af5a_cf39),
         ("adaptive-distributed", 189, 0x1fe0_8a9d_94c9_fbad),
         ("trivial", 189, 0xa439_3a63_085c_eaf0),
         ("aaps", 194, 0x327b_62ca_0d2a_3183),
-        ("sharded-k2", 189, 0xbf33_516c_4c7e_04a2),
     ];
     let mut got = Vec::new();
     for (name, config) in served_configs() {

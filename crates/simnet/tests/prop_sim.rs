@@ -327,6 +327,11 @@ fn simulator_time_is_monotone() {
             0,
             "case {case}: an event was scheduled in the past"
         );
+        assert_eq!(
+            sim.saturated_event_count(),
+            0,
+            "case {case}: a delay saturated at the end of time"
+        );
     }
 }
 

@@ -1,9 +1,9 @@
 //! Region addressing: carve a [`DynamicTree`] into `k` connected regions and
 //! translate between global and per-region (local) node identifiers.
 //!
-//! The sharded controller (ROADMAP item 1) runs one independent distributed
-//! controller per *region* of the spanning tree. This module provides the
-//! addressing seam it needs:
+//! The sharded controller runs one independent distributed controller per
+//! *region* of the spanning tree. This module provides the addressing seam
+//! it needs:
 //!
 //! * [`RegionMap::carve`] partitions a tree into `k` regions of roughly equal
 //!   size by cutting at most `k − 1` subtrees (deterministic post-order
@@ -25,36 +25,13 @@ use crate::id::NodeId;
 use crate::tree::DynamicTree;
 
 /// Translation from local node identifiers of one region back to global
-/// identifiers. The proxy root (when present) maps to no global node.
+/// identifiers. The proxy root maps to no global node.
 #[derive(Clone, Debug, Default)]
 pub struct LocalMap {
-    proxied: bool,
     to_global: Vec<Option<NodeId>>,
 }
 
 impl LocalMap {
-    /// A map for a region whose local root is a proxy (not a global node).
-    fn proxied() -> Self {
-        LocalMap {
-            proxied: true,
-            to_global: Vec::new(),
-        }
-    }
-
-    /// An identity map over every node of `tree` (the single-region case).
-    pub fn identity(tree: &DynamicTree) -> Self {
-        let mut map = LocalMap::default();
-        for node in tree.nodes() {
-            map.bind(node, node);
-        }
-        map
-    }
-
-    /// Returns `true` when the region's local root is a proxy node.
-    pub fn is_proxied(&self) -> bool {
-        self.proxied
-    }
-
     /// The global identifier behind a local one, if the local node is mapped
     /// (the proxy root is not).
     pub fn to_global(&self, local: NodeId) -> Option<NodeId> {
@@ -92,19 +69,6 @@ pub struct RegionMap {
 }
 
 impl RegionMap {
-    /// An identity map: one region containing every node of `tree`, each node
-    /// its own local identifier (the `k = 1` fast path).
-    pub fn identity(tree: &DynamicTree) -> Self {
-        let mut map = RegionMap {
-            shard_count: 1,
-            fwd: Vec::new(),
-        };
-        for node in tree.nodes() {
-            map.bind(node, 0, node);
-        }
-        map
-    }
-
     /// Partitions `tree` into exactly `k` regions and materialises each as a
     /// standalone [`DynamicTree`].
     ///
@@ -196,7 +160,7 @@ impl RegionMap {
         for _ in 0..k {
             regions.push(CarvedRegion {
                 tree: DynamicTree::new(),
-                map: LocalMap::proxied(),
+                map: LocalMap::default(),
             });
         }
         let mut map = RegionMap {
@@ -292,13 +256,7 @@ mod tests {
                 seen += 1;
             }
             assert_eq!(seen, tree.node_count());
-            let copied: usize = regions
-                .iter()
-                .map(|r| {
-                    let proxy = usize::from(r.map.is_proxied());
-                    r.tree.node_count() - proxy
-                })
-                .sum();
+            let copied: usize = regions.iter().map(|r| r.tree.node_count() - 1).sum();
             assert_eq!(copied, tree.node_count());
         }
     }
@@ -310,7 +268,7 @@ mod tests {
         for node in tree.nodes() {
             let (shard, local) = map.locate(node).unwrap();
             let region = &regions[shard];
-            assert!(region.map.is_proxied());
+            assert_eq!(region.map.to_global(region.tree.root()), None);
             let lparent = region.tree.parent(local).expect("proxy above every node");
             match region.map.to_global(lparent) {
                 // Interior edge: parents correspond.
@@ -334,8 +292,7 @@ mod tests {
         let (_, regions) = RegionMap::carve(&tree, k);
         let target = tree.node_count().div_ceil(k);
         for region in &regions {
-            let proxy = usize::from(region.map.is_proxied());
-            let members = region.tree.node_count() - proxy;
+            let members = region.tree.node_count() - 1;
             // Post-order cutting caps a region at 2 * target members (a cut
             // fires as soon as a residual subtree reaches the target).
             assert!(members <= 2 * target, "members={members} target={target}");
@@ -352,7 +309,7 @@ mod tests {
             let mut members = 0;
             for region in &regions {
                 region.tree.check_invariants().unwrap();
-                members += region.tree.node_count() - usize::from(region.map.is_proxied());
+                members += region.tree.node_count() - 1;
             }
             assert_eq!(members, tree.node_count());
             for node in tree.nodes() {
@@ -368,10 +325,7 @@ mod tests {
         tree.add_leaf(a).unwrap();
         let (map, regions) = RegionMap::carve(&tree, 8);
         assert_eq!(regions.len(), 8);
-        let populated = regions
-            .iter()
-            .filter(|r| r.tree.node_count() > usize::from(r.map.is_proxied()))
-            .count();
+        let populated = regions.iter().filter(|r| r.tree.node_count() > 1).count();
         assert!(populated <= 3);
         for node in tree.nodes() {
             assert!(map.locate(node).is_some());

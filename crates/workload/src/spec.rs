@@ -234,7 +234,9 @@ impl ControllerSpec {
 
 /// The [`ControllerFactory`](crate::ControllerFactory) covering every family:
 /// resolves a [`SweepGrid`](crate::SweepGrid) family, shard or app string
-/// and builds the controller over the cell's scenario.
+/// and builds the controller over the cell's scenario. One shard is the
+/// distributed family itself, so `sharded:k1` builds a
+/// [`DistributedController`](dcn_controller::distributed::DistributedController).
 ///
 /// ```
 /// use dcn_workload::{family_factory, AppFamily, Family, Scenario, ScenarioRunner};
@@ -259,23 +261,23 @@ pub fn family_factory(family: &str, scenario: &Scenario) -> Result<Box<dyn Contr
     if let Some(app) = AppFamily::from_name(family) {
         return app.build(scenario).map_err(|e| e.to_string());
     }
-    if let Some(k) = parse_shard_family(family) {
-        if k == 0 {
-            return Err(format!("shard count must be at least 1 in {family:?}"));
+    let family = match parse_shard_family(family) {
+        Some(1) => Family::Distributed,
+        Some(k) => {
+            let runner = ScenarioRunner::new(scenario.clone());
+            return ShardedController::new(
+                SimConfig::new(scenario.seed),
+                runner.initial_tree(),
+                scenario.m,
+                scenario.w,
+                runner.suggested_u_bound(),
+                k,
+            )
+            .map(|c| Box::new(c) as Box<dyn Controller>)
+            .map_err(|e| e.to_string());
         }
-        let runner = ScenarioRunner::new(scenario.clone());
-        return ShardedController::new(
-            SimConfig::new(scenario.seed),
-            runner.initial_tree(),
-            scenario.m,
-            scenario.w,
-            runner.suggested_u_bound(),
-            k,
-        )
-        .map(|c| Box::new(c) as Box<dyn Controller>)
-        .map_err(|e| e.to_string());
-    }
-    let family = Family::from_name(family).ok_or_else(|| format!("unknown family {family:?}"))?;
+        None => Family::from_name(family).ok_or_else(|| format!("unknown family {family:?}"))?,
+    };
     ControllerSpec::for_scenario(family, scenario)
         .build_for(&ScenarioRunner::new(scenario.clone()))
         .map_err(|e| e.to_string())
@@ -426,11 +428,11 @@ mod tests {
     #[test]
     fn factory_builds_sharded_controllers_from_axis_names() {
         let scenario = Scenario::smoke();
-        for k in [1usize, 2, 4] {
+        for (k, family) in [(1usize, "distributed"), (2, "sharded"), (4, "sharded")] {
             let name = shard_family_name(k);
             let mut ctrl =
                 family_factory(&name, &scenario).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(ctrl.name(), "sharded");
+            assert_eq!(ctrl.name(), family);
             let at = ctrl.tree().root();
             let id = ctrl.submit(at, RequestKind::NonTopological).unwrap();
             ctrl.run_to_quiescence().unwrap();
@@ -446,19 +448,5 @@ mod tests {
         }
         assert_eq!(parse_shard_family("sharded:k16"), Some(16));
         assert_eq!(parse_shard_family("distributed"), None);
-    }
-
-    #[test]
-    fn sharded_k1_matches_the_distributed_family_end_to_end() {
-        let scenario = Scenario::smoke();
-        let runner = ScenarioRunner::new(scenario.clone());
-        let mut plain = family_factory("distributed", &scenario).unwrap();
-        let mut sharded = family_factory("sharded:k1", &scenario).unwrap();
-        let a = runner.run(plain.as_mut()).unwrap();
-        let b = runner.run(sharded.as_mut()).unwrap();
-        assert_eq!(a.granted, b.granted);
-        assert_eq!(a.rejected, b.rejected);
-        assert_eq!(plain.records(), sharded.records());
-        assert_eq!(plain.metrics(), sharded.metrics());
     }
 }

@@ -67,10 +67,10 @@ pub struct SweepGrid {
     /// axis). Each entry `k` expands to a controller driver named
     /// `sharded:k<k>` (see [`shard_family_name`](crate::shard_family_name)),
     /// placed after the plain families and before the apps. Shard cells use
-    /// the same family-blind seed derivation, so `sharded:k1` meets the
-    /// identical workload stream as the `distributed` family at the same
-    /// scenario point. Empty for a grid without the axis (existing grids are
-    /// byte-identical to before the axis existed).
+    /// the same family-blind seed derivation as every other driver. One
+    /// shard is the distributed family itself, so a `sharded:k1` row repeats
+    /// the `distributed` row at the same scenario point. Empty for a grid
+    /// without the axis.
     pub shards: Vec<usize>,
     /// Initial tree shapes.
     pub shapes: Vec<TreeShape>,
