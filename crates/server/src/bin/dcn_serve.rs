@@ -14,8 +14,8 @@
 //! ```text
 //! $ dcn-serve --addr 127.0.0.1:7007 --family centralized --m 1024 --w 64 &
 //! $ printf '%s\n' '{"op":"hello","proto":1}' \
-//!     '{"op":"submit","kind":"event","node":0}' \
-//!     '{"op":"poll","ticket":0}' '{"op":"shutdown"}' | nc 127.0.0.1 7007
+//!     '{"op":"subscribe"}' '{"op":"submit","kind":"event","node":0}' \
+//!     '{"op":"shutdown"}' | nc 127.0.0.1 7007
 //! ```
 
 #![forbid(unsafe_code)]

@@ -4,7 +4,9 @@
 //! [`ControllerSpec`]-constructed controller and turns decoded
 //! [`ClientFrame`]s into reply frames, pumping the controller with bounded
 //! [`Controller::step`] slices and routing the [`ControllerEvent`]s of the
-//! answers it takes back to the client that submitted each ticket.
+//! answers it takes back to the client that submitted each ticket. Those
+//! streamed events are the one way an answer leaves the engine: it keeps
+//! nothing of a ticket once its last event is routed.
 //!
 //! Crucially, the core is **pure state machine**: no sockets, no threads, no
 //! wall clock — time is the controller's own virtual clock. Both transports
@@ -20,109 +22,10 @@
 
 use crate::protocol::{self, ClientFrame, StatsSnapshot, Submission, WireKind, WireOutcome};
 use dcn_collections::FxHashMap;
-use dcn_controller::{
-    Controller, ControllerError, ControllerEvent, Outcome, RequestKind, RequestRecord,
-};
+use dcn_controller::{Controller, ControllerError, ControllerEvent, RequestKind};
 use dcn_simnet::SimConfig;
 use dcn_tree::NodeId;
 use dcn_workload::{build_tree, ControllerSpec, Family, TreeShape};
-use std::ops::Range;
-
-/// How many of the newest tickets issued `poll` can still answer: the engine
-/// keeps a 16 B [`Answer`] of every answered ticket among them, in a ring of
-/// this many slots, and answers `expired-ticket` for an older one. This
-/// bounds only how long a client that does *not* `subscribe` may wait before
-/// polling — 256 × the per-connection in-flight cap. A ticket answered only
-/// after this many newer ones were issued (a straggler) polls `pending` while
-/// in flight and `expired-ticket` after; its events still stream. A served
-/// process's memory follows this window, not its request count.
-pub(crate) const ANSWER_WINDOW: usize = 65_536;
-
-/// The wire names of the granted kinds, in the order of their [`Answer`]
-/// codes.
-const GRANTED_KINDS: [&str; 4] = ["add-leaf", "add-internal-above", "remove-self", "event"];
-
-/// What `poll` reports for one answered ticket, in 16 bytes: one slot of the
-/// engine's ring (DESIGN.md §9 "Per-request state").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Answer {
-    /// A grant's virtual answer time (0 for the other outcomes).
-    at: u64,
-    /// The node a granted insertion created, when `code` has
-    /// [`Answer::HAS_NODE`].
-    node: u32,
-    /// [`Answer::VACANT`], [`Answer::REJECTED`], [`Answer::REFUSED`] or
-    /// [`Answer::GRANTED`] `+ i` for the kind `GRANTED_KINDS[i]`, plus the
-    /// [`Answer::HAS_NODE`] bit.
-    code: u8,
-}
-
-impl Answer {
-    const VACANT: u8 = 0;
-    const REJECTED: u8 = 1;
-    const REFUSED: u8 = 2;
-    const GRANTED: u8 = 3;
-    const HAS_NODE: u8 = 0x80;
-    /// An empty slot: no answer kept.
-    const NONE: Answer = Answer {
-        at: 0,
-        node: 0,
-        code: Answer::VACANT,
-    };
-
-    /// The answer a controller record gives — field for field what the
-    /// ticket's streamed events said.
-    fn of(record: &RequestRecord) -> Answer {
-        match record.outcome {
-            Outcome::Granted { new_node, .. } => {
-                let kind = match record.kind {
-                    RequestKind::AddLeaf => 0,
-                    RequestKind::AddInternalAbove(_) => 1,
-                    RequestKind::RemoveSelf => 2,
-                    RequestKind::NonTopological => 3,
-                };
-                let (node, has_node) = match new_node {
-                    // A `NodeId` is a `u32` index.
-                    Some(n) => (n.index() as u32, Answer::HAS_NODE),
-                    None => (0, 0),
-                };
-                Answer {
-                    at: record.answered_at,
-                    node,
-                    code: (Answer::GRANTED + kind) | has_node,
-                }
-            }
-            Outcome::Rejected => Answer {
-                code: Answer::REJECTED,
-                ..Answer::NONE
-            },
-            Outcome::Refused => Answer {
-                code: Answer::REFUSED,
-                ..Answer::NONE
-            },
-        }
-    }
-
-    /// The `poll` reply for `ticket`, or `None` for a vacant slot.
-    fn frame(self, ticket: u64) -> Option<String> {
-        let frame = match self.code & !Answer::HAS_NODE {
-            Answer::VACANT => return None,
-            Answer::REJECTED => protocol::outcome_frame(ticket, &WireOutcome::Rejected),
-            Answer::REFUSED => protocol::outcome_frame(ticket, &WireOutcome::Refused),
-            granted => {
-                let kind = GRANTED_KINDS[usize::from(granted - Answer::GRANTED)];
-                let node = (self.code & Answer::HAS_NODE != 0).then_some(u64::from(self.node));
-                protocol::granted_outcome_frame(ticket, self.at, kind, node)
-            }
-        };
-        Some(frame)
-    }
-}
-
-/// The ring slot of `ticket`.
-fn slot(ticket: u64) -> usize {
-    (ticket % ANSWER_WINDOW as u64) as usize
-}
 
 /// Identifies one client connection for the engine's routing tables. The
 /// transport allocates these (monotonically, starting at 1).
@@ -206,20 +109,9 @@ pub struct EngineCore {
     clients: FxHashMap<ClientId, ClientState>,
     /// Tickets in flight: ticket → (submitting client, its correlation
     /// tag), from `submit` until a pump has delivered the ticket's last
-    /// event. `poll` reads `pending` while a ticket is here — even when the
-    /// controller resolved it inside `submit` — and `answers` once it is not.
+    /// event — even when the controller resolved it inside `submit`. The
+    /// engine's one per-request table: nothing of a ticket outlives it.
     route: FxHashMap<u64, (ClientId, Option<u64>)>,
-    /// `poll`'s window, the only per-request state a pump leaves behind: a
-    /// ring whose slot `t % ANSWER_WINDOW` holds, for each ticket `t` in
-    /// [`EngineCore::window`], its answer or nothing. It grows with the
-    /// tickets issued, up to `ANSWER_WINDOW` slots (1 MiB) and never past.
-    answers: Vec<Answer>,
-    /// `tickets_end` as of the last pump, which vacated the slot of every
-    /// ticket below it for that ticket. Only ever grows.
-    vacated_end: u64,
-    /// One past the highest ticket issued: what tells a ticket whose answer
-    /// left the window from one that never existed.
-    tickets_end: u64,
     submitted: u64,
     refused: u64,
     protocol_errors: u64,
@@ -256,9 +148,6 @@ impl EngineCore {
             config,
             clients: FxHashMap::default(),
             route: FxHashMap::default(),
-            answers: Vec::new(),
-            vacated_end: 0,
-            tickets_end: 0,
             submitted: 0,
             refused: 0,
             protocol_errors: 0,
@@ -323,8 +212,8 @@ impl EngineCore {
     }
 
     /// Unregisters a connection. Its tickets in flight keep their routing
-    /// entries until their events are pumped (to nobody: nothing further is
-    /// streamed), and every ticket stays pollable from any connection.
+    /// entries until their events are pumped, to nobody: nothing further is
+    /// streamed.
     pub fn client_disconnected(&mut self, client: ClientId) {
         self.clients.remove(&client);
     }
@@ -333,8 +222,7 @@ impl EngineCore {
     /// `out` immediately (a `submit`'s `ticket` frame therefore always
     /// precedes that ticket's events); outcome events flow when the
     /// transport next calls [`EngineCore::pump`] — an accepted submission
-    /// marks the engine non-quiescent so transports know to. Polling
-    /// between a submit and the next pump honestly reports `pending`.
+    /// marks the engine non-quiescent so transports know to.
     pub fn handle_line(&mut self, client: ClientId, line: &str, out: &mut Vec<Outgoing>) {
         match protocol::parse_frame(line) {
             Ok(frame) => self.apply(client, frame, out),
@@ -378,26 +266,6 @@ impl EngineCore {
                 for s in subs {
                     self.apply_submit(client, s, out);
                 }
-            }
-            ClientFrame::Poll { ticket } => {
-                let answer = self
-                    .window()
-                    .contains(&ticket)
-                    .then(|| self.answers[slot(ticket)]);
-                let reply = if self.route.contains_key(&ticket) {
-                    protocol::outcome_frame(ticket, &WireOutcome::Pending)
-                } else if let Some(frame) = answer.and_then(|a| a.frame(ticket)) {
-                    frame
-                } else {
-                    self.protocol_errors += 1;
-                    let (code, detail) = if ticket < self.tickets_end {
-                        ("expired-ticket", "was answered too long ago")
-                    } else {
-                        ("unknown-ticket", "was never issued")
-                    };
-                    protocol::error_frame(code, &format!("ticket {ticket} {detail}"), None)
-                };
-                out.push((client, reply));
             }
             ClientFrame::Subscribe => {
                 if let Some(state) = self.clients.get_mut(&client) {
@@ -509,7 +377,6 @@ impl EngineCore {
                 // The new ticket's answer (and, for synchronous families,
                 // its already-queued events) is work for the next pump.
                 self.quiescent = false;
-                self.tickets_end = self.tickets_end.max(id.0 + 1);
                 self.route.insert(id.0, (client, s.tag));
                 out.push((client, protocol::ticket_frame(id.0, s.tag)));
             }
@@ -543,16 +410,14 @@ impl EngineCore {
     /// Advances the controller by one bounded step slice and takes the
     /// slice's answers out of it, so the controller keeps no history past a
     /// pump. Each answer's events go to its submitting client (streamed only
-    /// to subscribed connections; `poll` sees the same outcome either way),
-    /// and its ticket's routing entry goes with the last of them; the engine
-    /// keeps a 16 B answer while the ticket is among the newest
-    /// `ANSWER_WINDOW` issued (65 536; an older ticket polls as
-    /// `expired-ticket`). Returns `true` while there is more in-flight work.
+    /// to a connected, subscribed one), and its ticket's routing entry goes
+    /// with the last of them: nothing of an answered ticket is kept. Returns
+    /// `true` while there is more in-flight work.
     ///
     /// A step error is final: the engine keeps it
     /// ([`EngineCore::last_engine_error`]), never steps again, answers every
     /// later submission `engine-failed`, and leaves the tickets that were in
-    /// flight reading `pending`; `poll`, `stats` and `shutdown` keep working.
+    /// flight routed; `stats` and `shutdown` keep working.
     pub fn pump(&mut self, out: &mut Vec<Outgoing>) -> bool {
         if self.last_engine_error.is_some() {
             return false;
@@ -564,16 +429,6 @@ impl EngineCore {
                 self.quiescent = true;
             }
         }
-        // Vacate before writing: the slot of each ticket issued since the
-        // last pump (at most one full ring) held the answer of the ticket
-        // `ANSWER_WINDOW` below it, which leaves the window now.
-        self.grow_ring();
-        let oldest = self.tickets_end.saturating_sub(ANSWER_WINDOW as u64);
-        for ticket in self.vacated_end.max(oldest)..self.tickets_end {
-            self.answers[slot(ticket)] = Answer::NONE;
-        }
-        self.vacated_end = self.tickets_end;
-        let window = self.window();
         let mut events = Vec::new();
         for record in self.ctrl.take_records() {
             events.clear();
@@ -581,29 +436,8 @@ impl EngineCore {
             for &ev in &events {
                 self.route_event(ev, out);
             }
-            if window.contains(&record.id.0) {
-                self.answers[slot(record.id.0)] = Answer::of(&record);
-            }
         }
         !self.quiescent
-    }
-
-    /// The tickets whose ring slots hold their own answer or nothing: the
-    /// newest `ANSWER_WINDOW` below `vacated_end`.
-    fn window(&self) -> Range<u64> {
-        self.vacated_end.saturating_sub(ANSWER_WINDOW as u64)..self.vacated_end
-    }
-
-    /// Gives every ticket issued a (vacant) slot, up to `ANSWER_WINDOW`:
-    /// doubling as a `Vec` does, but capped, so a full ring holds exactly
-    /// `ANSWER_WINDOW` slots.
-    fn grow_ring(&mut self) {
-        let len = self.tickets_end.min(ANSWER_WINDOW as u64) as usize;
-        if len > self.answers.capacity() {
-            let capacity = len.max(2 * self.answers.capacity()).min(ANSWER_WINDOW);
-            self.answers.reserve_exact(capacity - self.answers.len());
-        }
-        self.answers.resize(len, Answer::NONE);
     }
 
     /// Routes one answer's event to the ticket's submitting client, dropping
@@ -696,47 +530,5 @@ mod tests {
             ..config
         };
         assert_eq!(huge.u_bound(), usize::MAX);
-    }
-
-    /// What `poll` keeps per answered ticket (DESIGN.md §9 "Per-request
-    /// state"): one 16-byte slot of the ring.
-    #[test]
-    fn a_kept_answer_is_16_bytes() {
-        assert_eq!(std::mem::size_of::<Answer>(), 16);
-    }
-
-    /// However many tickets pass, the answers kept for `poll` span at most
-    /// the newest `ANSWER_WINDOW` issued in a ring that never outgrows
-    /// `ANSWER_WINDOW` slots (nor exists before a ticket does), and the
-    /// served controller holds no record once a pump has returned.
-    #[test]
-    fn the_answer_window_spans_at_most_answer_window_tickets() {
-        let mut engine =
-            EngineCore::new(ServeConfig::new(Family::Centralized, 1 << 20, 8)).unwrap();
-        assert_eq!(engine.answers.capacity(), 0);
-        let mut out = Vec::new();
-        engine.client_connected(1);
-        engine.handle_line(1, r#"{"op": "hello", "proto": 1}"#, &mut out);
-        let event = Submission {
-            node: 1,
-            kind: WireKind::Event,
-            tag: None,
-        };
-        for _ in 0..3 * ANSWER_WINDOW / 128 {
-            for _ in 0..128 {
-                engine.apply(1, ClientFrame::Submit(event), &mut out);
-            }
-            while engine.pump(&mut out) {}
-            assert!(engine.controller().records().is_empty());
-            assert!(engine.answers.capacity() <= ANSWER_WINDOW);
-            out.clear();
-        }
-        assert_eq!(engine.answers.capacity(), ANSWER_WINDOW);
-        let kept = engine.answers.iter().filter(|a| **a != Answer::NONE);
-        assert_eq!(kept.count(), ANSWER_WINDOW);
-        assert_eq!(
-            engine.window(),
-            2 * ANSWER_WINDOW as u64..3 * ANSWER_WINDOW as u64
-        );
     }
 }

@@ -10,9 +10,11 @@
 //! nondeterministic.
 //!
 //! The transport mirrors the TCP framing rules exactly: one request line in,
-//! zero or more reply/event lines out, oversized lines answered with a
-//! `line-too-long` error frame — both paths go through
-//! [`EngineCore::handle_line`] and [`protocol::parse_frame`].
+//! zero or more reply/event lines out, an oversized line answered with the
+//! bytes of [`protocol::line_too_long_frame`] before the engine sees it, and
+//! every other line through [`EngineCore::handle_line`] and
+//! [`protocol::parse_frame`]. A ticket's answer comes back only as streamed
+//! events, to a subscribed submitter.
 
 use crate::engine::{ClientId, EngineCore, ServeConfig};
 use crate::protocol;
@@ -77,18 +79,7 @@ impl Loopback {
         if line.len() > protocol::MAX_LINE_BYTES {
             // The TCP reader answers oversized lines before they reach the
             // engine; mirror that here so framing behaviour is identical.
-            self.scratch.push((
-                client,
-                protocol::error_frame(
-                    "line-too-long",
-                    &format!(
-                        "lines are capped at {} bytes, got {}",
-                        protocol::MAX_LINE_BYTES,
-                        line.len()
-                    ),
-                    None,
-                ),
-            ));
+            self.scratch.push((client, protocol::line_too_long_frame()));
         } else {
             self.engine.handle_line(client, line, &mut self.scratch);
         }
@@ -137,51 +128,18 @@ impl Loopback {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ANSWER_WINDOW;
     use dcn_controller::{
-        Controller, ControllerMetrics, Outcome, Progress, RequestId, RequestKind, RequestLedger,
+        Controller, ControllerMetrics, Progress, RequestId, RequestKind, RequestLedger,
         RequestRecord,
     };
     use dcn_tree::{DynamicTree, NodeId};
     use dcn_workload::Family;
 
-    /// A test controller: [`Stub::broken`] issues tickets, never answers
-    /// them, and errs on every `step` and `run_to_quiescence`;
-    /// [`Stub::straggling`] grants every request inside `submit` except the
-    /// first, which it holds in flight until `ANSWER_WINDOW` newer tickets
-    /// exist and grants at the next `step`.
+    /// A broken controller: it issues tickets, never answers them, and errs
+    /// on every `step` and `run_to_quiescence`.
     struct Stub {
         ledger: RequestLedger,
         tree: DynamicTree,
-        broken: bool,
-        holding: bool,
-    }
-
-    impl Stub {
-        fn broken() -> Self {
-            Stub {
-                ledger: RequestLedger::new(),
-                tree: DynamicTree::with_initial_star(4),
-                broken: true,
-                holding: false,
-            }
-        }
-
-        fn straggling() -> Self {
-            Stub {
-                broken: false,
-                holding: true,
-                ..Stub::broken()
-            }
-        }
-
-        fn grant(&mut self, id: RequestId, origin: NodeId, kind: RequestKind) {
-            let outcome = Outcome::Granted {
-                serial: None,
-                new_node: None,
-            };
-            self.ledger.record(id, origin, kind, outcome);
-        }
     }
 
     impl Controller for Stub {
@@ -194,30 +152,11 @@ mod tests {
         fn waste_bound(&self) -> u64 {
             4
         }
-        fn submit(
-            &mut self,
-            origin: NodeId,
-            kind: RequestKind,
-        ) -> Result<RequestId, ControllerError> {
-            let id = self.ledger.issue();
-            if !self.broken && id != RequestId(0) {
-                self.grant(id, origin, kind);
-            }
-            Ok(id)
+        fn submit(&mut self, _: NodeId, _: RequestKind) -> Result<RequestId, ControllerError> {
+            Ok(self.ledger.issue())
         }
         fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-            if self.broken {
-                return Err(ControllerError::Sim("the simulator refused".to_string()));
-            }
-            if self.holding && self.ledger.issued() > ANSWER_WINDOW as u64 {
-                self.holding = false;
-                self.grant(
-                    RequestId(0),
-                    NodeId::from_index(0),
-                    RequestKind::NonTopological,
-                );
-            }
-            Ok(())
+            Err(ControllerError::Sim("the simulator refused".to_string()))
         }
         fn step(&mut self, _: u64) -> Result<Progress, ControllerError> {
             self.run_to_quiescence().map(|()| Progress::quiescent())
@@ -244,15 +183,16 @@ mod tests {
 
     /// After a `step` error the engine is in an explicit failed state: it
     /// refuses new work with `engine-failed` before the controller sees it,
-    /// keeps answering `poll` / `stats` / `shutdown`, and the tickets that
-    /// were in flight read `pending`.
+    /// keeps answering `stats` / `shutdown`, and the ticket that was in
+    /// flight stays routed and never streams.
     #[test]
     fn a_step_error_fails_the_engine_for_good() {
         let config = ServeConfig::new(Family::Centralized, 16, 4);
-        let mut lb = Loopback::over(EngineCore::with_controller(
-            config,
-            Box::new(Stub::broken()),
-        ));
+        let stub = Stub {
+            ledger: RequestLedger::new(),
+            tree: DynamicTree::with_initial_star(4),
+        };
+        let mut lb = Loopback::over(EngineCore::with_controller(config, Box::new(stub)));
         let c = lb.connect();
         lb.send(c, r#"{"op": "hello", "proto": 1}"#);
         lb.send(c, r#"{"op": "subscribe"}"#);
@@ -291,143 +231,68 @@ mod tests {
                 format!("{detail}}}"),
             ]
         );
-        // Refusals neither wake the engine nor reach the controller.
+        // Refusals neither wake the engine nor reach the controller, and the
+        // ticket caught by the failure never streams.
         assert!(lb.engine().is_quiescent());
         lb.run_to_quiescence();
+        assert!(lb.recv(c).is_empty());
         assert_eq!(lb.engine().in_flight(), 1);
 
-        // The ticket caught by the failure reads pending; nothing was
-        // issued after it; stats and shutdown still answer.
-        lb.send(c, r#"{"op": "poll", "ticket": 0}"#);
-        lb.send(c, r#"{"op": "poll", "ticket": 1}"#);
+        // Nothing was issued after it; stats and shutdown still answer.
         lb.send(c, r#"{"op": "stats"}"#);
         lb.send(c, r#"{"op": "shutdown"}"#);
         let frames = lb.recv(c);
-        assert_eq!(
-            frames[0],
-            r#"{"ok": "outcome", "ticket": 0, "status": "pending"}"#
-        );
-        assert!(frames[1].contains("unknown-ticket"), "{}", frames[1]);
         assert!(
-            frames[2].contains(r#""submitted": 1,"#)
-                && frames[2].contains(r#""protocol_errors": 5,"#),
+            frames[0].contains(r#""submitted": 1,"#)
+                && frames[0].contains(r#""protocol_errors": 4,"#),
             "{}",
-            frames[2]
+            frames[0]
         );
-        assert_eq!(frames[3], r#"{"ok": "shutting-down"}"#);
+        assert_eq!(frames[1], r#"{"ok": "shutting-down"}"#);
         assert!(lb.engine().is_shutting_down());
     }
 
-    /// A served process remembers the newest tickets' answers, not all of
-    /// them: the controller keeps no record past a pump, `poll` answers for
-    /// the newest `ANSWER_WINDOW` tickets issued, and it tells a forgotten
-    /// ticket from one that never was.
+    /// A served process keeps no history: however many tickets pass, the
+    /// controller holds no record once a pump has returned, nothing is
+    /// routed at quiescence, every ticket streams its answer exactly once,
+    /// and there is no way to ask for an answer again — `poll` is an
+    /// unknown op.
     #[test]
-    fn the_history_stays_within_the_answer_window() {
+    fn a_served_process_keeps_no_history() {
         let mut lb = Loopback::new(ServeConfig::new(Family::Centralized, 1 << 20, 8)).unwrap();
         let c = lb.connect();
         lb.send(c, r#"{"op": "hello", "proto": 1}"#);
+        lb.send(c, r#"{"op": "subscribe"}"#);
+        assert_eq!(lb.recv(c).len(), 2);
         let batch = format!(
             r#"{{"op": "batch", "requests": [{}]}}"#,
             vec![r#"{"kind": "event", "node": 1}"#; 128].join(", ")
         );
-        let total = 3 * ANSWER_WINDOW;
-        for _ in 0..total / 128 {
+        let total = 1 << 17;
+        for round in 0..total / 128 {
             lb.send(c, &batch);
+            assert_eq!(lb.recv(c).len(), 128);
             lb.run_to_quiescence();
             assert!(lb.engine().controller().records().is_empty());
+            assert_eq!(lb.engine().in_flight(), 0);
+            let events = lb.recv(c);
+            assert_eq!(events.len(), 128);
+            let first = round * 128;
+            assert_eq!(
+                events[0],
+                format!(
+                    r#"{{"event": "granted", "ticket": {first}, "at": {}, "kind": "event"}}"#,
+                    first + 1
+                )
+            );
         }
-        assert_eq!(lb.recv(c).len(), 1 + total);
         assert_eq!(lb.engine().controller().granted(), total as u64);
-        assert_eq!(lb.engine().in_flight(), 0);
 
-        let (newest, window) = (total as u64 - 1, ANSWER_WINDOW as u64);
-        for ticket in [newest, newest + 1 - window, 0, newest - window] {
-            lb.send(c, &format!(r#"{{"op": "poll", "ticket": {ticket}}}"#));
-        }
-        lb.send(c, r#"{"op": "poll", "ticket": 18446744073709551615}"#);
-        lb.send(c, &format!(r#"{{"op": "poll", "ticket": {total}}}"#));
-        lb.send(c, r#"{"op": "stats"}"#);
-        let frames = lb.recv(c);
-        let granted = |ticket: u64| {
-            format!(
-                r#"{{"ok": "outcome", "ticket": {ticket}, "status": "granted", "at": {}, "kind": "event"}}"#,
-                ticket + 1
-            )
-        };
-        assert_eq!(frames[0], granted(newest));
-        assert_eq!(frames[1], granted(newest + 1 - window));
-        let expired = |ticket: u64| {
-            format!(
-                r#"{{"error": "expired-ticket", "detail": "ticket {ticket} was answered too long ago"}}"#
-            )
-        };
-        assert_eq!(frames[2], expired(0));
-        assert_eq!(frames[3], expired(newest - window));
-        assert_eq!(
-            frames[4],
-            r#"{"error": "unknown-ticket", "detail": "ticket 18446744073709551615 was never issued"}"#
-        );
-        assert!(frames[5].contains("unknown-ticket"), "{}", frames[5]);
-        // Both codes count as protocol errors, like `unknown-ticket` always did.
-        assert!(
-            frames[6].contains(r#""protocol_errors": 4,"#),
-            "{}",
-            frames[6]
-        );
-    }
-
-    /// A straggler — a ticket answered only once `ANSWER_WINDOW` newer ones
-    /// were issued — polls `pending` while in flight and `expired-ticket`
-    /// once answered, while its event still streams to its subscribed
-    /// submitter.
-    #[test]
-    fn a_straggler_streams_its_answer_but_polls_as_expired() {
-        let config = ServeConfig::new(Family::Centralized, 16, 4);
-        let stub = Box::new(Stub::straggling());
-        let mut lb = Loopback::over(EngineCore::with_controller(config, stub));
-        let c = lb.connect();
-        lb.send(c, r#"{"op": "hello", "proto": 1}"#);
-        lb.send(c, r#"{"op": "subscribe"}"#);
-        lb.send(
-            c,
-            r#"{"op": "submit", "kind": "event", "node": 0, "tag": 7}"#,
-        );
-        assert_eq!(lb.recv(c).len(), 3);
-        let batch = format!(
-            r#"{{"op": "batch", "requests": [{}]}}"#,
-            vec![r#"{"kind": "event", "node": 1}"#; 128].join(", ")
-        );
-        let poll = |ticket: u64| format!(r#"{{"op": "poll", "ticket": {ticket}}}"#);
-        let pending = r#"{"ok": "outcome", "ticket": 0, "status": "pending"}"#;
-        for _ in 0..ANSWER_WINDOW / 128 {
-            lb.run_to_quiescence();
-            lb.send(c, &poll(0));
-            lb.send(c, &batch);
-        }
-        let polls = lb.recv(c).iter().filter(|f| *f == pending).count();
-        assert_eq!(polls, ANSWER_WINDOW / 128);
-        // The newest of the window's tickets was just issued: the straggler
-        // is still routed, so it still reads pending.
-        lb.send(c, &poll(0));
-        assert_eq!(lb.recv(c), [pending]);
-        assert_eq!(lb.engine().in_flight(), 1 + 128);
-
-        lb.run_to_quiescence();
-        let at = ANSWER_WINDOW + 1;
-        let event = format!(
-            r#"{{"event": "granted", "ticket": 0, "at": {at}, "kind": "event", "tag": 7}}"#
-        );
-        assert!(lb.recv(c).contains(&event), "{event} was not streamed");
-        assert_eq!(lb.engine().in_flight(), 0);
-        lb.send(c, &poll(0));
-        lb.send(c, &poll(1));
+        lb.send(c, r#"{"op": "poll", "ticket": 0}"#);
         assert_eq!(
             lb.recv(c),
-            [
-                r#"{"error": "expired-ticket", "detail": "ticket 0 was answered too long ago"}"#,
-                r#"{"ok": "outcome", "ticket": 1, "status": "granted", "at": 2, "kind": "event"}"#,
-            ]
+            [r#"{"error": "unknown-op", "detail": "unknown op \"poll\""}"#]
         );
+        assert_eq!(lb.engine().stats().protocol_errors, 1);
     }
 }

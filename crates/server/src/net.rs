@@ -508,11 +508,7 @@ fn reader_loop(stream: TcpStream, client: ClientId, tx: &Sender<EngineMsg>, out_
                 }
             }
             Ok(LineRead::TooLong) => {
-                let _ = out_tx.try_send(protocol::error_frame(
-                    "line-too-long",
-                    &format!("lines are capped at {} bytes", protocol::MAX_LINE_BYTES),
-                    None,
-                ));
+                let _ = out_tx.try_send(protocol::line_too_long_frame());
             }
             Ok(LineRead::BadUtf8) => {
                 let _ = out_tx.try_send(protocol::error_frame(

@@ -3,7 +3,8 @@
 //! One request or response per line; every line is a single JSON object.
 //! Client frames carry an `"op"` discriminator; server frames carry exactly
 //! one of `"ok"` (direct replies), `"event"` (streamed outcomes for
-//! subscribed clients) or `"error"`. The full frame grammar, the
+//! subscribed clients — the one way a ticket's answer leaves the server) or
+//! `"error"`. The full frame grammar, the
 //! backpressure rules and the shutdown semantics are documented in
 //! DESIGN.md §9 — this module is the single encode/decode point, shared by
 //! the TCP transport and the deterministic loopback transport so that both
@@ -75,8 +76,8 @@ impl WireKind {
     }
 }
 
-/// The wire spelling of a resolved request kind (for event frames and poll
-/// replies, which report the kind the controller recorded).
+/// The wire spelling of a resolved request kind (for event frames, which
+/// report the kind the controller recorded).
 pub fn kind_name(kind: dcn_controller::RequestKind) -> &'static str {
     match kind {
         dcn_controller::RequestKind::AddLeaf => "add-leaf",
@@ -113,17 +114,9 @@ pub enum ClientFrame {
     /// validated as a whole: one malformed element (or an empty or oversized
     /// array) rejects the entire batch and enqueues nothing.
     Batch(Vec<Submission>),
-    /// `{"op":"poll", "ticket"}` — ask for a ticket's current outcome:
-    /// `pending` until its last event has been delivered, then the answer.
-    /// The server keeps a window of its newest answers (DESIGN.md §9,
-    /// "Per-request state"); a ticket answered longer ago gets an
-    /// `expired-ticket` error, one that was never issued `unknown-ticket`.
-    Poll {
-        /// The ticket to look up.
-        ticket: u64,
-    },
     /// `{"op":"subscribe"}` — stream this connection's future outcome
-    /// events instead of polling.
+    /// events; an unsubscribed connection submits fire-and-forget and reads
+    /// totals from `stats`.
     Subscribe,
     /// `{"op":"stats"}` — a snapshot of the engine's counters.
     Stats,
@@ -228,9 +221,6 @@ pub fn parse_frame(line: &str) -> Result<ClientFrame, FrameError> {
             }
             Ok(ClientFrame::Batch(subs))
         }
-        "poll" => Ok(ClientFrame::Poll {
-            ticket: v.get("ticket")?.as_u64()?,
-        }),
         "subscribe" => Ok(ClientFrame::Subscribe),
         "stats" => Ok(ClientFrame::Stats),
         "shutdown" => Ok(ClientFrame::Shutdown),
@@ -260,6 +250,16 @@ pub fn error_frame(code: &str, detail: &str, tag: Option<u64>) -> String {
     out
 }
 
+/// Encodes the `line-too-long` error both transports answer an oversized
+/// line with, before it reaches the engine.
+pub fn line_too_long_frame() -> String {
+    error_frame(
+        "line-too-long",
+        &format!("lines are capped at {MAX_LINE_BYTES} bytes"),
+        None,
+    )
+}
+
 /// Encodes the `welcome` reply to a successful `hello`.
 pub fn welcome_frame(family: &str, m: u64, w: u64, nodes: usize) -> String {
     format!(
@@ -286,19 +286,17 @@ pub fn shutting_down_frame() -> String {
     "{\"ok\": \"shutting-down\"}".to_string()
 }
 
-/// A ticket's resolution state, as reported by `poll` replies and
-/// subscription events.
+/// A ticket's answer, as a streamed event reports it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireOutcome {
-    /// Not answered yet.
-    Pending,
-    /// Granted at virtual time `at`; insertions report the created node.
+    /// Granted at virtual time `at`.
     Granted {
         /// Virtual answer time.
         at: u64,
         /// The granted request kind.
         kind: dcn_controller::RequestKind,
-        /// Node created by a granted insertion (synchronous families only).
+        /// Node created by a granted insertion. Not encoded: the `topology`
+        /// event that follows the grant names the node.
         new_node: Option<u64>,
     },
     /// Rejected (the budget is spent up to the waste bound).
@@ -307,48 +305,9 @@ pub enum WireOutcome {
     Refused,
 }
 
-/// Encodes the `outcome` reply to a `poll`.
-pub fn outcome_frame(ticket: u64, outcome: &WireOutcome) -> String {
-    match outcome {
-        WireOutcome::Pending => {
-            format!("{{\"ok\": \"outcome\", \"ticket\": {ticket}, \"status\": \"pending\"}}")
-        }
-        WireOutcome::Granted { at, kind, new_node } => {
-            granted_outcome_frame(ticket, *at, kind_name(*kind), *new_node)
-        }
-        WireOutcome::Rejected => {
-            format!("{{\"ok\": \"outcome\", \"ticket\": {ticket}, \"status\": \"rejected\"}}")
-        }
-        WireOutcome::Refused => {
-            format!("{{\"ok\": \"outcome\", \"ticket\": {ticket}, \"status\": \"refused\"}}")
-        }
-    }
-}
-
-/// Encodes the `outcome` reply for a granted ticket from the kind's wire
-/// name (what the engine keeps of an answer: an `add-internal-above` child is
-/// never on the wire).
-pub(crate) fn granted_outcome_frame(
-    ticket: u64,
-    at: u64,
-    kind: &str,
-    new_node: Option<u64>,
-) -> String {
-    let mut out = format!(
-        "{{\"ok\": \"outcome\", \"ticket\": {ticket}, \"status\": \"granted\", \"at\": {at}, \"kind\": {}",
-        json_quote(kind)
-    );
-    if let Some(n) = new_node {
-        let _ = write!(out, ", \"new_node\": {n}");
-    }
-    out.push('}');
-    out
-}
-
 /// Encodes a streamed outcome event for a subscribed connection.
 pub fn event_frame(ticket: u64, outcome: &WireOutcome, tag: Option<u64>) -> String {
     let mut out = match outcome {
-        WireOutcome::Pending => format!("{{\"event\": \"pending\", \"ticket\": {ticket}"),
         WireOutcome::Granted { at, kind, .. } => format!(
             "{{\"event\": \"granted\", \"ticket\": {ticket}, \"at\": {at}, \"kind\": {}",
             json_quote(kind_name(*kind))
@@ -465,10 +424,6 @@ mod tests {
                 kind: WireKind::AddInternalAbove { child: 4 },
                 tag: None
             })
-        );
-        assert_eq!(
-            parse_frame(r#"{"op": "poll", "ticket": 17}"#).unwrap(),
-            ClientFrame::Poll { ticket: 17 }
         );
         assert_eq!(
             parse_frame(r#"{"op": "stats"}"#).unwrap(),

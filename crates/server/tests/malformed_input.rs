@@ -55,7 +55,7 @@ fn specific_malformed_lines_map_to_stable_error_codes() {
             r#"{"op": "submit", "kind": "add-leaf", "node": 1.5}"#,
             "bad-frame",
         ),
-        (r#"{"op": "poll", "ticket": "five"}"#, "bad-frame"),
+        (r#"{"op": "poll", "ticket": 5}"#, "unknown-op"),
         (r#"{"op": "batch"}"#, "bad-frame"),
         (r#"{"op": "batch", "requests": 7}"#, "bad-frame"),
         (r#"{"op": "batch", "requests": []}"#, "bad-frame"),

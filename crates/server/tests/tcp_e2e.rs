@@ -4,7 +4,7 @@
 //! clean join. Wall-clock timing here only bounds how long the test waits —
 //! every protocol outcome asserted is deterministic.
 
-use dcn_server::{serve, ServeConfig};
+use dcn_server::{serve, Loopback, ServeConfig};
 use dcn_workload::json;
 use dcn_workload::Family;
 use std::io::{BufRead, BufReader, Write};
@@ -60,8 +60,9 @@ fn tcp_clients_submit_poll_and_shut_the_server_down() {
                 assert!(c.recv().contains("subscribed"));
 
                 // Submit a handful of permit requests, each tagged, and wait
-                // for the streamed outcome of every ticket.
-                let mut tickets = Vec::new();
+                // for the streamed outcome of every ticket: granted (budget
+                // 256 >> 24 total requests), with its submit's tag.
+                let (mut tickets, mut answered) = (Vec::new(), Vec::new());
                 for i in 0..8u64 {
                     let node = (w * 3 + i) % nodes;
                     c.send(&format!(
@@ -75,21 +76,19 @@ fn tcp_clients_submit_poll_and_shut_the_server_down() {
                     if let Ok(ok) = v.get("ok") {
                         assert_eq!(ok.as_str().unwrap(), "ticket", "{frame}");
                         tickets.push(v.get("ticket").unwrap().as_u64().unwrap());
-                    } else if v.get("event").is_ok() {
+                    } else if let Ok(event) = v.get("event") {
+                        assert_eq!(event.as_str().unwrap(), "granted", "{frame}");
+                        let tag = v.get("tag").unwrap().as_u64().unwrap();
+                        answered.push((tag, v.get("ticket").unwrap().as_u64().unwrap()));
                         outcomes += 1;
                     } else {
                         panic!("unexpected frame {frame}");
                     }
                 }
-                assert_eq!(tickets.len(), 8);
-
-                // Every ticket polls back resolved (budget 256 >> 24 total
-                // requests, so they all granted).
-                for t in tickets {
-                    c.send(&format!(r#"{{"op": "poll", "ticket": {t}}}"#));
-                    let v = json::parse(&c.recv()).unwrap();
-                    assert_eq!(v.get("status").unwrap().as_str().unwrap(), "granted");
-                }
+                // Each ticket streamed exactly one answer.
+                answered.sort_unstable();
+                let tagged: Vec<_> = (0..8u64).zip(tickets).collect();
+                assert_eq!(answered, tagged);
             })
         })
         .collect();
@@ -109,5 +108,31 @@ fn tcp_clients_submit_poll_and_shut_the_server_down() {
     c.send(r#"{"op": "shutdown"}"#);
     assert!(c.recv().contains("shutting-down"));
 
+    handle.join();
+}
+
+/// Both transports answer an oversized line with the same bytes: the TCP
+/// reader's reply to one 9 000-byte line is the loopback's, and the
+/// connection keeps serving.
+#[test]
+fn an_oversized_line_gets_the_same_reply_over_tcp_and_loopback() {
+    let config = ServeConfig::new(Family::Centralized, 16, 4);
+    let prefix = r#"{"op": "stats", "pad": ""#;
+    let line = format!("{prefix}{}\"}}", "x".repeat(9_000 - prefix.len() - 2));
+    assert_eq!(line.len(), 9_000);
+
+    let mut lb = Loopback::new(config).unwrap();
+    let l = lb.connect();
+    lb.send(l, &line);
+    let looped = lb.recv(l);
+
+    let handle = serve(config, "127.0.0.1:0").expect("bind");
+    let mut c = Client::connect(handle.local_addr());
+    c.send(&line);
+    assert_eq!([c.recv()], looped.as_slice());
+    c.send(r#"{"op": "hello", "proto": 1}"#);
+    assert!(c.recv().contains("welcome"));
+    c.send(r#"{"op": "shutdown"}"#);
+    assert!(c.recv().contains("shutting-down"));
     handle.join();
 }

@@ -8,8 +8,8 @@
 //! ```text
 //! dcn-serve --family distributed --m 256 --w 16 --addr 127.0.0.1:4617 &
 //! printf '%s\n' '{"op":"hello","proto":1}' \
-//!     '{"op":"submit","kind":"event","node":0}' \
-//!     '{"op":"poll","ticket":0}' '{"op":"shutdown"}' | nc 127.0.0.1 4617
+//!     '{"op":"subscribe"}' '{"op":"submit","kind":"event","node":0}' \
+//!     '{"op":"shutdown"}' | nc 127.0.0.1 4617
 //! ```
 //!
 //! The full frame grammar is documented in DESIGN.md §9.
@@ -58,7 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 };
 
                 // hello → welcome tells us the tree size; subscribe streams
-                // this connection's outcomes instead of polling.
+                // this connection's outcomes, the one way an answer comes
+                // back.
                 send(r#"{"op": "hello", "proto": 1, "family": "distributed"}"#)?;
                 let welcome = json::parse(&recv()?).map_err(|e| e.to_string())?;
                 let nodes = welcome.get("nodes").and_then(|n| n.as_u64())?;
