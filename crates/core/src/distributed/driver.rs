@@ -305,4 +305,11 @@ impl InnerController for DistributedController {
     fn messages(&self) -> u64 {
         DistributedController::messages(self)
     }
+
+    fn missed_by_reject_wave(&self) -> u64 {
+        self.sim
+            .whiteboards()
+            .filter(|(_, wb)| !wb.store.has_reject())
+            .count() as u64
+    }
 }

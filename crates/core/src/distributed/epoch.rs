@@ -66,6 +66,13 @@ pub trait InnerController: Controller + Sized {
     /// reject package to every node, once (`n − 1` moves); the default
     /// charges nothing.
     fn broadcast_reject(&mut self) {}
+
+    /// The nodes whose whiteboard holds no reject package: those a closing
+    /// count must start with a message of its own, because no reject wave
+    /// reached them. The default is every node (no wave is simulated).
+    fn missed_by_reject_wave(&self) -> u64 {
+        self.tree().node_count() as u64
+    }
 }
 
 /// One not-yet-answered request under its outer ticket, with the global
@@ -274,8 +281,9 @@ pub struct IterationPlan {
     /// permits out as identities); `None` for anonymous permits.
     pub interval: Option<PermitInterval>,
     /// Messages charged for the iteration-opening announcement wave(s) — one
-    /// broadcast (`n`) for the size estimator's `N_i` announcement, two DFS
-    /// renaming traversals (`4n`) for the name assigner.
+    /// broadcast (`n`) for the size estimator's `N_i` announcement, two
+    /// broadcasts of DFS offsets (`2n`, `4n` at construction) for the name
+    /// assigner's renaming.
     pub announce_messages: u64,
     /// The inner controller's node bound `U`; `None` for the §5 bound
     /// `n + budget + 1` (every grant adds at most one node).
@@ -308,10 +316,13 @@ pub trait IterationPolicy<C = DistributedController> {
         false
     }
 
-    /// Messages charged when an iteration closes over `nodes` nodes; the
-    /// default is the §5 closing count wave (broadcast + upcast).
-    fn closing_messages(&self, nodes: u64) -> u64 {
-        2 * nodes
+    /// Messages charged when an iteration closes over `nodes` nodes, of
+    /// which `missed` hold no reject package. The default is the §5 closing
+    /// count: the reject wave that closed the iteration is its broadcast,
+    /// so it costs one upcast (`n − 1`) and one start message per node the
+    /// wave missed — `2n − 1` where no wave ran.
+    fn closing_messages(&self, nodes: u64, missed: u64) -> u64 {
+        nodes - 1 + missed
     }
 
     /// Asked at every slice: `true` ends the running `iteration` — it admits
@@ -349,7 +360,9 @@ pub struct IterationDriver<P, C = DistributedController> {
     /// The iteration-start size `N_i` announced to every node.
     estimate: u64,
     iterations: u32,
-    /// Charged waves: announcements, closing counts, application charges.
+    /// Charged iteration boundaries: announcements and closing counts.
+    boundary_messages: u64,
+    /// Charged application waves (see [`IterationDriver::charge_messages`]).
     aux_messages: u64,
     changes_total: u64,
     /// Requests answered with a grant.
@@ -383,6 +396,7 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
             ledger: RequestLedger::new(),
             estimate: 0,
             iterations: 0,
+            boundary_messages: 0,
             aux_messages: 0,
             changes_total: 0,
             granted: 0,
@@ -474,7 +488,14 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     /// Total messages so far: inner controller messages plus every charged
     /// wave.
     pub fn messages(&self) -> u64 {
-        self.shell.messages() + self.aux_messages
+        self.shell.messages() + self.boundary_messages + self.aux_messages
+    }
+
+    /// The messages charged for iteration boundaries so far: every
+    /// announcement ([`IterationPlan::announce_messages`]) and closing count
+    /// ([`IterationPolicy::closing_messages`]).
+    pub fn boundary_messages(&self) -> u64 {
+        self.boundary_messages
     }
 
     /// Charges `messages` application-level protocol messages (re-labelings,
@@ -525,7 +546,7 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
             // The slice ends at the rotation, so a hook that runs after it
             // sees the freshly installed iteration over the tree exactly as
             // it was parked (the subtree estimator's ω₀ snapshot is the
-            // iteration-start broadcast/upcast).
+            // closing count's per-node sums).
             self.rotate()?;
             return Ok(Progress {
                 processed: progress.processed,
@@ -631,13 +652,13 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
         }
     }
 
-    /// Closes the running iteration, charges its closing wave and starts
+    /// Closes the running iteration, charges its closing count and starts
     /// the next one.
     fn rotate(&mut self) -> Result<(), ControllerError> {
+        let nodes = self.shell.tree().node_count() as u64;
+        let missed = self.shell.live().map_or(nodes, C::missed_by_reject_wave);
         self.shell.retire();
-        self.aux_messages += self
-            .policy
-            .closing_messages(self.shell.tree().node_count() as u64);
+        self.boundary_messages += self.policy.closing_messages(nodes, missed);
         self.stalled_rotations += 1;
         self.start_iteration()
     }
@@ -651,7 +672,7 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
         self.iterations += 1;
         self.estimate = nodes as u64;
         let plan = self.policy.plan(tree);
-        self.aux_messages += plan.announce_messages;
+        self.boundary_messages += plan.announce_messages;
         self.spent |= plan.budget == 0;
         let budget = plan.budget.max(1);
         let waste = plan.waste.min(budget);
@@ -685,7 +706,7 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     /// included in `messages` (see [`Controller::metrics`]).
     pub fn metrics(&self) -> ControllerMetrics {
         let totals = self.shell.totals();
-        let messages = totals.messages + self.aux_messages;
+        let messages = totals.messages + self.boundary_messages + self.aux_messages;
         ControllerMetrics {
             // The centralized model has one cost: a charged wave is a move.
             moves: if C::CENTRALIZED {
@@ -1016,10 +1037,11 @@ mod tests {
         }
         d.run_to_quiescence().unwrap();
         assert!(d.iterations() >= 2);
-        // Announce (n per iteration) + closing waves (2n per rotation, over
-        // the tree the next iteration announces) are charged on top of
-        // controller messages; the tree only grows from its 10 nodes.
-        let charged = 10 + 3 * 10 * u64::from(d.iterations() - 1);
+        // Announce (n per iteration) + closing counts (at least n − 1 per
+        // rotation, over the tree the next iteration announces) are charged
+        // on top of controller messages; the tree only grows from its 10
+        // nodes.
+        let charged = 10 + (2 * 10 - 1) * u64::from(d.iterations() - 1);
         assert!(d.messages() >= charged);
         let before = d.messages();
         d.charge_messages(5);

@@ -118,7 +118,7 @@ impl<C: InnerController> IterationPolicy<C> for Schedule {
     /// messages per rebuild — which keeps the measured totals asymptotically
     /// faithful without a second interleaved protocol instance. DESIGN.md
     /// records this substitution.
-    fn closing_messages(&self, nodes: u64) -> u64 {
+    fn closing_messages(&self, nodes: u64, _missed: u64) -> u64 {
         if C::CENTRALIZED {
             nodes
         } else {

@@ -17,7 +17,7 @@ use dcn_tree::DynamicTree;
 /// 3/4 of its parent's.
 #[derive(Debug)]
 pub struct HeavyChildDecomposition {
-    subtree: SubtreeEstimator,
+    pub(crate) subtree: SubtreeEstimator,
     heavy: SlidingMap<NodeId, NodeId>,
 }
 

@@ -32,7 +32,8 @@
 //! plans each iteration through the application's [`IterationPolicy`]
 //! (per-iteration α/β budgets, interval mode, renaming) — the hooks the
 //! applications leave at their defaults are the §5 behaviour: retry an
-//! iteration's rejects in the next one, `2n` for the closing count wave —
+//! iteration's rejects in the next one, and count the tree at its close with
+//! one upcast, the reject wave that closed it serving as the broadcast —
 //! and its inherent methods are the same ticket/step seam as the
 //! controllers': `submit` → [`RequestId`] tickets that survive iteration
 //! rebuilds, bounded `step(budget)`, and the answers as records, read with
@@ -51,7 +52,8 @@
 //! The iteration bookkeeping that the paper performs with broadcast/upcast
 //! waves (announcing the fresh estimate `N_i`, counting nodes, re-running a
 //! DFS numbering) is executed here at the driver level and *charged* to the
-//! message counters (`O(n)` per wave), exactly as recorded in DESIGN.md. The
+//! message counters (`O(n)` per wave), exactly as recorded in DESIGN.md; an
+//! iteration boundary costs one convergecast and one broadcast. The
 //! permit movement itself — the part whose cost the theorems bound — runs on
 //! the real distributed controller over the asynchronous network simulator.
 

@@ -52,7 +52,7 @@ pub enum Decision {
 /// ```
 #[derive(Debug)]
 pub struct MajorityCommitment {
-    size: SizeEstimator,
+    pub(crate) size: SizeEstimator,
     // Vote sets are node-keyed, so they are dense slot maps (the unit
     // value makes them sets); membership is an O(1) slot probe.
     commit_votes: SlidingMap<NodeId, ()>,

@@ -10,9 +10,12 @@ use dcn_simnet::{NodeId, SimConfig};
 use dcn_tree::DynamicTree;
 
 /// The iteration policy of Theorem 5.2: each iteration opens with a DFS
-/// renaming (two traversals, charged `4n`) that gives the `N_i` current
-/// nodes the identities `1..=N_i`, and hands new joiners serial numbers
-/// from the interval `(N_i, 3N_i/2]` via the controller's interval mode.
+/// renaming that gives the `N_i` current nodes the identities `1..=N_i`, and
+/// hands new joiners serial numbers from the interval `(N_i, 3N_i/2]` via
+/// the controller's interval mode. The renaming is two broadcasts of DFS
+/// offsets (`2n`), computed from the subtree sizes of the closing count;
+/// the first also carries `N_i`. At construction no count precedes it, so
+/// it is charged as two traversals (`4n`).
 #[derive(Debug, Default)]
 pub(crate) struct NamePolicy {
     ids: SlidingMap<NodeId, u64>,
@@ -31,8 +34,10 @@ impl NamePolicy {
 impl IterationPolicy for NamePolicy {
     fn plan(&mut self, tree: &DynamicTree) -> IterationPlan {
         let n = tree.node_count() as u64;
-        // Two DFS traversals re-assign ids 1..=N_i (the paper's two-phase
-        // renaming keeps ids unique throughout; both traversals are charged).
+        // Ids 1..=N_i in DFS order, in two phases so that the temporary and
+        // final ranges never collide. Only the first plan finds no ids (the
+        // root keeps one for ever) and no closing count's subtree sizes.
+        let renaming = if self.ids.is_empty() { 4 * n } else { 2 * n };
         self.ids.clear();
         self.pending_serials.clear();
         for (i, node) in tree.dfs(tree.root()).enumerate() {
@@ -44,7 +49,7 @@ impl IterationPolicy for NamePolicy {
             budget,
             waste: (n / 4).max(1).min(budget),
             interval: Some(PermitInterval::new(n + 1, n + budget)),
-            announce_messages: 4 * n,
+            announce_messages: renaming,
             u_bound: None,
         }
     }
@@ -85,8 +90,8 @@ impl IterationPolicy for NamePolicy {
 ///
 /// Iteration `i` (driven by the shared [`IterationDriver`]) starts with a DFS
 /// re-numbering that gives the current `N_i` nodes the identities `1..N_i`
-/// (two traversals in the paper, so that the temporary and final ranges never
-/// collide; charged `O(n)` messages). New nodes joining during the iteration
+/// (two phases, so that the temporary and final ranges never collide;
+/// charged `O(n)` messages). New nodes joining during the iteration
 /// receive identities from the interval `[N_i + 1, 3N_i/2]`: the controller
 /// runs in interval mode, so the permit a join request consumes *is* the new
 /// node's identity.
@@ -108,7 +113,7 @@ impl IterationPolicy for NamePolicy {
 /// ```
 #[derive(Debug)]
 pub struct NameAssigner {
-    driver: IterationDriver<NamePolicy>,
+    pub(crate) driver: IterationDriver<NamePolicy>,
 }
 
 impl NameAssigner {

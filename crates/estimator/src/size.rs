@@ -258,6 +258,43 @@ mod tests {
         assert_eq!(est.records().len(), 5);
     }
 
+    /// A boundary costs one broadcast and one upcast. Requests at the root
+    /// of a star of eight only: each reject wave reaches all eight nodes,
+    /// so a boundary costs the announcement (8) and the closing upcast (7),
+    /// where a separate closing count made it 8 + 16.
+    ///
+    /// One new leaf under each of the seven leaves: iteration 1 grants four
+    /// and closes at `N_2` = 12, and the leaves that joined after the reject
+    /// wave had passed their parent are the `missed` term — 3 at seed 0,
+    /// 1 to 3 over seeds 0–5. The wave sends no message to such a leaf, so
+    /// messages read 62 at every seed (72 to 74 with the separate count).
+    #[test]
+    fn a_boundary_costs_one_upcast_and_one_broadcast() {
+        let tree = DynamicTree::with_initial_star(7);
+        let mut est = SizeEstimator::new(SimConfig::new(9), tree, 2.0).unwrap();
+        let root = est.tree().root();
+        est.run_batch(&[(root, RequestKind::NonTopological); 12])
+            .unwrap();
+        assert_eq!(est.iterations(), 3);
+        assert_eq!(est.driver.boundary_messages(), 8 + 2 * (8 + 7));
+        assert_eq!(est.metrics().messages, 52);
+
+        for seed in 0..6 {
+            let tree = DynamicTree::with_initial_star(7);
+            let mut est = SizeEstimator::new(SimConfig::new(seed), tree, 2.0).unwrap();
+            let leaves: Vec<NodeId> = est.tree().nodes().skip(1).collect();
+            let ops: Vec<_> = leaves.iter().map(|&l| (l, RequestKind::AddLeaf)).collect();
+            est.run_batch(&ops).unwrap();
+            assert_eq!((est.iterations(), est.estimate()), (2, 12), "seed {seed}");
+            let missed = est.driver.boundary_messages() - (8 + 11 + 12);
+            assert!((1..=3).contains(&missed), "seed {seed}: {missed} missed");
+            if seed == 0 {
+                assert_eq!(missed, 3);
+            }
+            assert_eq!(est.metrics().messages, 62, "seed {seed}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "approximation factor")]
     fn beta_must_exceed_one() {

@@ -13,8 +13,10 @@ use dcn_tree::{DynamicTree, TopologyEvent};
 ///
 /// The estimate is exactly the quantity a node can observe locally:
 /// `ω̃(v) = ω₀(v) + S(v)`, where `ω₀(v)` is `v`'s subtree size at the start of
-/// the iteration (computed by the iteration's broadcast/upcast and charged as
-/// such through the shared [`IterationDriver`](crate::IterationDriver)) and
+/// the iteration (the per-node count of the convergecast that closed the
+/// previous one, already charged by the shared
+/// [`IterationDriver`](crate::IterationDriver); a count of its own, `2n`, only
+/// when the estimator is built) and
 /// `S(v)` is the number of permits of the size-estimation controller that
 /// travelled down the tree through `v` during the iteration — read off the
 /// controller's whiteboards.
@@ -51,7 +53,10 @@ impl SubtreeEstimator {
         beta: f64,
     ) -> Result<Self, ControllerError> {
         tree.record_changes();
-        let size = SizeEstimator::new(config, tree, beta)?;
+        let mut size = SizeEstimator::new(config, tree, beta)?;
+        // No iteration has closed yet: the first ω₀ takes a count of its own.
+        let nodes = size.tree().node_count() as u64;
+        size.driver.charge_messages(2 * nodes);
         let mut est = SubtreeEstimator {
             size,
             omega0: SlidingMap::new(),
@@ -104,8 +109,9 @@ impl SubtreeEstimator {
 
     /// Recomputes ω₀ (subtree sizes, summed up a post-order) for the current
     /// iteration and resets the super-weight reference and the shadow parent
-    /// map (the changes logged before the rotation are dropped); charged as
-    /// one broadcast/upcast wave through the driver.
+    /// map (the changes logged before the rotation are dropped). The sizes
+    /// are what each node's convergecast of the closing count sums, so they
+    /// cost nothing beyond that count.
     fn refresh_omega0(&mut self) {
         let tree = self.size.tree();
         self.omega0.clear();
@@ -119,10 +125,8 @@ impl SubtreeEstimator {
             }
         }
         self.super_weight = self.omega0.clone();
-        let charge = 2 * tree.node_count() as u64;
         let driver = &mut self.size.driver;
         driver.take_change_log();
-        driver.charge_messages(charge);
         self.iteration_tag = driver.iterations();
     }
 

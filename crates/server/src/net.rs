@@ -424,10 +424,10 @@ enum LineRead {
     Eof,
 }
 
-/// Reads one `\n`-terminated line of at most `max` bytes. Oversized lines
-/// are consumed (so framing resynchronises at the next newline) but their
-/// bytes are not buffered — a hostile megabyte line costs its socket reads
-/// and nothing more.
+/// Reads one `\n`-terminated line of at most `max` bytes, not counting its
+/// terminator (`\n` or `\r\n`). Oversized lines are consumed (so framing
+/// resynchronises at the next newline) but their bytes are not buffered — a
+/// hostile megabyte line costs its socket reads and nothing more.
 fn read_limited_line(r: &mut impl BufRead, max: usize) -> io::Result<LineRead> {
     let mut buf: Vec<u8> = Vec::new();
     let mut overlong = false;
@@ -447,7 +447,7 @@ fn read_limited_line(r: &mut impl BufRead, max: usize) -> io::Result<LineRead> {
                     buf.extend_from_slice(&chunk[..nl]);
                 }
                 r.consume(nl + 1);
-                if overlong || buf.len() > max {
+                if overlong || content_len(&buf) > max {
                     return Ok(LineRead::TooLong);
                 }
                 return Ok(finish_line(buf));
@@ -455,7 +455,8 @@ fn read_limited_line(r: &mut impl BufRead, max: usize) -> io::Result<LineRead> {
             None => {
                 if !overlong {
                     buf.extend_from_slice(chunk);
-                    if buf.len() > max {
+                    // A trailing `\r` may be the start of the terminator.
+                    if content_len(&buf) > max {
                         overlong = true;
                         buf = Vec::new();
                     }
@@ -467,10 +468,14 @@ fn read_limited_line(r: &mut impl BufRead, max: usize) -> io::Result<LineRead> {
     }
 }
 
+/// The length of `buf` without a trailing `\r`, the first half of a CRLF
+/// terminator.
+fn content_len(buf: &[u8]) -> usize {
+    buf.len() - usize::from(buf.last() == Some(&b'\r'))
+}
+
 fn finish_line(mut buf: Vec<u8>) -> LineRead {
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
+    buf.truncate(content_len(&buf));
     match String::from_utf8(buf) {
         Ok(line) => LineRead::Line(line),
         Err(_) => LineRead::BadUtf8,
@@ -529,7 +534,12 @@ mod tests {
     use std::io::Cursor;
 
     fn read_all(input: &[u8], max: usize) -> Vec<String> {
-        let mut r = BufReader::new(Cursor::new(input.to_vec()));
+        read_all_in(input, max, 8 * 1024)
+    }
+
+    /// Like `read_all`, through a buffer of `capacity` bytes.
+    fn read_all_in(input: &[u8], max: usize, capacity: usize) -> Vec<String> {
+        let mut r = BufReader::with_capacity(capacity, Cursor::new(input.to_vec()));
         let mut out = Vec::new();
         loop {
             match read_limited_line(&mut r, max).unwrap() {
@@ -554,6 +564,24 @@ mod tests {
         assert_eq!(read_all(b"xxxxxxxxxxxxxxxx", 8), ["<too-long>"]);
         assert_eq!(read_all(b"", 8), Vec::<String>::new());
         assert_eq!(read_all(b"\xff\xfe\n", 8), ["<bad-utf8>"]);
+    }
+
+    /// The cap counts the line, not its terminator: a CRLF line of exactly
+    /// `max` bytes is read whole, however the reads split it, and one byte
+    /// more is too long.
+    #[test]
+    fn the_cap_leaves_out_a_crlf_terminator() {
+        for capacity in [1, 2, 3, 5, 64] {
+            assert_eq!(read_all_in(b"abcd\r\n", 4, capacity), ["abcd"]);
+            assert_eq!(read_all_in(b"abcd\r\nxy\n", 4, capacity), ["abcd", "xy"]);
+            assert_eq!(read_all_in(b"abcd\r", 4, capacity), ["abcd"]);
+            assert_eq!(
+                read_all_in(b"abcde\r\nok\n", 4, capacity),
+                ["<too-long>", "ok"]
+            );
+            assert_eq!(read_all_in(b"abcd\r\r\n", 4, capacity), ["<too-long>"]);
+            assert_eq!(read_all_in(b"abc\rd\n", 4, capacity), ["<too-long>"]);
+        }
     }
 
     #[test]

@@ -24,9 +24,9 @@ use std::fmt::Write as _;
 /// different `proto` are refused with an `unsupported-proto` error.
 pub const PROTO_VERSION: u64 = 1;
 
-/// Longest accepted request line, in bytes (newline excluded). Longer lines
-/// are answered with a `line-too-long` error frame and discarded up to the
-/// next newline; the connection stays usable.
+/// Longest accepted request line, in bytes, its `\n` or `\r\n` excluded.
+/// Longer lines are answered with a `line-too-long` error frame and
+/// discarded up to the next newline; the connection stays usable.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
 
 /// Maximum number of submissions one `batch` frame may carry. Keeps a

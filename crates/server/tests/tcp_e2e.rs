@@ -4,6 +4,7 @@
 //! clean join. Wall-clock timing here only bounds how long the test waits —
 //! every protocol outcome asserted is deterministic.
 
+use dcn_server::protocol::MAX_LINE_BYTES;
 use dcn_server::{serve, Loopback, ServeConfig};
 use dcn_workload::json;
 use dcn_workload::Family;
@@ -132,6 +133,35 @@ fn an_oversized_line_gets_the_same_reply_over_tcp_and_loopback() {
     assert_eq!([c.recv()], looped.as_slice());
     c.send(r#"{"op": "hello", "proto": 1}"#);
     assert!(c.recv().contains("welcome"));
+    c.send(r#"{"op": "shutdown"}"#);
+    assert!(c.recv().contains("shutting-down"));
+    handle.join();
+}
+
+/// The cap counts a line without its terminator on both transports: a line
+/// of exactly `MAX_LINE_BYTES` sent with a CRLF ending over TCP is answered
+/// as the loopback answers it, not refused as one byte too long.
+#[test]
+fn a_crlf_line_at_the_cap_gets_the_same_reply_over_tcp_and_loopback() {
+    let config = ServeConfig::new(Family::Centralized, 16, 4);
+    let prefix = r#"{"op": "hello", "proto": 1, "pad": ""#;
+    let line = format!(
+        "{prefix}{}\"}}",
+        "x".repeat(MAX_LINE_BYTES - prefix.len() - 2)
+    );
+    assert_eq!(line.len(), MAX_LINE_BYTES);
+
+    let mut lb = Loopback::new(config).unwrap();
+    let l = lb.connect();
+    lb.send(l, &line);
+    let looped = lb.recv(l);
+    assert!(looped[0].contains("welcome"), "{looped:?}");
+
+    let handle = serve(config, "127.0.0.1:0").expect("bind");
+    let mut c = Client::connect(handle.local_addr());
+    c.writer.write_all(line.as_bytes()).unwrap();
+    c.writer.write_all(b"\r\n").unwrap();
+    assert_eq!([c.recv()], looped.as_slice());
     c.send(r#"{"op": "shutdown"}"#);
     assert!(c.recv().contains("shutting-down"));
     handle.join();
