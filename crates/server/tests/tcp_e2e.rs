@@ -1,8 +1,9 @@
 //! End-to-end exercise of the real TCP transport: an in-process
 //! [`serve`] on an ephemeral port, several concurrent clients speaking the
 //! line protocol over actual sockets, a protocol-level shutdown, and a
-//! clean join. Wall-clock timing here only bounds how long the test waits —
-//! every protocol outcome asserted is deterministic.
+//! clean join; and once the `dcn-serve` binary itself, from its command
+//! line to its exit status. Wall-clock timing here only bounds how long the
+//! test waits — every protocol outcome asserted is deterministic.
 
 use dcn_server::protocol::MAX_LINE_BYTES;
 use dcn_server::{serve, Loopback, ServeConfig};
@@ -10,6 +11,7 @@ use dcn_workload::json;
 use dcn_workload::Family;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 struct Client {
@@ -18,7 +20,7 @@ struct Client {
 }
 
 impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
+    fn connect(addr: impl std::net::ToSocketAddrs) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(20)))
@@ -165,4 +167,115 @@ fn a_crlf_line_at_the_cap_gets_the_same_reply_over_tcp_and_loopback() {
     c.send(r#"{"op": "shutdown"}"#);
     assert!(c.recv().contains("shutting-down"));
     handle.join();
+}
+
+/// A child process that is killed and reaped when the test ends, so a
+/// failing assertion leaves no server behind.
+struct Reap(std::process::Child);
+
+impl Drop for Reap {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The `dcn-serve` binary as a script drives it: started with a host name
+/// and a port file, one session of `hello`, `subscribe`, `submit` and
+/// `shutdown`, and a clean exit after the drain.
+#[test]
+fn the_dcn_serve_binary_serves_a_session_and_exits_cleanly() {
+    let bin = env!("CARGO_BIN_EXE_dcn-serve");
+    let port_file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("dcn-serve-e2e.port");
+    let _ = std::fs::remove_file(&port_file);
+    let mut child = Reap(
+        Command::new(bin)
+            .args(["--addr", "localhost:0", "--m", "16", "--w", "4"])
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn dcn-serve"),
+    );
+
+    // The port file is written after the bind; a complete one ends in a
+    // newline. 2 000 polls of 10 ms bound the wait.
+    let mut port = None;
+    for _ in 0..2_000 {
+        if let Some(status) = child.0.try_wait().unwrap() {
+            panic!("dcn-serve exited during start-up: {status}");
+        }
+        match std::fs::read_to_string(&port_file) {
+            Ok(text) if text.ends_with('\n') => {
+                port = Some(text.trim().parse::<u16>().expect("a port number"));
+                break;
+            }
+            _ => std::thread::sleep(Duration::from_millis(10)),
+        }
+    }
+    let port = port.expect("dcn-serve wrote no port file");
+
+    let mut c = Client::connect(("localhost", port));
+    c.send(r#"{"op": "hello", "proto": 1, "family": "centralized"}"#);
+    assert!(c.recv().contains("welcome"));
+    c.send(r#"{"op": "subscribe"}"#);
+    assert!(c.recv().contains("subscribed"));
+    c.send(r#"{"op": "submit", "kind": "event", "node": 0, "tag": 7}"#);
+    let (mut ticket, mut granted) = (false, false);
+    while !(ticket && granted) {
+        let frame = c.recv();
+        let v = json::parse(&frame).unwrap();
+        if let Ok(ok) = v.get("ok") {
+            assert_eq!(ok.as_str().unwrap(), "ticket", "{frame}");
+            ticket = true;
+        } else {
+            assert_eq!(
+                v.get("event").unwrap().as_str().unwrap(),
+                "granted",
+                "{frame}"
+            );
+            assert_eq!(v.get("tag").unwrap().as_u64().unwrap(), 7, "{frame}");
+            granted = true;
+        }
+    }
+    c.send(r#"{"op": "shutdown"}"#);
+    assert!(c.recv().contains("shutting-down"));
+
+    let stdout = std::io::read_to_string(child.0.stdout.take().unwrap()).unwrap();
+    let status = child.0.wait().unwrap();
+    assert!(status.success(), "{status}: {stdout}");
+    assert_eq!(
+        stdout.lines().last(),
+        Some("dcn-serve: drained and stopped"),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_file(&port_file);
+}
+
+/// On Linux/glibc the root `.cargo/config.toml` links statically, so
+/// `dcn-serve` starts without the dynamic loader: its ELF program headers
+/// hold no `PT_INTERP`. A `RUSTFLAGS` environment variable replaces the
+/// config's flags and brings the loader back; this test is where that shows.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[test]
+fn dcn_serve_is_linked_without_a_dynamic_loader() {
+    const PT_INTERP: u32 = 3;
+    let elf = std::fs::read(env!("CARGO_BIN_EXE_dcn-serve")).unwrap();
+    assert_eq!(&elf[..4], b"\x7fELF");
+    assert_eq!((elf[4], elf[5]), (2, 1), "not a little-endian ELF64 file");
+    let u16_at = |at: usize| u16::from_le_bytes([elf[at], elf[at + 1]]) as usize;
+    let phoff = u64::from_le_bytes(elf[0x20..0x28].try_into().unwrap()) as usize;
+    let (phentsize, phnum) = (u16_at(0x36), u16_at(0x38));
+    assert!(phnum > 0);
+    let types: Vec<u32> = (0..phnum)
+        .map(|i| {
+            let at = phoff + i * phentsize;
+            u32::from_le_bytes(elf[at..at + 4].try_into().unwrap())
+        })
+        .collect();
+    assert!(
+        !types.contains(&PT_INTERP),
+        "dcn-serve requests a dynamic loader (program header types {types:?}); \
+         is RUSTFLAGS set in the environment?"
+    );
 }
