@@ -369,6 +369,8 @@ pub struct IterationDriver<P, C = DistributedController> {
     granted: u64,
     /// Requests answered with a final reject.
     rejected: u64,
+    /// Waiting requests refused (the one refusal rule, DESIGN §2.1).
+    refused: u64,
     seed_counter: u64,
     /// Outer tickets submitted but not yet handed to the inner controller.
     queued: Vec<Pending>,
@@ -401,6 +403,7 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
             changes_total: 0,
             granted: 0,
             rejected: 0,
+            refused: 0,
             seed_counter: config.seed,
             queued: Vec::new(),
             retry: Vec::new(),
@@ -574,19 +577,22 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     }
 
     /// Hands queued and retried requests to the inner controller under their
-    /// outer tickets. Requests whose origin vanished (or whose topological
-    /// precondition broke) while they waited, and every request once the
-    /// budget is spent, are answered with a final reject.
+    /// outer tickets. Once the budget is spent every request is answered
+    /// with a final reject; before that, a request whose precondition broke
+    /// while it waited (its origin vanished, say) is refused — the one
+    /// refusal rule of DESIGN §2.1.
     fn flush_queued(&mut self) -> Result<(), ControllerError> {
         let mut waiting = std::mem::take(&mut self.retry);
         waiting.append(&mut self.queued);
         for request in waiting {
-            if self.spent || check_request(self.shell.tree(), request.origin, request.kind).is_err()
-            {
+            if self.spent {
                 self.reject(request);
-                continue;
+            } else if check_request(self.shell.tree(), request.origin, request.kind).is_err() {
+                self.refused += 1;
+                self.close(request, Outcome::Refused);
+            } else {
+                self.shell.submit(request)?;
             }
-            self.shell.submit(request)?;
         }
         Ok(())
     }
@@ -599,11 +605,16 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
                 iteration.broadcast_reject();
             }
         }
+        self.close(request, Outcome::Rejected);
+    }
+
+    /// Answers `request` with `outcome` at the current global time.
+    fn close(&mut self, request: Pending, outcome: Outcome) {
         self.answer(RequestRecord {
             id: request.id,
             origin: request.origin,
             kind: request.kind,
-            outcome: Outcome::Rejected,
+            outcome,
             submitted_at: request.submitted_at,
             answered_at: self.shell.now(),
         });
@@ -696,6 +707,11 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
     /// Requests answered with a final reject so far.
     pub fn rejected(&self) -> u64 {
         self.rejected
+    }
+
+    /// Requests refused so far: neither granted nor rejected.
+    pub fn refused(&self) -> u64 {
+        self.refused
     }
 
     pub(crate) fn is_spent(&self) -> bool {

@@ -314,7 +314,7 @@ impl<C: InnerController> Iterated<C> {
             unanswered: self
                 .engine
                 .submitted()
-                .saturating_sub(self.granted() + self.rejected()),
+                .saturating_sub(self.granted() + self.rejected() + self.engine.refused()),
         }
     }
 }

@@ -89,7 +89,8 @@ impl RequestLedger {
 
     /// Issues a ticket and records a refusal in one step (the path taken when
     /// [`Controller::supports`](crate::Controller::supports) is `false` for
-    /// the request's kind).
+    /// the request's kind). A request refused after it waited keeps the
+    /// ticket it was issued; see [`Outcome::Refused`].
     pub fn refuse(&mut self, origin: NodeId, kind: RequestKind) -> RequestId {
         let id = self.issue();
         self.record(id, origin, kind, Outcome::Refused);

@@ -105,9 +105,11 @@ pub enum Outcome {
     },
     /// The request was rejected.
     Rejected,
-    /// The controller's dynamic model does not cover the request's kind (the
-    /// AAPS baseline refuses deletions and internal insertions); no permit was
-    /// consumed and the safety/liveness accounting is untouched.
+    /// The request's precondition failed when it was admitted: its kind is
+    /// outside the controller's dynamic model (the AAPS baseline refuses
+    /// deletions and internal insertions), or the tree no longer admits a
+    /// request that waited (its origin vanished). No permit was consumed
+    /// and the safety/liveness accounting is untouched.
     Refused,
 }
 
@@ -117,8 +119,7 @@ impl Outcome {
         matches!(self, Outcome::Granted { .. })
     }
 
-    /// Returns `true` for refused outcomes (request kind outside the
-    /// controller's dynamic model).
+    /// Returns `true` for refused outcomes (see [`Outcome::Refused`]).
     pub fn is_refused(&self) -> bool {
         matches!(self, Outcome::Refused)
     }

@@ -443,10 +443,7 @@ impl ShardedController {
         for gid in std::mem::take(&mut self.pending) {
             let t = self.ticket(gid);
             if check_request(&self.mirror, t.origin, t.kind).is_err() {
-                // The wave outlived the request's target (e.g. the node was
-                // removed by a grant while the ticket was parked): outside
-                // the dynamic model by the time it could run, so it is
-                // refused — no permit is consumed, liveness is untouched.
+                // The one refusal rule (DESIGN §2.1).
                 let at = self.shards[t.shard as usize].shell.now();
                 self.resolve(gid, Outcome::Refused, at);
                 continue;

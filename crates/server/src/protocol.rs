@@ -348,7 +348,8 @@ pub struct StatsSnapshot {
     pub granted: u64,
     /// Requests rejected.
     pub rejected: u64,
-    /// Requests refused (outside the family's dynamic model).
+    /// Requests refused (see `Outcome::Refused`: the one refusal rule of
+    /// DESIGN §2.1).
     pub refused: u64,
     /// Request lines answered with an `error` frame.
     pub protocol_errors: u64,

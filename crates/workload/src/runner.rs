@@ -46,7 +46,8 @@ pub struct RunReport {
     /// Tickets that resolved to
     /// [`Outcome::Refused`](dcn_controller::Outcome::Refused): operations the
     /// controller's dynamic model does not support (the AAPS baseline refuses
-    /// deletions and internal insertions).
+    /// deletions and internal insertions), and waiting requests the tree no
+    /// longer admitted (their origin vanished).
     pub refused: u64,
     /// Operations that went stale before submission: an earlier grant in the
     /// same batch removed or re-parented the node they referenced
@@ -604,7 +605,8 @@ mod tests {
         let mut app = family_factory("size-estimator", runner.scenario()).unwrap();
         let report = runner.run(app.as_mut()).unwrap();
         assert_eq!(report.controller, "size-estimator");
-        assert_eq!(report.submitted, 60);
+        // A request whose origin vanished while it waited is refused.
+        assert_eq!(report.submitted + report.refused, 60);
         assert_eq!(report.granted + report.rejected, report.submitted);
         assert!(report.messages > 0);
         assert!(report.invariant_checks > 0);
