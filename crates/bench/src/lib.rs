@@ -12,8 +12,8 @@
 //! the shared [`ScenarioRunner`] — one driver loop for every
 //! [`Controller`](dcn_controller::Controller) family ([`Family`] enumerates
 //! them, [`run_family`] builds and drives one); the §5 applications are
-//! controllers too ([`AppFamily`]), and their experiments run through the
-//! same [`ScenarioRunner::run`].
+//! controllers too (`Family::App(`[`AppFamily`]`)`), and their experiments
+//! run through the same [`ScenarioRunner::run`].
 //!
 //! `dcn-exp` prints a table of rows (`experiment, parameters, measured,
 //! bound, ratio`) per experiment and, when the `DCN_JSON` environment
@@ -343,10 +343,8 @@ mod tests {
     #[test]
     fn every_application_runs_the_same_scenario() {
         let scenario = small_scenario();
-        let runner = ScenarioRunner::new(scenario.clone());
-        for family in AppFamily::ALL {
-            let mut app = family_factory(family.name(), &scenario).unwrap();
-            let report = runner.run(app.as_mut()).unwrap();
+        for family in AppFamily::ALL.map(Family::App) {
+            let report = run_family(family, &scenario);
             assert_eq!(report.controller, family.name());
             assert!(report.granted > 0, "{}", family.name());
             assert_eq!(report.invariant_violations, 0, "{}", family.name());

@@ -166,14 +166,23 @@ fn apps_grid_reports_are_byte_identical_across_worker_counts() {
 /// `iterated`, `trivial` and `aaps` stayed byte-identical. Under
 /// `DelayModel::Constant` nothing moved (`tests/end_to_end.rs`,
 /// `a_constant_delay_run_is_pinned_field_for_field`).
+///
+/// Re-pinned a fourth time, by format alone, when one writer began to print
+/// every column of every row from the cell's `RunReport`. Diffed against the
+/// parent field by field and key by key: the header and the 103 lines are
+/// unchanged, every one of the 2 586 fields the parent printed non-empty is
+/// byte-identical, and so is every one of the 2 865 JSON values it printed.
+/// What is new: the 96 controller rows fill `iterations`, `changes`,
+/// `amortized_mpc` and `invariant_violations` (0 in every row), and their
+/// JSON objects gain those keys and `invariant_checks`.
 #[test]
 fn quick_sweep_output_matches_the_pre_migration_golden_hashes() {
     let report = run_grid(
         &dcn_bench::quick_grid(dcn_bench::DEFAULT_SWEEP_SEED, 1, false),
         4,
     );
-    assert_eq!(fnv1a(report.to_csv().as_bytes()), 0x5f74_8ee3_95ca_9168);
-    assert_eq!(fnv1a(report.to_json().as_bytes()), 0xb016_ecff_4cef_0030);
+    assert_eq!(fnv1a(report.to_csv().as_bytes()), 0x4f66_c80e_32b9_2f3b);
+    assert_eq!(fnv1a(report.to_json().as_bytes()), 0x4fa2_f9b2_3929_f017);
 }
 
 /// Same pin for the apps axis (`dcn-sweep --quick --apps`).
@@ -232,14 +241,26 @@ fn quick_sweep_output_matches_the_pre_migration_golden_hashes() {
 /// summary rows of five applications moved in `p50_latency` only (75 →
 /// 79); `heavy-child`'s did not. The controller families' rows, the other
 /// three pins in this file and every pin in `exp_tables.rs` did not move.
+///
+/// Re-pinned a fifth time, by format alone, when one writer began to print
+/// every column of every row. Diffed against the parent field by field and
+/// key by key: the header and the 253 lines are unchanged, every one of the
+/// 6 258 fields the parent printed non-empty is byte-identical, and so is
+/// every one of the 7 161 JSON values it printed. What is new: the 144 app
+/// rows fill `refused` (678 refusals over 81 rows, which the parent's
+/// `submitted` had already lost), `wasted` (0 in every row), `moves`,
+/// `peak_memory_bits` and `final_max_degree`, and the 96 controller rows
+/// fill `iterations`, `changes`, `amortized_mpc` and
+/// `invariant_violations`; the JSON objects gain the same keys (the
+/// controller ones `invariant_checks` too).
 #[test]
 fn quick_apps_sweep_output_matches_the_pre_migration_golden_hashes() {
     let report = run_grid(
         &dcn_bench::quick_grid(dcn_bench::DEFAULT_SWEEP_SEED, 1, true),
         4,
     );
-    assert_eq!(fnv1a(report.to_csv().as_bytes()), 0xa609_8ff3_790a_1ef3);
-    assert_eq!(fnv1a(report.to_json().as_bytes()), 0x0b90_bc7d_508a_dec5);
+    assert_eq!(fnv1a(report.to_csv().as_bytes()), 0xd9a3_f43c_9a88_4bf9);
+    assert_eq!(fnv1a(report.to_json().as_bytes()), 0xc1d5_e132_5881_323d);
 }
 
 /// The sharded-controller grid: the `distributed` family side by side with
@@ -346,11 +367,22 @@ fn every_family_survives_the_diversified_grid() {
 /// the epoch-shell refactor: until then the 288-cell grid (whose `m=10,w=3`
 /// budget forces exchange waves) was only compared across worker counts,
 /// never against a constant.
+///
+/// Re-pinned once, by format alone, when one writer began to print every
+/// column of every row. Diffed against the parent field by field and key by
+/// key: the header and the 295 lines are unchanged, every one of the 7 578
+/// fields the parent printed non-empty is byte-identical, and so is every
+/// one of the 8 545 JSON values it printed. What is new: the 288 controller
+/// rows fill `iterations`, `changes`, `amortized_mpc` and
+/// `invariant_violations` (0 in every row), and their JSON objects gain
+/// those keys and `invariant_checks`. The CLI's `--quick --shards 1,4` grid
+/// (CI's sharded smoke) diffs the same way: 153 lines, 3 858 fields and
+/// 4 297 JSON values held.
 #[test]
 fn sharded_grid_output_matches_the_pre_shell_golden_hashes() {
     let report = run_grid(&sharded_grid(), 4);
-    assert_eq!(fnv1a(report.to_csv().as_bytes()), 0x2e38_e2a2_8b59_fdf0);
-    assert_eq!(fnv1a(report.to_json().as_bytes()), 0x3a3a_46c5_51ac_c00d);
+    assert_eq!(fnv1a(report.to_csv().as_bytes()), 0x19e2_ec35_d9ed_954b);
+    assert_eq!(fnv1a(report.to_json().as_bytes()), 0x114e_61ef_2f8c_d24e);
 }
 
 /// One adaptive-distributed run reduced to a fingerprint: ticket, outcome,

@@ -7,7 +7,9 @@
 //! ```
 //!
 //! Binds the address (port 0 picks an ephemeral port; `--port-file` writes
-//! the bound port for scripts to discover), builds the controller, and
+//! the bound port for scripts to discover), builds the controller — any of
+//! the twelve `Family` names, a §5 application such as `size-estimator`
+//! included, which ignores `--m` and `--w` — and
 //! serves the DESIGN.md §9 line-JSON protocol until a client sends
 //! `{"op": "shutdown"}`. Try it interactively:
 //!

@@ -182,15 +182,26 @@ impl Drop for Reap {
 
 /// The `dcn-serve` binary as a script drives it: started with a host name
 /// and a port file, one session of `hello`, `subscribe`, `submit` and
-/// `shutdown`, and a clean exit after the drain.
+/// `shutdown`, and a clean exit after the drain — for a controller and for a
+/// §5 application, which `--family` names like any other family. The
+/// `hello` asserts the family only: an application's `m` and `w` read
+/// `u64::MAX`, whatever `--m` and `--w` say.
 #[test]
 fn the_dcn_serve_binary_serves_a_session_and_exits_cleanly() {
+    for family in ["centralized", "size-estimator"] {
+        serve_one_session(family);
+    }
+}
+
+fn serve_one_session(family: &str) {
     let bin = env!("CARGO_BIN_EXE_dcn-serve");
-    let port_file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("dcn-serve-e2e.port");
+    let port_file =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("dcn-serve-{family}.port"));
     let _ = std::fs::remove_file(&port_file);
     let mut child = Reap(
         Command::new(bin)
-            .args(["--addr", "localhost:0", "--m", "16", "--w", "4"])
+            .args(["--addr", "localhost:0", "--m", "16", "--w", "4", "--family"])
+            .arg(family)
             .arg("--port-file")
             .arg(&port_file)
             .stdout(Stdio::piped())
@@ -203,7 +214,7 @@ fn the_dcn_serve_binary_serves_a_session_and_exits_cleanly() {
     let mut port = None;
     for _ in 0..2_000 {
         if let Some(status) = child.0.try_wait().unwrap() {
-            panic!("dcn-serve exited during start-up: {status}");
+            panic!("dcn-serve --family {family} exited during start-up: {status}");
         }
         match std::fs::read_to_string(&port_file) {
             Ok(text) if text.ends_with('\n') => {
@@ -216,8 +227,10 @@ fn the_dcn_serve_binary_serves_a_session_and_exits_cleanly() {
     let port = port.expect("dcn-serve wrote no port file");
 
     let mut c = Client::connect(("localhost", port));
-    c.send(r#"{"op": "hello", "proto": 1, "family": "centralized"}"#);
-    assert!(c.recv().contains("welcome"));
+    c.send(&format!(
+        r#"{{"op": "hello", "proto": 1, "family": "{family}"}}"#
+    ));
+    assert!(c.recv().contains("welcome"), "{family}");
     c.send(r#"{"op": "subscribe"}"#);
     assert!(c.recv().contains("subscribed"));
     c.send(r#"{"op": "submit", "kind": "event", "node": 0, "tag": 7}"#);
@@ -243,7 +256,7 @@ fn the_dcn_serve_binary_serves_a_session_and_exits_cleanly() {
 
     let stdout = std::io::read_to_string(child.0.stdout.take().unwrap()).unwrap();
     let status = child.0.wait().unwrap();
-    assert!(status.success(), "{status}: {stdout}");
+    assert!(status.success(), "{family}: {status}: {stdout}");
     assert_eq!(
         stdout.lines().last(),
         Some("dcn-serve: drained and stopped"),

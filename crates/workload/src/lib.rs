@@ -28,9 +28,10 @@
 //!
 //! Concrete controllers are built through the uniform [`ControllerSpec`]
 //! factory ([`Family`] × `M` × `W` × sim-config), which replaces the
-//! per-driver construction match arms; [`family_factory`] adapts it to the
-//! sweep engine's factory hook and resolves the six §5 application names
-//! ([`AppFamily`]) too: an application is a controller with invariants.
+//! per-driver construction match arms. An application is a controller with
+//! invariants, so a [`Family`] names the six §5 applications too
+//! (`Family::App(`[`AppFamily`]`)`); [`family_factory`] adapts the spec to
+//! the sweep engine's factory hook.
 //!
 //! Above the runner sits the [`SweepEngine`]: a declarative [`SweepGrid`]
 //! (families + apps × shapes × churn × placement × arrivals × budgets ×

@@ -38,7 +38,8 @@ pub struct RunReport {
     /// The permit budget `M` ([`Controller::budget`]; `u64::MAX` for a §5
     /// application, which has no run-wide budget).
     pub m: u64,
-    /// The waste bound `W` ([`Controller::waste_bound`]).
+    /// The waste bound `W` ([`Controller::waste_bound`]; `u64::MAX` for a
+    /// §5 application, whose iterations each size their own).
     pub w: u64,
     /// Requests actually processed by the controller's machinery (tickets
     /// issued minus refusals).
@@ -58,7 +59,9 @@ pub struct RunReport {
     /// Requests rejected.
     pub rejected: u64,
     /// Permits that can no longer be granted (`M − granted` once a reject has
-    /// been issued; 0 while no reject happened).
+    /// been issued; 0 while no reject happened). A §5 application's is 0
+    /// unless its epoch engine's stalled-rotation valve rejected a request;
+    /// it then reads `u64::MAX − granted`.
     pub wasted: u64,
     /// Permit/package movement cost (the centralized cost measure).
     pub moves: u64,

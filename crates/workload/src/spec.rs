@@ -5,17 +5,17 @@
 //! carried its own hand-rolled `match family { ... }` over the constructors.
 //! A [`ControllerSpec`] replaces all of them: it captures the *family* plus
 //! the shared parameters (budget `M`, waste bound `W`, simulator
-//! configuration for the distributed families) and builds any of the six
-//! families behind a `Box<dyn Controller>`.
+//! configuration for the distributed families) and builds any of the twelve
+//! families — six controllers and six §5 applications — behind a
+//! `Box<dyn Controller>`.
 //!
 //! The sweep engine's [`ControllerFactory`](crate::ControllerFactory) hook is
 //! covered by [`family_factory`], which resolves a grid's family *string* —
-//! a controller [`Family`], a sharded driver or a §5 [`AppFamily`] — and
-//! builds it over the cell's scenario.
+//! a [`Family`] name or a sharded driver — and builds it over the cell's
+//! scenario through the same spec.
 
 use crate::runner::ScenarioRunner;
 use crate::scenario::Scenario;
-use crate::shape::build_tree;
 use dcn_baseline::{AapsController, TrivialController};
 use dcn_controller::centralized::{CentralizedController, IteratedController};
 use dcn_controller::distributed::{AdaptiveDistributedController, DistributedController};
@@ -27,9 +27,10 @@ use dcn_estimator::{
 use dcn_simnet::SimConfig;
 use dcn_tree::DynamicTree;
 
-/// The controller families the workspace can build and compare. All of them
-/// implement the shared [`Controller`] trait, so every driver exercises them
-/// through the same ticket/event code path.
+/// The families the workspace can build and compare: six controllers and,
+/// under [`Family::App`], the six §5 applications. All of them implement the
+/// shared [`Controller`] trait, so every driver exercises them through the
+/// same ticket/event code path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
     /// The fixed-bound centralized controller of §3.1 (requires `W ≥ 1`).
@@ -45,10 +46,14 @@ pub enum Family {
     Trivial,
     /// The AAPS-style bin-hierarchy baseline (grow-only dynamic model).
     Aaps,
+    /// A §5 application: a controller with invariants, which sizes every
+    /// iteration from the live network and so uses neither `M`, `W` nor `U`.
+    App(AppFamily),
 }
 
 impl Family {
-    /// All six families, in comparison order.
+    /// The six controller families, in comparison order (the applications
+    /// are [`AppFamily::ALL`]).
     pub const ALL: [Family; 6] = [
         Family::Centralized,
         Family::Iterated,
@@ -67,13 +72,18 @@ impl Family {
             Family::AdaptiveDistributed => "adaptive-distributed",
             Family::Trivial => "trivial",
             Family::Aaps => "aaps",
+            Family::App(app) => app.name(),
         }
     }
 
-    /// The family for a display name (the inverse of [`Family::name`]; used
-    /// to resolve the family strings of a [`SweepGrid`](crate::SweepGrid)).
+    /// The family for any of the twelve display names (the inverse of
+    /// [`Family::name`]; used to resolve the family strings of a
+    /// [`SweepGrid`](crate::SweepGrid) and `dcn-serve --family`).
     pub fn from_name(name: &str) -> Option<Family> {
-        Family::ALL.into_iter().find(|f| f.name() == name)
+        Family::ALL
+            .into_iter()
+            .find(|f| f.name() == name)
+            .or_else(|| AppFamily::from_name(name).map(Family::App))
     }
 }
 
@@ -124,26 +134,6 @@ impl AppFamily {
     pub fn from_name(name: &str) -> Option<AppFamily> {
         AppFamily::ALL.into_iter().find(|f| f.name() == name)
     }
-
-    /// Builds the application over the scenario's initial tree, its
-    /// simulator seeded with the scenario seed so the inner controllers'
-    /// delay schedules replay with the workload. The families that take an
-    /// approximation factor (size estimation, subtree estimation, majority
-    /// commitment) get `β = 2`; the heavy-child decomposition fixes
-    /// `β = √3` and the name assigner and ancestry labeling fix their own
-    /// factors, as the paper prescribes. The scenario's `M` and `W` are not
-    /// used: an application sizes every iteration from the live network.
-    fn build(self, scenario: &Scenario) -> Result<Box<dyn Controller>, ControllerError> {
-        let (sim, tree) = (SimConfig::new(scenario.seed), build_tree(scenario.shape));
-        Ok(match self {
-            AppFamily::SizeEstimator => Box::new(SizeEstimator::new(sim, tree, 2.0)?),
-            AppFamily::NameAssigner => Box::new(NameAssigner::new(sim, tree)?),
-            AppFamily::SubtreeEstimator => Box::new(SubtreeEstimator::new(sim, tree, 2.0)?),
-            AppFamily::HeavyChild => Box::new(HeavyChildDecomposition::new(sim, tree)?),
-            AppFamily::AncestryLabeling => Box::new(AncestryLabeling::new(sim, tree)?),
-            AppFamily::MajorityCommitment => Box::new(MajorityCommitment::new(sim, tree, 2.0)?),
-        })
-    }
 }
 
 /// A complete recipe for one controller: family × `M` × `W` × simulator
@@ -168,13 +158,14 @@ impl AppFamily {
 pub struct ControllerSpec {
     /// Which controller family to build.
     pub family: Family,
-    /// The permit budget `M`.
+    /// The permit budget `M` (ignored by the applications).
     pub m: u64,
-    /// The waste bound `W` (ignored by the trivial family, whose root always
-    /// knows the exact remaining budget).
+    /// The waste bound `W` (ignored by the applications and by the trivial
+    /// family, whose root always knows the exact remaining budget).
     pub w: u64,
     /// Simulator configuration (seed, delay model, event budget) for the
-    /// distributed families; ignored by the synchronous ones.
+    /// distributed families and the applications; ignored by the
+    /// synchronous ones.
     pub sim: SimConfig,
 }
 
@@ -192,6 +183,12 @@ impl ControllerSpec {
     }
 
     /// Builds the controller over `tree` with node bound `u_bound`.
+    ///
+    /// An application is built over `tree` with the simulator `sim` alone.
+    /// The families that take an approximation factor (size estimation,
+    /// subtree estimation, majority commitment) get `β = 2`; the
+    /// heavy-child decomposition fixes `β = √3` and the name assigner and
+    /// ancestry labeling fix their own factors, as the paper prescribes.
     ///
     /// # Errors
     ///
@@ -215,6 +212,22 @@ impl ControllerSpec {
             )?),
             Family::Trivial => Box::new(TrivialController::new(tree, self.m)),
             Family::Aaps => Box::new(AapsController::new(tree, self.m, self.w, u_bound)?),
+            Family::App(AppFamily::SizeEstimator) => {
+                Box::new(SizeEstimator::new(self.sim, tree, 2.0)?)
+            }
+            Family::App(AppFamily::NameAssigner) => Box::new(NameAssigner::new(self.sim, tree)?),
+            Family::App(AppFamily::SubtreeEstimator) => {
+                Box::new(SubtreeEstimator::new(self.sim, tree, 2.0)?)
+            }
+            Family::App(AppFamily::HeavyChild) => {
+                Box::new(HeavyChildDecomposition::new(self.sim, tree)?)
+            }
+            Family::App(AppFamily::AncestryLabeling) => {
+                Box::new(AncestryLabeling::new(self.sim, tree)?)
+            }
+            Family::App(AppFamily::MajorityCommitment) => {
+                Box::new(MajorityCommitment::new(self.sim, tree, 2.0)?)
+            }
         })
     }
 
@@ -233,9 +246,10 @@ impl ControllerSpec {
 }
 
 /// The [`ControllerFactory`](crate::ControllerFactory) covering every family:
-/// resolves a [`SweepGrid`](crate::SweepGrid) family, shard or app string
-/// and builds the controller over the cell's scenario. One shard is the
-/// distributed family itself, so `sharded:k1` builds a
+/// resolves a [`SweepGrid`](crate::SweepGrid) family or shard string and
+/// builds the controller over the cell's scenario with
+/// [`ControllerSpec::for_scenario`]. One shard is the distributed family
+/// itself, so `sharded:k1` builds a
 /// [`DistributedController`](dcn_controller::distributed::DistributedController).
 ///
 /// ```
@@ -258,13 +272,10 @@ impl ControllerSpec {
 /// Returns a description for unknown family names and invalid parameter
 /// combinations (reported per cell by the engine, never propagated).
 pub fn family_factory(family: &str, scenario: &Scenario) -> Result<Box<dyn Controller>, String> {
-    if let Some(app) = AppFamily::from_name(family) {
-        return app.build(scenario).map_err(|e| e.to_string());
-    }
+    let runner = ScenarioRunner::new(scenario.clone());
     let family = match parse_shard_family(family) {
         Some(1) => Family::Distributed,
         Some(k) => {
-            let runner = ScenarioRunner::new(scenario.clone());
             return ShardedController::new(
                 SimConfig::new(scenario.seed),
                 runner.initial_tree(),
@@ -279,7 +290,7 @@ pub fn family_factory(family: &str, scenario: &Scenario) -> Result<Box<dyn Contr
         None => Family::from_name(family).ok_or_else(|| format!("unknown family {family:?}"))?,
     };
     ControllerSpec::for_scenario(family, scenario)
-        .build_for(&ScenarioRunner::new(scenario.clone()))
+        .build_for(&runner)
         .map_err(|e| e.to_string())
 }
 
@@ -301,9 +312,16 @@ mod tests {
     use super::*;
     use dcn_controller::RequestKind;
 
+    /// The twelve families: the six controllers, then the six applications.
+    fn every_family() -> impl Iterator<Item = Family> {
+        Family::ALL
+            .into_iter()
+            .chain(AppFamily::ALL.map(Family::App))
+    }
+
     #[test]
     fn family_names_round_trip() {
-        for family in Family::ALL {
+        for family in every_family() {
             assert_eq!(Family::from_name(family.name()), Some(family));
         }
         assert_eq!(Family::from_name("bogus"), None);
@@ -312,32 +330,43 @@ mod tests {
     #[test]
     fn every_family_builds_and_reports_its_own_name() {
         let scenario = Scenario::smoke();
-        for family in Family::ALL {
-            let spec = ControllerSpec::for_scenario(family, &scenario);
-            let ctrl = spec
-                .build_for(&ScenarioRunner::new(scenario.clone()))
+        let runner = ScenarioRunner::new(scenario.clone());
+        for family in every_family() {
+            let ctrl = ControllerSpec::for_scenario(family, &scenario)
+                .build_for(&runner)
                 .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
             assert_eq!(ctrl.name(), family.name());
-            assert_eq!(ctrl.budget(), scenario.m);
+            // An application has no run-wide budget.
+            let budget = match family {
+                Family::App(_) => u64::MAX,
+                _ => scenario.m,
+            };
+            assert_eq!(ctrl.budget(), budget, "{}", family.name());
+            assert!(ctrl.tree().node_count() > 0);
+            ctrl.check_invariants()
+                .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
         }
     }
 
     #[test]
     fn built_controllers_answer_tickets_uniformly() {
         let scenario = Scenario::smoke();
-        for family in Family::ALL {
+        let runner = ScenarioRunner::new(scenario.clone());
+        for family in every_family() {
             let mut ctrl = ControllerSpec::for_scenario(family, &scenario)
-                .build_for(&ScenarioRunner::new(scenario.clone()))
+                .build_for(&runner)
                 .unwrap();
             let at = ctrl.tree().root();
-            let id = ctrl.submit(at, RequestKind::NonTopological).unwrap();
+            let id = ctrl.submit(at, RequestKind::AddLeaf).unwrap();
             ctrl.run_to_quiescence().unwrap();
-            let answer = ctrl.records()[0];
+            let answers = ctrl.take_records();
             assert!(
-                answer.id == id && answer.outcome.is_granted(),
-                "{}",
+                answers.len() == 1 && answers[0].id == id && answers[0].outcome.is_granted(),
+                "{}: {answers:?}",
                 family.name()
             );
+            ctrl.check_invariants()
+                .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
         }
     }
 

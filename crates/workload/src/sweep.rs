@@ -186,8 +186,9 @@ pub struct SweepCell {
     pub scenario: Scenario,
 }
 
-/// The report produced by one executed cell, tagged with the cell's kind:
-/// the emitters print different columns for the two.
+/// The report produced by one executed cell, tagged with the cell's kind.
+/// The emitters print the same columns for both; the family summaries take
+/// moves and memory from controller cells only.
 #[derive(Clone, Debug)]
 pub enum CellReport {
     /// A controller cell's [`RunReport`].
@@ -504,11 +505,10 @@ impl SweepReport {
     }
 
     /// The full report as CSV: a header line, one row per cell in grid
-    /// order, a blank line, then the per-family summary rows. Controller
-    /// cells leave the application columns (`iterations`, `changes`,
-    /// `amortized_mpc`, `invariant_violations`) empty, and application cells
-    /// leave the controller-only columns empty, so every row keeps the same
-    /// arity.
+    /// order, a blank line, then the per-family summary rows. Every cell
+    /// that ran fills every column from its [`RunReport`], whichever kind it
+    /// is; a cell that could not run leaves the report columns empty, so
+    /// every row keeps the same arity.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         out.push_str(
@@ -539,11 +539,11 @@ impl SweepReport {
                 s.seed,
                 status,
             );
-            match &c.report {
-                Ok(CellReport::Controller(r)) => {
+            match c.run_report() {
+                Some(r) => {
                     let _ = writeln!(
                         out,
-                        ",{},{},{},{},{},{},{},{},{},{},{},{},{},,,,",
+                        ",{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.2},{}",
                         r.submitted,
                         r.refused,
                         r.dropped,
@@ -557,29 +557,13 @@ impl SweepReport {
                         r.peak_node_memory_bits,
                         r.final_nodes,
                         r.final_max_degree,
-                    );
-                }
-                Ok(CellReport::App(r)) => {
-                    let _ = writeln!(
-                        out,
-                        ",{},,{},{},{},,,{},{},{},,{},,{},{},{:.2},{}",
-                        r.submitted,
-                        r.dropped,
-                        r.granted,
-                        r.rejected,
-                        r.messages,
-                        r.p50_answer_latency,
-                        r.p95_answer_latency,
-                        r.final_nodes,
                         r.iterations,
                         r.changes,
                         r.amortized_messages_per_change(),
                         r.invariant_violations,
                     );
                 }
-                Err(_) => {
-                    out.push_str(",,,,,,,,,,,,,,,,,\n");
-                }
+                None => out.push_str(",,,,,,,,,,,,,,,,,\n"),
             }
         }
         out.push('\n');
@@ -630,11 +614,11 @@ impl SweepReport {
                 c.cell.scenario.to_json(),
                 crate::json::quote(&cell_status(c)),
             );
-            match &c.report {
-                Ok(CellReport::Controller(r)) => {
+            match c.run_report() {
+                Some(r) => {
                     let _ = write!(
                         out,
-                        r#"{{"submitted": {}, "refused": {}, "dropped": {}, "granted": {}, "rejected": {}, "wasted": {}, "moves": {}, "messages": {}, "p50_latency": {}, "p95_latency": {}, "peak_memory_bits": {}, "final_nodes": {}, "final_max_degree": {}}}"#,
+                        r#"{{"submitted": {}, "refused": {}, "dropped": {}, "granted": {}, "rejected": {}, "wasted": {}, "moves": {}, "messages": {}, "p50_latency": {}, "p95_latency": {}, "peak_memory_bits": {}, "final_nodes": {}, "final_max_degree": {}, "iterations": {}, "changes": {}, "amortized_mpc": {:.2}, "invariant_checks": {}, "invariant_violations": {}}}"#,
                         r.submitted,
                         r.refused,
                         r.dropped,
@@ -648,28 +632,14 @@ impl SweepReport {
                         r.peak_node_memory_bits,
                         r.final_nodes,
                         r.final_max_degree,
-                    );
-                }
-                Ok(CellReport::App(r)) => {
-                    let _ = write!(
-                        out,
-                        r#"{{"submitted": {}, "dropped": {}, "granted": {}, "rejected": {}, "iterations": {}, "changes": {}, "messages": {}, "amortized_mpc": {:.2}, "invariant_checks": {}, "invariant_violations": {}, "p50_latency": {}, "p95_latency": {}, "final_nodes": {}}}"#,
-                        r.submitted,
-                        r.dropped,
-                        r.granted,
-                        r.rejected,
                         r.iterations,
                         r.changes,
-                        r.messages,
                         r.amortized_messages_per_change(),
                         r.invariant_checks,
                         r.invariant_violations,
-                        r.p50_answer_latency,
-                        r.p95_answer_latency,
-                        r.final_nodes,
                     );
                 }
-                Err(_) => out.push_str("null"),
+                None => out.push_str("null"),
             }
             out.push('}');
         }
@@ -964,17 +934,57 @@ mod tests {
             assert!(s.p95_messages > 0, "{}", s.family);
             assert_eq!(s.p50_moves, 0, "{}", s.family);
         }
-        // CSV rows keep one arity across controller rows, app rows and the
-        // kind column tags them.
+        // CSV rows keep one arity and fill every column across controller
+        // rows and app rows, and the kind column tags them.
         let csv = serial.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         let arity = lines[0].matches(',').count();
         for row in &lines[1..=24] {
             assert_eq!(row.matches(',').count(), arity, "row {row:?}");
+            assert!(!row.split(',').any(str::is_empty), "row {row:?}");
         }
         assert!(csv.contains(",app,"));
         assert!(serial.to_json().contains(r#""kind": "app""#));
         assert!(serial.to_json().contains(r#""invariant_violations": 0"#));
+    }
+
+    /// An application cell that refuses — the open-loop star-23 cell where
+    /// a grant removes the origin of a waiting request — shows its
+    /// refusals in both emitters, as a controller cell does.
+    #[test]
+    fn an_app_cells_refusals_reach_both_emitters() {
+        let scenario = Scenario {
+            name: "star23-open24".to_string(),
+            shape: TreeShape::Star { nodes: 23 },
+            churn: ChurnModel::default_mixed(),
+            placement: Placement::Uniform,
+            arrival: ArrivalMode::Interleaved { quantum: 24 },
+            requests: 512,
+            m: 4096,
+            w: 128,
+            seed: 0,
+        };
+        let cell = SweepCell {
+            index: 0,
+            family: "size-estimator".to_string(),
+            scenario,
+        };
+        let report = SweepEngine::new(1).run_cells(
+            "refusals".to_string(),
+            vec![cell],
+            &crate::family_factory,
+        );
+        let refused = report.cells[0].run_report().expect("the cell ran").refused;
+        assert!(refused > 0, "the cell refused nothing");
+        let csv = report.to_csv();
+        let mut lines = csv.lines().map(|line| line.split(',').collect::<Vec<_>>());
+        let (header, row) = (lines.next().unwrap(), lines.next().unwrap());
+        let column = header.iter().position(|&h| h == "refused").unwrap();
+        assert_eq!(row[column], refused.to_string());
+        let json = crate::json::parse(&report.to_json()).unwrap();
+        let cell = &json.get("cells").unwrap().as_array().unwrap()[0];
+        let key = cell.get("report").and_then(|r| r.get("refused"));
+        assert_eq!(key.and_then(|v| v.as_u64()), Ok(refused));
     }
 
     #[test]

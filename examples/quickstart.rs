@@ -40,9 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- quickstart ---");
     println!("scenario: {}", scenario.to_json());
 
-    // The spec factory builds any of the six families uniformly; swap
-    // `Family::Distributed` for `Family::Iterated`, `Family::Aaps`, … and the
-    // rest of this program is unchanged.
+    // The spec factory builds any of the twelve families uniformly; swap
+    // `Family::Distributed` for `Family::Iterated`, `Family::Aaps`,
+    // `Family::App(AppFamily::SizeEstimator)`, … and the rest of this
+    // program is unchanged.
     let runner = ScenarioRunner::new(scenario.clone());
     let mut controller =
         ControllerSpec::for_scenario(Family::Distributed, &scenario).build_for(&runner)?;
