@@ -60,8 +60,6 @@ pub struct AapsController {
     storage: u64,
     m: u64,
     w: u64,
-    granted: u64,
-    rejected: u64,
     messages: u64,
     moves: u64,
     ledger: RequestLedger,
@@ -97,8 +95,6 @@ impl AapsController {
             storage: m,
             m,
             w,
-            granted: 0,
-            rejected: 0,
             messages: 0,
             moves: 0,
             ledger: RequestLedger::new(),
@@ -291,7 +287,6 @@ impl SyncController for AapsController {
         let have_permit = self.refill(host, 0)
             || (self.uncommitted_permits() > self.w && self.recall_permit(host));
         if !have_permit {
-            self.rejected += 1;
             // Reject answer walks back to the requester.
             self.messages += dist;
             return Ok(Outcome::Rejected);
@@ -302,7 +297,6 @@ impl SyncController for AapsController {
         )]
         let bin = self.bins.get_mut(&(host, 0)).expect("bin was refilled");
         *bin -= 1;
-        self.granted += 1;
         // The permit travels from the bin to the requester.
         self.moves += dist;
         self.messages += dist;
@@ -314,14 +308,6 @@ impl SyncController for AapsController {
             serial: None,
             new_node,
         })
-    }
-
-    fn granted(&self) -> u64 {
-        self.granted
-    }
-
-    fn rejected(&self) -> u64 {
-        self.rejected
     }
 
     fn tree(&self) -> &DynamicTree {
@@ -349,6 +335,13 @@ impl SyncController for AapsController {
 mod tests {
     use super::*;
 
+    /// Submits through the ticketed path, whose ledger counts the answer (a
+    /// bare `decide` is not counted), and returns the answer.
+    fn answer(ctrl: &mut AapsController, at: NodeId, kind: RequestKind) -> Outcome {
+        dcn_controller::Controller::submit(ctrl, at, kind).unwrap();
+        ctrl.ledger().records().last().unwrap().outcome
+    }
+
     #[test]
     fn grants_within_budget_and_conserves_permits() {
         let tree = DynamicTree::with_initial_path(32);
@@ -357,11 +350,11 @@ mod tests {
         for i in 0..(m as usize + 10) {
             let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
             let at = nodes[(i * 7) % nodes.len()];
-            let _ = ctrl.decide(at, RequestKind::AddLeaf).unwrap();
-            assert_eq!(ctrl.granted() + ctrl.uncommitted_permits(), m);
+            answer(&mut ctrl, at, RequestKind::AddLeaf);
+            assert_eq!(ctrl.ledger().granted() + ctrl.uncommitted_permits(), m);
         }
-        assert!(ctrl.granted() <= m);
-        assert!(ctrl.rejected() > 0);
+        assert!(ctrl.ledger().granted() <= m);
+        assert!(ctrl.ledger().rejected() > 0);
         assert!(ctrl.tree().check_invariants().is_ok());
     }
 
@@ -414,19 +407,19 @@ mod tests {
             for i in 0..(3 * m as usize) {
                 let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
                 let at = nodes[(i * 11) % nodes.len()];
-                match ctrl.decide(at, RequestKind::NonTopological).unwrap() {
+                match answer(&mut ctrl, at, RequestKind::NonTopological) {
                     Outcome::Granted { .. } => {}
                     Outcome::Rejected => rejected += 1,
                     Outcome::Refused => unreachable!("events are inside the AAPS model"),
                 }
                 // Permit conservation holds throughout, recall included.
-                assert_eq!(ctrl.granted() + ctrl.uncommitted_permits(), m);
+                assert_eq!(ctrl.ledger().granted() + ctrl.uncommitted_permits(), m);
             }
             assert!(rejected > 0, "len={len}: budget must be exhausted");
             assert!(
-                ctrl.granted() >= m - w,
+                ctrl.ledger().granted() >= m - w,
                 "len={len}: liveness violated — granted {} < M − W = {}",
-                ctrl.granted(),
+                ctrl.ledger().granted(),
                 m - w
             );
         }

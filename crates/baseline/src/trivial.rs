@@ -19,8 +19,6 @@ pub struct TrivialController {
     tree: DynamicTree,
     remaining: u64,
     m: u64,
-    granted: u64,
-    rejected: u64,
     messages: u64,
     moves: u64,
     ledger: RequestLedger,
@@ -33,8 +31,6 @@ impl TrivialController {
             tree,
             remaining: m,
             m,
-            granted: 0,
-            rejected: 0,
             messages: 0,
             moves: 0,
             ledger: RequestLedger::new(),
@@ -81,11 +77,9 @@ impl SyncController for TrivialController {
         let depth = self.tree.depth(at) as u64;
         self.messages += 2 * depth;
         if self.remaining == 0 {
-            self.rejected += 1;
             return Ok(Outcome::Rejected);
         }
         self.remaining -= 1;
-        self.granted += 1;
         self.moves += depth;
         let new_node = match kind {
             RequestKind::NonTopological => None,
@@ -100,14 +94,6 @@ impl SyncController for TrivialController {
             serial: Some(self.m - self.remaining),
             new_node,
         })
-    }
-
-    fn granted(&self) -> u64 {
-        self.granted
-    }
-
-    fn rejected(&self) -> u64 {
-        self.rejected
     }
 
     fn tree(&self) -> &DynamicTree {
@@ -144,16 +130,19 @@ mod tests {
         let nodes: Vec<NodeId> = ctrl.tree().nodes().collect();
         let mut granted = 0;
         for i in 0..12 {
-            if ctrl
-                .decide(nodes[i % nodes.len()], RequestKind::NonTopological)
-                .unwrap()
-                .is_granted()
-            {
+            // The ticketed path: its ledger counts the answer.
+            dcn_controller::Controller::submit(
+                &mut ctrl,
+                nodes[i % nodes.len()],
+                RequestKind::NonTopological,
+            )
+            .unwrap();
+            if ctrl.ledger().records()[i].outcome.is_granted() {
                 granted += 1;
             }
         }
         assert_eq!(granted, 5);
-        assert_eq!(ctrl.rejected(), 7);
+        assert_eq!(ctrl.ledger().rejected(), 7);
     }
 
     #[test]

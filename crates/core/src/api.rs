@@ -26,10 +26,15 @@
 //!    answers not yet taken, and [`Controller::drain_events`] takes them as
 //!    [`ControllerEvent`]s.
 //!
-//! Cost counters are exposed uniformly through [`ControllerMetrics`].
+//! Every family embeds one [`RequestLedger`], which issues the tickets,
+//! holds the answers and counts them: [`Controller::granted`],
+//! [`Controller::rejected`], [`Controller::refused`] and the §2.2
+//! [`Controller::summary`] are reads of it ([`Controller::ledger`]). Cost
+//! counters are exposed uniformly through [`ControllerMetrics`].
 
 use crate::ledger::RequestLedger;
 use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
+use crate::verify::ExecutionSummary;
 use crate::{ControllerError, InvariantError};
 use dcn_tree::DynamicTree;
 use dcn_tree::NodeId;
@@ -191,8 +196,10 @@ impl Progress {
 /// [`Controller::run_to_quiescence`] / [`Controller::step`]. A driver that
 /// runs without end takes the answers after every execution call; one that
 /// reads the whole history back — every sweep and experiment — never takes
-/// them, and one that only wants aggregates can keep reading
-/// [`Controller::granted`] / [`Controller::rejected`].
+/// them, and one that only wants aggregates reads the tally
+/// ([`Controller::granted`], [`Controller::rejected`],
+/// [`Controller::refused`], [`Controller::summary`]), which taking leaves
+/// whole.
 pub trait Controller {
     /// A short human-readable family name (used in experiment rows).
     fn name(&self) -> &'static str;
@@ -250,13 +257,19 @@ pub trait Controller {
 
     /// Removes and returns the answers given since the last take, in answer
     /// order (grants, rejects and refusals alike), with submit/answer
-    /// virtual times: each ticket's record is handed out once. Counters and
+    /// virtual times: each ticket's record is handed out once. The tally and
     /// the tree are unaffected.
     fn take_records(&mut self) -> Vec<RequestRecord>;
 
+    /// The family's embedded ledger: its tickets, the answers not yet taken
+    /// and the tally of every answer given.
+    fn ledger(&self) -> &RequestLedger;
+
     /// The answers not yet taken, in answer order — the whole history for a
     /// driver that never takes.
-    fn records(&self) -> &[RequestRecord];
+    fn records(&self) -> &[RequestRecord] {
+        self.ledger().records()
+    }
 
     /// Takes the answers ([`Controller::take_records`]) as events, in answer
     /// order: [`ControllerEvent::push_for_record`] over each record.
@@ -270,10 +283,35 @@ pub trait Controller {
     }
 
     /// Number of permits granted so far.
-    fn granted(&self) -> u64;
+    fn granted(&self) -> u64 {
+        self.ledger().granted()
+    }
 
     /// Number of requests rejected so far.
-    fn rejected(&self) -> u64;
+    fn rejected(&self) -> u64 {
+        self.ledger().rejected()
+    }
+
+    /// Number of requests refused so far: neither granted nor rejected (see
+    /// [`Outcome::Refused`]).
+    fn refused(&self) -> u64 {
+        self.ledger().refused()
+    }
+
+    /// The §2.2 correctness summary of the execution so far: the tally
+    /// against `M` and `W`, every ticket issued and not yet answered counted
+    /// as `unanswered` (0 at a quiescent point). A refusal is an answer.
+    fn summary(&self) -> ExecutionSummary {
+        let ledger = self.ledger();
+        let answered = ledger.granted() + ledger.rejected() + ledger.refused();
+        ExecutionSummary {
+            m: self.budget(),
+            w: self.waste_bound(),
+            granted: ledger.granted(),
+            rejected: ledger.rejected(),
+            unanswered: ledger.issued().saturating_sub(answered),
+        }
+    }
 
     /// The spanning tree as currently maintained by the controller.
     fn tree(&self) -> &DynamicTree;
@@ -305,13 +343,20 @@ pub trait Controller {
     /// answer order. Requests rejected because an iteration's budget ran out
     /// are retried in the next iteration under the same ticket.
     ///
+    /// A shim for a controller of known type (`Self: Sized`): it stays out
+    /// of the `dyn Controller` vtable, so a driver that holds a trait object
+    /// does not carry one copy of it per family.
+    ///
     /// # Errors
     ///
     /// Propagates simulator and rotation errors.
     fn run_batch(
         &mut self,
         ops: &[(NodeId, RequestKind)],
-    ) -> Result<Vec<RequestRecord>, ControllerError> {
+    ) -> Result<Vec<RequestRecord>, ControllerError>
+    where
+        Self: Sized,
+    {
         let before = self.records().len();
         for &(at, kind) in ops {
             // Stale intra-batch operations are dropped.
@@ -326,7 +371,8 @@ pub trait Controller {
 /// spot. Implementing it is all the centralized, trivial and AAPS families
 /// do: the ticket lifecycle of [`Controller`] (issue, record, take) is
 /// supplied once by the blanket impl below over the family's embedded
-/// [`RequestLedger`].
+/// [`RequestLedger`], which also keeps the tally: a decision made without a
+/// ticket (a bare [`SyncController::decide`]) is not counted.
 pub trait SyncController {
     /// See [`Controller::name`].
     fn name(&self) -> &'static str;
@@ -352,19 +398,13 @@ pub trait SyncController {
     /// such a request never entered the controller.
     fn decide(&mut self, at: NodeId, kind: RequestKind) -> Result<Outcome, ControllerError>;
 
-    /// See [`Controller::granted`].
-    fn granted(&self) -> u64;
-
-    /// See [`Controller::rejected`].
-    fn rejected(&self) -> u64;
-
     /// See [`Controller::tree`].
     fn tree(&self) -> &DynamicTree;
 
     /// See [`Controller::metrics`].
     fn metrics(&self) -> ControllerMetrics;
 
-    /// The family's embedded ledger.
+    /// See [`Controller::ledger`].
     fn ledger(&self) -> &RequestLedger;
 
     /// Mutable access to the family's embedded ledger.
@@ -416,16 +456,8 @@ impl<T: SyncController> Controller for T {
         self.ledger_mut().take_records()
     }
 
-    fn records(&self) -> &[RequestRecord] {
-        self.ledger().records()
-    }
-
-    fn granted(&self) -> u64 {
-        SyncController::granted(self)
-    }
-
-    fn rejected(&self) -> u64 {
-        SyncController::rejected(self)
+    fn ledger(&self) -> &RequestLedger {
+        SyncController::ledger(self)
     }
 
     fn tree(&self) -> &DynamicTree {
@@ -489,7 +521,7 @@ mod tests {
                 let once = answered.iter().filter(|&&a| a == id).count();
                 assert_eq!(once, 1, "{}: {id}", ctrl.name());
             }
-            // Event totals mirror the counters exactly.
+            // Event totals mirror the tally exactly.
             let events = ctrl.drain_events();
             let granted = events
                 .iter()

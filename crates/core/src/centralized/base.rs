@@ -42,8 +42,6 @@ pub struct CentralizedController {
     stores: FxHashMap<NodeId, PackageStore>,
     storage: u64,
     storage_interval: Option<PermitInterval>,
-    granted: u64,
-    rejected: u64,
     moves: u64,
     next_package_id: u64,
     reject_wave_done: bool,
@@ -80,8 +78,6 @@ impl CentralizedController {
             stores: FxHashMap::default(),
             storage: m,
             storage_interval: None,
-            granted: 0,
-            rejected: 0,
             moves: 0,
             next_package_id: 0,
             reject_wave_done: false,
@@ -178,8 +174,8 @@ impl CentralizedController {
         aud.check_invariants(&self.tree, &self.params, host_of)
     }
 
-    /// Serves a request without a reject wave: `None`, a counted reject, when
-    /// the root's storage cannot supply the package the request needs (the
+    /// Serves a request without a reject wave: `None`, a reject, when the
+    /// root's storage cannot supply the package the request needs (the
     /// exhausted round the epoch engine recycles). A node that holds a
     /// reject package answers [`Outcome::Rejected`] at once.
     ///
@@ -194,13 +190,11 @@ impl CentralizedController {
         check_request(&self.tree, at, kind)?;
         // Item 1: a reject package at the node answers the request at once.
         if self.stores.get(&at).is_some_and(PackageStore::has_reject) {
-            self.rejected += 1;
             return Ok(Some(Outcome::Rejected));
         }
         // Item 2: a static package at the node grants immediately.
         if let Some(serial) = self.store_mut(at).grant_static() {
             let new_node = self.apply_granted_event(at, kind)?;
-            self.granted += 1;
             return Ok(Some(Outcome::Granted { serial, new_node }));
         }
         // Item 3: look for the closest filler node on the way to the root.
@@ -219,7 +213,6 @@ impl CentralizedController {
                 let level = self.params.root_level_for_distance(dist);
                 let size = self.params.mobile_size(level);
                 if self.storage < size {
-                    self.rejected += 1;
                     return Ok(None);
                 }
                 self.storage -= size;
@@ -235,7 +228,6 @@ impl CentralizedController {
         // Item 4: distribute the package contents along the path towards `at`.
         let serial = self.distribute(package, host, host_dist, at);
         let new_node = self.apply_granted_event(at, kind)?;
-        self.granted += 1;
         Ok(Some(Outcome::Granted { serial, new_node }))
     }
 
@@ -412,14 +404,6 @@ impl SyncController for CentralizedController {
                 Ok(Outcome::Rejected)
             }
         }
-    }
-
-    fn granted(&self) -> u64 {
-        self.granted
-    }
-
-    fn rejected(&self) -> u64 {
-        self.rejected
     }
 
     fn tree(&self) -> &DynamicTree {

@@ -9,7 +9,6 @@ use crate::ledger::RequestLedger;
 use crate::package::PermitInterval;
 use crate::params::Params;
 use crate::request::{check_request, RequestId, RequestKind, RequestRecord};
-use crate::verify::ExecutionSummary;
 use crate::ControllerError;
 use dcn_simnet::{DynamicTree, NodeId, SimConfig, Simulator};
 use dcn_tree::ChangeLog;
@@ -140,11 +139,6 @@ impl DistributedController {
             .unwrap_or(0)
     }
 
-    /// Number of requests submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.ledger.issued()
-    }
-
     /// Number of permits not yet granted (root storage plus packages).
     pub fn uncommitted_permits(&self) -> u64 {
         let params = *self.params();
@@ -196,18 +190,6 @@ impl DistributedController {
             self.ledger.push(record);
         }
     }
-
-    /// A correctness summary of the execution so far (see
-    /// [`crate::verify::ExecutionSummary`]).
-    pub fn summary(&self) -> ExecutionSummary {
-        ExecutionSummary {
-            m: self.m,
-            w: self.w,
-            granted: self.granted(),
-            rejected: self.rejected(),
-            unanswered: self.submitted() - self.granted() - self.rejected(),
-        }
-    }
 }
 
 impl Controller for DistributedController {
@@ -253,16 +235,8 @@ impl Controller for DistributedController {
         self.ledger.take_records()
     }
 
-    fn records(&self) -> &[RequestRecord] {
-        self.ledger.records()
-    }
-
-    fn granted(&self) -> u64 {
-        self.sim.protocol().granted()
-    }
-
-    fn rejected(&self) -> u64 {
-        self.sim.protocol().rejected()
+    fn ledger(&self) -> &RequestLedger {
+        &self.ledger
     }
 
     fn tree(&self) -> &DynamicTree {

@@ -365,12 +365,6 @@ pub struct IterationDriver<P, C = DistributedController> {
     /// Charged application waves (see [`IterationDriver::charge_messages`]).
     aux_messages: u64,
     changes_total: u64,
-    /// Requests answered with a grant.
-    granted: u64,
-    /// Requests answered with a final reject.
-    rejected: u64,
-    /// Waiting requests refused (the one refusal rule, DESIGN §2.1).
-    refused: u64,
     seed_counter: u64,
     /// Outer tickets submitted but not yet handed to the inner controller.
     queued: Vec<Pending>,
@@ -401,9 +395,6 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
             boundary_messages: 0,
             aux_messages: 0,
             changes_total: 0,
-            granted: 0,
-            rejected: 0,
-            refused: 0,
             seed_counter: config.seed,
             queued: Vec::new(),
             retry: Vec::new(),
@@ -468,9 +459,10 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
         self.ledger.take_records()
     }
 
-    /// The answers not yet taken, in answer order.
-    pub fn records(&self) -> &[RequestRecord] {
-        self.ledger.records()
+    /// The outer tickets, the answers not yet taken and the tally of every
+    /// final answer (see [`Controller::ledger`]).
+    pub fn ledger(&self) -> &RequestLedger {
+        &self.ledger
     }
 
     /// The current spanning tree.
@@ -588,7 +580,6 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
             if self.spent {
                 self.reject(request);
             } else if check_request(self.shell.tree(), request.origin, request.kind).is_err() {
-                self.refused += 1;
                 self.close(request, Outcome::Refused);
             } else {
                 self.shell.submit(request)?;
@@ -599,7 +590,6 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
 
     /// Answers `request` with a final reject at the current global time.
     fn reject(&mut self, request: Pending) {
-        self.rejected += 1;
         if self.spent {
             if let Some(iteration) = self.shell.live.as_mut() {
                 iteration.broadcast_reject();
@@ -642,7 +632,6 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
                     if rec.kind.is_topological() {
                         self.changes_total += 1;
                     }
-                    self.granted += 1;
                     self.stalled_rotations = 0;
                     self.answer(rec);
                 }
@@ -693,25 +682,6 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
         self.seed_counter = self.seed_counter.wrapping_add(1);
         self.shell
             .install(cfg, budget, waste, u_bound, plan.interval)
-    }
-
-    pub(crate) fn submitted(&self) -> u64 {
-        self.ledger.issued()
-    }
-
-    /// Requests answered with a grant so far.
-    pub fn granted(&self) -> u64 {
-        self.granted
-    }
-
-    /// Requests answered with a final reject so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Requests refused so far: neither granted nor rejected.
-    pub fn refused(&self) -> u64 {
-        self.refused
     }
 
     pub(crate) fn is_spent(&self) -> bool {
@@ -984,7 +954,8 @@ mod tests {
         assert!(d.iterations() > 1, "rotation expected");
         for id in &ids {
             assert!(
-                d.records()
+                d.ledger()
+                    .records()
                     .iter()
                     .any(|r| r.id == *id && r.outcome.is_granted()),
                 "{id} unresolved"
@@ -1013,11 +984,11 @@ mod tests {
         // is installed, and the rejected requests have not been retried yet.
         assert!(!p.quiescent);
         assert_eq!(d.iterations(), 2);
-        let answered = d.records().len();
+        let answered = d.ledger().records().len();
         assert!(answered < 6);
         assert_eq!(d.tree().node_count(), 8 + answered);
         d.run_to_quiescence().unwrap();
-        assert_eq!(d.records().len(), 6);
+        assert_eq!(d.ledger().records().len(), 6);
     }
 
     #[test]
@@ -1041,7 +1012,7 @@ mod tests {
         }
         assert!(total > 2);
         assert_eq!(d.changes(), 2);
-        assert_eq!(d.records().len(), 2);
+        assert_eq!(d.ledger().records().len(), 2);
     }
 
     #[test]
@@ -1092,7 +1063,10 @@ mod tests {
         ];
         d.run_to_quiescence().unwrap();
         for id in &ids {
-            assert!(d.records().iter().any(|r| r.id == *id), "{id} unresolved");
+            assert!(
+                d.ledger().records().iter().any(|r| r.id == *id),
+                "{id} unresolved"
+            );
         }
         assert!(!d.tree().contains(leaf));
         assert!(d.tree().check_invariants().is_ok());

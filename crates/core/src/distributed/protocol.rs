@@ -72,8 +72,6 @@ pub struct ControllerProtocol {
     params: Params,
     initial_interval: Option<PermitInterval>,
     next_package_id: u64,
-    granted: u64,
-    rejected: u64,
     package_log: Option<Vec<PackageEvent>>,
 }
 
@@ -86,8 +84,6 @@ impl ControllerProtocol {
             params,
             initial_interval,
             next_package_id: 0,
-            granted: 0,
-            rejected: 0,
             package_log: None,
         }
     }
@@ -110,16 +106,6 @@ impl ControllerProtocol {
     /// The protocol parameters.
     pub fn params(&self) -> &Params {
         &self.params
-    }
-
-    /// Number of permits granted so far.
-    pub fn granted(&self) -> u64 {
-        self.granted
-    }
-
-    /// Number of requests rejected so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
     }
 
     fn fresh_package_id(&mut self) -> u64 {
@@ -284,7 +270,6 @@ impl ControllerProtocol {
                 ctx.schedule_change(TopologyChange::Remove { node: ctx.node() })
             }
         }
-        self.granted += 1;
         let record = RequestRecord {
             id: agent.id,
             origin: ctx.origin(),
@@ -329,7 +314,6 @@ impl ControllerProtocol {
         ctx: &mut NodeCtx<'_, Self>,
         agent: &RequestAgent,
     ) -> Action {
-        self.rejected += 1;
         let record = RequestRecord {
             id: agent.id,
             origin: ctx.origin(),

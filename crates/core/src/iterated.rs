@@ -29,8 +29,8 @@ use crate::centralized::CentralizedController;
 use crate::distributed::{
     DistributedController, InnerController, IterationDriver, IterationPlan, IterationPolicy,
 };
+use crate::ledger::RequestLedger;
 use crate::request::{RequestId, RequestKind, RequestRecord};
-use crate::verify::ExecutionSummary;
 use crate::ControllerError;
 use dcn_simnet::SimConfig;
 use dcn_tree::{DynamicTree, NodeId};
@@ -52,7 +52,9 @@ pub enum RefreshPolicy {
 struct Schedule {
     m: u64,
     w: u64,
-    /// Permits granted so far (all rounds), counted as they are absorbed.
+    /// Permits granted so far (all rounds), counted as they are absorbed:
+    /// `plan` sees the tree, not the engine's ledger, and the unspent budget
+    /// is its arithmetic.
     granted: u64,
     /// The node bound: the caller's `U`, or the running epoch's `U_i = 2·N_i`.
     u: u64,
@@ -303,20 +305,6 @@ impl<C: InnerController> Iterated<C> {
     pub fn messages(&self) -> u64 {
         self.engine.messages()
     }
-
-    /// A correctness summary over the whole execution.
-    pub fn summary(&self) -> ExecutionSummary {
-        ExecutionSummary {
-            m: self.budget(),
-            w: self.waste_bound(),
-            granted: self.granted(),
-            rejected: self.rejected(),
-            unanswered: self
-                .engine
-                .submitted()
-                .saturating_sub(self.granted() + self.rejected() + self.engine.refused()),
-        }
-    }
 }
 
 impl<C: InnerController> Controller for Iterated<C> {
@@ -359,16 +347,8 @@ impl<C: InnerController> Controller for Iterated<C> {
         self.engine.take_records()
     }
 
-    fn records(&self) -> &[RequestRecord] {
-        self.engine.records()
-    }
-
-    fn granted(&self) -> u64 {
-        self.engine.policy().granted
-    }
-
-    fn rejected(&self) -> u64 {
-        self.engine.rejected()
+    fn ledger(&self) -> &RequestLedger {
+        self.engine.ledger()
     }
 
     fn tree(&self) -> &DynamicTree {

@@ -1,5 +1,5 @@
 //! The [`RequestLedger`]: the one holder of tickets and answers behind every
-//! [`Controller`](crate::Controller).
+//! [`Controller`](crate::Controller), and the one tally of them.
 //!
 //! The runtime API is *ticket-based*: every submission is issued a
 //! [`RequestId`], and its answer is one [`RequestRecord`], kept in answer
@@ -19,11 +19,18 @@
 //!   the §5 iteration driver) answer later on a simulated clock and
 //!   [`RequestLedger::push`] a finished record carrying its own
 //!   `submitted_at` / `answered_at`.
+//!
+//! Both doors count the answer as it enters, so the tally
+//! ([`RequestLedger::granted`], [`RequestLedger::rejected`],
+//! [`RequestLedger::refused`]) covers every answer ever given, taken or not:
+//! it is what [`Controller::granted`](crate::Controller::granted) and the
+//! §2.2 [`Controller::summary`](crate::Controller::summary) read.
 
 use crate::request::{Outcome, RequestId, RequestKind, RequestRecord};
 use dcn_tree::NodeId;
 
-/// Ticket issuing and the answers not yet taken, for one controller.
+/// Ticket issuing, the answers not yet taken, and the tally of every answer
+/// given, for one controller.
 ///
 /// ```
 /// use dcn_controller::{Outcome, RequestKind, RequestLedger};
@@ -40,11 +47,16 @@ use dcn_tree::NodeId;
 /// assert!(ledger.records()[0].outcome.is_granted());
 /// assert_eq!(ledger.take_records().len(), 1);
 /// assert!(ledger.records().is_empty());
+/// // Taking the answers leaves the tally.
+/// assert_eq!((ledger.issued(), ledger.granted()), (1, 1));
 /// ```
 #[derive(Debug, Default)]
 pub struct RequestLedger {
     next_id: u64,
     records: Vec<RequestRecord>,
+    granted: u64,
+    rejected: u64,
+    refused: u64,
 }
 
 impl RequestLedger {
@@ -82,8 +94,13 @@ impl RequestLedger {
         });
     }
 
-    /// Appends a finished record carrying its own times.
+    /// Appends a finished record carrying its own times, and counts it.
     pub fn push(&mut self, record: RequestRecord) {
+        match record.outcome {
+            Outcome::Granted { .. } => self.granted += 1,
+            Outcome::Rejected => self.rejected += 1,
+            Outcome::Refused => self.refused += 1,
+        }
         self.records.push(record);
     }
 
@@ -103,9 +120,24 @@ impl RequestLedger {
     }
 
     /// Removes and returns the answers recorded since the last take, in
-    /// answer order: each answer is handed out once.
+    /// answer order: each answer is handed out once. The tally keeps them.
     pub fn take_records(&mut self) -> Vec<RequestRecord> {
         std::mem::take(&mut self.records)
+    }
+
+    /// Answers that granted a permit, taken or not.
+    pub fn granted(&self) -> u64 {
+        self.granted
+    }
+
+    /// Answers that rejected, taken or not.
+    pub fn rejected(&self) -> u64 {
+        self.rejected
+    }
+
+    /// Answers that refused (see [`Outcome::Refused`]), taken or not.
+    pub fn refused(&self) -> u64 {
+        self.refused
     }
 }
 
@@ -186,5 +218,34 @@ mod tests {
         assert!(ledger.take_records().is_empty());
         // Tickets keep counting: a taken history never reissues an id.
         assert_eq!(ledger.issue(), RequestId(1));
+    }
+
+    #[test]
+    fn both_doors_count_every_outcome_and_taking_keeps_the_tally() {
+        let mut ledger = RequestLedger::new();
+        let granted = ledger.issue();
+        ledger.record(
+            granted,
+            NodeId::from_index(0),
+            RequestKind::AddLeaf,
+            Outcome::Granted {
+                serial: None,
+                new_node: None,
+            },
+        );
+        let rejected = ledger.issue();
+        ledger.push(RequestRecord {
+            id: rejected,
+            origin: NodeId::from_index(1),
+            kind: RequestKind::NonTopological,
+            outcome: Outcome::Rejected,
+            submitted_at: 2,
+            answered_at: 5,
+        });
+        ledger.refuse(NodeId::from_index(2), RequestKind::RemoveSelf);
+        let tally = |l: &RequestLedger| (l.issued(), l.granted(), l.rejected(), l.refused());
+        assert_eq!(tally(&ledger), (3, 1, 1, 1));
+        assert_eq!(ledger.take_records().len(), 3);
+        assert_eq!(tally(&ledger), (3, 1, 1, 1));
     }
 }

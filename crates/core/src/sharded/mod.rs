@@ -42,7 +42,6 @@ use crate::api::{Controller, ControllerMetrics, Progress};
 use crate::distributed::{EpochShell, Pending};
 use crate::ledger::RequestLedger;
 use crate::request::{check_request, Outcome, RequestId, RequestKind, RequestRecord};
-use crate::verify::ExecutionSummary;
 use crate::ControllerError;
 use dcn_collections::SlidingMap;
 use dcn_rng::split_mix64;
@@ -138,9 +137,6 @@ pub struct ShardedController {
     ledger: RequestLedger,
     /// Parked tickets awaiting the next exchange wave (FIFO).
     pending: Vec<u64>,
-    granted_total: u64,
-    rejected_total: u64,
-    refused_total: u64,
     epoch: u64,
     waves: u64,
     exchange_messages: u64,
@@ -210,9 +206,6 @@ impl ShardedController {
             tickets: SlidingMap::new(),
             ledger: RequestLedger::new(),
             pending: Vec::new(),
-            granted_total: 0,
-            rejected_total: 0,
-            refused_total: 0,
             epoch: 0,
             waves: 0,
             exchange_messages: 0,
@@ -229,24 +222,6 @@ impl ShardedController {
     /// Messages charged to the permit exchange so far (`k` per wave).
     pub fn exchange_messages(&self) -> u64 {
         self.exchange_messages
-    }
-
-    /// Number of requests submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.ledger.issued()
-    }
-
-    /// A correctness summary of the execution so far, aggregated across
-    /// shards (see [`ExecutionSummary`]).
-    pub fn summary(&self) -> ExecutionSummary {
-        let answered = self.granted_total + self.rejected_total + self.refused_total;
-        ExecutionSummary {
-            m: self.m,
-            w: self.w,
-            granted: self.granted_total,
-            rejected: self.rejected_total,
-            unanswered: self.submitted() - answered,
-        }
     }
 
     /// Translates a validated global request into its shard-local form:
@@ -313,18 +288,13 @@ impl ShardedController {
         })
     }
 
-    /// Answers a ticket for good: drops its routing state, updates the
-    /// grant/reject/refusal totals and records the answer.
+    /// Answers a ticket for good: drops its routing state and records the
+    /// answer in the ledger, which counts it.
     fn resolve(&mut self, gid: u64, outcome: Outcome, answered_at: u64) {
         let t = self.ticket(gid);
         self.tickets.remove(RequestId(gid));
-        match outcome {
-            Outcome::Granted { .. } => {
-                self.granted_total += 1;
-                self.barren_waves = 0;
-            }
-            Outcome::Rejected => self.rejected_total += 1,
-            Outcome::Refused => self.refused_total += 1,
+        if outcome.is_granted() {
+            self.barren_waves = 0;
         }
         self.ledger.push(RequestRecord {
             id: RequestId(gid),
@@ -406,7 +376,7 @@ impl ShardedController {
     fn exchange_wave(&mut self) -> Result<(), ControllerError> {
         self.waves += 1;
         self.exchange_messages += self.k as u64;
-        let pool = self.m - self.granted_total;
+        let pool = self.m - self.ledger.granted();
         if pool == 0 {
             // The global budget is spent: every parked ticket is rejected.
             // Liveness holds trivially — granted == M ≥ M − W.
@@ -529,18 +499,10 @@ impl Controller for ShardedController {
         self.ledger.take_records()
     }
 
-    fn records(&self) -> &[RequestRecord] {
-        self.ledger.records()
-    }
-
-    fn granted(&self) -> u64 {
-        self.granted_total
-    }
-
-    /// Surfaced rejections only — locally parked rejections that a later
-    /// wave turns into grants never count.
-    fn rejected(&self) -> u64 {
-        self.rejected_total
+    /// Surfaced answers only: a rejection a shard parks for the exchange
+    /// wave enters the ledger, and counts, once the wave surfaces it.
+    fn ledger(&self) -> &RequestLedger {
+        &self.ledger
     }
 
     /// The global mirror every shard's changes replay into.
@@ -716,7 +678,7 @@ mod tests {
         assert!(refused.count() >= 1, "{:?}", ctrl.records());
         let before = ctrl.summary();
         assert_eq!(before.unanswered, 0);
-        assert_eq!(ctrl.take_records().len() as u64, ctrl.submitted());
+        assert_eq!(ctrl.take_records().len() as u64, ctrl.ledger().issued());
         assert!(ctrl.records().is_empty());
         assert_eq!(ctrl.summary(), before);
     }

@@ -12,10 +12,10 @@ fn deepest(tree: &DynamicTree) -> NodeId {
         .expect("tree is non-empty")
 }
 
-/// Submits through the ticket API and reads the answer, which the iterated
-/// controller gives before `submit` returns.
+/// Submits through the ticket API and reads the answer, which the
+/// centralized and iterated controllers give before `submit` returns.
 fn submit(
-    ctrl: &mut IteratedController,
+    ctrl: &mut impl Controller,
     at: NodeId,
     kind: RequestKind,
 ) -> Result<Outcome, ControllerError> {
@@ -45,7 +45,7 @@ fn grants_until_budget_then_rejects_and_liveness_holds() {
     let mut rejected = 0;
     for i in 0..40 {
         let at = nodes[i % nodes.len()];
-        match decide(&mut ctrl, at, RequestKind::NonTopological).unwrap() {
+        match submit(&mut ctrl, at, RequestKind::NonTopological).unwrap() {
             Outcome::Granted { .. } => granted += 1,
             Outcome::Rejected => rejected += 1,
             Outcome::Refused => unreachable!("core families never refuse"),

@@ -94,7 +94,8 @@ fn centralized_controller_is_correct_under_random_workloads() {
             let Some((at, kind)) = concretize(ctrl.tree(), *req) else {
                 continue;
             };
-            match dcn_controller::SyncController::decide(&mut ctrl, at, kind).unwrap() {
+            ctrl.submit(at, kind).unwrap();
+            match ctrl.records().last().unwrap().outcome {
                 Outcome::Granted { .. } => granted += 1,
                 Outcome::Rejected => rejected += 1,
                 Outcome::Refused => unreachable!("core families never refuse"),

@@ -36,9 +36,10 @@
 //! one upcast, the reject wave that closed it serving as the broadcast —
 //! and its inherent methods are the same ticket/step seam as the
 //! controllers': `submit` → [`RequestId`] tickets that survive iteration
-//! rebuilds, bounded `step(budget)`, and the answers as records, read with
-//! `records()` or handed out once by `take_records()`; `iterations()` and
-//! `estimate()` report the epochs. Every application *is* a
+//! rebuilds, bounded `step(budget)`, and the answers as records in its
+//! `ledger()`, which also counts them, or handed out once by
+//! `take_records()`; `iterations()` and `estimate()` report the epochs.
+//! Every application *is* a
 //! [`Controller`](dcn_controller::Controller): the ticket surface forwards to
 //! the engine beneath it (its own, or that of the application it is layered
 //! on), `step` runs the application's after-slice bookkeeping, and
@@ -117,16 +118,8 @@ macro_rules! engine_controller {
             self.$($engine).+.take_records()
         }
 
-        fn records(&self) -> &[dcn_controller::RequestRecord] {
-            self.$($engine).+.records()
-        }
-
-        fn granted(&self) -> u64 {
-            self.$($engine).+.granted()
-        }
-
-        fn rejected(&self) -> u64 {
-            self.$($engine).+.rejected()
+        fn ledger(&self) -> &dcn_controller::RequestLedger {
+            self.$($engine).+.ledger()
         }
 
         fn tree(&self) -> &dcn_tree::DynamicTree {

@@ -113,11 +113,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    let (m, w) = handle.budget();
     println!(
-        "dcn-serve listening on {local} family={} m={} w={} nodes={} seed={}",
+        "dcn-serve listening on {local} family={} m={m} w={w} nodes={} seed={}",
         args.family.name(),
-        args.m,
-        args.w,
         args.nodes,
         args.seed
     );

@@ -113,7 +113,6 @@ pub struct EngineCore {
     /// engine's one per-request table: nothing of a ticket outlives it.
     route: FxHashMap<u64, (ClientId, Option<u64>)>,
     submitted: u64,
-    refused: u64,
     protocol_errors: u64,
     dropped_frames: u64,
     quiescent: bool,
@@ -149,7 +148,6 @@ impl EngineCore {
             clients: FxHashMap::default(),
             route: FxHashMap::default(),
             submitted: 0,
-            refused: 0,
             protocol_errors: 0,
             dropped_frames: 0,
             quiescent: true,
@@ -449,11 +447,9 @@ impl EngineCore {
         // (`ControllerEvent::push_for_record` emits the pair together).
         let last = match ev {
             ControllerEvent::Granted { kind, .. } => !kind.is_topological(),
-            ControllerEvent::Refused { .. } => {
-                self.refused += 1;
-                true
-            }
-            ControllerEvent::Rejected { .. } | ControllerEvent::TopologyApplied { .. } => true,
+            ControllerEvent::Rejected { .. }
+            | ControllerEvent::Refused { .. }
+            | ControllerEvent::TopologyApplied { .. } => true,
         };
         let routed = if last {
             self.route.remove(&ticket)
@@ -496,7 +492,7 @@ impl EngineCore {
             submitted: self.submitted,
             granted: self.ctrl.granted(),
             rejected: self.ctrl.rejected(),
-            refused: self.refused,
+            refused: self.ctrl.refused(),
             protocol_errors: self.protocol_errors,
             dropped_frames: self.dropped_frames,
             clients: self.clients.len() as u64,

@@ -164,14 +164,8 @@ mod tests {
         fn take_records(&mut self) -> Vec<RequestRecord> {
             self.ledger.take_records()
         }
-        fn records(&self) -> &[RequestRecord] {
-            self.ledger.records()
-        }
-        fn granted(&self) -> u64 {
-            0
-        }
-        fn rejected(&self) -> u64 {
-            0
+        fn ledger(&self) -> &RequestLedger {
+            &self.ledger
         }
         fn tree(&self) -> &DynamicTree {
             &self.tree

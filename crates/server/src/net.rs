@@ -169,6 +169,8 @@ enum EngineMsg {
 /// [`ServerHandle::join`].
 pub struct ServerHandle {
     local: SocketAddr,
+    /// The served controller's `M` and `W`, as its `welcome` reports them.
+    budget: (u64, u64),
     tx: Sender<EngineMsg>,
     engine: Option<JoinHandle<()>>,
     accept: Option<JoinHandle<()>>,
@@ -178,6 +180,13 @@ impl ServerHandle {
     /// The bound address (with the real port when `addr` asked for port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.local
+    }
+
+    /// The served controller's permit budget `M` and waste bound `W`, as
+    /// every `welcome` frame reports them (`u64::MAX` for a §5
+    /// application, which uses neither).
+    pub fn budget(&self) -> (u64, u64) {
+        self.budget
     }
 
     /// Requests a drain-and-exit, like a client's `shutdown` frame.
@@ -208,7 +217,7 @@ pub fn serve(config: ServeConfig, addr: &str) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let (tx, rx) = mpsc::channel::<EngineMsg>();
-    let (ready_tx, ready_rx) = mpsc::sync_channel::<Result<(), String>>(1);
+    let (ready_tx, ready_rx) = mpsc::sync_channel::<Result<(u64, u64), String>>(1);
     let stop = Arc::new(AtomicBool::new(false));
 
     let engine_stop = Arc::clone(&stop);
@@ -219,7 +228,8 @@ pub fn serve(config: ServeConfig, addr: &str) -> io::Result<ServerHandle> {
             // on the engine thread.
             let engine = match EngineCore::new(config) {
                 Ok(engine) => {
-                    let _ = ready_tx.send(Ok(()));
+                    let ctrl = engine.controller();
+                    let _ = ready_tx.send(Ok((ctrl.budget(), ctrl.waste_bound())));
                     engine
                 }
                 Err(e) => {
@@ -229,8 +239,8 @@ pub fn serve(config: ServeConfig, addr: &str) -> io::Result<ServerHandle> {
             };
             engine_loop(engine, rx, &engine_stop, local);
         })?;
-    match ready_rx.recv() {
-        Ok(Ok(())) => {}
+    let budget = match ready_rx.recv() {
+        Ok(Ok(budget)) => budget,
         Ok(Err(msg)) => {
             let _ = engine.join();
             return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
@@ -239,7 +249,7 @@ pub fn serve(config: ServeConfig, addr: &str) -> io::Result<ServerHandle> {
             let _ = engine.join();
             return Err(io::Error::other("engine thread died during startup"));
         }
-    }
+    };
 
     let accept_tx = tx.clone();
     let accept_stop = Arc::clone(&stop);
@@ -249,6 +259,7 @@ pub fn serve(config: ServeConfig, addr: &str) -> io::Result<ServerHandle> {
 
     Ok(ServerHandle {
         local,
+        budget,
         tx,
         engine: Some(engine),
         accept: Some(accept),

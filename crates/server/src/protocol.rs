@@ -340,9 +340,15 @@ pub fn topology_event_frame(
 }
 
 /// The counter snapshot reported by a `stats` reply.
+///
+/// `granted`, `rejected` and `refused` are the served controller's tally:
+/// an answer counts once the controller has given it, before a pump streams
+/// its event.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Tickets issued over the server's lifetime.
+    /// Submit frames the engine accepted over the server's lifetime (a
+    /// controller may burn a ticket on a failed submit, which this does not
+    /// count).
     pub submitted: u64,
     /// Permits granted.
     pub granted: u64,

@@ -267,6 +267,35 @@ fn events_stream_only_to_the_submitting_client() {
     assert_eq!(stats.get("granted").unwrap().as_u64().unwrap(), 2);
 }
 
+/// `stats` reads the served controller's tally, so an answer counts once the
+/// controller has given it, before a pump streams its event: the AAPS
+/// baseline refuses `remove-self` inside `submit`, and a `stats` sent
+/// before any pump reads that refusal as it reads a grant made in the same
+/// position.
+#[test]
+fn stats_counts_a_refusal_before_any_pump() {
+    let mut lb = Loopback::new(ServeConfig::new(Family::Aaps, 16, 4)).unwrap();
+    let c = lb.connect();
+    lb.send(c, r#"{"op": "hello", "proto": 1}"#);
+    lb.send(c, r#"{"op": "subscribe"}"#);
+    let _ = lb.recv(c);
+    lb.send(c, r#"{"op": "submit", "kind": "remove-self", "node": 3}"#);
+    lb.send(c, r#"{"op": "submit", "kind": "event", "node": 0}"#);
+    assert_eq!(lb.recv(c).len(), 2, "two tickets");
+    let tally = |lb: &mut Loopback| {
+        lb.send(c, r#"{"op": "stats"}"#);
+        let stats = parse(&recv_one(lb, c));
+        let field = |key: &str| stats.get(key).unwrap().as_u64().unwrap();
+        [field("submitted"), field("granted"), field("refused")]
+    };
+    assert_eq!(lb.engine().in_flight(), 2, "nothing streamed yet");
+    assert_eq!(tally(&mut lb), [2, 1, 1]);
+    lb.run_to_quiescence();
+    let events: Vec<_> = lb.recv(c).iter().map(|f| frame_kind(f).1).collect();
+    assert_eq!(events, ["refused", "granted"]);
+    assert_eq!(tally(&mut lb), [2, 1, 1]);
+}
+
 #[test]
 fn loopback_sessions_are_byte_identical() {
     let script: &[&str] = &[

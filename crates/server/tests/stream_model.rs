@@ -15,7 +15,7 @@
 
 use dcn_controller::{
     Controller, ControllerError, ControllerMetrics, Outcome, Progress, RequestId, RequestKind,
-    RequestRecord,
+    RequestLedger, RequestRecord,
 };
 use dcn_rng::{DetRng, Rng, SeedableRng, SliceRandom};
 use dcn_server::protocol::{self, WireOutcome};
@@ -46,8 +46,10 @@ struct Scripted {
     steps: u64,
     /// Unanswered tickets: the step at which each is answered.
     due: Vec<(u64, RequestRecord)>,
-    /// Answered and not yet taken.
+    /// Answered since the last step, in no order yet.
     answered: Vec<RequestRecord>,
+    /// Tickets, and the answers not yet taken in the order a step gave them.
+    ledger: RequestLedger,
 }
 
 impl Controller for Scripted {
@@ -61,11 +63,8 @@ impl Controller for Scripted {
         4
     }
     fn submit(&mut self, origin: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
-        let id = {
-            let mut log = self.log.borrow_mut();
-            log.issued += 1;
-            log.issued - 1
-        };
+        let id = self.ledger.issue().0;
+        self.log.borrow_mut().issued = self.ledger.issued();
         let rng = &mut self.rng;
         let roll = rng.gen_range(0..1000u32);
         if roll < 20 {
@@ -119,24 +118,21 @@ impl Controller for Scripted {
             }
         }
         self.answered.shuffle(&mut self.rng);
+        for record in self.answered.drain(..) {
+            self.ledger.push(record);
+        }
         Ok(Progress {
             processed: 0,
             quiescent: self.due.is_empty(),
         })
     }
     fn take_records(&mut self) -> Vec<RequestRecord> {
-        let taken = std::mem::take(&mut self.answered);
+        let taken = self.ledger.take_records();
         self.log.borrow_mut().taken.clone_from(&taken);
         taken
     }
-    fn records(&self) -> &[RequestRecord] {
-        &self.answered
-    }
-    fn granted(&self) -> u64 {
-        0
-    }
-    fn rejected(&self) -> u64 {
-        0
+    fn ledger(&self) -> &RequestLedger {
+        &self.ledger
     }
     fn tree(&self) -> &DynamicTree {
         &self.tree
@@ -205,6 +201,7 @@ fn streamed_events_match_a_model_of_the_routes() {
         steps: 0,
         due: Vec::new(),
         answered: Vec::new(),
+        ledger: RequestLedger::new(),
     };
     let config = ServeConfig::new(Family::Centralized, 16, 4);
     let mut engine = EngineCore::with_controller(config, Box::new(scripted));

@@ -185,7 +185,8 @@ impl Drop for Reap {
 /// `shutdown`, and a clean exit after the drain — for a controller and for a
 /// §5 application, which `--family` names like any other family. The
 /// `hello` asserts the family only: an application's `m` and `w` read
-/// `u64::MAX`, whatever `--m` and `--w` say.
+/// `u64::MAX`, whatever `--m` and `--w` say, and the listening line prints
+/// the `m` and `w` the `welcome` reports.
 #[test]
 fn the_dcn_serve_binary_serves_a_session_and_exits_cleanly() {
     for family in ["centralized", "size-estimator"] {
@@ -230,7 +231,9 @@ fn serve_one_session(family: &str) {
     c.send(&format!(
         r#"{{"op": "hello", "proto": 1, "family": "{family}"}}"#
     ));
-    assert!(c.recv().contains("welcome"), "{family}");
+    let welcome = json::parse(&c.recv()).unwrap();
+    assert_eq!(welcome.get("ok").unwrap().as_str().unwrap(), "welcome");
+    let welcomed = ["m", "w"].map(|key| welcome.get(key).unwrap().as_u64().unwrap());
     c.send(r#"{"op": "subscribe"}"#);
     assert!(c.recv().contains("subscribed"));
     c.send(r#"{"op": "submit", "kind": "event", "node": 0, "tag": 7}"#);
@@ -262,6 +265,17 @@ fn serve_one_session(family: &str) {
         Some("dcn-serve: drained and stopped"),
         "{stdout}"
     );
+    let listening = stdout
+        .lines()
+        .find(|line| line.starts_with("dcn-serve listening on "))
+        .unwrap_or_else(|| panic!("no listening line: {stdout}"));
+    let printed = ["m=", "w="].map(|key| {
+        let value = listening.split(' ').find_map(|word| word.strip_prefix(key));
+        value
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("{listening}"))
+    });
+    assert_eq!(printed, welcomed, "{family}: {listening}");
     let _ = std::fs::remove_file(&port_file);
 }
 

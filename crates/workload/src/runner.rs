@@ -307,9 +307,9 @@ impl ScenarioRunner {
     /// mode.
     ///
     /// The controller should be freshly constructed: the report reads the
-    /// controller's cumulative counters, and the refusal, change and latency
-    /// columns cover the records produced during this run only (nothing may
-    /// take them while it runs).
+    /// controller's cumulative tally (grants, rejects, refusals), and the
+    /// change and latency columns cover the records produced during this run
+    /// only (nothing may take them while it runs).
     ///
     /// # Errors
     ///
@@ -383,7 +383,6 @@ impl ScenarioRunner {
         check(ctrl);
 
         let records = &ctrl.records()[before..];
-        let refused = records.iter().filter(|r| r.outcome.is_refused()).count() as u64;
         let changes = records
             .iter()
             .filter(|r| r.outcome.is_granted() && r.kind.is_topological())
@@ -395,7 +394,7 @@ impl ScenarioRunner {
                 .map(|r| r.latency()),
         );
         let metrics = ctrl.metrics();
-        let (granted, rejected) = (ctrl.granted(), ctrl.rejected());
+        let (granted, rejected, refused) = (ctrl.granted(), ctrl.rejected(), ctrl.refused());
         Ok(RunReport {
             controller: ctrl.name().to_string(),
             scenario: scenario.name.clone(),
