@@ -23,8 +23,8 @@
 //! 3. Each ticket is answered once, with one [`RequestRecord`], which the
 //!    controller keeps in answer order until a driver takes it
 //!    ([`Controller::take_records`]); [`Controller::records`] reads the
-//!    answers not yet taken, and [`Controller::drain_events`] takes them as
-//!    [`ControllerEvent`]s.
+//!    answers not yet taken, and `drain_events` (on `dyn Controller`)
+//!    takes them as [`ControllerEvent`]s.
 //!
 //! Every family embeds one [`RequestLedger`], which issues the tickets,
 //! holds the answers and counts them: [`Controller::granted`],
@@ -63,8 +63,9 @@ pub struct ControllerMetrics {
 }
 
 /// A per-request outcome notification, drained from
-/// [`Controller::drain_events`]: every event is derived from one
-/// [`RequestRecord`] by [`ControllerEvent::push_for_record`].
+/// [`drain_events`](trait.Controller.html#method.drain_events): every event
+/// is derived from one [`RequestRecord`] by
+/// [`ControllerEvent::push_for_record`].
 ///
 /// Events are emitted in answer order. Every ticket issued by
 /// [`Controller::submit`] resolves to exactly one of
@@ -234,25 +235,36 @@ pub trait Controller {
     fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError>;
 
     /// Runs until every submitted request is answered and every granted
-    /// topological change has been applied. A no-op for synchronous families.
+    /// topological change has been applied: unbounded [`Controller::step`]
+    /// slices until one reports quiescence. A no-op for synchronous
+    /// families.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors (event budget exceeded, protocol
-    /// violations).
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError>;
+    /// Same as [`Controller::step`]; an unbounded slice is the one that can
+    /// trip the `max_events` valve.
+    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
+        while !self.step(u64::MAX)?.quiescent {}
+        Ok(())
+    }
 
     /// Advances execution by at most `budget` simulator events and reports
     /// how far it got, so drivers can interleave new submissions with
-    /// in-flight execution (open-loop workloads).
+    /// in-flight execution (open-loop workloads). `u64::MAX` is the
+    /// unbounded slice [`Controller::run_to_quiescence`] repeats.
     ///
     /// Synchronous families answer inside [`Controller::submit`] and are
     /// always quiescent (the [`SyncController`] blanket impl); every
-    /// asynchronous family simulates incrementally.
+    /// asynchronous family simulates incrementally, each simulator slice
+    /// under its configured `max_events` valve
+    /// ([`Simulator::run_events`](dcn_simnet::Simulator::run_events)), so a
+    /// `budget` of at most `max_events` never trips it.
     ///
     /// # Errors
     ///
-    /// Same as [`Controller::run_to_quiescence`].
+    /// Propagates simulator errors: protocol violations, and
+    /// `EventBudgetExceeded` when a slice passes `max_events` events (a
+    /// livelock).
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError>;
 
     /// Removes and returns the answers given since the last take, in answer
@@ -269,17 +281,6 @@ pub trait Controller {
     /// driver that never takes.
     fn records(&self) -> &[RequestRecord] {
         self.ledger().records()
-    }
-
-    /// Takes the answers ([`Controller::take_records`]) as events, in answer
-    /// order: [`ControllerEvent::push_for_record`] over each record.
-    fn drain_events(&mut self) -> Vec<ControllerEvent> {
-        let records = self.take_records();
-        let mut events = Vec::with_capacity(records.len());
-        for record in &records {
-            ControllerEvent::push_for_record(record, &mut events);
-        }
-        events
     }
 
     /// Number of permits granted so far.
@@ -444,10 +445,6 @@ impl<T: SyncController> Controller for T {
         Ok(id)
     }
 
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        Ok(())
-    }
-
     fn step(&mut self, _budget: u64) -> Result<Progress, ControllerError> {
         Ok(Progress::quiescent())
     }
@@ -466,6 +463,26 @@ impl<T: SyncController> Controller for T {
 
     fn metrics(&self) -> ControllerMetrics {
         SyncController::metrics(self)
+    }
+}
+
+impl dyn Controller + '_ {
+    /// Takes the answers ([`Controller::take_records`]) as events, in answer
+    /// order: [`ControllerEvent::push_for_record`] over each record. One
+    /// copy for every family, outside the vtable; a controller of known type
+    /// calls it through `&mut dyn Controller`.
+    pub fn drain_events(&mut self) -> Vec<ControllerEvent> {
+        let records = self.take_records();
+        // Sized exactly: a grown buffer would hold both copies at once.
+        let applied = records
+            .iter()
+            .filter(|r| r.outcome.is_granted() && r.kind.is_topological())
+            .count();
+        let mut events = Vec::with_capacity(records.len() + applied);
+        for record in &records {
+            ControllerEvent::push_for_record(record, &mut events);
+        }
+        events
     }
 }
 
@@ -567,7 +584,7 @@ mod tests {
         }
         assert!(total > 2);
         assert_eq!(ctrl.granted(), 2);
-        let events = Controller::drain_events(&mut ctrl);
+        let events = (&mut ctrl as &mut dyn Controller).drain_events();
         assert_eq!(events.iter().filter(|e| e.is_answer()).count(), 2);
     }
 

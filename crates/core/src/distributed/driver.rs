@@ -183,13 +183,6 @@ impl DistributedController {
         self.sim.create_agent_delayed(at, agent, delay)?;
         Ok(id)
     }
-
-    /// Moves the simulator's freshly produced answers into the ledger.
-    fn collect_answers(&mut self) {
-        for record in self.sim.drain_outputs() {
-            self.ledger.push(record);
-        }
-    }
 }
 
 impl Controller for DistributedController {
@@ -211,20 +204,18 @@ impl Controller for DistributedController {
         self.submit_after(at, kind, 0)
     }
 
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        self.sim.run_until_quiescent()?;
-        self.collect_answers();
-        Ok(())
-    }
-
-    /// Unlike [`Controller::run_to_quiescence`], the caller owns the budget,
-    /// so the configured `max_events` safety net does not apply here.
+    /// One simulator slice ([`Simulator::run_events`]), so the configured
+    /// `max_events` valve caps it: a `budget` of at most `max_events` never
+    /// trips it, and [`Controller::run_to_quiescence`]'s unbounded slice
+    /// fails on a livelock.
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
         // run_events serves whole same-timestamp cohorts out of the
         // simulator's batch buffer, so the budget loop probes the event
         // queue once per cohort instead of once per event.
         let processed = self.sim.run_events(budget)?;
-        self.collect_answers();
+        for record in self.sim.drain_outputs() {
+            self.ledger.push(record);
+        }
         Ok(Progress {
             processed,
             quiescent: self.sim.is_quiescent(),

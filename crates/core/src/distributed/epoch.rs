@@ -216,13 +216,11 @@ impl<C: InnerController> EpochShell<C> {
     }
 
     /// Advances the running epoch by at most `budget` simulator events (see
-    /// [`Controller::step`]), or with `None` runs it to quiescence under the
-    /// configured `max_events` valve; a parked shell is quiescent.
-    pub(crate) fn step(&mut self, budget: Option<u64>) -> Result<Progress, ControllerError> {
-        match (self.live.as_mut(), budget) {
-            (Some(ctrl), Some(budget)) => ctrl.step(budget),
-            (Some(ctrl), None) => ctrl.run_to_quiescence().map(|()| Progress::quiescent()),
-            (None, _) => Ok(Progress::quiescent()),
+    /// [`Controller::step`]); a parked shell is quiescent.
+    pub(crate) fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
+        match self.live.as_mut() {
+            Some(ctrl) => ctrl.step(budget),
+            None => Ok(Progress::quiescent()),
         }
     }
 
@@ -441,18 +439,6 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
         Ok(request.id)
     }
 
-    /// Advances execution by at most `budget` inner simulator events.
-    /// `Progress::quiescent` is `true` once no ticket is unanswered. A slice
-    /// never spans an iteration boundary: it ends (not quiescent) right
-    /// after a rotation, before any retried request runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors and rotation-time construction errors.
-    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
-        self.slice(Some(budget))
-    }
-
     /// Removes and returns the answers given since the last take, in answer
     /// order (see [`Controller::take_records`]).
     pub fn take_records(&mut self) -> Vec<RequestRecord> {
@@ -500,16 +486,16 @@ impl<P: IterationPolicy<C>, C: InnerController> IterationDriver<P, C> {
         self.aux_messages += messages;
     }
 
-    /// Runs until every ticket is answered, each iteration under the
-    /// configured `max_events` valve.
-    pub(crate) fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        while !self.slice(None)?.quiescent {}
-        Ok(())
-    }
-
-    /// One slice of at most `budget` events (`None`: to quiescence under
-    /// the valve).
-    fn slice(&mut self, budget: Option<u64>) -> Result<Progress, ControllerError> {
+    /// Advances execution by at most `budget` inner simulator events: one
+    /// [`Controller::step`] of the running iteration, under its `max_events`
+    /// valve. `Progress::quiescent` is `true` once no ticket is unanswered.
+    /// A slice never spans an iteration boundary: it ends (not quiescent)
+    /// right after a rotation, before any retried request runs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors and rotation-time construction errors.
+    pub fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
         // A closing iteration admits nothing: what it has in flight drains,
         // its rejects and the queue wait for the next one.
         if !self.ends_iteration() {
@@ -767,7 +753,7 @@ mod tests {
                     .submit(request(id.0, submitted_at, deep, RequestKind::AddLeaf))
                     .unwrap();
             }
-            shell.step(None).unwrap();
+            shell.step(u64::MAX).unwrap();
             let round = shell.collect();
             assert_eq!(round.len(), 2);
             for rec in &round {
@@ -808,7 +794,7 @@ mod tests {
                     .submit(request(i, 0, deep, RequestKind::NonTopological))
                     .unwrap();
             }
-            shell.step(None).unwrap();
+            shell.step(u64::MAX).unwrap();
             let this_epoch = Controller::metrics(shell.live().unwrap());
             assert!(this_epoch.moves > 0 && this_epoch.messages > 0);
             moves += this_epoch.moves;
@@ -839,7 +825,7 @@ mod tests {
                 .submit(request(i, 0, root, RequestKind::AddLeaf))
                 .unwrap();
         }
-        shell.step(None).unwrap();
+        shell.step(u64::MAX).unwrap();
         assert_eq!(shell.live().unwrap().records().len(), 4);
         assert_eq!(shell.collect().len(), 4);
         let inner = shell.live.as_mut().unwrap();
@@ -865,7 +851,7 @@ mod tests {
                     .unwrap();
                 submitted += 1;
             }
-            shell.step(Some(16)).unwrap();
+            shell.step(16).unwrap();
             answered += shell.collect().len() as u64;
             assert!(
                 shell.outer_of.span() <= 65,
@@ -885,7 +871,7 @@ mod tests {
         assert_eq!(shell.tree().node_count(), 4);
         assert!(shell.is_quiescent());
         assert_eq!(shell.totals(), ControllerMetrics::default());
-        assert!(shell.step(Some(10)).unwrap().quiescent);
+        assert!(shell.step(10).unwrap().quiescent);
         assert!(shell.collect().is_empty());
         let root = shell.tree().root();
         assert!(shell
@@ -900,7 +886,7 @@ mod tests {
         shell
             .submit(request(7, 0, root, RequestKind::NonTopological))
             .unwrap();
-        shell.step(None).unwrap();
+        shell.step(u64::MAX).unwrap();
         assert_eq!(shell.collect()[0].id, RequestId(7));
     }
 
@@ -931,6 +917,12 @@ mod tests {
         bare(DynamicTree::with_initial_star(n), seed)
     }
 
+    /// Unbounded slices until every ticket is answered, as
+    /// [`Controller::run_to_quiescence`] runs its families.
+    fn settle(d: &mut IterationDriver<HalfPolicy>) {
+        while !d.step(u64::MAX).unwrap().quiescent {}
+    }
+
     #[test]
     fn construction_starts_the_first_iteration() {
         let mut d = driver(10, 1);
@@ -950,7 +942,7 @@ mod tests {
         let ids: Vec<RequestId> = (0..10)
             .map(|_| d.submit(root, RequestKind::AddLeaf).unwrap())
             .collect();
-        d.run_to_quiescence().unwrap();
+        settle(&mut d);
         assert!(d.iterations() > 1, "rotation expected");
         for id in &ids {
             assert!(
@@ -987,7 +979,7 @@ mod tests {
         let answered = d.ledger().records().len();
         assert!(answered < 6);
         assert_eq!(d.tree().node_count(), 8 + answered);
-        d.run_to_quiescence().unwrap();
+        settle(&mut d);
         assert_eq!(d.ledger().records().len(), 6);
     }
 
@@ -1022,7 +1014,7 @@ mod tests {
         for _ in 0..12 {
             d.submit(root, RequestKind::AddLeaf).unwrap();
         }
-        d.run_to_quiescence().unwrap();
+        settle(&mut d);
         assert!(d.iterations() >= 2);
         // Announce (n per iteration) + closing counts (at least n − 1 per
         // rotation, over the tree the next iteration announces) are charged
@@ -1061,7 +1053,7 @@ mod tests {
             d.submit(leaf, RequestKind::RemoveSelf).unwrap(),
             d.submit(leaf, RequestKind::AddLeaf).unwrap(),
         ];
-        d.run_to_quiescence().unwrap();
+        settle(&mut d);
         for id in &ids {
             assert!(
                 d.ledger().records().iter().any(|r| r.id == *id),

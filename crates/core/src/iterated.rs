@@ -330,13 +330,9 @@ impl<C: InnerController> Controller for Iterated<C> {
     fn submit(&mut self, at: NodeId, kind: RequestKind) -> Result<RequestId, ControllerError> {
         let id = self.engine.submit(at, kind)?;
         if C::CENTRALIZED {
-            self.engine.run_to_quiescence()?;
+            Controller::run_to_quiescence(self)?;
         }
         Ok(id)
-    }
-
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        self.engine.run_to_quiescence()
     }
 
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {

@@ -41,7 +41,8 @@
 //! the way ([`Controller::run_to_quiescence`]) or in bounded slices
 //! ([`Controller::step`]), and each ticket's answer is one record, handed
 //! out once by [`Controller::take_records`] (or as [`ControllerEvent`]s by
-//! [`Controller::drain_events`]):
+//! [`drain_events`](trait.Controller.html#method.drain_events), on
+//! `dyn Controller`):
 //!
 //! ```
 //! use dcn_controller::distributed::DistributedController;
@@ -67,7 +68,7 @@
 //!
 //! // The answer is a record until it is taken, here as events.
 //! assert!(ctrl.records()[0].id == ticket && ctrl.records()[0].outcome.is_granted());
-//! let events = Controller::drain_events(&mut ctrl);
+//! let events = (&mut ctrl as &mut dyn Controller).drain_events();
 //! assert!(matches!(events[0], ControllerEvent::Granted { id, .. } if id == ticket));
 //! assert!(ctrl.records().is_empty());
 //! assert_eq!(ctrl.granted(), 1);

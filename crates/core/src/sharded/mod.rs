@@ -461,25 +461,19 @@ impl Controller for ShardedController {
         Ok(id)
     }
 
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        loop {
-            let progress = self.step(self.base_config.max_events)?;
-            if progress.quiescent {
-                return Ok(());
-            }
-        }
-    }
-
     /// Advances every shard, in shard order, by an equal share of `budget`,
     /// then merges results in shard order and runs an exchange wave if the
-    /// federation is quiescent with parked tickets. Propagates shard
-    /// simulator errors (first shard wins) and exchange livelock errors.
+    /// federation is quiescent with parked tickets. Each shard advances by
+    /// at least one event, so a `budget` below `k` processes up to `k`
+    /// events. Each share is one shard simulator slice under the
+    /// `max_events` valve. Propagates shard simulator errors (first shard
+    /// wins) and exchange livelock errors.
     fn step(&mut self, budget: u64) -> Result<Progress, ControllerError> {
         let slice = (budget / self.k as u64).max(1);
         let results: Vec<_> = self
             .shards
             .iter_mut()
-            .map(|sh| sh.shell.step(Some(slice)))
+            .map(|sh| sh.shell.step(slice))
             .collect();
         let mut processed = 0;
         for (i, result) in results.into_iter().enumerate() {

@@ -100,11 +100,6 @@ macro_rules! engine_controller {
             self.$($engine).+.submit(at, kind)
         }
 
-        fn run_to_quiescence(&mut self) -> Result<(), dcn_controller::ControllerError> {
-            while !self.step(u64::MAX)?.quiescent {}
-            Ok(())
-        }
-
         fn step(
             &mut self,
             budget: u64,

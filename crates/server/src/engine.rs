@@ -427,13 +427,8 @@ impl EngineCore {
                 self.quiescent = true;
             }
         }
-        let mut events = Vec::new();
-        for record in self.ctrl.take_records() {
-            events.clear();
-            ControllerEvent::push_for_record(&record, &mut events);
-            for &ev in &events {
-                self.route_event(ev, out);
-            }
+        for ev in self.ctrl.drain_events() {
+            self.route_event(ev, out);
         }
         !self.quiescent
     }

@@ -155,6 +155,7 @@ mod tests {
         fn submit(&mut self, _: NodeId, _: RequestKind) -> Result<RequestId, ControllerError> {
             Ok(self.ledger.issue())
         }
+        // Overridden: the provided one calls `step`, which calls this.
         fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
             Err(ControllerError::Sim("the simulator refused".to_string()))
         }

@@ -104,6 +104,8 @@ impl Controller for Scripted {
         }
         Ok(RequestId(id))
     }
+    // Overridden: the provided one would `step`, and every step shuffles
+    // (draws from the script's rng).
     fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
         Ok(())
     }

@@ -76,9 +76,10 @@ pub struct SimConfig {
     pub seed: u64,
     /// Message delay model.
     pub delay: DelayModel,
-    /// Safety valve: maximum number of events processed by
-    /// [`Simulator::run_until_quiescent`](crate::Simulator::run_until_quiescent)
-    /// before it gives up and reports an error.
+    /// Safety valve: the most events one
+    /// [`Simulator::run_events`](crate::Simulator::run_events) slice may
+    /// process before it gives up and reports an error. A slice with a
+    /// budget of at most this many events never trips it.
     pub max_events: u64,
 }
 

@@ -35,8 +35,9 @@ pub enum SimError {
     /// The protocol issued an impossible instruction (e.g. `Up` at the root,
     /// `Down` with no recorded descent pointer).
     ProtocolViolation(String),
-    /// `run_until_quiescent` exceeded the configured event budget; the
-    /// execution is likely livelocked.
+    /// One [`Simulator::run_events`] slice processed more than
+    /// [`SimConfig::max_events`] events; the execution is likely
+    /// livelocked.
     EventBudgetExceeded(u64),
 }
 
@@ -60,7 +61,7 @@ impl Error for SimError {}
 ///
 /// 1. construct with [`Simulator::new`] or [`Simulator::with_tree`];
 /// 2. inject requests by creating agents with [`Simulator::create_agent`];
-/// 3. call [`Simulator::run_until_quiescent`];
+/// 3. call [`Simulator::run_events`] (`u64::MAX` runs to quiescence);
 /// 4. drain protocol outputs with [`Simulator::drain_outputs`] and inspect
 ///    [`Simulator::metrics`].
 pub struct Simulator<P: Protocol> {
@@ -323,36 +324,30 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Processes up to `budget` events and returns the number actually
-    /// processed (fewer only when the queue drained first).
+    /// processed (fewer only when the queue drained first). `u64::MAX` runs
+    /// to quiescence.
+    ///
+    /// [`SimConfig::max_events`] caps every call: a slice that processes
+    /// more than that many events is taken for a livelock, so a `budget` of
+    /// at most `max_events` never trips it.
     ///
     /// # Errors
     ///
-    /// Propagates protocol violations; see [`SimError`].
+    /// Returns [`SimError::EventBudgetExceeded`] once the slice passes
+    /// `max_events` events, or a protocol violation if the agent program
+    /// issues an impossible instruction.
     pub fn run_events(&mut self, budget: u64) -> Result<u64, SimError> {
+        let max = self.config.max_events;
+        // One compare per event: the valve is folded into the loop bound.
+        let limit = budget.min(max.saturating_add(1));
         let mut processed = 0;
-        while processed < budget && self.step()? {
+        while processed < limit && self.step()? {
             processed += 1;
+        }
+        if processed > max {
+            return Err(SimError::EventBudgetExceeded(max));
         }
         Ok(processed)
-    }
-
-    /// Runs until no events remain (all agents terminated or queued forever
-    /// and no pending changes can make progress).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EventBudgetExceeded`] if the configured
-    /// [`SimConfig::max_events`] budget is exhausted, or a protocol violation
-    /// if the agent program issues an impossible instruction.
-    pub fn run_until_quiescent(&mut self) -> Result<(), SimError> {
-        let mut processed: u64 = 0;
-        while self.step()? {
-            processed += 1;
-            if processed > self.config.max_events {
-                return Err(SimError::EventBudgetExceeded(self.config.max_events));
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -835,7 +830,7 @@ mod tests {
             sim.run_events(20).unwrap();
             assert!(sim.agents.span() <= sim.metrics().max_live_agents + 1);
         }
-        sim.run_until_quiescent().unwrap();
+        sim.run_events(u64::MAX).unwrap();
         assert_eq!(sim.metrics().agents_created, 5_000);
         assert!(sim.metrics().max_live_agents <= 20);
         assert_eq!((sim.live_agents(), sim.agents.span()), (0, 0));
@@ -885,14 +880,14 @@ mod tests {
         for cycle in 0..10_000 {
             let leaf = NodeId::from_index(sim.tree().total_created());
             sim.schedule_change(TopologyChange::AddLeaf { parent: root });
-            sim.run_until_quiescent().unwrap();
+            sim.run_events(u64::MAX).unwrap();
             assert!(sim.tree().contains(leaf), "cycle {cycle}");
             added.push_back(leaf);
             records = records.max(sim.tree().node_count());
             if added.len() > 4 {
                 let gone = added.pop_front().unwrap();
                 sim.schedule_change(TopologyChange::Remove { node: gone });
-                sim.run_until_quiescent().unwrap();
+                sim.run_events(u64::MAX).unwrap();
                 assert!(sim.whiteboard(gone).is_none() && sim.locked_by(gone).is_none());
             }
         }
@@ -993,7 +988,7 @@ mod tests {
             }
             run_through(&mut sim, 2 * HOP - 1);
             assert_eq!(parked(&sim, n2), order);
-            sim.run_until_quiescent().unwrap();
+            sim.run_events(u64::MAX).unwrap();
             assert_eq!((resolved(&sim), sim.pending_change_count()), (outcome, 0));
             assert_eq!((sim.time(), sim.tree().contains(n2)), (2 * HOP, false));
         }
@@ -1010,7 +1005,7 @@ mod tests {
         run_through(&mut sim, CHANGE_DELAY);
         assert!(!sim.is_locked(n3));
         assert_eq!(parked(&sim, n3), [remove, remove]);
-        sim.run_until_quiescent().unwrap();
+        sim.run_events(u64::MAX).unwrap();
         // Its delivery opens the gate: the older removal goes through, the
         // younger finds the node gone.
         assert_eq!((resolved(&sim), sim.pending_change_count()), ((1, 1), 0));
@@ -1060,7 +1055,7 @@ mod tests {
             (&[][..], &[split][..])
         );
         assert_eq!((resolved(&sim), sim.tree().depth(n2)), ((0, 0), 2));
-        sim.run_until_quiescent().unwrap();
+        sim.run_events(u64::MAX).unwrap();
         assert_eq!((resolved(&sim), sim.tree().depth(n2)), ((1, 0), 3));
         assert_eq!((sim.time(), sim.pending_change_count()), (3 * HOP, 0));
     }
@@ -1078,7 +1073,7 @@ mod tests {
         sim.schedule_change(split);
         run_through(&mut sim, 3 * HOP - 1);
         assert_eq!(parked(&sim, n1), [remove, split]);
-        sim.run_until_quiescent().unwrap();
+        sim.run_events(u64::MAX).unwrap();
         assert_eq!((resolved(&sim), sim.pending_change_count()), ((2, 0), 0));
         assert!(!sim.tree().contains(n1));
         let above = sim.tree().parent(n2).unwrap();

@@ -128,7 +128,7 @@ fn single_agent_measures_its_depth() {
         },
     )
     .unwrap();
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     let outputs = sim.drain_outputs();
     assert_eq!(
         outputs,
@@ -158,7 +158,7 @@ fn agent_created_at_root_terminates_immediately() {
         },
     )
     .unwrap();
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     let outputs = sim.drain_outputs();
     assert_eq!(
         outputs,
@@ -194,7 +194,7 @@ fn concurrent_agents_all_complete_and_locks_serialize_them() {
         )
         .unwrap();
     }
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     let outputs = sim.drain_outputs();
     assert_eq!(outputs.len(), leaves.len());
     assert!(outputs.iter().all(|r| r.depth == 1));
@@ -226,7 +226,7 @@ fn determinism_same_seed_same_metrics() {
             )
             .unwrap();
         }
-        sim.run_until_quiescent().unwrap();
+        sim.run_events(u64::MAX).unwrap();
         (*sim.metrics(), sim.drain_outputs().len())
     };
     assert_eq!(run(42), run(42));
@@ -243,13 +243,13 @@ fn graceful_add_and_remove_changes_apply() {
     let mid = NodeId::from_index(2);
     sim.schedule_change(TopologyChange::AddLeaf { parent: leaf });
     sim.schedule_change(TopologyChange::AddInternalAbove { below: mid });
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     assert_eq!(sim.metrics().topology_changes_applied, 2);
     assert_eq!(sim.tree().node_count(), 6);
     assert_eq!(sim.tree().depth(leaf), 4); // one internal node inserted above mid
 
     sim.schedule_change(TopologyChange::Remove { node: mid });
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     assert_eq!(sim.metrics().topology_changes_applied, 3);
     assert!(!sim.tree().contains(mid));
     assert_eq!(sim.tree().depth(leaf), 3);
@@ -263,7 +263,7 @@ fn removal_of_a_missing_node_is_dropped_not_fatal() {
     let leaf = NodeId::from_index(2);
     sim.schedule_change(TopologyChange::Remove { node: leaf });
     sim.schedule_change(TopologyChange::Remove { node: leaf });
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     assert_eq!(sim.metrics().topology_changes_applied, 1);
     assert_eq!(sim.metrics().topology_changes_dropped, 1);
 }
@@ -283,14 +283,14 @@ fn removal_merges_whiteboard_into_parent_and_counts_aux_messages() {
         },
     )
     .unwrap();
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     let leaf_visits = sim.whiteboard(leaf).unwrap().visits;
     let mid_visits = sim.whiteboard(mid).unwrap().visits;
     assert!(leaf_visits > 0);
 
     let aux_before = sim.metrics().aux_messages;
     sim.schedule_change(TopologyChange::Remove { node: leaf });
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     assert!(sim.metrics().aux_messages > aux_before);
     assert_eq!(
         sim.whiteboard(mid).unwrap().visits,
@@ -304,7 +304,7 @@ fn root_can_never_be_removed() {
     let mut sim = Simulator::new(SimConfig::new(7), ClimbProtocol);
     let root = sim.tree().root();
     sim.schedule_change(TopologyChange::Remove { node: root });
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     assert!(sim.tree().contains(root));
     assert_eq!(sim.metrics().topology_changes_dropped, 1);
 }
@@ -322,7 +322,7 @@ fn one_change_of_each_kind_on_a_path_leaves_a_valid_tree() {
     sim.schedule_change(TopologyChange::Remove {
         node: NodeId::from_index(1),
     });
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     assert!(sim.tree().check_invariants().is_ok());
 }
 
@@ -369,8 +369,17 @@ fn event_budget_is_enforced() {
     let mut sim = Simulator::new(SimConfig::new(11).with_max_events(1_000), SpinProtocol);
     let root = sim.tree().root();
     sim.create_agent(root, ()).unwrap();
-    let err = sim.run_until_quiescent().unwrap_err();
-    assert!(matches!(err, dcn_simnet::SimError::EventBudgetExceeded(_)));
+    // A slice within the valve never trips it, however long the run…
+    for _ in 0..3 {
+        assert_eq!(sim.run_events(1_000).unwrap(), 1_000);
+    }
+    // …and one past it does, exactly once it passes `max_events`.
+    let err = sim.run_events(u64::MAX).unwrap_err();
+    assert!(matches!(
+        err,
+        dcn_simnet::SimError::EventBudgetExceeded(1_000)
+    ));
+    assert_eq!(sim.metrics().events_processed, 4 * 1_000 + 1);
 }
 
 /// A protocol that issues `Up` at the root to exercise violation reporting.
@@ -397,6 +406,6 @@ fn protocol_violations_are_reported() {
     let mut sim = Simulator::new(SimConfig::new(12), BadProtocol);
     let root = sim.tree().root();
     sim.create_agent(root, ()).unwrap();
-    let err = sim.run_until_quiescent().unwrap_err();
+    let err = sim.run_events(u64::MAX).unwrap_err();
     assert!(matches!(err, dcn_simnet::SimError::ProtocolViolation(_)));
 }

@@ -177,7 +177,7 @@ fn run(seed: u64, max_delay: u64, n0: usize, events: &[SimEvent]) -> (usize, u64
             }
         }
     }
-    sim.run_until_quiescent().unwrap();
+    sim.run_events(u64::MAX).unwrap();
     let outputs = sim.drain_outputs().len();
     (
         agents_created,
@@ -221,7 +221,7 @@ fn concurrent_agents_and_churn_never_corrupt_the_network() {
                 }
             }
         }
-        sim.run_until_quiescent().unwrap();
+        sim.run_events(u64::MAX).unwrap();
 
         assert!(sim.tree().check_invariants().is_ok(), "case {case}");
         assert_eq!(sim.live_agents(), 0, "case {case}: agents must not leak");
@@ -404,7 +404,7 @@ fn the_kth_hop_is_delayed_by_the_kth_sample_of_the_seeds_stream() {
         let (mut observed, mut scheduled) = (Vec::new(), 0u64);
         for round in 0..24 {
             sim.create_agent(bottom, ()).unwrap();
-            sim.run_until_quiescent().unwrap();
+            sim.run_events(u64::MAX).unwrap();
             let times = sim.drain_outputs();
             assert_eq!(times.len(), sim.tree().depth(bottom) + 1, "seed {seed}");
             observed.extend(times.windows(2).map(|w| w[1] - w[0]));
@@ -425,7 +425,7 @@ fn the_kth_hop_is_delayed_by_the_kth_sample_of_the_seeds_stream() {
                 sim.schedule_change(change);
                 scheduled += 1;
             }
-            sim.run_until_quiescent().unwrap();
+            sim.run_events(u64::MAX).unwrap();
             side_leaf = sim.tree().nodes().last();
             let beside = |l| l != bottom && sim.tree().is_leaf(l) == Ok(true);
             assert!(side_leaf.is_some_and(beside), "seed {seed}");
@@ -504,7 +504,7 @@ fn node_storage_moves_no_count_and_no_output() {
                 removed_some |= sim.tree().total_created() > listed.len() + 64;
             }
         }
-        sim.run_until_quiescent().unwrap();
+        sim.run_events(u64::MAX).unwrap();
         assert!(
             removed_some,
             "seed {seed}: the run must leave dead ids behind"

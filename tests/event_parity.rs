@@ -19,8 +19,16 @@
 //!    — at budgets 1 and 7, within a bounded number of slices — is
 //!    observationally identical to one `run_to_quiescence` call: same records
 //!    taken, same counters, same tree, same cost metrics.
+//!
+//! A fourth holds for every driver, the sharded federation included: **one
+//! valve.** `run_to_quiescence` is unbounded `step` slices, and the
+//! configured `max_events` caps each simulator slice, so a livelock errs
+//! instead of hanging, while slices within the valve never trip it.
 
-use dcn::controller::{Controller, ControllerEvent, RequestId, RequestRecord};
+use dcn::controller::sharded::ShardedController;
+use dcn::controller::{Controller, ControllerEvent, RequestId, RequestKind, RequestRecord};
+use dcn::simnet::SimConfig;
+use dcn::tree::DynamicTree;
 use dcn::workload::{
     build_tree, family_factory, AppFamily, ChurnGenerator, ChurnModel, ControllerSpec, Family,
     Scenario, TreeShape,
@@ -264,5 +272,68 @@ fn stepping_until_quiescent_is_observationally_identical_to_running() {
                 );
             }
         }
+    }
+}
+
+/// Every family on a 30-node path under a valve of 5 events, plus a 4-shard
+/// federation; `true` for those that simulate (and so can trip it).
+fn valved_controllers() -> Vec<(String, Box<dyn Controller>, bool)> {
+    let tree = || DynamicTree::with_initial_path(29);
+    let sim = SimConfig::new(3).with_max_events(5);
+    let u_bound = 30 + 6 + 2;
+    let families = Family::ALL
+        .into_iter()
+        .chain(AppFamily::ALL.map(Family::App));
+    let mut all: Vec<_> = families
+        .map(|family| {
+            let spec = ControllerSpec {
+                family,
+                m: 16,
+                w: 4,
+                sim,
+            };
+            let simulates = !matches!(
+                family,
+                Family::Centralized | Family::Iterated | Family::Trivial | Family::Aaps
+            );
+            let ctrl = spec.build(tree(), u_bound).unwrap();
+            (family.name().to_string(), ctrl, simulates)
+        })
+        .collect();
+    let sharded = ShardedController::new(sim, tree(), 16, 4, u_bound, 4).unwrap();
+    all.push(("sharded:k4".to_string(), Box::new(sharded), true));
+    all
+}
+
+/// Six requests from the path's deepest nodes: every agent climbs far past
+/// five events.
+fn submit_deep(ctrl: &mut dyn Controller) {
+    assert_eq!(ctrl.tree().node_count(), 30);
+    let mut nodes: Vec<_> = ctrl.tree().nodes().collect();
+    nodes.sort_by_key(|&n| std::cmp::Reverse(ctrl.tree().depth(n)));
+    for &at in &nodes[..6] {
+        ctrl.submit(at, RequestKind::NonTopological).unwrap();
+    }
+}
+
+#[test]
+fn one_max_events_valve_caps_every_slice_of_every_driver() {
+    for (name, mut ctrl, simulates) in valved_controllers() {
+        submit_deep(ctrl.as_mut());
+        let ran = ctrl.run_to_quiescence();
+        assert_eq!(ran.is_err(), simulates, "{name}: {ran:?}");
+    }
+    // Slices within the valve never trip it: stepping one event at a time
+    // answers every ticket.
+    for (name, mut ctrl, _) in valved_controllers() {
+        submit_deep(ctrl.as_mut());
+        let mut slices = 0;
+        while !ctrl.step(1).unwrap().quiescent {
+            slices += 1;
+            assert!(slices < MAX_SLICES, "{name}: not quiescent");
+        }
+        let summary = ctrl.summary();
+        assert_eq!(summary.unanswered, 0, "{name}");
+        assert_eq!(ctrl.granted() + ctrl.rejected(), 6, "{name}");
     }
 }
