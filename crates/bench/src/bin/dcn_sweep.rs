@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 
 use dcn_bench::{default_workers, full_grid, quick_grid, run_grid, DEFAULT_SWEEP_SEED};
+use dcn_workload::SUMMARY_COLUMNS;
 use std::process::ExitCode;
 
 struct Args {
@@ -139,37 +140,20 @@ fn main() -> ExitCode {
     );
     let report = run_grid(&grid, args.workers);
 
-    println!(
-        "{:<12} {:>5} {:>6} {:>10} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8}",
-        "family",
-        "cells",
-        "errors",
-        "violations",
-        "p50moves",
-        "p95moves",
-        "p50msgs",
-        "p95msgs",
-        "p50mem",
-        "p95mem",
-        "p50lat",
-        "p95lat"
-    );
-    for s in report.summaries() {
-        println!(
-            "{:<12} {:>5} {:>6} {:>10} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8}",
-            s.family,
-            s.cells,
-            s.errors,
-            s.violations,
-            s.p50_moves,
-            s.p95_moves,
-            s.p50_messages,
-            s.p95_messages,
-            s.p50_memory_bits,
-            s.p95_memory_bits,
-            s.p50_latency,
-            s.p95_latency,
-        );
+    // Each column is as wide as its name.
+    let summaries = report.summaries();
+    let width = summaries.iter().map(|s| s.family.len()).fold(6, usize::max);
+    let header: String = SUMMARY_COLUMNS
+        .iter()
+        .map(|c| format!(" {}", c.name))
+        .collect();
+    println!("{:<width$}{header}", "family");
+    for s in &summaries {
+        let row: String = SUMMARY_COLUMNS
+            .iter()
+            .map(|c| format!(" {:>1$}", (c.value)(s), c.name.len()))
+            .collect();
+        println!("{:<width$}{row}", s.family);
     }
     for cell in &report.cells {
         if let Err(e) = &cell.report {

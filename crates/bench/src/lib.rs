@@ -165,12 +165,12 @@ impl Row {
 
     /// The row as one JSON line (hand-rolled; the build environment has no
     /// serde). String escaping is shared with the scenario serialiser
-    /// ([`dcn_workload::json_quote`]).
+    /// ([`dcn_workload::json::quote`]).
     pub fn to_json_line(&self) -> String {
         format!(
             r#"{{"experiment": {}, "params": {}, "measured": {}, "bound": {}, "ratio": {}}}"#,
-            dcn_workload::json_quote(&self.experiment),
-            dcn_workload::json_quote(&self.params),
+            dcn_workload::json::quote(&self.experiment),
+            dcn_workload::json::quote(&self.params),
             json_num(self.measured),
             json_num(self.bound),
             json_num(self.ratio),

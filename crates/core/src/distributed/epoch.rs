@@ -334,8 +334,7 @@ pub trait IterationPolicy<C = DistributedController> {
 
 /// Consecutive grant-free rotations after which the driver stops retrying
 /// and rejects the stragglers (a fresh iteration normally grants at least
-/// one request; this is the safety valve the old per-app loops capped at 64
-/// rounds).
+/// one request; this is the safety valve).
 const MAX_STALLED_ROTATIONS: u32 = 64;
 
 /// The epoch engine: a sequence of inner controllers `C` over one epoch

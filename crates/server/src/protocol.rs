@@ -17,7 +17,6 @@
 //! dropped connection or a panicked thread.
 
 use dcn_workload::json::{self, JsonError, Value};
-use dcn_workload::json_quote;
 use std::fmt::Write as _;
 
 /// The protocol version spoken by this build; `hello` frames asking for a
@@ -242,8 +241,8 @@ fn push_tag(out: &mut String, tag: Option<u64>) {
 pub fn error_frame(code: &str, detail: &str, tag: Option<u64>) -> String {
     let mut out = format!(
         "{{\"error\": {}, \"detail\": {}",
-        json_quote(code),
-        json_quote(detail)
+        json::quote(code),
+        json::quote(detail)
     );
     push_tag(&mut out, tag);
     out.push('}');
@@ -264,7 +263,7 @@ pub fn line_too_long_frame() -> String {
 pub fn welcome_frame(family: &str, m: u64, w: u64, nodes: usize) -> String {
     format!(
         "{{\"ok\": \"welcome\", \"proto\": {PROTO_VERSION}, \"family\": {}, \"m\": {m}, \"w\": {w}, \"nodes\": {nodes}}}",
-        json_quote(family)
+        json::quote(family)
     )
 }
 
@@ -310,7 +309,7 @@ pub fn event_frame(ticket: u64, outcome: &WireOutcome, tag: Option<u64>) -> Stri
     let mut out = match outcome {
         WireOutcome::Granted { at, kind, .. } => format!(
             "{{\"event\": \"granted\", \"ticket\": {ticket}, \"at\": {at}, \"kind\": {}",
-            json_quote(kind_name(*kind))
+            json::quote(kind_name(*kind))
         ),
         WireOutcome::Rejected => format!("{{\"event\": \"rejected\", \"ticket\": {ticket}"),
         WireOutcome::Refused => format!("{{\"event\": \"refused\", \"ticket\": {ticket}"),
@@ -329,7 +328,7 @@ pub fn topology_event_frame(
 ) -> String {
     let mut out = format!(
         "{{\"event\": \"topology\", \"ticket\": {ticket}, \"kind\": {}",
-        json_quote(kind_name(kind))
+        json::quote(kind_name(kind))
     );
     if let Some(n) = node {
         let _ = write!(out, ", \"node\": {n}");

@@ -245,9 +245,8 @@ impl Value {
     }
 }
 
-/// Escapes and quotes a string for JSON output (re-exported as
-/// `dcn_workload::json_quote` so every hand-rolled emitter in the workspace
-/// shares one correct escaper).
+/// Escapes and quotes a string for JSON output: the one escaper every
+/// hand-rolled emitter in the workspace shares.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

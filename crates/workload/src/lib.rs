@@ -53,7 +53,6 @@ mod spec;
 mod sweep;
 
 pub use churn::{ChurnGenerator, ChurnModel, ChurnOp};
-pub use json::quote as json_quote;
 pub use placement::Placement;
 pub use runner::{OpStream, RunReport, ScenarioRunner};
 pub use scenario::{ArrivalMode, Scenario};
@@ -62,8 +61,8 @@ pub use spec::{
     family_factory, parse_shard_family, shard_family_name, AppFamily, ControllerSpec, Family,
 };
 pub use sweep::{
-    arrival_label, churn_label, placement_label, shape_label, CellReport, CellResult,
-    ControllerFactory, FamilySummary, MwBudget, SweepCell, SweepEngine, SweepGrid, SweepReport,
+    CellReport, CellResult, Column, ControllerFactory, FamilySummary, MwBudget, SweepCell,
+    SweepEngine, SweepGrid, SweepReport, SUMMARY_COLUMNS,
 };
 
 pub use dcn_controller::InvariantError;

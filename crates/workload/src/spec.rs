@@ -1,13 +1,9 @@
 //! [`ControllerSpec`]: the uniform factory for every controller family.
 //!
-//! Before this module, every driver that needed a concrete controller — the
-//! experiment binaries, the sweep CLI, the examples, the end-to-end tests —
-//! carried its own hand-rolled `match family { ... }` over the constructors.
-//! A [`ControllerSpec`] replaces all of them: it captures the *family* plus
-//! the shared parameters (budget `M`, waste bound `W`, simulator
-//! configuration for the distributed families) and builds any of the twelve
-//! families — six controllers and six §5 applications — behind a
-//! `Box<dyn Controller>`.
+//! A [`ControllerSpec`] captures the *family* plus the shared parameters
+//! (budget `M`, waste bound `W`, simulator configuration for the
+//! distributed families) and builds any of the twelve families — six
+//! controllers and six §5 applications — behind a `Box<dyn Controller>`.
 //!
 //! The sweep engine's [`ControllerFactory`](crate::ControllerFactory) hook is
 //! covered by [`family_factory`], which resolves a grid's family *string* —

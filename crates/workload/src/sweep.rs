@@ -52,8 +52,8 @@ pub struct SweepGrid {
     /// Grid name (prefixes every scenario name).
     pub name: String,
     /// Controller family names, resolved by the factory passed to
-    /// [`SweepEngine::run`] (the harness crate maps them to concrete
-    /// controllers; `dcn-workload` itself stays family-agnostic).
+    /// [`SweepEngine::run`] ([`family_factory`](crate::family_factory)
+    /// builds every [`Family`](crate::Family) name and `sharded:k<k>`).
     pub families: Vec<String>,
     /// §5 application names (the apps axis, [`AppFamily`] names), resolved
     /// by the same factory as the families and driven through
@@ -273,10 +273,11 @@ pub struct FamilySummary {
 
 /// Builds a controller of the named family over a scenario.
 ///
-/// The engine deliberately takes the factory as a parameter: `dcn-workload`
-/// knows the [`Controller`] trait but not the concrete families, which live
-/// above it (`dcn-controller`'s implementations, `dcn-baseline`, and whatever
-/// future backends are plugged in). Errors are reported per cell, not
+/// [`family_factory`](crate::family_factory) builds all twelve families;
+/// the engine still takes the factory as a parameter so that a caller can
+/// substitute its own (the tests build a single family or refuse names on
+/// purpose, and the out-of-workspace benchmark passes `family_factory` to
+/// [`SweepEngine::run_cells`]). Errors are reported per cell, not
 /// propagated — one invalid parameter combination must not sink a 1000-cell
 /// sweep.
 pub type ControllerFactory<'a> =
@@ -429,6 +430,77 @@ fn is_app(family: &str) -> bool {
     AppFamily::from_name(family).is_some()
 }
 
+/// One named column of the sweep report. The name heads the CSV column and
+/// keys the JSON value, and `value` prints the field as both writers (and
+/// `dcn-sweep`'s table) show it.
+pub struct Column<T> {
+    /// The CSV header cell and the JSON key.
+    pub name: &'static str,
+    /// The field's text.
+    pub value: fn(&T) -> String,
+    /// `false` for a column the JSON prints but the CSV leaves out.
+    csv: bool,
+}
+
+impl<T> Column<T> {
+    const fn new(name: &'static str, value: fn(&T) -> String) -> Self {
+        let csv = true;
+        Column { name, value, csv }
+    }
+}
+
+/// A count's column text. One copy of the integer formatter serves every
+/// column: `to_string` inlined into each column's closure added 9 KB of
+/// code to a binary that writes the CSV.
+#[inline(never)]
+fn count(n: u64) -> String {
+    n.to_string()
+}
+
+/// The columns of a cell's [`RunReport`], in print order: the CSV row's
+/// tail after `status`, and the JSON cell's `report` object.
+const REPORT_COLUMNS: [Column<RunReport>; 18] = [
+    Column::new("submitted", |r| count(r.submitted)),
+    Column::new("refused", |r| count(r.refused)),
+    Column::new("dropped", |r| count(r.dropped)),
+    Column::new("granted", |r| count(r.granted)),
+    Column::new("rejected", |r| count(r.rejected)),
+    Column::new("wasted", |r| count(r.wasted)),
+    Column::new("moves", |r| count(r.moves)),
+    Column::new("messages", |r| count(r.messages)),
+    Column::new("p50_latency", |r| count(r.p50_answer_latency)),
+    Column::new("p95_latency", |r| count(r.p95_answer_latency)),
+    Column::new("peak_memory_bits", |r| count(r.peak_node_memory_bits)),
+    Column::new("final_nodes", |r| count(r.final_nodes as u64)),
+    Column::new("final_max_degree", |r| count(r.final_max_degree as u64)),
+    Column::new("iterations", |r| count(u64::from(r.iterations))),
+    Column::new("changes", |r| count(r.changes)),
+    Column::new("amortized_mpc", |r| {
+        format!("{:.2}", r.amortized_messages_per_change())
+    }),
+    Column {
+        csv: false,
+        ..Column::new("invariant_checks", |r| count(r.invariant_checks))
+    },
+    Column::new("invariant_violations", |r| count(r.invariant_violations)),
+];
+
+/// The numeric columns of a [`FamilySummary`], in print order after
+/// `family`.
+pub const SUMMARY_COLUMNS: [Column<FamilySummary>; 11] = [
+    Column::new("cells", |s| count(s.cells as u64)),
+    Column::new("errors", |s| count(s.errors as u64)),
+    Column::new("violations", |s| count(s.violations as u64)),
+    Column::new("p50_moves", |s| count(s.p50_moves)),
+    Column::new("p95_moves", |s| count(s.p95_moves)),
+    Column::new("p50_messages", |s| count(s.p50_messages)),
+    Column::new("p95_messages", |s| count(s.p95_messages)),
+    Column::new("p50_memory_bits", |s| count(s.p50_memory_bits)),
+    Column::new("p95_memory_bits", |s| count(s.p95_memory_bits)),
+    Column::new("p50_latency", |s| count(s.p50_latency)),
+    Column::new("p95_latency", |s| count(s.p95_latency)),
+];
+
 impl SweepReport {
     /// Number of cells that failed to build or run.
     pub fn error_count(&self) -> usize {
@@ -444,45 +516,28 @@ impl SweepReport {
     /// latency over the family's own cells that produced a report, for a
     /// controller and an application alike), in first-appearance order.
     pub fn summaries(&self) -> Vec<FamilySummary> {
-        let mut order: Vec<&str> = Vec::new();
-        for cell in &self.cells {
-            if !order.contains(&cell.cell.family.as_str()) {
-                order.push(&cell.cell.family);
+        let mut families: Vec<(&str, Vec<&CellResult>)> = Vec::new();
+        for c in &self.cells {
+            match families.iter_mut().find(|(f, _)| *f == c.cell.family) {
+                Some((_, cells)) => cells.push(c),
+                None => families.push((&c.cell.family, vec![c])),
             }
         }
-        order
+        families
             .into_iter()
-            .map(|family| {
-                let reports: Vec<&CellReport> = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.cell.family == family)
-                    .filter_map(|c| c.report.as_ref().ok())
-                    .collect();
-                let attempted = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.cell.family == family)
-                    .count();
-                let violations = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.cell.family == family && c.violation.is_some())
-                    .count();
-                let (p50_moves, p95_moves) = percentiles(reports.iter().map(|r| r.run().moves));
-                let (p50_messages, p95_messages) =
-                    percentiles(reports.iter().map(|r| r.messages()));
+            .map(|(family, cells)| {
+                let runs: Vec<&RunReport> = cells.iter().filter_map(|c| c.run_report()).collect();
+                let (p50_moves, p95_moves) = percentiles(runs.iter().map(|r| r.moves));
+                let (p50_messages, p95_messages) = percentiles(runs.iter().map(|r| r.messages));
                 let (p50_memory_bits, p95_memory_bits) =
-                    percentiles(reports.iter().map(|r| r.run().peak_node_memory_bits));
-                let (p50_latency, _) =
-                    percentiles(reports.iter().map(|r| r.run().p50_answer_latency));
-                let (_, p95_latency) =
-                    percentiles(reports.iter().map(|r| r.run().p95_answer_latency));
+                    percentiles(runs.iter().map(|r| r.peak_node_memory_bits));
+                let (p50_latency, _) = percentiles(runs.iter().map(|r| r.p50_answer_latency));
+                let (_, p95_latency) = percentiles(runs.iter().map(|r| r.p95_answer_latency));
                 FamilySummary {
                     family: family.to_string(),
-                    cells: attempted,
-                    errors: attempted - reports.len(),
-                    violations,
+                    cells: cells.len(),
+                    errors: cells.len() - runs.len(),
+                    violations: cells.iter().filter(|c| c.violation.is_some()).count(),
                     p50_moves,
                     p95_moves,
                     p50_messages,
@@ -502,13 +557,14 @@ impl SweepReport {
     /// is; a cell that could not run leaves the report columns empty, so
     /// every row keeps the same arity.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "cell,family,kind,scenario,shape,churn,placement,arrival,m,w,requests,seed,status,\
-             submitted,refused,dropped,granted,rejected,wasted,moves,messages,\
-             p50_latency,p95_latency,peak_memory_bits,final_nodes,final_max_degree,\
-             iterations,changes,amortized_mpc,invariant_violations\n",
+        let csv_columns = || REPORT_COLUMNS.iter().filter(|column| column.csv);
+        let mut out = String::from(
+            "cell,family,kind,scenario,shape,churn,placement,arrival,m,w,requests,seed,status",
         );
+        for column in csv_columns() {
+            let _ = write!(out, ",{}", column.name);
+        }
+        out.push('\n');
         for c in &self.cells {
             let s = &c.cell.scenario;
             // Error/violation messages are free text; keep the row's column
@@ -531,61 +587,29 @@ impl SweepReport {
                 s.seed,
                 status,
             );
-            match c.run_report() {
-                Some(r) => {
-                    let _ = writeln!(
-                        out,
-                        ",{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.2},{}",
-                        r.submitted,
-                        r.refused,
-                        r.dropped,
-                        r.granted,
-                        r.rejected,
-                        r.wasted,
-                        r.moves,
-                        r.messages,
-                        r.p50_answer_latency,
-                        r.p95_answer_latency,
-                        r.peak_node_memory_bits,
-                        r.final_nodes,
-                        r.final_max_degree,
-                        r.iterations,
-                        r.changes,
-                        r.amortized_messages_per_change(),
-                        r.invariant_violations,
-                    );
-                }
-                None => out.push_str(",,,,,,,,,,,,,,,,,\n"),
+            for column in csv_columns() {
+                let value = c.run_report().map(column.value).unwrap_or_default();
+                let _ = write!(out, ",{value}");
             }
+            out.push('\n');
+        }
+        out.push_str("\nfamily");
+        for column in &SUMMARY_COLUMNS {
+            let _ = write!(out, ",{}", column.name);
         }
         out.push('\n');
-        out.push_str(
-            "family,cells,errors,violations,p50_moves,p95_moves,p50_messages,\
-             p95_messages,p50_memory_bits,p95_memory_bits,p50_latency,p95_latency\n",
-        );
         for s in self.summaries() {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{}",
-                s.family,
-                s.cells,
-                s.errors,
-                s.violations,
-                s.p50_moves,
-                s.p95_moves,
-                s.p50_messages,
-                s.p95_messages,
-                s.p50_memory_bits,
-                s.p95_memory_bits,
-                s.p50_latency,
-                s.p95_latency,
-            );
+            out.push_str(&s.family);
+            for column in &SUMMARY_COLUMNS {
+                let _ = write!(out, ",{}", (column.value)(&s));
+            }
+            out.push('\n');
         }
         out
     }
 
     /// The full report as a single JSON document (hand-rolled like the rest
-    /// of the workspace; string escaping via [`crate::json_quote`]).
+    /// of the workspace; string escaping via [`crate::json::quote`]).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -608,28 +632,9 @@ impl SweepReport {
             );
             match c.run_report() {
                 Some(r) => {
-                    let _ = write!(
-                        out,
-                        r#"{{"submitted": {}, "refused": {}, "dropped": {}, "granted": {}, "rejected": {}, "wasted": {}, "moves": {}, "messages": {}, "p50_latency": {}, "p95_latency": {}, "peak_memory_bits": {}, "final_nodes": {}, "final_max_degree": {}, "iterations": {}, "changes": {}, "amortized_mpc": {:.2}, "invariant_checks": {}, "invariant_violations": {}}}"#,
-                        r.submitted,
-                        r.refused,
-                        r.dropped,
-                        r.granted,
-                        r.rejected,
-                        r.wasted,
-                        r.moves,
-                        r.messages,
-                        r.p50_answer_latency,
-                        r.p95_answer_latency,
-                        r.peak_node_memory_bits,
-                        r.final_nodes,
-                        r.final_max_degree,
-                        r.iterations,
-                        r.changes,
-                        r.amortized_messages_per_change(),
-                        r.invariant_checks,
-                        r.invariant_violations,
-                    );
+                    out.push('{');
+                    json_fields(&mut out, &REPORT_COLUMNS, r);
+                    out.push('}');
                 }
                 None => out.push_str("null"),
             }
@@ -640,25 +645,23 @@ impl SweepReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(
-                out,
-                r#"{{"family": {}, "cells": {}, "errors": {}, "violations": {}, "p50_moves": {}, "p95_moves": {}, "p50_messages": {}, "p95_messages": {}, "p50_memory_bits": {}, "p95_memory_bits": {}, "p50_latency": {}, "p95_latency": {}}}"#,
-                crate::json::quote(&s.family),
-                s.cells,
-                s.errors,
-                s.violations,
-                s.p50_moves,
-                s.p95_moves,
-                s.p50_messages,
-                s.p95_messages,
-                s.p50_memory_bits,
-                s.p95_memory_bits,
-                s.p50_latency,
-                s.p95_latency,
-            );
+            let _ = write!(out, r#"{{"family": {}, "#, crate::json::quote(&s.family));
+            json_fields(&mut out, &SUMMARY_COLUMNS, s);
+            out.push('}');
         }
         out.push_str("]}");
         out
+    }
+}
+
+/// Appends `"name": value` for every column, comma-separated: the body of
+/// a JSON object.
+fn json_fields<T>(out: &mut String, columns: &[Column<T>], row: &T) {
+    for (i, column) in columns.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, r#""{}": {}"#, column.name, (column.value)(row));
     }
 }
 
@@ -680,7 +683,7 @@ fn kind_label(family: &str) -> &'static str {
 }
 
 /// A short, comma-free label for a shape (used in scenario names and CSV).
-pub fn shape_label(shape: &TreeShape) -> String {
+fn shape_label(shape: &TreeShape) -> String {
     match *shape {
         TreeShape::Path { nodes } => format!("path{nodes}"),
         TreeShape::Star { nodes } => format!("star{nodes}"),
@@ -693,7 +696,7 @@ pub fn shape_label(shape: &TreeShape) -> String {
 }
 
 /// A short, comma-free label for a churn model.
-pub fn churn_label(churn: &ChurnModel) -> String {
+fn churn_label(churn: &ChurnModel) -> String {
     match *churn {
         ChurnModel::GrowOnly => "grow".to_string(),
         ChurnModel::EventsOnly => "events".to_string(),
@@ -708,7 +711,7 @@ pub fn churn_label(churn: &ChurnModel) -> String {
 }
 
 /// A short, comma-free label for an arrival mode.
-pub fn arrival_label(arrival: &ArrivalMode) -> String {
+fn arrival_label(arrival: &ArrivalMode) -> String {
     match *arrival {
         ArrivalMode::Batch => "batch".to_string(),
         ArrivalMode::Interleaved { quantum } => format!("open{quantum}"),
@@ -716,7 +719,7 @@ pub fn arrival_label(arrival: &ArrivalMode) -> String {
 }
 
 /// A short, comma-free label for a placement distribution.
-pub fn placement_label(placement: &Placement) -> String {
+fn placement_label(placement: &Placement) -> String {
     match *placement {
         Placement::Uniform => "uniform".to_string(),
         Placement::Deepest => "deepest".to_string(),
@@ -829,6 +832,11 @@ mod tests {
         // indices stay aligned across emitters.
         assert!(report.to_csv().contains("error: unknown family"));
         assert!(report.to_json().contains(r#""report": null"#));
+        let csv = report.to_csv();
+        let arity = csv.lines().next().unwrap().matches(',').count();
+        for row in csv.lines().filter(|row| row.contains("error: ")) {
+            assert_eq!(row.matches(',').count(), arity, "row {row:?}");
+        }
     }
 
     #[test]
@@ -944,9 +952,14 @@ mod tests {
 
     /// An application cell that refuses — the open-loop star-23 cell where
     /// a grant removes the origin of a waiting request — shows its
-    /// refusals in both emitters, as a controller cell does.
+    /// refusals in both emitters, as a controller cell does; and both
+    /// emitters print every report and summary column alike: each CSV
+    /// column's text is the JSON value under the same key, and the JSON
+    /// report holds exactly the CSV's report columns plus
+    /// `invariant_checks`.
     #[test]
     fn an_app_cells_refusals_reach_both_emitters() {
+        use crate::json::Value;
         let scenario = Scenario {
             name: "star23-open24".to_string(),
             shape: TreeShape::Star { nodes: 23 },
@@ -958,27 +971,67 @@ mod tests {
             w: 128,
             seed: 0,
         };
-        let cell = SweepCell {
-            index: 0,
-            family: "size-estimator".to_string(),
-            scenario,
-        };
-        let report = SweepEngine::new(1).run_cells(
-            "refusals".to_string(),
-            vec![cell],
-            &crate::family_factory,
-        );
+        let cells = ["size-estimator", "distributed"]
+            .into_iter()
+            .enumerate()
+            .map(|(index, family)| SweepCell {
+                index,
+                family: family.to_string(),
+                scenario: scenario.clone(),
+            })
+            .collect();
+        let report =
+            SweepEngine::new(1).run_cells("refusals".to_string(), cells, &crate::family_factory);
         let refused = report.cells[0].run_report().expect("the cell ran").refused;
         assert!(refused > 0, "the cell refused nothing");
         let csv = report.to_csv();
-        let mut lines = csv.lines().map(|line| line.split(',').collect::<Vec<_>>());
-        let (header, row) = (lines.next().unwrap(), lines.next().unwrap());
-        let column = header.iter().position(|&h| h == "refused").unwrap();
-        assert_eq!(row[column], refused.to_string());
         let json = crate::json::parse(&report.to_json()).unwrap();
-        let cell = &json.get("cells").unwrap().as_array().unwrap()[0];
-        let key = cell.get("report").and_then(|r| r.get("refused"));
-        assert_eq!(key.and_then(|v| v.as_u64()), Ok(refused));
+        // Every CSV field of `row` under `header[from..]` equals the JSON
+        // value of `object` under the same key.
+        let same = |header: &[&str], row: &[&str], from: usize, object: &Value| {
+            assert_eq!(row.len(), header.len(), "{row:?}");
+            for (&key, &text) in header.iter().zip(row).skip(from) {
+                match object.get(key).unwrap() {
+                    Value::Int(n) => assert_eq!(text, n.to_string(), "{key}"),
+                    Value::Num(x) => assert_eq!(text.parse::<f64>(), Ok(*x), "{key}"),
+                    other => panic!("{key}: {other:?}"),
+                }
+            }
+        };
+        let mut lines = csv.lines().map(|line| line.split(',').collect::<Vec<_>>());
+        let header = lines.next().unwrap();
+        let first = header.iter().position(|&h| h == "status").unwrap() + 1;
+        let refused_at = header.iter().position(|&h| h == "refused").unwrap();
+        let mut keys: Vec<&str> = header[first..].to_vec();
+        keys.push("invariant_checks");
+        keys.sort_unstable();
+        for (i, cell) in json
+            .get("cells")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .enumerate()
+        {
+            let row = lines.next().unwrap();
+            let object = cell.get("report").unwrap();
+            let Value::Object(fields) = object else {
+                panic!("cell {i}'s report is not an object");
+            };
+            assert!(fields.keys().map(String::as_str).eq(keys.iter().copied()));
+            same(&header, &row, first, object);
+            if i == 0 {
+                assert_eq!(row[refused_at], refused.to_string());
+            }
+        }
+        assert_eq!(lines.next(), Some(vec![""]));
+        let header = lines.next().unwrap();
+        for summary in json.get("summary").unwrap().as_array().unwrap() {
+            let row = lines.next().unwrap();
+            assert_eq!(Ok(row[0]), summary.get("family").and_then(Value::as_str));
+            same(&header, &row, 1, summary);
+        }
+        assert_eq!(lines.next(), None);
     }
 
     #[test]
