@@ -146,7 +146,7 @@ fn t1_centralized_moves() -> Vec<Row> {
             let m = (2 * n) as u64;
             let w = (n as u64 / 2).max(1);
             let scenario = Scenario {
-                name: format!("t1-{shape_name}-n{n}"),
+                name: format!("t1-{shape_name}-n{n}").into(),
                 shape,
                 churn: ChurnModel::default_mixed(),
                 placement: Placement::Uniform,
@@ -248,7 +248,7 @@ fn t3_distributed_messages() -> Vec<Row> {
             let m = n as u64;
             let w = (n as u64 / 4).max(1);
             let scenario = Scenario {
-                name: format!("t3-n{n}-s{seed}"),
+                name: format!("t3-n{n}-s{seed}").into(),
                 shape: TreeShape::RandomRecursive { nodes: n - 1, seed },
                 churn: ChurnModel::default_mixed(),
                 placement: Placement::Uniform,
@@ -301,7 +301,7 @@ fn t4_vs_baselines() -> Vec<Row> {
     let mut cells = Vec::new();
     for &n in &sizes {
         let base = Scenario {
-            name: format!("t4-grow-n{n}"),
+            name: format!("t4-grow-n{n}").into(),
             shape: TreeShape::RandomRecursive {
                 nodes: n - 1,
                 seed: 3,
@@ -315,7 +315,7 @@ fn t4_vs_baselines() -> Vec<Row> {
             seed: 5,
         };
         let mixed = Scenario {
-            name: format!("t4-mixed-n{n}"),
+            name: format!("t4-mixed-n{n}").into(),
             churn: ChurnModel::default_mixed(),
             seed: 6,
             ..base.clone()
@@ -388,7 +388,7 @@ fn t5_memory() -> Vec<Row> {
             ),
         ] {
             let scenario = Scenario {
-                name: format!("t5-{shape_name}-n{n}"),
+                name: format!("t5-{shape_name}-n{n}").into(),
                 shape,
                 churn: ChurnModel::GrowOnly,
                 placement: Placement::Uniform,
@@ -438,7 +438,7 @@ fn f1_size_estimation() -> Vec<Row> {
     for &n in &sizes {
         for &beta in &betas {
             let scenario = Scenario {
-                name: format!("f1-n{n}-beta{beta}"),
+                name: format!("f1-n{n}-beta{beta}").into(),
                 shape: TreeShape::RandomRecursive {
                     nodes: n - 1,
                     seed: 11,
@@ -490,7 +490,7 @@ fn f2_name_assignment() -> Vec<Row> {
     let mut rows = Vec::new();
     for &n in &sizes {
         let scenario = Scenario {
-            name: format!("f2-n{n}"),
+            name: format!("f2-n{n}").into(),
             shape: TreeShape::RandomRecursive {
                 nodes: n - 1,
                 seed: 13,
@@ -554,7 +554,7 @@ fn f3_heavy_child() -> Vec<Row> {
             ("path", TreeShape::Path { nodes: n - 1 }),
         ] {
             let scenario = Scenario {
-                name: format!("f3-{shape_name}-n{n}"),
+                name: format!("f3-{shape_name}-n{n}").into(),
                 shape,
                 churn: ChurnModel::FullChurn {
                     add_leaf: 70,
@@ -613,7 +613,7 @@ fn f4_safety_liveness() -> Vec<Row> {
         let waste_sweep = [0u64, 1, m / 4, m / 2, m];
         for &w in &waste_sweep {
             let scenario = Scenario {
-                name: format!("f4-n{n}-w{w}"),
+                name: format!("f4-n{n}-w{w}").into(),
                 shape: TreeShape::RandomRecursive {
                     nodes: n - 1,
                     seed: 19,
@@ -667,7 +667,7 @@ fn f5_ablation_iterations() -> Vec<Row> {
     for &m_usize in &budgets {
         let m = m_usize as u64;
         let scenario = Scenario {
-            name: format!("f5-m{m}"),
+            name: format!("f5-m{m}").into(),
             shape: TreeShape::Path { nodes: n - 1 },
             churn: ChurnModel::EventsOnly,
             placement: Placement::Uniform,

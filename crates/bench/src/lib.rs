@@ -294,7 +294,7 @@ mod tests {
 
     fn small_scenario() -> Scenario {
         Scenario {
-            name: "bench-test".to_string(),
+            name: "bench-test".into(),
             shape: TreeShape::Star { nodes: 15 },
             churn: ChurnModel::GrowOnly,
             placement: Placement::Uniform,

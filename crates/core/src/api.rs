@@ -239,13 +239,19 @@ pub trait Controller {
     /// slices until one reports quiescence. A no-op for synchronous
     /// families.
     ///
+    /// It stays out of the `dyn Controller` vtable (`Self: Sized`), so a
+    /// server that only steps carries no copy of it per family; a trait
+    /// object runs the same body as the function [`run_to_quiescence`].
+    ///
     /// # Errors
     ///
     /// Same as [`Controller::step`]; an unbounded slice is the one that can
     /// trip the `max_events` valve.
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        while !self.step(u64::MAX)?.quiescent {}
-        Ok(())
+    fn run_to_quiescence(&mut self) -> Result<(), ControllerError>
+    where
+        Self: Sized,
+    {
+        run_to_quiescence(self)
     }
 
     /// Advances execution by at most `budget` simulator events and reports
@@ -466,6 +472,18 @@ impl<T: SyncController> Controller for T {
     }
 }
 
+/// [`Controller::run_to_quiescence`] for a trait object, and the one body
+/// of it: unbounded [`Controller::step`] slices until one reports
+/// quiescence.
+///
+/// # Errors
+///
+/// Same as [`Controller::step`].
+pub fn run_to_quiescence(ctrl: &mut dyn Controller) -> Result<(), ControllerError> {
+    while !ctrl.step(u64::MAX)?.quiescent {}
+    Ok(())
+}
+
 impl dyn Controller + '_ {
     /// Takes the answers ([`Controller::take_records`]) as events, in answer
     /// order: [`ControllerEvent::push_for_record`] over each record. One
@@ -500,7 +518,7 @@ mod tests {
             let at = nodes[(i * 7) % nodes.len()];
             ids.push(ctrl.submit(at, RequestKind::NonTopological).unwrap());
         }
-        ctrl.run_to_quiescence().unwrap();
+        run_to_quiescence(ctrl).unwrap();
         ids
     }
 

@@ -94,7 +94,9 @@ mod request;
 pub mod sharded;
 pub mod verify;
 
-pub use api::{Controller, ControllerEvent, ControllerMetrics, Progress, SyncController};
+pub use api::{
+    run_to_quiescence, Controller, ControllerEvent, ControllerMetrics, Progress, SyncController,
+};
 pub use error::ControllerError;
 pub use invariant::InvariantError;
 pub use iterated::Iterated;

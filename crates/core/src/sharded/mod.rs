@@ -560,7 +560,7 @@ mod tests {
                 ctrl.step(64).unwrap();
             }
         }
-        ctrl.run_to_quiescence().unwrap();
+        crate::run_to_quiescence(ctrl).unwrap();
         ctrl.records().to_vec()
     }
 

@@ -422,7 +422,7 @@ fn loopback_matches_scenario_runner_for_every_family() {
     for family in Family::ALL {
         for arrival in [ArrivalMode::Batch, ArrivalMode::Interleaved { quantum: 64 }] {
             let scenario = Scenario {
-                name: format!("{}/parity", family.name()),
+                name: format!("{}/parity", family.name()).into(),
                 shape: TreeShape::Star { nodes: 12 },
                 churn: ChurnModel::FullChurn {
                     add_leaf: 50,

@@ -104,11 +104,6 @@ impl Controller for Scripted {
         }
         Ok(RequestId(id))
     }
-    // Overridden: the provided one would `step`, and every step shuffles
-    // (draws from the script's rng).
-    fn run_to_quiescence(&mut self) -> Result<(), ControllerError> {
-        Ok(())
-    }
     fn step(&mut self, _: u64) -> Result<Progress, ControllerError> {
         self.steps += 1;
         let mut i = 0;

@@ -156,13 +156,11 @@ impl RegionMap {
                 .position(|&c| c == node)
                 .map(|i| region_of_cut[i])
         };
-        let mut regions: Vec<CarvedRegion> = Vec::with_capacity(k);
-        for _ in 0..k {
-            regions.push(CarvedRegion {
-                tree: DynamicTree::new(),
-                map: LocalMap::default(),
-            });
-        }
+        // A region is built from its parent map once every node is placed:
+        // a copy's local id is one past the copies its region holds (the
+        // proxy root is 0), and a copy is not a change of the region's tree.
+        let mut parents: Vec<Vec<usize>> = vec![Vec::new(); k];
+        let mut maps = vec![LocalMap::default(); k];
         let mut map = RegionMap {
             shard_count: k,
             fwd: vec![None; cap],
@@ -175,26 +173,26 @@ impl RegionMap {
                 (None, Some((inherited, _))) => inherited,
                 (None, None) => 0,
             };
-            let region = &mut regions[r];
             // An interior node hangs under its parent's copy; the top of a
             // piece under the region's proxy root (the global root is simply
             // the top of the root residue piece).
             let under = match above {
-                Some((inherited, local_parent)) if inherited == r => local_parent,
-                _ => region.tree.root(),
+                Some((inherited, local_parent)) if inherited == r => local_parent.index(),
+                _ => 0,
             };
-            // A copy is not a change of the region's tree.
-            #[expect(
-                clippy::expect_used,
-                reason = "`under` is the proxy root or a node copied before; a region has fewer ids than `tree`"
-            )]
-            let local = region
-                .tree
-                .attach_leaf(under)
-                .expect("a region has room under a live node");
-            region.map.bind(local, node);
+            parents[r].push(under);
+            let local = NodeId::from_index(parents[r].len());
+            maps[r].bind(local, node);
             map.bind(node, r, local);
         }
+        let regions = parents
+            .iter()
+            .zip(maps)
+            .map(|(up, map)| CarvedRegion {
+                tree: DynamicTree::from_parents(up.len(), |i| up[i - 1]),
+                map,
+            })
+            .collect();
         (map, regions)
     }
 

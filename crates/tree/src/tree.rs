@@ -34,8 +34,8 @@ pub(crate) struct Record {
 
 impl Record {
     /// A childless record under `parent`, after the sibling `prev`. It
-    /// carries the root's id until [`DynamicTree::alloc`] gives it the id
-    /// it mints.
+    /// carries the root's id until its maker ([`DynamicTree::alloc`] or
+    /// [`DynamicTree::from_parents`]) gives it its own.
     fn leaf(parent: u32, prev: u32, depth: u32) -> Self {
         Record {
             id: NodeId(0),
@@ -100,21 +100,56 @@ impl Default for DynamicTree {
 impl DynamicTree {
     /// Creates a tree containing only the root node.
     pub fn new() -> Self {
-        Self::with_room(0)
+        Self::from_parents(0, |_| 0)
     }
 
-    /// A tree with only the root, and room for `extra` more nodes.
-    fn with_room(extra: usize) -> Self {
-        let mut spine = Vec::with_capacity(extra + 1);
-        let mut records = Vec::with_capacity(extra + 1);
+    /// Builds a tree of the root and `n` more nodes in one pass: node `i`
+    /// (`1 ≤ i ≤ n`, in order) hangs under node `parent_of(i)`, after the
+    /// siblings built before it. Both vectors are sized once, and each
+    /// record and its sibling links are written in place. A built tree has
+    /// made no [`changes`](Self::changes).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `parent_of(i) < i`, or if `n + 1` nodes do not fit the
+    /// id space.
+    pub fn from_parents(n: usize, mut parent_of: impl FnMut(usize) -> usize) -> Self {
+        // Record indices stay below `NIL`, and a built node's index is its id.
+        #[expect(
+            clippy::expect_used,
+            reason = "an initial tree that outgrows the id space is a caller bug, like an allocation that outgrows memory"
+        )]
+        let last = u32::try_from(n)
+            .ok()
+            .filter(|&r| r != NIL)
+            .expect("the tree fits the id space");
+        // A fresh tree keeps every id in the record of the same index.
+        let (mut spine, mut records) = (Vec::with_capacity(n + 1), Vec::with_capacity(n + 1));
         spine.push(0);
         records.push(Record::leaf(NIL, NIL, 0));
+        for i in 1..=last {
+            spine.push(i);
+            let p = parent_of(i as usize);
+            // `records` holds nodes `0..i`, so a parent not below `i` panics here.
+            let above = &mut records[p];
+            let (prev, depth) = (above.last, above.depth + 1);
+            above.last = i;
+            above.degree += 1;
+            match prev {
+                NIL => above.first = i,
+                prev => records[prev as usize].next = i,
+            }
+            records.push(Record {
+                id: NodeId(i),
+                ..Record::leaf(p as u32, prev, depth)
+            });
+        }
         DynamicTree {
             spine,
             records,
             free: NIL,
             root: NodeId(0),
-            node_count: 1,
+            node_count: n + 1,
             changes: 0,
             recording: false,
             log: ChangeLog::default(),
@@ -124,31 +159,12 @@ impl DynamicTree {
     /// Creates a tree with `extra` leaves hanging directly off the root, for a
     /// total of `extra + 1` nodes (the initial network `n0`).
     pub fn with_initial_star(extra: usize) -> Self {
-        let mut t = Self::with_room(extra);
-        for _ in 0..extra {
-            #[expect(
-                clippy::expect_used,
-                reason = "an initial tree that outgrows the id space is a caller bug, like an allocation that outgrows memory"
-            )]
-            t.add_leaf(t.root).expect("the star fits the id space");
-        }
-        t
+        Self::from_parents(extra, |_| 0)
     }
 
-    /// Creates a tree that is a path of `len + 1` nodes starting at the root;
-    /// building it counts no [`changes`](Self::changes).
+    /// Creates a tree that is a path of `len + 1` nodes starting at the root.
     pub fn with_initial_path(len: usize) -> Self {
-        let mut t = Self::with_room(len);
-        let mut tip = t.root;
-        for _ in 0..len {
-            #[expect(
-                clippy::expect_used,
-                reason = "an initial tree that outgrows the id space is a caller bug, like an allocation that outgrows memory"
-            )]
-            let child = t.attach_leaf(tip).expect("the path fits the id space");
-            tip = child;
-        }
-        t
+        Self::from_parents(len, |i| i - 1)
     }
 
     /// The root of the tree. The root always exists and is never deleted.
@@ -525,19 +541,6 @@ impl DynamicTree {
         }
     }
 
-    /// Attaches a new leaf under `parent` without counting a change: the
-    /// initial path and region carving build their trees with it.
-    pub(crate) fn attach_leaf(&mut self, parent: NodeId) -> Result<NodeId, TreeError> {
-        let p = self.slot(parent)?;
-        let above = *self.rec(p);
-        let (child, c) = self.alloc(Record::leaf(p, above.last, above.depth + 1))?;
-        self.link_after(p, above.last, c);
-        let pd = self.rec_mut(p);
-        pd.last = c;
-        pd.degree += 1;
-        Ok(child)
-    }
-
     /// **add-leaf**: attaches a new leaf under `parent` and returns its id.
     ///
     /// # Errors
@@ -545,7 +548,13 @@ impl DynamicTree {
     /// * [`TreeError::UnknownNode`] if `parent` does not exist;
     /// * [`TreeError::IdSpaceExhausted`] if every id has been handed out.
     pub fn add_leaf(&mut self, parent: NodeId) -> Result<NodeId, TreeError> {
-        let child = self.attach_leaf(parent)?;
+        let p = self.slot(parent)?;
+        let above = *self.rec(p);
+        let (child, c) = self.alloc(Record::leaf(p, above.last, above.depth + 1))?;
+        self.link_after(p, above.last, c);
+        let pd = self.rec_mut(p);
+        pd.last = c;
+        pd.degree += 1;
         self.applied(TopologyEvent::AddLeaf { parent, child });
         Ok(child)
     }
@@ -810,6 +819,28 @@ mod tests {
         assert_eq!(path.node_count(), 5);
         assert_eq!(path.depth(NodeId::from_index(4)), 4);
         assert!(path.change_log().is_empty());
+        assert_eq!((star.changes(), path.changes()), (0, 0));
+    }
+
+    /// A built tree is the tree its parent map names, with vectors sized
+    /// once: the root's children in id order, each child linked both ways.
+    #[test]
+    fn from_parents_builds_the_named_tree_at_its_size() {
+        let parents = [0, 0, 1, 0, 3, 3];
+        let t = DynamicTree::from_parents(parents.len(), |i| parents[i - 1]);
+        let n = NodeId::from_index;
+        assert!(t.children(t.root()).unwrap().eq([n(1), n(2), n(4)]));
+        assert!(t.children(n(3)).unwrap().eq([n(5), n(6)]));
+        assert_eq!((t.depth(n(4)), t.depth(n(6))), (1, 3));
+        assert_eq!((t.node_count(), t.total_created(), t.changes()), (7, 7, 0));
+        assert_eq!((t.spine.capacity(), t.records.capacity()), (7, 7));
+        assert!(t.check_invariants().is_ok());
+    }
+
+    #[test]
+    #[should_panic]
+    fn from_parents_refuses_a_parent_not_built_yet() {
+        DynamicTree::from_parents(2, |i| i);
     }
 
     #[test]
@@ -826,8 +857,8 @@ mod tests {
             t.change_log().events()[2],
             TopologyEvent::RemoveLeaf { parent: a, node: b }
         );
-        // The count covers the two construction leaves, the log does not.
-        assert_eq!(t.changes(), 5);
+        // A built tree has made no changes: the count is the log's length.
+        assert_eq!(t.changes(), 3);
     }
 
     #[test]

@@ -24,17 +24,18 @@ use crate::placement::Placement;
 use crate::scenario::{ArrivalMode, Scenario};
 use crate::shape::build_tree;
 use dcn_controller::verify::{ExecutionSummary, Violation};
-use dcn_controller::{Controller, ControllerError, RequestKind};
+use dcn_controller::{run_to_quiescence, Controller, ControllerError, RequestKind};
 use dcn_rng::{DetRng, SeedableRng};
 use dcn_tree::{DynamicTree, NodeId};
+use std::sync::Arc;
 
 /// The uniform result of driving one controller through one scenario.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunReport {
     /// The controller family ([`Controller::name`]).
     pub controller: String,
-    /// The scenario name.
-    pub scenario: String,
+    /// The scenario name, shared with the scenario.
+    pub scenario: Arc<str>,
     /// The permit budget `M` ([`Controller::budget`]; `u64::MAX` for a §5
     /// application, which has no run-wide budget).
     pub m: u64,
@@ -359,7 +360,7 @@ impl ScenarioRunner {
             }
             match scenario.arrival {
                 ArrivalMode::Batch => {
-                    ctrl.run_to_quiescence()?;
+                    run_to_quiescence(ctrl)?;
                     check(ctrl);
                 }
                 ArrivalMode::Interleaved { quantum } => {
@@ -379,7 +380,7 @@ impl ScenarioRunner {
                 stalled_batches = 0;
             }
         }
-        ctrl.run_to_quiescence()?;
+        run_to_quiescence(ctrl)?;
         check(ctrl);
 
         let records = &ctrl.records()[before..];
@@ -443,7 +444,7 @@ mod tests {
 
     fn scenario(requests: usize, m: u64, w: u64, seed: u64) -> Scenario {
         Scenario {
-            name: "runner-test".to_string(),
+            name: "runner-test".into(),
             shape: TreeShape::RandomRecursive { nodes: 23, seed: 5 },
             churn: ChurnModel::default_mixed(),
             placement: Placement::Uniform,
@@ -578,7 +579,7 @@ mod tests {
         // request pulls permits the whole depth, so moves per request are at
         // least the depth for the trivial-free iterated controller.
         let s = Scenario {
-            name: "deep".to_string(),
+            name: "deep".into(),
             shape: TreeShape::Path { nodes: 30 },
             churn: ChurnModel::EventsOnly,
             placement: Placement::Deepest,

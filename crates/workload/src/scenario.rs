@@ -4,6 +4,7 @@ use crate::churn::ChurnModel;
 use crate::json;
 use crate::placement::Placement;
 use crate::shape::TreeShape;
+use std::sync::Arc;
 
 /// When execution advances relative to request arrivals.
 ///
@@ -51,7 +52,7 @@ impl ArrivalMode {
 /// use dcn_workload::{ArrivalMode, ChurnModel, Placement, Scenario, TreeShape};
 ///
 /// let scenario = Scenario {
-///     name: "quarter-churn".to_string(),
+///     name: "quarter-churn".into(),
 ///     shape: TreeShape::Balanced { nodes: 255, arity: 2 },
 ///     churn: ChurnModel::default_mixed(),
 ///     placement: Placement::Uniform,
@@ -67,8 +68,9 @@ impl ArrivalMode {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
-    /// Human-readable name (used in experiment output rows).
-    pub name: String,
+    /// Human-readable name (used in experiment output rows), shared by
+    /// every clone: a sweep's cells at one scenario point hold one copy.
+    pub name: Arc<str>,
     /// Initial tree shape.
     pub shape: TreeShape,
     /// Churn model for topological requests.
@@ -91,7 +93,7 @@ impl Scenario {
     /// A small smoke-test scenario, handy as a starting point.
     pub fn smoke() -> Self {
         Scenario {
-            name: "smoke".to_string(),
+            name: "smoke".into(),
             shape: TreeShape::Star { nodes: 31 },
             churn: ChurnModel::default_mixed(),
             placement: Placement::Uniform,
@@ -202,7 +204,7 @@ mod tests {
     fn read_back(s: &Scenario) -> String {
         let json = s.to_json();
         let v = json::parse(&json).unwrap();
-        assert_eq!(v.get("name").unwrap().as_str().unwrap(), s.name);
+        assert_eq!(v.get("name").unwrap().as_str().unwrap(), &*s.name);
         assert_eq!(
             v.get("requests").unwrap().as_u64().unwrap(),
             s.requests as u64
@@ -261,7 +263,7 @@ mod tests {
                 for &placement in &placements {
                     for &arrival in &arrivals {
                         let s = Scenario {
-                            name: "sweep \"quoted\"".to_string(),
+                            name: "sweep \"quoted\"".into(),
                             shape,
                             churn,
                             placement,

@@ -81,91 +81,45 @@ impl TreeShape {
     }
 }
 
-/// Hangs a new leaf under `parent`, a node the builder made.
-#[expect(
-    clippy::expect_used,
-    reason = "the parent is live, and a shape's node budget fits the id space"
-)]
-fn grow(tree: &mut DynamicTree, parent: NodeId) -> NodeId {
-    tree.add_leaf(parent)
-        .expect("a builder's own node takes a leaf")
-}
-
-/// Builds the initial tree for a shape (the pre-existing network `n0`). Like
-/// every fresh tree it keeps no change log until a reader asks for one.
+/// Builds the initial tree for a shape (the pre-existing network `n0`) in
+/// one pass from the parent of each node, ids in creation order. Like every
+/// built tree it has made no changes and keeps no change log.
 pub fn build_tree(shape: TreeShape) -> DynamicTree {
+    let n = shape.node_budget();
     match shape {
         TreeShape::Path { nodes } => DynamicTree::with_initial_path(nodes),
         TreeShape::Star { nodes } => DynamicTree::with_initial_star(nodes),
-        TreeShape::Balanced { nodes, arity } => {
+        // Level by level, `arity` children a node.
+        TreeShape::Balanced { arity, .. } => {
             let arity = arity.max(1);
-            let mut tree = DynamicTree::new();
-            let mut frontier = vec![tree.root()];
-            let mut next_frontier = Vec::new();
-            let mut created = 0;
-            'outer: loop {
-                for &parent in &frontier {
-                    for _ in 0..arity {
-                        if created == nodes {
-                            break 'outer;
-                        }
-                        let child = grow(&mut tree, parent);
-                        next_frontier.push(child);
-                        created += 1;
-                    }
-                }
-                frontier = std::mem::take(&mut next_frontier);
-                if frontier.is_empty() {
-                    break;
-                }
-            }
-            tree
+            DynamicTree::from_parents(n, |i| (i - 1) / arity)
         }
-        TreeShape::RandomRecursive { nodes, seed } => {
+        TreeShape::RandomRecursive { seed, .. } => {
             let mut rng = DetRng::seed_from_u64(seed);
-            let mut tree = DynamicTree::new();
-            let mut existing: Vec<NodeId> = vec![tree.root()];
-            for _ in 0..nodes {
-                let parent = existing[rng.gen_range(0..existing.len())];
-                let child = grow(&mut tree, parent);
-                existing.push(child);
-            }
-            tree
+            DynamicTree::from_parents(n, |i| rng.gen_range(0..i))
         }
-        TreeShape::Caterpillar { spine, legs } => {
-            let mut tree = DynamicTree::new();
-            let mut cur = tree.root();
-            for _ in 0..spine {
-                cur = grow(&mut tree, cur);
-                for _ in 0..legs {
-                    grow(&mut tree, cur);
-                }
-            }
-            tree
+        // Each spine node, then its legs.
+        TreeShape::Caterpillar { legs, .. } => {
+            DynamicTree::from_parents(n, |i| match (i - 1) % (legs + 1) {
+                0 => i.saturating_sub(legs + 1),
+                leg => i - leg,
+            })
         }
-        TreeShape::PreferentialAttachment { nodes, seed } => {
+        TreeShape::PreferentialAttachment { seed, .. } => {
             let mut rng = DetRng::seed_from_u64(seed);
-            let mut tree = DynamicTree::new();
             // Each node appears once plus once per child, so a uniform draw
             // from this list is a draw proportional to `1 + child-degree`.
-            let mut endpoints: Vec<NodeId> = vec![tree.root()];
-            for _ in 0..nodes {
+            let mut endpoints = Vec::with_capacity(2 * n + 1);
+            endpoints.push(0);
+            DynamicTree::from_parents(n, |i| {
                 let parent = endpoints[rng.gen_range(0..endpoints.len())];
-                let child = grow(&mut tree, parent);
-                endpoints.push(parent);
-                endpoints.push(child);
-            }
-            tree
+                endpoints.extend([parent, i]);
+                parent
+            })
         }
-        TreeShape::Spider { legs, leg_length } => {
-            let mut tree = DynamicTree::new();
-            for _ in 0..legs {
-                let mut cur = tree.root();
-                for _ in 0..leg_length {
-                    cur = grow(&mut tree, cur);
-                }
-            }
-            tree
+        // One leg after another, each a path off the root.
+        TreeShape::Spider { leg_length, .. } => {
+            DynamicTree::from_parents(n, |i| if (i - 1) % leg_length == 0 { 0 } else { i - 1 })
         }
     }
 }
@@ -214,6 +168,126 @@ mod tests {
             assert_eq!(tree.node_count(), shape.node_budget() + 1, "{shape:?}");
             assert!(tree.check_invariants().is_ok(), "{shape:?}");
             assert!(tree.change_log().is_empty(), "{shape:?}");
+        }
+    }
+
+    /// The builder `build_tree` replaced: one `add_leaf` at a time, so the
+    /// one-pass build can be held against it.
+    fn add_leaf_reference(shape: TreeShape) -> DynamicTree {
+        let mut tree = DynamicTree::new();
+        let root = tree.root();
+        let grow = |tree: &mut DynamicTree, parent| tree.add_leaf(parent).unwrap();
+        match shape {
+            TreeShape::Path { nodes } => {
+                let mut cur = root;
+                for _ in 0..nodes {
+                    cur = grow(&mut tree, cur);
+                }
+            }
+            TreeShape::Star { nodes } => {
+                for _ in 0..nodes {
+                    grow(&mut tree, root);
+                }
+            }
+            TreeShape::Balanced { nodes, arity } => {
+                let mut frontier = vec![root];
+                let mut next_frontier = Vec::new();
+                let mut created = 0;
+                'outer: loop {
+                    for &parent in &frontier {
+                        for _ in 0..arity.max(1) {
+                            if created == nodes {
+                                break 'outer;
+                            }
+                            next_frontier.push(grow(&mut tree, parent));
+                            created += 1;
+                        }
+                    }
+                    frontier = std::mem::take(&mut next_frontier);
+                }
+            }
+            TreeShape::RandomRecursive { nodes, seed } => {
+                let mut rng = DetRng::seed_from_u64(seed);
+                let mut existing = vec![root];
+                for _ in 0..nodes {
+                    let parent = existing[rng.gen_range(0..existing.len())];
+                    existing.push(grow(&mut tree, parent));
+                }
+            }
+            TreeShape::Caterpillar { spine, legs } => {
+                let mut cur = root;
+                for _ in 0..spine {
+                    cur = grow(&mut tree, cur);
+                    for _ in 0..legs {
+                        grow(&mut tree, cur);
+                    }
+                }
+            }
+            TreeShape::PreferentialAttachment { nodes, seed } => {
+                let mut rng = DetRng::seed_from_u64(seed);
+                let mut endpoints = vec![root];
+                for _ in 0..nodes {
+                    let parent = endpoints[rng.gen_range(0..endpoints.len())];
+                    let child = grow(&mut tree, parent);
+                    endpoints.extend([parent, child]);
+                }
+            }
+            TreeShape::Spider { legs, leg_length } => {
+                for _ in 0..legs {
+                    let mut cur = root;
+                    for _ in 0..leg_length {
+                        cur = grow(&mut tree, cur);
+                    }
+                }
+            }
+        }
+        tree
+    }
+
+    /// Every shape, at sizes from empty to 1 000 nodes and over 20 seeds,
+    /// builds the tree the `add_leaf` loop builds: the same ids, parents,
+    /// child order and depths, and no changes made.
+    #[test]
+    fn every_shape_builds_what_an_add_leaf_loop_builds() {
+        for size in [0, 1, 2, 3, 7, 17, 64, 255, 1000] {
+            for seed in 0..20u64 {
+                let (arity, legs) = (1 + seed as usize % 5, seed as usize % 4);
+                let shapes = [
+                    TreeShape::Path { nodes: size },
+                    TreeShape::Star { nodes: size },
+                    TreeShape::Balanced { nodes: size, arity },
+                    TreeShape::RandomRecursive { nodes: size, seed },
+                    TreeShape::Caterpillar {
+                        spine: size / (legs + 1),
+                        legs,
+                    },
+                    TreeShape::PreferentialAttachment { nodes: size, seed },
+                    TreeShape::Spider {
+                        legs: legs + 1,
+                        leg_length: size / (legs + 1),
+                    },
+                ];
+                for shape in shapes {
+                    let (built, reference) = (build_tree(shape), add_leaf_reference(shape));
+                    assert!(built.nodes().eq(reference.nodes()), "{shape:?}");
+                    for v in built.nodes() {
+                        assert_eq!(built.parent(v), reference.parent(v), "{shape:?} {v}");
+                        assert!(
+                            built
+                                .children(v)
+                                .unwrap()
+                                .eq(reference.children(v).unwrap()),
+                            "{shape:?} {v}"
+                        );
+                        assert_eq!(built.depth(v), reference.depth(v), "{shape:?} {v}");
+                    }
+                    assert_eq!(built.node_count(), reference.node_count(), "{shape:?}");
+                    assert_eq!(built.node_count(), shape.node_budget() + 1, "{shape:?}");
+                    assert_eq!(built.total_created(), reference.total_created());
+                    assert_eq!(built.changes(), 0, "{shape:?}");
+                    assert!(built.check_invariants().is_ok(), "{shape:?}");
+                }
+            }
         }
     }
 

@@ -306,7 +306,7 @@ pub fn shard_family_name(k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_controller::RequestKind;
+    use dcn_controller::{run_to_quiescence, RequestKind};
 
     /// The twelve families: the six controllers, then the six applications.
     fn every_family() -> impl Iterator<Item = Family> {
@@ -354,7 +354,7 @@ mod tests {
                 .unwrap();
             let at = ctrl.tree().root();
             let id = ctrl.submit(at, RequestKind::AddLeaf).unwrap();
-            ctrl.run_to_quiescence().unwrap();
+            run_to_quiescence(ctrl.as_mut()).unwrap();
             let answers = ctrl.take_records();
             assert!(
                 answers.len() == 1 && answers[0].id == id && answers[0].outcome.is_granted(),
@@ -411,7 +411,7 @@ mod tests {
             let mut app = family_factory(family.name(), &scenario).unwrap();
             let at = app.tree().root();
             let id = app.submit(at, RequestKind::AddLeaf).unwrap();
-            app.run_to_quiescence().unwrap();
+            run_to_quiescence(app.as_mut()).unwrap();
             let answers: Vec<_> = app.take_records().iter().map(|r| r.id).collect();
             assert_eq!(answers, [id], "{}", family.name());
             app.check_invariants().unwrap();
@@ -460,7 +460,7 @@ mod tests {
             assert_eq!(ctrl.name(), family);
             let at = ctrl.tree().root();
             let id = ctrl.submit(at, RequestKind::NonTopological).unwrap();
-            ctrl.run_to_quiescence().unwrap();
+            run_to_quiescence(ctrl.as_mut()).unwrap();
             let answer = ctrl.records()[0];
             assert!(answer.id == id && answer.outcome.is_granted(), "{name}");
         }

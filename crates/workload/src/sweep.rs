@@ -30,7 +30,7 @@ use crate::shape::TreeShape;
 use crate::spec::AppFamily;
 use dcn_controller::Controller;
 use dcn_rng::split_mix64;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An `(M, W)` budget point of a sweep grid.
@@ -115,6 +115,7 @@ impl SweepGrid {
         // the same (shape, churn, placement, arrival, budget, replicate)
         // is the same scenario — name, seed and all — whichever family or
         // application runs it, which is what makes the seed family-blind.
+        // Every driver's cell shares its point's one name allocation.
         let replicates = self.replicates.max(1);
         let mut points = Vec::new();
         for &shape in &self.shapes {
@@ -132,13 +133,14 @@ impl SweepGrid {
                                     name: format!(
                                         "{}-{}-{}-{}-{}-m{}w{}-r{replicate}",
                                         self.name,
-                                        shape_label(&shape),
-                                        churn_label(&churn),
-                                        placement_label(&placement),
-                                        arrival_label(&arrival),
+                                        Label::Shape(&shape),
+                                        Label::Churn(&churn),
+                                        Label::Placement(&placement),
+                                        Label::Arrival(&arrival),
                                         budget.m,
                                         budget.w,
-                                    ),
+                                    )
+                                    .into(),
                                     shape,
                                     churn,
                                     placement,
@@ -577,10 +579,10 @@ impl SweepReport {
                 c.cell.family,
                 kind_label(&c.cell.family),
                 s.name,
-                shape_label(&s.shape),
-                churn_label(&s.churn),
-                placement_label(&s.placement),
-                arrival_label(&s.arrival),
+                Label::Shape(&s.shape),
+                Label::Churn(&s.churn),
+                Label::Placement(&s.placement),
+                Label::Arrival(&s.arrival),
                 s.m,
                 s.w,
                 s.requests,
@@ -682,52 +684,52 @@ fn kind_label(family: &str) -> &'static str {
     }
 }
 
-/// A short, comma-free label for a shape (used in scenario names and CSV).
-fn shape_label(shape: &TreeShape) -> String {
-    match *shape {
-        TreeShape::Path { nodes } => format!("path{nodes}"),
-        TreeShape::Star { nodes } => format!("star{nodes}"),
-        TreeShape::Balanced { nodes, arity } => format!("bal{nodes}x{arity}"),
-        TreeShape::RandomRecursive { nodes, seed } => format!("rrt{nodes}s{seed}"),
-        TreeShape::Caterpillar { spine, legs } => format!("cat{spine}x{legs}"),
-        TreeShape::PreferentialAttachment { nodes, seed } => format!("pa{nodes}s{seed}"),
-        TreeShape::Spider { legs, leg_length } => format!("spider{legs}x{leg_length}"),
-    }
+/// A short, comma-free label of one scenario axis (used in scenario names
+/// and CSV), written straight into its row or name.
+enum Label<'a> {
+    Shape(&'a TreeShape),
+    Churn(&'a ChurnModel),
+    Placement(&'a Placement),
+    Arrival(&'a ArrivalMode),
 }
 
-/// A short, comma-free label for a churn model.
-fn churn_label(churn: &ChurnModel) -> String {
-    match *churn {
-        ChurnModel::GrowOnly => "grow".to_string(),
-        ChurnModel::EventsOnly => "events".to_string(),
-        ChurnModel::LeafChurn { insert_percent } => format!("leaf{insert_percent}"),
-        ChurnModel::FullChurn {
-            add_leaf,
-            add_internal,
-            remove,
-        } => format!("full{add_leaf}-{add_internal}-{remove}"),
-        ChurnModel::BurstyDeepLeaf { burst } => format!("bursty{burst}"),
-    }
-}
-
-/// A short, comma-free label for an arrival mode.
-fn arrival_label(arrival: &ArrivalMode) -> String {
-    match *arrival {
-        ArrivalMode::Batch => "batch".to_string(),
-        ArrivalMode::Interleaved { quantum } => format!("open{quantum}"),
-    }
-}
-
-/// A short, comma-free label for a placement distribution.
-fn placement_label(placement: &Placement) -> String {
-    match *placement {
-        Placement::Uniform => "uniform".to_string(),
-        Placement::Deepest => "deepest".to_string(),
-        Placement::Leaves => "leaves".to_string(),
-        Placement::Skewed {
-            hot_set,
-            hot_percent,
-        } => format!("skew{hot_set}-{hot_percent}"),
+impl fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Label::Shape(&TreeShape::Path { nodes }) => write!(f, "path{nodes}"),
+            Label::Shape(&TreeShape::Star { nodes }) => write!(f, "star{nodes}"),
+            Label::Shape(&TreeShape::Balanced { nodes, arity }) => write!(f, "bal{nodes}x{arity}"),
+            Label::Shape(&TreeShape::RandomRecursive { nodes, seed }) => {
+                write!(f, "rrt{nodes}s{seed}")
+            }
+            Label::Shape(&TreeShape::Caterpillar { spine, legs }) => write!(f, "cat{spine}x{legs}"),
+            Label::Shape(&TreeShape::PreferentialAttachment { nodes, seed }) => {
+                write!(f, "pa{nodes}s{seed}")
+            }
+            Label::Shape(&TreeShape::Spider { legs, leg_length }) => {
+                write!(f, "spider{legs}x{leg_length}")
+            }
+            Label::Churn(ChurnModel::GrowOnly) => f.write_str("grow"),
+            Label::Churn(ChurnModel::EventsOnly) => f.write_str("events"),
+            Label::Churn(&ChurnModel::LeafChurn { insert_percent }) => {
+                write!(f, "leaf{insert_percent}")
+            }
+            Label::Churn(&ChurnModel::FullChurn {
+                add_leaf,
+                add_internal,
+                remove,
+            }) => write!(f, "full{add_leaf}-{add_internal}-{remove}"),
+            Label::Churn(&ChurnModel::BurstyDeepLeaf { burst }) => write!(f, "bursty{burst}"),
+            Label::Placement(Placement::Uniform) => f.write_str("uniform"),
+            Label::Placement(Placement::Deepest) => f.write_str("deepest"),
+            Label::Placement(Placement::Leaves) => f.write_str("leaves"),
+            Label::Placement(&Placement::Skewed {
+                hot_set,
+                hot_percent,
+            }) => write!(f, "skew{hot_set}-{hot_percent}"),
+            Label::Arrival(ArrivalMode::Batch) => f.write_str("batch"),
+            Label::Arrival(&ArrivalMode::Interleaved { quantum }) => write!(f, "open{quantum}"),
+        }
     }
 }
 
@@ -735,6 +737,7 @@ fn placement_label(placement: &Placement) -> String {
 mod tests {
     use super::*;
     use dcn_controller::centralized::IteratedController;
+    use std::sync::Arc;
 
     fn iterated_factory(family: &str, scenario: &Scenario) -> Result<Box<dyn Controller>, String> {
         if family != "iterated" {
@@ -803,6 +806,36 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), half);
+    }
+
+    /// A scenario point's name is made once: every driver's cell at the
+    /// point holds the same allocation, spelled as the labels spell it.
+    #[test]
+    fn every_drivers_cell_at_a_point_shares_one_name() {
+        let mut grid = small_grid();
+        grid.families = vec!["iterated".to_string(), "distributed".to_string()];
+        grid.shards = vec![1, 4];
+        grid.apps = vec!["size-estimator".to_string()];
+        let cells = grid.cells();
+        let points = cells.len() / 5;
+        assert_eq!(points, 8);
+        assert_eq!(
+            &*cells[0].scenario.name,
+            "unit-star10-full30-20-25-uniform-batch-m24w6-r0"
+        );
+        assert_eq!(
+            &*cells[7].scenario.name,
+            "unit-path10-grow-uniform-batch-m24w6-r1"
+        );
+        for (i, cell) in cells.iter().enumerate() {
+            let first = &cells[i % points].scenario;
+            assert!(Arc::ptr_eq(&cell.scenario.name, &first.name), "cell {i}");
+            assert_eq!(cell.scenario, *first, "cell {i}");
+        }
+        let mut names: Vec<&str> = cells[..points].iter().map(|c| &*c.scenario.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), points);
     }
 
     #[test]
@@ -961,7 +994,7 @@ mod tests {
     fn an_app_cells_refusals_reach_both_emitters() {
         use crate::json::Value;
         let scenario = Scenario {
-            name: "star23-open24".to_string(),
+            name: "star23-open24".into(),
             shape: TreeShape::Star { nodes: 23 },
             churn: ChurnModel::default_mixed(),
             placement: Placement::Uniform,
@@ -1092,7 +1125,7 @@ mod tests {
             },
         ];
         for s in &shapes {
-            assert!(!shape_label(s).contains(','));
+            assert!(!Label::Shape(s).to_string().contains(','));
         }
         let churns = [
             ChurnModel::GrowOnly,
@@ -1102,7 +1135,7 @@ mod tests {
             ChurnModel::BurstyDeepLeaf { burst: 4 },
         ];
         for c in &churns {
-            assert!(!churn_label(c).contains(','));
+            assert!(!Label::Churn(c).to_string().contains(','));
         }
         let placements = [
             Placement::Uniform,
@@ -1114,7 +1147,7 @@ mod tests {
             },
         ];
         for p in &placements {
-            assert!(!placement_label(p).contains(','));
+            assert!(!Label::Placement(p).to_string().contains(','));
         }
     }
 }

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // One scenario per wave: 12 requests against the *current* overlay,
         // reseeded so every wave draws fresh churn.
         let scenario = Scenario {
-            name: format!("wave-{wave}"),
+            name: format!("wave-{wave}").into(),
             shape: TreeShape::Star { nodes: 7 }, // initial shape (tree already built)
             churn,
             placement: Placement::Uniform,

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An (M, W) = (10, 3) controller: at most 10 permits ever, and if
     // anything is rejected at least 7 permits must have been granted.
     let scenario = Scenario {
-        name: "quickstart".to_string(),
+        name: "quickstart".into(),
         shape: dcn::workload::TreeShape::RandomRecursive {
             nodes: 15,
             seed: 42,

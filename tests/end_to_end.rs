@@ -25,7 +25,7 @@ use dcn::workload::{
 #[test]
 fn all_six_controller_families_respect_safety_on_the_same_scenario() {
     let scenario = Scenario {
-        name: "e2e-sweep".to_string(),
+        name: "e2e-sweep".into(),
         shape: TreeShape::RandomRecursive {
             nodes: 31,
             seed: 11,
@@ -94,7 +94,7 @@ fn all_six_controller_families_respect_safety_on_the_same_scenario() {
 #[test]
 fn interleaved_arrivals_are_safe_for_the_distributed_families() {
     let scenario = Scenario {
-        name: "e2e-interleaved".to_string(),
+        name: "e2e-interleaved".into(),
         shape: TreeShape::RandomRecursive {
             nodes: 31,
             seed: 13,
@@ -134,7 +134,7 @@ fn interleaved_arrivals_are_safe_for_the_distributed_families() {
 #[test]
 fn adaptive_distributed_controller_runs_through_the_scenario_runner() {
     let scenario = Scenario {
-        name: "e2e-adaptive".to_string(),
+        name: "e2e-adaptive".into(),
         shape: TreeShape::RandomRecursive { nodes: 15, seed: 3 },
         churn: ChurnModel::default_mixed(),
         placement: Placement::Uniform,
@@ -186,7 +186,7 @@ fn a_constant_delay_run_is_pinned_field_for_field() {
     ) in recorded
     {
         let scenario = Scenario {
-            name: "constant-delay-control".to_string(),
+            name: "constant-delay-control".into(),
             shape: TreeShape::Path { nodes: 64 },
             churn: ChurnModel::default_mixed(),
             placement: Placement::Uniform,
@@ -361,7 +361,7 @@ fn all_six_applications_run_through_the_unified_ticketed_runtime() {
     use dcn::workload::{family_factory, AppFamily};
 
     let base = Scenario {
-        name: "e2e-apps".to_string(),
+        name: "e2e-apps".into(),
         shape: TreeShape::RandomRecursive {
             nodes: 23,
             seed: 19,
@@ -411,7 +411,7 @@ fn all_six_applications_run_through_the_unified_ticketed_runtime() {
 /// (star 23, `default_mixed` churn, quantum 24, M 4096, W 128).
 fn vanishing_origin_scenario(seed: u64) -> Scenario {
     Scenario {
-        name: "star23-open24".to_string(),
+        name: "star23-open24".into(),
         shape: TreeShape::Star { nodes: 23 },
         churn: ChurnModel::default_mixed(),
         placement: Placement::Uniform,

@@ -26,7 +26,9 @@
 //! instead of hanging, while slices within the valve never trip it.
 
 use dcn::controller::sharded::ShardedController;
-use dcn::controller::{Controller, ControllerEvent, RequestId, RequestKind, RequestRecord};
+use dcn::controller::{
+    run_to_quiescence, Controller, ControllerEvent, RequestId, RequestKind, RequestRecord,
+};
 use dcn::simnet::SimConfig;
 use dcn::tree::DynamicTree;
 use dcn::workload::{
@@ -41,7 +43,7 @@ const MAX_SLICES: u32 = 10_000;
 
 fn scenario(seed: u64) -> Scenario {
     let mut s = Scenario::smoke();
-    s.name = format!("parity-{seed}");
+    s.name = format!("parity-{seed}").into();
     // Mixed churn includes deletions and internal insertions, which the AAPS
     // family refuses — exercising the Refused path.
     s.churn = ChurnModel::default_mixed();
@@ -82,7 +84,7 @@ fn drive(
 }
 
 fn run_fully(ctrl: &mut dyn Controller) {
-    ctrl.run_to_quiescence().unwrap();
+    run_to_quiescence(ctrl).unwrap();
 }
 
 /// Steps in slices of `budget` events until quiescent, taking the answers
@@ -320,7 +322,7 @@ fn submit_deep(ctrl: &mut dyn Controller) {
 fn one_max_events_valve_caps_every_slice_of_every_driver() {
     for (name, mut ctrl, simulates) in valved_controllers() {
         submit_deep(ctrl.as_mut());
-        let ran = ctrl.run_to_quiescence();
+        let ran = run_to_quiescence(ctrl.as_mut());
         assert_eq!(ran.is_err(), simulates, "{name}: {ran:?}");
     }
     // Slices within the valve never trip it: stepping one event at a time
